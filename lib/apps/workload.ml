@@ -112,6 +112,9 @@ let run_to_completion t ?(horizon_ns = 1e13) work =
      also covers service fibers (which block forever by design), so
      only the work functions' own returns witness completion. *)
   let done_workers = ref 0 in
+  (* With the service fibers still blocked, the clock ends on the
+     horizon: the duration is when the last worker finished. *)
+  let last_done_ns = ref 0.0 in
   Array.iter
     (fun core ->
       let ctx = Runtime.app_ctx t core in
@@ -121,11 +124,13 @@ let run_to_completion t ?(horizon_ns = 1e13) work =
           let cstats = Stats.core stats core in
           cstats.Stats.ops <- cstats.Stats.ops + 1;
           incr done_workers;
-          Runtime.poll_service t ~core))
+          Runtime.poll_service t ~core;
+          last_done_ns := Sim.now sim))
     (Runtime.app_cores t);
   let events = Runtime.run t ~until:horizon_ns () in
   (* Work left unfinished means the safety horizon (or the watchdog)
      cut the run short: the reported duration is the horizon, not a
      completion time, and must not be read as one. *)
   let horizon_hit = !done_workers < Array.length (Runtime.app_cores t) in
-  collect t ~horizon_hit ~events ~duration_ns:(Sim.now sim) ()
+  let duration_ns = if horizon_hit then Sim.now sim else !last_done_ns in
+  collect t ~horizon_hit ~events ~duration_ns ()

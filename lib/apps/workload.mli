@@ -70,7 +70,8 @@ val drive_seq :
 (** [run_to_completion t work] — starts services, runs [work] on every
     application core, waits for all of them to finish (with a generous
     safety horizon) and returns the result with [duration_ms] the
-    completion time. *)
+    virtual instant the last worker finished (the horizon when
+    [horizon_hit]). *)
 val run_to_completion :
   Tm2c_core.Runtime.t ->
   ?horizon_ns:float ->

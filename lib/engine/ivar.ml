@@ -1,4 +1,4 @@
-type 'a state = Empty of ('a -> unit) list | Filled of 'a
+type 'a state = Empty of Sim.spot list | Filled of 'a
 
 type 'a t = { mutable state : 'a state }
 
@@ -7,19 +7,19 @@ let create () = { state = Empty [] }
 let fill iv v =
   match iv.state with
   | Filled _ -> invalid_arg "Ivar.fill: already filled"
-  | Empty waiters ->
+  | Empty readers ->
       iv.state <- Filled v;
       (* Wake in registration order. *)
-      List.iter (fun resume -> resume v) (List.rev waiters)
+      List.iter Sim.wake (List.rev readers)
 
 let read iv =
   match iv.state with
   | Filled v -> v
-  | Empty _ ->
-      Sim.suspend (fun resume ->
-          match iv.state with
-          | Filled _ -> assert false
-          | Empty waiters -> iv.state <- Empty (resume :: waiters))
+  | Empty readers -> (
+      let s = Sim.spot (Sim.current ()) in
+      iv.state <- Empty (s :: readers);
+      Sim.park s;
+      match iv.state with Filled v -> v | Empty _ -> assert false)
 
 let try_read iv = match iv.state with Filled v -> Some v | Empty _ -> None
 

@@ -1,15 +1,27 @@
 (* Unbounded FIFO mailbox over a power-of-two ring buffer, with timed
    deliveries routed through a Sim port: [send_at] parks the payload in
    a pooled slot and schedules just (port, slot) ints — no per-message
-   closure — and the port handler moves the payload to the ring (or
-   directly to a blocked receiver) at delivery time. *)
+   closure — and the port handler moves the payload to the ring, or
+   hands it to the receiver parked in [spot], at delivery time.
+
+   The mailbox owns the receive charge: every successful receive counts
+   in [received] and, when a charge is configured, delays the receiver
+   by [recv_oh]. Owning it is what lets a delivery fuse the charge into
+   its own dispatch (see [deliver_slot]). *)
 
 type 'a t = {
   sim : Sim.t;
   mutable buf : 'a array; (* ring; capacity a power of two *)
   mutable head : int; (* read position *)
   mutable len : int;
-  mutable waiter : ('a -> unit) option;
+  spot : Sim.spot; (* the receiver blocked on an empty mailbox *)
+  mutable handoff : 'a; (* delivered to the parked receiver, not queued *)
+  mutable handed : bool; (* [handoff] holds a value *)
+  mutable precharged : bool; (* the delivery already paid the receive charge *)
+  mutable stamp : int; (* bumped as each [recv_timeout] ends: its timer goes inert *)
+  charging : bool;
+  recv_oh : float;
+  mutable received : int;
   mutable port : int; (* Sim port for timed deliveries *)
   mutable slots : 'a array; (* in-flight timed-delivery payloads *)
   mutable free : int array; (* free slot indices, used as a stack *)
@@ -45,29 +57,57 @@ let ring_pop mb =
   mb.len <- mb.len - 1;
   v
 
-let deliver mb v =
-  match mb.waiter with
-  | Some resume ->
-      mb.waiter <- None;
-      resume v
-  | None -> ring_push mb v
+let give mb v =
+  mb.handoff <- v;
+  mb.handed <- true
 
-(* [free] always has one index per slot, so releasing never overflows. *)
+let send mb v =
+  if Sim.is_parked mb.spot then begin
+    give mb v;
+    Sim.wake mb.spot
+  end
+  else ring_push mb v
+
+(* The port handler. The hand-off is its last action, so when no other
+   event is due at this instant the receiver's wake-up event would be
+   the very next pop, and two exact shortcuts apply. With other events
+   queued (for later instants), the receiver's first step — count the
+   message, [delay recv_oh] — is done here, and the receiver is queued
+   straight at [now + recv_oh]. With nothing queued, it continues in
+   place and charges itself. [free] always has one index per slot, so
+   releasing never overflows. *)
 let deliver_slot mb slot =
   let v = mb.slots.(slot) in
   mb.slots.(slot) <- dummy ();
   mb.free.(mb.free_top) <- slot;
   mb.free_top <- mb.free_top + 1;
-  deliver mb v
+  if not (Sim.is_parked mb.spot) then ring_push mb v
+  else begin
+    give mb v;
+    if not (Sim.none_due_now mb.sim) then Sim.wake mb.spot
+    else if mb.charging && Sim.pending mb.sim > 0 then begin
+      mb.received <- mb.received + 1;
+      mb.precharged <- true;
+      Sim.hand_off_after mb.spot mb.recv_oh
+    end
+    else Sim.hand_off mb.spot
+  end
 
-let create sim =
+let create ?recv_charge_ns sim =
   let mb =
     {
       sim;
       buf = [||];
       head = 0;
       len = 0;
-      waiter = None;
+      spot = Sim.spot sim;
+      handoff = dummy ();
+      handed = false;
+      precharged = false;
+      stamp = 0;
+      charging = recv_charge_ns <> None;
+      recv_oh = Option.value recv_charge_ns ~default:0.0;
+      received = 0;
       port = -1;
       slots = [||];
       free = [||];
@@ -79,9 +119,7 @@ let create sim =
 
 let length mb = mb.len
 
-let is_empty mb = mb.len = 0
-
-let send mb v = deliver mb v
+let received mb = mb.received
 
 let alloc_slot mb v =
   if mb.free_top = 0 then begin
@@ -106,38 +144,44 @@ let send_at mb ~at v =
   let slot = alloc_slot mb v in
   Sim.schedule_port mb.sim ~at ~port:mb.port ~slot
 
+(* The one charged path every successful receive takes. *)
+let charge mb v =
+  if mb.precharged then mb.precharged <- false
+  else begin
+    mb.received <- mb.received + 1;
+    if mb.charging then Sim.delay mb.recv_oh
+  end;
+  v
+
+(* After [park] returns, when a delivery woke us ([handed]). *)
+let take_handoff mb =
+  let v = mb.handoff in
+  mb.handoff <- dummy ();
+  mb.handed <- false;
+  v
+
 let recv mb =
-  if mb.len > 0 then ring_pop mb
-  else
-    Sim.suspend (fun resume ->
-        if mb.waiter <> None then
-          invalid_arg "Mailbox.recv: mailbox already has a waiter";
-        mb.waiter <- Some resume)
+  if mb.len > 0 then charge mb (ring_pop mb)
+  else begin
+    Sim.park mb.spot;
+    if not mb.handed then invalid_arg "Mailbox.recv: woken without a message";
+    charge mb (take_handoff mb)
+  end
 
-let try_recv mb = if mb.len > 0 then Some (ring_pop mb) else None
+let try_recv mb = if mb.len > 0 then Some (charge mb (ring_pop mb)) else None
 
+(* The timer wakes the receiver only while this receive lasts ([stamp]
+   unchanged) and the receiver is still parked: once a delivery has
+   woken it, the timer is inert, even when the receiver has since
+   parked again. A message landing at the timeout's own instant after
+   the timer went off finds nobody parked and stays queued. *)
 let recv_timeout mb ~timeout_ns =
-  if mb.len > 0 then Some (ring_pop mb)
-  else
-    Sim.suspend (fun resume ->
-        if mb.waiter <> None then
-          invalid_arg "Mailbox.recv_timeout: mailbox already has a waiter";
-        let fired = ref false in
-        let rec wait v =
-          if not !fired then begin
-            fired := true;
-            resume (Some v)
-          end
-        and cancel () =
-          if not !fired then begin
-            fired := true;
-            (* Only uninstall our own waiter: a later [recv] may have
-               replaced it after a delivery already resumed us. *)
-            (match mb.waiter with
-            | Some w when w == wait -> mb.waiter <- None
-            | _ -> ());
-            resume None
-          end
-        in
-        mb.waiter <- Some wait;
-        Sim.schedule mb.sim ~at:(Sim.now mb.sim +. timeout_ns) cancel)
+  if mb.len > 0 then Some (charge mb (ring_pop mb))
+  else begin
+    let stamp = mb.stamp in
+    Sim.schedule mb.sim ~at:(Sim.now mb.sim +. timeout_ns) (fun () ->
+        if mb.stamp = stamp then Sim.wake mb.spot);
+    Sim.park mb.spot;
+    mb.stamp <- stamp + 1;
+    if mb.handed then Some (charge mb (take_handoff mb)) else None
+  end

@@ -2,16 +2,25 @@
 
     A mailbox supports any number of senders but at most one process
     blocked in {!recv} at a time (each simulated core owns exactly one
-    mailbox, and a core is a single process). *)
+    mailbox, and a core is a single process).
+
+    Every successful receive counts in {!received}; with a receive
+    charge configured it also delays the receiver by that charge. *)
 
 type 'a t
 
-val create : Sim.t -> 'a t
+(** [create ?recv_charge_ns sim] — with [recv_charge_ns], every
+    successful receive ({!recv}, {!try_recv}, {!recv_timeout}) then
+    delays the receiver by that many virtual ns (the receive software
+    overhead); without it, receives cost no virtual time. *)
+val create : ?recv_charge_ns:float -> Sim.t -> 'a t
 
-(** Number of queued messages. *)
+(** Number of queued messages. A message handed straight to a blocked
+    receiver is never queued. *)
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
+(** Successful receives so far. *)
+val received : 'a t -> int
 
 (** [send mb v] enqueues [v] now, waking the receiver if blocked. *)
 val send : 'a t -> 'a -> unit
@@ -27,8 +36,8 @@ val recv : 'a t -> 'a
 val try_recv : 'a t -> 'a option
 
 (** [recv_timeout mb ~timeout_ns] blocks like {!recv} but gives up
-    after [timeout_ns] of virtual time, returning [None]. The timeout
-    event is inert once a message has arrived (and vice versa), and a
-    timed-out waiter is uninstalled so the mailbox can be received on
-    again. *)
+    after [timeout_ns] of virtual time, returning [None] with nothing
+    charged. The timeout is inert once a message has arrived (and vice
+    versa: a message landing after the timeout went off stays queued
+    for a later receive). *)
 val recv_timeout : 'a t -> timeout_ns:float -> 'a option

@@ -7,11 +7,12 @@ exception Stopped
    closures: kind 0 carries an ordinary callback, kind 1 an
    (int port, int slot) pair dispatched through the port registry —
    the int-packed fast path used by Mailbox's timed deliveries — and
-   kind 2 a parked delay continuation, resumed directly by the run
-   loop with no wrapper closure. Cells are recycled through a free
-   stack the moment they are popped. *)
+   kind 2 a parked continuation (a delay, or a process woken from a
+   spot), resumed directly by the run loop with no wrapper closure.
+   Cells are recycled through a free stack the moment they are
+   popped. *)
 type cell = {
-  mutable kind : int; (* 0 = closure, 1 = port delivery, 2 = delay wake *)
+  mutable kind : int; (* 0 = closure, 1 = port delivery, 2 = continuation *)
   mutable fn : unit -> unit;
   mutable port : int;
   mutable slot : int;
@@ -61,13 +62,26 @@ let prof_cat_dtm = 4
 
 let prof_cat_network = 5
 
-(* The effect payload carries the owning simulation so that nested or
-   sequential simulations (common in tests) cannot interfere. The
-   wake-up time rides in [pending_delay] rather than the payload, so
-   the effect value itself is one preallocated [Delay t] per simulation
-   and the dominant effect on the hot path allocates nothing. *)
+(* A parking spot holds at most one blocked process as its bare
+   continuation. Like [Delay], its effect value and handler are
+   allocated once, with the spot, so parking allocates only the
+   [Some k] it stores. Whatever the process waits for (a message, a
+   queue entry) travels beside the spot, in its owner's state. *)
+type spot = {
+  owner : t;
+  mutable parked : (unit, unit) continuation option;
+  park_eff : unit Effect.t; (* preallocated [Park spot] *)
+  park_handler : ((unit, unit) continuation -> unit) option;
+}
+
+(* The effect payload carries the owning simulation (or spot) so that
+   nested or sequential simulations (common in tests) cannot
+   interfere. The wake-up time rides in [pending_delay] rather than
+   the payload, so the effect value itself is one preallocated
+   [Delay t] per simulation and the dominant effect on the hot path
+   allocates nothing. *)
 type _ Effect.t += Delay : t -> unit Effect.t
-type _ Effect.t += Suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t += Park : spot -> unit Effect.t
 
 (* Placeholder for [delay_eff] before [create] ties the knot. *)
 type _ Effect.t += Uninit : unit Effect.t
@@ -123,13 +137,14 @@ let schedule_port t ~at ~port ~slot =
   c.slot <- slot;
   Wheel.push t.events at c
 
-(* Park a delay continuation directly in a pooled cell (kind 2): no
-   wrapper closure per suspension. *)
-let schedule_k t ~at k =
+(* Queue a continuation directly in a pooled cell (kind 2): no
+   wrapper closure per suspension. Takes the option itself, so a
+   continuation moving from a spot to the queue reuses its box. *)
+let push_k t ~at k =
   let at = if at < t.now then t.now else at in
   let c = alloc_cell t in
   c.kind <- 2;
-  c.k <- Some k;
+  c.k <- k;
   Wheel.push t.events at c
 
 let create () =
@@ -159,11 +174,11 @@ let create () =
   in
   t.self_opt <- Some t;
   t.delay_eff <- Delay t;
-  t.delay_handler <- Some (fun k -> schedule_k t ~at:t.pending_delay k);
+  t.delay_handler <- Some (fun k -> push_k t ~at:t.pending_delay (Some k));
   t
 
 (* Ambient simulation for the currently executing process, so that
-   [delay]/[suspend] need no explicit handle at every call site.
+   [delay] needs no explicit handle at every call site.
    Domain-local (not a plain ref): each domain gets its own slot, so
    parallel sweep cells running one simulation per domain cannot
    observe each other's ambient sim. *)
@@ -193,10 +208,69 @@ let delay d =
       end
   | None -> invalid_arg "Sim.delay: not inside a simulation process"
 
-let suspend register =
+let current () =
   match Domain.DLS.get current_key with
-  | Some t -> perform (Suspend (t, register))
-  | None -> invalid_arg "Sim.suspend: not inside a simulation process"
+  | Some t -> t
+  | None -> invalid_arg "Sim.current: not inside a simulation process"
+
+let spot t =
+  let rec s =
+    {
+      owner = t;
+      parked = None;
+      park_eff = Park s;
+      park_handler = Some (fun k -> s.parked <- Some k);
+    }
+  in
+  s
+
+let is_parked s = s.parked != None
+
+let park s =
+  if s.parked != None then invalid_arg "Sim.park: spot already holds a process";
+  match Domain.DLS.get current_key with
+  | Some t when t == s.owner -> perform s.park_eff
+  | Some _ -> invalid_arg "Sim.park: spot belongs to another simulation"
+  | None -> invalid_arg "Sim.park: not inside a simulation process"
+
+(* The woken process takes the push-sequence slot its wake-up takes
+   here, at the current instant: equal-time events keep their order. *)
+let wake s =
+  match s.parked with
+  | Some _ as k ->
+      s.parked <- None;
+      push_k s.owner ~at:s.owner.now k
+  | None -> ()
+
+(* [Wheel.min_gt events now]: an event pushed at the current instant
+   would be the very next to pop. *)
+let none_due_now t = Wheel.min_gt t.events t.now
+
+(* The two tail fast paths. Each replaces a [wake] whose event would
+   have been the very next pop ([none_due_now]), issued as the last
+   action of a port handler, and counts that event as elided so that
+   processed + elided is unchanged. [hand_off] continues the process in
+   place. [hand_off_after s d] queues it straight at [now + d], for a
+   process whose first action after waking is [delay d] — which the
+   caller then skips — at the sequence slot that delay would take. *)
+let hand_off s =
+  match s.parked with
+  | Some k ->
+      let t = s.owner in
+      s.parked <- None;
+      t.n_elided <- t.n_elided + 1;
+      Domain.DLS.set current_key t.self_opt;
+      continue k ()
+  | None -> ()
+
+let hand_off_after s d =
+  match s.parked with
+  | Some _ as k ->
+      let t = s.owner in
+      s.parked <- None;
+      t.n_elided <- t.n_elided + 1;
+      push_k t ~at:(t.now +. d) k
+  | None -> ()
 
 let exec t body =
   match_with
@@ -226,17 +300,8 @@ let exec t body =
                  [b = unit] equation locally instead of letting it
                  unify [b] away for the other branches. *)
               (t.delay_handler : ((b, unit) continuation -> unit) option)
-          | Suspend (st, register) when st == t ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  let resumed = ref false in
-                  register (fun v ->
-                      if !resumed then
-                        invalid_arg "Sim.suspend: resume called twice";
-                      resumed := true;
-                      schedule t ~at:t.now (fun () ->
-                          Domain.DLS.set current_key t.self_opt;
-                          continue k v)))
+          | Park s when s.owner == t ->
+              (s.park_handler : ((b, unit) continuation -> unit) option)
           | _ -> None);
     }
 
@@ -253,7 +318,7 @@ let run_plain t until processed =
     | Some c -> (
         t.now <- t.scratch.(0);
         incr processed;
-        (* Branches ordered by frequency: delay wakes dominate, then
+        (* Branches ordered by frequency: continuations dominate, then
            timed deliveries, then general callbacks. *)
         if c.kind = 2 then begin
           match c.k with
@@ -294,9 +359,10 @@ let run_plain t until processed =
    dispatch. Note the dispatch category measures everything until
    control returns to the scheduler: a resumed fiber's host time (its
    transactional work, DTM handling, network sends) lands in
-   [delay_resume] or [callback] — the finer DTM/network shares are
-   carved out by their own injected-clock brackets and reported
-   alongside. Two clock reads per event. *)
+   [delay_resume], [callback], or [mailbox_delivery] for a receiver
+   handed off inside a delivery — unless the fiber claims the dispatch
+   for [dtm]/[network] through [prof_mark]. Two clock reads per
+   event. *)
 let run_profiled t clk until processed =
   let continue_run = ref true in
   while !continue_run do

@@ -2,7 +2,7 @@
 
     A simulation owns a virtual clock (nanoseconds, [float]) and an
     event queue. Processes are ordinary OCaml functions that perform
-    the {!delay} and {!suspend} effects to advance or block on virtual
+    the {!delay} and {!park} effects to advance or block on virtual
     time; the scheduler is single-threaded and deterministic (events at
     equal times fire in schedule order).
 
@@ -55,16 +55,56 @@ val schedule_port : t -> at:float -> port:int -> slot:int -> unit
     treated as zero. *)
 val delay : float -> unit
 
-(** [suspend register] blocks the calling process until the resume
-    function passed to [register] is invoked with a value. The resume
-    function must be called at most once; the wake-up is scheduled at
-    the virtual time of the call. *)
-val suspend : (('a -> unit) -> unit) -> 'a
+(** The simulation of the calling process.
+    @raise Invalid_argument outside a simulation process. *)
+val current : unit -> t
+
+(** {2 Parking}
+
+    A spot is where one process blocks until another party wakes it.
+    The spot carries no value: whatever the process waits for travels
+    beside the spot, in the waited-on structure (a mailbox's hand-off
+    field, an ivar's contents). Parking allocates no closure. *)
+type spot
+
+val spot : t -> spot
+
+(** [park s] blocks the calling process in [s] until {!wake}.
+    @raise Invalid_argument when [s] already holds a process, or
+    outside a process of [s]'s simulation. *)
+val park : spot -> unit
+
+val is_parked : spot -> bool
+
+(** [wake s] queues the process parked in [s] to resume at the current
+    virtual time, after the events already queued for that instant.
+    No-op when [s] is empty. *)
+val wake : spot -> unit
+
+(** No queued event is due at the current instant, so an event pushed
+    now would be the very next to run — the precondition of the two
+    hand-off fast paths below. *)
+val none_due_now : t -> bool
+
+(** [hand_off s] is an exact shortcut for {!wake}: it continues the
+    process parked in [s] in place, before returning. Call it only as
+    the last action of a port handler, and only when {!none_due_now}
+    holds, so that the wake-up event would have been the very next
+    one. The saved event counts in {!elided}. *)
+val hand_off : spot -> unit
+
+(** [hand_off_after s d] is {!hand_off} for a process whose first
+    action after waking is [delay d]: the process is queued straight
+    at [now + d], at the sequence slot that delay would take, and must
+    skip the delay itself. Same preconditions as {!hand_off}, and at
+    least one other event must be queued (with none queued, that delay
+    would have been elided instead). *)
+val hand_off_after : spot -> float -> unit
 
 (** [run t ?until ()] executes events until the queue is empty or the
     clock passes [until]. Returns the number of events processed.
-    Processes still blocked in {!suspend} when the run ends are
-    abandoned (their continuations are dropped). *)
+    Processes still parked when the run ends are abandoned (their
+    continuations are dropped). *)
 val run : t -> ?until:float -> unit -> int
 
 (** Number of processes spawned so far. *)
@@ -73,11 +113,12 @@ val spawned : t -> int
 (** Number of processes that ran to completion. *)
 val finished : t -> int
 
-(** Number of delays elided by the scheduler fast path: a {!delay}
+(** Number of events elided by the scheduler fast paths: a {!delay}
     whose wake-up could not interleave with any queued event advances
-    the clock in place instead of round-tripping through the event set.
+    the clock in place instead of round-tripping through the event set,
+    and a {!hand_off} or {!hand_off_after} saves the wake-up event.
     [run]'s return value plus this count — the *logical* event count —
-    is invariant under that optimization and is the figure benchmarks
+    is invariant under these optimizations and is the figure benchmarks
     should report. *)
 val elided : t -> int
 
@@ -93,7 +134,8 @@ val pending : t -> int
     instrumented loop that attributes host time to scheduler
     categories — ["wheel"] (event-set pop), ["delay_resume"]
     (continuing a parked fiber, including the fiber's own execution up
-    to its next suspension), ["mailbox_delivery"] (port dispatch),
+    to its next suspension), ["mailbox_delivery"] (port dispatch,
+    including a receiver it hands off to),
     ["callback"], plus the subsystem refinements ["dtm"] and
     ["network"] claimed through {!prof_mark}. Costs two clock reads
     per event; [None] restores the uninstrumented loop (accumulated

@@ -34,7 +34,7 @@ type t = {
   mutable max : float;
 }
 
-(* Same ceiling as Histogram's 40 buckets: ns-scale values up to
+(* 40 octaves: ns-scale values up to
    ~2^40 ns (~18 simulated minutes) resolve; beyond that the overflow
    bucket still keeps count/sum/max exact. *)
 let octaves = 40
@@ -66,7 +66,7 @@ let create ?(rel_error = default_rel_error) () =
 let rel_error t = t.rel_error
 
 (* Bucket index of [v >= 0]. The octave scaling multiplies by exact
-   powers of two (Histogram's exponent-loop idiom, kept
+   powers of two (an exponent loop, kept
    self-tail-recursive so the float stays in a register), and the
    final mantissa sub-bucket is an exact product: the index is the
    mathematically correct one for every finite [v]. *)
@@ -128,7 +128,7 @@ let estimate t i =
   if i >= n_buckets t.sub - 1 then t.max
   else clamp t (0.5 *. (bucket_lower t i +. bucket_upper t i))
 
-(* Histogram's rank rule: the p-th percentile is the rank-th smallest
+(* Nearest-rank rule: the p-th percentile is the rank-th smallest
    sample with rank = clamp(round(n * p / 100), 1, n). *)
 let rank_of n p =
   let r = int_of_float (Float.round (float_of_int n *. p /. 100.0)) in

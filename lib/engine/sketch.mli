@@ -33,7 +33,7 @@ val count : t -> int
 
 val sum : t -> float
 
-(** 0.0 when empty (like {!Tm2c_engine.Histogram}). *)
+(** 0.0 when empty. *)
 val mean : t -> float
 
 val min_value : t -> float

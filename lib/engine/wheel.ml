@@ -194,7 +194,7 @@ let min_prio w =
   end
 
 (* [min_gt w x] is true when the wheel is empty or its minimum priority
-   is strictly greater than [x] — the scheduler's delay-elision test.
+   is strictly greater than [x] — the scheduler's hand-off test.
    O(1) whenever the cached minimum is valid. *)
 let min_gt w x =
   if w.size = 0 then true
@@ -202,17 +202,6 @@ let min_gt w x =
     if not w.cok then refresh w;
     w.cmin > x
   end
-
-(* Same test with both floats kept unboxed: the minimum comes back
-   through the caller's flat [scratch] cell instead of a boxed return,
-   and no float crosses the call boundary inward either. *)
-let min_prio_into w scratch =
-  scratch.(0) <-
-    (if w.size = 0 then infinity
-     else begin
-       if not w.cok then refresh w;
-       w.cmin
-     end)
 
 (* The hot-path pop, folding the horizon test, the min scan and the
    cache refresh into one pass:

@@ -30,14 +30,8 @@ val push : 'a t -> float -> 'a -> unit
 val min_prio : 'a t -> float
 
 (** [min_gt w x] is [is_empty w || min_prio w > x] without boxing the
-    result — the scheduler's delay-elision test. *)
+    result — the scheduler's hand-off test. *)
 val min_gt : 'a t -> float -> bool
-
-(** [min_prio_into w scratch] writes {!min_prio} into [scratch.(0)].
-    With the priority flowing through the caller's flat float array in
-    both directions, no float is boxed on this path at all (a plain
-    [float] argument or return crosses the call boundary boxed). *)
-val min_prio_into : 'a t -> float array -> unit
 
 (** [take w] removes and returns the minimum entry's value alone. Read
     {!min_prio} first if the key is needed.

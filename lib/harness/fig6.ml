@@ -8,7 +8,7 @@ open Tm2c_apps
 
 (* One DTM core: the transactional load (chunk allocation + letter
    merges) is low (Section 5.4). *)
-let parallel_duration_ms ?(chunk_kb = 8) ~size_kb ~total () =
+let parallel_run ?(chunk_kb = 8) ~size_kb ~total () =
   let cfg = Exp.config ~service:1 ~total () in
   let t = Runtime.create cfg in
   let mr =
@@ -17,7 +17,10 @@ let parallel_duration_ms ?(chunk_kb = 8) ~size_kb ~total () =
   in
   let r = Workload.run_to_completion t (fun _core ctx _prng -> Mapreduce.worker ctx mr) in
   assert (Mapreduce.histogram mr = Mapreduce.expected_histogram mr);
-  r.Workload.duration_ms
+  r
+
+let parallel_duration_ms ?chunk_kb ~size_kb ~total () =
+  (parallel_run ?chunk_kb ~size_kb ~total ()).Workload.duration_ms
 
 let sequential_duration_ms ?(chunk_kb = 8) ~size_kb () =
   let cfg = Exp.config ~service:1 ~total:2 () in
@@ -32,6 +35,8 @@ let sequential_duration_ms ?(chunk_kb = 8) ~size_kb () =
   let _ = Runtime.run t () in
   Tm2c_engine.Sim.now (Runtime.sim t) /. 1e6
 
+let fig6a_cores = [ 2; 4; 8; 16; 32; 48 ]
+
 (* Fig. 6(a): duration vs number of cores for three input sizes. *)
 let fig6a (scale : Exp.scale) =
   let sizes = scale.Exp.mr_sizes_kb in
@@ -42,7 +47,7 @@ let fig6a (scale : Exp.scale) =
        (fun n ->
          ( Exp.row_label_int n,
            List.map (fun size_kb -> parallel_duration_ms ~size_kb ~total:n ()) sizes ))
-       [ 2; 4; 8; 16; 32; 48 ])
+       fig6a_cores)
 
 (* Fig. 6(b): speedup over sequential vs input size for 4/8/16 KB
    chunks on 48 cores (1 DTM + 47 app). *)

@@ -107,7 +107,7 @@ let network_json net =
   Json.Obj
     [
       ("sent", Json.Int (Network.sent net));
-      ("received", Json.Int m.Network.received);
+      ("received", Json.Int (Network.received net));
       ("poll_scans", Json.Int m.Network.poll_scans);
       ("poll_scan_ns", Json.Float m.Network.poll_scan_ns);
       ("latency_ns", sketch_json ~buckets:true m.Network.latency);

@@ -6,7 +6,6 @@ open Tm2c_engine
 type metrics = {
   per_link : int array array;  (* [src].(dst) messages sent *)
   latency : Sketch.t;  (* in-flight ns: wire hops + detection scan *)
-  mutable received : int;
   mutable poll_scans : int;  (* fruitless try_recv scans *)
   mutable poll_scan_ns : float;  (* virtual ns burned by those scans *)
 }
@@ -21,7 +20,6 @@ type 'a t = {
      expression, evaluated once — so every virtual timestamp is
      bit-for-bit identical to computing it per call. *)
   send_oh : float;
-  recv_oh : float;
   poll_cost : float;  (* fruitless scan over all active cores' flags *)
   flight_tab : float array;  (* [src * n + dst] = Platform.flight_ns *)
   cycles_tab : float array;  (* [c] = Platform.cycles_ns, -1.0 = unset *)
@@ -41,19 +39,19 @@ let create sim platform ~active =
     active;
     n;
     send_oh = Platform.send_overhead_ns platform;
-    recv_oh = Platform.recv_overhead_ns platform;
     poll_cost = float_of_int active *. platform.Platform.msg_poll_per_core_ns;
     flight_tab =
       Array.init (n * n) (fun i ->
           Platform.flight_ns platform ~active ~src:(i / n) ~dst:(i mod n));
     cycles_tab = Array.make cycles_memo (-1.0);
-    boxes = Array.init n (fun _ -> Mailbox.create sim);
+    boxes =
+      Array.init n (fun _ ->
+          Mailbox.create ~recv_charge_ns:(Platform.recv_overhead_ns platform) sim);
     n_sent = 0;
     metrics =
       {
         per_link = Array.init n (fun _ -> Array.make n 0);
         latency = Sketch.create ();
-        received = 0;
         poll_scans = 0;
         poll_scan_ns = 0.0;
       };
@@ -124,41 +122,21 @@ let send net ~src ~dst msg = send_msg net ~src ~dst ~faulty:true msg
    protocol does not claim to survive (see DESIGN.md "Failover"). *)
 let send_reliable net ~src ~dst msg = send_msg net ~src ~dst ~faulty:false msg
 
-let recv net ~self =
-  let msg = Mailbox.recv net.boxes.(self) in
-  net.metrics.received <- net.metrics.received + 1;
-  Sim.delay net.recv_oh;
-  msg
+let recv net ~self = Mailbox.recv net.boxes.(self)
 
 (* Non-suspending take used by the service loop's batch drain: when a
    message has already arrived it is taken with exactly [recv]'s
    virtual-time charge; when the mailbox is empty nothing is charged
    (unlike [try_recv]'s fruitless-scan cost) and the caller falls back
    to a blocking [recv]. *)
-let recv_pending net ~self =
-  let box = net.boxes.(self) in
-  if Mailbox.is_empty box then None
-  else begin
-    let msg = Mailbox.recv box in
-    net.metrics.received <- net.metrics.received + 1;
-    Sim.delay net.recv_oh;
-    Some msg
-  end
+let recv_pending net ~self = Mailbox.try_recv net.boxes.(self)
 
 let recv_timeout net ~self ~timeout_ns =
-  match Mailbox.recv_timeout net.boxes.(self) ~timeout_ns with
-  | Some msg ->
-      net.metrics.received <- net.metrics.received + 1;
-      Sim.delay net.recv_oh;
-      Some msg
-  | None -> None
+  Mailbox.recv_timeout net.boxes.(self) ~timeout_ns
 
 let try_recv net ~self =
   match Mailbox.try_recv net.boxes.(self) with
-  | Some msg ->
-      net.metrics.received <- net.metrics.received + 1;
-      Sim.delay net.recv_oh;
-      Some msg
+  | Some _ as msg -> msg
   | None ->
       (* A fruitless scan over the flags of all active cores. *)
       let cost = net.poll_cost in
@@ -170,6 +148,8 @@ let try_recv net ~self =
 let pending net ~self = Mailbox.length net.boxes.(self)
 
 let sent net = net.n_sent
+
+let received net = Array.fold_left (fun acc box -> acc + Mailbox.received box) 0 net.boxes
 
 (* Busiest links first; zero links omitted. *)
 let top_links ?(limit = 16) net =

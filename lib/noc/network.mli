@@ -15,7 +15,6 @@ type metrics = {
   per_link : int array array;  (** [per_link.(src).(dst)] messages sent *)
   latency : Tm2c_engine.Sketch.t;
       (** in-flight time per message (wire hops + detection scan), ns *)
-  mutable received : int;
   mutable poll_scans : int;  (** fruitless [try_recv] scans *)
   mutable poll_scan_ns : float;  (** virtual ns burned by those scans *)
 }
@@ -76,6 +75,10 @@ val pending : 'a t -> self:int -> int
 
 (** Total messages sent so far on this network. *)
 val sent : 'a t -> int
+
+(** Total messages received so far (each charged the receive
+    overhead). *)
+val received : 'a t -> int
 
 val metrics : 'a t -> metrics
 

@@ -42,7 +42,7 @@ type queue = {
   q : entry Queue.t;
   mutable q_tokens : float;  (* token bucket level; meaningless otherwise *)
   mutable q_refill_ns : float;  (* last refill instant *)
-  mutable q_waiter : (unit -> unit) option;  (* parked worker's resume *)
+  q_worker : Sim.spot;  (* the worker parked on an empty queue *)
 }
 
 type t = {
@@ -83,7 +83,7 @@ let queue_for t core =
           q = Queue.create ();
           q_tokens = burst;  (* buckets start full *)
           q_refill_ns = Sim.now t.env.System.sim;
-          q_waiter = None;
+          q_worker = Sim.spot t.env.System.sim;
         }
       in
       Hashtbl.add t.queues core q;
@@ -107,13 +107,6 @@ let refill q ~now ~rate_per_ms ~burst =
     q.q_tokens <- Float.min burst (q.q_tokens +. (dt_ms *. rate_per_ms));
     q.q_refill_ns <- now
   end
-
-let wake q =
-  match q.q_waiter with
-  | Some resume ->
-      q.q_waiter <- None;
-      resume ()
-  | None -> ()
 
 let offer t ~core ~tenant ~payload ~arrival_ns ~retries =
   let q = queue_for t core in
@@ -152,7 +145,7 @@ let offer t ~core ~tenant ~payload ~arrival_ns ~retries =
       let d = Queue.length q.q in
       if d > ol.System.ol_queue_peak then ol.System.ol_queue_peak <- d;
       emit t (Event.Req_admitted { core; tenant; queue_depth = d });
-      wake q;
+      Sim.wake q.q_worker;
       Admitted
   | Error reason ->
       ol.System.ol_shed <- ol.System.ol_shed + 1;
@@ -193,14 +186,11 @@ let rec take t ~core =
 (* Park the calling worker fiber until the next admitted arrival (or an
    explicit [wake_all], which the driver uses at shutdown). One worker
    per core, so a single waiter slot suffices. *)
-let wait t ~core =
-  let q = queue_for t core in
-  if q.q_waiter <> None then invalid_arg "Admission.wait: worker already parked";
-  Sim.suspend (fun resume -> q.q_waiter <- Some resume)
+let wait t ~core = Sim.park (queue_for t core).q_worker
 
 (* Sorted traversal: wake order is scheduling order, so it must not
    depend on hash-table internals. *)
-let wake_all t = Tm2c_engine.Det.iter (fun _ q -> wake q) t.queues
+let wake_all t = Tm2c_engine.Det.iter (fun _ q -> Sim.wake q.q_worker) t.queues
 
 (* Driver-side accounting of what happened to dequeued entries. *)
 

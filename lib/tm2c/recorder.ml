@@ -135,7 +135,7 @@ let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
       mk "commits" (fun () -> fi (Stats.total_commits stats));
       mk "aborts" (fun () -> fi (Stats.total_aborts stats));
       mk "messages_sent" (fun () -> fi (Network.sent net));
-      mk "messages_received" (fun () -> fi (Network.metrics net).Network.received);
+      mk "messages_received" (fun () -> fi (Network.received net));
       mk "poll_scans" (fun () -> fi (Network.metrics net).Network.poll_scans);
       mk "trace_events_dropped" (fun () -> fi (Trace.dropped env.System.trace));
       mk "faults_msgs_dropped" (fun () -> fi fc.Fault.dropped);

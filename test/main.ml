@@ -20,4 +20,5 @@ let () =
       ("recorder", Test_recorder.suite);
       ("lint", Test_lint.suite);
       ("openloop", Test_openloop.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -384,15 +384,24 @@ let test_sim_nested_spawn () =
 
 let test_sim_suspend_resume () =
   let sim = Sim.create () in
-  let resume_cell = ref None in
+  let spot = Sim.spot sim in
+  let cell = ref 0 in
   let got = ref 0 in
-  Sim.spawn sim (fun () -> got := Sim.suspend (fun resume -> resume_cell := Some resume));
+  let woke_at = ref 0.0 in
+  Sim.spawn sim (fun () ->
+      Sim.park spot;
+      got := !cell;
+      woke_at := Sim.now sim);
   Sim.spawn sim (fun () ->
       Sim.delay 42.0;
-      match !resume_cell with Some resume -> resume 7 | None -> Alcotest.fail "no waiter");
+      check "parked" true (Sim.is_parked spot);
+      cell := 7;
+      Sim.wake spot;
+      check "woken" false (Sim.is_parked spot));
   let _ = Sim.run sim () in
   check_int "value" 7 !got;
-  check_float "resumed at waker's time" 42.0 (Sim.now sim)
+  check_float "resumed at waker's time" 42.0 !woke_at;
+  check_int "both finished" 2 (Sim.finished sim)
 
 let test_sim_outside_process () =
   Alcotest.check_raises "delay outside process"
@@ -449,7 +458,7 @@ let test_mailbox_try_recv () =
   check "empty" true (Mailbox.try_recv mb = None);
   Mailbox.send mb 9;
   check "nonempty" true (Mailbox.try_recv mb = Some 9);
-  check "drained" true (Mailbox.is_empty mb)
+  check_int "drained" 0 (Mailbox.length mb)
 
 let test_mailbox_recv_timeout () =
   let sim = Sim.create () in
@@ -517,6 +526,120 @@ let test_mailbox_recv_timeout_boundary () =
     (List.rev !got);
   Alcotest.(check (option int)) "message still queued" (Some 8)
     (Mailbox.try_recv mb)
+
+(* ---- Mailbox hand-off: tie order ---- *)
+
+(* Two deliveries at one instant to two parked receivers, and a delay
+   expiring at that same instant. The delay's wake-up was queued after
+   both deliveries, so each delivery sees another event due now and
+   takes the queued wake-up: the delayed process runs first, then the
+   receivers in delivery order — the order of the engine before the
+   hand-off fast paths. *)
+let test_handoff_tie_order () =
+  let sim = Sim.create () in
+  let a = Mailbox.create sim and b = Mailbox.create sim in
+  let log = ref [] in
+  let note what = log := (what, Sim.now sim) :: !log in
+  Mailbox.send_at a ~at:30.0 1;
+  Mailbox.send_at b ~at:30.0 2;
+  Sim.spawn sim (fun () -> note (Printf.sprintf "a%d" (Mailbox.recv a)));
+  Sim.spawn sim (fun () -> note (Printf.sprintf "b%d" (Mailbox.recv b)));
+  Sim.spawn sim (fun () ->
+      Sim.delay 30.0;
+      note "delay");
+  let processed = Sim.run sim () in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "delay, then receivers in delivery order"
+    [ ("delay", 30.0); ("a1", 30.0); ("b2", 30.0) ]
+    (List.rev !log);
+  check_int "no shortcut taken" 0 (Sim.elided sim);
+  (* 3 starts, 2 deliveries, the delay, 2 queued wake-ups *)
+  check_int "processed" 8 processed
+
+(* A delivery tied with an event already queued for the same instant
+   must not continue the receiver in place: the queued event runs
+   first, and the receiver's wake-up is a queued event of its own. *)
+let test_handoff_tie_with_queued () =
+  let sim = Sim.create () in
+  let mb = Mailbox.create sim in
+  let log = ref [] in
+  Sim.spawn sim (fun () ->
+      let v = Mailbox.recv mb in
+      log := Printf.sprintf "recv %d" v :: !log);
+  Mailbox.send_at mb ~at:20.0 5;
+  Sim.schedule sim ~at:20.0 (fun () -> log := "callback" :: !log);
+  let processed = Sim.run sim () in
+  Alcotest.(check (list string)) "queued event first" [ "callback"; "recv 5" ] (List.rev !log);
+  check_int "no shortcut taken" 0 (Sim.elided sim);
+  check_int "processed (start, delivery, callback, wake-up)" 4 processed
+
+(* The two shortcuts, with a receive charge. With a later event
+   queued, the delivery pays the charge itself and queues the receiver
+   at now + charge (one elided wake-up); with nothing queued, the
+   receiver continues in place and its own charge is elided as well.
+   Either way the receiver observes now + charge, the message is
+   counted exactly once, and processed + elided is what the engine gave
+   before the shortcuts (5 and 4). *)
+let test_handoff_fused_charge () =
+  let run ~later =
+    let sim = Sim.create () in
+    let mb = Mailbox.create ~recv_charge_ns:7.0 sim in
+    let seen = ref (-1, nan) in
+    Sim.spawn sim (fun () ->
+        let v = Mailbox.recv mb in
+        seen := (v, Sim.now sim));
+    Mailbox.send_at mb ~at:20.0 9;
+    if later then Sim.schedule sim ~at:1000.0 ignore;
+    let processed = Sim.run sim () in
+    (!seen, Mailbox.received mb, processed, Sim.elided sim)
+  in
+  let (v, at), received, processed, elided = run ~later:true in
+  check_int "fused: value" 9 v;
+  check_float "fused: receiver observes now + charge" 27.0 at;
+  check_int "fused: received once" 1 received;
+  check_int "fused: wake-up elided" 1 elided;
+  (* start, delivery, the receiver at now + charge, the later event *)
+  check_int "fused: processed" 4 processed;
+  let (v, at), received, processed, elided = run ~later:false in
+  check_int "in place: value" 9 v;
+  check_float "in place: receiver observes now + charge" 27.0 at;
+  check_int "in place: received once" 1 received;
+  check_int "in place: wake-up and charge elided" 2 elided;
+  check_int "in place: processed" 2 processed
+
+(* A seeded many-process message workload: tokens hop between charged
+   mailboxes with random compute and flight times, so deliveries meet
+   every case — ring, queued wake-up, fused charge, hand-off in place.
+   The logical event count (processed + elided) is pinned to the value
+   the engine gave before the hand-off fast paths. *)
+let test_handoff_logical_count () =
+  let sim = Sim.create () in
+  let n = 8 in
+  let boxes = Array.init n (fun _ -> Mailbox.create ~recv_charge_ns:3.0 sim) in
+  let prng = Prng.create ~seed:11 in
+  let hops = ref 0 in
+  for i = 0 to n - 1 do
+    Sim.spawn sim (fun () ->
+        while true do
+          let token = Mailbox.recv boxes.(i) in
+          incr hops;
+          Sim.delay (float_of_int (Prng.int prng 40));
+          if token < 400 then begin
+            let dst = Prng.int prng n in
+            Mailbox.send_at boxes.(dst)
+              ~at:(Sim.now sim +. float_of_int (Prng.int prng 3 * 10))
+              (token + 1)
+          end
+        done)
+  done;
+  for i = 0 to 3 do
+    Mailbox.send_at boxes.(i) ~at:(float_of_int i) 0
+  done;
+  let processed = Sim.run sim () in
+  check_int "hops" 1604 !hops;
+  check "some wake-ups elided" true (Sim.elided sim > 0);
+  check_int "logical events" 6045 (processed + Sim.elided sim);
+  check_float "final time" 14679.0 (Sim.now sim)
 
 (* ---- Ivar ---- *)
 
@@ -588,6 +711,10 @@ let suite =
     ( "mailbox: timeout exactly at arrival tick",
       `Quick,
       test_mailbox_recv_timeout_boundary );
+    ("mailbox: hand-off keeps equal-time order", `Quick, test_handoff_tie_order);
+    ("mailbox: delivery tied with a queued event", `Quick, test_handoff_tie_with_queued);
+    ("mailbox: fused receive charge", `Quick, test_handoff_fused_charge);
+    ("mailbox: hand-off keeps the logical event count", `Quick, test_handoff_logical_count);
     ("ivar: fill wakes readers", `Quick, test_ivar_fill_read);
     ("ivar: double fill rejected", `Quick, test_ivar_double_fill);
     ("ivar: try_read", `Quick, test_ivar_try_read);

@@ -56,6 +56,26 @@ let test_experiment id () =
     (id ^ " printed numbers") true
     (String.exists (fun c -> c >= '0' && c <= '9') out)
 
+(* Regression: Fig. 6(a) once reported the safety horizon (1e13 ns)
+   as every MapReduce duration, because the service fibers never finish
+   and the clock ran on to the horizon. Each duration must now be the
+   instant the last worker finished, well inside the horizon. *)
+let test_fig6a_durations () =
+  List.iter
+    (fun size_kb ->
+      List.iter
+        (fun total ->
+          let r = Fig6.parallel_run ~size_kb ~total () in
+          let what = Printf.sprintf "%d KB on %d cores" size_kb total in
+          Alcotest.(check bool) (what ^ ": horizon not hit") false r.Tm2c_apps.Workload.horizon_hit;
+          Alcotest.(check bool)
+            (what ^ ": duration positive and below the horizon")
+            true
+            (r.Tm2c_apps.Workload.duration_ms > 0.0
+            && r.Tm2c_apps.Workload.duration_ms < 1e13 /. 1e6))
+        Fig6.fig6a_cores)
+    micro_scale.Exp.mr_sizes_kb
+
 let test_registry () =
   let ids = List.map (fun e -> e.Harness.id) Harness.all in
   Alcotest.(check int) "18 experiments registered" 18 (List.length ids);
@@ -82,6 +102,7 @@ let suite =
     ("unknown experiment rejected", `Quick, test_unknown_rejected);
     ("settings", `Quick, test_experiment "settings");
     ("fig8a", `Quick, test_experiment "fig8a");
+    ("fig6a durations end before the horizon", `Quick, test_fig6a_durations);
     ("fig4a", `Slow, test_experiment "fig4a");
     ("fig4c", `Slow, test_experiment "fig4c");
     ("fig5a", `Slow, test_experiment "fig5a");

@@ -263,9 +263,8 @@ let test_completion_horizon_flag () =
   let r =
     Workload.run_to_completion t ~horizon_ns:1e6 (fun core _ctx _prng ->
         if core = blocked then
-          (* Park forever: the resume callback is dropped. *)
-          let () = Sim.suspend (fun _resume -> ()) in
-          ())
+          (* Park forever: nobody wakes the spot. *)
+          Sim.park (Sim.spot (Runtime.sim t)))
   in
   check "horizon termination flagged" true r.Workload.horizon_hit
 

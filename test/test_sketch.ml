@@ -9,7 +9,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let checkf = Alcotest.(check (float 0.0))
 
-(* Histogram's rank rule, which Sketch documents and implements: the
+(* The nearest-rank rule, which Sketch documents and implements: the
    p-th percentile of n samples is the rank-th smallest with
    rank = clamp(round(n * p / 100), 1, n). *)
 let exact_percentile sorted p =
