@@ -5,9 +5,9 @@
    hands it to the receiver parked in [spot], at delivery time.
 
    The mailbox owns the receive charge: every successful receive counts
-   in [received] and, when a charge is configured, delays the receiver
-   by [recv_oh]. Owning it is what lets a delivery fuse the charge into
-   its own dispatch (see [deliver_slot]). *)
+   in [received] and delays the receiver by [recv_oh]. Owning it is what
+   lets a delivery fuse the charge into its own dispatch (see
+   [deliver_slot]). Only tests build uncharged boxes ([recv_oh = None]). *)
 
 type 'a t = {
   sim : Sim.t;
@@ -19,8 +19,7 @@ type 'a t = {
   mutable handed : bool; (* [handoff] holds a value *)
   mutable precharged : bool; (* the delivery already paid the receive charge *)
   mutable stamp : int; (* bumped as each [recv_timeout] ends: its timer goes inert *)
-  charging : bool;
-  recv_oh : float;
+  recv_oh : float option; (* the receive charge, in virtual ns *)
   mutable received : int;
   mutable port : int; (* Sim port for timed deliveries *)
   mutable slots : 'a array; (* in-flight timed-delivery payloads *)
@@ -70,12 +69,10 @@ let send mb v =
 
 (* The port handler. The hand-off is its last action, so when no other
    event is due at this instant the receiver's wake-up event would be
-   the very next pop, and two exact shortcuts apply. With other events
-   queued (for later instants), the receiver's first step — count the
+   the very next pop. Then the receiver's first step — count the
    message, [delay recv_oh] — is done here, and the receiver is queued
-   straight at [now + recv_oh]. With nothing queued, it continues in
-   place and charges itself. [free] always has one index per slot, so
-   releasing never overflows. *)
+   straight at [now + recv_oh]. [free] always has one index per slot,
+   so releasing never overflows. *)
 let deliver_slot mb slot =
   let v = mb.slots.(slot) in
   mb.slots.(slot) <- dummy ();
@@ -84,13 +81,12 @@ let deliver_slot mb slot =
   if not (Sim.is_parked mb.spot) then ring_push mb v
   else begin
     give mb v;
-    if not (Sim.none_due_now mb.sim) then Sim.wake mb.spot
-    else if mb.charging && Sim.pending mb.sim > 0 then begin
-      mb.received <- mb.received + 1;
-      mb.precharged <- true;
-      Sim.hand_off_after mb.spot mb.recv_oh
-    end
-    else Sim.hand_off mb.spot
+    match mb.recv_oh with
+    | Some oh when Sim.none_due_now mb.sim ->
+        mb.received <- mb.received + 1;
+        mb.precharged <- true;
+        Sim.hand_off_after mb.spot oh
+    | Some _ | None -> Sim.wake mb.spot
   end
 
 let create ?recv_charge_ns sim =
@@ -105,8 +101,7 @@ let create ?recv_charge_ns sim =
       handed = false;
       precharged = false;
       stamp = 0;
-      charging = recv_charge_ns <> None;
-      recv_oh = Option.value recv_charge_ns ~default:0.0;
+      recv_oh = recv_charge_ns;
       received = 0;
       port = -1;
       slots = [||];
@@ -149,7 +144,7 @@ let charge mb v =
   if mb.precharged then mb.precharged <- false
   else begin
     mb.received <- mb.received + 1;
-    if mb.charging then Sim.delay mb.recv_oh
+    match mb.recv_oh with Some oh -> Sim.delay oh | None -> ()
   end;
   v
 

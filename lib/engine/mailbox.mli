@@ -12,7 +12,9 @@ type 'a t
 (** [create ?recv_charge_ns sim] — with [recv_charge_ns], every
     successful receive ({!recv}, {!try_recv}, {!recv_timeout}) then
     delays the receiver by that many virtual ns (the receive software
-    overhead); without it, receives cost no virtual time. *)
+    overhead). Without it, receives cost no virtual time; that
+    uncharged mode is for tests, and its deliveries always wake a
+    blocked receiver through a queued event. *)
 val create : ?recv_charge_ns:float -> Sim.t -> 'a t
 
 (** Number of queued messages. A message handed straight to a blocked

@@ -246,23 +246,15 @@ let wake s =
    would be the very next to pop. *)
 let none_due_now t = Wheel.min_gt t.events t.now
 
-(* The two tail fast paths. Each replaces a [wake] whose event would
-   have been the very next pop ([none_due_now]), issued as the last
-   action of a port handler, and counts that event as elided so that
-   processed + elided is unchanged. [hand_off] continues the process in
-   place. [hand_off_after s d] queues it straight at [now + d], for a
-   process whose first action after waking is [delay d] — which the
-   caller then skips — at the sequence slot that delay would take. *)
-let hand_off s =
-  match s.parked with
-  | Some k ->
-      let t = s.owner in
-      s.parked <- None;
-      t.n_elided <- t.n_elided + 1;
-      Domain.DLS.set current_key t.self_opt;
-      continue k ()
-  | None -> ()
-
+(* The tail fast path. It replaces a [wake] whose event would have been
+   the very next pop ([none_due_now]), issued as the last action of a
+   port handler, for a process whose first action after waking is
+   [delay d] — which the caller then skips. The process is queued
+   straight at [now + d], at the sequence slot that delay would take,
+   and the saved wake-up counts as elided so that processed + elided is
+   unchanged. With the event set empty, that delay would itself have
+   been elided instead of pushed; the count of logical events is the
+   same either way. *)
 let hand_off_after s d =
   match s.parked with
   | Some _ as k ->
@@ -359,8 +351,7 @@ let run_plain t until processed =
    dispatch. Note the dispatch category measures everything until
    control returns to the scheduler: a resumed fiber's host time (its
    transactional work, DTM handling, network sends) lands in
-   [delay_resume], [callback], or [mailbox_delivery] for a receiver
-   handed off inside a delivery — unless the fiber claims the dispatch
+   [delay_resume] or [callback] unless the fiber claims the dispatch
    for [dtm]/[network] through [prof_mark]. Two clock reads per
    event. *)
 let run_profiled t clk until processed =

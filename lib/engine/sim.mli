@@ -82,23 +82,17 @@ val is_parked : spot -> bool
 val wake : spot -> unit
 
 (** No queued event is due at the current instant, so an event pushed
-    now would be the very next to run — the precondition of the two
-    hand-off fast paths below. *)
+    now would be the very next to run — the precondition of
+    {!hand_off_after}. *)
 val none_due_now : t -> bool
 
-(** [hand_off s] is an exact shortcut for {!wake}: it continues the
-    process parked in [s] in place, before returning. Call it only as
-    the last action of a port handler, and only when {!none_due_now}
-    holds, so that the wake-up event would have been the very next
-    one. The saved event counts in {!elided}. *)
-val hand_off : spot -> unit
-
-(** [hand_off_after s d] is {!hand_off} for a process whose first
-    action after waking is [delay d]: the process is queued straight
-    at [now + d], at the sequence slot that delay would take, and must
-    skip the delay itself. Same preconditions as {!hand_off}, and at
-    least one other event must be queued (with none queued, that delay
-    would have been elided instead). *)
+(** [hand_off_after s d] is an exact shortcut for {!wake} followed by
+    the woken process's [delay d]: the process parked in [s] is queued
+    straight at [now + d], at the sequence slot that delay would take,
+    and must skip the delay itself. Call it only as the last action of
+    a port handler, and only when {!none_due_now} holds, so that the
+    wake-up event would have been the very next one. The saved wake-up
+    counts in {!elided}. *)
 val hand_off_after : spot -> float -> unit
 
 (** [run t ?until ()] executes events until the queue is empty or the
@@ -116,7 +110,7 @@ val finished : t -> int
 (** Number of events elided by the scheduler fast paths: a {!delay}
     whose wake-up could not interleave with any queued event advances
     the clock in place instead of round-tripping through the event set,
-    and a {!hand_off} or {!hand_off_after} saves the wake-up event.
+    and a {!hand_off_after} saves the wake-up event.
     [run]'s return value plus this count — the *logical* event count —
     is invariant under these optimizations and is the figure benchmarks
     should report. *)
@@ -134,8 +128,7 @@ val pending : t -> int
     instrumented loop that attributes host time to scheduler
     categories — ["wheel"] (event-set pop), ["delay_resume"]
     (continuing a parked fiber, including the fiber's own execution up
-    to its next suspension), ["mailbox_delivery"] (port dispatch,
-    including a receiver it hands off to),
+    to its next suspension), ["mailbox_delivery"] (port dispatch),
     ["callback"], plus the subsystem refinements ["dtm"] and
     ["network"] claimed through {!prof_mark}. Costs two clock reads
     per event; [None] restores the uninstrumented loop (accumulated

@@ -529,15 +529,16 @@ let test_mailbox_recv_timeout_boundary () =
 
 (* ---- Mailbox hand-off: tie order ---- *)
 
-(* Two deliveries at one instant to two parked receivers, and a delay
-   expiring at that same instant. The delay's wake-up was queued after
-   both deliveries, so each delivery sees another event due now and
-   takes the queued wake-up: the delayed process runs first, then the
-   receivers in delivery order — the order of the engine before the
-   hand-off fast paths. *)
+(* Two deliveries at one instant to two parked receivers on charged
+   boxes, and a delay expiring at that same instant. The delay's
+   wake-up was queued after both deliveries, so each delivery sees
+   another event due now and takes the queued wake-up: the delayed
+   process runs first, then the receivers in delivery order — the
+   order of the engine before the hand-off fast path. *)
 let test_handoff_tie_order () =
   let sim = Sim.create () in
-  let a = Mailbox.create sim and b = Mailbox.create sim in
+  let a = Mailbox.create ~recv_charge_ns:4.0 sim
+  and b = Mailbox.create ~recv_charge_ns:4.0 sim in
   let log = ref [] in
   let note what = log := (what, Sim.now sim) :: !log in
   Mailbox.send_at a ~at:30.0 1;
@@ -550,36 +551,40 @@ let test_handoff_tie_order () =
   let processed = Sim.run sim () in
   Alcotest.(check (list (pair string (float 0.0))))
     "delay, then receivers in delivery order"
-    [ ("delay", 30.0); ("a1", 30.0); ("b2", 30.0) ]
+    [ ("delay", 30.0); ("a1", 34.0); ("b2", 34.0) ]
     (List.rev !log);
   check_int "no shortcut taken" 0 (Sim.elided sim);
-  (* 3 starts, 2 deliveries, the delay, 2 queued wake-ups *)
-  check_int "processed" 8 processed
+  (* 3 starts, 2 deliveries, the delay, 2 queued wake-ups, 2 charges *)
+  check_int "processed" 10 processed
 
-(* A delivery tied with an event already queued for the same instant
-   must not continue the receiver in place: the queued event runs
-   first, and the receiver's wake-up is a queued event of its own. *)
+(* A delivery to a charged box tied with an event already queued for
+   the same instant must not fuse the receive charge: the queued event
+   runs first and sees the message not yet received, then the
+   receiver's wake-up runs as a queued event of its own and charges
+   itself. With nothing else queued by then, that charge is an ordinary
+   elided delay. *)
 let test_handoff_tie_with_queued () =
   let sim = Sim.create () in
-  let mb = Mailbox.create sim in
+  let mb = Mailbox.create ~recv_charge_ns:5.0 sim in
   let log = ref [] in
-  Sim.spawn sim (fun () ->
-      let v = Mailbox.recv mb in
-      log := Printf.sprintf "recv %d" v :: !log);
+  let note what = log := (what, Sim.now sim, Mailbox.received mb) :: !log in
+  Sim.spawn sim (fun () -> note (Printf.sprintf "recv %d" (Mailbox.recv mb)));
   Mailbox.send_at mb ~at:20.0 5;
-  Sim.schedule sim ~at:20.0 (fun () -> log := "callback" :: !log);
+  Sim.schedule sim ~at:20.0 (fun () -> note "callback");
   let processed = Sim.run sim () in
-  Alcotest.(check (list string)) "queued event first" [ "callback"; "recv 5" ] (List.rev !log);
-  check_int "no shortcut taken" 0 (Sim.elided sim);
+  Alcotest.(check (list (triple string (float 0.0) int)))
+    "queued event first, before the receive is counted"
+    [ ("callback", 20.0, 0); ("recv 5", 25.0, 1) ]
+    (List.rev !log);
+  check_int "only the charge elided" 1 (Sim.elided sim);
   check_int "processed (start, delivery, callback, wake-up)" 4 processed
 
-(* The two shortcuts, with a receive charge. With a later event
-   queued, the delivery pays the charge itself and queues the receiver
-   at now + charge (one elided wake-up); with nothing queued, the
-   receiver continues in place and its own charge is elided as well.
-   Either way the receiver observes now + charge, the message is
-   counted exactly once, and processed + elided is what the engine gave
-   before the shortcuts (5 and 4). *)
+(* The fused receive charge. With or without a later event queued, the
+   delivery pays the charge itself and queues the receiver at
+   now + charge (one elided wake-up). The receiver observes
+   now + charge, the message is counted exactly once, and
+   processed + elided is what the engine gave before the shortcut (5
+   and 4). *)
 let test_handoff_fused_charge () =
   let run ~later =
     let sim = Sim.create () in
@@ -593,23 +598,20 @@ let test_handoff_fused_charge () =
     let processed = Sim.run sim () in
     (!seen, Mailbox.received mb, processed, Sim.elided sim)
   in
-  let (v, at), received, processed, elided = run ~later:true in
-  check_int "fused: value" 9 v;
-  check_float "fused: receiver observes now + charge" 27.0 at;
-  check_int "fused: received once" 1 received;
-  check_int "fused: wake-up elided" 1 elided;
-  (* start, delivery, the receiver at now + charge, the later event *)
-  check_int "fused: processed" 4 processed;
-  let (v, at), received, processed, elided = run ~later:false in
-  check_int "in place: value" 9 v;
-  check_float "in place: receiver observes now + charge" 27.0 at;
-  check_int "in place: received once" 1 received;
-  check_int "in place: wake-up and charge elided" 2 elided;
-  check_int "in place: processed" 2 processed
+  List.iter
+    (fun (later, logical) ->
+      let name what = Printf.sprintf "later=%b: %s" later what in
+      let (v, at), received, processed, elided = run ~later in
+      check_int (name "value") 9 v;
+      check_float (name "receiver observes now + charge") 27.0 at;
+      check_int (name "received once") 1 received;
+      check_int (name "wake-up elided") 1 elided;
+      check_int (name "logical events") logical (processed + elided))
+    [ (true, 5); (false, 4) ]
 
 (* A seeded many-process message workload: tokens hop between charged
    mailboxes with random compute and flight times, so deliveries meet
-   every case — ring, queued wake-up, fused charge, hand-off in place.
+   every case — ring, queued wake-up, fused charge.
    The logical event count (processed + elided) is pinned to the value
    the engine gave before the hand-off fast paths. *)
 let test_handoff_logical_count () =
