@@ -1,6 +1,7 @@
 (** Semantic exporter-exhaustiveness: every [Event.t] constructor must
-    be dispatched, by name, in every event exporter — and no exporter
-    may hide behind a catch-all case.
+    be dispatched, by name, in each checked file (the event description
+    table, whose [describe] every exporter goes through) — and no
+    dispatch may hide behind a catch-all case.
 
     Replaces the whole-word-mention heuristic of the regex scanner: a
     constructor "mentioned" in a comment no longer counts, an

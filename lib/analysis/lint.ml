@@ -66,8 +66,7 @@ let default_config =
     det_prefixes = [ "lib/" ];
     recv_prefixes = [ "lib/tm2c/" ];
     mli_required = [ "lib/tm2c"; "lib/engine"; "lib/analysis" ];
-    exporters =
-      [ "lib/check/histlog.ml"; "lib/harness/perfetto.ml"; "lib/tm2c/recorder.ml" ];
+    exporters = [ "lib/tm2c/event.ml" ];
     event_mli = Some "lib/tm2c/event.mli";
     waivers = default_waivers;
   }

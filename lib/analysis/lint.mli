@@ -9,7 +9,9 @@ type config = {
   recv_prefixes : string list;
       (** paths under the untimed-recv rule (default [lib/tm2c/]) *)
   mli_required : string list;  (** dirs where every [.ml] needs a [.mli] *)
-  exporters : string list;  (** event exporter files *)
+  exporters : string list;
+      (** files whose [Event.t] dispatches must be exhaustive: the
+          description table's [describe] *)
   event_mli : string option;  (** the [Event.t] interface anchor *)
   waivers : Waiver.t list;
 }
@@ -24,7 +26,7 @@ type report = {
 val default_waivers : Waiver.t list
 
 (** Roots [lib bench bin], determinism over [lib/], recv rule over
-    [lib/tm2c/], the three event exporters, {!default_waivers}. *)
+    [lib/tm2c/], the event description table, {!default_waivers}. *)
 val default_config : config
 
 val run : config -> report

@@ -16,96 +16,33 @@
    needs the whole log in memory. *)
 
 open Tm2c_core
-open Types
 
-(* v5 added the admission records (ADM SHD EXP RBX); v4 added the
-   streaming event-count footer (a reader-side truncation check; the
-   record grammar is unchanged); v3 added the failover records (SCR
-   EPB RPA FOD SER); v2 added the fault/hardening records (DRP DUP RSN
-   CRS LSR). All older versions are still accepted on read. *)
+(* Only v5 loads: nothing writes an older version any more. Each
+   record's tag and columns come from the event description table
+   ([Event.describe] / [Event.of_fields]). *)
 let header = "# tm2c-history v5"
-
-let header_v4 = "# tm2c-history v4"
-
-let header_v3 = "# tm2c-history v3"
-
-let header_v2 = "# tm2c-history v2"
-
-let header_v1 = "# tm2c-history v1"
 
 let footer_prefix = "# events "
 
-let bool01 b = if b then "1" else "0"
-
-let conflict_of_string = function
-  | "RAW" -> Raw
-  | "WAW" -> Waw
-  | "WAR" -> War
-  | s -> failwith (Printf.sprintf "unknown conflict label %S" s)
-
-let conflict_opt_of_string = function
-  | "STATUS" -> None
-  | s -> Some (conflict_of_string s)
+let token (v : Event.value) =
+  match v with
+  | Int n -> string_of_int n
+  | Float x -> Printf.sprintf "%h" x
+  | Bool b -> if b then "1" else "0"
+  | Str s -> s
+  | Ints l -> String.concat "," (List.map string_of_int l)
 
 let write_event oc time ev =
-  let p fmt = Printf.fprintf oc fmt in
-  p "%h " time;
-  (match ev with
-  | Event.Tx_start { core; attempt; elastic } ->
-      p "TXS %d %d %s" core attempt (bool01 elastic)
-  | Event.Tx_read { core; addr; granted; value } ->
-      p "TXR %d %d %s %d" core addr (bool01 granted) value
-  | Event.Tx_write { core; addr; value } -> p "TXW %d %d %d" core addr value
-  | Event.Tx_commit_begin { core; attempt; n_writes } ->
-      p "CB %d %d %d" core attempt n_writes
-  | Event.Host_write { addr; value } -> p "HW %d %d" addr value
-  | Event.Rlock_released { core; addr } -> p "RLR %d %d" core addr
-  | Event.Wlock_granted { core; addrs } ->
-      p "WLK %d %s" core (String.concat "," (List.map string_of_int addrs))
-  | Event.Tx_publish { core; attempt; n_writes } ->
-      p "PUB %d %d %d" core attempt n_writes
-  | Event.Tx_committed { core; attempt; duration_ns } ->
-      p "COM %d %d %h" core attempt duration_ns
-  | Event.Tx_aborted { core; attempt; conflict } ->
-      p "ABO %d %d %s" core attempt (Event.conflict_opt_to_string conflict)
-  | Event.Lock_conflict { server; requester; enemy; addr; conflict; requester_wins }
-    ->
-      p "CFL %d %d %d %d %s %s" server requester enemy addr
-        (conflict_to_string conflict)
-        (bool01 requester_wins)
-  | Event.Enemy_aborted { server; winner; victim; addr; conflict } ->
-      p "ENA %d %d %d %d %s" server winner victim addr (conflict_to_string conflict)
-  | Event.Req_sent { core; server; req_id; kind; n_addrs } ->
-      p "REQ %d %d %d %s %d" core server req_id kind n_addrs
-  | Event.Service { server; requester; req_id; kind; queue_depth; occupancy } ->
-      p "SRV %d %d %d %s %d %d" server requester req_id kind queue_depth occupancy
-  | Event.Service_done { server; requester; req_id } ->
-      p "SRD %d %d %d" server requester req_id
-  | Event.Barrier { core } -> p "BAR %d" core
-  | Event.Msg_dropped { src; dst } -> p "DRP %d %d" src dst
-  | Event.Msg_duplicated { src; dst } -> p "DUP %d %d" src dst
-  | Event.Req_resent { core; server; req_id; nth } ->
-      p "RSN %d %d %d %d" core server req_id nth
-  | Event.Core_crashed { core; attempt } -> p "CRS %d %d" core attempt
-  | Event.Lease_reclaimed { server; victim; addr; aborted } ->
-      p "LSR %d %d %d %s" server victim addr (bool01 aborted)
-  | Event.Server_crashed { server } -> p "SCR %d" server
-  | Event.Epoch_bumped { part; epoch; by } -> p "EPB %d %d %d" part epoch by
-  | Event.Replica_applied { server; src; part; n_addrs } ->
-      p "RPA %d %d %d %d" server src part n_addrs
-  | Event.Failover_done { server; part; epoch; merged } ->
-      p "FOD %d %d %d %d" server part epoch merged
-  | Event.Stale_epoch_rejected { server; core; req_epoch; cur_epoch } ->
-      p "SER %d %d %d %d" server core req_epoch cur_epoch
-  | Event.Req_admitted { core; tenant; queue_depth } ->
-      p "ADM %d %d %d" core tenant queue_depth
-  | Event.Req_shed { core; tenant; reason; retry_after_ns } ->
-      p "SHD %d %d %s %h" core tenant (shed_reason_to_string reason) retry_after_ns
-  | Event.Req_expired { core; tenant; waited_ns } ->
-      p "EXP %d %d %h" core tenant waited_ns
-  | Event.Retry_budget_exhausted { core; tenant; retries } ->
-      p "RBX %d %d %d" core tenant retries);
-  p "\n"
+  let k, vs = Event.describe ev in
+  output_string oc (Printf.sprintf "%h" time);
+  output_char oc ' ';
+  output_string oc k.Event.tag;
+  List.iter
+    (fun v ->
+      output_char oc ' ';
+      output_string oc (token v))
+    vs;
+  output_char oc '\n'
 
 (* Streaming writer: header up front, one line per event, count
    footer on close. *)
@@ -143,193 +80,36 @@ let parse_error lineno msg =
   failwith (Printf.sprintf "history log line %d: %s" lineno msg)
 
 let parse_line lineno line =
-  let int s =
-    match int_of_string_opt s with
-    | Some i -> i
-    | None -> parse_error lineno (Printf.sprintf "bad integer %S" s)
+  let fail fmt = Printf.ksprintf (parse_error lineno) fmt in
+  let int v =
+    match int_of_string_opt v with Some n -> n | None -> fail "bad integer %S" v
   in
-  let flag s =
-    match s with
-    | "0" -> false
-    | "1" -> true
-    | _ -> parse_error lineno (Printf.sprintf "bad flag %S" s)
+  (* Non-finite numbers are refused: no simulator quantity is NaN or
+     infinite, and the checkers compare instants for equality. *)
+  let float what v =
+    match float_of_string_opt v with
+    | Some x when Float.is_finite x -> x
+    | _ -> fail "bad %s %S" what v
+  in
+  let value (name, (ty : Event.ty)) v : Event.value =
+    match ty with
+    | T_int -> Int (int v)
+    | T_float -> Float (float name v)
+    | T_bool -> (
+        match v with "0" -> Bool false | "1" -> Bool true | _ -> fail "bad flag %S" v)
+    | T_str -> Str v
+    | T_ints -> Ints (if v = "" then [] else List.map int (String.split_on_char ',' v))
   in
   match String.split_on_char ' ' line with
-  | time_s :: tag :: fields -> (
-      let time =
-        match float_of_string_opt time_s with
-        | Some t -> t
-        | None -> parse_error lineno (Printf.sprintf "bad timestamp %S" time_s)
-      in
-      let ev =
-        match (tag, fields) with
-        | "TXS", [ core; attempt; elastic ] ->
-            Event.Tx_start
-              { core = int core; attempt = int attempt; elastic = flag elastic }
-        | "TXR", [ core; addr; granted; value ] ->
-            Event.Tx_read
-              { core = int core; addr = int addr; granted = flag granted; value = int value }
-        | "TXW", [ core; addr; value ] ->
-            Event.Tx_write { core = int core; addr = int addr; value = int value }
-        | "CB", [ core; attempt; n_writes ] ->
-            Event.Tx_commit_begin
-              { core = int core; attempt = int attempt; n_writes = int n_writes }
-        | "HW", [ addr; value ] ->
-            Event.Host_write { addr = int addr; value = int value }
-        | "RLR", [ core; addr ] ->
-            Event.Rlock_released { core = int core; addr = int addr }
-        | "WLK", [ core; addrs ] ->
-            Event.Wlock_granted
-              {
-                core = int core;
-                addrs =
-                  (if addrs = "" then []
-                   else List.map int (String.split_on_char ',' addrs));
-              }
-        | "PUB", [ core; attempt; n_writes ] ->
-            Event.Tx_publish
-              { core = int core; attempt = int attempt; n_writes = int n_writes }
-        | "COM", [ core; attempt; dur ] ->
-            let duration_ns =
-              match float_of_string_opt dur with
-              | Some d -> d
-              | None -> parse_error lineno (Printf.sprintf "bad duration %S" dur)
-            in
-            Event.Tx_committed { core = int core; attempt = int attempt; duration_ns }
-        | "ABO", [ core; attempt; conflict ] ->
-            Event.Tx_aborted
-              {
-                core = int core;
-                attempt = int attempt;
-                conflict = conflict_opt_of_string conflict;
-              }
-        | "CFL", [ server; requester; enemy; addr; conflict; wins ] ->
-            Event.Lock_conflict
-              {
-                server = int server;
-                requester = int requester;
-                enemy = int enemy;
-                addr = int addr;
-                conflict = conflict_of_string conflict;
-                requester_wins = flag wins;
-              }
-        | "ENA", [ server; winner; victim; addr; conflict ] ->
-            Event.Enemy_aborted
-              {
-                server = int server;
-                winner = int winner;
-                victim = int victim;
-                addr = int addr;
-                conflict = conflict_of_string conflict;
-              }
-        | "REQ", [ core; server; req_id; kind; n_addrs ] ->
-            Event.Req_sent
-              {
-                core = int core;
-                server = int server;
-                req_id = int req_id;
-                kind;
-                n_addrs = int n_addrs;
-              }
-        | "SRV", [ server; requester; req_id; kind; queue_depth; occupancy ] ->
-            Event.Service
-              {
-                server = int server;
-                requester = int requester;
-                req_id = int req_id;
-                kind;
-                queue_depth = int queue_depth;
-                occupancy = int occupancy;
-              }
-        | "SRD", [ server; requester; req_id ] ->
-            Event.Service_done
-              { server = int server; requester = int requester; req_id = int req_id }
-        | "BAR", [ core ] -> Event.Barrier { core = int core }
-        | "DRP", [ src; dst ] -> Event.Msg_dropped { src = int src; dst = int dst }
-        | "DUP", [ src; dst ] ->
-            Event.Msg_duplicated { src = int src; dst = int dst }
-        | "RSN", [ core; server; req_id; nth ] ->
-            Event.Req_resent
-              {
-                core = int core;
-                server = int server;
-                req_id = int req_id;
-                nth = int nth;
-              }
-        | "CRS", [ core; attempt ] ->
-            Event.Core_crashed { core = int core; attempt = int attempt }
-        | "LSR", [ server; victim; addr; aborted ] ->
-            Event.Lease_reclaimed
-              {
-                server = int server;
-                victim = int victim;
-                addr = int addr;
-                aborted = flag aborted;
-              }
-        | "SCR", [ server ] -> Event.Server_crashed { server = int server }
-        | "EPB", [ part; epoch; by ] ->
-            Event.Epoch_bumped { part = int part; epoch = int epoch; by = int by }
-        | "RPA", [ server; src; part; n_addrs ] ->
-            Event.Replica_applied
-              {
-                server = int server;
-                src = int src;
-                part = int part;
-                n_addrs = int n_addrs;
-              }
-        | "FOD", [ server; part; epoch; merged ] ->
-            Event.Failover_done
-              {
-                server = int server;
-                part = int part;
-                epoch = int epoch;
-                merged = int merged;
-              }
-        | "SER", [ server; core; req_epoch; cur_epoch ] ->
-            Event.Stale_epoch_rejected
-              {
-                server = int server;
-                core = int core;
-                req_epoch = int req_epoch;
-                cur_epoch = int cur_epoch;
-              }
-        | "ADM", [ core; tenant; queue_depth ] ->
-            Event.Req_admitted
-              { core = int core; tenant = int tenant; queue_depth = int queue_depth }
-        | "SHD", [ core; tenant; reason; retry_after ] ->
-            let reason =
-              match shed_reason_of_string reason with
-              | Some r -> r
-              | None ->
-                  parse_error lineno
-                    (Printf.sprintf "unknown shed reason %S" reason)
-            in
-            let retry_after_ns =
-              match float_of_string_opt retry_after with
-              | Some v -> v
-              | None ->
-                  parse_error lineno
-                    (Printf.sprintf "bad retry-after %S" retry_after)
-            in
-            Event.Req_shed
-              { core = int core; tenant = int tenant; reason; retry_after_ns }
-        | "EXP", [ core; tenant; waited ] ->
-            let waited_ns =
-              match float_of_string_opt waited with
-              | Some v -> v
-              | None ->
-                  parse_error lineno (Printf.sprintf "bad wait %S" waited)
-            in
-            Event.Req_expired { core = int core; tenant = int tenant; waited_ns }
-        | "RBX", [ core; tenant; retries ] ->
-            Event.Retry_budget_exhausted
-              { core = int core; tenant = int tenant; retries = int retries }
-        | _ ->
-            parse_error lineno
-              (Printf.sprintf "unrecognized record %S" (String.concat " " (tag :: fields)))
-      in
-      (time, ev))
-  | _ -> parse_error lineno "short line"
+  | time_s :: tag :: tokens -> (
+      let time = float "timestamp" time_s in
+      match List.find_opt (fun k -> k.Event.tag = tag) Event.kinds with
+      | Some k when List.compare_lengths k.Event.fields tokens = 0 -> (
+          match Event.of_fields tag (List.map2 value k.Event.fields tokens) with
+          | Ok ev -> (time, ev)
+          | Error msg -> fail "%s" msg)
+      | _ -> fail "unrecognized record %S" (String.concat " " (tag :: tokens)))
+  | _ -> fail "short line"
 
 let is_prefix pre s =
   String.length s >= String.length pre
@@ -337,9 +117,7 @@ let is_prefix pre s =
 
 let iter_channel ic f =
   (match input_line ic with
-  | h
-    when h = header || h = header_v4 || h = header_v3 || h = header_v2
-         || h = header_v1 -> ()
+  | h when h = header -> ()
   | h -> failwith (Printf.sprintf "unknown history log header %S" h)
   | exception End_of_file ->
       failwith (Printf.sprintf "empty history log: expected %S header" header));

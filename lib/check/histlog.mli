@@ -3,10 +3,14 @@
     One event per line: [<timestamp> <TAG> <fields...>], space
     separated, with timestamps and durations in hex-float notation so
     virtual times round-trip exactly. Written by [tm2c-sim --history]
-    and replayed by [tm2c-check]. The first line is a version header;
-    readers refuse unknown versions (v1–v3 logs are still accepted).
+    and replayed by [tm2c-check]. The first line is the version
+    header ([# tm2c-history v5]); readers refuse every other version.
+    Each record's tag and columns come from the event description
+    table ([Event.describe]); a malformed field — including a
+    non-finite number or an unknown conflict or shed-reason label —
+    fails with its line number.
 
-    v4 logs end with an ["# events N"] footer: the streaming writer
+    Logs end with an ["# events N"] footer: the streaming writer
     stamps it on close, and readers verify it when present, so a
     truncated log fails loudly instead of being checked short. Both
     directions are streaming — the writer takes events one at a time

@@ -1,9 +1,10 @@
 (* Chrome trace_event ("Perfetto") export of the event-trace ring:
    one timeline track per core (application cores show transaction-
-   attempt slices, DTM cores show request-service slices), instant
-   markers for reads/writes/conflicts, and flow arrows linking each
-   lock request to the DTM service that handled it. The output opens
-   directly in ui.perfetto.dev or chrome://tracing.
+   attempt slices, DTM cores show request-service slices), one instant
+   per other event (named and argued from the event description
+   table), and flow arrows linking each lock request to the DTM service
+   that handled it. The output opens directly in ui.perfetto.dev or
+   chrome://tracing.
 
    Timestamps: the simulator's virtual ns divided by 1e3 — the
    trace_event "ts" unit is microseconds (fractions are fine, both
@@ -57,7 +58,13 @@ let thread_meta ~tid ~name =
       ("args", Json.Obj [ ("name", str name) ]);
     ]
 
-let conflict_str = Types.conflict_to_string
+let json_of_value (v : Event.value) =
+  match v with
+  | Int n -> Json.Int n
+  | Float x -> Json.Float x
+  | Bool b -> Json.Bool b
+  | Str s -> str s
+  | Ints l -> Json.List (List.map (fun n -> Json.Int n) l)
 
 let export ?(app = [||]) ?(dtm = [||]) trace =
   (* Pass 1: which (requester, req_id) pairs survived on both the
@@ -69,120 +76,46 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
           Hashtbl.replace sent (flow_id ~requester:core ~req_id) ()
       | Event.Service { requester; req_id; _ } when req_id > 0 ->
           Hashtbl.replace picked (flow_id ~requester ~req_id) ()
-      (* Every remaining constructor carries no flow-arrow pairing
-         information. Enumerated rather than wildcarded so a new Event
-         constructor forces an explicit decision in this pass too. *)
-      | Event.Req_sent _ | Event.Service _ | Event.Tx_start _ | Event.Tx_read _
-      | Event.Tx_write _ | Event.Tx_commit_begin _ | Event.Host_write _
-      | Event.Rlock_released _ | Event.Wlock_granted _ | Event.Tx_publish _
-      | Event.Tx_committed _ | Event.Tx_aborted _ | Event.Lock_conflict _
-      | Event.Enemy_aborted _ | Event.Service_done _ | Event.Barrier _
-      | Event.Msg_dropped _ | Event.Msg_duplicated _ | Event.Req_resent _
-      | Event.Core_crashed _ | Event.Lease_reclaimed _ | Event.Server_crashed _
-      | Event.Epoch_bumped _ | Event.Replica_applied _ | Event.Failover_done _
-      | Event.Stale_epoch_rejected _ | Event.Req_admitted _ | Event.Req_shed _
-      | Event.Req_expired _ | Event.Retry_budget_exhausted _ -> ());
+      | _ -> ());
   let paired id = Hashtbl.mem sent id && Hashtbl.mem picked id in
   (* Pass 2: build (ts, event) pairs; attempt and service slices close
      at their end event and carry the begin timestamp. *)
   let out = ref [] in
   let push ts j = out := (ts, j) :: !out in
   let tracks = Hashtbl.create 64 in
-  let touch tid = Hashtbl.replace tracks tid () in
   let open_attempt : (int, float * int) Hashtbl.t = Hashtbl.create 64 in
   let open_service : (int, float * Event.t) Hashtbl.t = Hashtbl.create 64 in
+  (* Close [core]'s open attempt slice; an end event closes only its
+     own attempt, a crash whichever is open. *)
+  let close_attempt ?attempt core ts ~name ~args =
+    match Hashtbl.find_opt open_attempt core with
+    | Some (t0, a0) when Option.fold ~none:true ~some:(Int.equal a0) attempt ->
+        Hashtbl.remove open_attempt core;
+        push t0
+          (slice ~ts:t0 ~dur:(ts -. t0) ~tid:core ~name
+             ~args:(("attempt", Json.Int a0) :: args) ())
+    | _ -> ()
+  in
   Trace.iter trace (fun ts ev ->
+      let k, vs = Event.describe ev in
+      let actor, fields = Event.split k vs in
+      (* Host-side stores have no actor and so no timeline track. *)
+      Option.iter (fun tid -> Hashtbl.replace tracks tid ()) actor;
       match ev with
       | Event.Tx_start { core; attempt; _ } ->
-          touch core;
           Hashtbl.replace open_attempt core (ts, attempt)
-      | Event.Tx_committed { core; attempt; _ } -> (
-          touch core;
-          match Hashtbl.find_opt open_attempt core with
-          | Some (t0, a0) when a0 = attempt ->
-              Hashtbl.remove open_attempt core;
-              push t0
-                (slice ~ts:t0 ~dur:(ts -. t0) ~tid:core ~name:"tx commit"
-                   ~args:[ ("attempt", Json.Int attempt) ]
-                   ())
-          | _ -> ())
-      | Event.Tx_aborted { core; attempt; conflict } -> (
-          touch core;
-          match Hashtbl.find_opt open_attempt core with
-          | Some (t0, a0) when a0 = attempt ->
-              Hashtbl.remove open_attempt core;
-              push t0
-                (slice ~ts:t0 ~dur:(ts -. t0) ~tid:core ~name:"tx abort"
-                   ~args:
-                     [
-                       ("attempt", Json.Int attempt);
-                       ("cause", str (Event.conflict_opt_to_string conflict));
-                     ]
-                   ())
-          | _ -> ())
-      | Event.Tx_read { core; addr; granted; value } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"read"
-               ~args:
-                 [
-                   ("addr", Json.Int addr);
-                   ("granted", Json.Bool granted);
-                   ("value", Json.Int value);
-                 ]
-               ())
-      | Event.Tx_write { core; addr; value } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"write"
-               ~args:[ ("addr", Json.Int addr); ("value", Json.Int value) ]
-               ())
-      | Event.Tx_commit_begin { core; n_writes; _ } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"commit-begin"
-               ~args:[ ("writes", Json.Int n_writes) ]
-               ())
-      | Event.Host_write _ ->
-          (* Host-side store: no core to attribute a timeline row to. *)
-          ()
-      | Event.Rlock_released { core; addr } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"rlock-release"
-               ~args:[ ("addr", Json.Int addr) ]
-               ())
-      | Event.Wlock_granted { core; addrs } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"wlock"
-               ~args:[ ("addrs", Json.Int (List.length addrs)) ]
-               ())
-      | Event.Tx_publish { core; n_writes; _ } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"publish"
-               ~args:[ ("writes", Json.Int n_writes) ]
-               ())
-      | Event.Req_sent { core; server; req_id; kind; n_addrs } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:kind
-               ~args:[ ("server", Json.Int server); ("addrs", Json.Int n_addrs) ]
-               ());
-          if req_id > 0 then begin
-            let id = flow_id ~requester:core ~req_id in
-            if paired id then push ts (flow ~ph:"s" ~ts ~tid:core ~id)
-          end
+      | Event.Tx_committed { core; attempt; _ } ->
+          close_attempt ~attempt core ts ~name:"tx commit" ~args:[]
+      | Event.Tx_aborted { core; attempt; conflict } ->
+          close_attempt ~attempt core ts ~name:"tx abort"
+            ~args:[ ("cause", str (Event.conflict_opt_to_string conflict)) ]
       | Event.Service { server; requester; req_id; _ } ->
-          touch server;
           Hashtbl.replace open_service server (ts, ev);
           if req_id > 0 then begin
             let id = flow_id ~requester ~req_id in
             if paired id then push ts (flow ~ph:"f" ~ts ~tid:server ~id)
           end
       | Event.Service_done { server; requester; req_id } -> (
-          touch server;
           match Hashtbl.find_opt open_service server with
           | Some
               ( t0,
@@ -202,177 +135,42 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
                      ]
                    ())
           | _ -> ())
-      | Event.Lock_conflict { server; requester; enemy; addr; conflict; requester_wins }
-        ->
-          touch server;
-          push ts
-            (instant ~ts ~tid:server ~name:"conflict"
-               ~args:
-                 [
-                   ("type", str (conflict_str conflict));
-                   ("addr", Json.Int addr);
-                   ("requester", Json.Int requester);
-                   ("enemy", Json.Int enemy);
-                   ("requester_wins", Json.Bool requester_wins);
-                 ]
-               ())
-      | Event.Enemy_aborted { server; winner; victim; addr; conflict } ->
-          touch server;
-          push ts
-            (instant ~ts ~tid:server ~name:"enemy-abort"
-               ~args:
-                 [
-                   ("type", str (conflict_str conflict));
-                   ("addr", Json.Int addr);
-                   ("winner", Json.Int winner);
-                   ("victim", Json.Int victim);
-                 ]
-               ())
-      | Event.Barrier { core } ->
-          touch core;
-          push ts (instant ~ts ~tid:core ~name:"barrier" ())
-      | Event.Msg_dropped { src; dst } ->
-          touch src;
-          push ts
-            (instant ~ts ~tid:src ~name:"msg-dropped"
-               ~args:[ ("dst", Json.Int dst) ]
-               ())
-      | Event.Msg_duplicated { src; dst } ->
-          touch src;
-          push ts
-            (instant ~ts ~tid:src ~name:"msg-dup"
-               ~args:[ ("dst", Json.Int dst) ]
-               ())
-      | Event.Req_resent { core; server; req_id; nth } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"req-resent"
-               ~args:
-                 [
-                   ("server", Json.Int server);
-                   ("req_id", Json.Int req_id);
-                   ("nth", Json.Int nth);
-                 ]
-               ())
-      | Event.Core_crashed { core; attempt } -> (
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"crashed"
-               ~args:[ ("attempt", Json.Int attempt) ]
-               ());
-          (* Close the open attempt slice, if any — a crashed core
-             never emits its own end event. *)
-          match Hashtbl.find_opt open_attempt core with
-          | Some (t0, a0) ->
-              Hashtbl.remove open_attempt core;
-              push t0
-                (slice ~ts:t0 ~dur:(ts -. t0) ~tid:core ~name:"tx crashed"
-                   ~args:[ ("attempt", Json.Int a0) ]
-                   ())
-          | None -> ())
-      | Event.Lease_reclaimed { server; victim; addr; aborted } ->
-          touch server;
-          push ts
-            (instant ~ts ~tid:server ~name:"lease-reclaim"
-               ~args:
-                 [
-                   ("victim", Json.Int victim);
-                   ("addr", Json.Int addr);
-                   ("aborted", Json.Bool aborted);
-                 ]
-               ())
-      | Event.Server_crashed { server } -> (
-          touch server;
-          push ts (instant ~ts ~tid:server ~name:"srv-crashed" ());
-          (* A crashed server never emits Service_done for the request
-             it was serving; close the slice at the crash instant. *)
-          match Hashtbl.find_opt open_service server with
-          | Some (t0, Event.Service { requester; req_id; kind; _ }) ->
-              Hashtbl.remove open_service server;
-              push t0
-                (slice ~ts:t0 ~dur:(ts -. t0) ~tid:server
-                   ~name:(kind ^ " (crashed)")
-                   ~args:
-                     [
-                       ("requester", Json.Int requester);
-                       ("req_id", Json.Int req_id);
-                     ]
-                   ())
-          | _ -> ())
-      | Event.Epoch_bumped { part; epoch; by } ->
-          touch by;
-          push ts
-            (instant ~ts ~tid:by ~name:"epoch-bump"
-               ~args:[ ("part", Json.Int part); ("epoch", Json.Int epoch) ]
-               ())
-      | Event.Replica_applied { server; src; part; n_addrs } ->
-          touch server;
-          push ts
-            (instant ~ts ~tid:server ~name:"replica"
-               ~args:
-                 [
-                   ("src", Json.Int src);
-                   ("part", Json.Int part);
-                   ("addrs", Json.Int n_addrs);
-                 ]
-               ())
-      | Event.Failover_done { server; part; epoch; merged } ->
-          touch server;
-          push ts
-            (instant ~ts ~tid:server ~name:"failover"
-               ~args:
-                 [
-                   ("part", Json.Int part);
-                   ("epoch", Json.Int epoch);
-                   ("merged", Json.Int merged);
-                 ]
-               ())
-      | Event.Stale_epoch_rejected { server; core; req_epoch; cur_epoch } ->
-          touch server;
-          push ts
-            (instant ~ts ~tid:server ~name:"stale-epoch"
-               ~args:
-                 [
-                   ("core", Json.Int core);
-                   ("req_epoch", Json.Int req_epoch);
-                   ("cur_epoch", Json.Int cur_epoch);
-                 ]
-               ())
-      | Event.Req_admitted { core; tenant; queue_depth } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"admitted"
-               ~args:
-                 [ ("tenant", Json.Int tenant); ("queue", Json.Int queue_depth) ]
-               ())
-      | Event.Req_shed { core; tenant; reason; retry_after_ns } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"shed"
-               ~args:
-                 [
-                   ("tenant", Json.Int tenant);
-                   ("cause", str (Types.shed_reason_to_string reason));
-                   ("retry_after_us", Json.Float (us retry_after_ns));
-                 ]
-               ())
-      | Event.Req_expired { core; tenant; waited_ns } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"expired"
-               ~args:
-                 [
-                   ("tenant", Json.Int tenant);
-                   ("waited_us", Json.Float (us waited_ns));
-                 ]
-               ())
-      | Event.Retry_budget_exhausted { core; tenant; retries } ->
-          touch core;
-          push ts
-            (instant ~ts ~tid:core ~name:"retry-budget-exhausted"
-               ~args:
-                 [ ("tenant", Json.Int tenant); ("retries", Json.Int retries) ]
-               ()));
+      | _ -> (
+          (* Every other event is one instant on its actor's track,
+             named from the description table, carrying the remaining
+             fields as args. *)
+          Option.iter
+            (fun tid ->
+              push ts
+                (instant ~ts ~tid ~name:k.Event.name
+                   ~args:(List.map (fun (n, v) -> (n, json_of_value v)) fields)
+                   ()))
+            actor;
+          match ev with
+          | Event.Req_sent { core; req_id; _ } when req_id > 0 ->
+              let id = flow_id ~requester:core ~req_id in
+              if paired id then push ts (flow ~ph:"s" ~ts ~tid:core ~id)
+          | Event.Core_crashed { core; _ } ->
+              (* A crashed core never emits its own end event. *)
+              close_attempt core ts ~name:"tx crashed" ~args:[]
+          | Event.Server_crashed { server } -> (
+              (* A crashed server never emits Service_done for the
+                 request it was serving; close the slice at the crash
+                 instant. *)
+              match Hashtbl.find_opt open_service server with
+              | Some (t0, Event.Service { requester; req_id; kind; _ }) ->
+                  Hashtbl.remove open_service server;
+                  push t0
+                    (slice ~ts:t0 ~dur:(ts -. t0) ~tid:server
+                       ~name:(kind ^ " (crashed)")
+                       ~args:
+                         [
+                           ("requester", Json.Int requester);
+                           ("req_id", Json.Int req_id);
+                         ]
+                       ())
+              | _ -> ())
+          | _ -> ()));
   (* Stable sort by begin timestamp: per-track timestamps come out
      monotone because same-track slices never overlap. *)
   let sorted =

@@ -1,6 +1,7 @@
 (** Chrome trace_event ("Perfetto") timeline export of the event-trace
     ring: one track per core, transaction-attempt and request-service
-    slices, instant markers, and flow arrows linking each lock request
+    slices, one instant per other event (named from [Event.describe]'s
+    table, the non-actor fields as args), and flow arrows linking each lock request
     to the DTM service that handled it. The output opens directly in
     ui.perfetto.dev or chrome://tracing. *)
 

@@ -164,90 +164,278 @@ let conflict_opt_to_string = function
   | Some c -> conflict_to_string c
   | None -> "STATUS"
 
-let pp fmt = function
+type value = Int of int | Float of float | Bool of bool | Str of string | Ints of int list
+
+type ty = T_int | T_float | T_bool | T_str | T_ints
+
+type kind = {
+  tag : string;
+  name : string;
+  actor : string option;
+  fields : (string * ty) list;
+}
+
+let row ?(actor = "core") tag name fields = { tag; name; actor = Some actor; fields }
+
+let i n = (n, T_int)
+let f n = (n, T_float)
+let b n = (n, T_bool)
+let s n = (n, T_str)
+
+(* One row per constructor; the field lists are the history log's
+   column order. *)
+let tx_start = row "TXS" "tx_start" [ i "core"; i "attempt"; b "elastic" ]
+let tx_read = row "TXR" "tx_read" [ i "core"; i "addr"; b "granted"; i "value" ]
+let tx_write = row "TXW" "tx_write" [ i "core"; i "addr"; i "value" ]
+let tx_commit_begin = row "CB" "tx_commit_begin" [ i "core"; i "attempt"; i "n_writes" ]
+
+let host_write =
+  { tag = "HW"; name = "host_write"; actor = None; fields = [ i "addr"; i "value" ] }
+
+let rlock_released = row "RLR" "rlock_released" [ i "core"; i "addr" ]
+let wlock_granted = row "WLK" "wlock_granted" [ i "core"; ("addrs", T_ints) ]
+let tx_publish = row "PUB" "tx_publish" [ i "core"; i "attempt"; i "n_writes" ]
+let tx_committed = row "COM" "tx_committed" [ i "core"; i "attempt"; f "duration_ns" ]
+let tx_aborted = row "ABO" "tx_aborted" [ i "core"; i "attempt"; s "conflict" ]
+
+let lock_conflict =
+  row ~actor:"server" "CFL" "lock_conflict"
+    [ i "server"; i "requester"; i "enemy"; i "addr"; s "conflict"; b "requester_wins" ]
+
+let enemy_aborted =
+  row ~actor:"server" "ENA" "enemy_aborted"
+    [ i "server"; i "winner"; i "victim"; i "addr"; s "conflict" ]
+
+let req_sent =
+  row "REQ" "req_sent" [ i "core"; i "server"; i "req_id"; s "kind"; i "n_addrs" ]
+
+let service =
+  row ~actor:"server" "SRV" "service"
+    [ i "server"; i "requester"; i "req_id"; s "kind"; i "queue_depth"; i "occupancy" ]
+
+let service_done =
+  row ~actor:"server" "SRD" "service_done" [ i "server"; i "requester"; i "req_id" ]
+
+let barrier = row "BAR" "barrier" [ i "core" ]
+let msg_dropped = row ~actor:"src" "DRP" "msg_dropped" [ i "src"; i "dst" ]
+let msg_duplicated = row ~actor:"src" "DUP" "msg_duplicated" [ i "src"; i "dst" ]
+let req_resent = row "RSN" "req_resent" [ i "core"; i "server"; i "req_id"; i "nth" ]
+let core_crashed = row "CRS" "core_crashed" [ i "core"; i "attempt" ]
+
+let lease_reclaimed =
+  row ~actor:"server" "LSR" "lease_reclaimed"
+    [ i "server"; i "victim"; i "addr"; b "aborted" ]
+
+let server_crashed = row ~actor:"server" "SCR" "server_crashed" [ i "server" ]
+let epoch_bumped = row ~actor:"by" "EPB" "epoch_bumped" [ i "part"; i "epoch"; i "by" ]
+
+let replica_applied =
+  row ~actor:"server" "RPA" "replica_applied"
+    [ i "server"; i "src"; i "part"; i "n_addrs" ]
+
+let failover_done =
+  row ~actor:"server" "FOD" "failover_done"
+    [ i "server"; i "part"; i "epoch"; i "merged" ]
+
+let stale_epoch_rejected =
+  row ~actor:"server" "SER" "stale_epoch_rejected"
+    [ i "server"; i "core"; i "req_epoch"; i "cur_epoch" ]
+
+let req_admitted = row "ADM" "req_admitted" [ i "core"; i "tenant"; i "queue_depth" ]
+
+let req_shed =
+  row "SHD" "req_shed" [ i "core"; i "tenant"; s "reason"; f "retry_after_ns" ]
+
+let req_expired = row "EXP" "req_expired" [ i "core"; i "tenant"; f "waited_ns" ]
+
+let retry_budget_exhausted =
+  row "RBX" "retry_budget_exhausted" [ i "core"; i "tenant"; i "retries" ]
+
+let kinds =
+  [
+    tx_start; tx_read; tx_write; tx_commit_begin; host_write; rlock_released;
+    wlock_granted; tx_publish; tx_committed; tx_aborted; lock_conflict;
+    enemy_aborted; req_sent; service; service_done; barrier; msg_dropped;
+    msg_duplicated; req_resent; core_crashed; lease_reclaimed; server_crashed;
+    epoch_bumped; replica_applied; failover_done; stale_epoch_rejected;
+    req_admitted; req_shed; req_expired; retry_budget_exhausted;
+  ]
+
+(* Every constructor carries an inline record, so each value is a block
+   whose tag is the constructor's position among the declarations above
+   — the recorder's per-event index without a second dispatch. A unit
+   test pins [index] against the row [describe] returns. *)
+let index (ev : t) = Obj.tag (Obj.repr ev)
+
+(* The one exhaustive dispatch on [t] for output: every exporter goes
+   through it, and the exporter lint checks that it names every
+   constructor with no catch-all. *)
+let describe ev =
+  match ev with
   | Tx_start { core; attempt; elastic } ->
-      Format.fprintf fmt "core %2d  tx-start     attempt=%d%s" core attempt
-        (if elastic then " elastic" else "")
+      (tx_start, [ Int core; Int attempt; Bool elastic ])
   | Tx_read { core; addr; granted; value } ->
-      if granted then
-        Format.fprintf fmt "core %2d  tx-read      addr=%d granted value=%d" core
-          addr value
-      else Format.fprintf fmt "core %2d  tx-read      addr=%d refused" core addr
-  | Tx_write { core; addr; value } ->
-      Format.fprintf fmt "core %2d  tx-write     addr=%d value=%d" core addr value
+      (tx_read, [ Int core; Int addr; Bool granted; Int value ])
+  | Tx_write { core; addr; value } -> (tx_write, [ Int core; Int addr; Int value ])
   | Tx_commit_begin { core; attempt; n_writes } ->
-      Format.fprintf fmt "core %2d  commit-begin attempt=%d writes=%d" core attempt
-        n_writes
-  | Host_write { addr; value } ->
-      Format.fprintf fmt "host     host-write   addr=%d value=%d" addr value
-  | Rlock_released { core; addr } ->
-      Format.fprintf fmt "core %2d  rlock-rel    addr=%d" core addr
-  | Wlock_granted { core; addrs } ->
-      Format.fprintf fmt "core %2d  wlock        addrs=%s" core
-        (String.concat "," (List.map string_of_int addrs))
+      (tx_commit_begin, [ Int core; Int attempt; Int n_writes ])
+  | Host_write { addr; value } -> (host_write, [ Int addr; Int value ])
+  | Rlock_released { core; addr } -> (rlock_released, [ Int core; Int addr ])
+  | Wlock_granted { core; addrs } -> (wlock_granted, [ Int core; Ints addrs ])
   | Tx_publish { core; attempt; n_writes } ->
-      Format.fprintf fmt "core %2d  publish      attempt=%d writes=%d" core attempt
-        n_writes
+      (tx_publish, [ Int core; Int attempt; Int n_writes ])
   | Tx_committed { core; attempt; duration_ns } ->
-      Format.fprintf fmt "core %2d  committed    attempt=%d span=%.0fns" core attempt
-        duration_ns
+      (tx_committed, [ Int core; Int attempt; Float duration_ns ])
   | Tx_aborted { core; attempt; conflict } ->
-      Format.fprintf fmt "core %2d  aborted      attempt=%d cause=%s" core attempt
-        (conflict_opt_to_string conflict)
+      (tx_aborted, [ Int core; Int attempt; Str (conflict_opt_to_string conflict) ])
   | Lock_conflict { server; requester; enemy; addr; conflict; requester_wins } ->
-      Format.fprintf fmt "dtm  %2d  conflict     %s addr=%d core %d vs core %d -> %s"
-        server (conflict_to_string conflict) addr requester enemy
-        (if requester_wins then "requester wins" else "requester loses")
+      ( lock_conflict,
+        [
+          Int server; Int requester; Int enemy; Int addr;
+          Str (conflict_to_string conflict); Bool requester_wins;
+        ] )
   | Enemy_aborted { server; winner; victim; addr; conflict } ->
-      Format.fprintf fmt "dtm  %2d  enemy-abort  %s addr=%d core %d aborts core %d"
-        server (conflict_to_string conflict) addr winner victim
+      ( enemy_aborted,
+        [
+          Int server; Int winner; Int victim; Int addr; Str (conflict_to_string conflict);
+        ] )
   | Req_sent { core; server; req_id; kind; n_addrs } ->
-      Format.fprintf fmt "core %2d  req-sent     %s#%d -> dtm %d addrs=%d" core kind
-        req_id server n_addrs
+      (req_sent, [ Int core; Int server; Int req_id; Str kind; Int n_addrs ])
   | Service { server; requester; req_id; kind; queue_depth; occupancy } ->
-      Format.fprintf fmt "dtm  %2d  serve        %s#%d from core %d queue=%d locks=%d"
-        server kind req_id requester queue_depth occupancy
+      ( service,
+        [
+          Int server; Int requester; Int req_id; Str kind; Int queue_depth; Int occupancy;
+        ] )
   | Service_done { server; requester; req_id } ->
-      Format.fprintf fmt "dtm  %2d  serve-done   #%d from core %d" server req_id
-        requester
-  | Barrier { core } -> Format.fprintf fmt "core %2d  barrier" core
-  | Msg_dropped { src; dst } ->
-      Format.fprintf fmt "link     msg-dropped  %d -> %d" src dst
-  | Msg_duplicated { src; dst } ->
-      Format.fprintf fmt "link     msg-dup      %d -> %d" src dst
+      (service_done, [ Int server; Int requester; Int req_id ])
+  | Barrier { core } -> (barrier, [ Int core ])
+  | Msg_dropped { src; dst } -> (msg_dropped, [ Int src; Int dst ])
+  | Msg_duplicated { src; dst } -> (msg_duplicated, [ Int src; Int dst ])
   | Req_resent { core; server; req_id; nth } ->
-      Format.fprintf fmt "core %2d  req-resent   #%d -> dtm %d nth=%d" core req_id
-        server nth
-  | Core_crashed { core; attempt } ->
-      Format.fprintf fmt "core %2d  crashed      attempt=%d" core attempt
+      (req_resent, [ Int core; Int server; Int req_id; Int nth ])
+  | Core_crashed { core; attempt } -> (core_crashed, [ Int core; Int attempt ])
   | Lease_reclaimed { server; victim; addr; aborted } ->
-      Format.fprintf fmt "dtm  %2d  lease-reclaim addr=%d victim=core %d%s" server
-        addr victim
-        (if aborted then " (aborted)" else " (stale)")
-  | Server_crashed { server } ->
-      Format.fprintf fmt "dtm  %2d  srv-crashed" server
-  | Epoch_bumped { part; epoch; by } ->
-      Format.fprintf fmt "core %2d  epoch-bump   part=%d epoch=%d" by part epoch
+      (lease_reclaimed, [ Int server; Int victim; Int addr; Bool aborted ])
+  | Server_crashed { server } -> (server_crashed, [ Int server ])
+  | Epoch_bumped { part; epoch; by } -> (epoch_bumped, [ Int part; Int epoch; Int by ])
   | Replica_applied { server; src; part; n_addrs } ->
-      Format.fprintf fmt "dtm  %2d  replica      part=%d from dtm %d addrs=%d"
-        server part src n_addrs
+      (replica_applied, [ Int server; Int src; Int part; Int n_addrs ])
   | Failover_done { server; part; epoch; merged } ->
-      Format.fprintf fmt "dtm  %2d  failover     part=%d epoch=%d merged=%d"
-        server part epoch merged
+      (failover_done, [ Int server; Int part; Int epoch; Int merged ])
   | Stale_epoch_rejected { server; core; req_epoch; cur_epoch } ->
-      Format.fprintf fmt "dtm  %2d  stale-epoch  core %d req_epoch=%d cur=%d"
-        server core req_epoch cur_epoch
+      ( stale_epoch_rejected,
+        [ Int server; Int core; Int req_epoch; Int cur_epoch ] )
   | Req_admitted { core; tenant; queue_depth } ->
-      Format.fprintf fmt "core %2d  req-admitted tenant=%d queue=%d" core tenant
-        queue_depth
+      (req_admitted, [ Int core; Int tenant; Int queue_depth ])
   | Req_shed { core; tenant; reason; retry_after_ns } ->
-      Format.fprintf fmt "core %2d  req-shed     tenant=%d cause=%s retry_after=%.0fns"
-        core tenant (shed_reason_to_string reason) retry_after_ns
+      ( req_shed,
+        [
+          Int core; Int tenant; Str (shed_reason_to_string reason); Float retry_after_ns;
+        ] )
   | Req_expired { core; tenant; waited_ns } ->
-      Format.fprintf fmt "core %2d  req-expired  tenant=%d waited=%.0fns" core tenant
-        waited_ns
+      (req_expired, [ Int core; Int tenant; Float waited_ns ])
   | Retry_budget_exhausted { core; tenant; retries } ->
-      Format.fprintf fmt "core %2d  retry-budget tenant=%d retries=%d" core tenant
-        retries
+      (retry_budget_exhausted, [ Int core; Int tenant; Int retries ])
+
+exception Bad_fields of string
+
+let label what of_string s =
+  match of_string s with
+  | Some v -> v
+  | None -> raise (Bad_fields (Printf.sprintf "unknown %s label %S" what s))
+
+let conflict_label = label "conflict" conflict_of_string
+
+let of_fields tag vs =
+  try
+    Ok
+      (match (tag, vs) with
+      | "TXS", [ Int core; Int attempt; Bool elastic ] ->
+          Tx_start { core; attempt; elastic }
+      | "TXR", [ Int core; Int addr; Bool granted; Int value ] ->
+          Tx_read { core; addr; granted; value }
+      | "TXW", [ Int core; Int addr; Int value ] -> Tx_write { core; addr; value }
+      | "CB", [ Int core; Int attempt; Int n_writes ] ->
+          Tx_commit_begin { core; attempt; n_writes }
+      | "HW", [ Int addr; Int value ] -> Host_write { addr; value }
+      | "RLR", [ Int core; Int addr ] -> Rlock_released { core; addr }
+      | "WLK", [ Int core; Ints addrs ] -> Wlock_granted { core; addrs }
+      | "PUB", [ Int core; Int attempt; Int n_writes ] ->
+          Tx_publish { core; attempt; n_writes }
+      | "COM", [ Int core; Int attempt; Float duration_ns ] ->
+          Tx_committed { core; attempt; duration_ns }
+      | "ABO", [ Int core; Int attempt; Str c ] ->
+          let conflict = if c = "STATUS" then None else Some (conflict_label c) in
+          Tx_aborted { core; attempt; conflict }
+      | ( "CFL",
+          [ Int server; Int requester; Int enemy; Int addr; Str c; Bool requester_wins ] )
+        ->
+          let conflict = conflict_label c in
+          Lock_conflict { server; requester; enemy; addr; conflict; requester_wins }
+      | "ENA", [ Int server; Int winner; Int victim; Int addr; Str c ] ->
+          Enemy_aborted { server; winner; victim; addr; conflict = conflict_label c }
+      | "REQ", [ Int core; Int server; Int req_id; Str kind; Int n_addrs ] ->
+          Req_sent { core; server; req_id; kind; n_addrs }
+      | ( "SRV",
+          [
+            Int server; Int requester; Int req_id; Str kind; Int queue_depth; Int occupancy;
+          ] ) ->
+          Service { server; requester; req_id; kind; queue_depth; occupancy }
+      | "SRD", [ Int server; Int requester; Int req_id ] ->
+          Service_done { server; requester; req_id }
+      | "BAR", [ Int core ] -> Barrier { core }
+      | "DRP", [ Int src; Int dst ] -> Msg_dropped { src; dst }
+      | "DUP", [ Int src; Int dst ] -> Msg_duplicated { src; dst }
+      | "RSN", [ Int core; Int server; Int req_id; Int nth ] ->
+          Req_resent { core; server; req_id; nth }
+      | "CRS", [ Int core; Int attempt ] -> Core_crashed { core; attempt }
+      | "LSR", [ Int server; Int victim; Int addr; Bool aborted ] ->
+          Lease_reclaimed { server; victim; addr; aborted }
+      | "SCR", [ Int server ] -> Server_crashed { server }
+      | "EPB", [ Int part; Int epoch; Int by ] -> Epoch_bumped { part; epoch; by }
+      | "RPA", [ Int server; Int src; Int part; Int n_addrs ] ->
+          Replica_applied { server; src; part; n_addrs }
+      | "FOD", [ Int server; Int part; Int epoch; Int merged ] ->
+          Failover_done { server; part; epoch; merged }
+      | "SER", [ Int server; Int core; Int req_epoch; Int cur_epoch ] ->
+          Stale_epoch_rejected { server; core; req_epoch; cur_epoch }
+      | "ADM", [ Int core; Int tenant; Int queue_depth ] ->
+          Req_admitted { core; tenant; queue_depth }
+      | "SHD", [ Int core; Int tenant; Str r; Float retry_after_ns ] ->
+          let reason = label "shed reason" shed_reason_of_string r in
+          Req_shed { core; tenant; reason; retry_after_ns }
+      | "EXP", [ Int core; Int tenant; Float waited_ns ] ->
+          Req_expired { core; tenant; waited_ns }
+      | "RBX", [ Int core; Int tenant; Int retries ] ->
+          Retry_budget_exhausted { core; tenant; retries }
+      | _ -> raise (Bad_fields (Printf.sprintf "no %S record with these fields" tag)))
+  with Bad_fields msg -> Error msg
+
+let split k vs =
+  let is_actor name = match k.actor with Some a -> String.equal a name | None -> false in
+  List.fold_right2
+    (fun (name, _) v (actor, rest) ->
+      match v with
+      | Int core when is_actor name -> (Some core, rest)
+      | _ -> (actor, (name, v) :: rest))
+    k.fields vs (None, [])
+
+let pp_value fmt = function
+  | Int n -> Format.pp_print_int fmt n
+  | Float x -> Format.fprintf fmt "%.0f" x
+  | Bool v -> Format.pp_print_bool fmt v
+  | Str v -> Format.pp_print_string fmt v
+  | Ints l -> Format.pp_print_string fmt (String.concat "," (List.map string_of_int l))
+
+let pp fmt ev =
+  let k, vs = describe ev in
+  let actor, rest = split k vs in
+  let actor =
+    match (k.actor, actor) with
+    | Some name, Some core -> Printf.sprintf "%s=%d" name core
+    | _ -> "-"
+  in
+  Format.fprintf fmt "%-9s %s" actor k.name;
+  List.iter (fun (name, v) -> Format.fprintf fmt " %s=%a" name pp_value v) rest
 
 let to_string ev = Format.asprintf "%a" pp ev

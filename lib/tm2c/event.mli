@@ -177,6 +177,51 @@ type t =
     key the JSON export uses in [aborts.by_conflict]. *)
 val conflict_opt_to_string : conflict option -> string
 
+(** {1 Description table}
+
+    Every exporter (history log, Perfetto timeline, flight recorder,
+    trace dump) is generic over this table: adding an event is one
+    constructor, one row in {!kinds}, one case in {!describe} and one
+    in {!of_fields}. *)
+
+(** One typed field value. Conflict and shed-reason labels travel as
+    [Str] (["RAW"], ["STATUS"], ["QUEUE"], ...). *)
+type value = Int of int | Float of float | Bool of bool | Str of string | Ints of int list
+
+type ty = T_int | T_float | T_bool | T_str | T_ints
+
+(** The static description of one constructor. *)
+type kind = {
+  tag : string;  (** history-log record tag, e.g. ["TXS"] *)
+  name : string;  (** snake-case label, e.g. ["tx_start"] *)
+  actor : string option;
+      (** the field naming the core whose timeline track the event
+          belongs to; [None] for host-side stores *)
+  fields : (string * ty) list;  (** names and types, in {!describe} order *)
+}
+
+(** One row per constructor, in declaration order. *)
+val kinds : kind list
+
+(** The constructor's declaration position, i.e. its row's position in
+    {!kinds}. Allocation-free: every constructor carries a payload, so
+    this is the value's block tag. *)
+val index : t -> int
+
+(** The event's row and its field values, in the row's field order
+    (the history log's column order). *)
+val describe : t -> kind * value list
+
+(** Inverse of {!describe}, keyed by the row's [tag]. [Error] on an
+    unknown tag, a field list of the wrong shape, or an unknown
+    conflict / shed-reason label. *)
+val of_fields : string -> value list -> (t, string) result
+
+(** [split kind values] separates the actor's core id from the other
+    named fields. *)
+val split : kind -> value list -> int option * (string * value) list
+
+(** [<actor> <name> k=v ...], e.g. [core=3    tx_start attempt=7 elastic=false]. *)
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -65,57 +65,9 @@ type t = {
   mutable finished : bool;
 }
 
-(* Snake-case metric label per Event constructor, index-aligned with
-   [event_index] below. *)
-let event_names =
-  [|
-    "tx_start"; "tx_read"; "tx_write"; "tx_commit_begin"; "host_write";
-    "rlock_released"; "wlock_granted"; "tx_publish"; "tx_committed";
-    "tx_aborted"; "lock_conflict"; "enemy_aborted"; "req_sent"; "service";
-    "service_done"; "barrier"; "msg_dropped"; "msg_duplicated"; "req_resent";
-    "core_crashed"; "lease_reclaimed"; "server_crashed"; "epoch_bumped";
-    "replica_applied"; "failover_done"; "stale_epoch_rejected"; "req_admitted";
-    "req_shed"; "req_expired"; "retry_budget_exhausted";
-  |]
-
-(* Deliberately exhaustive (no wildcard): adding an Event constructor
-   must not silently vanish from the flight recorder — the exporter
-   lint (bench/lint.ml) additionally checks every constructor is named
-   here. *)
-let event_index (ev : Event.t) =
-  match ev with
-  | Event.Tx_start _ -> 0
-  | Event.Tx_read _ -> 1
-  | Event.Tx_write _ -> 2
-  | Event.Tx_commit_begin _ -> 3
-  | Event.Host_write _ -> 4
-  | Event.Rlock_released _ -> 5
-  | Event.Wlock_granted _ -> 6
-  | Event.Tx_publish _ -> 7
-  | Event.Tx_committed _ -> 8
-  | Event.Tx_aborted _ -> 9
-  | Event.Lock_conflict _ -> 10
-  | Event.Enemy_aborted _ -> 11
-  | Event.Req_sent _ -> 12
-  | Event.Service _ -> 13
-  | Event.Service_done _ -> 14
-  | Event.Barrier _ -> 15
-  | Event.Msg_dropped _ -> 16
-  | Event.Msg_duplicated _ -> 17
-  | Event.Req_resent _ -> 18
-  | Event.Core_crashed _ -> 19
-  | Event.Lease_reclaimed _ -> 20
-  | Event.Server_crashed _ -> 21
-  | Event.Epoch_bumped _ -> 22
-  | Event.Replica_applied _ -> 23
-  | Event.Failover_done _ -> 24
-  | Event.Stale_epoch_rejected _ -> 25
-  | Event.Req_admitted _ -> 26
-  | Event.Req_shed _ -> 27
-  | Event.Req_expired _ -> 28
-  | Event.Retry_budget_exhausted _ -> 29
-
-let record_event t ev = t.ev_counts.(event_index ev) <- t.ev_counts.(event_index ev) + 1
+let record_event t ev =
+  let i = Event.index ev in
+  t.ev_counts.(i) <- t.ev_counts.(i) + 1
 
 let quantiles = [ (50.0, "0.5"); (90.0, "0.9"); (99.0, "0.99"); (99.9, "0.999") ]
 
@@ -197,8 +149,8 @@ let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
     prev_links = Array.map Array.copy (Network.metrics net).Network.per_link;
     prev_servers = Hashtbl.create 16;
     prev_blame = Hashtbl.create 64;
-    ev_counts = Array.make (Array.length event_names) 0;
-    ev_prev = Array.make (Array.length event_names) 0;
+    ev_counts = Array.make (List.length Event.kinds) 0;
+    ev_prev = Array.make (List.length Event.kinds) 0;
     buf = Buffer.create 4096;
     n_windows = 0;
     started = false;
@@ -386,13 +338,13 @@ let emit_window t ~t_ns =
     (top_by t.top_k (fun (_, d) -> d) !blame);
   (* Windowed trace-event counts (0 while tracing is off: the tap only
      sees recorded events). *)
-  Array.iteri
-    (fun i name ->
+  List.iteri
+    (fun i (k : Event.kind) ->
       let d = t.ev_counts.(i) - t.ev_prev.(i) in
       t.ev_prev.(i) <- t.ev_counts.(i);
       if d > 0 then
-        pr b "trace_events_window" (labels [ ("type", name) ]) (float_of_int d))
-    event_names;
+        pr b "trace_events_window" (labels [ ("type", k.name) ]) (float_of_int d))
+    Event.kinds;
   (match t.out with
   | Some out -> out (Buffer.contents b)
   | None -> ());
@@ -444,4 +396,4 @@ let phase_sketches t =
        (Span.phases span))
 
 let event_totals t =
-  Array.to_list (Array.mapi (fun i name -> (name, t.ev_counts.(i))) event_names)
+  List.mapi (fun i (k : Event.kind) -> (k.name, t.ev_counts.(i))) Event.kinds

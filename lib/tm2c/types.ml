@@ -6,6 +6,12 @@ type conflict = Raw | Waw | War
 
 let conflict_to_string = function Raw -> "RAW" | Waw -> "WAW" | War -> "WAR"
 
+let conflict_of_string = function
+  | "RAW" -> Some Raw
+  | "WAW" -> Some Waw
+  | "WAR" -> Some War
+  | _ -> None
+
 type shed_reason = Shed_queue_full | Shed_no_tokens | Shed_deadline
 
 let shed_reason_to_string = function

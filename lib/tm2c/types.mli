@@ -12,6 +12,9 @@ type conflict =
 
 val conflict_to_string : conflict -> string
 
+(** Inverse of {!conflict_to_string}. *)
+val conflict_of_string : string -> conflict option
+
 (** Why the admission layer refused (or dropped) a request — see
     {!Admission}. The string forms round-trip through the history log
     ([shed_reason_of_string] inverts [shed_reason_to_string]). *)

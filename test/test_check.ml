@@ -11,6 +11,11 @@ open Tm2c_check
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let cfg ?(total = 8) ?(service = 4) ?(seed = 42) () =
   {
     Runtime.platform = Tm2c_noc.Platform.scc;
@@ -72,18 +77,45 @@ let test_histlog_roundtrip () =
          structural equality must hold. *)
       check "events round-trip exactly" true (events = loaded))
 
+(* A log must start with the v5 header (older versions are no longer
+   read), and every malformed line fails with its line number:
+   non-finite numbers, unknown labels, wrong arity. *)
 let test_histlog_rejects_garbage () =
   let path = Filename.temp_file "tm2c_hist" ".log" in
+  let load_fails contents =
+    Out_channel.with_open_text path (fun oc -> output_string oc contents);
+    match Histlog.load path with _ -> None | exception Failure msg -> Some msg
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "# not a history log\n";
-      close_out oc;
-      check "unknown header rejected" true
-        (match Histlog.load path with
-        | _ -> false
-        | exception Failure _ -> true))
+      List.iter
+        (fun h ->
+          check ("header rejected: " ^ h) true (load_fails (h ^ "\n") <> None))
+        [ "# not a history log"; "# tm2c-history v4"; "# tm2c-history v1" ];
+      List.iter
+        (fun line ->
+          match load_fails (Histlog.header ^ "\n0x0p+0 BAR 1\n" ^ line ^ "\n") with
+          | Some msg ->
+              check ("line number reported: " ^ line) true (contains msg "line 3")
+          | None -> Alcotest.failf "accepted bad line %S" line)
+        [
+          "nan BAR 1";
+          "inf BAR 1";
+          "-inf BAR 1";
+          "0x1p+0 COM 1 2 nan";
+          "0x1p+0 COM 1 2 inf";
+          "0x1p+0 SHD 1 0 QUEUE -inf";
+          "0x1p+0 SHD 1 0 SOMETIMES 0x0p+0";
+          "0x1p+0 EXP 1 0 nan";
+          "0x1p+0 ABO 1 2 RAR";
+          "0x1p+0 CFL 0 1 2 3 XYZ 1";
+          "0x1p+0 ENA 0 1 2 3 status";
+          "0x1p+0 TXS 1 2 yes";
+          "0x1p+0 TXS 1 2";
+          "0x1p+0 WLK 1 2,x";
+          "0x1p+0 ZZZ 1";
+        ])
 
 (* One decision event per CM arbitration: a server resolves at most
    one request per virtual instant, so two identical [Lock_conflict]
@@ -248,11 +280,6 @@ let test_atomic_writeback_passes () =
   let r = Check.run_list events in
   check "atomic write-back passes" true (Check.passed r)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* Lockset mutation: a DS server that double-releases a write lock
    would be able to grant it to a second writer while the first still
    holds it. Simulate the aftermath by injecting a conflicting
@@ -305,49 +332,138 @@ let test_mutation_early_read_release_caught () =
        (fun v -> contains v.Lockset.v_message "two-phase violation")
        r.Lockset.violations)
 
-(* The five fault/hardening event kinds added in the v2 log format
-   must survive a save/load round trip exactly. *)
-let test_histlog_fault_events_roundtrip () =
-  let events =
-    [
-      (1.0, Event.Msg_dropped { src = 1; dst = 2 });
-      (2.0, Event.Msg_duplicated { src = 3; dst = 0 });
-      (3.0, Event.Req_resent { core = 1; server = 2; req_id = 7; nth = 1 });
-      (4.0, Event.Core_crashed { core = 3; attempt = 5 });
-      ( 5.0,
-        Event.Lease_reclaimed { server = 2; victim = 3; addr = 9; aborted = true }
-      );
-      ( 6.0,
-        Event.Lease_reclaimed
-          { server = 0; victim = 1; addr = 11; aborted = false } );
-    ]
+(* One generator per Event constructor, in declaration order. *)
+let gen_event =
+  let open QCheck.Gen in
+  let id = int_range (-1) 600 and n = oneof [ int_range (-5) 100; int ] in
+  let fl =
+    oneof [ float_range 0.0 1e7; map (fun x -> if Float.is_finite x then x else 0.5) float ]
   in
-  let path = Filename.temp_file "tm2c_hist" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Histlog.save path (Check.iter_of_list events);
-      check "fault events round-trip exactly" true (Histlog.load path = events))
+  let label = string_size ~gen:(char_range 'a' 'z') (int_range 1 10) in
+  let cf = oneofl [ Types.Raw; Types.Waw; Types.War ] in
+  [
+    (let+ core = id and+ attempt = n and+ elastic = bool in
+     Event.Tx_start { core; attempt; elastic });
+    (let+ core = id and+ addr = n and+ granted = bool and+ value = n in
+     Event.Tx_read { core; addr; granted; value });
+    (let+ core = id and+ addr = n and+ value = n in Event.Tx_write { core; addr; value });
+    (let+ core = id and+ attempt = n and+ n_writes = n in
+     Event.Tx_commit_begin { core; attempt; n_writes });
+    (let+ addr = n and+ value = n in Event.Host_write { addr; value });
+    (let+ core = id and+ addr = n in Event.Rlock_released { core; addr });
+    (let+ core = id and+ addrs = list_size (int_range 0 4) n in
+     Event.Wlock_granted { core; addrs });
+    (let+ core = id and+ attempt = n and+ n_writes = n in
+     Event.Tx_publish { core; attempt; n_writes });
+    (let+ core = id and+ attempt = n and+ duration_ns = fl in
+     Event.Tx_committed { core; attempt; duration_ns });
+    (let+ core = id and+ attempt = n and+ conflict = opt cf in
+     Event.Tx_aborted { core; attempt; conflict });
+    (let+ server = id and+ requester = id and+ enemy = id and+ addr = n
+     and+ conflict = cf and+ requester_wins = bool in
+     Event.Lock_conflict { server; requester; enemy; addr; conflict; requester_wins });
+    (let+ server = id and+ winner = id and+ victim = id and+ addr = n
+     and+ conflict = cf in
+     Event.Enemy_aborted { server; winner; victim; addr; conflict });
+    (let+ core = id and+ server = id and+ req_id = n and+ kind = label and+ n_addrs = n in
+     Event.Req_sent { core; server; req_id; kind; n_addrs });
+    (let+ server = id and+ requester = id and+ req_id = n and+ kind = label
+     and+ queue_depth = n and+ occupancy = n in
+     Event.Service { server; requester; req_id; kind; queue_depth; occupancy });
+    (let+ server = id and+ requester = id and+ req_id = n in
+     Event.Service_done { server; requester; req_id });
+    (let+ core = id in Event.Barrier { core });
+    (let+ src = id and+ dst = id in Event.Msg_dropped { src; dst });
+    (let+ src = id and+ dst = id in Event.Msg_duplicated { src; dst });
+    (let+ core = id and+ server = id and+ req_id = n and+ nth = n in
+     Event.Req_resent { core; server; req_id; nth });
+    (let+ core = id and+ attempt = n in Event.Core_crashed { core; attempt });
+    (let+ server = id and+ victim = id and+ addr = n and+ aborted = bool in
+     Event.Lease_reclaimed { server; victim; addr; aborted });
+    (let+ server = id in Event.Server_crashed { server });
+    (let+ part = n and+ epoch = n and+ by = id in Event.Epoch_bumped { part; epoch; by });
+    (let+ server = id and+ src = id and+ part = n and+ n_addrs = n in
+     Event.Replica_applied { server; src; part; n_addrs });
+    (let+ server = id and+ part = n and+ epoch = n and+ merged = n in
+     Event.Failover_done { server; part; epoch; merged });
+    (let+ server = id and+ core = id and+ req_epoch = n and+ cur_epoch = n in
+     Event.Stale_epoch_rejected { server; core; req_epoch; cur_epoch });
+    (let+ core = id and+ tenant = n and+ queue_depth = n in
+     Event.Req_admitted { core; tenant; queue_depth });
+    (let+ core = id and+ tenant = n
+     and+ reason = oneofl Types.[ Shed_queue_full; Shed_no_tokens; Shed_deadline ]
+     and+ retry_after_ns = fl in
+     Event.Req_shed { core; tenant; reason; retry_after_ns });
+    (let+ core = id and+ tenant = n and+ waited_ns = fl in
+     Event.Req_expired { core; tenant; waited_ns });
+    (let+ core = id and+ tenant = n and+ retries = n in
+     Event.Retry_budget_exhausted { core; tenant; retries });
+  ]
 
-(* Pre-fault-layer v1 logs stay loadable: only the header differs when
-   no fault records are present. *)
-let test_histlog_v1_header_accepted () =
-  let events = collect_counter ~per_core:5 () in
-  let path = Filename.temp_file "tm2c_hist" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Histlog.save path (Check.iter_of_list events);
-      let contents = In_channel.with_open_text path In_channel.input_all in
-      let body =
-        match String.index_opt contents '\n' with
-        | Some i -> String.sub contents i (String.length contents - i)
-        | None -> Alcotest.fail "history log has no header line"
-      in
-      let oc = open_out path in
-      output_string oc ("# tm2c-history v1" ^ body);
-      close_out oc;
-      check "v1 header accepted" true (Histlog.load path = events))
+(* Corner cases every generated log also carries: the empty write-lock
+   batch, the STATUS abort, every shed reason, and payloads whose hex
+   form has a fraction, a tiny or a huge exponent. *)
+let pinned_events =
+  [
+    (0.0, Event.Wlock_granted { core = 1; addrs = [] });
+    (0.1, Event.Tx_aborted { core = 1; attempt = 2; conflict = None });
+    ( 1e-300,
+      Event.Req_shed
+        { core = 1; tenant = 0; reason = Types.Shed_queue_full; retry_after_ns = 0.1 } );
+    ( 1.5,
+      Event.Req_shed
+        {
+          core = 2;
+          tenant = 1;
+          reason = Types.Shed_no_tokens;
+          retry_after_ns = 1e-300;
+        } );
+    ( Float.max_float,
+      Event.Req_shed
+        {
+          core = 3;
+          tenant = 2;
+          reason = Types.Shed_deadline;
+          retry_after_ns = Float.max_float;
+        } );
+    (2.0, Event.Req_expired { core = 1; tenant = 0; waited_ns = 123.456 });
+  ]
+
+let histlog_roundtrip_prop =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (pair (float_range 0.0 1e9) (oneof gen_event)))
+  in
+  QCheck.Test.make ~name:"histlog round-trips every event kind" ~count:200
+    (QCheck.make gen ~print:(fun evs ->
+         String.concat "\n"
+           (List.map (fun (t, ev) -> Printf.sprintf "%h %s" t (Event.to_string ev)) evs)))
+    (fun generated ->
+      let events = pinned_events @ generated in
+      let path = Filename.temp_file "tm2c_hist" ".log" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Histlog.save path (Check.iter_of_list events);
+          Histlog.load path = events))
+
+(* Every constructor has its generator and its own table row, and the
+   recorder's allocation-free index points at the row [describe]
+   returns. *)
+let test_event_table () =
+  let n = List.length Event.kinds in
+  check_int "one generator per constructor" n (List.length gen_event);
+  let distinct f = List.length (List.sort_uniq compare (List.map f Event.kinds)) in
+  check_int "distinct tags" n (distinct (fun k -> k.Event.tag));
+  check_int "distinct names" n (distinct (fun k -> k.Event.name));
+  List.iteri
+    (fun i g ->
+      let ev = QCheck.Gen.generate1 g in
+      let k, _ = Event.describe ev in
+      check_int ("index of constructor " ^ string_of_int i) i (Event.index ev);
+      check ("row of " ^ k.Event.name) true (List.nth Event.kinds i == k))
+    gen_event
 
 let test_liveness_budget () =
   (* Synthetic starving core: [budget] consecutive aborts trip the
@@ -395,10 +511,9 @@ let suite =
       test_mutation_double_wlock_grant_caught;
     Alcotest.test_case "mutation: early read-lock release caught" `Quick
       test_mutation_early_read_release_caught;
-    Alcotest.test_case "histlog round-trips fault events" `Quick
-      test_histlog_fault_events_roundtrip;
-    Alcotest.test_case "histlog accepts v1 header" `Quick
-      test_histlog_v1_header_accepted;
+    QCheck_alcotest.to_alcotest histlog_roundtrip_prop;
+    Alcotest.test_case "event table has one row per constructor" `Quick
+      test_event_table;
     Alcotest.test_case "liveness budget" `Quick test_liveness_budget;
     Alcotest.test_case "STATUS abort label" `Quick test_status_label;
   ]
