@@ -567,7 +567,10 @@ let failover ~out_dir =
    structurally identical verdicts; also require the streaming
    checker's serialization-graph window to stay strictly under the
    attempt count (boundedness sanity — the asymptotic flat-memory
-   test lives in the test suite). *)
+   test lives in the test suite). A second online checker sweeps
+   after every event ([~gc_interval:1]), driving the sweep's work
+   lists and the lock index at their highest churn; its verdict must
+   match both. *)
 let streaming_smoke ~seeds ~out_dir =
   let plan =
     match
@@ -585,22 +588,31 @@ let streaming_smoke ~seeds ~out_dir =
           let _, events =
             run_shape sh ~seed ~plan:(Some plan) ~hardened:true ~collect:true
           in
-          let s = Stream.create () in
-          List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+          let s = Stream.create () and s1 = Stream.create ~gc_interval:1 () in
+          List.iter
+            (fun (now, ev) ->
+              Stream.feed s now ev;
+              Stream.feed s1 now ev)
+            events;
           let online = Stream.finish s in
           let batch = Check.run_list events in
           let window = Stream.peak_nodes s in
-          if not (Stream.equal online (Stream.verdict_of_result batch)) then begin
+          let batch_v = Stream.verdict_of_result batch in
+          if
+            not
+              (Stream.equal online batch_v
+              && Stream.equal (Stream.finish s1) batch_v)
+          then begin
             incr failures;
             Printf.printf "\nSTREAMING MISMATCH %s seed=%d plan=%s\n%!"
               sh.sh_name seed (Fault.to_spec plan);
             write_file
               (Filename.concat out_dir "fuzz_streaming.txt")
               (Printf.sprintf
-                 "shape: %s\nseed: %d\nplan: %s\n\n-- online --\n%s\n-- batch \
-                  --\n%s"
+                 "shape: %s\nseed: %d\nplan: %s\n\n-- online --\n%s\n-- \
+                  online, sweep per event --\n%s\n-- batch --\n%s"
                  sh.sh_name seed (Fault.to_spec plan) (Stream.report_string s)
-                 (Check.report_string batch))
+                 (Stream.report_string s1) (Check.report_string batch))
           end
           else if online.Stream.d_attempts > 64 && window >= online.Stream.d_attempts
           then begin
@@ -612,8 +624,8 @@ let streaming_smoke ~seeds ~out_dir =
           end
           else
             Printf.printf
-              "ok   %-24s seed=%d streaming==batch (%d events, %d attempts, \
-               window %d)\n%!"
+              "ok   %-24s seed=%d streaming==sweep-per-event==batch (%d \
+               events, %d attempts, window %d)\n%!"
               sh.sh_name seed online.Stream.d_events online.Stream.d_attempts
               window)
         seeds)

@@ -24,41 +24,60 @@ let header = "# tm2c-history v5"
 
 let footer_prefix = "# events "
 
-let token (v : Event.value) =
-  match v with
-  | Int n -> string_of_int n
-  | Float x -> Printf.sprintf "%h" x
-  | Bool b -> if b then "1" else "0"
-  | Str s -> s
-  | Ints l -> String.concat "," (List.map string_of_int l)
+(* The runtime primitive behind Printf's "%h" (a negative precision
+   prints as many hex digits as the value needs, sign char '-' means
+   "sign only when negative"): the same bytes without interpreting a
+   format per float. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
 
-let write_event oc time ev =
-  let k, vs = Event.describe ev in
-  output_string oc (Printf.sprintf "%h" time);
-  output_char oc ' ';
-  output_string oc k.Event.tag;
-  List.iter
-    (fun v ->
-      output_char oc ' ';
-      output_string oc (token v))
-    vs;
-  output_char oc '\n'
+let add_float buf x = Buffer.add_string buf (hexstring_of_float x (-1) '-')
+
+let add_token buf (v : Event.value) =
+  match v with
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Float x -> add_float buf x
+  | Bool b -> Buffer.add_char buf (if b then '1' else '0')
+  | Str s -> Buffer.add_string buf s
+  | Ints l ->
+      List.iteri
+        (fun i n ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int n))
+        l
 
 (* Streaming writer: header up front, one line per event, count
-   footer on close. *)
-type writer = { w_oc : out_channel; mutable w_count : int; w_owns : bool }
+   footer on close. Each line is assembled in [w_buf] and handed to
+   the channel in one call. *)
+type writer = {
+  w_oc : out_channel;
+  w_buf : Buffer.t;
+  mutable w_count : int;
+  w_owns : bool;
+}
 
-let writer_of_channel oc =
+let make_writer oc ~owns =
   Printf.fprintf oc "%s\n" header;
-  { w_oc = oc; w_count = 0; w_owns = false }
+  { w_oc = oc; w_buf = Buffer.create 128; w_count = 0; w_owns = owns }
 
-let create_writer path =
-  let oc = open_out path in
-  Printf.fprintf oc "%s\n" header;
-  { w_oc = oc; w_count = 0; w_owns = true }
+let writer_of_channel oc = make_writer oc ~owns:false
+
+let create_writer path = make_writer (open_out path) ~owns:true
 
 let put w time ev =
-  write_event w.w_oc time ev;
+  let buf = w.w_buf in
+  let k, vs = Event.describe ev in
+  Buffer.clear buf;
+  add_float buf time;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf k.Event.tag;
+  List.iter
+    (fun v ->
+      Buffer.add_char buf ' ';
+      add_token buf v)
+    vs;
+  Buffer.add_char buf '\n';
+  Buffer.output_buffer w.w_oc buf;
   w.w_count <- w.w_count + 1
 
 let written w = w.w_count

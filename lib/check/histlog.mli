@@ -21,8 +21,6 @@ open Tm2c_core
 
 val header : string
 
-val write_event : out_channel -> float -> Event.t -> unit
-
 (** Incremental writer: {!create_writer}/{!writer_of_channel} emit
     the header, {!put} appends one event line, {!close_writer} stamps
     the count footer (and closes the channel iff the writer opened

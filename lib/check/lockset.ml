@@ -84,6 +84,11 @@ type t = {
      lock. A core may hold both (read-to-write upgrade). *)
   rlocks : (Types.addr, Types.core_id list) Hashtbl.t;
   wlocks : (Types.addr, Types.core_id) Hashtbl.t;
+  (* core -> addresses it was granted a read or write lock on since
+     its locks were last dropped. Entries go stale when a lock is
+     revoked or re-granted elsewhere, so a drop re-checks ownership;
+     the index only spares it a walk over the whole tables. *)
+  granted : (Types.core_id, Types.addr list) Hashtbl.t;
   (* Failover epoch the current write lock on an address was granted
      in; [cur_epoch] follows the [Epoch_bumped] events. (Epochs are
      per partition in the protocol, but a write lock never moves
@@ -106,6 +111,7 @@ let create () =
     seq = 0;
     rlocks = Hashtbl.create 512;
     wlocks = Hashtbl.create 512;
+    granted = Hashtbl.create 64;
     wepoch = Hashtbl.create 512;
     cur_epoch = 0;
     live = Hashtbl.create 64;
@@ -126,28 +132,35 @@ let doomed t core =
   | Some l -> l.l_doomed
   | None -> false
 
+let note_grant t core addr =
+  let l = match Hashtbl.find_opt t.granted core with Some l -> l | None -> [] in
+  Hashtbl.replace t.granted core (addr :: l)
+
 let add_reader t addr core =
-  if not (List.mem core (readers t addr)) then
-    Hashtbl.replace t.rlocks addr (core :: readers t addr)
+  if not (List.mem core (readers t addr)) then begin
+    Hashtbl.replace t.rlocks addr (core :: readers t addr);
+    note_grant t core addr
+  end
 
 let drop_reader t addr core =
   match List.filter (fun c -> c <> core) (readers t addr) with
   | [] -> Hashtbl.remove t.rlocks addr
   | l -> Hashtbl.replace t.rlocks addr l
 
+(* O(locks the core was granted): only its own index entries are
+   visited, and each frees a lock only if the core still holds it. *)
 let drop_core_locks t core =
-  let held_r =
-    Tm2c_engine.Det.fold
-      (fun a cs acc -> if List.mem core cs then a :: acc else acc)
-      t.rlocks []
-  in
-  List.iter (fun a -> drop_reader t a core) held_r;
-  let held_w =
-    Tm2c_engine.Det.fold
-      (fun a c acc -> if c = core then a :: acc else acc)
-      t.wlocks []
-  in
-  List.iter (fun a -> Hashtbl.remove t.wlocks a) held_w
+  match Hashtbl.find_opt t.granted core with
+  | None -> ()
+  | Some addrs ->
+      Hashtbl.remove t.granted core;
+      List.iter
+        (fun a ->
+          if List.mem core (readers t a) then drop_reader t a core;
+          match Hashtbl.find_opt t.wlocks a with
+          | Some w when w = core -> Hashtbl.remove t.wlocks a
+          | Some _ | None -> ())
+        addrs
 
 let feed t time ev =
   let seq = t.seq in
@@ -222,6 +235,7 @@ let feed t time ev =
                     core addr r)
             (readers t addr);
           Hashtbl.replace t.wlocks addr core;
+          note_grant t core addr;
           Hashtbl.replace t.wepoch addr t.cur_epoch)
         addrs
   | Event.Rlock_released { core; addr } ->

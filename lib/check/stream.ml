@@ -22,6 +22,16 @@
      a synthetic p -> s edge preserves reachability, so a cycle
      through retired transactions is still a cycle.
 
+   Per-event cost follows the state the event touches, not the
+   window. The periodic sweep ([gc], every [gc_interval] events)
+   visits two work lists kept up to date as events arrive — the
+   addresses holding more than one retained version, and the nodes
+   that closed unpinned or lost their last pin since the previous
+   sweep — so it costs O(multi-version addresses + candidates); no
+   table is traversed until [finish]. The lockset shadow likewise
+   drops a core's locks through its own grant list, in O(locks the
+   core was granted).
+
    Two documented residues can grow with the workload (not the run
    length): the RW await list of an address that is read but never
    transactionally written again, and the pinned last-writer node of
@@ -104,6 +114,7 @@ type astate = {
   mutable versions : sversion list;  (* newest first *)
   mutable await : (int * int) list;  (* (reader node, r_seq) pending RW *)
   mutable last_writer : int;  (* most recent transactional writer, -1 none *)
+  mutable listed : bool;  (* in [t.multi]: holds more than one version *)
 }
 
 type chain = { mutable c_len : int }
@@ -117,6 +128,13 @@ type t = {
   gc_interval : int;
   nodes : (int, node) Hashtbl.t;
   addrs : (Types.addr, astate) Hashtbl.t;
+  (* The sweep's work lists. [multi]: addresses holding more than one
+     retained version, the only ones pruning can shorten. [candidates]:
+     nodes seen closed and unpinned since the last sweep (possibly
+     repinned, retired or listed twice since), a superset of the
+     retirable set. *)
+  mutable multi : astate list;
+  mutable candidates : int list;
   pub_node : (Types.core_id, int) Hashtbl.t;  (* open published attempt *)
   mutable next_id : int;
   mutable horizon : float;
@@ -151,10 +169,25 @@ let pin t id =
   | Some n -> n.n_pins <- n.n_pins + 1
   | None -> ()
 
+(* A node becomes retirable only by its last unpin or by closing
+   while unpinned; both moments list it for the next sweep. *)
 let unpin t id =
   match Hashtbl.find_opt t.nodes id with
-  | Some n -> n.n_pins <- n.n_pins - 1
+  | Some n ->
+      n.n_pins <- n.n_pins - 1;
+      if n.n_pins <= 0 && not n.n_open then t.candidates <- id :: t.candidates
   | None -> ()
+
+let close_node t n =
+  n.n_open <- false;
+  if n.n_pins <= 0 then t.candidates <- n.n_id :: t.candidates
+
+let push_version t st v =
+  if not st.listed then begin
+    st.listed <- true;
+    t.multi <- st :: t.multi
+  end;
+  st.versions <- v :: st.versions
 
 let astate_of t addr =
   match Hashtbl.find_opt t.addrs addr with
@@ -165,6 +198,7 @@ let astate_of t addr =
           versions = [ { sv_pub = -1; sv_value = None; sv_writer = -1 } ];
           await = [];
           last_writer = -1;
+          listed = false;
         }
       in
       Hashtbl.add t.addrs addr st;
@@ -266,28 +300,37 @@ let gc t =
      below the watermark, plus that boundary version itself: it is
      the one an open attempt's earliest read can still resolve to.
      Pending awaits are per address, not per version, so pruning
-     never loses an RW edge. *)
-  Tm2c_engine.Det.iter
-    (fun _addr st ->
-      let rec keep = function
-        | [] -> []
-        | v :: rest ->
-            if v.sv_pub <= wm then begin
-              List.iter
-                (fun dv -> if dv.sv_writer >= 0 then unpin t dv.sv_writer)
-                rest;
-              [ v ]
-            end
-            else v :: keep rest
-      in
-      st.versions <- keep st.versions)
-    t.addrs;
-  let retirable = ref [] in
-  Tm2c_engine.Det.iter
-    (fun id n ->
-      if (not n.n_open) && n.n_pins <= 0 then retirable := id :: !retirable)
-    t.nodes;
-  List.iter (fun id -> retire t id) (List.rev !retirable)
+     never loses an RW edge. Single-version addresses are already
+     minimal and leave the list. *)
+  let rec keep = function
+    | [] -> []
+    | v :: rest ->
+        if v.sv_pub <= wm then begin
+          List.iter
+            (fun dv -> if dv.sv_writer >= 0 then unpin t dv.sv_writer)
+            rest;
+          [ v ]
+        end
+        else v :: keep rest
+  in
+  t.multi <-
+    List.filter
+      (fun st ->
+        st.versions <- keep st.versions;
+        st.listed <- List.compare_length_with st.versions 1 > 0;
+        st.listed)
+      t.multi;
+  (* Retire in ascending id order, the order path compression was
+     specified in: it decides which synthetic edges (and so which
+     cycle witness) survive. *)
+  let due = List.sort_uniq Int.compare t.candidates in
+  t.candidates <- [];
+  List.iter
+    (fun id ->
+      match Hashtbl.find_opt t.nodes id with
+      | Some n when (not n.n_open) && n.n_pins <= 0 -> retire t id
+      | Some _ | None -> ())
+    due
 
 (* --- Versioned-memory installation and read resolution. --- *)
 
@@ -325,7 +368,7 @@ let install t (a : History.attempt) pub =
       st.await <- [];
       st.last_writer <- id;
       n.n_pins <- n.n_pins + 1;
-      st.versions <- { sv_pub = pub; sv_value = Some value; sv_writer = id } :: st.versions;
+      push_version t st { sv_pub = pub; sv_value = Some value; sv_writer = id };
       n.n_pins <- n.n_pins + 1)
     a.History.a_writes;
   let live = Hashtbl.length t.nodes in
@@ -338,8 +381,8 @@ let on_publish t (a : History.attempt) =
   Hashtbl.replace t.pub_node a.History.a_core id
 
 let on_host_write t seq addr value =
-  let st = astate_of t addr in
-  st.versions <- { sv_pub = seq; sv_value = Some value; sv_writer = -1 } :: st.versions
+  push_version t (astate_of t addr)
+    { sv_pub = seq; sv_value = Some value; sv_writer = -1 }
 
 (* Mirror of the batch resolver over the retained window (ascending
    array): timing-predicted version first, then binding the unbound
@@ -380,7 +423,7 @@ let resolve (vs : sversion array) (r : History.read) =
 
 let close_serialized t id (a : History.attempt) =
   (match Hashtbl.find_opt t.nodes id with
-  | Some n -> n.n_open <- false
+  | Some n -> close_node t n
   | None -> ());
   if a.History.a_elastic then
     t.reads_skipped <- t.reads_skipped + List.length a.History.a_reads
@@ -494,7 +537,7 @@ let on_close t (a : History.attempt) =
       (match node_id with
       | Some id -> (
           match Hashtbl.find_opt t.nodes id with
-          | Some n -> n.n_open <- false
+          | Some n -> close_node t n
           | None -> ())
       | None -> ());
       check_opacity t a
@@ -513,6 +556,8 @@ let create ?(liveness_budget = Check.default_liveness_budget)
       gc_interval;
       nodes = Hashtbl.create 256;
       addrs = Hashtbl.create 256;
+      multi = [];
+      candidates = [];
       pub_node = Hashtbl.create 64;
       next_id = 0;
       horizon = 0.0;

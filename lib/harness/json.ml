@@ -1,6 +1,7 @@
 (* Minimal JSON: enough to serialize experiment results and to parse
    them back in tests. No external dependency — the container image has
-   no yojson — and no streaming: result files are small (KBs). *)
+   no yojson — and no streaming parser: result files are small (KBs);
+   only the printer meets large documents (Perfetto timelines). *)
 
 type t =
   | Null
@@ -27,7 +28,23 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let rec write buf ~indent ~level v =
+(* The printer fills [buf] and moves it into [spilled] every
+   [spill_at] bytes, at element boundaries; [to_string] then joins the
+   pieces with one exact-size allocation. A large document (a Perfetto
+   timeline runs to megabytes) so never sits in a doubled buffer plus
+   its copy. *)
+type out = { buf : Buffer.t; mutable spilled : string list }
+
+let spill_at = 65536
+
+let spill out =
+  if Buffer.length out.buf >= spill_at then begin
+    out.spilled <- Buffer.contents out.buf :: out.spilled;
+    Buffer.clear out.buf
+  end
+
+let rec write out ~indent ~level v =
+  let buf = out.buf in
   let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
   let nl () = if indent then Buffer.add_char buf '\n' in
   match v with
@@ -67,7 +84,8 @@ let rec write buf ~indent ~level v =
             nl ()
           end;
           pad (level + 1);
-          write buf ~indent ~level:(level + 1) item)
+          write out ~indent ~level:(level + 1) item;
+          spill out)
         items;
       nl ();
       pad level;
@@ -86,17 +104,18 @@ let rec write buf ~indent ~level v =
           Buffer.add_char buf '"';
           escape buf k;
           Buffer.add_string buf (if indent then "\": " else "\":");
-          write buf ~indent ~level:(level + 1) item)
+          write out ~indent ~level:(level + 1) item;
+          spill out)
         fields;
       nl ();
       pad level;
       Buffer.add_char buf '}'
 
 let to_string ?(indent = true) v =
-  let buf = Buffer.create 4096 in
-  write buf ~indent ~level:0 v;
-  if indent then Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let out = { buf = Buffer.create 4096; spilled = [] } in
+  write out ~indent ~level:0 v;
+  if indent then Buffer.add_char out.buf '\n';
+  String.concat "" (List.rev (Buffer.contents out.buf :: out.spilled))
 
 let to_file ?indent path v =
   let oc = open_out path in

@@ -332,6 +332,76 @@ let test_mutation_early_read_release_caught () =
        (fun v -> contains v.Lockset.v_message "two-phase violation")
        r.Lockset.violations)
 
+(* The lock checker frees a core's locks through a per-core index of
+   the addresses it was granted. Entries go stale when a lock is
+   revoked or re-granted, and a drop must then leave the lock alone.
+   Core 1 is granted the write lock on x and is doomed by an enemy
+   abort landing at y; core 2's grant on x takes over the stale
+   entry. Core 1's abort must not free x: a later read grant to core
+   3 still conflicts with core 2's write lock. *)
+let test_lock_index_stale_write_entry () =
+  let x = 10 and y = 11 in
+  let r =
+    Lockset.analyze
+      (Check.iter_of_list
+         [
+           (1.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+           (2.0, Event.Tx_start { core = 2; attempt = 1; elastic = false });
+           (3.0, Event.Tx_start { core = 3; attempt = 1; elastic = false });
+           (4.0, Event.Tx_read { core = 1; addr = y; granted = true; value = 0 });
+           (5.0, Event.Wlock_granted { core = 1; addrs = [ x ] });
+           ( 6.0,
+             Event.Enemy_aborted
+               { server = 0; winner = 2; victim = 1; addr = y; conflict = Types.War } );
+           (7.0, Event.Wlock_granted { core = 2; addrs = [ x ] });
+           (8.0, Event.Tx_aborted { core = 1; attempt = 1; conflict = Some Types.War });
+           (9.0, Event.Tx_read { core = 3; addr = x; granted = true; value = 0 });
+         ])
+  in
+  match r.Lockset.violations with
+  | [ v ] ->
+      check "core 2 still holds x" true
+        (contains v.Lockset.v_message
+           (Printf.sprintf
+              "read grant to core 3 on addr %d while core 2 holds the write \
+               lock"
+              x))
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+(* Read-lock analogue: core 1's read lock on x is revoked by an enemy
+   abort and then granted to it again, so its index lists x twice.
+   The drop at its abort frees core 1's lock once and leaves core 3's
+   read lock on x standing, so core 2's write grant names core 3 and
+   only core 3. *)
+let test_lock_index_regranted_read_entry () =
+  let x = 10 in
+  let r =
+    Lockset.analyze
+      (Check.iter_of_list
+         [
+           (1.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+           (2.0, Event.Tx_start { core = 2; attempt = 1; elastic = false });
+           (3.0, Event.Tx_start { core = 3; attempt = 1; elastic = false });
+           (4.0, Event.Tx_read { core = 1; addr = x; granted = true; value = 0 });
+           ( 5.0,
+             Event.Enemy_aborted
+               { server = 0; winner = 2; victim = 1; addr = x; conflict = Types.War } );
+           (6.0, Event.Tx_read { core = 1; addr = x; granted = true; value = 0 });
+           (7.0, Event.Tx_read { core = 3; addr = x; granted = true; value = 0 });
+           (8.0, Event.Tx_aborted { core = 1; attempt = 1; conflict = Some Types.War });
+           (9.0, Event.Wlock_granted { core = 2; addrs = [ x ] });
+         ])
+  in
+  match r.Lockset.violations with
+  | [ v ] ->
+      check "core 3's read lock survives core 1's drop" true
+        (contains v.Lockset.v_message
+           (Printf.sprintf
+              "write-lock grant to core 2 on addr %d while core 3 holds a \
+               read lock"
+              x))
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 (* One generator per Event constructor, in declaration order. *)
 let gen_event =
   let open QCheck.Gen in
@@ -511,6 +581,10 @@ let suite =
       test_mutation_double_wlock_grant_caught;
     Alcotest.test_case "mutation: early read-lock release caught" `Quick
       test_mutation_early_read_release_caught;
+    Alcotest.test_case "lock index: stale write entry left alone" `Quick
+      test_lock_index_stale_write_entry;
+    Alcotest.test_case "lock index: re-granted read freed once" `Quick
+      test_lock_index_regranted_read_entry;
     QCheck_alcotest.to_alcotest histlog_roundtrip_prop;
     Alcotest.test_case "event table has one row per constructor" `Quick
       test_event_table;

@@ -290,6 +290,52 @@ let test_bounded_memory () =
        %d words over %d attempts"
       words_many n_many words_few n_few
 
+(* ------------------------------------------------------------------ *)
+(* Retirement pin: which nodes retire, and when, is part of the       *)
+(* contract.                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Seeded 2 ms runs with the streaming checker on the sink. The live
+   node high-water and the nodes still live at the horizon depend on
+   exactly which graph nodes the sweep retires and at which event, so
+   an equivalent rewrite of the sweep must reproduce both numbers.
+   Each shape runs twice: with the default sweep interval and with a
+   sweep after every event, where the high-water follows every single
+   retirement. The elastic list's read-only attempts close unpinned,
+   the path the other shapes barely take. The pins were recorded with
+   the whole-table sweep. *)
+let hashtable_body t ~duration_ns =
+  let ht = Tm2c_apps.Hashtable.create t ~n_buckets:64 in
+  Tm2c_apps.Hashtable.populate ht (Runtime.fork_prng t) ~n:256 ~key_range:512;
+  Tm2c_apps.Workload.drive t ~duration_ns
+    (Tm2c_harness.Exp.ht_mix ht ~updates:20 ~moves:0 ~payload:0 ~range:512)
+
+let retirement_run ~gc_interval ~total body =
+  let t = Runtime.create (Tm2c_harness.Exp.config ~total ~seed:1 ()) in
+  let s = Stream.create ~gc_interval () in
+  Stream.attach s (Runtime.trace t);
+  let _ = body t ~duration_ns:2e6 in
+  let v = Stream.finish s in
+  check "run passes all checkers" true (Stream.passed v);
+  (Stream.peak_nodes s, Stream.n_live_nodes s)
+
+let test_retirement_pinned () =
+  List.iter
+    (fun (name, total, body, pins) ->
+      List.iter
+        (fun (gc_interval, peak, live) ->
+          let p, l = retirement_run ~gc_interval ~total body in
+          let name = Printf.sprintf "%s, sweep every %d" name gc_interval in
+          check_int (name ^ ": peak live nodes") peak p;
+          check_int (name ^ ": live nodes at the horizon") live l)
+        pins)
+    [
+      ("counter/16", 16, counter_body, [ (1024, 8, 5); (1, 2, 2) ]);
+      ("hashtable/16", 16, hashtable_body, [ (1024, 317, 317); (1, 317, 317) ]);
+      ("hashtable/48", 48, hashtable_body, [ (1024, 602, 602); (1, 602, 602) ]);
+      ("list-elastic/16", 16, list_body, [ (1024, 9, 3); (1, 2, 1) ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "mutation: stale-read window caught by opacity" `Quick
@@ -305,4 +351,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:true differential_prop;
     Alcotest.test_case "streaming memory flat in run length" `Slow
       test_bounded_memory;
+    Alcotest.test_case "retirement set pinned on seeded runs" `Quick
+      test_retirement_pinned;
   ]
