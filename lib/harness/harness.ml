@@ -148,6 +148,7 @@ let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
         Tm2c_apps.Workload.preflight := None
       end)
     (fun () ->
+      let total_s = ref 0.0 in
       List.iter
         (fun id ->
           match find id with
@@ -163,10 +164,12 @@ let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
                   e.description,
                   List.rev !current_runs )
                 :: !exported;
-              Printf.printf "(%s finished in %.1fs host time)\n%!" e.id
-                (Unix.gettimeofday () -. t0)
+              let dt = Unix.gettimeofday () -. t0 in
+              total_s := !total_s +. dt;
+              Printf.printf "(%s finished in %.1fs host time)\n%!" e.id dt
           | None -> invalid_arg (Printf.sprintf "unknown experiment %S" id))
-        ids);
+        ids;
+      Printf.printf "(total: %.1fs host time)\n%!" !total_s);
   (match json with
   | None -> ()
   | Some path ->

@@ -12,8 +12,9 @@ val all : experiment list
 val find : string -> experiment option
 
 (** [run_ids ?json ?check ids scale] runs the named experiments
-    (["all"] expands to every experiment); raises [Invalid_argument]
-    on unknown ids. With [~json:path], every run each experiment
+    (["all"] expands to every experiment), printing each one's host
+    seconds and then their total; raises [Invalid_argument] on unknown
+    ids. With [~json:path], every run each experiment
     performs is captured (see {!Tm2c_apps.Workload.observer}) and the
     collected results plus observability metrics ({!Report.run_json})
     are written to [path], grouped per experiment id. With

@@ -12,17 +12,25 @@ type cache = {
   capacity : int;
 }
 
+(* [data] and [versions] back addresses [0, Array.length data) and
+   always have the same length; they start small and double on a store
+   past their end, up to [words]. An address below [words] that was
+   never stored to reads 0 with version 0, exactly as in an eagerly
+   zeroed memory. *)
 type t = {
   sim : Sim.t;
   platform : Platform.t;
-  data : int array;
-  versions : int array;
+  words : int;
+  mutable data : int array;
+  mutable versions : int array;
   caches : cache array option;
   region_shift : int;
   mc_busy : float array;  (* per-controller queue: busy-until time *)
   mutable reads : int;
   mutable writes : int;
 }
+
+let initial_words = 1024
 
 let create sim platform ~words =
   let caches =
@@ -34,13 +42,15 @@ let create sim platform ~words =
         in
         Some (Array.init (Platform.n_cores platform) make)
   in
+  let backed = min words initial_words in
   (* Regions of 64 Ki words (512 KB) per controller stripe: big enough
      that a compact structure stays within one controller. *)
   {
     sim;
     platform;
-    data = Array.make words 0;
-    versions = Array.make words 0;
+    words;
+    data = Array.make backed 0;
+    versions = Array.make backed 0;
     caches;
     region_shift = 16;
     mc_busy = Array.make (Topology.n_memory_controllers platform.Platform.topology) 0.0;
@@ -48,7 +58,41 @@ let create sim platform ~words =
     writes = 0;
   }
 
-let words t = Array.length t.data
+let words t = t.words
+
+(* The library is built with -unsafe, so the bounds check is explicit;
+   it raises what OCaml's own array bounds check raises. *)
+let check_addr t addr =
+  if addr < 0 || addr >= t.words then invalid_arg "index out of bounds"
+
+(* Untouched addresses read 0. *)
+let load arr t addr =
+  check_addr t addr;
+  if addr < Array.length arr then arr.(addr) else 0
+
+(* Make [addr] backed before a store. *)
+let reserve t addr =
+  check_addr t addr;
+  let backed = Array.length t.data in
+  if addr >= backed then begin
+    let cap = ref (2 * backed) in
+    while !cap <= addr do
+      cap := 2 * !cap
+    done;
+    let cap = min !cap t.words in
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 backed;
+      b
+    in
+    t.data <- grow t.data;
+    t.versions <- grow t.versions
+  end
+
+let store t addr v =
+  reserve t addr;
+  t.data.(addr) <- v;
+  t.versions.(addr) <- t.versions.(addr) + 1
 
 let mc_of_addr t addr =
   (addr lsr t.region_shift) land (Topology.n_memory_controllers t.platform.Platform.topology - 1)
@@ -63,7 +107,7 @@ let mc_queue_delay t mc =
 
 let cache_lookup c t addr =
   match Hashtbl.find_opt c.entries addr with
-  | Some v when v = t.versions.(addr) -> true
+  | Some v when v = load t.versions t addr -> true
   | Some _ ->
       Hashtbl.remove c.entries addr;
       false
@@ -89,19 +133,18 @@ let read t ~core addr =
         | Some { Platform.hit_ns; _ } -> hit_ns
         | None -> assert false)
     | Some caches ->
-        cache_insert caches.(core) addr t.versions.(addr);
+        cache_insert caches.(core) addr (load t.versions t addr);
         mc_queue_delay t mc +. Platform.mem_read_ns t.platform ~core ~mc
     | None -> mc_queue_delay t mc +. Platform.mem_read_ns t.platform ~core ~mc
   in
   Sim.delay latency;
-  t.data.(addr)
+  load t.data t addr
 
 let write t ~core addr v =
   t.writes <- t.writes + 1;
   let mc = mc_of_addr t addr in
   Sim.delay (mc_queue_delay t mc +. Platform.mem_write_ns t.platform ~core ~mc);
-  t.data.(addr) <- v;
-  t.versions.(addr) <- t.versions.(addr) + 1;
+  store t addr v;
   (* The writer keeps its own copy valid (write-through). *)
   match t.caches with
   | Some caches -> cache_insert caches.(core) addr t.versions.(addr)
@@ -120,8 +163,7 @@ let write_burst t ~core pairs =
         t.writes <- t.writes + 1;
         let mc = mc_of_addr t addr in
         let d = mc_queue_delay t mc +. Platform.mem_write_ns t.platform ~core ~mc in
-        t.data.(addr) <- v;
-        t.versions.(addr) <- t.versions.(addr) + 1;
+        store t addr v;
         (match t.caches with
         | Some caches -> cache_insert caches.(core) addr t.versions.(addr)
         | None -> ());
@@ -130,11 +172,9 @@ let write_burst t ~core pairs =
   in
   if pairs <> [] then Sim.delay latency
 
-let peek t addr = t.data.(addr)
+let peek t addr = load t.data t addr
 
-let poke t addr v =
-  t.data.(addr) <- v;
-  t.versions.(addr) <- t.versions.(addr) + 1
+let poke t addr v = store t addr v
 
 let n_reads t = t.reads
 

@@ -15,10 +15,14 @@ type addr = int
 
 type t
 
-(** [create sim platform ~words] allocates a memory of [words] words,
-    all zero. *)
+(** [create sim platform ~words] makes a memory of [words] words, all
+    zero. Host storage is allocated on demand: it starts small and
+    grows as stores land further up, so a run pays only for the
+    addresses it touches. Accessing an address outside [0, words)
+    raises [Invalid_argument]. *)
 val create : Tm2c_engine.Sim.t -> Tm2c_noc.Platform.t -> words:int -> t
 
+(** The configured size, in words (not the storage allocated so far). *)
 val words : t -> int
 
 (** Memory controller responsible for an address: addresses are

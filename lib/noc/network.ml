@@ -14,14 +14,15 @@ type 'a t = {
   sim : Sim.t;
   platform : Platform.t;
   active : int;
-  n : int;  (* total cores; stride of the flight table *)
   (* Timing constants hoisted out of the per-message path. Each entry
      is the value the corresponding [Platform] function returns — same
      expression, evaluated once — so every virtual timestamp is
      bit-for-bit identical to computing it per call. *)
   send_oh : float;
   poll_cost : float;  (* fruitless scan over all active cores' flags *)
-  flight_tab : float array;  (* [src * n + dst] = Platform.flight_ns *)
+  tile_x : int array;  (* per core: mesh column of its tile *)
+  tile_y : int array;  (* per core: mesh row of its tile *)
+  flight_tab : float array;  (* [hops] = Platform.flight_of_hops *)
   cycles_tab : float array;  (* [c] = Platform.cycles_ns, -1.0 = unset *)
   boxes : 'a Mailbox.t array;
   mutable n_sent : int;
@@ -33,16 +34,21 @@ let cycles_memo = 2048
 
 let create sim platform ~active =
   let n = Platform.n_cores platform in
+  let topo = platform.Platform.topology in
+  let coords = Array.init n (fun c -> Topology.tile_coords topo (Topology.core_tile topo c)) in
+  let tile_x = Array.map fst coords and tile_y = Array.map snd coords in
+  (* Coordinates start at 0, so no XY route is longer than this. *)
+  let max_hops = Array.fold_left max 0 tile_x + Array.fold_left max 0 tile_y in
   {
     sim;
     platform;
     active;
-    n;
     send_oh = Platform.send_overhead_ns platform;
     poll_cost = float_of_int active *. platform.Platform.msg_poll_per_core_ns;
+    tile_x;
+    tile_y;
     flight_tab =
-      Array.init (n * n) (fun i ->
-          Platform.flight_ns platform ~active ~src:(i / n) ~dst:(i mod n));
+      Array.init (max_hops + 1) (fun hops -> Platform.flight_of_hops platform ~active ~hops);
     cycles_tab = Array.make cycles_memo (-1.0);
     boxes =
       Array.init n (fun _ ->
@@ -69,6 +75,14 @@ let platform net = net.platform
 let active net = net.active
 
 let metrics net = net.metrics
+
+(* XY-routing hop count, as [Topology.hops], from the per-core
+   coordinates: no tuple is built on the per-send path. *)
+let flight_ns net ~src ~dst =
+  let hops =
+    abs (net.tile_x.(src) - net.tile_x.(dst)) + abs (net.tile_y.(src) - net.tile_y.(dst))
+  in
+  net.flight_tab.(hops)
 
 (* Fault-injected delivery, split out of [send_msg] so the common
    no-fault path stays closure-free. *)
@@ -105,7 +119,7 @@ let send_msg net ~src ~dst ~faulty msg =
   net.n_sent <- net.n_sent + 1;
   net.metrics.per_link.(src).(dst) <- net.metrics.per_link.(src).(dst) + 1;
   Sim.delay net.send_oh;
-  let flight = net.flight_tab.((src * net.n) + dst) in
+  let flight = flight_ns net ~src ~dst in
   Sketch.add net.metrics.latency flight;
   let at = Sim.now net.sim +. flight in
   match net.faults with
@@ -151,15 +165,37 @@ let sent net = net.n_sent
 
 let received net = Array.fold_left (fun acc box -> acc + Mailbox.received box) 0 net.boxes
 
-(* Busiest links first; zero links omitted. *)
+(* One pass, no sort: the heaviest pairs seen so far sit in three
+   small arrays, heaviest first. Pairs are offered from (n-1, n-1)
+   down to (0, 0) and a newcomer goes after every kept entry at least
+   as heavy, so ties come out in offer order. *)
+let top_pairs ~limit n weight =
+  let cap = max 0 (min limit (n * n)) in
+  let ws = Array.make cap 0 and ss = Array.make cap 0 and ds = Array.make cap 0 in
+  let len = ref 0 in
+  for src = n - 1 downto 0 do
+    for dst = n - 1 downto 0 do
+      let w = weight src dst in
+      if w > 0 && (!len < cap || (!len > 0 && w > ws.(!len - 1))) then begin
+        let i = ref (min !len (cap - 1)) in
+        while !i > 0 && ws.(!i - 1) < w do
+          ws.(!i) <- ws.(!i - 1);
+          ss.(!i) <- ss.(!i - 1);
+          ds.(!i) <- ds.(!i - 1);
+          decr i
+        done;
+        ws.(!i) <- w;
+        ss.(!i) <- src;
+        ds.(!i) <- dst;
+        if !len < cap then incr len
+      end
+    done
+  done;
+  List.init !len (fun i -> (ss.(i), ds.(i), ws.(i)))
+
 let top_links ?(limit = 16) net =
-  let acc = ref [] in
-  Array.iteri
-    (fun src row ->
-      Array.iteri (fun dst c -> if c > 0 then acc := (src, dst, c) :: !acc) row)
-    net.metrics.per_link;
-  let sorted = List.sort (fun (_, _, a) (_, _, b) -> compare b a) !acc in
-  List.filteri (fun i _ -> i < limit) sorted
+  let links = net.metrics.per_link in
+  top_pairs ~limit (Array.length links) (fun src dst -> links.(src).(dst))
 
 (* Memoized cycles->ns conversion: the DTM charges a handful of
    distinct cycle counts millions of times, and each fresh conversion

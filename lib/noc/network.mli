@@ -29,6 +29,11 @@ val platform : 'a t -> Platform.t
     width). *)
 val active : 'a t -> int
 
+(** [flight_ns net ~src ~dst] — a message's in-flight time from [src]
+    to [dst]: {!Platform.flight_ns} at this network's [active] width,
+    bit for bit, looked up by hop count without allocating. *)
+val flight_ns : 'a t -> src:int -> dst:int -> float
+
 (** [send net ~src ~dst msg] — blocks the sender for the send software
     overhead; delivery is scheduled after the flight latency. When a
     fault layer with an active link fault is installed, the message may
@@ -83,8 +88,18 @@ val received : 'a t -> int
 val metrics : 'a t -> metrics
 
 (** Busiest (src, dst, count) links, descending; at most [limit]
-    (default 16). *)
+    (default 16); links with no message are omitted. Ties list the
+    higher (src, dst) pair first. *)
 val top_links : ?limit:int -> 'a t -> (int * int * int) list
+
+(** [top_pairs ~limit n weight] — the at most [limit] pairs of
+    [0, n) x [0, n) with the largest positive [weight src dst], as
+    [(src, dst, weight)], heaviest first; ties list the higher
+    (src, dst) pair first. Exactly what a stable sort by descending
+    weight of the positive pairs listed from (n-1, n-1) down to (0, 0)
+    keeps, in one pass without the sort. [weight] is called once per
+    pair, in that order. *)
+val top_pairs : limit:int -> int -> (int -> int -> int) -> (int * int * int) list
 
 (** [cycles_ns net c] — what [c] cycles of local computation cost in
     ns at the platform's core frequency: {!Platform.cycles_ns} behind a

@@ -104,9 +104,11 @@ let send_overhead_ns p = cycles_ns p p.msg_send_cycles
 
 let recv_overhead_ns p = cycles_ns p p.msg_recv_cycles
 
+let flight_of_hops p ~active ~hops =
+  (float_of_int hops *. p.msg_hop_ns) +. (float_of_int active *. p.msg_poll_per_core_ns)
+
 let flight_ns p ~active ~src ~dst =
-  let hops = float_of_int (Topology.hops p.topology src dst) in
-  (hops *. p.msg_hop_ns) +. (float_of_int active *. p.msg_poll_per_core_ns)
+  flight_of_hops p ~active ~hops:(Topology.hops p.topology src dst)
 
 let one_way_ns p ~active ~src ~dst =
   send_overhead_ns p +. flight_ns p ~active ~src ~dst +. recv_overhead_ns p

@@ -86,6 +86,11 @@ val recv_overhead_ns : t -> float
 (** In-flight part of a message: hops + polling detection. *)
 val flight_ns : t -> active:int -> src:int -> dst:int -> float
 
+(** [flight_of_hops p ~active ~hops] — the in-flight time of a message
+    crossing [hops] mesh hops; {!flight_ns} is this at the hop count
+    between [src] and [dst], bit for bit. *)
+val flight_of_hops : t -> active:int -> hops:int -> float
+
 (** Shared-memory read latency for [core] accessing an address served
     by memory controller [mc] (cache misses; hits are [cache.hit_ns]). *)
 val mem_read_ns : t -> core:int -> mc:int -> float

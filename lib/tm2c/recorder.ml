@@ -186,8 +186,8 @@ let server_prev_for t core =
       Hashtbl.add t.prev_servers core p;
       p
 
-(* Take the [k] largest (by [weight]) of [items] without sorting the
-   whole list — window top-Ks only ever need a handful. *)
+(* The [k] largest (by [weight]) of [items], heaviest first; ties keep
+   list order. *)
 let top_by k weight items =
   let sorted = List.sort (fun a b -> compare (weight b) (weight a)) items in
   let rec take n = function
@@ -300,22 +300,16 @@ let emit_window t ~t_ns =
       fo.System.fo_epoch;
   (* Top-K busiest NoC links this window. *)
   let links = (Network.metrics net).Network.per_link in
-  let deltas = ref [] in
-  Array.iteri
-    (fun src row ->
-      Array.iteri
-        (fun dst c ->
-          let d = c - t.prev_links.(src).(dst) in
-          t.prev_links.(src).(dst) <- c;
-          if d > 0 then deltas := (src, dst, d) :: !deltas)
-        row)
-    links;
   List.iter
     (fun (src, dst, d) ->
       pr b "link_msgs_window"
         (labels [ ("src", string_of_int src); ("dst", string_of_int dst) ])
         (float_of_int d))
-    (top_by t.top_k (fun (_, _, d) -> d) !deltas);
+    (Network.top_pairs ~limit:t.top_k (Array.length links) (fun src dst ->
+         let c = links.(src).(dst) in
+         let d = c - t.prev_links.(src).(dst) in
+         t.prev_links.(src).(dst) <- c;
+         d));
   (* Top-K abort-blame pairs this window (windowed deltas of the
      always-on Obs causality table). *)
   let blame = ref [] in

@@ -117,7 +117,7 @@ let ph_charge_read ctx ~dst t0 =
   let p = Network.platform net in
   let transit =
     (2.0 *. (Platform.send_overhead_ns p +. Platform.recv_overhead_ns p))
-    +. (2.0 *. Platform.flight_ns p ~active:(Network.active net) ~src:ctx.core ~dst)
+    +. (2.0 *. Network.flight_ns net ~src:ctx.core ~dst)
   in
   let transit = Float.min transit rt in
   let service =

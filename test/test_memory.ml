@@ -89,6 +89,104 @@ let test_no_cache_on_scc () =
       let _ = Sim.run sim () in
       Alcotest.(check (float 0.01)) "non-coherent: repeat read same cost" !a !b)
 
+(* ---- Shmem: on-demand storage ---- *)
+
+let words = 1 lsl 18
+
+let test_shmem_untouched_zero () =
+  List.iter
+    (fun platform ->
+      with_sim platform (fun sim shmem ->
+          let got = ref [] in
+          Sim.spawn sim (fun () ->
+              got := List.map (Shmem.read shmem ~core:0) [ 1; 5000; words / 2; words - 1 ]);
+          let _ = Sim.run sim () in
+          Alcotest.(check (list int)) "timed reads of untouched words" [ 0; 0; 0; 0 ] !got;
+          check_int "peek of untouched top word" 0 (Shmem.peek shmem (words - 1))))
+    [ Platform.scc; Platform.opteron ]
+
+(* On the coherent platform a cached copy is valid while the word's
+   version is unchanged: an untouched word is cached at version 0 and
+   stays a hit across a store elsewhere that grows the storage, then
+   misses once another core writes it. *)
+let test_shmem_untouched_version_zero () =
+  with_sim Platform.opteron (fun sim shmem ->
+      let hit = (Option.get Platform.opteron.Platform.cache).Platform.hit_ns in
+      let addr = words / 2 in
+      let timed f =
+        let t0 = Sim.now sim in
+        f ();
+        Sim.now sim -. t0
+      in
+      let after_grow = ref 0.0 and after_write = ref 0.0 in
+      Sim.spawn sim (fun () ->
+          ignore (Shmem.read shmem ~core:0 addr);
+          Shmem.write shmem ~core:1 (words - 1) 3;
+          after_grow := timed (fun () -> ignore (Shmem.read shmem ~core:0 addr));
+          Shmem.write shmem ~core:1 addr 9;
+          after_write :=
+            timed (fun () -> check_int "written value" 9 (Shmem.read shmem ~core:0 addr)));
+      let _ = Sim.run sim () in
+      Alcotest.(check (float 0.0)) "version 0 survives growth: hit" hit !after_grow;
+      check "remote write invalidates: miss" true (!after_write > hit))
+
+let test_shmem_out_of_range () =
+  with_sim Platform.scc (fun sim shmem ->
+      let bounds = Invalid_argument "index out of bounds" in
+      List.iter
+        (fun addr ->
+          Alcotest.check_raises "peek" bounds (fun () -> ignore (Shmem.peek shmem addr));
+          Alcotest.check_raises "poke" bounds (fun () -> Shmem.poke shmem addr 1))
+        [ -1; words ];
+      let raised = ref [] in
+      let catch f = match f () with () -> "no exception" | exception Invalid_argument m -> m in
+      Sim.spawn sim (fun () ->
+          List.iter
+            (fun addr ->
+              raised := catch (fun () -> ignore (Shmem.read shmem ~core:0 addr)) :: !raised;
+              raised := catch (fun () -> Shmem.write shmem ~core:0 addr 1) :: !raised)
+            [ -1; words ]);
+      let _ = Sim.run sim () in
+      Alcotest.(check (list string))
+        "timed accesses" (List.init 4 (fun _ -> "index out of bounds")) !raised)
+
+let test_shmem_growth_keeps_data () =
+  with_sim Platform.scc (fun sim shmem ->
+      let low = [ 1; 7; 1000; 4000 ] in
+      List.iter (fun a -> Shmem.poke shmem a (a * 3)) low;
+      Sim.spawn sim (fun () -> Shmem.write shmem ~core:0 (words - 1) 77);
+      let _ = Sim.run sim () in
+      check_int "top word written" 77 (Shmem.peek shmem (words - 1));
+      List.iter (fun a -> check_int "earlier data kept" (a * 3) (Shmem.peek shmem a)) low;
+      check_int "untouched word between" 0 (Shmem.peek shmem (words - 2)))
+
+let test_shmem_words () =
+  with_sim Platform.scc (fun _sim shmem ->
+      check_int "configured size" words (Shmem.words shmem);
+      Shmem.poke shmem (words - 1) 1;
+      check_int "configured size after growth" words (Shmem.words shmem));
+  let shmem = Shmem.create (Sim.create ()) Platform.scc ~words:(1 lsl 20) in
+  check "no words-sized allocation" true (Obj.reachable_words (Obj.repr shmem) < 1 lsl 16)
+
+(* A fresh runtime holds only what a run needs before it starts: an
+   eager words-sized memory or an n x n per-pair table would blow
+   these bounds. *)
+let test_runtime_footprint () =
+  List.iter
+    (fun (name, platform, total, limit_mb) ->
+      let rt =
+        Tm2c_core.Runtime.create (Tm2c_harness.Exp.config ~platform ~total ())
+      in
+      check_int "configured memory" (1 lsl 20)
+        (Shmem.words (Tm2c_core.Runtime.shmem rt));
+      let mb = float_of_int (Obj.reachable_words (Obj.repr rt) * 8) /. 1e6 in
+      if mb >= limit_mb then
+        Alcotest.failf "%s: fresh runtime reaches %.1f MB (limit %.0f MB)" name mb limit_mb)
+    [
+      ("SCC-48", Platform.scc, 48, 2.0);
+      ("mesh-512", Platform.scc_mesh ~cols:16 ~rows:16, 512, 6.0);
+    ]
+
 (* ---- Alloc ---- *)
 
 let test_alloc_basic () =
@@ -195,6 +293,12 @@ let suite =
     ("shmem: coherent cache hit", `Quick, test_cache_hit_faster);
     ("shmem: coherent invalidation", `Quick, test_cache_invalidation);
     ("shmem: SCC has no cache", `Quick, test_no_cache_on_scc);
+    ("shmem: untouched words read 0", `Quick, test_shmem_untouched_zero);
+    ("shmem: untouched words are version 0", `Quick, test_shmem_untouched_version_zero);
+    ("shmem: out-of-range addresses raise", `Quick, test_shmem_out_of_range);
+    ("shmem: growth keeps data", `Quick, test_shmem_growth_keeps_data);
+    ("shmem: words is the configured size", `Quick, test_shmem_words);
+    ("footprint: fresh runtime", `Quick, test_runtime_footprint);
     ("alloc: basic", `Quick, test_alloc_basic);
     ("alloc: FIFO reuse", `Quick, test_alloc_reuse_fifo);
     ("alloc: out of memory", `Quick, test_alloc_oom);

@@ -154,6 +154,55 @@ let test_network_try_recv_costs () =
   let _ = Sim.run sim () in
   ()
 
+(* Every core pair's flight time against the per-pair expression the
+   network once tabulated, bit for bit: hops x hop latency + active
+   cores x poll cost. *)
+let test_network_flight_every_pair () =
+  List.iter
+    (fun (p : Platform.t) ->
+      let n = Platform.n_cores p in
+      List.iter
+        (fun active ->
+          let net = Network.create (Sim.create ()) p ~active in
+          for src = 0 to n - 1 do
+            for dst = 0 to n - 1 do
+              let hops = Topology.hops p.Platform.topology src dst in
+              let expected =
+                (float_of_int hops *. p.Platform.msg_hop_ns)
+                +. (float_of_int active *. p.Platform.msg_poll_per_core_ns)
+              in
+              let got = Network.flight_ns net ~src ~dst in
+              if Int64.bits_of_float got <> Int64.bits_of_float expected then
+                Alcotest.failf "%s active %d: %d->%d flight %h, expected %h" p.Platform.name
+                  active src dst got expected
+            done
+          done)
+        [ 2; n ])
+    [
+      Platform.scc;
+      Platform.scc800;
+      Platform.opteron;
+      Platform.scc_mesh ~cols:3 ~rows:5;
+      Platform.scc_mesh ~cols:16 ~rows:16;
+    ]
+
+(* The one-pass top-K selection against the sort-based definition it
+   replaced, on small matrices with many ties. *)
+let top_pairs_matches_sort =
+  QCheck.Test.make ~name:"top_pairs = stable sort of the positive pairs" ~count:500
+    QCheck.(triple (int_range 0 9) (int_range 0 20) (array_of_size (Gen.return 81) (int_range 0 3)))
+    (fun (n, limit, cells) ->
+      let weight src dst = cells.((src * 9) + dst) in
+      let acc = ref [] in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let c = weight src dst in
+          if c > 0 then acc := (src, dst, c) :: !acc
+        done
+      done;
+      let sorted = List.sort (fun (_, _, a) (_, _, b) -> compare b a) !acc in
+      Network.top_pairs ~limit n weight = List.filteri (fun i _ -> i < limit) sorted)
+
 let suite =
   [
     ("topology: SCC layout", `Quick, test_scc_layout);
@@ -169,4 +218,6 @@ let suite =
     ("network: round-trip timing", `Quick, test_network_roundtrip_timing);
     ("network: FIFO per pair", `Quick, test_network_fifo_per_pair);
     ("network: poll cost", `Quick, test_network_try_recv_costs);
+    ("network: flight time of every core pair", `Quick, test_network_flight_every_pair);
+    QCheck_alcotest.to_alcotest top_pairs_matches_sort;
   ]
