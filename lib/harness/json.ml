@@ -1,7 +1,10 @@
 (* Minimal JSON: enough to serialize experiment results and to parse
    them back in tests. No external dependency — the container image has
-   no yojson — and no streaming parser: result files are small (KBs);
-   only the printer meets large documents (Perfetto timelines). *)
+   no yojson. The parser reads whole documents (result files are small,
+   KBs). The printer streams: a [Seq] item is rendered only when the
+   printer reaches it, so a Perfetto timeline is never a whole tree,
+   and [to_file] writes each finished 64 KiB piece to the channel, so
+   the document text is never whole in memory either. *)
 
 type t =
   | Null
@@ -10,118 +13,165 @@ type t =
   | Float of float
   | String of string
   | List of t list
+  | Seq of t Seq.t
   | Obj of (string * t) list
 
 (* ---- printing ---- *)
 
+(* Unescaped runs go in with one [add_substring] each; a string that
+   needs no escape is one copy. *)
 let escape buf s =
-  String.iter
-    (fun c ->
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
 
-(* The printer fills [buf] and moves it into [spilled] every
-   [spill_at] bytes, at element boundaries; [to_string] then joins the
-   pieces with one exact-size allocation. A large document (a Perfetto
-   timeline runs to megabytes) so never sits in a doubled buffer plus
-   its copy. *)
-type out = { buf : Buffer.t; mutable spilled : string list }
+(* The C primitive behind [Printf]'s %f/%g: the same bytes without
+   interpreting a format string per float. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* JSON has no nan/infinity: non-finite values (e.g. the commit rate of
+   a zero-commit window) serialize as null. Finite non-integral values
+   use the shortest of %.15g/%.16g/%.17g that parses back to exactly
+   [f] (17 significant digits always round-trip a double), so files
+   aren't littered with 0.30000000000000004-style artifacts. *)
+let add_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string buf (format_float "%.1f" f)
+  else begin
+    let s15 = format_float "%.15g" f in
+    if float_of_string s15 = f then Buffer.add_string buf s15
+    else
+      let s16 = format_float "%.16g" f in
+      if float_of_string s16 = f then Buffer.add_string buf s16
+      else Buffer.add_string buf (format_float "%.17g" f)
+  end
+
+(* The printer fills [buf] and hands it to [flush] every [spill_at]
+   bytes, at element boundaries: [to_string] keeps the pieces and joins
+   them with one exact-size allocation, [to_file] writes them to its
+   channel. A large document (a Perfetto timeline runs to megabytes) so
+   never sits in a doubled buffer plus its copy. *)
+type out = { buf : Buffer.t; indent : bool; flush : Buffer.t -> unit }
 
 let spill_at = 65536
 
 let spill out =
   if Buffer.length out.buf >= spill_at then begin
-    out.spilled <- Buffer.contents out.buf :: out.spilled;
+    out.flush out.buf;
     Buffer.clear out.buf
   end
 
-let rec write out ~indent ~level v =
+let newline out level =
+  if out.indent then begin
+    Buffer.add_char out.buf '\n';
+    for _ = 1 to level do
+      Buffer.add_string out.buf "  "
+    done
+  end
+
+let rec write out level v =
   let buf = out.buf in
-  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-  let nl () = if indent then Buffer.add_char buf '\n' in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      (* JSON has no nan/infinity: non-finite values (e.g. the commit
-         rate of a zero-commit window) serialize as null. Finite
-         non-integral values use the shortest decimal form that parses
-         back to exactly [f] (%.15g usually suffices; 17 significant
-         digits always round-trip a double), so files aren't littered
-         with 0.30000000000000004-style artifacts. *)
-      if not (Float.is_finite f) then Buffer.add_string buf "null"
-      else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else begin
-        let s15 = Printf.sprintf "%.15g" f in
-        if float_of_string s15 = f then Buffer.add_string buf s15
-        else
-          let s16 = Printf.sprintf "%.16g" f in
-          if float_of_string s16 = f then Buffer.add_string buf s16
-          else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-      end
+  | Float f -> add_float buf f
   | String s ->
       Buffer.add_char buf '"';
       escape buf s;
       Buffer.add_char buf '"'
   | List [] -> Buffer.add_string buf "[]"
-  | List items ->
+  | List (item :: rest) ->
       Buffer.add_char buf '[';
-      nl ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (level + 1);
-          write out ~indent ~level:(level + 1) item;
-          spill out)
-        items;
-      nl ();
-      pad level;
-      Buffer.add_char buf ']'
+      element out level item;
+      elements out level rest;
+      close out level ']'
+  | Seq s -> (
+      match s () with
+      | Seq.Nil -> Buffer.add_string buf "[]"
+      | Seq.Cons (item, rest) ->
+          Buffer.add_char buf '[';
+          element out level item;
+          seq_elements out level rest;
+          close out level ']')
   | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
+  | Obj (kv :: rest) ->
       Buffer.add_char buf '{';
-      nl ();
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (level + 1);
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf (if indent then "\": " else "\":");
-          write out ~indent ~level:(level + 1) item;
-          spill out)
-        fields;
-      nl ();
-      pad level;
-      Buffer.add_char buf '}'
+      field out level kv;
+      fields out level rest;
+      close out level '}'
+
+and element out level item =
+  newline out (level + 1);
+  write out (level + 1) item;
+  spill out
+
+and elements out level = function
+  | [] -> ()
+  | item :: rest ->
+      Buffer.add_char out.buf ',';
+      element out level item;
+      elements out level rest
+
+and seq_elements out level s =
+  match s () with
+  | Seq.Nil -> ()
+  | Seq.Cons (item, rest) ->
+      Buffer.add_char out.buf ',';
+      element out level item;
+      seq_elements out level rest
+
+and field out level (k, item) =
+  newline out (level + 1);
+  Buffer.add_char out.buf '"';
+  escape out.buf k;
+  Buffer.add_string out.buf (if out.indent then "\": " else "\":");
+  write out (level + 1) item;
+  spill out
+
+and fields out level = function
+  | [] -> ()
+  | kv :: rest ->
+      Buffer.add_char out.buf ',';
+      field out level kv;
+      fields out level rest
+
+and close out level c =
+  newline out level;
+  Buffer.add_char out.buf c
+
+(* Print [v] whole, handing every piece but the last to [flush]; the
+   last stays in the returned buffer. *)
+let print ~indent ~flush v =
+  let out = { buf = Buffer.create 4096; indent; flush } in
+  write out 0 v;
+  if indent then Buffer.add_char out.buf '\n';
+  out.buf
 
 let to_string ?(indent = true) v =
-  let out = { buf = Buffer.create 4096; spilled = [] } in
-  write out ~indent ~level:0 v;
-  if indent then Buffer.add_char out.buf '\n';
-  String.concat "" (List.rev (Buffer.contents out.buf :: out.spilled))
+  let spilled = ref [] in
+  let last = print ~indent ~flush:(fun b -> spilled := Buffer.contents b :: !spilled) v in
+  String.concat "" (List.rev (Buffer.contents last :: !spilled))
 
-let to_file ?indent path v =
+let to_file ?(indent = true) path v =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?indent v))
+    (fun () -> Buffer.output_buffer oc (print ~indent ~flush:(Buffer.output_buffer oc) v))
 
 (* ---- parsing ---- *)
 
@@ -297,6 +347,7 @@ let rec path keys v =
 
 let to_list_exn = function
   | List items -> items
+  | Seq s -> List.of_seq s
   | _ -> invalid_arg "Json.to_list_exn"
 
 let to_int_opt = function Int i -> Some i | _ -> None

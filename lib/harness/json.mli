@@ -12,12 +12,20 @@ type t =
   | Float of float
   | String of string
   | List of t list
+  | Seq of t Seq.t
+      (** A deferred list: printed exactly like [List], each item made
+          only when the printer reaches it, so a large array (a
+          Perfetto timeline) is never a whole tree. The parser never
+          produces it. The sequence may be traversed more than once. *)
   | Obj of (string * t) list
 
 (** Render; [indent] (default true) pretty-prints with 2-space
     indentation and a trailing newline. *)
 val to_string : ?indent:bool -> t -> string
 
+(** [to_file ?indent path v] writes the bytes of [to_string ?indent v]
+    to [path], one 64 KiB piece at a time: the whole text is never in
+    memory. *)
 val to_file : ?indent:bool -> string -> t -> unit
 
 exception Parse_error of string
@@ -33,6 +41,7 @@ val member : string -> t -> t option
 (** Nested field lookup: [path ["a"; "b"] v] is [v.a.b]. *)
 val path : string list -> t -> t option
 
+(** The items of a [List] or a [Seq]; [Invalid_argument] otherwise. *)
 val to_list_exn : t -> t list
 
 val to_int_opt : t -> int option

@@ -13,7 +13,13 @@
    The ring overwrites oldest-first, so a long traced run may hold
    only the tail of the activity: slices whose begin event was
    overwritten are dropped, and flow arrows are emitted only when both
-   the request and its service pickup survived in the ring. *)
+   the request and its service pickup survived in the ring.
+
+   The document is never built whole. [export] captures what each
+   output event needs (a timestamp plus the event or the slice's
+   fields, in flat arrays) and returns [traceEvents] as a [Json.Seq]
+   that renders one small object at a time as the printer reaches it;
+   the object is minor-heap garbage right after. *)
 
 open Tm2c_core
 open Tm2c_engine
@@ -66,6 +72,63 @@ let json_of_value (v : Event.value) =
   | Str s -> str s
   | Ints l -> Json.List (List.map (fun n -> Json.Int n) l)
 
+(* One output event, captured in pass 2 of [export] and rendered to a
+   small [Json.t] only when the printer reaches it. Its sort timestamp
+   is kept apart, in a flat float array. *)
+type item =
+  | Instant of { tid : int; ev : Event.t }
+  | Flow of { ph : string; tid : int; id : int }
+  | Attempt of { tid : int; dur : float; name : string; attempt : int; cause : string option }
+  | Service of {
+      tid : int;
+      dur : float;
+      name : string;
+      requester : int;
+      req_id : int;
+      load : (int * int) option;
+    }
+      (** [load] is the queue depth and occupancy at pickup; [None] on a
+          slice a server crash closed *)
+
+let render ts = function
+  | Instant { tid; ev } ->
+      let k, vs = Event.describe ev in
+      let _, fields = Event.split k vs in
+      instant ~ts ~tid ~name:k.Event.name
+        ~args:(List.map (fun (n, v) -> (n, json_of_value v)) fields)
+        ()
+  | Flow { ph; tid; id } -> flow ~ph ~ts ~tid ~id
+  | Attempt { tid; dur; name; attempt; cause } ->
+      slice ~ts ~dur ~tid ~name
+        ~args:
+          (("attempt", Json.Int attempt)
+          :: Option.fold ~none:[] ~some:(fun c -> [ ("cause", str c) ]) cause)
+        ()
+  | Service { tid; dur; name; requester; req_id; load } ->
+      slice ~ts ~dur ~tid ~name
+        ~args:
+          (("requester", Json.Int requester) :: ("req_id", Json.Int req_id)
+          :: Option.fold ~none:[]
+               ~some:(fun (q, o) -> [ ("queue_depth", Json.Int q); ("occupancy", Json.Int o) ])
+               load)
+        ()
+
+(* The captured items in push order: a growable pair of flat arrays. *)
+type items = { mutable ts : float array; mutable items : item array; mutable n : int }
+
+let push t ts item =
+  if t.n = Array.length t.ts then begin
+    let cap = max 256 (2 * t.n) in
+    let ts' = Array.make cap 0.0 and items' = Array.make cap item in
+    Array.blit t.ts 0 ts' 0 t.n;
+    Array.blit t.items 0 items' 0 t.n;
+    t.ts <- ts';
+    t.items <- items'
+  end;
+  t.ts.(t.n) <- ts;
+  t.items.(t.n) <- item;
+  t.n <- t.n + 1
+
 let export ?(app = [||]) ?(dtm = [||]) trace =
   (* Pass 1: which (requester, req_id) pairs survived on both the
      request and the service side — only those get flow arrows. *)
@@ -78,104 +141,85 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
           Hashtbl.replace picked (flow_id ~requester ~req_id) ()
       | _ -> ());
   let paired id = Hashtbl.mem sent id && Hashtbl.mem picked id in
-  (* Pass 2: build (ts, event) pairs; attempt and service slices close
-     at their end event and carry the begin timestamp. *)
-  let out = ref [] in
-  let push ts j = out := (ts, j) :: !out in
+  (* Pass 2: capture each output event with its sort timestamp;
+     attempt and service slices close at their end event and sort at
+     their begin timestamp. *)
+  let out = { ts = [||]; items = [||]; n = 0 } in
   let tracks = Hashtbl.create 64 in
   let open_attempt : (int, float * int) Hashtbl.t = Hashtbl.create 64 in
   let open_service : (int, float * Event.t) Hashtbl.t = Hashtbl.create 64 in
   (* Close [core]'s open attempt slice; an end event closes only its
      own attempt, a crash whichever is open. *)
-  let close_attempt ?attempt core ts ~name ~args =
+  let close_attempt ?attempt ?cause core ts ~name =
     match Hashtbl.find_opt open_attempt core with
     | Some (t0, a0) when Option.fold ~none:true ~some:(Int.equal a0) attempt ->
         Hashtbl.remove open_attempt core;
-        push t0
-          (slice ~ts:t0 ~dur:(ts -. t0) ~tid:core ~name
-             ~args:(("attempt", Json.Int a0) :: args) ())
+        push out t0 (Attempt { tid = core; dur = ts -. t0; name; attempt = a0; cause })
+    | _ -> ()
+  in
+  (* Close [server]'s open service slice if [matches] its requester
+     and request id; a crash closes it whatever it serves. *)
+  let close_service ?(crashed = false) server ts ~matches =
+    match Hashtbl.find_opt open_service server with
+    | Some (t0, Event.Service { requester; req_id; kind; queue_depth; occupancy; _ })
+      when matches requester req_id ->
+        Hashtbl.remove open_service server;
+        push out t0
+          (Service
+             {
+               tid = server;
+               dur = ts -. t0;
+               name = (if crashed then kind ^ " (crashed)" else kind);
+               requester;
+               req_id;
+               load = (if crashed then None else Some (queue_depth, occupancy));
+             })
     | _ -> ()
   in
   Trace.iter trace (fun ts ev ->
       let k, vs = Event.describe ev in
-      let actor, fields = Event.split k vs in
+      let actor, _ = Event.split k vs in
       (* Host-side stores have no actor and so no timeline track. *)
       Option.iter (fun tid -> Hashtbl.replace tracks tid ()) actor;
       match ev with
       | Event.Tx_start { core; attempt; _ } ->
           Hashtbl.replace open_attempt core (ts, attempt)
       | Event.Tx_committed { core; attempt; _ } ->
-          close_attempt ~attempt core ts ~name:"tx commit" ~args:[]
+          close_attempt ~attempt core ts ~name:"tx commit"
       | Event.Tx_aborted { core; attempt; conflict } ->
-          close_attempt ~attempt core ts ~name:"tx abort"
-            ~args:[ ("cause", str (Event.conflict_opt_to_string conflict)) ]
+          close_attempt ~attempt ~cause:(Event.conflict_opt_to_string conflict) core ts
+            ~name:"tx abort"
       | Event.Service { server; requester; req_id; _ } ->
           Hashtbl.replace open_service server (ts, ev);
           if req_id > 0 then begin
             let id = flow_id ~requester ~req_id in
-            if paired id then push ts (flow ~ph:"f" ~ts ~tid:server ~id)
+            if paired id then push out ts (Flow { ph = "f"; tid = server; id })
           end
-      | Event.Service_done { server; requester; req_id } -> (
-          match Hashtbl.find_opt open_service server with
-          | Some
-              ( t0,
-                Event.Service
-                  { requester = r0; req_id = i0; kind; queue_depth; occupancy; _ }
-              )
-            when r0 = requester && i0 = req_id ->
-              Hashtbl.remove open_service server;
-              push t0
-                (slice ~ts:t0 ~dur:(ts -. t0) ~tid:server ~name:kind
-                   ~args:
-                     [
-                       ("requester", Json.Int requester);
-                       ("req_id", Json.Int req_id);
-                       ("queue_depth", Json.Int queue_depth);
-                       ("occupancy", Json.Int occupancy);
-                     ]
-                   ())
-          | _ -> ())
+      | Event.Service_done { server; requester; req_id } ->
+          close_service server ts ~matches:(fun r0 i0 -> r0 = requester && i0 = req_id)
       | _ -> (
           (* Every other event is one instant on its actor's track,
              named from the description table, carrying the remaining
              fields as args. *)
-          Option.iter
-            (fun tid ->
-              push ts
-                (instant ~ts ~tid ~name:k.Event.name
-                   ~args:(List.map (fun (n, v) -> (n, json_of_value v)) fields)
-                   ()))
-            actor;
+          Option.iter (fun tid -> push out ts (Instant { tid; ev })) actor;
           match ev with
           | Event.Req_sent { core; req_id; _ } when req_id > 0 ->
               let id = flow_id ~requester:core ~req_id in
-              if paired id then push ts (flow ~ph:"s" ~ts ~tid:core ~id)
+              if paired id then push out ts (Flow { ph = "s"; tid = core; id })
           | Event.Core_crashed { core; _ } ->
               (* A crashed core never emits its own end event. *)
-              close_attempt core ts ~name:"tx crashed" ~args:[]
-          | Event.Server_crashed { server } -> (
+              close_attempt core ts ~name:"tx crashed"
+          | Event.Server_crashed { server } ->
               (* A crashed server never emits Service_done for the
                  request it was serving; close the slice at the crash
                  instant. *)
-              match Hashtbl.find_opt open_service server with
-              | Some (t0, Event.Service { requester; req_id; kind; _ }) ->
-                  Hashtbl.remove open_service server;
-                  push t0
-                    (slice ~ts:t0 ~dur:(ts -. t0) ~tid:server
-                       ~name:(kind ^ " (crashed)")
-                       ~args:
-                         [
-                           ("requester", Json.Int requester);
-                           ("req_id", Json.Int req_id);
-                         ]
-                       ())
-              | _ -> ())
+              close_service ~crashed:true server ts ~matches:(fun _ _ -> true)
           | _ -> ()));
   (* Stable sort by begin timestamp: per-track timestamps come out
      monotone because same-track slices never overlap. *)
-  let sorted =
-    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !out)
-  in
+  let ts = out.ts and items = out.items in
+  let order = Array.init out.n Fun.id in
+  Array.stable_sort (fun a b -> Float.compare ts.(a) ts.(b)) order;
   let is_app = Array.to_list app and is_dtm = Array.to_list dtm in
   let role tid =
     if List.mem tid is_dtm then Printf.sprintf "dtm core %d" tid
@@ -193,10 +237,11 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
     :: (Tm2c_engine.Det.keys tracks
        |> List.map (fun tid -> thread_meta ~tid ~name:(role tid)))
   in
+  let entries = Seq.map (fun i -> render ts.(i) items.(i)) (Array.to_seq order) in
   Json.Obj
     [
       ("displayTimeUnit", str "ns");
-      ("traceEvents", Json.List (meta @ List.map snd sorted));
+      ("traceEvents", Json.Seq (Seq.append (List.to_seq meta) entries));
     ]
 
 (* ---- validation ---- *)
@@ -210,7 +255,8 @@ let validate v =
   let ( let* ) r f = match r with Error _ as e -> e | Ok x -> f x in
   let* events =
     match Json.member "traceEvents" v with
-    | Some (Json.List l) -> Ok l
+    | Some (Json.List l) -> Ok (List.to_seq l)
+    | Some (Json.Seq s) -> Ok s
     | _ -> Error "traceEvents missing or not a list"
   in
   let last_ts : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -256,9 +302,10 @@ let validate v =
                   | _ -> Ok ())
             end))
   in
-  let rec all i = function
-    | [] -> Ok ()
-    | ev :: rest ->
+  let rec all i events =
+    match events () with
+    | Seq.Nil -> Ok ()
+    | Seq.Cons (ev, rest) ->
         let* () = check_one i ev in
         all (i + 1) rest
   in

@@ -11,7 +11,9 @@
     multitasking deployment, where every core is both). Timestamps are
     virtual microseconds; slices whose begin event was overwritten by
     the ring are dropped, and flow arrows are only emitted when both
-    endpoints survived. *)
+    endpoints survived. [traceEvents] is a {!Json.Seq} rendered item by
+    item from data captured at export: clearing or refilling the ring
+    afterwards leaves the printed document unchanged. *)
 val export :
   ?app:Tm2c_core.Types.core_id array ->
   ?dtm:Tm2c_core.Types.core_id array ->

@@ -60,6 +60,139 @@ let test_file_roundtrip () =
       Json.to_file path sample;
       check "file round-trips" true (Json.of_file path = sample))
 
+(* [to_file] streams its pieces to the channel; the file must hold
+   exactly the bytes [to_string] returns, in both indent modes, for a
+   small document and for a Perfetto timeline of several pieces. *)
+let test_file_streams_to_string_bytes () =
+  let traced =
+    let open Tm2c_core in
+    let open Tm2c_apps in
+    let t = Runtime.create (Exp.config ~total:8 ~policy:Cm.Fair_cm ()) in
+    Runtime.enable_tracing t;
+    let bank = Bank.create t ~accounts:32 ~initial:1000 in
+    ignore (Workload.drive t ~duration_ns:1.0e6 (Exp.bank_mix bank ~balance:20));
+    Perfetto.export ~app:(Runtime.app_cores t) ~dtm:(Runtime.dtm_cores t) (Runtime.trace t)
+  in
+  let path = Filename.temp_file "tm2c_json" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun (name, doc) ->
+          List.iter
+            (fun indent ->
+              Json.to_file ~indent path doc;
+              let ic = open_in_bin path in
+              let bytes = really_input_string ic (in_channel_length ic) in
+              close_in ic;
+              let expected = Json.to_string ~indent doc in
+              check_string (Printf.sprintf "%s, indent %b" name indent) expected bytes)
+            [ false; true ])
+        [ ("sample", sample); ("perfetto", traced) ]);
+  check "the timeline spans several 64 KiB pieces" true
+    (String.length (Json.to_string ~indent:false traced) > 4 * 65536)
+
+(* A deferred list prints exactly like the list it defers, nested and
+   empty alike, and [to_list_exn] reads it back. *)
+let test_seq_prints_as_list () =
+  let rec defer = function
+    | Json.List l -> Json.Seq (List.to_seq (List.map defer l))
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, defer v)) fields)
+    | v -> v
+  in
+  let docs = [ sample; Json.List []; Json.List [ Json.List []; Json.Obj [] ] ] in
+  List.iter
+    (fun doc ->
+      List.iter
+        (fun indent ->
+          check_string "same bytes" (Json.to_string ~indent doc) (Json.to_string ~indent (defer doc)))
+        [ false; true ])
+    docs;
+  check "to_list_exn reads a Seq" true
+    (Json.to_list_exn (Json.Seq (List.to_seq [ Json.Int 1; Json.Null ])) = [ Json.Int 1; Json.Null ])
+
+(* ---- printer parity with the Printf-based formatter ---- *)
+
+(* The formatter the printer had before it called the float primitive
+   directly and copied unescaped runs whole: the reference the new
+   paths must match byte for byte. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  "\"" ^ Buffer.contents buf ^ "\""
+
+let reference_float f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
+let special_floats =
+  [
+    0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+    (* integers on both sides of 1e15 *)
+    1e15; -1e15; 1e15 -. 1.0; 1e15 +. 1.0; 999_999_999_999_999.0; 4503599627370496.0;
+    (* 16 and 17 significant digits *)
+    1.0 /. 3.0; 2.0 /. 3.0; 0.1 +. 0.2; 1.0 -. epsilon_float;
+    (* subnormals and extremes *)
+    5e-324; -5e-324; Float.min_float /. 3.0; Float.min_float; Float.max_float; -.Float.max_float;
+    0.5; 1234.567; 1e21; 1e-7;
+  ]
+
+let test_printer_parity_fixed () =
+  List.iter
+    (fun f -> check_string (Printf.sprintf "%h" f) (reference_float f) (Json.to_string ~indent:false (Json.Float f)))
+    special_floats;
+  check_string "16 digits taken" "0.3333333333333333" (reference_float (1.0 /. 3.0));
+  check_string "17 digits taken" "0.30000000000000004" (reference_float (0.1 +. 0.2));
+  let all = String.init 0x80 Char.chr in
+  check_string "bytes 0x00-0x7f" (reference_escape all) (Json.to_string ~indent:false (Json.String all));
+  for b = 0 to 0x7f do
+    let s = Printf.sprintf "a%cb" (Char.chr b) in
+    check_string (Printf.sprintf "byte 0x%02x" b) (reference_escape s) (Json.to_string ~indent:false (Json.String s));
+    check_string (Printf.sprintf "key byte 0x%02x" b)
+      ("{" ^ reference_escape s ^ ":null}")
+      (Json.to_string ~indent:false (Json.Obj [ (s, Json.Null) ]))
+  done
+
+let float_parity =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map Int64.float_of_bits ui64);
+          (2, map (fun d -> 1e15 +. float_of_int d) (int_range (-2000) 2000));
+          (2, map (fun d -> -1e15 +. float_of_int d) (int_range (-2000) 2000));
+          (2, map float_of_int (int_range (-4_000_000_000_000_000) 4_000_000_000_000_000));
+          (2, float_bound_inclusive 1e6);
+          (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 0 (1 lsl 52)));
+          (1, oneofl special_floats);
+        ])
+  in
+  QCheck.Test.make ~name:"printer floats match the Printf formatter" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f -> Json.to_string ~indent:false (Json.Float f) = reference_float f)
+
+let string_parity =
+  let gen = QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 0x7f)) (int_range 0 40)) in
+  QCheck.Test.make ~name:"printer strings match the Printf formatter" ~count:1000
+    (QCheck.make ~print:String.escaped gen)
+    (fun s -> Json.to_string ~indent:false (Json.String s) = reference_escape s)
+
 (* ---- exported run structure ---- *)
 
 (* A small contended bank run — the fig5a workload shape — must export
@@ -123,5 +256,10 @@ let suite =
     ("json: non-finite floats", `Quick, test_non_finite);
     ("json: handwritten input", `Quick, test_parse_handwritten);
     ("json: file round-trip", `Quick, test_file_roundtrip);
+    ("json: to_file bytes = to_string bytes", `Quick, test_file_streams_to_string_bytes);
+    ("json: a Seq prints like its List", `Quick, test_seq_prints_as_list);
+    ("json: printer parity on fixed values", `Quick, test_printer_parity_fixed);
+    QCheck_alcotest.to_alcotest float_parity;
+    QCheck_alcotest.to_alcotest string_parity;
     ("export: run structure", `Quick, test_export_fields);
   ]

@@ -152,7 +152,8 @@ let test_perfetto_valid () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "serialized export did not validate: %s" msg);
   match Json.member "traceEvents" doc with
-  | Some (Json.List evs) ->
+  | Some evs ->
+      let evs = Json.to_list_exn evs in
       let count ph =
         List.length
           (List.filter (fun e -> Json.member "ph" e = Some (Json.String ph)) evs)
@@ -162,7 +163,72 @@ let test_perfetto_valid () =
       check "has instants" true (count "i" > 0);
       check "flow starts present" true (count "s" > 0);
       check_int "flows pair up" (count "s") (count "f")
-  | _ -> Alcotest.fail "traceEvents missing"
+  | None -> Alcotest.fail "traceEvents missing"
+
+(* A hash table on 48 cores with a DS-server crash and an application
+   core crash mid-run; hardening and one replica keep it going. Its
+   timeline holds service and attempt slices closed by a crash. *)
+let faulted_run () =
+  let open Tm2c_apps in
+  let t = Runtime.create (Exp.config ~total:48 ~seed:42 ()) in
+  let spec =
+    Printf.sprintf "scrash=%d@2.1e5,crash=%d@2.5e5"
+      (Runtime.dtm_cores t).(7) (Runtime.app_cores t).(2)
+  in
+  (match Tm2c_noc.Fault.of_spec spec with
+  | Ok p -> Runtime.set_fault_plan t p
+  | Error m -> Alcotest.failf "of_spec %S: %s" spec m);
+  Runtime.set_hardening t ~timeout_ns:60_000.0 ~lease_ns:250_000.0 ();
+  Runtime.enable_replication t ~replicas:1;
+  Runtime.enable_tracing t;
+  let ht = Hashtable.create t ~n_buckets:64 in
+  Hashtable.populate ht (Runtime.fork_prng t) ~n:256 ~key_range:512;
+  ignore (Workload.drive t ~duration_ns:0.4e6 (Exp.ht_mix ht ~updates:20 ~range:512));
+  t
+
+let export t =
+  Perfetto.export ~app:(Runtime.app_cores t) ~dtm:(Runtime.dtm_cores t) (Runtime.trace t)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The exported bytes, compact and indented, pinned: any change to the
+   exporter or the printer that moves one byte fails here. *)
+let test_perfetto_pinned () =
+  let pin name run ~compact ~indented =
+    let doc = export (run ()) in
+    let s = Json.to_string ~indent:false doc in
+    Alcotest.(check string) (name ^ ", compact") compact (md5 s);
+    Alcotest.(check string) (name ^ ", indented") indented (md5 (Json.to_string doc));
+    s
+  in
+  ignore
+    (pin "bank/8" traced_run ~compact:"40f2cb3bf1bbda717b1ae7ece7eaa7d2"
+       ~indented:"e2b50ec230cc0bf3b1eeb40878d37c54");
+  let s =
+    pin "hashtable/48, crashes" faulted_run ~compact:"a1bc02b9a1eb7ac6fa34bc3e7621d58d"
+      ~indented:"ec54cd979e3eeef7562ea1bedc1661f0"
+  in
+  check "a crash closed a service slice" true (contains s "(crashed)\"");
+  check "a crash closed an attempt slice" true (contains s "\"tx crashed\"")
+
+(* The document reads what export captured, not the live ring: clearing
+   the ring or recording into it afterwards leaves the bytes alone. *)
+let test_perfetto_detached () =
+  let t = traced_run () in
+  let doc = export t in
+  let before = Json.to_string ~indent:false doc in
+  let trace = Runtime.trace t in
+  Trace.clear trace;
+  check "bytes unchanged after Trace.clear" true (Json.to_string ~indent:false doc = before);
+  for i = 0 to 99 do
+    Trace.record trace ~now:(float_of_int i) (Event.Server_crashed { server = 4 })
+  done;
+  check "bytes unchanged after more records" true (Json.to_string ~indent:false doc = before)
 
 let test_perfetto_rejects () =
   let ev ts =
@@ -232,5 +298,7 @@ let suite =
     ("timeseries: stops when alone", `Quick, test_timeseries_idle);
     ("perfetto: traced run validates", `Quick, test_perfetto_valid);
     ("perfetto: validator rejects malformed docs", `Quick, test_perfetto_rejects);
+    ("perfetto: exported bytes pinned", `Quick, test_perfetto_pinned);
+    ("perfetto: export detached from the ring", `Quick, test_perfetto_detached);
     ("export: v2 run sections", `Quick, test_run_json_v2);
   ]
