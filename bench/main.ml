@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run_bench ids full smoke json check streaming list_only =
+let run_bench ids full smoke json check list_only =
   if list_only then begin
     print_endline "Available experiments:";
     List.iter
@@ -27,7 +27,7 @@ let run_bench ids full smoke json check streaming list_only =
     let ids = List.filter (fun id -> id <> "micro") ids in
     let failures =
       if ids <> [] then
-        Tm2c_harness.Harness.run_ids ?json ~check ~streaming ids scale
+        Tm2c_harness.Harness.run_ids ?json ~check ids scale
       else 0
     in
     if micro then Micro.run ();
@@ -55,24 +55,20 @@ let smoke_arg =
 let json_arg =
   let doc =
     "Write results and observability metrics (per-core counters, abort \
-     causality, network latency histogram, DTM queue depths) as JSON to $(docv)."
+     causality, network latency histogram, DTM queue depths, flight-recorder \
+     snapshot and its per-window time series) as JSON to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let check_arg =
   let doc =
-    "Run every run's event history through the serializability + opacity, \
-     lock protocol, and liveness checkers; exit nonzero on any violation."
+    "Check every run's event history online through the bounded-memory \
+     streaming checker (serializability + opacity, lock protocol, \
+     liveness), with a liveness watchdog; exit nonzero on any violation or \
+     wedged run. For the batch oracle's report, record a run with \
+     tm2c-sim --history and replay it with tm2c-check --streaming=false."
   in
   Arg.(value & flag & info [ "check" ] ~doc)
-
-let streaming_arg =
-  let doc =
-    "With --check: check online through the bounded-memory streaming \
-     pipeline (default). --streaming=false captures each run whole and \
-     batch-checks it."
-  in
-  Arg.(value & opt bool true & info [ "streaming" ] ~docv:"BOOL" ~doc)
 
 let list_arg =
   let doc = "List available experiments and exit." in
@@ -84,6 +80,6 @@ let cmd =
     (Cmd.info "tm2c-bench" ~doc)
     Term.(
       const run_bench $ ids_arg $ full_arg $ smoke_arg $ json_arg $ check_arg
-      $ streaming_arg $ list_arg)
+      $ list_arg)
 
 let () = exit (Cmd.eval cmd)

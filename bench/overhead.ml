@@ -1,13 +1,13 @@
 (* Observability-overhead gate (the @baseline alias): run the same
    bank workload with every observability layer off and then on
-   (tracing + phase profiling + time-series sampling), and write the
+   (tracing + phase profiling), and write the
    comparison to BENCH_overhead.json.
 
    Checks, and the exit status reflects all of them:
 
    - Virtual-time neutrality (hard): observability must not perturb
-     the simulation — sketches, spans, the trace ring and the
-     sampler all consume zero virtual time, so the committed
+     the simulation — sketches, spans and the trace ring all consume
+     zero virtual time, so the committed
      throughput must agree within 2% (deterministically it is exactly
      equal; the tolerance keeps the gate meaningful if that ever
      changes).
@@ -16,7 +16,7 @@
      timings are min-of-3 to shed scheduler noise.
    - Flight-recorder leg: the always-on quantile sketches plus the
      recorder (windowed snapshots into an in-memory sink) plus the
-     host self-profiler, with tracing/profiling/timeseries left off —
+     host self-profiler, with tracing and profiling left off —
      the "always on in production" configuration. Its commits must
      equal the bare run exactly (hard: snapshot ticks only read), its
      host ratio must stay under [recorder_ratio_threshold], and when
@@ -64,8 +64,7 @@ let bench_once ?(replicas = 0) ?(recorder = false) ~observe () =
   if replicas > 0 then Runtime.enable_replication t ~replicas;
   if observe then begin
     Runtime.enable_tracing t;
-    Runtime.enable_profiling t;
-    Runtime.enable_timeseries t ~window_ns:(duration_ns /. 16.0)
+    Runtime.enable_profiling t
   end;
   let sink = Buffer.create 4096 in
   if recorder then begin
@@ -246,7 +245,6 @@ let () =
              [
                Json.String "tracing";
                Json.String "phase profiling";
-               Json.String "timeseries";
              ] );
          ("observability_on", side_json on host_on);
          ("virtual_delta_pct", Json.Float virtual_delta_pct);

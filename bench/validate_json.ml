@@ -2,7 +2,9 @@
    the metric families the observability layer promises — including the
    schema-v2 phase attribution, time-series, and trace-ring sections —
    and check the phase-accounting invariant: per core, the committed
-   phase sums equal the total committed-attempt time (1e-6 relative).
+   phase sums equal the total committed-attempt time (1e-6 relative),
+   and the time-series shape: n_windows window-end times and as many
+   values in every channel.
    Exits non-zero (failwith) when the export is malformed, incomplete,
    or out of tolerance.
 
@@ -367,6 +369,37 @@ let () =
           | Some n when n >= 1 -> ()
           | Some n -> fail "run %d: metrics.n_windows %d < 1" ri n
           | None -> fail "run %d: metrics.n_windows missing" ri)
+    runs;
+  (* Time-series shape, on every run that has one: one window-end time
+     and one value per channel for each of the n_windows windows. *)
+  List.iteri
+    (fun ri run ->
+      match Json.member "timeseries" run with
+      | None -> ()
+      | Some ts ->
+          let n =
+            match Option.bind (Json.member "n_windows" ts) Json.to_int_opt with
+            | Some n -> n
+            | None -> fail "run %d: timeseries.n_windows missing" ri
+          in
+          let length_at what = function
+            | Some (Json.List l) -> List.length l
+            | _ -> fail "run %d: timeseries %s is not a list" ri what
+          in
+          let nt = length_at "t_ns" (Json.member "t_ns" ts) in
+          if nt <> n then
+            fail "run %d: timeseries has %d t_ns for %d windows" ri nt n;
+          (match Json.member "channels" ts with
+          | Some (Json.Obj cs) ->
+              List.iter
+                (fun (name, c) ->
+                  let nv = length_at (name ^ " values") (Json.member "values" c) in
+                  if nv <> n then
+                    fail "run %d: timeseries channel %s has %d values for %d \
+                          windows"
+                      ri name nv n)
+                cs
+          | _ -> fail "run %d: timeseries.channels missing" ri))
     runs;
   (* Phase-accounting invariant, on every run in the file: the
      instrumentation charges each telescoping segment of a committed

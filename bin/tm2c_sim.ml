@@ -178,8 +178,8 @@ let fault_plan_conv =
   Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Tm2c_noc.Fault.to_spec p))
 
 let run bench platform cm cores service multitask eager fault_plan timeout_ns
-    lease_ns replicas watchdog_ms trace trace_out json perfetto timeseries_ms
-    metrics_out metrics_window_ms self_profile check streaming history witness
+    lease_ns replicas watchdog_ms trace trace_out json perfetto metrics_out
+    metrics_window_ms self_profile check history witness
     duration_ms seed balance accounts buckets updates elastic size input_kb
     chunk_kb =
   let deployment = if multitask then Runtime.Multitask else Runtime.Dedicated in
@@ -211,54 +211,34 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
   let tracing = trace || trace_out <> None || perfetto <> None in
   if tracing then Runtime.enable_tracing t;
   (* The checkers need the complete history, not the 64K ring tail:
-     tap the trace's sink before any process runs. By default the
-     streaming checker and the history-log writer consume events
-     online (sharing the sink through a fanout), so neither the run's
-     events nor the log are ever resident in memory; --streaming=false
-     captures everything in a collector and batch-checks at the end. *)
-  let stream_check, hist_writer, collector =
-    if streaming then begin
-      let s = if check then Some (Tm2c_check.Stream.create ()) else None in
-      let w = Option.map Tm2c_check.Histlog.create_writer history in
-      (match (s, w) with
-      | Some s, Some w ->
-          Tm2c_engine.Trace.set_sink (Runtime.trace t)
-            (Some
-               (Tm2c_engine.Trace.fanout (Tm2c_check.Stream.feed s)
-                  (Tm2c_check.Histlog.put w)));
-          Tm2c_engine.Trace.enable (Runtime.trace t)
-      | Some s, None -> Tm2c_check.Stream.attach s (Runtime.trace t)
-      | None, Some w ->
-          Tm2c_engine.Trace.set_sink (Runtime.trace t)
-            (Some (Tm2c_check.Histlog.put w));
-          Tm2c_engine.Trace.enable (Runtime.trace t)
-      | None, None -> ());
-      (match s with
-      | Some s ->
-          (* The streaming checker retains a window, not the run:
-             report its node high-water as the sink footprint. *)
-          Runtime.set_sink_high_water t (fun () ->
-              Tm2c_check.Stream.peak_nodes s)
-      | None -> ());
-      (s, w, None)
-    end
-    else if check || history <> None then begin
-      let c = Tm2c_check.Collector.create () in
-      Tm2c_check.Collector.attach c (Runtime.trace t);
-      Runtime.set_sink_high_water t (fun () -> Tm2c_check.Collector.length c);
-      (None, None, Some c)
-    end
-    else (None, None, None)
-  in
-  if json <> None then begin
-    (* The JSON export carries phase attribution and a time-series, so
-       a plain --json run gets both without extra flags. *)
-    Runtime.enable_profiling t;
-    let window_ms =
-      match timeseries_ms with Some w -> w | None -> duration_ms /. 32.0
-    in
-    Runtime.enable_timeseries t ~window_ns:(window_ms *. 1e6)
-  end;
+     tap the trace's sink before any process runs. The streaming
+     checker and the history-log writer consume events online (sharing
+     the sink through a fanout), so neither the run's events nor the
+     log are ever resident in memory. *)
+  let stream_check = if check then Some (Tm2c_check.Stream.create ()) else None in
+  let hist_writer = Option.map Tm2c_check.Histlog.create_writer history in
+  (match (stream_check, hist_writer) with
+  | Some s, Some w ->
+      Tm2c_engine.Trace.set_sink (Runtime.trace t)
+        (Some
+           (Tm2c_engine.Trace.fanout (Tm2c_check.Stream.feed s)
+              (Tm2c_check.Histlog.put w)));
+      Tm2c_engine.Trace.enable (Runtime.trace t)
+  | Some s, None -> Tm2c_check.Stream.attach s (Runtime.trace t)
+  | None, Some w ->
+      Tm2c_engine.Trace.set_sink (Runtime.trace t) (Some (Tm2c_check.Histlog.put w));
+      Tm2c_engine.Trace.enable (Runtime.trace t)
+  | None, None -> ());
+  (match stream_check with
+  | Some s ->
+      (* The streaming checker retains a window, not the run: report
+         its node high-water as the sink footprint. *)
+      Runtime.set_sink_high_water t (fun () -> Tm2c_check.Stream.peak_nodes s)
+  | None -> ());
+  (* The JSON export carries phase attribution, and the flight
+     recorder's rows are its time series, so a plain --json run gets
+     both without extra flags. *)
+  if json <> None then Runtime.enable_profiling t;
   (* Flight recorder: streamed snapshots with --metrics-out, and the
      in-memory final snapshot whenever the JSON export wants one. *)
   let metrics_oc = Option.map open_out metrics_out in
@@ -436,34 +416,11 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
         exit 1
       end
   | None -> ());
-  (match collector with
-  | None -> ()
-  | Some c ->
-      (match history with
-      | Some path ->
-          Tm2c_check.Histlog.save path (Tm2c_check.Collector.iter c);
-          Printf.printf "wrote history log to %s (%d events)\n" path
-            (Tm2c_check.Collector.length c)
-      | None -> ());
-      if check then begin
-        let result =
-          if replicas > 0 || Runtime.wedged t then
-            Tm2c_check.Check.run ~stuck_after_ns:1e6
-              (Tm2c_check.Collector.iter c)
-          else Tm2c_check.Check.run (Tm2c_check.Collector.iter c)
-        in
-        print_newline ();
-        Format.printf "%a" Tm2c_check.Check.pp_summary result;
-        if not (Tm2c_check.Check.passed result) then begin
-          Format.printf "%a" Tm2c_check.Check.pp_witness result;
-          write_witness (Tm2c_check.Check.report_string result);
-          exit 1
-        end
-      end);
   if Runtime.wedged t then begin
     Printf.eprintf
-      "watchdog: no attempt resolved (commit or abort) across consecutive \
-       windows — run cut short, exiting nonzero\n";
+      "watchdog: no progress (no attempt resolved, no operation completed, \
+       no application compute) across consecutive windows — run cut short, \
+       exiting nonzero\n";
     exit 2
   end
 
@@ -529,8 +486,10 @@ let cmd =
     Arg.(value & opt float 0.0
          & info [ "watchdog-ms" ] ~docv:"MS"
              ~doc:"Liveness watchdog window in virtual ms (0 disables): three \
-                   consecutive windows without a commit while processes \
-                   remain cut the run short and exit nonzero.")
+                   consecutive windows without progress (no attempt \
+                   resolved, no operation completed, no application \
+                   compute) while processes remain cut the run short and \
+                   exit nonzero.")
   in
   let trace =
     Arg.(value & flag
@@ -550,8 +509,9 @@ let cmd =
          & info [ "json" ] ~docv:"FILE"
              ~doc:"Export the full run record (result, per-core stats, \
                    network, DTM, abort causality, per-phase latency \
-                   attribution, time-series) as JSON to $(docv). Enables \
-                   profiling and the simulated-time sampler.")
+                   attribution, flight-recorder metrics and their \
+                   per-window time series) as JSON to $(docv). Enables \
+                   profiling and the flight recorder.")
   in
   let perfetto =
     Arg.(value & opt (some string) None
@@ -559,12 +519,6 @@ let cmd =
              ~doc:"Export the event trace as a Chrome trace_event timeline \
                    to $(docv) — open it in ui.perfetto.dev or \
                    chrome://tracing. Implies tracing.")
-  in
-  let timeseries_ms =
-    Arg.(value & opt (some float) None
-         & info [ "timeseries-ms" ] ~docv:"MS"
-             ~doc:"Sampler window in virtual milliseconds for the --json \
-                   time-series (default: duration/32).")
   in
   let metrics_out =
     Arg.(value & opt (some string) None
@@ -578,8 +532,8 @@ let cmd =
   let metrics_window_ms =
     Arg.(value & opt (some float) None
          & info [ "metrics-window-ms" ] ~docv:"MS"
-             ~doc:"Flight-recorder window in virtual milliseconds (default: \
-                   duration/16).")
+             ~doc:"Flight-recorder window in virtual milliseconds, also the \
+                   --json time-series window (default: duration/16).")
   in
   let self_profile =
     Arg.(value & flag
@@ -592,18 +546,13 @@ let cmd =
   let check =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"Run the complete event history through the \
-                   serializability + opacity oracle, the DS-Lock protocol \
-                   checker, and the liveness monitor; print a verdict and \
-                   exit nonzero (with a witness) on any violation.")
-  in
-  let streaming =
-    Arg.(value & opt bool true
-         & info [ "streaming" ] ~docv:"BOOL"
-             ~doc:"Check (and write --history) online through the \
-                   bounded-memory streaming pipeline riding the trace sink \
-                   (default). $(b,--streaming=false) captures the whole \
-                   event stream and runs the batch oracle at the end.")
+             ~doc:"Check the complete event history online, through the \
+                   bounded-memory streaming checker (serializability + \
+                   opacity oracle, DS-Lock protocol checker, liveness \
+                   monitor); print a verdict and exit nonzero (with a \
+                   witness) on any violation. For the batch oracle's more \
+                   detailed report, add $(b,--history) and replay the log \
+                   with $(b,tm2c-check --streaming=false).")
   in
   let history =
     Arg.(value & opt (some string) None
@@ -652,8 +601,8 @@ let cmd =
     Term.(
       const run $ bench $ platform $ cm $ cores $ service $ multitask $ eager
       $ fault_plan $ timeout_ns $ lease_ns $ replicas $ watchdog_ms $ trace
-      $ trace_out $ json $ perfetto $ timeseries_ms $ metrics_out
-      $ metrics_window_ms $ self_profile $ check $ streaming $ history $ witness
+      $ trace_out $ json $ perfetto $ metrics_out $ metrics_window_ms
+      $ self_profile $ check $ history $ witness
       $ duration $ seed $ balance $ accounts $ buckets $ updates $ elastic
       $ size $ input_kb $ chunk_kb)
 

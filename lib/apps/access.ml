@@ -13,5 +13,5 @@ let direct env ~core =
   {
     read = (fun addr -> Tm2c_memory.Shmem.read env.System.shmem ~core addr);
     write = (fun addr v -> Tm2c_memory.Shmem.write env.System.shmem ~core addr v);
-    compute = (fun cycles -> Tm2c_noc.Network.compute env.System.net cycles);
+    compute = System.app_compute env;
   }

@@ -35,6 +35,7 @@ type t = {
   mutable n_spawned : int;
   mutable n_finished : int;
   mutable n_elided : int;
+  mutable n_ticks : int; (* queued events that are {!every} ticks *)
   mutable running : bool;
   (* Host-side self-profiler. The clock is *injected* (the engine
      itself never reads wall time — virtual determinism is the
@@ -165,6 +166,7 @@ let create () =
       n_spawned = 0;
       n_finished = 0;
       n_elided = 0;
+      n_ticks = 0;
       running = false;
       host_clock = None;
       prof_s = Array.make (Array.length prof_categories) 0.0;
@@ -435,4 +437,19 @@ let finished t = t.n_finished
 
 let elided t = t.n_elided
 
-let pending t = Wheel.length t.events
+(* The one recurring-callback mechanism. Each tick takes the push
+   slot of an ordinary [schedule] issued after [f] returns, so one tick
+   alone fires exactly where a hand-rolled rescheduling loop would. It
+   stops rescheduling once only ticks remain queued (inside a callback
+   the executing event is already popped): a drained simulation ends
+   however many ticks are installed. *)
+let every t ~period f =
+  if not (period > 0.0) then invalid_arg "Sim.every: period must be positive";
+  let rec tick at () =
+    t.n_ticks <- t.n_ticks - 1;
+    if f at && Wheel.length t.events > t.n_ticks then arm (at +. period)
+  and arm at =
+    t.n_ticks <- t.n_ticks + 1;
+    schedule t ~at (tick at)
+  in
+  arm (t.now +. period)

@@ -116,10 +116,14 @@ val finished : t -> int
     should report. *)
 val elided : t -> int
 
-(** Events currently queued. From inside a callback the count excludes
-    the executing event — a recurring event can use this to detect that
-    it is the only remaining activity and stop rescheduling itself. *)
-val pending : t -> int
+(** [every t ~period f] calls [f at] at virtual times [at = now +
+    period], [at + period], ... through ordinary {!schedule} slots,
+    until [f] returns [false]. Ticks never keep a run alive: a tick
+    stops rescheduling once only [every] ticks remain queued, so a
+    simulation that drains ends whatever number of ticks is installed.
+    [f] must not perform effects; an exception from [f] propagates out
+    of {!run} and ends the ticking. *)
+val every : t -> period:float -> (float -> bool) -> unit
 
 (** Host-side self-profiler. The engine never reads wall time itself
     (virtual determinism is the contract the source lint enforces):

@@ -28,11 +28,7 @@ let all =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-(* How --check observes a run: the online checker consumes the sink
-   event by event; the batch form captures everything first. *)
-type tap = Online of Tm2c_check.Stream.t | Batch of Tm2c_check.Collector.t
-
-let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
+let run_ids ?json ?(check = false) ids scale =
   let ids = if List.mem "all" ids then List.map (fun e -> e.id) all else ids in
   (* With an export file, capture every run each experiment performs
      via the workload observer; runs are grouped per experiment id. *)
@@ -45,43 +41,25 @@ let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
      wedged machine. *)
   let wedges = ref 0 in
   let watchdog_window = scale.Exp.window_ns /. 4.0 in
-  (* Per-runtime checker taps for --check: the preflight hook installs
-     a tap before any process is spawned; the observer looks it up (by
-     physical identity — the runtime is the key) and closes out the
-     completed run. The default tap is the streaming checker riding
-     the trace sink directly; [~streaming:false] captures the full
-     event stream in a collector and runs the batch oracle over it. *)
-  let taps : (Tm2c_core.Runtime.t * tap) list ref = ref [] in
+  (* Per-runtime streaming checkers for --check: the preflight hook
+     attaches one to the trace sink before any process is spawned; the
+     observer looks it up (by physical identity — the runtime is the
+     key) and closes out the completed run. *)
+  let taps : (Tm2c_core.Runtime.t * Tm2c_check.Stream.t) list ref = ref [] in
   let check_run t =
     match List.assq_opt t !taps with
     | None -> ()
-    | Some tap ->
+    | Some s ->
         taps := List.filter (fun (t', _) -> t' != t) !taps;
         Tm2c_check.Collector.detach (Tm2c_core.Runtime.trace t);
         (* On a wedged run, arm the liveness monitor's stuck detection
            so the report names the cores that made no progress. *)
-        let wedged = Tm2c_core.Runtime.wedged t in
-        let failures, report =
-          match tap with
-          | Online s ->
-              if wedged then
-                Tm2c_check.Stream.set_stuck_after_ns s watchdog_window;
-              let v = Tm2c_check.Stream.finish s in
-              (Tm2c_check.Stream.n_failures v, fun () ->
-                 Tm2c_check.Stream.report_string s)
-          | Batch c ->
-              let result =
-                if wedged then
-                  Tm2c_check.Check.run ~stuck_after_ns:watchdog_window
-                    (Tm2c_check.Collector.iter c)
-                else Tm2c_check.Check.run (Tm2c_check.Collector.iter c)
-              in
-              (Tm2c_check.Check.n_failures result, fun () ->
-                 Tm2c_check.Check.report_string result)
-        in
+        if Tm2c_core.Runtime.wedged t then
+          Tm2c_check.Stream.set_stuck_after_ns s watchdog_window;
+        let failures = Tm2c_check.Stream.n_failures (Tm2c_check.Stream.finish s) in
         if failures > 0 then begin
           check_failures := !check_failures + failures;
-          Printf.eprintf "check FAILED:\n%s%!" (report ())
+          Printf.eprintf "check FAILED:\n%s%!" (Tm2c_check.Stream.report_string s)
         end
   in
   if json <> None || check then begin
@@ -92,48 +70,32 @@ let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
           if Tm2c_core.Runtime.wedged t then begin
             incr wedges;
             Printf.eprintf
-              "run wedged: the watchdog saw no attempt resolve and cut the \
-               run short of its horizon\n%!"
+              "run wedged: the watchdog saw no progress and cut the run \
+               short of its horizon\n%!"
           end;
           if check then check_run t);
-    (* Every exported run also carries phase attribution and a
-       time-series: the preflight hook fires once per driven runtime,
-       before any process is spawned. 16 windows per throughput run —
-       enough shape to see warm-up and livelock onset without bloating
-       the file. *)
+    (* Every exported run also carries phase attribution and the
+       flight recorder, whose rows are the run's time series: the
+       preflight hook fires once per driven runtime, before any process
+       is spawned. 16 windows per throughput run — enough shape to see
+       warm-up and livelock onset without bloating the file. *)
     Tm2c_apps.Workload.preflight :=
       Some
         (fun t ->
           if json <> None then begin
             Tm2c_core.Runtime.enable_profiling t;
-            if Tm2c_core.Runtime.timeseries t = None then
-              Tm2c_core.Runtime.enable_timeseries t
-                ~window_ns:(scale.Exp.window_ns /. 16.0);
-            (* And the flight recorder (same cadence), so every
-               exported run carries a "metrics" final snapshot. *)
             if Tm2c_core.Runtime.recorder t = None then
               Tm2c_core.Runtime.enable_recorder t
                 ~window_ns:(scale.Exp.window_ns /. 16.0) ()
           end;
           if check && not (List.mem_assq t !taps) then begin
-            (if streaming then begin
-               let s = Tm2c_check.Stream.create () in
-               Tm2c_check.Stream.attach s (Tm2c_core.Runtime.trace t);
-               (* The streaming checker retains a window, not the run:
-                  report its node high-water as the sink footprint. *)
-               Tm2c_core.Runtime.set_sink_high_water t (fun () ->
-                   Tm2c_check.Stream.peak_nodes s);
-               taps := (t, Online s) :: !taps
-             end
-             else begin
-               let c = Tm2c_check.Collector.create () in
-               Tm2c_check.Collector.attach c (Tm2c_core.Runtime.trace t);
-               (* The collector grows monotonically, so its final
-                  length is the sink's high-water mark. *)
-               Tm2c_core.Runtime.set_sink_high_water t (fun () ->
-                   Tm2c_check.Collector.length c);
-               taps := (t, Batch c) :: !taps
-             end);
+            let s = Tm2c_check.Stream.create () in
+            Tm2c_check.Stream.attach s (Tm2c_core.Runtime.trace t);
+            (* The streaming checker retains a window, not the run:
+               report its node high-water as the sink footprint. *)
+            Tm2c_core.Runtime.set_sink_high_water t (fun () ->
+                Tm2c_check.Stream.peak_nodes s);
+            taps := (t, s) :: !taps;
             (* Checked runs also get the liveness watchdog: a wedged
                configuration fails fast with a named-core verdict
                instead of silently burning to the horizon. *)

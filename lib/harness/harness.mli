@@ -18,16 +18,13 @@ val find : string -> experiment option
     performs is captured (see {!Tm2c_apps.Workload.observer}) and the
     collected results plus observability metrics ({!Report.run_json})
     are written to [path], grouped per experiment id. With
-    [~check:true], every run's complete event stream is checked —
-    by default online, through the bounded-memory streaming checker
-    riding the trace sink ({!Tm2c_check.Stream}); with
-    [~streaming:false], captured whole ({!Tm2c_check.Collector}) and
-    replayed through the batch oracle ({!Tm2c_check.Check}). Failures
-    are reported on stderr. Checked
-    runs also get a liveness watchdog: a run making no commit progress
+    [~check:true], every run's complete event stream is checked
+    online, through the bounded-memory streaming checker riding the
+    trace sink ({!Tm2c_check.Stream}); failures are reported on
+    stderr. Checked runs also get a liveness watchdog
+    ({!Tm2c_core.Runtime.enable_watchdog}): a run making no progress
     is cut short, flagged by the monitor's stuck detection, and the
     remaining experiments are skipped — the JSON written is then a
     partial report. Returns the total number of checker violations
     plus wedged runs (0 without [~check]). *)
-val run_ids :
-  ?json:string -> ?check:bool -> ?streaming:bool -> string list -> Exp.scale -> int
+val run_ids : ?json:string -> ?check:bool -> string list -> Exp.scale -> int

@@ -216,13 +216,13 @@ let phases_json t =
       ("aborted", span_json (Runtime.span_abort t));
     ]
 
-let timeseries_json ts =
+let timeseries_json r =
   let float_row a = Json.List (Array.to_list (Array.map (fun v -> Json.Float v) a)) in
   Json.Obj
     [
-      ("window_ns", Json.Float (Timeseries.window_ns ts));
-      ("n_windows", Json.Int (Timeseries.n_windows ts));
-      ("t_ns", float_row (Timeseries.times ts));
+      ("window_ns", Json.Float (Recorder.window_ns r));
+      ("n_windows", Json.Int (Recorder.series_length r));
+      ("t_ns", float_row (Recorder.series_times r));
       ( "channels",
         Json.Obj
           (List.map
@@ -233,11 +233,11 @@ let timeseries_json ts =
                      ( "kind",
                        Json.String
                          (match kind with
-                         | Timeseries.Cumulative -> "cumulative"
-                         | Timeseries.Gauge -> "gauge") );
+                         | Recorder.Cumulative -> "cumulative"
+                         | Recorder.Gauge -> "gauge") );
                      ("values", float_row values);
                    ] ))
-             (Timeseries.channels ts)) );
+             (Recorder.series r)) );
     ]
 
 let trace_json t =
@@ -406,10 +406,7 @@ let run_json t (r : Tm2c_apps.Workload.result) =
        ("phases", phases_json t);
        ("trace", trace_json t);
      ]
-    @ (match Runtime.recorder t with
-      | Some r -> [ ("metrics", metrics_json t r) ]
-      | None -> [])
     @
-    match Runtime.timeseries t with
-    | Some ts -> [ ("timeseries", timeseries_json ts) ]
+    match Runtime.recorder t with
+    | Some r -> [ ("metrics", metrics_json t r); ("timeseries", timeseries_json r) ]
     | None -> [])

@@ -18,8 +18,9 @@ val sketch_json : ?buckets:bool -> Tm2c_engine.Sketch.t -> Json.t
     core lists when profiling was off. *)
 val phases_json : Tm2c_core.Runtime.t -> Json.t
 
-(** Windowed simulated-time samples (see {!Tm2c_engine.Timeseries}). *)
-val timeseries_json : Tm2c_engine.Timeseries.t -> Json.t
+(** The flight recorder's per-window rows as a time series (see
+    {!Tm2c_core.Recorder.series}): full windows only. *)
+val timeseries_json : Tm2c_core.Recorder.t -> Json.t
 
 (** Trace-ring status: enabled flag, capacity, events held, the
     dropped (overwritten) count, and the checker sink's high-water
@@ -36,7 +37,6 @@ val host_profile_json : Tm2c_core.Runtime.t -> Json.t
 val metrics_json : Tm2c_core.Runtime.t -> Tm2c_core.Recorder.t -> Json.t
 
 (** [run_json t r] — the full self-describing record for one run on
-    runtime [t] that produced result [r]. Includes a ["timeseries"]
-    section when the sampler was enabled and a ["metrics"] section
-    when the flight recorder was. *)
+    runtime [t] that produced result [r]. Includes ["metrics"] and
+    ["timeseries"] sections when the flight recorder was enabled. *)
 val run_json : Tm2c_core.Runtime.t -> Tm2c_apps.Workload.result -> Json.t

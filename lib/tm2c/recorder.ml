@@ -7,9 +7,9 @@
    merged across cores, per-DS-partition service gauges, the top-K
    busiest NoC links and top-K abort-blame pairs — emits it through
    [out] in an OpenMetrics-style text format, and then rolls every
-   baseline. Nothing is retained per window beyond a handful of
-   scalars, so resident memory is constant in run length (unlike
-   Timeseries, which accumulates one sample per window per channel).
+   baseline. The one thing retained per window is a six-value row
+   (ops, commits, aborts and messages deltas, mean DTM queue depth,
+   busiest-link delta; 48 B), the JSON export's time series.
 
    Producers are untouched: they keep writing the one cumulative
    counter or sketch they always wrote, and the recorder reads deltas
@@ -60,6 +60,10 @@ type t = {
   ev_counts : int array;
   ev_prev : int array;
   buf : Buffer.t;
+  row : float array;  (* the window being assembled, [row_width] values *)
+  mutable rows : float array;  (* full windows' rows, back to back *)
+  mutable n_rows : int;
+  mutable t_first : float;  (* end of the first window *)
   mutable n_windows : int;
   mutable started : bool;
   mutable finished : bool;
@@ -68,6 +72,22 @@ type t = {
 let record_event t ev =
   let i = Event.index ev in
   t.ev_counts.(i) <- t.ev_counts.(i) + 1
+
+type kind = Cumulative | Gauge
+
+(* The per-window row. The four cumulative columns are the windowed
+   deltas of the first four [counters]. *)
+let columns =
+  [|
+    ("ops", Cumulative);
+    ("commits", Cumulative);
+    ("aborts", Cumulative);
+    ("messages", Cumulative);
+    ("queue_depth_mean", Gauge);
+    ("link_msgs_max", Gauge);
+  |]
+
+let row_width = Array.length columns
 
 let quantiles = [ (50.0, "0.5"); (90.0, "0.9"); (99.0, "0.99"); (99.9, "0.999") ]
 
@@ -152,6 +172,10 @@ let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
     ev_counts = Array.make (List.length Event.kinds) 0;
     ev_prev = Array.make (List.length Event.kinds) 0;
     buf = Buffer.create 4096;
+    row = Array.make row_width 0.0;
+    rows = [||];
+    n_rows = 0;
+    t_first = 0.0;
     n_windows = 0;
     started = false;
     finished = false;
@@ -197,19 +221,32 @@ let top_by k weight items =
   in
   take k sorted
 
-let emit_window t ~t_ns =
+let append_row t =
+  let base = t.n_rows * row_width in
+  if base = Array.length t.rows then begin
+    let nr = Array.make (max (16 * row_width) (2 * base)) 0.0 in
+    Array.blit t.rows 0 nr 0 base;
+    t.rows <- nr
+  end;
+  Array.blit t.row 0 t.rows base row_width;
+  t.n_rows <- t.n_rows + 1
+
+(* [full] is false only for the final partial window, which gets no
+   row. *)
+let emit_window t ~t_ns ~full =
   let b = t.buf in
   Buffer.clear b;
   Printf.bprintf b "# window %d t_ns %.0f\n" t.n_windows t_ns;
   (* Counters: cumulative total since [start], plus this window's
      delta. The emitted deltas telescope: their sum always equals the
      last emitted total, the invariant validate_json re-checks. *)
-  List.iter
-    (fun c ->
+  List.iteri
+    (fun i c ->
       let v = c.c_read () in
       let d = v -. c.c_prev in
       c.c_prev <- v;
       c.c_emitted <- c.c_emitted +. d;
+      if i < 4 then t.row.(i) <- d;
       pr b (c.c_name ^ "_total") "" (v -. c.c_start);
       pr b (c.c_name ^ "_window") "" d)
     t.counters;
@@ -270,6 +307,15 @@ let emit_window t ~t_ns =
   end;
   (* Per-DS-partition service gauges and windowed counters. *)
   let net = t.env.System.net in
+  let dtm_cores = t.env.System.dtm_cores in
+  let n_dtm = Array.length dtm_cores in
+  t.row.(4) <-
+    (if n_dtm = 0 then 0.0
+     else begin
+       let sum = ref 0 in
+       Array.iter (fun core -> sum := !sum + Network.pending net ~self:core) dtm_cores;
+       float_of_int !sum /. float_of_int n_dtm
+     end);
   List.iter
     (fun s ->
       let core = Dtm.core s in
@@ -300,16 +346,20 @@ let emit_window t ~t_ns =
       fo.System.fo_epoch;
   (* Top-K busiest NoC links this window. *)
   let links = (Network.metrics net).Network.per_link in
+  let top =
+    Network.top_pairs ~limit:t.top_k (Array.length links) (fun src dst ->
+        let c = links.(src).(dst) in
+        let d = c - t.prev_links.(src).(dst) in
+        t.prev_links.(src).(dst) <- c;
+        d)
+  in
   List.iter
     (fun (src, dst, d) ->
       pr b "link_msgs_window"
         (labels [ ("src", string_of_int src); ("dst", string_of_int dst) ])
         (float_of_int d))
-    (Network.top_pairs ~limit:t.top_k (Array.length links) (fun src dst ->
-         let c = links.(src).(dst) in
-         let d = c - t.prev_links.(src).(dst) in
-         t.prev_links.(src).(dst) <- c;
-         d));
+    top;
+  t.row.(5) <- (match top with (_, _, d) :: _ -> float_of_int d | [] -> 0.0);
   (* Top-K abort-blame pairs this window (windowed deltas of the
      always-on Obs causality table). *)
   let blame = ref [] in
@@ -343,6 +393,7 @@ let emit_window t ~t_ns =
   | Some out -> out (Buffer.contents b)
   | None -> ());
   Buffer.clear b;
+  if full then append_row t;
   t.n_windows <- t.n_windows + 1
 
 let start t =
@@ -357,25 +408,36 @@ let start t =
       c.c_prev <- v)
     t.counters;
   let sim = t.env.System.sim in
-  (* Timeseries' recurring-event pattern: the tick reschedules itself
-     only while other events are pending, so the recorder never keeps
-     an otherwise-finished simulation alive. *)
-  let rec tick at () =
-    if not t.finished then begin
-      emit_window t ~t_ns:at;
-      if Sim.pending sim > 0 then
-        Sim.schedule sim ~at:(at +. t.window_ns) (tick (at +. t.window_ns))
-    end
-  in
-  let first = Sim.now sim +. t.window_ns in
-  Sim.schedule sim ~at:first (tick first)
+  (* [Sim.every]'s first tick, and the start of the arithmetic
+     [series_times] repeats. *)
+  t.t_first <- Sim.now sim +. t.window_ns;
+  Sim.every sim ~period:t.window_ns (fun at ->
+      if not t.finished then emit_window t ~t_ns:at ~full:true;
+      not t.finished)
 
 let finish t =
   if t.started && not t.finished then begin
-    emit_window t ~t_ns:(Sim.now t.env.System.sim);
+    emit_window t ~t_ns:(Sim.now t.env.System.sim) ~full:false;
     t.finished <- true;
     match t.out with Some out -> out "# eof\n" | None -> ()
   end
+
+let series_length t = t.n_rows
+
+(* Window-end times, by the same repeated addition as the ticks. *)
+let series_times t =
+  let times = Array.make t.n_rows t.t_first in
+  for i = 1 to t.n_rows - 1 do
+    times.(i) <- times.(i - 1) +. t.window_ns
+  done;
+  times
+
+let series t =
+  Array.to_list
+    (Array.mapi
+       (fun col (name, kind) ->
+         (name, kind, Array.init t.n_rows (fun r -> t.rows.((r * row_width) + col))))
+       columns)
 
 let counter_totals t =
   List.map (fun c -> (c.c_name, c.c_read () -. c.c_start, c.c_emitted)) t.counters

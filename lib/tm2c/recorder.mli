@@ -7,8 +7,9 @@
     per-phase latency merged across cores, per-DS-partition service
     gauges, the top-K busiest NoC links and top-K abort-blame pairs —
     emits it through [out] in an OpenMetrics-style text format, and
-    rolls every baseline. Nothing is retained per window, so resident
-    memory is constant in run length.
+    rolls every baseline. One six-value row per window is retained
+    (48 B: the time series of {!series}); everything else is constant
+    in run length.
 
     Producers keep writing their one cumulative counter or sketch; the
     recorder reads deltas against private baselines. Wire it up with
@@ -39,9 +40,9 @@ val set_sink_high_water : t -> (unit -> int) -> unit
     while tracing is disabled: the recorder never forces tracing on. *)
 val record_event : t -> Event.t -> unit
 
-(** Baseline all counters and schedule the recurring snapshot tick
-    (self-terminating: it stops rescheduling once it is the only
-    pending event). Call before [Runtime.run]. *)
+(** Baseline all counters and install the recurring snapshot tick (a
+    [Sim.every] tick, so it never keeps a drained run alive). Call
+    before [Runtime.run]. *)
 val start : t -> unit
 
 (** Emit the final partial window and a ["# eof"] marker, then stop.
@@ -52,6 +53,23 @@ val window_ns : t -> float
 
 (** Windows emitted so far (including the final partial one). *)
 val n_windows : t -> int
+
+type kind = Cumulative | Gauge
+
+(** Full windows so far: the final partial window that {!finish}
+    emits has no row. *)
+val series_length : t -> int
+
+(** End time of each full window, oldest first. *)
+val series_times : t -> float array
+
+(** The per-window rows as columns, one value per full window oldest
+    first: [ops], [commits], [aborts], [messages] ([Cumulative]:
+    windowed deltas), then [queue_depth_mean] (mean pending input over
+    the DTM cores) and [link_msgs_max] (the busiest link's windowed
+    message count), both [Gauge]. An event on a window edge counts in
+    exactly one window. *)
+val series : t -> (string * kind * float array) list
 
 (** [(name, total since start, sum of emitted windowed deltas)] per
     counter. After {!finish} the two figures are equal — the

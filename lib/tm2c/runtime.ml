@@ -42,7 +42,6 @@ type t = {
   root_prng : Prng.t;
   mutable next_spare_reg : int;
   max_reg : int;
-  mutable timeseries : Timeseries.t option;
   mutable recorder : Recorder.t option;
   mutable sink_high_water : (unit -> int) option;
   mutable replicas : int;
@@ -154,6 +153,7 @@ let create cfg =
       commit_lat = Sketch.create ();
       e2e_lat = Sketch.create ();
       overload = System.overload_create ();
+      app_busy_until = [| 0.0 |];
     }
   in
   (* Drops and duplications happen inside the network layer, which
@@ -178,7 +178,6 @@ let create cfg =
     root_prng;
     next_spare_reg = Platform.n_cores cfg.platform;
     max_reg = n_regs;
-    timeseries = None;
     recorder = None;
     sink_high_water = None;
     replicas = 0;
@@ -265,39 +264,42 @@ let admission t = t.admission
 
 let wedged t = t.wedged
 
-(* Liveness watchdog: every [window_ns] of virtual time, compare total
-   resolved attempts (commits + aborts) against the previous window.
-   [stall_windows] consecutive flat windows while spawned fibers are
-   still unfinished means the run is wedged (e.g. every client blocked
-   on a dead DS server): raise out of [Sim.run] instead of burning
-   virtual time to the horizon. The check reschedules itself only
-   while other events are pending, so it never keeps an
-   otherwise-finished simulation alive. *)
+(* Liveness watchdog: every [window_ns] of virtual time, look for
+   progress since the previous window. [stall_windows] consecutive flat
+   windows while spawned fibers are still unfinished means the run is
+   wedged (e.g. every client blocked on a dead DS server): raise out of
+   [Sim.run] instead of burning virtual time to the horizon. The check
+   is a [Sim.every] tick, so it never keeps an otherwise-finished
+   simulation alive. *)
 let enable_watchdog t ~window_ns ~stall_windows =
   if window_ns <= 0.0 || stall_windows < 1 then
     invalid_arg "Runtime.enable_watchdog: need window_ns > 0 and stall_windows >= 1";
-  (* Progress means *attempts resolving*, not commits: a livelocking
-     configuration (No CM at high core counts) aborts furiously
-     without committing and must ride to its horizon — only cores
-     blocked forever on a reply produce neither commits nor aborts. *)
-  let last_resolved = ref (-1) in
+  (* Progress is anything but a core blocked on a reply: an attempt
+     resolving (a livelocking configuration aborts furiously without
+     committing and must ride to its horizon), an operation completing
+     (runs without transactions), or an application core computing
+     during the window (one long step can outlast several windows). *)
+  let env = t.env in
+  let last_progress = ref (-1) in
+  let last_check = ref (Sim.now t.sim) in
   let flat = ref 0 in
-  let rec check () =
-    let resolved =
-      Stats.total_commits t.env.System.stats
-      + Stats.total_aborts t.env.System.stats
-    in
-    if resolved = !last_resolved && Sim.spawned t.sim > Sim.finished t.sim
-    then begin
-      incr flat;
-      if !flat >= stall_windows then raise Wedged
-    end
-    else flat := 0;
-    last_resolved := resolved;
-    if Sim.pending t.sim > 0 then
-      Sim.schedule t.sim ~at:(Sim.now t.sim +. window_ns) check
-  in
-  Sim.schedule t.sim ~at:window_ns check
+  Sim.every t.sim ~period:window_ns (fun now ->
+      let progress =
+        Stats.total_commits env.System.stats
+        + Stats.total_aborts env.System.stats
+        + Stats.total_ops env.System.stats
+      in
+      let computing = env.System.app_busy_until.(0) > !last_check in
+      if progress = !last_progress && (not computing)
+         && Sim.spawned t.sim > Sim.finished t.sim
+      then begin
+        incr flat;
+        if !flat >= stall_windows then raise Wedged
+      end
+      else flat := 0;
+      last_progress := progress;
+      last_check := now;
+      true)
 
 (* Host-side store with a trace record: benchmark setup (populate)
    and weak-atomicity private-node initialization go through here so
@@ -318,56 +320,6 @@ let span_abort t = t.env.System.span_abort
 let enable_profiling t =
   Span.enable t.env.System.span_commit;
   Span.enable t.env.System.span_abort
-
-let timeseries t = t.timeseries
-
-(* Install and start the simulated-time sampler. Channels:
-   - ops/commits/aborts/messages: per-window deltas of the always-on
-     cumulative counters (throughput and abort-rate curves);
-   - queue_depth_mean: instantaneous mean DTM input-queue depth;
-   - link_msgs_max: the busiest link's per-window message count (the
-     per-link delta is computed against a private snapshot of the
-     link matrix, so the always-on counters stay untouched). *)
-let enable_timeseries t ~window_ns =
-  if t.timeseries <> None then
-    invalid_arg "Runtime.enable_timeseries: already enabled";
-  let ts = Timeseries.create ~window_ns in
-  let stats = t.env.System.stats in
-  let net = t.env.System.net in
-  Timeseries.add_channel ts ~name:"ops" Timeseries.Cumulative (fun () ->
-      float_of_int (Stats.total_ops stats));
-  Timeseries.add_channel ts ~name:"commits" Timeseries.Cumulative (fun () ->
-      float_of_int (Stats.total_commits stats));
-  Timeseries.add_channel ts ~name:"aborts" Timeseries.Cumulative (fun () ->
-      float_of_int (Stats.total_aborts stats));
-  Timeseries.add_channel ts ~name:"messages" Timeseries.Cumulative (fun () ->
-      float_of_int (Network.sent net));
-  Timeseries.add_channel ts ~name:"queue_depth_mean" Timeseries.Gauge (fun () ->
-      let n = Array.length t.dtm_cores in
-      if n = 0 then 0.0
-      else begin
-        let sum = ref 0 in
-        Array.iter
-          (fun core -> sum := !sum + Network.pending net ~self:core)
-          t.dtm_cores;
-        float_of_int !sum /. float_of_int n
-      end);
-  let links = (Network.metrics net).Network.per_link in
-  let prev = Array.map Array.copy links in
-  Timeseries.add_channel ts ~name:"link_msgs_max" Timeseries.Gauge (fun () ->
-      let worst = ref 0 in
-      Array.iteri
-        (fun src row ->
-          Array.iteri
-            (fun dst c ->
-              let d = c - prev.(src).(dst) in
-              prev.(src).(dst) <- c;
-              if d > !worst then worst := d)
-            row)
-        links;
-      float_of_int !worst);
-  Timeseries.start ts t.sim;
-  t.timeseries <- Some ts
 
 (* Checker-sink high-water mark: the harness installs a reader over
    whatever collector it attaches (the runtime cannot name the checker

@@ -135,15 +135,6 @@ val span_abort : t -> Tm2c_engine.Span.t
 (** Turn on per-attempt phase attribution. *)
 val enable_profiling : t -> unit
 
-(** The simulated-time sampler, once {!enable_timeseries} has run. *)
-val timeseries : t -> Tm2c_engine.Timeseries.t option
-
-(** Install and start a windowed sampler driven by simulated time
-    (channels: ops, commits, aborts, messages per window; mean DTM
-    queue depth; busiest-link message count). Call before {!run};
-    at most once. *)
-val enable_timeseries : t -> window_ns:float -> unit
-
 (** The flight recorder, once {!enable_recorder} has run. *)
 val recorder : t -> Recorder.t option
 
@@ -153,7 +144,8 @@ val recorder : t -> Recorder.t option
     [out]; [top_k] bounds the per-window link and abort-blame
     listings. Trace events are counted through the trace's second tap
     ([Trace.set_tap]), leaving the primary sink to the checker stack.
-    Call before {!run}; at most once. *)
+    Its per-window rows are the JSON export's time series. Call before
+    {!run}; at most once. *)
 val enable_recorder :
   t -> window_ns:float -> ?out:(string -> unit) -> ?top_k:int -> unit -> unit
 
@@ -234,10 +226,11 @@ val barrier : t -> core:Types.core_id -> unit
     when the watchdog tripped. *)
 val run : t -> ?until:float -> unit -> int
 
-(** Liveness watchdog: every [window_ns] of virtual time, compare
-    total resolved attempts (commits + aborts) with the previous
-    window — aborting counts as progress, so a livelocking run rides
-    to its horizon; only cores blocked forever resolve nothing.
+(** Liveness watchdog: every [window_ns] of virtual time, look for
+    progress since the previous window — an attempt resolving (commit
+    or abort, so a livelocking run rides to its horizon), an operation
+    completing, or an application core computing
+    ({!System.app_compute}); only cores blocked forever show none.
     [stall_windows] consecutive flat windows while spawned processes
     remain unfinished aborts the run early ({!run} returns 0 and
     {!wedged} turns true) instead of burning virtual time to the

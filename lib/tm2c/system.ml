@@ -129,7 +129,17 @@ type env = {
      open-loop driver, empty on closed-loop runs. *)
   e2e_lat : Tm2c_engine.Sketch.t;
   overload : overload;
+  (* Latest end of an application compute step, for the watchdog: a
+     core inside a long computation is busy, not blocked. One cell of a
+     float array, so the store on every compute step allocates no box. *)
+  app_busy_until : float array;
 }
+
+let app_compute env cycles =
+  let d = Tm2c_noc.Network.cycles_ns env.net cycles in
+  let until = Tm2c_engine.Sim.now env.sim +. d in
+  if until > env.app_busy_until.(0) then env.app_busy_until.(0) <- until;
+  Tm2c_engine.Sim.delay d
 
 let local_now env ~core = Tm2c_engine.Sim.now env.sim +. env.skew.(core)
 

@@ -174,7 +174,16 @@ type env = {
           including admission queueing and retries; fed by the
           open-loop driver, empty on closed-loop runs *)
   overload : overload;  (** admission-layer accounting (always on) *)
+  app_busy_until : float array;
+      (** one cell: the latest end of an {!app_compute} step so far.
+          The liveness watchdog counts an application core inside a
+          long computation as progressing, not blocked. *)
 }
+
+(** [app_compute env cycles] charges [cycles] of application-level
+    computation to the calling process (a {!Tm2c_noc.Network.compute})
+    and records its end in [app_busy_until]. *)
+val app_compute : env -> int -> unit
 
 (** A core's local clock reading ([Sim.now] plus its skew). *)
 val local_now : env -> core:Types.core_id -> float

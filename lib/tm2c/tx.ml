@@ -131,7 +131,7 @@ let ph_charge_read ctx ~dst t0 =
 
 let local_now ctx = System.local_now ctx.env ~core:ctx.core
 
-let compute ctx cycles = Network.compute ctx.env.System.net cycles
+let compute ctx cycles = System.app_compute ctx.env cycles
 
 let meta ctx =
   {

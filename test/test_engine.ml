@@ -424,6 +424,75 @@ let test_sim_determinism () =
   in
   check "two identical runs" true (run () = run ())
 
+(* ---- Sim.every ---- *)
+
+(* One tick alone takes exactly the slots of the hand-rolled loop it
+   replaces: same (time, push order) for every event, so the same
+   interleaving, dispatch count and elisions. The workload lands on
+   tick instants from every side — a process delaying onto the edges,
+   callbacks pushed at time 0 and from a callback at run time — and
+   each tick pushes an event onto the next edge, which must run before
+   the next tick (the tick reschedules after its callback). *)
+let test_every_matches_loop () =
+  let run install =
+    let sim = Sim.create () in
+    let log = ref [] in
+    let note who = log := (who, Sim.now sim) :: !log in
+    let on_tick at =
+      note "tick";
+      Sim.schedule sim ~at:(at +. 100.0) (fun () -> note "after tick")
+    in
+    install sim on_tick;
+    Sim.spawn sim (fun () ->
+        for _ = 1 to 6 do
+          Sim.delay 50.0;
+          note "process"
+        done);
+    List.iter
+      (fun at -> Sim.schedule sim ~at (fun () -> note "edge"))
+      [ 100.0; 150.0; 200.0 ];
+    Sim.schedule sim ~at:120.0 (fun () ->
+        note "pusher";
+        Sim.schedule sim ~at:200.0 (fun () -> note "pushed"));
+    let processed = Sim.run sim () in
+    (List.rev !log, processed, Sim.elided sim)
+  in
+  let every sim on_tick =
+    Sim.every sim ~period:100.0 (fun at ->
+        on_tick at;
+        at < 300.0)
+  in
+  let loop sim on_tick =
+    let rec tick at () =
+      on_tick at;
+      if at < 300.0 then Sim.schedule sim ~at:(at +. 100.0) (tick (at +. 100.0))
+    in
+    let first = Sim.now sim +. 100.0 in
+    Sim.schedule sim ~at:first (tick first)
+  in
+  let log_e, processed_e, elided_e = run every in
+  let log_l, processed_l, elided_l = run loop in
+  Alcotest.(check (list (pair string (float 0.0)))) "same interleaving" log_l log_e;
+  check_int "same dispatch count" processed_l processed_e;
+  check_int "same elisions" elided_l elided_e
+
+(* Two ticks that never ask to stop still end a run that drains: each
+   stops once only ticks remain queued. *)
+let test_every_two_ticks_drain () =
+  let sim = Sim.create () in
+  let a = ref 0 and b = ref 0 in
+  Sim.every sim ~period:100.0 (fun _ ->
+      incr a;
+      true);
+  Sim.every sim ~period:100.0 (fun _ ->
+      incr b;
+      true);
+  Sim.spawn sim (fun () -> Sim.delay 250.0);
+  ignore (Sim.run sim ());
+  check_int "first tick stopped after the drain" 3 !a;
+  check_int "second tick stopped too" 3 !b;
+  check_float "clock stopped at the last tick" 300.0 (Sim.now sim)
+
 (* ---- Mailbox ---- *)
 
 let test_mailbox_fifo () =
@@ -705,6 +774,8 @@ let suite =
     ("sim: suspend/resume", `Quick, test_sim_suspend_resume);
     ("sim: effects outside process", `Quick, test_sim_outside_process);
     ("sim: deterministic", `Quick, test_sim_determinism);
+    ("sim: one every tick = hand-rolled loop", `Quick, test_every_matches_loop);
+    ("sim: two every ticks stop on drain", `Quick, test_every_two_ticks_drain);
     ("mailbox: FIFO", `Quick, test_mailbox_fifo);
     ("mailbox: send_at", `Quick, test_mailbox_send_at);
     ("mailbox: try_recv", `Quick, test_mailbox_try_recv);

@@ -16,13 +16,8 @@ let micro_scale =
     mr_sizes_kb = [ 64 ];
   }
 
-(* Capture stdout while running an experiment and sanity-check it. *)
-let run_capturing id =
-  let exp =
-    match Harness.find id with
-    | Some e -> e
-    | None -> Alcotest.failf "experiment %s not registered" id
-  in
+(* Run [f] with stdout captured; returns its result and the output. *)
+let capturing_stdout f =
   let tmp = Filename.temp_file "tm2c-harness" ".out" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let saved = Unix.dup Unix.stdout in
@@ -34,17 +29,29 @@ let run_capturing id =
     Unix.close saved;
     Unix.close fd
   in
-  (match exp.Harness.run micro_scale with
-  | () -> restore ()
-  | exception e ->
-      restore ();
-      raise e);
+  let result =
+    match f () with
+    | v ->
+        restore ();
+        v
+    | exception e ->
+        restore ();
+        raise e
+  in
   let ic = open_in tmp in
   let len = in_channel_length ic in
   let out = really_input_string ic len in
   close_in ic;
   Sys.remove tmp;
-  out
+  (result, out)
+
+let run_capturing id =
+  let exp =
+    match Harness.find id with
+    | Some e -> e
+    | None -> Alcotest.failf "experiment %s not registered" id
+  in
+  snd (capturing_stdout (fun () -> exp.Harness.run micro_scale))
 
 let test_experiment id () =
   let out = run_capturing id in
@@ -75,6 +82,26 @@ let test_fig6a_durations () =
             && r.Tm2c_apps.Workload.duration_ms < 1e13 /. 1e6))
         Fig6.fig6a_cores)
     micro_scale.Exp.mr_sizes_kb
+
+(* Regression: with --json and --check, fig4b (whose sequential
+   baseline runs no transactions) and fig6a (whose MapReduce runs
+   drain, one chunk computation spanning many watchdog windows) once
+   never finished — the recorder's and the sampler's ticks kept each
+   other alive — and the watchdog took both for wedges. *)
+let test_json_check_terminates () =
+  let json = Filename.temp_file "tm2c-harness" ".json" in
+  let failures, _ =
+    capturing_stdout (fun () ->
+        Harness.run_ids ~json ~check:true [ "fig4b"; "fig6a" ] micro_scale)
+  in
+  let doc = Json.of_file json in
+  Sys.remove json;
+  Alcotest.(check int) "no violations, no wedged runs" 0 failures;
+  Alcotest.(check int)
+    "both experiments exported" 2
+    (match Json.path [ "experiments" ] doc with
+    | Some l -> List.length (Json.to_list_exn l)
+    | None -> 0)
 
 let test_registry () =
   let ids = List.map (fun e -> e.Harness.id) Harness.all in
@@ -108,6 +135,7 @@ let suite =
     ("fig5a", `Slow, test_experiment "fig5a");
     ("fig5c", `Slow, test_experiment "fig5c");
     ("fig6a", `Slow, test_experiment "fig6a");
+    ("fig4b + fig6a with --json --check terminate", `Slow, test_json_check_terminates);
     ("fig7a", `Slow, test_experiment "fig7a");
     ("fig8c", `Slow, test_experiment "fig8c");
     ("ablations", `Slow, test_experiment "ablations");

@@ -1,5 +1,6 @@
-(* The analysis layer: phase attribution (Span), the simulated-time
-   sampler (Timeseries), and the Perfetto timeline exporter. *)
+(* The analysis layer: phase attribution (Span), the flight
+   recorder's per-window rows (the exported time series) on
+   [Sim.every] ticks, and the Perfetto timeline exporter. *)
 
 open Tm2c_engine
 open Tm2c_core
@@ -78,52 +79,56 @@ let test_span_disabled () =
   done;
   check_int "nothing accumulated when disabled" 0 !total
 
-(* ---- time-series sampler ---- *)
+(* ---- time series: recorder rows on Sim.every ticks ---- *)
 
-(* Window-boundary exactness: increments at 50/100/150/200/250 with a
+(* Window-boundary exactness: commits at 50/100/150/200/250 with a
    100ns window. Ticks fire at 100/200/300; the simulator's FIFO
    tie-break puts the first edge increment after tick 1 (the tick was
    scheduled earlier) and the second edge increment before tick 2 (it
    was scheduled before the tick existed) — either way each edge event
    lands in exactly ONE window, because consecutive deltas of one
-   counter partition its growth. *)
+   counter partition its growth. The level gauge is a second
+   [Sim.every] tick installed right behind the recorder's: the two stay
+   adjacent, so it reads the state each row saw. *)
 let test_timeseries_windows () =
-  let sim = Sim.create () in
-  let counter = ref 0 in
-  let ts = Timeseries.create ~window_ns:100.0 in
-  Timeseries.add_channel ts ~name:"count" Timeseries.Cumulative (fun () ->
-      float_of_int !counter);
-  Timeseries.add_channel ts ~name:"level" Timeseries.Gauge (fun () ->
-      float_of_int !counter);
-  Timeseries.start ts sim;
+  let t = Runtime.create (Exp.config ~total:8 ()) in
+  let sim = Runtime.sim t in
+  let cstats = Stats.core (Runtime.stats t) 0 in
+  Runtime.enable_recorder t ~window_ns:100.0 ();
+  let levels = ref [] in
+  Sim.every sim ~period:100.0 (fun _ ->
+      levels := float_of_int cstats.Stats.commits :: !levels;
+      true);
   List.iter
-    (fun at -> Sim.schedule sim ~at (fun () -> incr counter))
+    (fun at ->
+      Sim.schedule sim ~at (fun () -> cstats.Stats.commits <- cstats.Stats.commits + 1))
     [ 50.0; 100.0; 150.0; 200.0; 250.0 ];
   ignore (Sim.run sim ());
-  (* The sampler stopped itself once it was alone (Sim.run returned at
+  (* Both ticks stopped once they were alone (Sim.run returned at
      all), after the window covering the last increment. *)
-  check_int "windows" 3 (Timeseries.n_windows ts);
+  let r = Option.get (Runtime.recorder t) in
+  check_int "windows" 3 (Recorder.series_length r);
   Alcotest.(check (array (float 0.0)))
-    "window-end times" [| 100.0; 200.0; 300.0 |] (Timeseries.times ts);
-  (match Timeseries.channels ts with
-  | [ ("count", Timeseries.Cumulative, deltas); ("level", Timeseries.Gauge, levels) ]
-    ->
+    "window-end times" [| 100.0; 200.0; 300.0 |] (Recorder.series_times r);
+  (match List.find_opt (fun (name, _, _) -> name = "commits") (Recorder.series r) with
+  | Some (_, Recorder.Cumulative, deltas) ->
       Alcotest.(check (array (float 0.0))) "per-window deltas" [| 1.0; 3.0; 1.0 |] deltas;
       check "deltas conserve the total" true
-        (Array.fold_left ( +. ) 0.0 deltas = float_of_int !counter);
-      Alcotest.(check (array (float 0.0))) "gauge levels" [| 1.0; 4.0; 5.0 |] levels
+        (Array.fold_left ( +. ) 0.0 deltas = float_of_int cstats.Stats.commits)
   | _ -> Alcotest.fail "unexpected channel shape");
-  check_int "all increments ran" 5 !counter
+  Alcotest.(check (array (float 0.0)))
+    "gauge levels" [| 1.0; 4.0; 5.0 |] (Array.of_list (List.rev !levels));
+  check_int "all increments ran" 5 cstats.Stats.commits
 
-(* A sampler on an otherwise-empty simulation records nothing and does
-   not keep the run alive. *)
+(* A recorder on an otherwise-empty simulation records one window and
+   does not keep the run alive. *)
 let test_timeseries_idle () =
-  let sim = Sim.create () in
-  let ts = Timeseries.create ~window_ns:100.0 in
-  Timeseries.add_channel ts ~name:"x" Timeseries.Gauge (fun () -> 0.0);
-  Timeseries.start ts sim;
+  let t = Runtime.create (Exp.config ~total:8 ()) in
+  let sim = Runtime.sim t in
+  Runtime.enable_recorder t ~window_ns:100.0 ();
   ignore (Sim.run sim ());
-  check_int "one window then stop" 1 (Timeseries.n_windows ts);
+  check_int "one window then stop" 1
+    (Recorder.series_length (Option.get (Runtime.recorder t)));
   check "clock did not run away" true (Sim.now sim <= 100.0)
 
 (* ---- Perfetto export ---- *)
@@ -273,7 +278,7 @@ let test_run_json_v2 () =
   let cfg = Exp.config ~total:8 ~policy:Cm.Fair_cm () in
   let t = Runtime.create cfg in
   Runtime.enable_profiling t;
-  Runtime.enable_timeseries t ~window_ns:1e5;
+  Runtime.enable_recorder t ~window_ns:1e5 ();
   let bank = Bank.create t ~accounts:32 ~initial:1000 in
   let r = Workload.drive t ~duration_ns:1.5e6 (Exp.bank_mix bank ~balance:20) in
   let v = Json.of_string (Json.to_string (Report.run_json t r)) in
