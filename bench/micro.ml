@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the host-side primitives underlying
    the simulator and the TM2C protocol: event heap, PRNG, lock table,
-   contention-manager decisions, and a small end-to-end simulation. *)
+   contention-manager decisions, history-log lines, and a small
+   end-to-end simulation. *)
 
 open Bechamel
 open Toolkit
@@ -74,9 +75,43 @@ let bench_tm2c =
         (Runtime.app_cores t);
       ignore (Runtime.run t ())))
 
+(* One event per row of the description table, with mid-sized
+   integers and timestamps whose fractions fill most of a hex float,
+   as in a long run's log. *)
+let histlog_events =
+  List.mapi
+    (fun i (k : Event.kind) ->
+      let value (name, (ty : Event.ty)) : Event.value =
+        match ty with
+        | T_int -> Int (1000 + (37 * i))
+        | T_float -> Float (1234.567 *. float_of_int (i + 1))
+        | T_bool -> Bool (i mod 2 = 0)
+        | T_ints -> Ints [ 4096 + i; 8192 + i; 12288 + i ]
+        | T_str -> (
+            match name with
+            | "conflict" -> Str (Types.conflict_to_string Types.Raw)
+            | "reason" -> Str (Types.shed_reason_to_string Types.Shed_queue_full)
+            | _ -> Str "read")
+      in
+      ( 3.9e7 +. (0.3 *. float_of_int i),
+        Result.get_ok (Event.of_fields k.tag (List.map value k.fields)) ))
+    Event.kinds
+
+(* One run writes every row's line, so ns per line is the row's time
+   over [List.length Event.kinds]. *)
+let bench_histlog =
+  Test.make_with_resource ~name:"histlog-put" Test.uniq
+    ~allocate:(fun () -> Tm2c_check.Histlog.create_writer Filename.null)
+    ~free:Tm2c_check.Histlog.close_writer
+    (Staged.stage (fun w ->
+         List.iter (fun (t, ev) -> Tm2c_check.Histlog.put w t ev) histlog_events))
+
 let tests =
   Test.make_grouped ~name:"tm2c"
-    [ bench_heap; bench_prng; bench_locktable; bench_cm; bench_sim; bench_tm2c ]
+    [
+      bench_heap; bench_prng; bench_locktable; bench_cm; bench_histlog; bench_sim;
+      bench_tm2c;
+    ]
 
 let run () =
   let ols =

@@ -24,27 +24,88 @@ let header = "# tm2c-history v5"
 
 let footer_prefix = "# events "
 
-(* The runtime primitive behind Printf's "%h" (a negative precision
-   prints as many hex digits as the value needs, sign char '-' means
-   "sign only when negative"): the same bytes without interpreting a
-   format per float. *)
-external hexstring_of_float : float -> int -> char -> string
-  = "caml_hexstring_of_float"
+(* Numbers are written straight into the line buffer, with no format
+   interpreted and no intermediate string: integers as [string_of_int]
+   prints them, floats as Printf's "%h" does. The loops are top-level
+   functions, so a line allocates nothing beyond [Event.describe]'s
+   field list. *)
 
-let add_float buf x = Buffer.add_string buf (hexstring_of_float x (-1) '-')
+(* Decimal digits of a non-positive [m], most significant first
+   (OCaml's [mod] keeps the sign of the dividend). *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.chr (48 - (m mod 10)))
 
-let add_token buf (v : Event.value) =
-  match v with
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float x -> add_float buf x
-  | Bool b -> Buffer.add_char buf (if b then '1' else '0')
-  | Str s -> Buffer.add_string buf s
-  | Ints l ->
-      List.iteri
-        (fun i n ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int n))
-        l
+(* Byte for byte [string_of_int n]: the digits come from the
+   non-positive value, so [min_int] needs no special case. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+let rec add_ints buf = function
+  | [] -> ()
+  | [ n ] -> add_int buf n
+  | n :: rest ->
+      add_int buf n;
+      Buffer.add_char buf ',';
+      add_ints buf rest
+
+let hex_digits = "0123456789abcdef"
+
+(* The fraction's nibbles from bit [shift] down, into [d] from [pos],
+   stopping after the last nonzero one; returns the end position. *)
+let rec set_nibbles d pos shift f =
+  Bytes.set d pos hex_digits.[f lsr shift];
+  let f = f land ((1 lsl shift) - 1) in
+  if f <> 0 then set_nibbles d (pos + 1) (shift - 4) f else pos + 1
+
+(* "%h" from the IEEE-754 bits: [-]0x1[.fraction]p<+-exponent> for
+   normals, [-]0x0.<fraction>p-1022 for subnormals, [-]0x0p+0 for
+   zeros, the 52-bit fraction a nibble at a time with trailing zero
+   nibbles dropped. The digits up to the 'p' are set in the scratch
+   [d], whose "0x" prefix [make_writer] wrote, and appended in one
+   call. A non-finite value has no line the reader accepts, so it is
+   refused here, where its record and field are still known. *)
+let add_float buf d tag field x =
+  (* [Int64.to_int] keeps the low 63 bits: exponent and fraction. *)
+  let bits = Int64.to_int (Int64.bits_of_float x) in
+  let biased = (bits lsr 52) land 0x7ff in
+  let frac = bits land 0xf_ffff_ffff_ffff in
+  if biased = 0x7ff then
+    invalid_arg
+      (Printf.sprintf "Histlog.put: non-finite %s %h in a %s record" field x tag);
+  if Float.sign_bit x then Buffer.add_char buf '-';
+  Bytes.set d 2 (if biased = 0 then '0' else '1');
+  let pos =
+    if frac = 0 then 3
+    else begin
+      Bytes.set d 3 '.';
+      set_nibbles d 4 48 frac
+    end
+  in
+  Bytes.set d pos 'p';
+  Buffer.add_subbytes buf d 0 (pos + 1);
+  let exp = if biased > 0 then biased - 1023 else if frac = 0 then 0 else -1022 in
+  if exp >= 0 then Buffer.add_char buf '+';
+  add_int buf exp
+
+(* The row's field names travel beside the values only to name the
+   field a non-finite float came from. *)
+let rec add_fields buf d tag fields (vs : Event.value list) =
+  match (fields, vs) with
+  | (name, _) :: fields, v :: vs ->
+      Buffer.add_char buf ' ';
+      (match v with
+      | Int n -> add_int buf n
+      | Float x -> add_float buf d tag name x
+      | Bool b -> Buffer.add_char buf (if b then '1' else '0')
+      | Str s -> Buffer.add_string buf s
+      | Ints l -> add_ints buf l);
+      add_fields buf d tag fields vs
+  | _ -> ()
 
 (* Streaming writer: header up front, one line per event, count
    footer on close. Each line is assembled in [w_buf] and handed to
@@ -52,13 +113,20 @@ let add_token buf (v : Event.value) =
 type writer = {
   w_oc : out_channel;
   w_buf : Buffer.t;
+  w_digits : Bytes.t;  (* [add_float]'s scratch: "0x1." + 13 nibbles + 'p' *)
   mutable w_count : int;
   w_owns : bool;
 }
 
 let make_writer oc ~owns =
   Printf.fprintf oc "%s\n" header;
-  { w_oc = oc; w_buf = Buffer.create 128; w_count = 0; w_owns = owns }
+  {
+    w_oc = oc;
+    w_buf = Buffer.create 128;
+    w_digits = Bytes.of_string "0x1.0000000000000p";
+    w_count = 0;
+    w_owns = owns;
+  }
 
 let writer_of_channel oc = make_writer oc ~owns:false
 
@@ -68,14 +136,10 @@ let put w time ev =
   let buf = w.w_buf in
   let k, vs = Event.describe ev in
   Buffer.clear buf;
-  add_float buf time;
+  add_float buf w.w_digits k.Event.tag "timestamp" time;
   Buffer.add_char buf ' ';
   Buffer.add_string buf k.Event.tag;
-  List.iter
-    (fun v ->
-      Buffer.add_char buf ' ';
-      add_token buf v)
-    vs;
+  add_fields buf w.w_digits k.Event.tag k.Event.fields vs;
   Buffer.add_char buf '\n';
   Buffer.output_buffer w.w_oc buf;
   w.w_count <- w.w_count + 1

@@ -8,7 +8,10 @@
     Each record's tag and columns come from the event description
     table ([Event.describe]); a malformed field — including a
     non-finite number or an unknown conflict or shed-reason label —
-    fails with its line number.
+    fails with its line number. The writer prints every number
+    itself, byte for byte as [string_of_int] and Printf's ["%h"]
+    would, and refuses a non-finite float, so it never writes a line
+    the reader rejects.
 
     Logs end with an ["# events N"] footer: the streaming writer
     stamps it on close, and readers verify it when present, so a
@@ -31,6 +34,8 @@ val writer_of_channel : out_channel -> writer
 
 val create_writer : string -> writer
 
+(** Raises [Invalid_argument] naming the record's tag and the field
+    when the timestamp or a float field is NaN or infinite. *)
 val put : writer -> float -> Event.t -> unit
 
 (** Events appended so far. *)

@@ -518,6 +518,145 @@ let histlog_roundtrip_prop =
           Histlog.save path (Check.iter_of_list events);
           Histlog.load path = events))
 
+(* The writer prints numbers without Printf: each line it writes must
+   be byte for byte the line Printf's "%h" and "%d" give, and each
+   written float must parse back to the same bits. *)
+let put_lines events =
+  let path = Filename.temp_file "tm2c_hist" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          let w = Histlog.writer_of_channel oc in
+          List.iter (fun (t, ev) -> Histlog.put w t ev) events;
+          Histlog.close_writer w);
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.map (fun l -> l ^ "\n"))
+
+let reference_line (t, ev) =
+  match (ev : Event.t) with
+  | Tx_committed { core; attempt; duration_ns } ->
+      Printf.sprintf "%h COM %d %d %h\n" t core attempt duration_ns
+  | Host_write { addr; value } -> Printf.sprintf "%h HW %d %d\n" t addr value
+  | Wlock_granted { core; addrs } ->
+      Printf.sprintf "%h WLK %d %s\n" t core
+        (String.concat "," (List.map string_of_int addrs))
+  | _ -> Alcotest.fail "no reference for this event"
+
+let gen_bits_float =
+  let open QCheck.Gen in
+  (* sign, biased exponent below 0x7ff (finite), 52-bit fraction *)
+  let+ neg = bool and+ biased = int_range 0 0x7fe and+ frac = ui64 in
+  let frac = Int64.logand frac 0xf_ffff_ffff_ffffL in
+  let bits = Int64.logor (Int64.shift_left (Int64.of_int biased) 52) frac in
+  Int64.float_of_bits (if neg then Int64.logor bits Int64.min_int else bits)
+
+let gen_edge_float =
+  let open QCheck.Gen in
+  let subnormal =
+    let+ frac = ui64 in
+    Int64.float_of_bits (Int64.logand frac 0xf_ffff_ffff_ffffL)
+  in
+  let+ x =
+    oneof
+      [
+        subnormal;
+        oneofl
+          [
+            0.0; Float.min_float; Float.max_float; 5e-324;
+            Float.pred Float.min_float; Float.succ 0.0; 1.0; 0.5; Float.epsilon;
+            4e7; Float.succ 4e7;
+          ];
+      ]
+  and+ neg = bool in
+  if neg then Float.neg x else x
+
+let gen_parity_int =
+  let open QCheck.Gen in
+  let pow10 = List.init 19 (fun k -> int_of_float (10. ** float_of_int k)) in
+  let+ n =
+    oneof
+      [
+        int;
+        oneofl ([ min_int; max_int; 0; 1; -1 ] @ pow10 @ List.map pred pow10);
+      ]
+  and+ neg = bool in
+  if neg && n <> min_int then -n else n
+
+let gen_parity_event =
+  let open QCheck.Gen in
+  let fl = oneof [ gen_bits_float; gen_edge_float ] and n = gen_parity_int in
+  let ev =
+    oneof
+      [
+        (let+ core = n and+ attempt = n and+ duration_ns = fl in
+         Event.Tx_committed { core; attempt; duration_ns });
+        (let+ addr = n and+ value = n in Event.Host_write { addr; value });
+        (let+ core = n
+         and+ addrs = oneof [ return []; list_size (int_range 1 4) n; list_size (return 300) n ]
+         in
+         Event.Wlock_granted { core; addrs });
+      ]
+  in
+  pair fl ev
+
+let histlog_put_parity_prop =
+  QCheck.Test.make ~name:"histlog put prints like %h and %d" ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) gen_parity_event)
+       ~print:(fun evs -> String.concat "" (List.map reference_line evs)))
+    (fun events ->
+      List.for_all2
+        (fun line ((t, ev) as e) ->
+          let tokens = Array.of_list (String.split_on_char ' ' (String.trim line)) in
+          let floats =
+            (tokens.(0), t)
+            ::
+            (match (ev : Event.t) with
+            | Tx_committed { duration_ns; _ } -> [ (tokens.(4), duration_ns) ]
+            | _ -> [])
+          in
+          line = reference_line e
+          && List.for_all
+               (fun (s, x) ->
+                 Int64.equal
+                   (Int64.bits_of_float (float_of_string s))
+                   (Int64.bits_of_float x))
+               floats)
+        (put_lines events) events)
+
+(* The writer refuses what the reader refuses: a non-finite float
+   raises at [put], naming the record and the field. *)
+let test_histlog_put_refuses_nonfinite () =
+  let refused t ev =
+    match put_lines [ (t, ev) ] with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  List.iter
+    (fun (what, t, ev, field) ->
+      match refused t ev with
+      | Some msg ->
+          check (what ^ " names the record") true (contains msg "EXP");
+          check (what ^ " names the field") true (contains msg field)
+      | None -> Alcotest.failf "%s written" what)
+    [
+      ( "nan waited_ns",
+        1.0,
+        Event.Req_expired { core = 1; tenant = 0; waited_ns = Float.nan },
+        "waited_ns" );
+      ( "infinite waited_ns",
+        1.0,
+        Event.Req_expired { core = 1; tenant = 0; waited_ns = Float.neg_infinity },
+        "waited_ns" );
+      ( "infinite timestamp",
+        Float.infinity,
+        Event.Req_expired { core = 1; tenant = 0; waited_ns = 1.0 },
+        "timestamp" );
+    ]
+
 (* Every constructor has its generator and its own table row, and the
    recorder's allocation-free index points at the row [describe]
    returns. *)
@@ -586,6 +725,9 @@ let suite =
     Alcotest.test_case "lock index: re-granted read freed once" `Quick
       test_lock_index_regranted_read_entry;
     QCheck_alcotest.to_alcotest histlog_roundtrip_prop;
+    QCheck_alcotest.to_alcotest histlog_put_parity_prop;
+    Alcotest.test_case "histlog put refuses non-finite floats" `Quick
+      test_histlog_put_refuses_nonfinite;
     Alcotest.test_case "event table has one row per constructor" `Quick
       test_event_table;
     Alcotest.test_case "liveness budget" `Quick test_liveness_budget;
