@@ -138,7 +138,7 @@ let report t (r : Workload.result) =
       (Tm2c_engine.Sketch.percentile cl 99.9)
       (Tm2c_engine.Sketch.max_value cl);
   if Runtime.sink_high_water t > 0 then
-    Printf.printf "trace sink    %10d events held (high water)\n"
+    Printf.printf "trace sink    %10d checker graph nodes held (high water)\n"
       (Runtime.sink_high_water t);
   List.iter
     (fun s ->

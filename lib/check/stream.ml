@@ -21,23 +21,23 @@
      for every in-neighbor p and out-neighbor s of the retired node,
      a synthetic p -> s edge preserves reachability, so a cycle
      through retired transactions is still a cycle.
+   - A closed node with no in-edge whose publish is at or below the
+     watermark also retires, pinned or not, without path compression
+     (the SGT deletion rule of Hadzilacos and Yannakakis): nothing can
+     add an edge into it any more, so no cycle can pass through it.
+     This is the exit for read-only attempts awaiting an RW edge on an
+     address no one rewrites and for last writers never overwritten.
 
    Per-event cost follows the state the event touches, not the
    window. The periodic sweep ([gc], every [gc_interval] events)
-   visits two work lists kept up to date as events arrive — the
-   addresses holding more than one retained version, and the nodes
-   that closed unpinned or lost their last pin since the previous
-   sweep — so it costs O(multi-version addresses + candidates); no
+   visits work lists kept up to date as events arrive — the addresses
+   holding more than one retained version, the nodes that closed
+   unpinned or lost their last pin since the previous sweep, the
+   closed nodes that have or were just left with no in-edge, and the
+   awaits of the sources it retires — so it costs O(work lists); no
    table is traversed until [finish]. The lockset shadow likewise
    drops a core's locks through its own grant list, in O(locks the
    core was granted).
-
-   Two documented residues can grow with the workload (not the run
-   length): the RW await list of an address that is read but never
-   transactionally written again, and the pinned last-writer node of
-   an address never rewritten. Both are bounded by the address
-   working set; the contended workloads the streaming checker targets
-   rewrite their hot addresses continuously.
 
    Verdict equivalence with the batch oracle ([Check.run]) is exact
    on protocol-respecting traces and on the seeded fault/mutation
@@ -91,17 +91,6 @@ type gedge = {
   ge_seq : int;
 }
 
-type node = {
-  n_id : int;
-  n_core : Types.core_id;
-  n_attempt : int;
-  n_pub_time : float;
-  mutable n_open : bool;  (* attempt not yet closed *)
-  mutable n_pins : int;  (* retained versions + awaits + last-writer *)
-  mutable n_out : gedge list;
-  mutable n_in : int list;  (* predecessor ids, for path compression *)
-}
-
 (* A retained version of one address; [sv_writer = -1] marks the
    lazily-bound initial version and external host writes. *)
 type sversion = {
@@ -115,6 +104,20 @@ type astate = {
   mutable await : (int * int) list;  (* (reader node, r_seq) pending RW *)
   mutable last_writer : int;  (* most recent transactional writer, -1 none *)
   mutable listed : bool;  (* in [t.multi]: holds more than one version *)
+}
+
+type node = {
+  n_id : int;
+  n_core : Types.core_id;
+  n_attempt : int;
+  n_pub_time : float;
+  n_pub_seq : int;
+  mutable n_open : bool;  (* attempt not yet closed *)
+  mutable n_pins : int;  (* retained versions + awaits + last-writer *)
+  mutable n_out : gedge list;
+  mutable n_in : int list;  (* predecessor ids *)
+  mutable n_awaits : astate list;  (* addresses holding its RW awaits *)
+  mutable n_seen : int;  (* last cycle search that visited it *)
 }
 
 type chain = { mutable c_len : int }
@@ -132,9 +135,12 @@ type t = {
      retained version, the only ones pruning can shorten. [candidates]:
      nodes seen closed and unpinned since the last sweep (possibly
      repinned, retired or listed twice since), a superset of the
-     retirable set. *)
+     retirable set. [sources]: nodes seen closed with no in-edge, or
+     whose last in-edge a retirement removed, and closed sources still
+     waiting for the watermark to pass their publish. *)
   mutable multi : astate list;
   mutable candidates : int list;
+  mutable sources : int list;
   pub_node : (Types.core_id, int) Hashtbl.t;  (* open published attempt *)
   mutable next_id : int;
   mutable horizon : float;
@@ -154,6 +160,7 @@ type t = {
   mutable stuck : Types.core_id list;
   mutable finishing : bool;
   mutable since_gc : int;
+  mutable searches : int;  (* cycle searches so far, the visit stamp *)
   mutable peak_nodes : int;  (* high-water of live graph nodes *)
   mutable fin_anomalies : History.anomaly list;
   mutable fin_lockset : Lockset.report option;
@@ -164,11 +171,6 @@ let label n =
   Printf.sprintf "T%d[core %d attempt %d, published @%.0fns]" n.n_id n.n_core
     n.n_attempt n.n_pub_time
 
-let pin t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n.n_pins <- n.n_pins + 1
-  | None -> ()
-
 (* A node becomes retirable only by its last unpin or by closing
    while unpinned; both moments list it for the next sweep. *)
 let unpin t id =
@@ -178,9 +180,12 @@ let unpin t id =
       if n.n_pins <= 0 && not n.n_open then t.candidates <- id :: t.candidates
   | None -> ()
 
+(* Closing is also the first moment a node can be a retirable source;
+   in-edges its own reads add right after are caught by the sweep. *)
 let close_node t n =
   n.n_open <- false;
-  if n.n_pins <= 0 then t.candidates <- n.n_id :: t.candidates
+  if n.n_pins <= 0 then t.candidates <- n.n_id :: t.candidates;
+  if n.n_in = [] then t.sources <- n.n_id :: t.sources
 
 let push_version t st v =
   if not st.listed then begin
@@ -208,15 +213,14 @@ let astate_of t addr =
    source; out-lists are insertion-ordered, so the search is
    deterministic. Depth is bounded by the live window. *)
 let check_cycle t u_id v_id closing =
-  let visited = Hashtbl.create 64 in
+  t.searches <- t.searches + 1;
+  let stamp = t.searches in
   let rec go id =
     if id = u_id then Some []
-    else if Hashtbl.mem visited id then None
-    else begin
-      Hashtbl.add visited id ();
+    else
       match Hashtbl.find_opt t.nodes id with
-      | None -> None
-      | Some n ->
+      | Some n when n.n_seen <> stamp ->
+          n.n_seen <- stamp;
           let rec try_edges = function
             | [] -> None
             | e :: rest -> (
@@ -225,7 +229,7 @@ let check_cycle t u_id v_id closing =
                 | None -> try_edges rest)
           in
           try_edges n.n_out
-    end
+      | Some _ | None -> None
   in
   match go v_id with
   | None -> ()
@@ -265,6 +269,19 @@ let add_edge t ~synthetic from_id to_id kind addr seq =
         end
     | _ -> ()
 
+(* Drop a retiring node from its successors' in-lists; a successor
+   left with none may now be a retirable source. *)
+let unlink_out t n =
+  List.iter
+    (fun e ->
+      match Hashtbl.find_opt t.nodes e.ge_to with
+      | None -> ()
+      | Some s ->
+          s.n_in <- List.filter (fun x -> x <> n.n_id) s.n_in;
+          if s.n_in = [] then t.sources <- s.n_id :: t.sources)
+    n.n_out;
+  Hashtbl.remove t.nodes n.n_id
+
 let retire t id =
   match Hashtbl.find_opt t.nodes id with
   | None -> ()
@@ -285,13 +302,37 @@ let retire t id =
                           pe.ge_addr pe.ge_seq)
                     n.n_out))
         n.n_in;
-      List.iter
-        (fun e ->
-          match Hashtbl.find_opt t.nodes e.ge_to with
-          | None -> ()
-          | Some s -> s.n_in <- List.filter (fun x -> x <> id) s.n_in)
-        n.n_out;
-      Hashtbl.remove t.nodes id
+      unlink_out t n
+
+(* The second exit (the SGT deletion rule): a closed node with no
+   in-edge whose publish is at or below the watermark. An edge into a
+   closed node needs a later reader resolving to a version older than
+   the node's, and the sweep has just pruned those, so no future cycle
+   can pass through it: it leaves without path compression. Its awaits
+   and last-writer role only ever add out-edges: the awaits leave with
+   it, a stale last-writer id is ignored like any retired one. Sources
+   not yet past the watermark wait on the list for a later sweep. *)
+let retire_sources t wm =
+  let waiting = ref [] in
+  while t.sources <> [] do
+    let due = List.sort_uniq Int.compare t.sources in
+    t.sources <- [];
+    List.iter
+      (fun id ->
+        match Hashtbl.find_opt t.nodes id with
+        | Some n when (not n.n_open) && n.n_in = [] ->
+            if n.n_pub_seq > wm then waiting := id :: !waiting
+            else begin
+              List.iter
+                (fun st ->
+                  st.await <- List.filter (fun (rid, _) -> rid <> id) st.await)
+                n.n_awaits;
+              unlink_out t n
+            end
+        | Some _ | None -> ())
+      due
+  done;
+  t.sources <- !waiting
 
 let gc t =
   t.since_gc <- 0;
@@ -330,7 +371,8 @@ let gc t =
       match Hashtbl.find_opt t.nodes id with
       | Some n when (not n.n_open) && n.n_pins <= 0 -> retire t id
       | Some _ | None -> ())
-    due
+    due;
+  retire_sources t wm
 
 (* --- Versioned-memory installation and read resolution. --- *)
 
@@ -346,10 +388,13 @@ let install t (a : History.attempt) pub =
       n_core = a.History.a_core;
       n_attempt = a.History.a_number;
       n_pub_time = a.History.a_publish_time;
+      n_pub_seq = pub;
       n_open = true;
       n_pins = 0;
       n_out = [];
       n_in = [];
+      n_awaits = [];
+      n_seen = 0;
     }
   in
   Hashtbl.replace t.nodes id n;
@@ -422,9 +467,8 @@ let resolve (vs : sversion array) (r : History.read) =
   end
 
 let close_serialized t id (a : History.attempt) =
-  (match Hashtbl.find_opt t.nodes id with
-  | Some n -> close_node t n
-  | None -> ());
+  let node = Hashtbl.find_opt t.nodes id in
+  (match node with Some n -> close_node t n | None -> ());
   if a.History.a_elastic then
     t.reads_skipped <- t.reads_skipped + List.length a.History.a_reads
   else
@@ -459,7 +503,11 @@ let close_serialized t id (a : History.attempt) =
                 (* No transactional overwrite yet: the RW edge fires
                    when (if) one installs. *)
                 st.await <- (id, r.History.r_seq) :: st.await;
-                pin t id))
+                match node with
+                | Some n ->
+                    n.n_pins <- n.n_pins + 1;
+                    n.n_awaits <- st :: n.n_awaits
+                | None -> ()))
       a.History.a_reads
 
 let versions_of t addr =
@@ -558,6 +606,7 @@ let create ?(liveness_budget = Check.default_liveness_budget)
       addrs = Hashtbl.create 256;
       multi = [];
       candidates = [];
+      sources = [];
       pub_node = Hashtbl.create 64;
       next_id = 0;
       horizon = 0.0;
@@ -577,6 +626,7 @@ let create ?(liveness_budget = Check.default_liveness_budget)
       stuck = [];
       finishing = false;
       since_gc = 0;
+      searches = 0;
       peak_nodes = 0;
       fin_anomalies = [];
       fin_lockset = None;

@@ -9,7 +9,8 @@
     garbage-collection watermark (the minimum start sequence over
     still-open attempts) are pruned, and serialization-graph nodes are
     retired with path compression once nothing can induce a new edge
-    through them.
+    through them, or without it once they are closed sources published
+    at or below the watermark.
 
     Verdicts are structurally comparable with the batch oracle via
     {!verdict_of_result}; the differential test battery drives both
