@@ -123,16 +123,21 @@ let zipf_draw prng cdf =
 (* One logical request, as the client sees it: it stays open across
    shed-retries and timeout resubmissions until its first completion
    ([l_done]), its retry budget runs out ([l_failed]), or the run
-   stops. Queue entries reference it by table index, so an execution
-   can tell first completion from retry-manufactured duplicate work. *)
+   stops. Queue entries name it by its slot in the driver's request
+   table (the admission payload), so an execution can tell first
+   completion from retry-manufactured duplicate work. [l_queued]
+   counts the admitted entries that still name the slot — queued, or
+   taken by a worker that has not finished with it. *)
 type lreq = {
   l_core : Types.core_id;
   l_tenant : int;
   l_key : int;
   l_arrival_ns : float;
+  l_slot : int;
   mutable l_done : bool;
   mutable l_failed : bool;
   mutable l_retries : int;
+  mutable l_queued : int;
 }
 
 let drive rt cfg =
@@ -153,42 +158,84 @@ let drive rt cfg =
     (Runtime.labeled_prng rt ~label:"openloop-populate")
     ~n:(cfg.key_range / 2) ~key_range:cfg.key_range;
   let cdf = zipf_cdf ~s:cfg.zipf_s ~n:cfg.key_range in
-  (* Request table (grow-only; indices are admission payloads). *)
+  (* Request table: a slot per request that is open or still named by
+     an admission entry, so it is sized by the window's open requests,
+     not by every request the run has made. A slot returns to the
+     free stack once its request is closed and no entry names it. *)
+  let dummy_req =
+    {
+      l_core = -1;
+      l_tenant = 0;
+      l_key = 0;
+      l_arrival_ns = 0.0;
+      l_slot = -1;
+      l_done = true;
+      l_failed = false;
+      l_retries = 0;
+      l_queued = 0;
+    }
+  in
   let reqs = ref [||] in
-  let n_reqs = ref 0 in
-  let add_req r =
-    if !n_reqs = Array.length !reqs then begin
-      let bigger = Array.make (max 256 (2 * Array.length !reqs)) r in
-      Array.blit !reqs 0 bigger 0 !n_reqs;
-      reqs := bigger
+  let free = ref [||] in
+  let free_top = ref 0 in
+  let alloc_slot () =
+    if !free_top = 0 then begin
+      let old = Array.length !reqs in
+      let ncap = if old = 0 then 256 else 2 * old in
+      let bigger = Array.make ncap dummy_req in
+      Array.blit !reqs 0 bigger 0 old;
+      reqs := bigger;
+      let nf = Array.make ncap 0 in
+      for i = 0 to ncap - old - 1 do
+        nf.(i) <- old + i
+      done;
+      free := nf;
+      free_top := ncap - old
     end;
-    !reqs.(!n_reqs) <- r;
-    incr n_reqs;
-    !n_reqs - 1
+    decr free_top;
+    !free.(!free_top)
+  in
+  (* Called when a request closes and when an entry naming it is
+     finished or expires. It frees a slot once: after that no entry
+     names the request, and its timers see it closed. *)
+  let release l =
+    if (l.l_done || l.l_failed) && l.l_queued = 0 then begin
+      !reqs.(l.l_slot) <- dummy_req;
+      !free.(!free_top) <- l.l_slot;
+      incr free_top
+    end
+  in
+  (* An entry [Queue_deadline] drops at dequeue never reaches a worker:
+     its report is the only place it stops naming the slot. *)
+  let on_expired e =
+    let l = !reqs.(e.Admission.e_payload) in
+    l.l_queued <- l.l_queued - 1;
+    release l
   in
   let stopping = ref false in
   (* Client-side submission loop: a shed verdict schedules a retry at
      the policy's retry-after hint; an admitted attempt arms a client
      timeout that resubmits if the request is still open — the retry
-     amplification path, bounded only by [retry_budget]. *)
-  let rec submit idx =
-    let l = !reqs.(idx) in
+     amplification path, bounded only by [retry_budget]. Timers hold
+     the request itself, never its slot: a closed request's slot may
+     already serve another. *)
+  let rec submit l =
     match
-      Admission.offer adm ~core:l.l_core ~tenant:l.l_tenant ~payload:idx
+      Admission.offer adm ~core:l.l_core ~tenant:l.l_tenant ~payload:l.l_slot
         ~arrival_ns:l.l_arrival_ns ~retries:l.l_retries
     with
     | Admission.Admitted ->
+        l.l_queued <- l.l_queued + 1;
         if cfg.client_timeout_ns > 0.0 then
           Sim.schedule sim
             ~at:(Sim.now sim +. cfg.client_timeout_ns)
-            (fun () -> if still_open l then retry idx)
+            (fun () -> if still_open l then retry l)
     | Admission.Shed { retry_after_ns; _ } ->
         Sim.schedule sim
           ~at:(Sim.now sim +. Float.max 1.0 retry_after_ns)
-          (fun () -> if still_open l then retry idx)
+          (fun () -> if still_open l then retry l)
   and still_open l = not (l.l_done || l.l_failed || !stopping)
-  and retry idx =
-    let l = !reqs.(idx) in
+  and retry l =
     (* A disciplined client (finite budget) also propagates its
        deadline: once the request can no longer complete in time,
        resubmitting it only burns admission tokens on doomed work,
@@ -203,12 +250,13 @@ let drive rt cfg =
     if doomed then begin
       l.l_failed <- true;
       Admission.note_retry_exhausted adm ~core:l.l_core ~tenant:l.l_tenant
-        ~retries:l.l_retries
+        ~retries:l.l_retries;
+      release l
     end
     else begin
       l.l_retries <- l.l_retries + 1;
       Admission.note_retry adm;
-      submit idx
+      submit l
     end
   in
   (* Per-core arrival generators: labelled PRNG splits, so instantiating
@@ -232,19 +280,21 @@ let drive rt cfg =
               if not !stopping then begin
                 let tenant = if Prng.int kprng 100 < cfg.scan_pct then 1 else 0 in
                 let key = zipf_draw kprng cdf in
-                let idx =
-                  add_req
-                    {
-                      l_core = core;
-                      l_tenant = tenant;
-                      l_key = key;
-                      l_arrival_ns = at;
-                      l_done = false;
-                      l_failed = false;
-                      l_retries = 0;
-                    }
+                let l =
+                  {
+                    l_core = core;
+                    l_tenant = tenant;
+                    l_key = key;
+                    l_arrival_ns = at;
+                    l_slot = alloc_slot ();
+                    l_done = false;
+                    l_failed = false;
+                    l_retries = 0;
+                    l_queued = 0;
+                  }
                 in
-                submit idx;
+                !reqs.(l.l_slot) <- l;
+                submit l;
                 gen at
               end)
       in
@@ -264,7 +314,7 @@ let drive rt cfg =
           let rec loop () =
             if !stopping then decr live_workers
             else
-              match Admission.take adm ~core with
+              match Admission.take ~on_expired adm ~core with
               | Some e ->
                   let l = !reqs.(e.Admission.e_payload) in
                   Admission.note_executed adm;
@@ -288,6 +338,8 @@ let drive rt cfg =
                         (cfg.client_deadline_ns <= 0.0
                         || e2e <= cfg.client_deadline_ns)
                   end;
+                  l.l_queued <- l.l_queued - 1;
+                  release l;
                   loop ()
               | None ->
                   if !stopping then decr live_workers

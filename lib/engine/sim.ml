@@ -112,8 +112,20 @@ let release_cell t c =
   t.pool.(t.pool_top) <- c;
   t.pool_top <- t.pool_top + 1
 
+(* A NaN time would pop out of order and an infinite one reads as a
+   drained queue, so both are refused where they enter the queue. The
+   finite, not-past path pays one comparison ([<= max_float] is false
+   for NaN and +inf); -inf is caught on the clamping branch. *)
+let[@inline never] non_finite call x =
+  invalid_arg (Printf.sprintf "%s: non-finite time %g" call x)
+
+let[@inline] checked_at t call at =
+  if at < t.now then if at > neg_infinity then t.now else non_finite call at
+  else if at <= max_float then at
+  else non_finite call at
+
 let schedule t ~at f =
-  let at = if at < t.now then t.now else at in
+  let at = checked_at t "Sim.schedule" at in
   let c = alloc_cell t in
   c.kind <- 0;
   c.fn <- f;
@@ -131,7 +143,7 @@ let register_port t handler =
   id
 
 let schedule_port t ~at ~port ~slot =
-  let at = if at < t.now then t.now else at in
+  let at = checked_at t "Sim.schedule_port" at in
   let c = alloc_cell t in
   c.kind <- 1;
   c.port <- port;
@@ -189,8 +201,8 @@ let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let delay d =
   match Domain.DLS.get current_key with
   | Some t ->
-      let d = if d < 0.0 then 0.0 else d in
-      let target = t.now +. d in
+      (* A negative delay clamps to zero, like a past [schedule]. *)
+      let target = checked_at t "Sim.delay" (t.now +. d) in
       (* Elision fast path: when the wake-up could not interleave with
          any queued event — the queue is empty — and the wake-up lies
          within the current run's horizon, advance the clock in place

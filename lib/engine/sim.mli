@@ -32,7 +32,8 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 (** [schedule t ~at f] runs callback [f] at virtual time [at] (clamped
     to the current time if in the past). [f] must not perform effects;
-    use [spawn] for that. *)
+    use [spawn] for that.
+    @raise Invalid_argument if [at] is NaN or infinite. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
 (** [register_port t handler] registers a delivery handler and returns
@@ -47,12 +48,14 @@ val register_port : t -> (int -> unit) -> int
 (** [schedule_port t ~at ~port ~slot] arranges for the handler
     registered under [port] to be called with [slot] at virtual time
     [at] (clamped like {!schedule}). The handler must not perform
-    effects. *)
+    effects.
+    @raise Invalid_argument if [at] is NaN or infinite. *)
 val schedule_port : t -> at:float -> port:int -> slot:int -> unit
 
 (** Advance the calling process's virtual time by [d] nanoseconds.
     Must be called from within a spawned process. Negative delays are
-    treated as zero. *)
+    treated as zero.
+    @raise Invalid_argument if [d] is NaN or infinite. *)
 val delay : float -> unit
 
 (** The simulation of the calling process.

@@ -162,8 +162,9 @@ let offer t ~core ~tenant ~payload ~arrival_ns ~retries =
 
 (* Dequeue for the core's worker, applying the queue-deadline policy:
    entries that waited past the deadline are dropped here — shedding
-   late but before any transactional work is wasted on them. *)
-let rec take t ~core =
+   late but before any transactional work is wasted on them — and each
+   is handed to [on_expired], the caller's only sight of it. *)
+let rec take ?on_expired t ~core =
   let q = queue_for t core in
   match Queue.take_opt q.q with
   | None -> None
@@ -180,7 +181,8 @@ let rec take t ~core =
                  tenant = e.e_tenant;
                  waited_ns = Sim.now t.env.System.sim -. e.e_enqueue_ns;
                });
-          take t ~core
+          (match on_expired with Some f -> f e | None -> ());
+          take ?on_expired t ~core
       | _ -> Some e)
 
 (* Park the calling worker fiber until the next admitted arrival (or an

@@ -42,7 +42,8 @@ type policy =
 val policy_name : policy -> string
 
 (** A queued request: opaque [e_payload] (the driver's key into its
-    own request table), the logical request's first-arrival instant,
+    own request table; the open-loop driver reuses a key once no entry
+    names it), the logical request's first-arrival instant,
     this submission's enqueue instant, and the retries consumed before
     this submission. *)
 type entry = {
@@ -82,8 +83,13 @@ val offer :
 
 (** Dequeue the next entry for [core]'s worker, dropping (and
     counting, [Req_expired]) entries past the queue deadline. [None]
-    when the queue is empty. *)
-val take : t -> core:Types.core_id -> entry option
+    when the queue is empty. Each dropped entry is passed to
+    [on_expired] exactly once, after it is counted: it never reaches
+    the worker, so this report is how a caller that tracks its own
+    entries (the open-loop driver's per-request count) learns that the
+    entry has left the queue. *)
+val take :
+  ?on_expired:(entry -> unit) -> t -> core:Types.core_id -> entry option
 
 (** Park the calling worker fiber until the next admitted arrival on
     this core (or {!wake_all}). At most one parked worker per core.

@@ -409,6 +409,36 @@ let test_sim_outside_process () =
       (* Make sure no ambient sim is set. *)
       Sim.delay 1.0)
 
+(* A NaN time would pop ahead of finite ones and +inf reads as a
+   drained queue: every entry point refuses both (and -inf), naming
+   the call, and leaves the queue as it was. *)
+let test_sim_non_finite_times () =
+  let bad = [ Float.nan; Float.infinity; Float.neg_infinity ] in
+  let raises name x f =
+    Alcotest.check_raises
+      (Printf.sprintf "%s %g" name x)
+      (Invalid_argument (Printf.sprintf "%s: non-finite time %g" name x))
+      f
+  in
+  let sim = Sim.create () in
+  let port = Sim.register_port sim (fun _ -> ()) in
+  let fired = ref [] in
+  Sim.schedule sim ~at:100.0 (fun () -> fired := 100.0 :: !fired);
+  List.iter
+    (fun x ->
+      raises "Sim.schedule" x (fun () -> Sim.schedule sim ~at:x ignore);
+      raises "Sim.schedule_port" x (fun () ->
+          Sim.schedule_port sim ~at:x ~port ~slot:0))
+    bad;
+  ignore (Sim.run sim ());
+  check "finite event still fires" true (!fired = [ 100.0 ]);
+  List.iter
+    (fun x ->
+      let sim = Sim.create () in
+      Sim.spawn sim (fun () -> Sim.delay x);
+      raises "Sim.delay" x (fun () -> ignore (Sim.run sim ())))
+    bad
+
 let test_sim_determinism () =
   let run () =
     let sim = Sim.create () in
@@ -774,6 +804,7 @@ let suite =
     ("sim: suspend/resume", `Quick, test_sim_suspend_resume);
     ("sim: effects outside process", `Quick, test_sim_outside_process);
     ("sim: deterministic", `Quick, test_sim_determinism);
+    ("sim: non-finite times refused", `Quick, test_sim_non_finite_times);
     ("sim: one every tick = hand-rolled loop", `Quick, test_every_matches_loop);
     ("sim: two every ticks stop on drain", `Quick, test_every_two_ticks_drain);
     ("mailbox: FIFO", `Quick, test_mailbox_fifo);

@@ -166,14 +166,23 @@ let test_queue_deadline_expiry () =
       ()
   in
   let core = (Runtime.app_cores t).(0) in
-  check "admitted" false (is_shed (offer adm ~core ~retries:0));
+  check "admitted" false
+    (is_shed
+       (Admission.offer adm ~core ~tenant:0 ~payload:7 ~arrival_ns:0.0
+          ~retries:0));
   let late = ref None in
+  let reported = ref [] in
+  let on_expired e = reported := e.Admission.e_payload :: !reported in
   Sim.schedule (Runtime.sim t) ~at:5_000.0 (fun () ->
-      late := Some (Admission.take adm ~core));
+      late := Some (Admission.take ~on_expired adm ~core));
   ignore (Runtime.run t ());
   (* The only entry waited 5 us against a 1 us deadline: dropped at
-     dequeue, counted as expired, nothing returned. *)
+     dequeue, counted as expired, nothing returned — and reported to
+     the caller exactly once. *)
   check "expired at dequeue" true (!late = Some None);
+  Alcotest.(check (list int)) "expiry reported once" [ 7 ] !reported;
+  check "nothing left to report" true (Admission.take ~on_expired adm ~core = None);
+  Alcotest.(check (list int)) "still reported once" [ 7 ] !reported;
   let o = (Runtime.env t).System.overload in
   check_int "expired" 1 o.System.ol_expired;
   check_int "executed" 0 o.System.ol_executed
@@ -206,6 +215,87 @@ let test_accounting_invariants () =
   check_int "e2e sketch counts completions" o.System.ol_completed
     (Sketch.count env.System.e2e_lat);
   check "some goodput" true (o.System.ol_goodput > 0)
+
+(* Request slots are reused once a request is closed and no queue
+   entry names it, so under expiry (entries that never reach a worker)
+   the accounting must not move. Every figure below was recorded
+   before slots were reused, when each request kept its own slot for
+   the whole run. *)
+let test_deadline_slot_reuse_pinned () =
+  let t = Runtime.create (cfg ()) in
+  let ol =
+    {
+      Openloop.default with
+      Openloop.arrival = Openloop.Poisson { rate_per_ms = 150.0 };
+      window_ns = 4e6;
+      drain_ns = 1e6;
+      client_timeout_ns = 60_000.0;
+      policy = Admission.Queue_deadline { capacity = 16; deadline_ns = 50_000.0 };
+    }
+  in
+  let r = Openloop.drive t ol in
+  let o = (Runtime.env t).System.overload in
+  Alcotest.(check (list (pair string int)))
+    "commits and overload counters"
+    [
+      ("commits", 702);
+      ("offered", 8_852);
+      ("admitted", 3_748);
+      ("shed", 5_104);
+      ("expired", 3_046);
+      ("executed", 702);
+      ("completed", 601);
+      ("goodput", 601);
+      ("wasted", 101);
+      ("retries", 6_416);
+      ("retry_exhausted", 1_835);
+      ("queue_peak", 16);
+    ]
+    [
+      ("commits", r.Workload.commits);
+      ("offered", o.System.ol_offered);
+      ("admitted", o.System.ol_admitted);
+      ("shed", o.System.ol_shed);
+      ("expired", o.System.ol_expired);
+      ("executed", o.System.ol_executed);
+      ("completed", o.System.ol_completed);
+      ("goodput", o.System.ol_goodput);
+      ("wasted", o.System.ol_wasted);
+      ("retries", o.System.ol_retries);
+      ("retry_exhausted", o.System.ol_retry_exhausted);
+      ("queue_peak", o.System.ol_queue_peak);
+    ]
+
+(* The driver's memory follows its open requests, not every request
+   it has made: the live heap at the end of the arrival window is the
+   same for a window eight times longer. (A table holding every
+   request ever made grew 1.6x here.) *)
+let live_words_at_window_end ~window_ns =
+  let t = Runtime.create (cfg ()) in
+  let ol =
+    {
+      Openloop.default with
+      Openloop.arrival = Openloop.Poisson { rate_per_ms = 120.0 };
+      window_ns;
+      drain_ns = 2e5;
+      policy =
+        Admission.Token_bucket { capacity = 8; rate_per_ms = 30.0; burst = 8.0 };
+    }
+  in
+  let live = ref 0 in
+  Sim.schedule (Runtime.sim t) ~at:window_ns (fun () ->
+      Gc.full_major ();
+      live := (Gc.stat ()).Gc.live_words);
+  ignore (Openloop.drive t ol);
+  !live
+
+let test_memory_flat_in_run_length () =
+  let short = live_words_at_window_end ~window_ns:4e6 in
+  let long = live_words_at_window_end ~window_ns:32e6 in
+  check
+    (Printf.sprintf "live words 32 ms %d <= 1.1 x 4 ms %d" long short)
+    true
+    (float_of_int long <= 1.1 *. float_of_int short)
 
 (* Two runs, same seed: bit-identical overload accounting. *)
 let test_run_deterministic () =
@@ -399,6 +489,9 @@ let suite =
     ("token bucket: drain and refill", `Quick, test_token_bucket_refill);
     ("queue deadline: expiry at dequeue", `Quick, test_queue_deadline_expiry);
     ("accounting invariants", `Quick, test_accounting_invariants);
+    ("slot reuse under expiry: counters pinned", `Quick,
+      test_deadline_slot_reuse_pinned);
+    ("memory flat in run length", `Quick, test_memory_flat_in_run_length);
     ("run determinism", `Quick, test_run_deterministic);
     ("closed-loop baseline reproduction", `Quick, test_closed_loop_reproduction);
     ("run_to_completion horizon flag", `Quick, test_completion_horizon_flag);
