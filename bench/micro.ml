@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks of the host-side primitives underlying
    the simulator and the TM2C protocol: event heap, PRNG, lock table,
-   contention-manager decisions, history-log lines, and a small
-   end-to-end simulation. *)
+   contention-manager decisions, history-log lines, JSON numbers, and a
+   small end-to-end simulation. *)
 
 open Bechamel
 open Toolkit
@@ -106,10 +106,27 @@ let bench_histlog =
     (Staged.stage (fun w ->
          List.iter (fun (t, ev) -> Tm2c_check.Histlog.put w t ev) histlog_events))
 
+(* A Perfetto timeline's numbers: 32 timestamps and 32 durations, in
+   µs from virtual ns (ns /. 1000.0) with the fractional ns that sums of
+   link and service delays leave. ns per float is the row's time over
+   64. *)
+let json_floats =
+  Tm2c_harness.Json.List
+    (List.init 64 (fun i ->
+         let ns =
+           if i mod 2 = 0 then 3.9e7 +. (1234.567 *. float_of_int i)
+           else 250.0 +. (41.3 *. float_of_int i)
+         in
+         Tm2c_harness.Json.Float (ns /. 1000.0)))
+
+let bench_json =
+  Test.make ~name:"json-float" (Staged.stage (fun () ->
+      ignore (Tm2c_harness.Json.to_string ~indent:false json_floats)))
+
 let tests =
   Test.make_grouped ~name:"tm2c"
     [
-      bench_heap; bench_prng; bench_locktable; bench_cm; bench_histlog; bench_sim;
+      bench_heap; bench_prng; bench_locktable; bench_cm; bench_histlog; bench_json; bench_sim;
       bench_tm2c;
     ]
 

@@ -26,24 +26,11 @@ let footer_prefix = "# events "
 
 (* Numbers are written straight into the line buffer, with no format
    interpreted and no intermediate string: integers as [string_of_int]
-   prints them, floats as Printf's "%h" does. The loops are top-level
-   functions, so a line allocates nothing beyond [Event.describe]'s
-   field list. *)
+   prints them ([Decimal.add_int]), floats as Printf's "%h" does. The
+   loops are top-level functions, so a line allocates nothing beyond
+   [Event.describe]'s field list. *)
 
-(* Decimal digits of a non-positive [m], most significant first
-   (OCaml's [mod] keeps the sign of the dividend). *)
-let rec add_digits buf m =
-  if m <= -10 then add_digits buf (m / 10);
-  Buffer.add_char buf (Char.chr (48 - (m mod 10)))
-
-(* Byte for byte [string_of_int n]: the digits come from the
-   non-positive value, so [min_int] needs no special case. *)
-let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_digits buf n
-  end
-  else add_digits buf (-n)
+let add_int = Tm2c_engine.Decimal.add_int
 
 let rec add_ints buf = function
   | [] -> ()

@@ -58,10 +58,6 @@ type t = {
   n_orphans : int;  (* events before their core's first Tx_start *)
 }
 
-let committed_attempts t =
-  List.filter (fun a -> match a.a_outcome with Committed _ -> true | _ -> false)
-    t.attempts
-
 (* Replace-or-append keyed on address, preserving first-store order. *)
 let update_write writes addr value =
   let rec go = function

@@ -111,6 +111,3 @@ val finish : builder -> t
 (** Batch reconstruction over an event iterator, e.g.
     [build (Collector.iter c)]. *)
 val build : ((float -> Event.t -> unit) -> unit) -> t
-
-(** Attempts with [Committed] outcome, in start order. *)
-val committed_attempts : t -> attempt list

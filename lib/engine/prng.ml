@@ -56,7 +56,3 @@ let float t =
   float_of_int bits *. (1.0 /. 9007199254740992.0)
 
 let bool t = Int64.logand (next64 t) 1L = 1L
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))

@@ -29,6 +29,3 @@ val int : t -> int -> int
 val float : t -> float
 
 val bool : t -> bool
-
-(** [pick t arr] selects a uniform element of a non-empty array. *)
-val pick : t -> 'a array -> 'a

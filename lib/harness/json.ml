@@ -38,26 +38,137 @@ let escape buf s =
   done;
   Buffer.add_substring buf s !start (String.length s - !start)
 
-(* The C primitive behind [Printf]'s %f/%g: the same bytes without
-   interpreting a format string per float. *)
+(* JSON has no nan/infinity: non-finite values (e.g. the commit rate of
+   a zero-commit window) serialize as null. Integral values below 1e15
+   print as Printf's %.1f does. Other finite values use the shortest of
+   %.15g/%.16g/%.17g that parses back to exactly [f] (17 significant
+   digits always round-trip a double), so files aren't littered with
+   0.30000000000000004-style artifacts.
+
+   The bytes are Printf's, but no format is interpreted. A %.Pg
+   candidate in fixed notation is the P-digit integer N nearest to
+   x·10^k, x = |f|, with the point k places from the right: for k in
+   0..22, 10^k is an exact double, so [Float.fma] gives the product's
+   rounding error exactly and N, ties to even, comes from exact
+   comparisons.
+   N < 2^53 parses back to [f] iff N /. 10^k, a correctly rounded
+   division just as strtod's, equals x. The C formatter is left only
+   what falls outside that: exponent notation (decimal exponent below
+   -4 or at least P), k beyond the table, and a 16-digit N >= 2^53,
+   whose round trip [float_of_string] checks. *)
+
+(* The C primitive behind [Printf]'s %g, for what the digit path leaves. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-(* JSON has no nan/infinity: non-finite values (e.g. the commit rate of
-   a zero-commit window) serialize as null. Finite non-integral values
-   use the shortest of %.15g/%.16g/%.17g that parses back to exactly
-   [f] (17 significant digits always round-trip a double), so files
-   aren't littered with 0.30000000000000004-style artifacts. *)
-let add_float buf f =
-  if not (Float.is_finite f) then Buffer.add_string buf "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (format_float "%.1f" f)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* The integer nearest to the exact product p + err, ties to even,
+   where [p] is the rounded product and |err| <= ulp(p)/2 its rounding
+   error. *)
+let[@inline] nearest p err =
+  if p < 0x1p52 then begin
+    (* ulp(p) <= 1/2 divides both [frac] and 1/2, so [err] decides
+       only an exact half. *)
+    let fl = Float.floor p in
+    let n = Float.to_int fl and frac = p -. fl in
+    if frac > 0.5 || (frac = 0.5 && (err > 0.0 || (err = 0.0 && n land 1 = 1)))
+    then n + 1
+    else n
+  end
   else begin
-    let s15 = format_float "%.15g" f in
-    if float_of_string s15 = f then Buffer.add_string buf s15
-    else
-      let s16 = format_float "%.16g" f in
-      if float_of_string s16 = f then Buffer.add_string buf s16
-      else Buffer.add_string buf (format_float "%.17g" f)
+    (* [p] is an integer: round the residual. *)
+    let fl = Float.floor err in
+    let n = Float.to_int p + Float.to_int fl and frac = err -. fl in
+    if frac > 0.5 || (frac = 0.5 && n land 1 = 1) then n + 1 else n
+  end
+
+(* The [prec] digits of [n] into [d] with the point [k] places from
+   the right, as %g's fixed notation has them: trailing fraction zeros
+   dropped, then the point if no fraction is left. Returns the
+   length. *)
+let set_fixed d f n k prec =
+  let int_digits = if prec > k then prec - k else 1 in
+  let n = ref n and k = ref k in
+  while !k > 0 && !n mod 10 = 0 do
+    n := !n / 10;
+    decr k
+  done;
+  let sign = if f < 0.0 then 1 else 0 in
+  let len = sign + int_digits + if !k > 0 then !k + 1 else 0 in
+  let point = if !k > 0 then len - 1 - !k else -1 in
+  for i = len - 1 downto sign do
+    if i = point then Bytes.set d i '.'
+    else begin
+      Bytes.set d i (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10
+    end
+  done;
+  if sign = 1 then Bytes.set d 0 '-';
+  len
+
+(* Append [f]'s %.[prec]g text and return true if it parses back to
+   [f], or unconditionally when [last]; [f] is finite and nonzero.
+   [k], the digits after the point, starts from a guess and is
+   settled by exact comparisons of x·10^k against 10^(prec-1) and
+   10^prec, since p + err is the exact product. Rounding may then
+   carry N to 10^prec, which moves the exponent up by one. *)
+let candidate buf d f prec ~last k =
+  let x = Float.abs f in
+  let lo = pow10.(prec - 1) and hi = pow10.(prec) in
+  let k = ref k and p = ref 0.0 and err = ref 0.0 and settled = ref false in
+  while (not !settled) && !k >= 0 && !k <= 22 do
+    let t = pow10.(!k) in
+    p := x *. t;
+    err := Float.fma x t (-. !p);
+    if !p > hi || (!p = hi && !err >= 0.0) then decr k
+    else if !p < lo || (!p = lo && !err < 0.0) then incr k
+    else settled := true
+  done;
+  let n = ref 0 in
+  if !settled then begin
+    n := nearest !p !err;
+    if !n = Float.to_int hi then begin
+      n := Float.to_int lo;
+      decr k
+    end
+  end;
+  if !settled && !k >= 0 && !k <= prec + 3 then begin
+    let n = !n and k = !k in
+    let fits =
+      last
+      || if n < 1 lsl 53 then Float.of_int n /. pow10.(k) = x
+         else float_of_string (Bytes.sub_string d 0 (set_fixed d f n k prec)) = f
+    in
+    if fits then Buffer.add_subbytes buf d 0 (set_fixed d f n k prec);
+    fits
+  end
+  else begin
+    let s =
+      format_float (match prec with 15 -> "%.15g" | 16 -> "%.16g" | _ -> "%.17g") f
+    in
+    let fits = last || float_of_string s = f in
+    if fits then Buffer.add_string buf s;
+    fits
+  end
+
+(* [d] is scratch for a candidate's digits: sign, "0.", up to three
+   more leading zeros and 17 digits. *)
+let add_float buf d f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    Tm2c_engine.Decimal.add_int buf (Float.to_int (Float.abs f));
+    Buffer.add_string buf ".0"
+  end
+  else begin
+    let e = Float.to_int (Float.floor (Float.log10 (Float.abs f))) in
+    if
+      not
+        (candidate buf d f 15 ~last:false (14 - e)
+        || candidate buf d f 16 ~last:false (15 - e))
+    then ignore (candidate buf d f 17 ~last:true (16 - e) : bool)
   end
 
 (* The printer fills [buf] and hands it to [flush] every [spill_at]
@@ -65,7 +176,12 @@ let add_float buf f =
    them with one exact-size allocation, [to_file] writes them to its
    channel. A large document (a Perfetto timeline runs to megabytes) so
    never sits in a doubled buffer plus its copy. *)
-type out = { buf : Buffer.t; indent : bool; flush : Buffer.t -> unit }
+type out = {
+  buf : Buffer.t;
+  digits : Bytes.t;  (* [add_float]'s scratch *)
+  indent : bool;
+  flush : Buffer.t -> unit;
+}
 
 let spill_at = 65536
 
@@ -88,8 +204,8 @@ let rec write out level v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> add_float buf f
+  | Int i -> Tm2c_engine.Decimal.add_int buf i
+  | Float f -> add_float buf out.digits f
   | String s ->
       Buffer.add_char buf '"';
       escape buf s;
@@ -157,7 +273,7 @@ and close out level c =
 (* Print [v] whole, handing every piece but the last to [flush]; the
    last stays in the returned buffer. *)
 let print ~indent ~flush v =
-  let out = { buf = Buffer.create 4096; indent; flush } in
+  let out = { buf = Buffer.create 4096; digits = Bytes.create 32; indent; flush } in
   write out 0 v;
   if indent then Buffer.add_char out.buf '\n';
   out.buf

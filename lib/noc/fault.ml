@@ -235,8 +235,6 @@ let mark_crashed t ~core =
 
 let is_crashed t ~core = core < Array.length t.crashed && t.crashed.(core)
 
-let any_crashed t = Array.exists Fun.id t.crashed
-
 let mark_server_crashed t ~core =
   if core < Array.length t.scrashed && not t.scrashed.(core) then begin
     t.scrashed.(core) <- true;

@@ -119,8 +119,6 @@ val mark_crashed : t -> core:int -> unit
 
 val is_crashed : t -> core:int -> bool
 
-val any_crashed : t -> bool
-
 (** DS-lock server crash-stop, kept separate from the app-core table:
     the runtime schedules {!mark_server_crashed} at each planned
     [scrash_at_ns]; the service loop dies at its next wakeup once

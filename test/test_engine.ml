@@ -47,33 +47,30 @@ let heap_sorted_prop =
       let drained = drain [] in
       drained = List.sort compare priorities)
 
-(* Model test: an op sequence against a stable-sorted association-list
-   oracle. Small integer priorities make ties frequent, so the
-   insertion-order (FIFO) tie-break is exercised, not just ordering. *)
+(* Model test: an op sequence against a FIFO-queue oracle, one queue
+   per priority 0-5, popping from the first non-empty one. Small
+   integer priorities make ties frequent, so the insertion-order
+   (FIFO) tie-break is exercised, not just ordering. *)
 let heap_model_prop =
   QCheck.Test.make ~name:"heap matches sorted-list oracle (incl. FIFO ties)"
     ~count:300
     QCheck.(list (option (int_bound 5)))
     (fun ops ->
       let h = Heap.create () in
-      let model = ref [] in
+      let model = Array.init 6 (fun _ -> Queue.create ()) in
       let seq = ref 0 in
       let ok = ref true in
       let pop_oracle () =
-        match
-          List.stable_sort (fun (p1, _) (p2, _) -> compare p1 p2) !model
-        with
-        | [] -> None
-        | ((_, s) as hd) :: _ ->
-            model := List.filter (fun (_, s') -> s' <> s) !model;
-            Some hd
+        match Array.find_opt (fun q -> not (Queue.is_empty q)) model with
+        | None -> None
+        | Some q -> Some (Queue.pop q)
       in
       let step op =
         match op with
         | Some p ->
             let prio = float_of_int p in
             Heap.push h prio !seq;
-            model := !model @ [ (prio, !seq) ];
+            Queue.push (prio, !seq) model.(p);
             incr seq
         | None -> (
             match (Heap.pop_min h, pop_oracle ()) with
@@ -83,7 +80,7 @@ let heap_model_prop =
       in
       List.iter step ops;
       (* Drain both to catch divergence left in the remaining state. *)
-      while Heap.length h > 0 || !model <> [] do
+      while Heap.length h > 0 || Array.exists (fun q -> not (Queue.is_empty q)) model do
         step None
       done;
       !ok)

@@ -169,21 +169,59 @@ let test_printer_parity_fixed () =
       (Json.to_string ~indent:false (Json.Obj [ (s, Json.Null) ]))
   done
 
+(* [n] steps of one ulp from [f] (positive [f], small [n]). *)
+let ulps f n = Int64.float_of_bits (Int64.add (Int64.bits_of_float f) (Int64.of_int n))
+
+(* The printer's digit path covers the fixed-notation range, so most
+   families aim there: the exporter's microsecond timestamps, values
+   next to powers of ten (where the decimal exponent and the rounding
+   carry are decided) and next to powers of two, exact decimal ties,
+   16-digit values above 2^53 (the one fixed case parsed back by
+   [float_of_string]) and both sides of 1e-4 (fixed vs exponent
+   notation). Random bit patterns mostly take the formatter fallback. *)
 let float_parity =
+  let pow10 e = float_of_string ("1e" ^ string_of_int e) in
   let gen =
     QCheck.Gen.(
+      let magnitude =
+        frequency
+          [
+            (2, map Int64.float_of_bits ui64);
+            (* µs timestamps: whole ns, and fractional ns sums *)
+            (3, map (fun k -> float_of_int k /. 1e3) (int_range 0 100_000_000_000));
+            ( 3,
+              map2
+                (fun ns frac -> (float_of_int ns +. frac) /. 1e3)
+                (int_range 0 100_000_000) (float_bound_exclusive 1.0) );
+            (* powers of ten within a few ulps, including the
+               9.99...9 values whose rounding carries to 10^n *)
+            (3, map2 (fun e d -> ulps (pow10 e) d) (int_range (-6) 17) (int_range (-10) 3));
+            (* 2^n and its neighbours in [1e-4, 1e15) *)
+            (2, map2 (fun e d -> ulps (Float.ldexp 1.0 e) d) (int_range (-13) 49) (int_range (-1) 1));
+            (* exact binary ties: n + 1/2, n + 1/4, ... up to 2^51 *)
+            ( 3,
+              map2
+                (fun m j -> Float.ldexp (float_of_int ((2 * m) + 1)) (-j))
+                (int_range 0 (1 lsl 50)) (int_range 1 4) );
+            (* 16-digit integers above 2^53 *)
+            (2, map (fun m -> 0x1p53 +. (2.0 *. float_of_int m)) (int_range 0 500_000_000_000_000));
+            (* either side of 1e-4 and 1e-5 *)
+            (2, map2 (fun e d -> ulps (pow10 e) d) (int_range (-5) (-4)) (int_range (-2000) 2000));
+            (1, float_bound_inclusive 2e-4);
+            (2, map (fun d -> 1e15 +. float_of_int d) (int_range (-2000) 2000));
+            (2, map float_of_int (int_range 0 4_000_000_000_000_000));
+            (2, float_bound_inclusive 1e6);
+            (1, float_bound_inclusive 1e17);
+            (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 0 (1 lsl 52)));
+          ]
+      in
       frequency
         [
-          (4, map Int64.float_of_bits ui64);
-          (2, map (fun d -> 1e15 +. float_of_int d) (int_range (-2000) 2000));
-          (2, map (fun d -> -1e15 +. float_of_int d) (int_range (-2000) 2000));
-          (2, map float_of_int (int_range (-4_000_000_000_000_000) 4_000_000_000_000_000));
-          (2, float_bound_inclusive 1e6);
-          (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 0 (1 lsl 52)));
+          (20, map2 (fun f neg -> if neg then -.f else f) magnitude bool);
           (1, oneofl special_floats);
         ])
   in
-  QCheck.Test.make ~name:"printer floats match the Printf formatter" ~count:2000
+  QCheck.Test.make ~name:"printer floats match the Printf formatter" ~count:20_000
     (QCheck.make ~print:(Printf.sprintf "%h") gen)
     (fun f -> Json.to_string ~indent:false (Json.Float f) = reference_float f)
 
