@@ -14,8 +14,4 @@ exception Syntax_error of { file : string; line : int; message : string }
     driver turns that into a finding rather than a crash. *)
 val parse_file : string -> ast
 
-(** Same, from an in-memory buffer ([filename] sets locations and the
-    impl/intf choice). *)
-val parse_string : filename:string -> string -> ast
-
 val line_of : Location.t -> int

@@ -48,15 +48,13 @@ val write : out_channel -> ((float -> Event.t -> unit) -> unit) -> unit
 
 val save : string -> ((float -> Event.t -> unit) -> unit) -> unit
 
-(** Parse a log, calling [f] per event in order; returns the event
-    count. Raises [Failure] with the offending line number on
+(** Parse a log file, calling [f] per event in order; returns the
+    event count. Raises [Failure] with the offending line number on
     malformed input or a footer/count mismatch. Blank lines and other
     [#] comments are skipped. *)
-val iter_channel : in_channel -> (float -> Event.t -> unit) -> int
-
 val iter_file : string -> (float -> Event.t -> unit) -> int
 
-(** Batch forms of {!iter_channel}/{!iter_file}. *)
+(** Batch forms of {!iter_file}, from a channel or a file. *)
 val read : in_channel -> (float * Event.t) list
 
 val load : string -> (float * Event.t) list

@@ -106,13 +106,3 @@ val opacity_check :
   versions_of:(Tm2c_core.Types.addr -> (int * int option) array) ->
   History.attempt ->
   inconsistent_read option
-
-(**/**)
-
-(** Exposed for the streaming checker: sorted-disjoint interval-list
-    intersection over the sequence axis, and the explainable-instant
-    intervals of one read. *)
-val intersect_intervals :
-  (int * int) list -> (int * int) list -> (int * int) list
-
-val read_intervals : (int * int option) array -> History.read -> (int * int) list

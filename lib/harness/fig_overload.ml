@@ -44,6 +44,19 @@ type cell = {
   env : System.env;  (* the run's metrics, for richer consumers *)
 }
 
+(* The protected admission policy at saturation [sat]: deadline-aware
+   sizing with margin on both axes. A full queue must drain well
+   inside the client deadline (capacity = service rate x deadline / 2),
+   and tokens refill below the measured rate: at the rate itself the
+   admitted load is critical (rho = 1) and queueing delay unbounded;
+   subcritical admission keeps waits, and thus goodput, flat across
+   any overload. *)
+let protected_policy ~sat =
+  let deadline_ms = Openloop.default.Openloop.client_deadline_ns /. 1e6 in
+  let capacity = max 2 (int_of_float (sat *. deadline_ms /. 2.0)) in
+  Admission.Token_bucket
+    { capacity; rate_per_ms = 0.8 *. sat; burst = float_of_int capacity }
+
 let run_cell (scale : Exp.scale) ~sat ~protected ~arrival =
   let t = Runtime.create (Exp.config ~total ()) in
   let ol =
@@ -52,26 +65,7 @@ let run_cell (scale : Exp.scale) ~sat ~protected ~arrival =
       Openloop.arrival;
       window_ns = scale.Exp.window_ns;
       drain_ns = scale.Exp.window_ns /. 4.0;
-      policy =
-        (if protected then
-           (* Deadline-aware sizing: a full queue must still drain
-              within the client deadline (capacity = service rate x
-              deadline), else admission control admits work it has
-              already doomed. Tokens refill at the measured service
-              rate, so sustained offered load beyond capacity is shed
-              at the door instead of queued past the deadline. *)
-           (* Deadline-aware sizing with margin on both axes: a full
-              queue must drain well inside the client deadline
-              (capacity = service rate x deadline / 2), and tokens
-              refill below the measured rate — at the rate itself the
-              admitted load is critical (rho = 1) and queueing delay
-              unbounded; subcritical admission keeps waits, and thus
-              goodput, flat across any overload. *)
-           let deadline_ms = Openloop.default.Openloop.client_deadline_ns /. 1e6 in
-           let capacity = max 2 (int_of_float (sat *. deadline_ms /. 2.0)) in
-           Admission.Token_bucket
-             { capacity; rate_per_ms = 0.8 *. sat; burst = float_of_int capacity }
-         else Admission.Unbounded);
+      policy = (if protected then protected_policy ~sat else Admission.Unbounded);
       retry_budget = (if protected then 3 else -1);
     }
   in
@@ -89,19 +83,43 @@ let run_cell (scale : Exp.scale) ~sat ~protected ~arrival =
     env;
   }
 
+(* The capacity curve at saturation [sat]: an unprotected ("_raw")
+   and a protected ("_adm") cell per offered-load multiple ("x0.5" ..
+   "x2"), then the flash crowd ("burst"): 3x saturation for a quarter
+   of the window on top of a healthy 0.8x base load, the
+   metastable-collapse scenario. Cells run in list order, the order in
+   which the JSON export records them. *)
+let multiples = [ 0.5; 1.0; 1.5; 2.0 ]
+
+let curve (scale : Exp.scale) ~sat =
+  let pair name arrival =
+    let raw = run_cell scale ~sat ~protected:false ~arrival in
+    let adm = run_cell scale ~sat ~protected:true ~arrival in
+    [ (name ^ "_raw", raw); (name ^ "_adm", adm) ]
+  in
+  let sweep =
+    List.concat_map
+      (fun m ->
+        pair (Printf.sprintf "x%g" m) (Openloop.Poisson { rate_per_ms = m *. sat }))
+      multiples
+  in
+  let burst =
+    pair "burst"
+      (Openloop.Bursty
+         {
+           base_per_ms = 0.8 *. sat;
+           burst_per_ms = 3.0 *. sat;
+           burst_start_ns = scale.Exp.window_ns /. 4.0;
+           burst_end_ns = scale.Exp.window_ns /. 2.0;
+         })
+  in
+  sweep @ burst
+
 let run (scale : Exp.scale) =
   let sat = probe_saturation scale in
   Printf.printf "measured saturation: %.1f arrivals/ms/core\n%!" sat;
-  let multiples = [ 0.5; 1.0; 1.5; 2.0 ] in
-  let sweep =
-    List.map
-      (fun m ->
-        let arrival = Openloop.Poisson { rate_per_ms = m *. sat } in
-        let unprot = run_cell scale ~sat ~protected:false ~arrival in
-        let prot = run_cell scale ~sat ~protected:true ~arrival in
-        (m, unprot, prot))
-      multiples
-  in
+  let cells = curve scale ~sat in
+  let cell name = List.assoc name cells in
   Exp.print_table
     ~title:
       "Overload - goodput vs offered load (multiples of measured saturation)"
@@ -110,23 +128,13 @@ let run (scale : Exp.scale) =
         "xload"; "good/ms"; "p99us"; "good/ms(adm)"; "shed%(adm)"; "p99us(adm)";
       ]
     (List.map
-       (fun (m, u, p) ->
+       (fun m ->
+         let u = cell (Printf.sprintf "x%g_raw" m)
+         and p = cell (Printf.sprintf "x%g_adm" m) in
          ( Printf.sprintf "%.2fx" m,
            [ u.goodput_ms; u.p99_us; p.goodput_ms; p.shed_pct; p.p99_us ] ))
-       sweep);
-  (* Flash crowd: 3x saturation for a quarter of the window on top of
-     a healthy base load — the metastable-collapse scenario. *)
-  let burst =
-    Openloop.Bursty
-      {
-        base_per_ms = 0.8 *. sat;
-        burst_per_ms = 3.0 *. sat;
-        burst_start_ns = scale.Exp.window_ns /. 4.0;
-        burst_end_ns = scale.Exp.window_ns /. 2.0;
-      }
-  in
-  let u = run_cell scale ~sat ~protected:false ~arrival:burst in
-  let p = run_cell scale ~sat ~protected:true ~arrival:burst in
+       multiples);
+  let u = cell "burst_raw" and p = cell "burst_adm" in
   Exp.print_table ~title:"Overload - flash crowd (3x burst over 0.8x base)"
     ~header:[ "config"; "good/ms"; "shed%"; "p99us" ]
     [

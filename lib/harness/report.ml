@@ -203,6 +203,8 @@ let span_json span =
   done;
   Json.List !rows
 
+(* Per-attempt phase attribution, committed and aborted sides;
+   [enabled: false] with empty core lists when profiling was off. *)
 let phases_json t =
   let committed = Runtime.span_commit t in
   Json.Obj
@@ -216,6 +218,7 @@ let phases_json t =
       ("aborted", span_json (Runtime.span_abort t));
     ]
 
+(* The flight recorder's per-window rows: full windows only. *)
 let timeseries_json r =
   let float_row a = Json.List (Array.to_list (Array.map (fun v -> Json.Float v) a)) in
   Json.Obj
@@ -240,6 +243,8 @@ let timeseries_json r =
              (Recorder.series r)) );
     ]
 
+(* Trace-ring status: enabled flag, capacity, events held, the dropped
+   (overwritten) count and the checker sink's high-water mark. *)
 let trace_json t =
   let tr = Runtime.trace t in
   Json.Obj

@@ -322,9 +322,24 @@ let of_spec spec =
     let err = ref None in
     let fail msg = if !err = None then err := Some msg in
     let bad_value part ~expected =
-      fail (Printf.sprintf "bad value in fault component %S (expected %s)" part expected)
+      fail
+        (Printf.sprintf
+           "bad value in fault component %S (expected %s; probabilities in [0, 1], \
+            times finite and >= 0)"
+           part expected)
     in
-    let float_of s = match float_of_string_opt s with Some f -> f | None -> Float.nan in
+    (* Malformed and out-of-range values read as NaN, which every
+       component rejects. *)
+    let prob s =
+      match float_of_string_opt s with
+      | Some p when p >= 0.0 && p <= 1.0 -> p
+      | _ -> Float.nan
+    in
+    let time s =
+      match float_of_string_opt s with
+      | Some t when t >= 0.0 && t < Float.infinity -> t
+      | _ -> Float.nan
+    in
     let int_of s = match int_of_string_opt s with Some i when i >= 0 -> i | _ -> -1 in
     (* The first '@' splits "P@NS"-style values. *)
     let at_split s =
@@ -344,9 +359,10 @@ let of_spec spec =
           && window.[j - 1] <> 'e'
           && window.[j - 1] <> 'E'
         then
-          Some
-            ( float_of (String.sub window 0 j),
-              float_of (String.sub window (j + 1) (n - j - 1)) )
+          let from = time (String.sub window 0 j)
+          and dur = time (String.sub window (j + 1) (n - j - 1)) in
+          (* The window's end must be finite too. *)
+          Some (from, if from +. dur < Float.infinity then dur else Float.nan)
         else go (j + 1)
       in
       go 0
@@ -364,17 +380,17 @@ let of_spec spec =
             let v = String.sub part (i + 1) (String.length part - i - 1) in
             match key with
             | "drop" ->
-                let p = float_of v in
+                let p = prob v in
                 if Float.is_nan p then bad_value part ~expected:"drop=P"
                 else (link := { !link with drop_pct = p }; link_set := true)
             | "dup" ->
-                let p = float_of v in
+                let p = prob v in
                 if Float.is_nan p then bad_value part ~expected:"dup=P"
                 else (link := { !link with dup_pct = p }; link_set := true)
             | "delay" -> (
                 match at_split v with
                 | Some (p, ns) ->
-                    let p = float_of p and ns = float_of ns in
+                    let p = prob p and ns = time ns in
                     if Float.is_nan p || Float.is_nan ns then
                       bad_value part ~expected:"delay=P@NS"
                     else (link := { !link with delay_pct = p; delay_ns = ns }; link_set := true)
@@ -382,7 +398,7 @@ let of_spec spec =
             | "reorder" -> (
                 match at_split v with
                 | Some (p, ns) ->
-                    let p = float_of p and ns = float_of ns in
+                    let p = prob p and ns = time ns in
                     if Float.is_nan p || Float.is_nan ns then
                       bad_value part ~expected:"reorder=P@NS"
                     else (
@@ -410,7 +426,7 @@ let of_spec spec =
             | "crash" -> (
                 match at_split v with
                 | Some (core, at) ->
-                    let core = int_of core and at = float_of at in
+                    let core = int_of core and at = time at in
                     if core < 0 || Float.is_nan at then
                       bad_value part ~expected:"crash=CORE@AT"
                     else crashes := { crash_core = core; crash_at_ns = at } :: !crashes
@@ -418,7 +434,7 @@ let of_spec spec =
             | "scrash" -> (
                 match at_split v with
                 | Some (core, at) ->
-                    let core = int_of core and at = float_of at in
+                    let core = int_of core and at = time at in
                     if core < 0 || Float.is_nan at then
                       bad_value part ~expected:"scrash=CORE@AT"
                     else

@@ -20,9 +20,6 @@ type link_fault = {
           (later messages on the link may overtake this one) *)
 }
 
-(** All-zero link fault, for building plans by record update. *)
-val no_link : link_fault
-
 type stall = {
   stall_core : int;  (** DS-server core that stops serving *)
   stall_from_ns : float;
@@ -55,8 +52,6 @@ type plan = {
 }
 
 val empty : plan
-
-val plan_is_empty : plan -> bool
 
 type counters = {
   mutable dropped : int;
@@ -136,9 +131,10 @@ val on_dup : t -> (src:int -> dst:int -> unit) -> unit
 (** Compact plan syntax, e.g.
     ["drop=0.01,dup=0.02,delay=0.05@2000,reorder=0.1@3000,stall=8@1e6+5e5,crash=3@2e6,scrash=4@3e5,part=1-4@1e5+2e5"];
     ["none"] is the empty plan. [to_spec] output parses back to the
-    same plan. [of_spec] rejects unknown keys and malformed values
-    with an error naming the offending component and the expected
-    form. *)
+    same plan. [of_spec] rejects unknown keys, malformed values and
+    out-of-range ones (a probability outside [0, 1], a negative or
+    non-finite time or duration) with an error naming the offending
+    component and the expected form. *)
 val to_spec : plan -> string
 
 val of_spec : string -> (plan, string) result

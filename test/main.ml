@@ -9,11 +9,8 @@ let () =
       ("apps", Test_apps.suite);
       ("workload", Test_workload.suite);
       ("integration", Test_integration.suite);
-      ("harness", Test_harness.suite);
       ("export", Test_export.suite);
       ("profile", Test_profile.suite);
-      ("check", Test_check.suite);
-      ("stream", Test_stream.suite);
       ("fault", Test_fault.suite);
       ("failover", Test_failover.suite);
       ("sketch", Test_sketch.suite);

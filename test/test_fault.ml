@@ -54,25 +54,28 @@ let plan_of_spec s =
 
 (* ---- plan spec ---- *)
 
+let valid_specs =
+  [
+    "none";
+    "drop=0.01";
+    "dup=0.02";
+    "delay=0.05@2000";
+    "reorder=0.1@3000";
+    "drop=0.01,dup=0.02,delay=0.05@2000";
+    "stall=8@1e6+5e5";
+    "crash=3@2e6";
+    "scrash=4@3e5";
+    "part=1-4@1e5+2e5";
+    "drop=0.01,dup=0.02,delay=0.05@2000,stall=8@1e6+5e5,crash=3@2e6";
+    "drop=0.005,reorder=0.1@3000,scrash=2@3e5,part=1-4@1e5+2e5";
+  ]
+
 let test_spec_roundtrip () =
   List.iter
     (fun s ->
       let p = plan_of_spec s in
       check ("round-trip " ^ s) true (Fault.of_spec (Fault.to_spec p) = Ok p))
-    [
-      "none";
-      "drop=0.01";
-      "dup=0.02";
-      "delay=0.05@2000";
-      "reorder=0.1@3000";
-      "drop=0.01,dup=0.02,delay=0.05@2000";
-      "stall=8@1e6+5e5";
-      "crash=3@2e6";
-      "scrash=4@3e5";
-      "part=1-4@1e5+2e5";
-      "drop=0.01,dup=0.02,delay=0.05@2000,stall=8@1e6+5e5,crash=3@2e6";
-      "drop=0.005,reorder=0.1@3000,scrash=2@3e5,part=1-4@1e5+2e5";
-    ];
+    valid_specs;
   check "none is the empty plan" true (plan_of_spec "none" = Fault.empty);
   List.iter
     (fun s ->
@@ -99,6 +102,92 @@ let test_spec_roundtrip () =
       "part=1-4@1e5";
       "part=1-4";
     ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Probabilities must lie in [0, 1] and times and durations be finite
+   and non-negative: an infinite delay would kill the run at its first
+   spike, and drop=2 would serve nothing. Each refusal names the
+   offending component. *)
+let test_spec_ranges () =
+  List.iter
+    (fun s ->
+      match Fault.of_spec s with
+      | Ok _ -> Alcotest.failf "accepted out-of-range spec %S" s
+      | Error m -> check (Printf.sprintf "error for %S names it" s) true (contains m s))
+    [
+      "drop=2";
+      "drop=-1";
+      "drop=1e400";
+      "dup=nan";
+      "delay=0.5@inf";
+      "delay=0.5@-3000";
+      "delay=1.5@2000";
+      "reorder=0.1@-1";
+      "reorder=-0.1@3000";
+      "stall=3@1e5+inf";
+      "stall=3@-1+5e5";
+      "stall=3@1e308+1e308";
+      "crash=3@-1";
+      "scrash=4@inf";
+      "part=1-4@1e5+-2e5";
+    ];
+  List.iter
+    (fun s -> check ("accepted " ^ s) true (Result.is_ok (Fault.of_spec s)))
+    [ "drop=0"; "drop=1"; "dup=1"; "delay=1@0"; "stall=3@0+0"; "crash=0@0" ]
+
+(* Every value of an accepted plan is in range. *)
+let plan_in_range (p : Fault.plan) =
+  let prob x = x >= 0.0 && x <= 1.0 in
+  let time x = x >= 0.0 && x < Float.infinity in
+  (match p.Fault.link with
+  | None -> true
+  | Some l ->
+      prob l.Fault.drop_pct && prob l.Fault.dup_pct && prob l.Fault.delay_pct
+      && time l.Fault.delay_ns && prob l.Fault.reorder_pct && time l.Fault.reorder_ns)
+  && List.for_all
+       (fun s -> time s.Fault.stall_from_ns && time s.Fault.stall_until_ns)
+       p.Fault.stalls
+  && List.for_all (fun c -> time c.Fault.crash_at_ns) p.Fault.crashes
+  && List.for_all (fun c -> time c.Fault.scrash_at_ns) p.Fault.scrashes
+  && List.for_all
+       (fun w -> time w.Fault.part_from_ns && time w.Fault.part_until_ns)
+       p.Fault.parts
+
+(* Hostile input: a valid spec with a few characters replaced,
+   inserted or deleted, drawn mostly from the spec alphabet. The parser
+   is total: it returns [Error] or an in-range plan, and never raises. *)
+let mutated_spec =
+  let open QCheck.Gen in
+  let hostile =
+    oneof [ oneofl (List.of_seq (String.to_seq "0123456789.,-+=@eEinfa xp")); char ]
+  in
+  let mutate s =
+    let n = String.length s in
+    int_bound 2 >>= fun op ->
+    int_bound (max 0 (n - 1)) >>= fun i ->
+    hostile >|= fun c ->
+    if n = 0 then String.make 1 c
+    else
+      match op with
+      | 0 -> String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  in
+  let rec times k s = if k = 0 then return s else mutate s >>= times (k - 1) in
+  pair (oneofl valid_specs) (int_range 1 4) >>= fun (s, k) -> times k s
+
+let spec_parser_total =
+  QCheck.Test.make ~name:"mutated specs give Ok or Error, never raise" ~count:2000
+    (QCheck.make mutated_spec ~print:(Printf.sprintf "%S"))
+    (fun s ->
+      match Fault.of_spec s with
+      | Ok p -> plan_in_range p
+      | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 (* ---- determinism ---- *)
 
@@ -329,6 +418,9 @@ let test_lease_reclaim_unblocks () =
 let suite =
   [
     ("fault: plan spec round-trip", `Quick, test_spec_roundtrip);
+    ("fault: plan spec value ranges", `Quick, test_spec_ranges);
+    ("qcheck: fault spec parser is total", `Quick, fun () ->
+        QCheck.Test.check_exn spec_parser_total);
     ("fault: empty plan is bit-for-bit baseline", `Quick, test_empty_plan_bit_for_bit);
     ("fault: duplicate requests absorbed", `Quick, test_duplicate_absorption);
     ("fault: drops recovered by resend", `Quick, test_drop_resend);

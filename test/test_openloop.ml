@@ -9,6 +9,8 @@
 open Tm2c_core
 open Tm2c_apps
 open Tm2c_engine
+module Exp = Tm2c_harness.Exp
+module F = Tm2c_harness.Fig_overload
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -420,19 +422,13 @@ let storm_run ~sat ~protected =
         burst_end_ns = 3.0 *. window /. 8.0;
       }
   in
-  let deadline_ms = Openloop.default.Openloop.client_deadline_ns /. 1e6 in
-  let capacity = max 2 (int_of_float (sat *. deadline_ms /. 2.0)) in
   let ol =
     {
       Openloop.default with
       Openloop.arrival;
       window_ns = window;
       drain_ns = window /. 4.0;
-      policy =
-        (if protected then
-           Admission.Token_bucket
-             { capacity; rate_per_ms = 0.8 *. sat; burst = float_of_int capacity }
-         else Admission.Unbounded);
+      policy = (if protected then F.protected_policy ~sat else Admission.Unbounded);
       retry_budget = (if protected then 3 else -1);
     }
   in
@@ -475,6 +471,94 @@ let test_retry_storm_metastability () =
     true
     (float_of_int total_p >= 1.5 *. float_of_int (max 1 total_u))
 
+(* ---- The overload capacity curve (golden) ---- *)
+
+(* Every figure of the curve is virtual time, so at this scale it is
+   exact on any machine: the probed saturation, then each cell's
+   goodput and p999 end-to-end tail (both in virtual time). *)
+let curve_scale = { Exp.quick with Exp.window_ns = 4e6 }
+
+let curve_sat = 47.625
+
+let curve_pinned =
+  [
+    ("x0.5_raw", 195.0, 292.864);
+    ("x0.5_adm", 194.25, 342.016);
+    ("x1_raw", 60.0, 2834.432);
+    ("x1_adm", 282.75, 415.744);
+    ("x1.5_raw", 30.5, 3489.792);
+    ("x1.5_adm", 251.25, 444.416);
+    ("x2_raw", 25.75, 3817.472);
+    ("x2_adm", 234.0, 485.376);
+    ("burst_raw", 76.5, 3293.184);
+    ("burst_adm", 271.25, 452.608);
+  ]
+
+let check_exact = Alcotest.(check (float 0.0))
+
+let test_overload_curve_golden () =
+  let sat = F.probe_saturation curve_scale in
+  check_exact "saturation (arrivals/ms/core)" curve_sat sat;
+  let cells = F.curve curve_scale ~sat in
+  Alcotest.(check (list string))
+    "cell names" (List.map (fun (n, _, _) -> n) curve_pinned) (List.map fst cells);
+  List.iter
+    (fun (name, goodput, p999) ->
+      let c = List.assoc name cells in
+      check_exact (name ^ " goodput_ms") goodput c.F.goodput_ms;
+      check_exact (name ^ " p999_us") p999 c.F.p999_us)
+    curve_pinned;
+  (* The shape the pins encode, stated on its own: admission holds
+     goodput and tail at twice saturation; without it goodput
+     collapses. *)
+  let cell name = List.assoc name cells in
+  let peak =
+    List.fold_left
+      (fun acc (name, c) ->
+        if String.ends_with ~suffix:"_adm" name then Float.max acc c.F.goodput_ms
+        else acc)
+      0.0 cells
+  in
+  let adm1 = cell "x1_adm" and adm2 = cell "x2_adm" and raw2 = cell "x2_raw" in
+  check "protected 2x goodput >= 70% of protected peak" true
+    (adm2.F.goodput_ms >= 0.7 *. peak);
+  check "protected 2x p999 <= 4x the 1x p999" true
+    (adm2.F.p999_us <= 4.0 *. adm1.F.p999_us);
+  check "unprotected 2x goodput below half of protected 2x" true
+    (raw2.F.goodput_ms < 0.5 *. adm2.F.goodput_ms)
+
+(* Overload under faults: twice saturation through the protected
+   policy, over a lossy, jittery interconnect with hardening on and
+   the streaming checker attached. Shedding load may cost throughput,
+   never consistency. *)
+let test_overload_fault_checked () =
+  let t = Runtime.create (Exp.config ~total:F.total ()) in
+  (match Tm2c_noc.Fault.of_spec "drop=0.005,dup=0.01,delay=0.02@1500" with
+  | Ok p -> Runtime.set_fault_plan t p
+  | Error m -> Alcotest.fail m);
+  Runtime.set_hardening t ~timeout_ns:60_000.0 ~lease_ns:250_000.0 ();
+  let s = Tm2c_check.Stream.create () in
+  Tm2c_check.Stream.attach s (Runtime.trace t);
+  let window_ns = curve_scale.Exp.window_ns /. 2.0 in
+  let ol =
+    {
+      Openloop.default with
+      Openloop.arrival = Openloop.Poisson { rate_per_ms = 2.0 *. curve_sat };
+      window_ns;
+      drain_ns = curve_scale.Exp.window_ns /. 8.0;
+      policy = F.protected_policy ~sat:curve_sat;
+      retry_budget = 3;
+    }
+  in
+  ignore (Openloop.drive t ol);
+  Tm2c_check.Collector.detach (Runtime.trace t);
+  let v = Tm2c_check.Stream.finish s in
+  if Tm2c_check.Stream.n_failures v > 0 then
+    Alcotest.fail (Tm2c_check.Stream.report_string s);
+  let o = (Runtime.env t).System.overload in
+  check_exact "goodput (good/ms)" 187.0
+    (float_of_int o.System.ol_goodput /. (window_ns /. 1e6))
+
 let suite =
   [
     ("qcheck: arrival stream deterministic", `Quick, fun () ->
@@ -497,4 +581,6 @@ let suite =
     ("run_to_completion horizon flag", `Quick, test_completion_horizon_flag);
     ("openloop horizon flag", `Quick, test_openloop_horizon_flag);
     ("retry-storm metastability", `Quick, test_retry_storm_metastability);
+    ("overload capacity curve (golden)", `Quick, test_overload_curve_golden);
+    ("overload x fault checked leg", `Quick, test_overload_fault_checked);
   ]

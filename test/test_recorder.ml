@@ -187,6 +187,53 @@ let test_constant_memory () =
        over %d windows"
       words_many n_many words_few n_few
 
+(* Observability is virtual-time neutral: tracing, phase profiling,
+   the recorder and the host self-profiler only read, so the 16-core
+   bank run gives the same result however many of them are on —
+   commits, aborts, messages, logical events (processed plus elided,
+   less the recorder's own window ticks) and the end instant. *)
+let test_observability_neutral () =
+  let run ~observe ~record =
+    let t = Runtime.create { (config ~mem:(1 lsl 20) ()) with Runtime.seed = 42 } in
+    if observe then begin
+      Runtime.enable_tracing t;
+      Runtime.enable_profiling t
+    end;
+    if record then begin
+      Runtime.enable_recorder t ~window_ns:(5e6 /. 16.0) ~out:(fun _ -> ()) ();
+      Runtime.enable_self_profile t ~clock:Unix.gettimeofday
+    end;
+    let open Tm2c_apps in
+    let accounts = 256 in
+    let bank = Bank.create t ~accounts ~initial:1000 in
+    let r =
+      Workload.drive t ~duration_ns:5e6 (fun _core ctx prng () ->
+          let src = Prng.int prng accounts and dst = Prng.int prng accounts in
+          Bank.tx_transfer ctx bank ~src ~dst ~amount:1)
+    in
+    let ticks =
+      match Runtime.recorder t with
+      | None -> 0
+      | Some rec_ ->
+          check "recorder ticked" true (Recorder.series_length rec_ > 0);
+          check "self-profiler sampled" true
+            (Array.exists (fun (_, _, n) -> n > 0) (Runtime.self_profile t));
+          Recorder.series_length rec_
+    in
+    let sim = Runtime.sim t in
+    ({ r with Workload.events = r.Workload.events - ticks }, Sim.elided sim, Sim.now sim)
+  in
+  let ((bare, _, _) as base) = run ~observe:false ~record:false in
+  check "the bare run commits" true (bare.Tm2c_apps.Workload.commits > 0);
+  List.iter
+    (fun (name, observe, record) ->
+      check (name ^ ": same result as bare") true (run ~observe ~record = base))
+    [
+      ("tracing + profiling", true, false);
+      ("recorder + self-profile", false, true);
+      ("all on", true, true);
+    ]
+
 let suite =
   [
     ("recorder: sketch quantiles match exact samples", `Quick,
@@ -198,4 +245,6 @@ let suite =
      test_recorder_without_tracing);
     ("recorder: resident memory constant in run length", `Quick,
      test_constant_memory);
+    ("recorder: observability is virtual-time neutral", `Quick,
+     test_observability_neutral);
   ]
