@@ -1,3 +1,3 @@
 let () =
-  Alcotest.run "tm2c-checkers"
+  Runner.run "tm2c-checkers"
     [ ("check", Test_check.suite); ("stream", Test_stream.suite) ]

@@ -1,1 +1,1 @@
-let () = Alcotest.run "tm2c-figures" [ ("harness", Test_harness.suite) ]
+let () = Runner.run "tm2c-figures" [ ("harness", Test_harness.suite) ]

@@ -1,5 +1,5 @@
 let () =
-  Alcotest.run "tm2c"
+  Runner.run "tm2c"
     [
       ("engine", Test_engine.suite);
       ("noc", Test_noc.suite);
