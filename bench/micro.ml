@@ -25,10 +25,13 @@ let mk_holder core =
   {
     Types.h_core = core;
     h_attempt = core * 3;
-    h_est_start_ns = float_of_int (core * 17);
     h_committed = core;
-    h_effective_ns = float_of_int (core * 29);
-    h_granted_ns = 0.0;
+    h_clock =
+      {
+        h_est_start_ns = float_of_int (core * 17);
+        h_effective_ns = float_of_int (core * 29);
+        h_granted_ns = 0.0;
+      };
   }
 
 let bench_locktable =
@@ -130,11 +133,13 @@ let tests =
       bench_tm2c;
     ]
 
+(* One row per benchmark: host ns, minor-heap words and words
+   promoted to the major heap, each an OLS estimate per run. *)
 let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = Instance.[ monotonic_clock; minor_allocated; promoted ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
@@ -142,15 +147,20 @@ let run () =
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances
   in
-  let merged = Analyze.merge ols instances results in
-  print_endline "\nMicro-benchmarks (ns per run, OLS estimate):";
-  Hashtbl.iter
-    (fun measure tbl ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "  %-32s %12.1f %s\n" name est measure
-          | Some [] | None -> Printf.printf "  %-32s (no estimate)\n" name)
-        tbl)
-    merged;
+  let estimate result name =
+    match Hashtbl.find_opt result name with
+    | Some r -> (
+        match Analyze.OLS.estimates r with
+        | Some (est :: _) -> Printf.sprintf "%12.1f" est
+        | Some [] | None -> Printf.sprintf "%12s" "-")
+    | None -> Printf.sprintf "%12s" "-"
+  in
+  print_endline "\nMicro-benchmarks (per run, OLS estimates):";
+  Printf.printf "  %-32s %12s %12s %12s\n" "" "ns" "minor words" "promoted";
+  List.iter
+    (fun test ->
+      let name = Test.Elt.name test in
+      Printf.printf "  %-32s %s\n" name
+        (String.concat " " (List.map (fun r -> estimate r name) results)))
+    (Test.elements tests);
   flush stdout

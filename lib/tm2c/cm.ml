@@ -34,12 +34,17 @@ type decision = Requester_loses | Enemies_lose
    priority; core ids break ties, yielding the total order that rule
    (b) of Property 1 requires. *)
 let beats policy a b =
-  let lex ka kb = ka < kb || (ka = kb && a.h_core < b.h_core) in
   match policy with
   | No_cm | Backoff_retry -> false
-  | Offset_greedy -> lex a.h_est_start_ns b.h_est_start_ns
-  | Wholly -> lex (float_of_int a.h_committed) (float_of_int b.h_committed)
-  | Fair_cm -> lex a.h_effective_ns b.h_effective_ns
+  | Offset_greedy ->
+      let ka = a.h_clock.h_est_start_ns and kb = b.h_clock.h_est_start_ns in
+      ka < kb || (ka = kb && a.h_core < b.h_core)
+  | Wholly ->
+      a.h_committed < b.h_committed
+      || (a.h_committed = b.h_committed && a.h_core < b.h_core)
+  | Fair_cm ->
+      let ka = a.h_clock.h_effective_ns and kb = b.h_clock.h_effective_ns in
+      ka < kb || (ka = kb && a.h_core < b.h_core)
 
 (* The enemy responsible for a Requester_loses decision: the first
    enemy the requester fails to beat (under no-CM/Back-off-Retry the

@@ -26,17 +26,20 @@ type server = {
      recorder's per-partition gauges). *)
   mutable lease_reclaims : int;
   (* Duplicate absorption: per requester, the newest awaited request id
-     seen and the response sent for it (None while it is still queued,
-     e.g. a waiting Exclusive_acquire). Requests are idempotent via
-     their per-core sequence number: a duplicate of the newest request
-     replays the cached response without re-executing; anything older
-     is dropped. Entries carry their last-touched instant so the cache
-     stays bounded: an entry idle past the absorption window (see
-     [cache_ttl_ns]) can never absorb a live resend and is evicted.
-     Dense array indexed by requester core id (grown on demand): the
-     cache is written on every reply, and a hash lookup there was a
-     measurable slice of the service loop. *)
-  mutable last_resp : cached option array;
+     seen and the response sent for it ([pending] while it is still
+     queued, e.g. a waiting Exclusive_acquire). Requests are idempotent
+     via their per-core sequence number: a duplicate of the newest
+     request replays the cached response without re-executing;
+     anything older is dropped. Entries carry their last-touched
+     instant so the cache stays bounded: an entry idle past the
+     absorption window (see [cache_ttl_ns]) can never absorb a live
+     resend and is evicted. Flat arrays indexed by requester core id
+     (grown on demand): the cache is written on every reply, so it
+     must cost neither a hash lookup nor a record that outlives the
+     round trip. *)
+  mutable c_req_id : int array;  (* 0: no entry *)
+  mutable c_resp : int array;  (* [resp_code] of the reply, or [pending] *)
+  mutable c_stamp : float array;  (* virtual instant last written or replayed *)
   (* Failover: replica lock tables this server maintains as the backup
      of other partitions, fed by [System.Repl] messages from their
      primaries. Keyed by partition index; merged into [locks] when
@@ -44,11 +47,24 @@ type server = {
   replica : (int, Locktable.t) Hashtbl.t;
 }
 
-and cached = {
-  c_req_id : int;
-  c_resp : System.response option;
-  mutable c_stamp : float;  (* virtual instant last written or replayed *)
-}
+(* Cached responses as small ints: the cache arrays stay flat, and a
+   replay hands back the same shared constant the first reply sent. *)
+let pending = 0
+
+let resp_code = function
+  | System.Granted -> 1
+  | System.Conflicted Raw -> 2
+  | System.Conflicted Waw -> 3
+  | System.Conflicted War -> 4
+  | System.Stale_epoch -> 5
+
+let resp_of_code = function
+  | 1 -> System.Granted
+  | 2 -> System.Conflicted Raw
+  | 3 -> System.Conflicted Waw
+  | 4 -> System.Conflicted War
+  | 5 -> System.Stale_epoch
+  | _ -> invalid_arg "Dtm.resp_of_code"
 
 let make ~core =
   {
@@ -63,7 +79,9 @@ let make ~core =
     occ_max = 0;
     busy_ns = 0.0;
     lease_reclaims = 0;
-    last_resp = [||];
+    c_req_id = [||];
+    c_resp = [||];
+    c_stamp = [||];
     replica = Hashtbl.create 4;
   }
 
@@ -87,21 +105,32 @@ let busy_ns s = s.busy_ns
 let lease_reclaims s = s.lease_reclaims
 
 let resp_cache_size s =
-  Array.fold_left
-    (fun n c -> match c with None -> n | Some _ -> n + 1)
-    0 s.last_resp
+  Array.fold_left (fun n id -> if id > 0 then n + 1 else n) 0 s.c_req_id
 
 (* Grow the response cache to cover [core]. *)
 let ensure_cache s core =
-  if core >= Array.length s.last_resp then begin
-    let n = Array.length s.last_resp in
-    let arr = Array.make (max 64 (max (core + 1) (2 * n))) None in
-    Array.blit s.last_resp 0 arr 0 n;
-    s.last_resp <- arr
+  let n = Array.length s.c_req_id in
+  if core >= n then begin
+    let grow arr zero =
+      let a = Array.make (max 64 (max (core + 1) (2 * n))) zero in
+      Array.blit arr 0 a 0 n;
+      a
+    in
+    s.c_req_id <- grow s.c_req_id 0;
+    s.c_resp <- grow s.c_resp pending;
+    s.c_stamp <- grow s.c_stamp 0.0
   end
 
-let cache_get s core =
-  if core < Array.length s.last_resp then s.last_resp.(core) else None
+(* Record [code] as the answer to [req] (an awaited request only:
+   fire-and-forget releases carry id 0 and are never cached). *)
+let cache_put env s ~(req : System.request) code =
+  if req.req_id > 0 then begin
+    let requester = req.tx.m_core in
+    ensure_cache s requester;
+    s.c_req_id.(requester) <- req.req_id;
+    s.c_resp.(requester) <- code;
+    s.c_stamp.(requester) <- Tm2c_engine.Sim.now env.System.sim
+  end
 
 let trace_on env = Tm2c_engine.Trace.enabled env.System.trace
 
@@ -140,17 +169,7 @@ let service_estimate_ns env ~n_addrs =
     (handle_base_cycles + (per_addr_cycles * n_addrs))
 
 let reply env s ~(req : System.request) resp =
-  if req.req_id > 0 then begin
-    let requester = req.tx.m_core in
-    ensure_cache s requester;
-    s.last_resp.(requester) <-
-      Some
-        {
-          c_req_id = req.req_id;
-          c_resp = Some resp;
-          c_stamp = Tm2c_engine.Sim.now env.System.sim;
-        }
-  end;
+  cache_put env s ~req (resp_code resp);
   Network.send env.System.net ~src:s.core ~dst:req.tx.m_core
     (System.Resp { req_id = req.req_id; resp })
 
@@ -172,15 +191,19 @@ let maybe_evict_cache env s =
     let ttl = cache_ttl_ns env in
     if ttl > 0.0 then begin
       let now = Tm2c_engine.Sim.now env.System.sim in
-      let arr = s.last_resp in
-      for core = 0 to Array.length arr - 1 do
-        match arr.(core) with
-        | Some c when now -. c.c_stamp > ttl ->
-            arr.(core) <- None;
-            let fc = Tm2c_noc.Fault.counters env.System.faults in
-            fc.Tm2c_noc.Fault.cache_evicted <-
-              fc.Tm2c_noc.Fault.cache_evicted + 1
-        | Some _ | None -> ()
+      (* A [pending] entry stays: its request still waits in the
+         exclusive queue, however long that takes, and its duplicates
+         must keep being absorbed until the grant replaces it. *)
+      for core = 0 to Array.length s.c_req_id - 1 do
+        if
+          s.c_req_id.(core) > 0
+          && s.c_resp.(core) <> pending
+          && now -. s.c_stamp.(core) > ttl
+        then begin
+          s.c_req_id.(core) <- 0;
+          let fc = Tm2c_noc.Fault.counters env.System.faults in
+          fc.Tm2c_noc.Fault.cache_evicted <- fc.Tm2c_noc.Fault.cache_evicted + 1
+        end
       done
     end
   end
@@ -228,9 +251,21 @@ let try_abort_enemy env s (enemy : holder) =
       | Status.Committing | Status.Pending -> Enemy_committing
   end
 
+(* The requester's metadata evaluated at grant time, built here so its
+   floats go straight into the flat clock record with no box between. *)
 let requester_holder env s (m : cm_meta) =
   let now = System.local_now env ~core:s.core in
-  holder_of_meta m ~est_start_ns:(now -. m.m_offset_ns) ~granted_ns:now
+  {
+    h_core = m.m_core;
+    h_attempt = m.m_attempt;
+    h_committed = m.m_committed;
+    h_clock =
+      {
+        h_est_start_ns = now -. m.m_offset_ns;
+        h_effective_ns = m.m_effective_ns;
+        h_granted_ns = now;
+      };
+  }
 
 (* Lease/epoch-based orphan-lock reclamation: a holder that has kept a
    lock past [env.lease_ns] is presumed dead — it crashed, or its
@@ -240,7 +275,7 @@ let requester_holder env s (m : cm_meta) =
    dropped, and a holder past its commit point is never touched. *)
 let lease_expired env s (h : holder) =
   env.System.lease_ns > 0.0
-  && System.local_now env ~core:s.core -. h.h_granted_ns > env.System.lease_ns
+  && System.local_now env ~core:s.core -. h.h_clock.h_granted_ns > env.System.lease_ns
 
 let reclaim env s ~addr ~revoke (h : holder) =
   match try_abort_enemy env s h with
@@ -512,30 +547,31 @@ let exclusive_blocked s =
    lookup is charged but the request is NOT re-executed), anything
    older is dropped. Both outcomes also cover a duplicate that arrives
    while the original still sits in the exclusive queue (cached as
-   [None]): re-queuing it would double-grant later. *)
+   [pending] when it was queued): re-queuing it would grant the
+   partition a second time, to an attempt that has already finished. *)
 let absorb env s (req : System.request) =
-  req.req_id > 0
-  &&
-  match cache_get s req.tx.m_core with
-  | Some c when req.req_id = c.c_req_id ->
-      let fc = Tm2c_noc.Fault.counters env.System.faults in
-      fc.Tm2c_noc.Fault.absorbed <- fc.Tm2c_noc.Fault.absorbed + 1;
-      Network.compute env.System.net handle_base_cycles;
+  let requester = req.tx.m_core in
+  let newest =
+    if req.req_id > 0 && requester < Array.length s.c_req_id then
+      s.c_req_id.(requester)
+    else 0
+  in
+  if newest = 0 || req.req_id > newest then false
+  else begin
+    let fc = Tm2c_noc.Fault.counters env.System.faults in
+    fc.Tm2c_noc.Fault.absorbed <- fc.Tm2c_noc.Fault.absorbed + 1;
+    Network.compute env.System.net handle_base_cycles;
+    if req.req_id = newest then begin
       (* The replay proves the entry is still live: refresh its stamp
          so eviction only reaps entries past a full idle window. *)
-      c.c_stamp <- Tm2c_engine.Sim.now env.System.sim;
-      (match c.c_resp with
-      | Some resp ->
-          Network.send env.System.net ~src:s.core ~dst:req.tx.m_core
-            (System.Resp { req_id = req.req_id; resp })
-      | None -> ());
-      true
-  | Some c when req.req_id < c.c_req_id ->
-      let fc = Tm2c_noc.Fault.counters env.System.faults in
-      fc.Tm2c_noc.Fault.absorbed <- fc.Tm2c_noc.Fault.absorbed + 1;
-      Network.compute env.System.net handle_base_cycles;
-      true
-  | Some _ | None -> false
+      s.c_stamp.(requester) <- Tm2c_engine.Sim.now env.System.sim;
+      let code = s.c_resp.(requester) in
+      if code <> pending then
+        Network.send env.System.net ~src:s.core ~dst:requester
+          (System.Resp { req_id = req.req_id; resp = resp_of_code code })
+    end;
+    true
+  end
 
 (* --- Failover: epoch checks, replica application, promotion merge --- *)
 
@@ -695,7 +731,10 @@ let handle_fresh env s (req : System.request) =
         s.exclusive <- Some (req.tx.m_core, req.tx.m_attempt);
         reply env s ~req System.Granted
       end
-      else Queue.push req s.excl_queue
+      else begin
+        cache_put env s ~req pending;
+        Queue.push req s.excl_queue
+      end
   | System.Exclusive_release ->
       (match s.exclusive with
       | Some (core, attempt) when core = req.tx.m_core && attempt = req.tx.m_attempt ->

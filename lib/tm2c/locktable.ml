@@ -4,7 +4,9 @@ type entry = { mutable writer : holder option; mutable readers : holder list }
 
 type t = (addr, entry) Hashtbl.t
 
-let create () = Hashtbl.create 1024
+(* Start small: a partition of a many-core mesh locks a handful of
+   words at a time, and the table grows on demand. *)
+let create () = Hashtbl.create 16
 
 let entry t addr =
   match Hashtbl.find_opt t addr with
@@ -16,25 +18,42 @@ let entry t addr =
 
 let find t addr = Hashtbl.find_opt t addr
 
-let gc t addr e = if e.writer = None && e.readers = [] then Hashtbl.remove t addr
+let gc t addr e =
+  match e with { writer = None; readers = [] } -> Hashtbl.remove t addr | _ -> ()
+
+(* The reader lists are copied only when they change: a grant to a
+   core not yet in the list conses onto it, and a release or
+   revocation that matches nobody leaves it as it is. *)
+let rec drop_core core = function
+  | [] -> []
+  | r :: rest when r.h_core = core -> drop_core core rest
+  | r :: rest -> r :: drop_core core rest
+
+let rec has_core core = function
+  | [] -> false
+  | r :: rest -> r.h_core = core || has_core core rest
+
+let rec has_holder core attempt = function
+  | [] -> false
+  | r :: rest -> (r.h_core = core && r.h_attempt = attempt) || has_holder core attempt rest
 
 let add_reader t addr h =
   let e = entry t addr in
-  e.readers <- h :: List.filter (fun r -> r.h_core <> h.h_core) e.readers
+  let rs = e.readers in
+  e.readers <- h :: (if has_core h.h_core rs then drop_core h.h_core rs else rs)
 
 let remove_reader t addr ~core ~attempt =
   match Hashtbl.find_opt t addr with
   | None -> ()
   | Some e ->
-      e.readers <-
-        List.filter (fun r -> not (r.h_core = core && r.h_attempt = attempt)) e.readers;
+      if has_holder core attempt e.readers then e.readers <- drop_core core e.readers;
       gc t addr e
 
 let revoke_reader t addr ~core =
   match Hashtbl.find_opt t addr with
   | None -> ()
   | Some e ->
-      e.readers <- List.filter (fun r -> r.h_core <> core) e.readers;
+      if has_core core e.readers then e.readers <- drop_core core e.readers;
       gc t addr e
 
 let set_writer t addr h =
@@ -67,8 +86,10 @@ let n_locked t = Hashtbl.length t
 let check_invariants t =
   Tm2c_engine.Det.iter
     (fun addr e ->
-      if e.writer = None && e.readers = [] then
-        invalid_arg (Printf.sprintf "Locktable: empty entry retained at %d" addr);
+      (match e with
+      | { writer = None; readers = [] } ->
+          invalid_arg (Printf.sprintf "Locktable: empty entry retained at %d" addr)
+      | _ -> ());
       let cores = List.map (fun r -> r.h_core) e.readers in
       let sorted = List.sort_uniq compare cores in
       if List.length sorted <> List.length cores then

@@ -27,8 +27,7 @@ type ctx = {
   mutable tx_start : float;
   mutable in_tx : bool;
   mutable irrevocable : bool;
-  read_buf : (addr, int) Hashtbl.t;
-  mutable reads_held : addr list;
+  reads : Readset.t;  (* read-locked addresses and the values read *)
   write_buf : (addr, int) Hashtbl.t;
   mutable write_order : addr list;  (* reversed program order *)
   mutable writes_held : addr list;
@@ -43,6 +42,12 @@ type ctx = {
   ph_scratch : float array;
   mutable ph_mark : float;  (* last charged boundary, Sim.now *)
   mutable ph_attempt_start : float;
+  (* The open round trip of [await]: the server it is routed to, the
+     silent timeouts and epoch refusals so far, and whether an inline
+     service request has paid the coroutine-scheduling delay. *)
+  mutable aw_dst : core_id;
+  mutable aw_resends : int;
+  mutable aw_deferred : bool;
 }
 
 let make env ~core ~prng ~wmode =
@@ -58,8 +63,7 @@ let make env ~core ~prng ~wmode =
     tx_start = 0.0;
     in_tx = false;
     irrevocable = false;
-    read_buf = Hashtbl.create 64;
-    reads_held = [];
+    reads = Readset.create ();
     write_buf = Hashtbl.create 16;
     write_order = [];
     writes_held = [];
@@ -71,6 +75,9 @@ let make env ~core ~prng ~wmode =
     ph_scratch = Array.make Phase.n 0.0;
     ph_mark = 0.0;
     ph_attempt_start = 0.0;
+    aw_dst = 0;
+    aw_resends = 0;
+    aw_deferred = false;
   }
 
 let core ctx = ctx.core
@@ -165,83 +172,89 @@ let failover_resend_threshold = 3
    timeouts bump the partition's epoch and re-route to the backup; a
    [Stale_epoch] refusal (we raced another client's bump, or a healed
    zombie primary refused us) likewise re-routes and retries — neither
-   is ever surfaced to the caller. *)
+   is ever surfaced to the caller. The open round trip's mutable state
+   ([aw_dst], [aw_resends], [aw_deferred]) lives in [ctx], and the
+   loop is a top-level function taking the request's identity as
+   arguments, so a wait allocates nothing that outlives a message. *)
+let await_part ctx kind =
+  let fo = ctx.env.System.failover in
+  if fo.fo_enabled then System.kind_part ~n_parts:(Array.length fo.fo_epoch) kind
+  else None
+
+(* Route to the partition's current owner (a bump — ours or a peer's —
+   may have moved it) and re-stamp the epoch. *)
+let resend ctx kind req_id =
+  (match await_part ctx kind with
+  | Some p -> ctx.aw_dst <- ctx.env.System.failover.fo_owner.(p)
+  | None -> ());
+  if trace_on ctx then
+    emit ctx
+      (Event.Req_resent
+         { core = ctx.core; server = ctx.aw_dst; req_id; nth = ctx.aw_resends });
+  Network.send ctx.env.System.net ~src:ctx.core ~dst:ctx.aw_dst
+    (System.Req { tx = meta ctx; kind; req_id; epoch = System.epoch_for ctx.env kind })
+
+let rec await_loop ctx kind req_id timeout_ns =
+  if timeout_ns > 0.0 then
+    match Network.recv_timeout ctx.env.System.net ~self:ctx.core ~timeout_ns with
+    | Some msg -> await_msg ctx kind req_id timeout_ns msg
+    | None ->
+        ctx.aw_resends <- ctx.aw_resends + 1;
+        let c = Fault.counters ctx.env.System.faults in
+        c.Fault.resends <- c.Fault.resends + 1;
+        (match await_part ctx kind with
+        | Some p when ctx.aw_resends >= failover_resend_threshold ->
+            System.bump_epoch ctx.env ~part:p ~by:ctx.core
+        | Some _ | None -> ());
+        resend ctx kind req_id;
+        await_loop ctx kind req_id
+          (Float.min (timeout_ns *. 2.0)
+             (ctx.env.System.req_timeout_ns *. resend_backoff_factor))
+  else
+    await_msg ctx kind req_id timeout_ns
+      (Network.recv ctx.env.System.net ~self:ctx.core)
+
+and await_msg ctx kind req_id timeout_ns = function
+  | System.Resp r when r.req_id = req_id -> (
+      match r.resp with
+      | System.Stale_epoch ->
+          (* Refused for epoch reasons: the partition has a new owner
+             (or we are behind on the epoch). Re-route and retry the
+             same request transparently. *)
+          ctx.aw_resends <- ctx.aw_resends + 1;
+          resend ctx kind req_id;
+          await_loop ctx kind req_id timeout_ns
+      | resp -> resp)
+  | System.Resp _ -> await_loop ctx kind req_id timeout_ns
+  | System.Req { kind = System.Barrier_reached; _ } ->
+      (* A peer reached a privatization barrier while we are still
+         inside a transaction: stash it for our own barrier call. *)
+      ctx.env.System.barrier_seen.(ctx.core) <-
+        ctx.env.System.barrier_seen.(ctx.core) + 1;
+      await_loop ctx kind req_id timeout_ns
+  | System.Req r -> (
+      match ctx.env.System.serve_inline with
+      | Some serve ->
+          if not ctx.aw_deferred then begin
+            ctx.aw_deferred <- true;
+            Network.compute ctx.env.System.net ctx.env.System.serve_defer_cycles
+          end;
+          serve ~self:ctx.core r;
+          await_loop ctx kind req_id timeout_ns
+      | None -> invalid_arg "Tx.await: application core received a service request")
+  | System.Repl _ ->
+      invalid_arg "Tx.await: application core received replication traffic"
+
 let await ctx ~dst ~kind req_id =
   (* Under multitasking, the first service request interrupting this
      wait pays the coroutine-scheduling delay (the application task's
      current computation slice must complete first — Figure 2);
      requests already queued behind it are then served in the same
      scheduling slot. *)
-  let deferred = ref false in
-  let resends = ref 0 in
-  let dst = ref dst in
-  let base = ctx.env.System.req_timeout_ns in
-  let fo = ctx.env.System.failover in
-  let part () =
-    if fo.fo_enabled then
-      System.kind_part ~n_parts:(Array.length fo.fo_epoch) kind
-    else None
-  in
-  (* Route to the partition's current owner (a bump — ours or a
-     peer's — may have moved it) and re-stamp the epoch. *)
-  let resend () =
-    (match part () with Some p -> dst := fo.fo_owner.(p) | None -> ());
-    if trace_on ctx then
-      emit ctx
-        (Event.Req_resent { core = ctx.core; server = !dst; req_id; nth = !resends });
-    Network.send ctx.env.System.net ~src:ctx.core ~dst:!dst
-      (System.Req
-         { tx = meta ctx; kind; req_id; epoch = System.epoch_for ctx.env kind })
-  in
-  let rec loop timeout_ns =
-    let msg =
-      if timeout_ns > 0.0 then
-        Network.recv_timeout ctx.env.System.net ~self:ctx.core ~timeout_ns
-      else Some (Network.recv ctx.env.System.net ~self:ctx.core)
-    in
-    match msg with
-    | None ->
-        incr resends;
-        let c = Fault.counters ctx.env.System.faults in
-        c.Fault.resends <- c.Fault.resends + 1;
-        (match part () with
-        | Some p when !resends >= failover_resend_threshold ->
-            System.bump_epoch ctx.env ~part:p ~by:ctx.core
-        | Some _ | None -> ());
-        resend ();
-        loop (Float.min (timeout_ns *. 2.0) (base *. resend_backoff_factor))
-    | Some (System.Resp r) when r.req_id = req_id -> (
-        match r.resp with
-        | System.Stale_epoch ->
-            (* Refused for epoch reasons: the partition has a new owner
-               (or we are behind on the epoch). Re-route and retry the
-               same request transparently. *)
-            incr resends;
-            resend ();
-            loop timeout_ns
-        | resp -> resp)
-    | Some (System.Resp _) -> loop timeout_ns
-    | Some (System.Req { kind = System.Barrier_reached; _ }) ->
-        (* A peer reached a privatization barrier while we are still
-           inside a transaction: stash it for our own barrier call. *)
-        ctx.env.System.barrier_seen.(ctx.core) <-
-          ctx.env.System.barrier_seen.(ctx.core) + 1;
-        loop timeout_ns
-    | Some (System.Req r) -> (
-        match ctx.env.System.serve_inline with
-        | Some serve ->
-            if not !deferred then begin
-              deferred := true;
-              Network.compute ctx.env.System.net ctx.env.System.serve_defer_cycles
-            end;
-            serve ~self:ctx.core r;
-            loop timeout_ns
-        | None ->
-            invalid_arg "Tx.await: application core received a service request")
-    | Some (System.Repl _) ->
-        invalid_arg "Tx.await: application core received replication traffic"
-  in
-  loop base
+  ctx.aw_deferred <- false;
+  ctx.aw_resends <- 0;
+  ctx.aw_dst <- dst;
+  await_loop ctx kind req_id ctx.env.System.req_timeout_ns
 
 let send_request ctx ~dst kind =
   ctx.req_counter <- ctx.req_counter + 1;
@@ -267,21 +280,21 @@ let send_release ctx ~dst kind =
     (System.Req
        { tx = meta ctx; kind; req_id = 0; epoch = System.epoch_for ctx.env kind })
 
-let group_by_owner ctx addrs =
-  (* Write sets are a handful of addresses, so assoc-list grouping
-     beats building (and collecting) a Hashtbl per commit. Groups
-     accumulate each owner's addresses in reverse traversal order,
-     exactly as the former hash-based grouping did. *)
-  let rec add groups owner a =
-    match groups with
-    | [] -> [ (owner, [ a ]) ]
-    | (o, g) :: rest when o = owner -> (o, a :: g) :: rest
-    | p :: rest -> p :: add rest owner a
-  in
-  let groups =
-    List.fold_left (fun acc a -> add acc (ctx.env.System.owner_of a) a) [] addrs
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) groups
+(* Write sets are a handful of addresses, so assoc-list grouping
+   beats building (and collecting) a Hashtbl per commit. Groups
+   accumulate each owner's addresses in reverse traversal order,
+   exactly as the former hash-based grouping did. *)
+let rec add_group groups owner a =
+  match groups with
+  | [] -> [ (owner, [ a ]) ]
+  | (o, g) :: rest when o = owner -> (o, a :: g) :: rest
+  | p :: rest -> p :: add_group rest owner a
+
+let add_by_owner ctx groups a = add_group groups (ctx.env.System.owner_of a) a
+
+let sort_groups groups = List.sort (fun (a, _) (b, _) -> compare a b) groups
+
+let group_by_owner ctx addrs = sort_groups (List.fold_left (add_by_owner ctx) [] addrs)
 
 (* Without write-lock batching every address travels in its own
    message (the Section 3.3 ablation). *)
@@ -323,9 +336,8 @@ let check_status ctx =
 
 let begin_attempt ctx =
   check_crash ctx;
-  Hashtbl.reset ctx.read_buf;
+  Readset.clear ctx.reads;
   Hashtbl.reset ctx.write_buf;
-  ctx.reads_held <- [];
   ctx.write_order <- [];
   ctx.writes_held <- [];
   ctx.early_window <- [];
@@ -350,9 +362,9 @@ let release_all ctx =
     (group_by_owner ctx ctx.writes_held);
   List.iter
     (fun (dst, addrs) -> send_release ctx ~dst (System.Release_reads addrs))
-    (group_by_owner ctx ctx.reads_held);
+    (sort_groups (Readset.fold_newest (add_by_owner ctx) [] ctx.reads));
   ctx.writes_held <- [];
-  ctx.reads_held <- []
+  Readset.clear ctx.reads
 
 (* Transactional read: Algorithm 4, plus the two elastic variants. *)
 let locked_read ctx addr =
@@ -383,8 +395,7 @@ let locked_read ctx addr =
          versioned replay depends on it. *)
       if trace_on ctx then
         emit ctx (Event.Tx_read { core = ctx.core; addr; granted = true; value = v });
-      Hashtbl.replace ctx.read_buf addr v;
-      ctx.reads_held <- addr :: ctx.reads_held;
+      Readset.add ctx.reads addr v;
       v
   | System.Conflicted c ->
       if prof then ph_charge_read ctx ~dst t0;
@@ -405,8 +416,7 @@ let elastic_early_read ctx addr =
         (System.Release_reads [ oldest ]);
       if trace_on ctx then
         emit ctx (Event.Rlock_released { core = ctx.core; addr = oldest });
-      ctx.reads_held <- List.filter (fun x -> x <> oldest) ctx.reads_held;
-      Hashtbl.remove ctx.read_buf oldest
+      Readset.remove ctx.reads oldest
   | _ -> ());
   v
 
@@ -433,7 +443,7 @@ let read ctx addr =
   match Hashtbl.find_opt ctx.write_buf addr with
   | Some v -> v
   | None -> (
-      match Hashtbl.find_opt ctx.read_buf addr with
+      match Readset.find_opt ctx.reads addr with
       | Some v -> v
       | None -> (
           let in_prefix = ctx.write_order = [] in

@@ -54,18 +54,12 @@ type cm_meta = {
 type holder = {
   h_core : core_id;
   h_attempt : int;
-  h_est_start_ns : float;
   h_committed : int;
+  h_clock : holder_clock;
+}
+
+and holder_clock = {
+  h_est_start_ns : float;
   h_effective_ns : float;
   h_granted_ns : float;
 }
-
-let holder_of_meta m ~est_start_ns ~granted_ns =
-  {
-    h_core = m.m_core;
-    h_attempt = m.m_attempt;
-    h_est_start_ns = est_start_ns;
-    h_committed = m.m_committed;
-    h_effective_ns = m.m_effective_ns;
-    h_granted_ns = granted_ns;
-  }

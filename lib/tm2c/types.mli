@@ -60,17 +60,22 @@ type cm_meta = {
 }
 
 (** A lock holder as recorded by a DTM node: the requester's metadata
-    evaluated at grant time ([est_start_ns] is the node-local start
-    estimate computed from [m_offset_ns]). *)
+    evaluated at grant time. A holder lives as long as its lock, a
+    whole transaction on a large mesh, so it is kept small: its floats
+    sit in their own all-float record, which OCaml stores flat, where
+    a record with int fields would box each float apart. *)
 type holder = {
   h_core : core_id;
   h_attempt : int;
-  h_est_start_ns : float;
   h_committed : int;
+  h_clock : holder_clock;
+}
+
+and holder_clock = {
+  h_est_start_ns : float;
+      (** the node-local start estimate computed from [m_offset_ns] *)
   h_effective_ns : float;
   h_granted_ns : float;
       (** server-local time the lock was granted — the lease clock for
           orphan-lock reclamation *)
 }
-
-val holder_of_meta : cm_meta -> est_start_ns:float -> granted_ns:float -> holder

@@ -6,6 +6,7 @@ let () =
       ("memory", Test_memory.suite);
       ("tm2c", Test_tm2c.suite);
       ("dtm", Test_dtm.suite);
+      ("alloc", Test_alloc.suite);
       ("apps", Test_apps.suite);
       ("workload", Test_workload.suite);
       ("integration", Test_integration.suite);

@@ -220,6 +220,37 @@ let test_duplicate_absorption () =
   let res = Check.run_list events in
   check "checkers pass under full duplication" true (Check.passed res)
 
+(* Irrevocable transactions under duplication, racing normal
+   transactions on one busy word: an [Exclusive_acquire] that finds
+   its partition locked waits in the exclusive queue, and its
+   duplicate arrives while it waits. The duplicate must be absorbed.
+   Queued a second time, it would be granted after the release to an
+   attempt that has already finished, and that partition would then
+   refuse every lock. Only a duplicate of the release could clear
+   that grant, so the plan duplicates half the messages, not all. *)
+let test_duplicate_exclusive_acquire () =
+  let t = Runtime.create (cfg ~total:8 ()) in
+  Runtime.set_fault_plan t (plan_of_spec "dup=0.5");
+  let counter = Tm2c_memory.Alloc.alloc (Runtime.alloc t) ~words:1 in
+  let rounds = 20 in
+  let incr ctx () = Tx.write ctx counter (Tx.read ctx counter + 1) in
+  Runtime.start_services t;
+  Array.iteri
+    (fun idx core ->
+      let ctx = Runtime.app_ctx t core in
+      Runtime.spawn_app t core (fun () ->
+          for _ = 1 to rounds do
+            if idx = 0 then Tx.irrevocable ctx (incr ctx)
+            else Tx.atomic ctx (incr ctx)
+          done))
+    (Runtime.app_cores t);
+  let _ = Runtime.run t ~until:5e6 () in
+  let c = Fault.counters (Runtime.faults t) in
+  check "duplicates absorbed" true (c.Fault.absorbed > 0);
+  check_int "every transaction committed"
+    (rounds * Array.length (Runtime.app_cores t))
+    (Tm2c_memory.Shmem.peek (Runtime.shmem t) counter)
+
 (* ---- drops, timeouts, resends ---- *)
 
 let test_drop_resend () =
@@ -423,6 +454,9 @@ let suite =
         QCheck.Test.check_exn spec_parser_total);
     ("fault: empty plan is bit-for-bit baseline", `Quick, test_empty_plan_bit_for_bit);
     ("fault: duplicate requests absorbed", `Quick, test_duplicate_absorption);
+    ( "fault: duplicate exclusive acquire absorbed",
+      `Quick,
+      test_duplicate_exclusive_acquire );
     ("fault: drops recovered by resend", `Quick, test_drop_resend);
     ("fault: timeout below RTT races", `Quick, test_timeout_below_rtt);
     ("fault: DS-server stall window", `Quick, test_stall_window);

@@ -35,10 +35,9 @@ let mk ?(attempt = 0) ?(start = 0.0) ?(committed = 0) ?(effective = 0.0) core =
   {
     h_core = core;
     h_attempt = attempt;
-    h_est_start_ns = start;
     h_committed = committed;
-    h_effective_ns = effective;
-    h_granted_ns = start;
+    h_clock =
+      { h_est_start_ns = start; h_effective_ns = effective; h_granted_ns = start };
   }
 
 let test_cm_names () =
@@ -202,21 +201,92 @@ let test_locktable_readers_excluding () =
   check_int "excludes self" 1 (List.length (Locktable.readers_excluding e ~core:1));
   check_int "keeps others" 2 (List.length (Locktable.readers_excluding e ~core:9))
 
+(* Random grants, releases and revocations, with current and stale
+   attempts, against a model: a hash table of (writer, reader list)
+   per address under the documented semantics. Besides the table's
+   own invariants, every entry must equal the model's, so a release
+   that ignores the attempt or a grant that keeps a core's old entry
+   is caught. *)
 let locktable_random_ops =
   QCheck.Test.make ~name:"locktable invariants under random ops" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 60) (tup3 (int_bound 3) (int_bound 7) (int_bound 4)))
+    QCheck.(
+      list_of_size (Gen.int_range 0 200)
+        (quad (int_bound 5) (int_bound 7) (int_bound 2) (int_bound 15)))
     (fun ops ->
       let lt = Locktable.create () in
+      let model = Hashtbl.create 16 in
+      let get a = Option.value ~default:(None, []) (Hashtbl.find_opt model a) in
+      let put a = function
+        | None, [] -> Hashtbl.remove model a
+        | v -> Hashtbl.replace model a v
+      in
+      let drop core rs = List.filter (fun r -> r.h_core <> core) rs in
       List.iter
-        (fun (op, core, addr) ->
+        (fun (op, core, attempt, addr) ->
+          let w, rs = get addr in
           match op with
-          | 0 -> Locktable.add_reader lt addr (mk ~attempt:core core)
-          | 1 -> Locktable.remove_reader lt addr ~core ~attempt:core
-          | 2 -> Locktable.set_writer lt addr (mk ~attempt:core core)
-          | _ -> Locktable.revoke_writer lt addr)
+          | 0 ->
+              let h = mk ~attempt core in
+              Locktable.add_reader lt addr h;
+              put addr (w, h :: drop core rs)
+          | 1 ->
+              Locktable.remove_reader lt addr ~core ~attempt;
+              put addr
+                (w, List.filter (fun r -> not (r.h_core = core && r.h_attempt = attempt)) rs)
+          | 2 ->
+              let h = mk ~attempt core in
+              Locktable.set_writer lt addr h;
+              put addr (Some h, rs)
+          | 3 -> (
+              Locktable.clear_writer lt addr ~core ~attempt;
+              match w with
+              | Some h when h.h_core = core && h.h_attempt = attempt -> put addr (None, rs)
+              | Some _ | None -> ())
+          | 4 ->
+              Locktable.revoke_reader lt addr ~core;
+              put addr (w, drop core rs)
+          | _ ->
+              Locktable.revoke_writer lt addr;
+              put addr (None, rs))
         ops;
       Locktable.check_invariants lt;
-      true)
+      let seen = ref [] in
+      Locktable.iter lt (fun a e ->
+          seen := (a, (e.Locktable.writer, e.Locktable.readers)) :: !seen);
+      List.rev !seen
+      = List.sort compare (Hashtbl.fold (fun a v acc -> (a, v) :: acc) model [])
+      && Locktable.n_locked lt = Hashtbl.length model)
+
+(* The read set against a model: an association list, newest first.
+   Adds, early releases and clears interleave over few addresses, so
+   the table grows, reuses removed slots and starts new attempts. *)
+let readset_random_ops =
+  QCheck.Test.make ~name:"readset agrees with a list model" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 200) (tup3 (int_bound 9) (int_bound 47) small_int))
+    (fun ops ->
+      let rs = Readset.create () in
+      let model = ref [] in
+      let agrees () =
+        Readset.fold_newest (fun acc a -> a :: acc) [] rs = List.rev_map fst !model
+        && List.for_all
+             (fun a -> Readset.find_opt rs a = List.assoc_opt a !model)
+             (List.init 48 Fun.id)
+      in
+      List.for_all
+        (fun (op, addr, v) ->
+          (match op with
+          | 0 -> Readset.clear rs; model := []
+          | 1 | 2 ->
+              Readset.remove rs addr;
+              model := List.remove_assoc addr !model
+          | _ ->
+              if not (List.mem_assoc addr !model) then begin
+                Readset.add rs addr v;
+                model := (addr, v) :: !model
+              end);
+          agrees ())
+        ops)
 
 let suite =
   [
@@ -237,4 +307,5 @@ let suite =
     ("locktable: revocation", `Quick, test_locktable_revoke);
     ("locktable: readers_excluding", `Quick, test_locktable_readers_excluding);
     QCheck_alcotest.to_alcotest locktable_random_ops;
+    QCheck_alcotest.to_alcotest readset_random_ops;
   ]
