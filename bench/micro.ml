@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the host-side primitives underlying
    the simulator and the TM2C protocol: event heap, PRNG, lock table,
-   contention-manager decisions, history-log lines, JSON numbers, and a
-   small end-to-end simulation. *)
+   contention-manager decisions, history-log lines, JSON numbers, the
+   event core's delay, delivery and park/wake paths, and a small
+   end-to-end simulation. *)
 
 open Bechamel
 open Toolkit
@@ -60,6 +61,56 @@ let bench_sim =
             done)
       done;
       ignore (Sim.run sim ())))
+
+(* The event core on a warm simulation that never drains: processes
+   loop forever and each run is one [Sim.run ~until] of 500 virtual ns.
+   A row's ns and words are per run; divide by the events it names.
+   [setup] spawns the processes into a fresh simulation, made when the
+   row runs. *)
+let sim_row name setup =
+  Test.make_with_resource ~name Test.uniq
+    ~allocate:(fun () ->
+      let sim = Sim.create () in
+      setup sim;
+      sim)
+    ~free:ignore
+    (Staged.stage (fun sim -> ignore (Sim.run sim ~until:(Sim.now sim +. 500.0) ())))
+
+let forever f () =
+  while true do
+    f ()
+  done
+
+(* Two processes delay 1 ns in turn, so the event set is never empty
+   and no delay is elided: 1,000 suspending delays per run. *)
+let bench_delay_roundtrip =
+  sim_row "sim-delay-roundtrip" (fun sim ->
+      for _ = 1 to 2 do
+        Sim.spawn sim (forever (fun () -> Sim.delay 1.0))
+      done)
+
+(* A sender [send_at]s one message 0.5 ns out every 1 ns to a receiver
+   parked in a charged mailbox: 500 port deliveries per run, each
+   handed straight to the receiver, plus the sender's 500 delays. *)
+let bench_port_delivery =
+  sim_row "sim-port-delivery" (fun sim ->
+      let mb = Mailbox.create ~recv_charge_ns:0.25 sim in
+      Sim.spawn sim (forever (fun () -> ignore (Mailbox.recv mb)));
+      Sim.spawn sim
+        (forever (fun () ->
+             Mailbox.send_at mb ~at:(Sim.now sim +. 0.5) 0;
+             Sim.delay 1.0)))
+
+(* A waker delays 1 ns and wakes a process parked in a spot, which
+   parks again: 500 park/wake cycles and 500 delays per run. *)
+let bench_park_wake =
+  sim_row "sim-park-wake" (fun sim ->
+      let spot = Sim.spot sim in
+      Sim.spawn sim (forever (fun () -> Sim.park spot));
+      Sim.spawn sim
+        (forever (fun () ->
+             Sim.delay 1.0;
+             Sim.wake spot)))
 
 let bench_tm2c =
   Test.make ~name:"tm2c-100-counter-txs" (Staged.stage (fun () ->
@@ -130,7 +181,7 @@ let tests =
   Test.make_grouped ~name:"tm2c"
     [
       bench_heap; bench_prng; bench_locktable; bench_cm; bench_histlog; bench_json; bench_sim;
-      bench_tm2c;
+      bench_delay_roundtrip; bench_port_delivery; bench_park_wake; bench_tm2c;
     ]
 
 (* One row per benchmark: host ns, minor-heap words and words

@@ -24,9 +24,6 @@ let default_waivers =
     Waiver.v ~file:"lib/engine/heap.ml" ~rule:"obj-magic"
       "generic backing-array dummy slot: one documented constant, never \
        dereferenced at its fake type";
-    Waiver.v ~file:"lib/engine/wheel.ml" ~rule:"obj-magic"
-      "calendar-queue bucket vectors reuse the same dead-slot constant so \
-       recycled cells retain no payloads";
     Waiver.v ~file:"lib/engine/mailbox.ml" ~rule:"obj-magic"
       "mailbox ring and timed-delivery slots: same generic dummy-slot \
        pattern as the heap";

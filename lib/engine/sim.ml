@@ -3,40 +3,56 @@ open Effect.Deep
 
 exception Stopped
 
-(* Queued events are pooled, mutable cells rather than per-event
-   closures: kind 0 carries an ordinary callback, kind 1 an
-   (int port, int slot) pair dispatched through the port registry —
-   the int-packed fast path used by Mailbox's timed deliveries — and
-   kind 2 a parked continuation (a delay, or a process woken from a
-   spot), resumed directly by the run loop with no wrapper closure.
-   Cells are recycled through a free stack the moment they are
-   popped. *)
-type cell = {
-  mutable kind : int; (* 0 = closure, 1 = port delivery, 2 = continuation *)
-  mutable fn : unit -> unit;
-  mutable port : int;
-  mutable slot : int;
-  mutable k : (unit, unit) continuation option;
+(* Every queued event is one int, so the event set stores no pointer.
+   The low two bits give the kind, the rest its operand:
+   - kind 0, a callback: the index of the closure in [cbs];
+   - kind 1, a port delivery: an (int port, int slot) pair dispatched
+     through the port registry — the packed fast path of Mailbox's
+     timed deliveries;
+   - kind 2, a continuation: the id (pid) of a suspended process.
+     Each process owns one slot of [procs] from its start to its end,
+     and each suspension stores its continuation there — the one
+     pointer store the engine makes per suspension — so a woken or
+     delayed process is queued as its pid alone and resumed by the run
+     loop with no wrapper closure. *)
+let kind_bits = 2
+
+let port_bits = 20
+
+(* All floats, so the record is stored flat: setting a field neither
+   boxes the float nor pays the write barrier. *)
+type clock = {
+  mutable now : float;
+  mutable horizon : float; (* the running [run]'s [until], else infinity *)
+  mutable pending_delay : float; (* absolute wake-up of the delay in flight *)
+}
+
+(* A table indexed by small ints, its free indices on a stack. It
+   grows by doubling, [fill] filling the new slots. *)
+type 'a table = {
+  mutable slots : 'a array;
+  mutable free : int array; (* room for every index *)
+  mutable top : int;
+  fill : 'a;
 }
 
 type t = {
-  mutable now : float;
-  mutable horizon : float; (* the running [run]'s [until], else infinity *)
+  clock : clock;
   scratch : float array; (* unboxed priority return cell for take_below *)
-  events : cell Wheel.t;
-  mutable pool : cell array; (* free stack of recycled cells *)
-  mutable pool_top : int;
-  mutable ports : (int -> unit) array;
-  mutable n_ports : int;
+  events : Wheel.t;
+  procs : (unit, unit) continuation table; (* by pid *)
+  mutable cur_pid : int; (* the process running or last resumed *)
+  cbs : (unit -> unit) table; (* queued callbacks *)
+  ports : (int -> unit) table; (* never freed: ids are dense *)
   mutable self_opt : t option; (* preallocated [Some t] for [current_key] *)
-  mutable pending_delay : float; (* absolute wake-up of the delay in flight *)
   mutable delay_eff : unit Effect.t; (* preallocated [Delay t] *)
+  mutable park_eff : unit Effect.t; (* preallocated [Park t] *)
   mutable delay_handler : ((unit, unit) continuation -> unit) option;
+  mutable park_handler : ((unit, unit) continuation -> unit) option;
   mutable n_spawned : int;
   mutable n_finished : int;
   mutable n_elided : int;
   mutable n_ticks : int; (* queued events that are {!every} ticks *)
-  mutable running : bool;
   (* Host-side self-profiler. The clock is *injected* (the engine
      itself never reads wall time — virtual determinism is the
      contract the lint enforces); when set, [run] switches to an
@@ -63,54 +79,65 @@ let prof_cat_dtm = 4
 
 let prof_cat_network = 5
 
-(* A parking spot holds at most one blocked process as its bare
-   continuation. Like [Delay], its effect value and handler are
-   allocated once, with the spot, so parking allocates only the
-   [Some k] it stores. Whatever the process waits for (a message, a
-   queue entry) travels beside the spot, in its owner's state. *)
-type spot = {
-  owner : t;
-  mutable parked : (unit, unit) continuation option;
-  park_eff : unit Effect.t; (* preallocated [Park spot] *)
-  park_handler : ((unit, unit) continuation -> unit) option;
-}
+(* A parking spot holds at most one blocked process, as its pid (-1
+   when empty); the continuation itself waits in the process's slot.
+   Whatever the process waits for (a message, a queue entry) travels
+   beside the spot, in its owner's state. *)
+type spot = { owner : t; mutable parked : int }
 
-(* The effect payload carries the owning simulation (or spot) so that
-   nested or sequential simulations (common in tests) cannot
-   interfere. The wake-up time rides in [pending_delay] rather than
-   the payload, so the effect value itself is one preallocated
-   [Delay t] per simulation and the dominant effect on the hot path
-   allocates nothing. *)
+(* The effect payload carries the owning simulation so that nested or
+   sequential simulations (common in tests) cannot interfere. The
+   wake-up time rides in [pending_delay] rather than the payload, so
+   each effect value is preallocated once per simulation, and neither
+   suspension allocates anything but its continuation. *)
 type _ Effect.t += Delay : t -> unit Effect.t
-type _ Effect.t += Park : spot -> unit Effect.t
+type _ Effect.t += Park : t -> unit Effect.t
 
-(* Placeholder for [delay_eff] before [create] ties the knot. *)
+(* Placeholder for [delay_eff] and [park_eff] before [create] ties the
+   knot. *)
 type _ Effect.t += Uninit : unit Effect.t
+
+(* Filler of the continuation table's free slots: a real continuation,
+   captured once and never resumed, so the table needs no unsafe
+   dummy. Resuming it by mistake would merely return. The handler
+   hands it out of [match_with] in an exception. *)
+type _ Effect.t += Capture : unit Effect.t
+
+exception Captured of (unit, unit) continuation
+
+let dead_k : (unit, unit) continuation =
+  let effc (type b) (eff : b Effect.t) : ((b, unit) continuation -> unit) option =
+    match eff with Capture -> Some (fun k -> raise (Captured k)) | _ -> None
+  in
+  match match_with perform Capture { retc = Fun.id; exnc = raise; effc } with
+  | () -> assert false
+  | exception Captured k -> k
 
 let nop () = ()
 
 let unbound_port (_ : int) = invalid_arg "Sim: delivery to unbound port"
 
-let now t = t.now
+let now t = t.clock.now
 
-let alloc_cell t =
-  if t.pool_top > 0 then begin
-    t.pool_top <- t.pool_top - 1;
-    t.pool.(t.pool_top)
-  end
-  else { kind = 0; fn = nop; port = -1; slot = -1; k = None }
+let table fill = { slots = [||]; free = [||]; top = 0; fill }
 
-let release_cell t c =
-  (* Don't retain the callback or continuation. *)
-  c.fn <- nop;
-  c.k <- None;
-  if t.pool_top = Array.length t.pool then begin
-    let np = Array.make (max 64 (2 * t.pool_top)) c in
-    Array.blit t.pool 0 np 0 t.pool_top;
-    t.pool <- np
+(* A free index: the last released, else the lowest new one. *)
+let take tb =
+  if tb.top = 0 then begin
+    let cap = Array.length tb.slots in
+    let ncap = max 16 (2 * cap) in
+    let slots = Array.make ncap tb.fill in
+    Array.blit tb.slots 0 slots 0 cap;
+    tb.slots <- slots;
+    tb.free <- Array.init ncap (fun i -> ncap - 1 - i);
+    tb.top <- ncap - cap
   end;
-  t.pool.(t.pool_top) <- c;
-  t.pool_top <- t.pool_top + 1
+  tb.top <- tb.top - 1;
+  tb.free.(tb.top)
+
+let release tb i =
+  tb.free.(tb.top) <- i;
+  tb.top <- tb.top + 1
 
 (* A NaN time would pop out of order and an infinite one reads as a
    drained queue, so both are refused where they enter the queue. The
@@ -120,66 +147,51 @@ let[@inline never] non_finite call x =
   invalid_arg (Printf.sprintf "%s: non-finite time %g" call x)
 
 let[@inline] checked_at t call at =
-  if at < t.now then if at > neg_infinity then t.now else non_finite call at
+  let now = t.clock.now in
+  if at < now then if at > neg_infinity then now else non_finite call at
   else if at <= max_float then at
   else non_finite call at
 
 let schedule t ~at f =
   let at = checked_at t "Sim.schedule" at in
-  let c = alloc_cell t in
-  c.kind <- 0;
-  c.fn <- f;
-  Wheel.push t.events at c
+  let i = take t.cbs in
+  t.cbs.slots.(i) <- f;
+  Wheel.push t.events at (i lsl kind_bits)
 
 let register_port t handler =
-  let id = t.n_ports in
-  if id = Array.length t.ports then begin
-    let np = Array.make (max 16 (2 * id)) unbound_port in
-    Array.blit t.ports 0 np 0 id;
-    t.ports <- np
-  end;
-  t.ports.(id) <- handler;
-  t.n_ports <- id + 1;
+  let id = take t.ports in
+  if id lsr port_bits <> 0 then invalid_arg "Sim.register_port: port ids exhausted";
+  t.ports.slots.(id) <- handler;
   id
 
 let schedule_port t ~at ~port ~slot =
   let at = checked_at t "Sim.schedule_port" at in
-  let c = alloc_cell t in
-  c.kind <- 1;
-  c.port <- port;
-  c.slot <- slot;
-  Wheel.push t.events at c
+  Wheel.push t.events at ((((slot lsl port_bits) lor port) lsl kind_bits) lor 1)
 
-(* Queue a continuation directly in a pooled cell (kind 2): no
-   wrapper closure per suspension. Takes the option itself, so a
-   continuation moving from a spot to the queue reuses its box. *)
-let push_k t ~at k =
-  let at = if at < t.now then t.now else at in
-  let c = alloc_cell t in
-  c.kind <- 2;
-  c.k <- k;
-  Wheel.push t.events at c
+(* Queue process [pid] to resume at [at]. *)
+let[@inline] push_k t ~at pid =
+  let now = t.clock.now in
+  Wheel.push t.events (if at < now then now else at) ((pid lsl kind_bits) lor 2)
 
 let create () =
   let t =
     {
-      now = 0.0;
-      horizon = infinity;
+      clock = { now = 0.0; horizon = infinity; pending_delay = 0.0 };
       scratch = Array.make 1 0.0;
       events = Wheel.create ();
-      pool = [||];
-      pool_top = 0;
-      ports = [||];
-      n_ports = 0;
+      procs = table dead_k;
+      cur_pid = -1;
+      cbs = table nop;
+      ports = table unbound_port;
       self_opt = None;
-      pending_delay = 0.0;
       delay_eff = Uninit;
+      park_eff = Uninit;
       delay_handler = None;
+      park_handler = None;
       n_spawned = 0;
       n_finished = 0;
       n_elided = 0;
       n_ticks = 0;
-      running = false;
       host_clock = None;
       prof_s = Array.make (Array.length prof_categories) 0.0;
       prof_n = Array.make (Array.length prof_categories) 0;
@@ -188,21 +200,30 @@ let create () =
   in
   t.self_opt <- Some t;
   t.delay_eff <- Delay t;
-  t.delay_handler <- Some (fun k -> push_k t ~at:t.pending_delay (Some k));
+  t.park_eff <- Park t;
+  t.delay_handler <-
+    Some
+      (fun k ->
+        t.procs.slots.(t.cur_pid) <- k;
+        push_k t ~at:t.clock.pending_delay t.cur_pid);
+  t.park_handler <- Some (fun k -> t.procs.slots.(t.cur_pid) <- k);
   t
 
+let process_slots t = Array.length t.procs.slots
+
 (* Ambient simulation for the currently executing process, so that
-   [delay] needs no explicit handle at every call site.
-   Domain-local (not a plain ref): each domain gets its own slot, so
-   parallel sweep cells running one simulation per domain cannot
-   observe each other's ambient sim. *)
+   [delay] needs no explicit handle at every call site. [run] sets it
+   for its whole length. Domain-local (not a plain ref): each domain
+   gets its own slot, so parallel sweep cells running one simulation
+   per domain cannot observe each other's ambient sim. *)
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let delay d =
   match Domain.DLS.get current_key with
   | Some t ->
+      let c = t.clock in
       (* A negative delay clamps to zero, like a past [schedule]. *)
-      let target = checked_at t "Sim.delay" (t.now +. d) in
+      let target = checked_at t "Sim.delay" (c.now +. d) in
       (* Elision fast path: when the wake-up could not interleave with
          any queued event — the queue is empty — and the wake-up lies
          within the current run's horizon, advance the clock in place
@@ -212,12 +233,12 @@ let delay d =
          minimum still lies strictly past [target] could also elide,
          but probing the minimum on every delay forces a cached-min
          refresh and costs more than the rare extra elision saves.) *)
-      if target <= t.horizon && Wheel.is_empty t.events then begin
-        t.now <- target;
+      if target <= c.horizon && Wheel.is_empty t.events then begin
+        c.now <- target;
         t.n_elided <- t.n_elided + 1
       end
       else begin
-        t.pending_delay <- target;
+        c.pending_delay <- target;
         perform t.delay_eff
       end
   | None -> invalid_arg "Sim.delay: not inside a simulation process"
@@ -227,38 +248,31 @@ let current () =
   | Some t -> t
   | None -> invalid_arg "Sim.current: not inside a simulation process"
 
-let spot t =
-  let rec s =
-    {
-      owner = t;
-      parked = None;
-      park_eff = Park s;
-      park_handler = Some (fun k -> s.parked <- Some k);
-    }
-  in
-  s
+let spot t = { owner = t; parked = -1 }
 
-let is_parked s = s.parked != None
+let is_parked s = s.parked >= 0
 
 let park s =
-  if s.parked != None then invalid_arg "Sim.park: spot already holds a process";
+  if s.parked >= 0 then invalid_arg "Sim.park: spot already holds a process";
   match Domain.DLS.get current_key with
-  | Some t when t == s.owner -> perform s.park_eff
+  | Some t when t == s.owner ->
+      s.parked <- t.cur_pid;
+      perform t.park_eff
   | Some _ -> invalid_arg "Sim.park: spot belongs to another simulation"
   | None -> invalid_arg "Sim.park: not inside a simulation process"
 
 (* The woken process takes the push-sequence slot its wake-up takes
    here, at the current instant: equal-time events keep their order. *)
 let wake s =
-  match s.parked with
-  | Some _ as k ->
-      s.parked <- None;
-      push_k s.owner ~at:s.owner.now k
-  | None -> ()
+  let pid = s.parked in
+  if pid >= 0 then begin
+    s.parked <- -1;
+    push_k s.owner ~at:s.owner.clock.now pid
+  end
 
 (* [Wheel.min_gt events now]: an event pushed at the current instant
    would be the very next to pop. *)
-let none_due_now t = Wheel.min_gt t.events t.now
+let none_due_now t = Wheel.min_gt t.events t.clock.now
 
 (* The tail fast path. It replaces a [wake] whose event would have been
    the very next pop ([none_due_now]), issued as the last action of a
@@ -270,24 +284,28 @@ let none_due_now t = Wheel.min_gt t.events t.now
    been elided instead of pushed; the count of logical events is the
    same either way. *)
 let hand_off_after s d =
-  match s.parked with
-  | Some _ as k ->
-      let t = s.owner in
-      s.parked <- None;
-      t.n_elided <- t.n_elided + 1;
-      push_k t ~at:(t.now +. d) k
-  | None -> ()
+  let pid = s.parked in
+  if pid >= 0 then begin
+    let t = s.owner in
+    s.parked <- -1;
+    t.n_elided <- t.n_elided + 1;
+    push_k t ~at:(t.clock.now +. d) pid
+  end
 
+(* A finished process's slot keeps its consumed continuation, which
+   holds no stack. *)
 let exec t body =
-  match_with
-    (fun () ->
-      Domain.DLS.set current_key t.self_opt;
-      body ())
-    ()
+  let pid = take t.procs in
+  t.cur_pid <- pid;
+  match_with body ()
     {
-      retc = (fun () -> t.n_finished <- t.n_finished + 1);
+      retc =
+        (fun () ->
+          release t.procs t.cur_pid;
+          t.n_finished <- t.n_finished + 1);
       exnc =
         (fun exn ->
+          release t.procs t.cur_pid;
           match exn with
           | Stopped -> t.n_finished <- t.n_finished + 1
           | _ ->
@@ -300,66 +318,53 @@ let exec t body =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
           | Delay st when st == t ->
-              (* Preallocated: parks the continuation at
-                 [t.pending_delay], the absolute wake-up the performer
-                 just stored. The annotation applies this branch's
-                 [b = unit] equation locally instead of letting it
-                 unify [b] away for the other branches. *)
+              (* Preallocated: parks the continuation in the process's
+                 slot and queues its pid at [pending_delay], the
+                 absolute wake-up the performer just stored. The
+                 annotation applies this branch's [b = unit] equation
+                 locally instead of letting it unify [b] away for the
+                 other branches. *)
               (t.delay_handler : ((b, unit) continuation -> unit) option)
-          | Park s when s.owner == t ->
-              (s.park_handler : ((b, unit) continuation -> unit) option)
+          | Park st when st == t ->
+              (t.park_handler : ((b, unit) continuation -> unit) option)
           | _ -> None);
     }
 
 let spawn t ?name f =
   ignore name;
   t.n_spawned <- t.n_spawned + 1;
-  schedule t ~at:t.now (fun () -> exec t f)
+  schedule t ~at:t.clock.now (fun () -> exec t f)
 
-(* The uninstrumented hot loop. *)
-let run_plain t until processed =
-  let continue_run = ref true in
-  while !continue_run do
-    match Wheel.take_below t.events t.horizon t.scratch with
-    | Some c -> (
-        t.now <- t.scratch.(0);
-        incr processed;
-        (* Branches ordered by frequency: continuations dominate, then
-           timed deliveries, then general callbacks. *)
-        if c.kind = 2 then begin
-          match c.k with
-          | Some k ->
-              release_cell t c;
-              Domain.DLS.set current_key t.self_opt;
-              continue k ()
-          | None -> assert false
-        end
-        else if c.kind = 1 then begin
-          let port = c.port and slot = c.slot in
-          release_cell t c;
-          t.ports.(port) slot
-        end
-        else begin
-          let fn = c.fn in
-          release_cell t c;
-          fn ()
-        end)
-    | None ->
-        if t.scratch.(0) = infinity then begin
-          (* The queue drained before the horizon: the caller asked for
-             the window up to [until], so the clock must still land
-             there. *)
-          match until with
-          | Some h when t.now < h -> t.now <- h
-          | Some _ | None -> ()
-        end
-        else
-          (* A queued event lies past the horizon: clamp the clock but
-             leave the event queued, so a later [run] call resumes
-             exactly where this one stopped. *)
-          t.now <- t.horizon;
-        continue_run := false
-  done
+(* Run one popped event. Branches are ordered by frequency:
+   continuations dominate, then timed deliveries, then callbacks. *)
+let[@inline] dispatch t code =
+  let kind = code land 3 and i = code lsr kind_bits in
+  if kind = 2 then begin
+    t.cur_pid <- i;
+    continue t.procs.slots.(i) ()
+  end
+  else if kind = 1 then t.ports.slots.(i land ((1 lsl port_bits) - 1)) (i lsr port_bits)
+  else begin
+    let f = t.cbs.slots.(i) in
+    (* Don't retain the callback. *)
+    t.cbs.slots.(i) <- nop;
+    release t.cbs i;
+    f ()
+  end
+
+(* The uninstrumented hot loop. [horizon] is [t.clock.horizon] as the
+   boxed float [run] already holds, so passing it to the wheel boxes
+   nothing. *)
+let run_plain t horizon =
+  let processed = ref 0 in
+  let code = ref (Wheel.take_below t.events horizon t.scratch) in
+  while !code >= 0 do
+    t.clock.now <- t.scratch.(0);
+    incr processed;
+    dispatch t !code;
+    code := Wheel.take_below t.events horizon t.scratch
+  done;
+  !processed
 
 (* Same loop with the injected clock stamped around the pop and the
    dispatch. Note the dispatch category measures everything until
@@ -368,62 +373,61 @@ let run_plain t until processed =
    [delay_resume] or [callback] unless the fiber claims the dispatch
    for [dtm]/[network] through [prof_mark]. Two clock reads per
    event. *)
-let run_profiled t clk until processed =
+let run_profiled t clk horizon =
+  let processed = ref 0 in
   let continue_run = ref true in
   while !continue_run do
     let t0 = clk () in
-    match Wheel.take_below t.events t.horizon t.scratch with
-    | Some c ->
-        t.now <- t.scratch.(0);
-        incr processed;
-        let t1 = clk () in
-        t.prof_s.(0) <- t.prof_s.(0) +. (t1 -. t0);
-        t.prof_n.(0) <- t.prof_n.(0) + 1;
-        let base = if c.kind = 2 then 1 else if c.kind = 1 then 2 else 3 in
-        t.prof_tag <- -1;
-        (if c.kind = 2 then begin
-           match c.k with
-           | Some k ->
-               release_cell t c;
-               Domain.DLS.set current_key t.self_opt;
-               continue k ()
-           | None -> assert false
-         end
-         else if c.kind = 1 then begin
-           let port = c.port and slot = c.slot in
-           release_cell t c;
-           t.ports.(port) slot
-         end
-         else begin
-           let fn = c.fn in
-           release_cell t c;
-           fn ()
-         end);
-        let cat = if t.prof_tag >= 0 then t.prof_tag else base in
-        t.prof_s.(cat) <- t.prof_s.(cat) +. (clk () -. t1);
-        t.prof_n.(cat) <- t.prof_n.(cat) + 1
-    | None ->
-        t.prof_s.(0) <- t.prof_s.(0) +. (clk () -. t0);
-        (if t.scratch.(0) = infinity then begin
-           match until with
-           | Some h when t.now < h -> t.now <- h
-           | Some _ | None -> ()
-         end
-         else t.now <- t.horizon);
-        continue_run := false
-  done
+    let code = Wheel.take_below t.events horizon t.scratch in
+    if code >= 0 then begin
+      t.clock.now <- t.scratch.(0);
+      incr processed;
+      let t1 = clk () in
+      t.prof_s.(0) <- t.prof_s.(0) +. (t1 -. t0);
+      t.prof_n.(0) <- t.prof_n.(0) + 1;
+      let kind = code land 3 in
+      let base = if kind = 2 then 1 else if kind = 1 then 2 else 3 in
+      t.prof_tag <- -1;
+      dispatch t code;
+      let cat = if t.prof_tag >= 0 then t.prof_tag else base in
+      t.prof_s.(cat) <- t.prof_s.(cat) +. (clk () -. t1);
+      t.prof_n.(cat) <- t.prof_n.(cat) + 1
+    end
+    else begin
+      t.prof_s.(0) <- t.prof_s.(0) +. (clk () -. t0);
+      continue_run := false
+    end
+  done;
+  !processed
 
 let run t ?until () =
-  t.running <- true;
-  t.horizon <- (match until with Some h -> h | None -> infinity);
-  let processed = ref 0 in
-  (match t.host_clock with
-  | None -> run_plain t until processed
-  | Some clk -> run_profiled t clk until processed);
-  t.horizon <- infinity;
-  t.running <- false;
-  Domain.DLS.set current_key None;
-  !processed
+  let horizon = match until with Some h -> h | None -> infinity in
+  t.clock.horizon <- horizon;
+  let outer = Domain.DLS.get current_key in
+  Domain.DLS.set current_key t.self_opt;
+  let processed =
+    Fun.protect
+      ~finally:(fun () ->
+        t.clock.horizon <- infinity;
+        Domain.DLS.set current_key outer)
+      (fun () ->
+        match t.host_clock with
+        | None -> run_plain t horizon
+        | Some clk -> run_profiled t clk horizon)
+  in
+  if t.scratch.(0) = infinity then begin
+    (* The queue drained before the horizon: the caller asked for the
+       window up to [until], so the clock must still land there. *)
+    match until with
+    | Some h when t.clock.now < h -> t.clock.now <- h
+    | Some _ | None -> ()
+  end
+  else
+    (* A queued event lies past the horizon: clamp the clock but leave
+       the event queued, so a later [run] call resumes exactly where
+       this one stopped. *)
+    t.clock.now <- horizon;
+  processed
 
 (* [Some clock] switches {!run} to the instrumented loop; [None]
    restores the uninstrumented one (accumulated figures are kept). *)
@@ -464,4 +468,4 @@ let every t ~period f =
     t.n_ticks <- t.n_ticks + 1;
     schedule t ~at (tick at)
   in
-  arm (t.now +. period)
+  arm (t.clock.now +. period)

@@ -40,15 +40,16 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
     its port id. Ports are the allocation-free alternative to
     {!schedule} for high-frequency timed deliveries: the subscriber
     registers one handler up front, and each delivery is just two ints
-    in a pooled event cell (see {!schedule_port}) instead of a fresh
-    closure. Ports cannot be unregistered; they live as long as the
-    simulation. *)
+    packed into the queued event (see {!schedule_port}) instead of a
+    fresh closure. Ports cannot be unregistered; they live as long as
+    the simulation.
+    @raise Invalid_argument past 2{^20} ports, the packed width. *)
 val register_port : t -> (int -> unit) -> int
 
 (** [schedule_port t ~at ~port ~slot] arranges for the handler
     registered under [port] to be called with [slot] at virtual time
     [at] (clamped like {!schedule}). The handler must not perform
-    effects.
+    effects. [slot] must be non-negative and below 2{^40}.
     @raise Invalid_argument if [at] is NaN or infinite. *)
 val schedule_port : t -> at:float -> port:int -> slot:int -> unit
 
@@ -103,6 +104,11 @@ val hand_off_after : spot -> float -> unit
     Processes still parked when the run ends are abandoned (their
     continuations are dropped). *)
 val run : t -> ?until:float -> unit -> int
+
+(** Capacity of the continuation table: one slot per live process,
+    taken when a process starts and freed when it ends. Exposed for the
+    slot-reuse test. *)
+val process_slots : t -> int
 
 (** Number of processes spawned so far. *)
 val spawned : t -> int

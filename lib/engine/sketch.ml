@@ -19,19 +19,22 @@
    epsilon beyond the midpoint's own last-bit rounding.
 
    [add] is O(1) and allocation-free after the first sample (the
-   counts array is created lazily so unused sketches cost a few
-   words). [merge] adds counts elementwise — associative and
-   order-independent, the property that lets per-core sketches
-   combine into one distribution without retaining samples. *)
+   counts array and the moments are created lazily, so unused
+   sketches cost a few words and no block of their own). [merge]
+   adds counts elementwise — associative and order-independent, the
+   property that lets per-core sketches combine into one distribution
+   without retaining samples. *)
+
+(* All floats, so stored flat: [add] updates them without boxing a
+   float or paying the write barrier. *)
+type moments = { mutable sum : float; mutable min : float; mutable max : float }
 
 type t = {
   sub : int;  (* linear sub-buckets per octave; a power of two *)
   rel_error : float;  (* achieved bound: 1 / (2 * sub) *)
-  mutable counts : int array;  (* lazily allocated *)
+  mutable counts : int array;  (* allocated with [m] *)
   mutable n : int;
-  mutable sum : float;
-  mutable min : float;
-  mutable max : float;
+  mutable m : moments option;  (* [None] until the first sample *)
 }
 
 (* 40 octaves: ns-scale values up to
@@ -58,9 +61,7 @@ let create ?(rel_error = default_rel_error) () =
     rel_error = 1.0 /. float_of_int (2 * sub);
     counts = [||];
     n = 0;
-    sum = 0.0;
-    min = infinity;
-    max = neg_infinity;
+    m = None;
   }
 
 let rel_error t = t.rel_error
@@ -84,25 +85,40 @@ let index_of t v =
     if i >= last then last else i
   end
 
+(* The moments to write, allocated with the counts on first use. *)
+let materialize t =
+  match t.m with
+  | Some m -> m
+  | None ->
+      let m = { sum = 0.0; min = infinity; max = neg_infinity } in
+      t.counts <- Array.make (n_buckets t.sub) 0;
+      t.m <- Some m;
+      m
+
 let add t v =
   let v = if v < 0.0 then 0.0 else v in
-  if Array.length t.counts = 0 then t.counts <- Array.make (n_buckets t.sub) 0;
+  let m = materialize t in
   let i = index_of t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
-  if v < t.min then t.min <- v;
-  if v > t.max then t.max <- v
+  m.sum <- m.sum +. v;
+  if v < m.min then m.min <- v;
+  if v > m.max then m.max <- v
 
 let count t = t.n
 
-let sum t = t.sum
+let sum t = match t.m with Some m -> m.sum | None -> 0.0
 
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+(* The observed range; [infinity, neg_infinity] while empty. *)
+let lo t = match t.m with Some m -> m.min | None -> infinity
 
-let min_value t = if t.n = 0 then 0.0 else t.min
+let hi t = match t.m with Some m -> m.max | None -> neg_infinity
 
-let max_value t = if t.n = 0 then 0.0 else t.max
+let mean t = if t.n = 0 then 0.0 else sum t /. float_of_int t.n
+
+let min_value t = if t.n = 0 then 0.0 else lo t
+
+let max_value t = if t.n = 0 then 0.0 else hi t
 
 (* Edges of bucket [i]: [0, sub) are the linear sub-unit buckets,
    [sub + e*sub + s] covers 2^e * [1 + s/sub, 1 + (s+1)/sub), and the
@@ -118,14 +134,14 @@ let bucket_upper t i =
   if i >= n_buckets t.sub - 1 then infinity else bucket_lower t (i + 1)
 
 let clamp t v =
-  if v < t.min then t.min else if v > t.max then t.max else v
+  if v < lo t then lo t else if v > hi t then hi t else v
 
 (* Midpoint estimate for the sample in bucket [i], clamped to the
    observed range (clamping can only reduce the error: every sample in
    the bucket lies within [min, max]). The overflow bucket has no
    midpoint and reports the observed max. *)
 let estimate t i =
-  if i >= n_buckets t.sub - 1 then t.max
+  if i >= n_buckets t.sub - 1 then hi t
   else clamp t (0.5 *. (bucket_lower t i +. bucket_upper t i))
 
 (* Nearest-rank rule: the p-th percentile is the rank-th smallest
@@ -156,15 +172,14 @@ let merge ~into src =
   if into.sub <> src.sub then
     invalid_arg "Sketch.merge: mismatched resolutions";
   if src.n > 0 then begin
-    if Array.length into.counts = 0 then
-      into.counts <- Array.make (n_buckets into.sub) 0;
+    let m = materialize into in
     Array.iteri
       (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c)
       src.counts;
     into.n <- into.n + src.n;
-    into.sum <- into.sum +. src.sum;
-    if src.min < into.min then into.min <- src.min;
-    if src.max > into.max then into.max <- src.max
+    m.sum <- m.sum +. sum src;
+    if lo src < m.min then m.min <- lo src;
+    if hi src > m.max then m.max <- hi src
   end
 
 (* Non-empty buckets as (inclusive-ish upper edge, count), low to
@@ -175,19 +190,21 @@ let buckets t =
     (fun i c ->
       if c > 0 then begin
         let upper = bucket_upper t i in
-        let upper = if upper = infinity then t.max else upper in
+        let upper = if upper = infinity then hi t else upper in
         acc := (upper, c) :: !acc
       end)
     t.counts;
   List.rev !acc
 
 let reset t =
-  if Array.length t.counts > 0 then
-    Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.min <- infinity;
-  t.max <- neg_infinity
+  (match t.m with
+  | Some m ->
+      Array.fill t.counts 0 (Array.length t.counts) 0;
+      m.sum <- 0.0;
+      m.min <- infinity;
+      m.max <- neg_infinity
+  | None -> ());
+  t.n <- 0
 
 (* ---- windows ----
 
@@ -208,7 +225,7 @@ let window_of t =
   {
     w_counts = (if Array.length t.counts = 0 then [||] else Array.copy t.counts);
     w_n = t.n;
-    w_sum = t.sum;
+    w_sum = sum t;
   }
 
 let window_roll t w =
@@ -217,11 +234,11 @@ let window_roll t w =
        Array.blit t.counts 0 w.w_counts 0 (Array.length t.counts)
      else w.w_counts <- Array.copy t.counts);
   w.w_n <- t.n;
-  w.w_sum <- t.sum
+  w.w_sum <- sum t
 
 let window_count t w = t.n - w.w_n
 
-let window_sum t w = t.sum -. w.w_sum
+let window_sum t w = sum t -. w.w_sum
 
 let base_count w i = if Array.length w.w_counts = 0 then 0 else w.w_counts.(i)
 
@@ -258,17 +275,16 @@ let window_merge t w ~into =
     invalid_arg "Sketch.window_merge: mismatched resolutions";
   let dn = window_count t w in
   if dn > 0 then begin
-    if Array.length into.counts = 0 then
-      into.counts <- Array.make (n_buckets into.sub) 0;
+    let m = materialize into in
     Array.iteri
       (fun i c ->
         let d = c - base_count w i in
         if d > 0 then into.counts.(i) <- into.counts.(i) + d)
       t.counts;
     into.n <- into.n + dn;
-    into.sum <- into.sum +. window_sum t w;
-    if t.min < into.min then into.min <- t.min;
-    if t.max > into.max then into.max <- t.max
+    m.sum <- m.sum +. window_sum t w;
+    if lo t < m.min then m.min <- lo t;
+    if hi t > m.max then m.max <- hi t
   end
 
 let pp fmt t =

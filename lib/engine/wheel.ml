@@ -2,13 +2,15 @@
    the near future, with a binary-heap overflow tier for everything
    past the window (see DESIGN.md, "Engine").
 
-   Buckets are small *unsorted* vectors held in parallel arrays (flat
-   float priorities, int sequence numbers, generic values): a push is
+   Buckets are small *unsorted* vectors held in parallel flat arrays
+   (float priorities, int sequence numbers, int payloads): a push is
    an append, and a pop linearly scans the current bucket for the
    lexicographic (priority, seq) minimum. With ~64 ns buckets the scan
    is a handful of flat-array compares — cheaper than sifting a heap —
    and the minimum is unique because sequence numbers are, so storage
-   order never matters.
+   order never matters. Payloads are ints (the simulator codes every
+   event as one), so no store into a bucket is a pointer store and
+   none pays the GC write barrier; a vacated slot retains nothing.
 
    Every entry carries a globally increasing sequence number assigned
    here, so the pop order is the exact lexicographic (priority,
@@ -37,32 +39,26 @@
      ([Heap.push_seq]); buckets are unsorted, so the migration order is
      irrelevant to the pop order. *)
 
-type 'a t = {
+type t = {
   n_buckets : int; (* power of two *)
   mask : int;
   inv_width : float; (* 1 / bucket width; width in ns *)
   b_prio : float array array; (* per-slot parallel vectors *)
   b_seq : int array array;
-  b_vals : 'a array array;
+  b_vals : int array array;
   b_len : int array;
-  overflow : 'a Heap.t;
+  overflow : int Heap.t;
   mutable win_start : int; (* global bucket number of window start *)
   mutable cur : int; (* current scan position, >= win_start *)
   mutable size : int;
   mutable next_seq : int;
-  mutable cmin : float; (* exact global min priority, valid when [cok] *)
+  cmin : float array; (* flat cell: exact global min priority, valid when [cok] *)
   mutable cok : bool;
 }
 
 let default_buckets = 4096
 
 let default_width = 64.0
-
-(* Immediate dummy for dead value slots: never read, keeps vacated
-   slots from retaining popped values, and forces [Array.make] to
-   build generic (non-flat) value arrays. [Obj.magic] is confined to
-   this one constant. *)
-let dummy : 'a. unit -> 'a = fun () -> Obj.magic 0
 
 let create ?(n_buckets = default_buckets) ?(width_ns = default_width) () =
   if n_buckets < 2 || n_buckets land (n_buckets - 1) <> 0 then
@@ -82,7 +78,7 @@ let create ?(n_buckets = default_buckets) ?(width_ns = default_width) () =
     cur = 0;
     size = 0;
     next_seq = 0;
-    cmin = infinity;
+    cmin = [| infinity |];
     cok = true;
   }
 
@@ -104,7 +100,7 @@ let append w s p seq v =
     let bs = Array.make cap 0 in
     Array.blit w.b_seq.(s) 0 bs 0 len;
     w.b_seq.(s) <- bs;
-    let bv = Array.make cap (dummy ()) in
+    let bv = Array.make cap 0 in
     Array.blit w.b_vals.(s) 0 bv 0 len;
     w.b_vals.(s) <- bv
   end;
@@ -118,7 +114,7 @@ let push w p v =
   w.next_seq <- seq + 1;
   w.size <- w.size + 1;
   (* A stale cache stays stale: the unknown minimum may be below [p]. *)
-  if w.cok && p < w.cmin then w.cmin <- p;
+  if w.cok && p < w.cmin.(0) then w.cmin.(0) <- p;
   let q = bucket_of w p in
   if q >= w.win_start + w.n_buckets then Heap.push_seq w.overflow p seq v
   else
@@ -171,8 +167,6 @@ let remove w s i =
     w.b_seq.(s).(i) <- w.b_seq.(s).(last);
     w.b_vals.(s).(i) <- w.b_vals.(s).(last)
   end;
-  (* Clear the vacated slot so it does not retain the popped value. *)
-  w.b_vals.(s).(last) <- dummy ();
   w.size <- w.size - 1;
   v
 
@@ -183,14 +177,14 @@ let remove w s i =
 let refresh w =
   normalize w;
   let s = w.cur land w.mask in
-  w.cmin <- w.b_prio.(s).(scan_min w s);
+  w.cmin.(0) <- w.b_prio.(s).(scan_min w s);
   w.cok <- true
 
 let min_prio w =
   if w.size = 0 then infinity
   else begin
     if not w.cok then refresh w;
-    w.cmin
+    w.cmin.(0)
   end
 
 (* [min_gt w x] is true when the wheel is empty or its minimum priority
@@ -200,15 +194,15 @@ let min_gt w x =
   if w.size = 0 then true
   else begin
     if not w.cok then refresh w;
-    w.cmin > x
+    w.cmin.(0) > x
   end
 
 (* The hot-path pop, folding the horizon test, the min scan and the
    cache refresh into one pass:
-   - empty wheel: [scratch.(0) <- infinity], returns [None];
+   - empty wheel: [scratch.(0) <- infinity], returns [-1];
    - minimum past [limit]: [scratch.(0) <- min], entry stays queued,
-     returns [None];
-   - otherwise: [scratch.(0) <- min], returns [Some value].
+     returns [-1];
+   - otherwise: [scratch.(0) <- min], returns the entry's payload.
    The scan tracks the runner-up priority alongside the minimum, so
    popping usually leaves a valid cached minimum behind for free. The
    priority comes back through the caller's flat [scratch] cell rather
@@ -216,11 +210,11 @@ let min_gt w x =
 let take_below w limit scratch =
   if w.size = 0 then begin
     scratch.(0) <- infinity;
-    None
+    -1
   end
-  else if w.cok && w.cmin > limit then begin
-    scratch.(0) <- w.cmin;
-    None
+  else if w.cok && w.cmin.(0) > limit then begin
+    scratch.(0) <- w.cmin.(0);
+    -1
   end
   else begin
     normalize w;
@@ -240,23 +234,23 @@ let take_below w limit scratch =
     let p = bp.(!best) in
     scratch.(0) <- p;
     if p > limit then begin
-      w.cmin <- p;
+      w.cmin.(0) <- p;
       w.cok <- true;
-      None
+      -1
     end
     else begin
       let v = remove w s !best in
       if w.b_len.(s) > 0 then begin
         (* Bucket [cur] still non-empty: its minimum is global. *)
-        w.cmin <- !second;
+        w.cmin.(0) <- !second;
         w.cok <- true
       end
       else if w.size = 0 then begin
-        w.cmin <- infinity;
+        w.cmin.(0) <- infinity;
         w.cok <- true
       end
       else w.cok <- false;
-      Some v
+      v
     end
   end
 
@@ -266,7 +260,7 @@ let take w =
   let s = w.cur land w.mask in
   let v = remove w s (scan_min w s) in
   if w.size = 0 then begin
-    w.cmin <- infinity;
+    w.cmin.(0) <- infinity;
     w.cok <- true
   end
   else w.cok <- false;

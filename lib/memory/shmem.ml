@@ -26,6 +26,10 @@ type t = {
   caches : cache array option;
   region_shift : int;
   mc_busy : float array;  (* per-controller queue: busy-until time *)
+  core_x : int array;  (* per core: mesh column of its tile *)
+  core_y : int array;  (* per core: mesh row of its tile *)
+  mc_x : int array;  (* per controller: mesh column it attaches to *)
+  mc_y : int array;  (* per controller: mesh row it attaches to *)
   mutable reads : int;
   mutable writes : int;
 }
@@ -43,6 +47,8 @@ let create sim platform ~words =
         Some (Array.init (Platform.n_cores platform) make)
   in
   let backed = min words initial_words in
+  let topo = platform.Platform.topology in
+  let core_x, core_y = Topology.core_xy topo and mc_x, mc_y = Topology.mc_xy topo in
   (* Regions of 64 Ki words (512 KB) per controller stripe: big enough
      that a compact structure stays within one controller. *)
   {
@@ -53,7 +59,11 @@ let create sim platform ~words =
     versions = Array.make backed 0;
     caches;
     region_shift = 16;
-    mc_busy = Array.make (Topology.n_memory_controllers platform.Platform.topology) 0.0;
+    mc_busy = Array.make (Topology.n_memory_controllers topo) 0.0;
+    core_x;
+    core_y;
+    mc_x;
+    mc_y;
     reads = 0;
     writes = 0;
   }
@@ -99,11 +109,19 @@ let mc_of_addr t addr =
 
 (* Concurrent accesses to the same controller serialize: reserve a
    service slot and fold the queueing delay into this access. *)
-let mc_queue_delay t mc =
+let[@inline] mc_queue_delay t mc =
   let now = Sim.now t.sim in
-  let start = Float.max now t.mc_busy.(mc) in
+  let busy = t.mc_busy.(mc) in
+  let start = if busy > now then busy else now in
   t.mc_busy.(mc) <- start +. t.platform.Platform.mem_service_ns;
   start -. now
+
+(* [Platform.mem_read_ns] (base [mem_base_ns]) or [mem_write_ns]
+   (base [mem_write_ns]), the same expression, with the hops taken from
+   the flat coordinates: no tuple per access. *)
+let[@inline] mem_ns t base ~core ~mc =
+  let hops = abs (t.core_x.(core) - t.mc_x.(mc)) + abs (t.core_y.(core) - t.mc_y.(mc)) in
+  base +. (float_of_int hops *. t.platform.Platform.mem_hop_ns)
 
 let cache_lookup c t addr =
   match Hashtbl.find_opt c.entries addr with
@@ -134,8 +152,8 @@ let read t ~core addr =
         | None -> assert false)
     | Some caches ->
         cache_insert caches.(core) addr (load t.versions t addr);
-        mc_queue_delay t mc +. Platform.mem_read_ns t.platform ~core ~mc
-    | None -> mc_queue_delay t mc +. Platform.mem_read_ns t.platform ~core ~mc
+        mc_queue_delay t mc +. mem_ns t t.platform.Platform.mem_base_ns ~core ~mc
+    | None -> mc_queue_delay t mc +. mem_ns t t.platform.Platform.mem_base_ns ~core ~mc
   in
   Sim.delay latency;
   load t.data t addr
@@ -143,7 +161,7 @@ let read t ~core addr =
 let write t ~core addr v =
   t.writes <- t.writes + 1;
   let mc = mc_of_addr t addr in
-  Sim.delay (mc_queue_delay t mc +. Platform.mem_write_ns t.platform ~core ~mc);
+  Sim.delay (mc_queue_delay t mc +. mem_ns t t.platform.Platform.mem_write_ns ~core ~mc);
   store t addr v;
   (* The writer keeps its own copy valid (write-through). *)
   match t.caches with
@@ -162,7 +180,7 @@ let write_burst t ~core pairs =
       (fun acc (addr, v) ->
         t.writes <- t.writes + 1;
         let mc = mc_of_addr t addr in
-        let d = mc_queue_delay t mc +. Platform.mem_write_ns t.platform ~core ~mc in
+        let d = mc_queue_delay t mc +. mem_ns t t.platform.Platform.mem_write_ns ~core ~mc in
         store t addr v;
         (match t.caches with
         | Some caches -> cache_insert caches.(core) addr t.versions.(addr)

@@ -35,8 +35,7 @@ let cycles_memo = 2048
 let create sim platform ~active =
   let n = Platform.n_cores platform in
   let topo = platform.Platform.topology in
-  let coords = Array.init n (fun c -> Topology.tile_coords topo (Topology.core_tile topo c)) in
-  let tile_x = Array.map fst coords and tile_y = Array.map snd coords in
+  let tile_x, tile_y = Topology.core_xy topo in
   (* Coordinates start at 0, so no XY route is longer than this. *)
   let max_hops = Array.fold_left max 0 tile_x + Array.fold_left max 0 tile_y in
   {

@@ -46,6 +46,21 @@ let mc_tile_coords t mc =
       | 2 -> (0, rows - 1)
       | _ -> (cols - 1, rows - 1))
 
+(* Flat coordinate arrays, so that per-access paths read two ints
+   instead of building a tuple. *)
+let unzip n coords =
+  let xs = Array.make n 0 and ys = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let x, y = coords i in
+    xs.(i) <- x;
+    ys.(i) <- y
+  done;
+  (xs, ys)
+
+let core_xy t = unzip (n_cores t) (fun c -> tile_coords t (core_tile t c))
+
+let mc_xy t = unzip (n_memory_controllers t) (mc_tile_coords t)
+
 let hops_to_mc t ~core ~mc =
   match t with
   | Flat _ -> 0

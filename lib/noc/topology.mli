@@ -40,6 +40,16 @@ val n_memory_controllers : t -> int
     latency model). *)
 val hops_to_mc : t -> core:int -> mc:int -> int
 
+(** Per-core tile coordinates as two flat arrays [(xs, ys)]: core [c]
+    sits at [(xs.(c), ys.(c))]; all zero on flat topologies. For
+    per-access paths that must not build a tuple. *)
+val core_xy : t -> int array * int array
+
+(** Memory-controller attachment points as two flat arrays [(xs, ys)],
+    indexed by controller, so that [hops_to_mc t ~core ~mc] is
+    [|cx - mx| + |cy - my|] over {!core_xy} and these. *)
+val mc_xy : t -> int array * int array
+
 (** Average hop count over all ordered core pairs; used by latency
     smoke tests and the calibration notes. *)
 val mean_hops : t -> float

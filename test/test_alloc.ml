@@ -20,9 +20,10 @@ let minor_words f =
    are the request message (the [Req] and request records, the
    contention-manager metadata and its float, the [Read_lock] kind),
    the grant's holder and lock-table entry, the reply message, and the
-   engine's cost of each suspension (a continuation and its box) on
-   both sides. None of it may be a closure: the smallest closure is 4
-   words, so the bound is the count measured at this version plus 3.
+   engine's cost of each suspension (a continuation and the float box
+   of its push) on both sides. None of it may be a closure: the
+   smallest closure is 4 words, so the bound is the count measured at
+   this version plus 3.
    The warm-up grows the response cache, read set and lock table to
    size. The engine's calendar buckets get their arrays on first use
    (27 words), which a round trip now and then still meets long after
@@ -48,8 +49,9 @@ let idle_read_words () =
 
 (* Measured with OCaml 5.1.1, whose code generation the count depends
    on; 254 before the round trip's closures, refs and response-cache
-   record went. *)
-let read_round_trip_words = 199.0
+   record went, 199 before the event set held ints and the sketch and
+   memory-latency paths stopped boxing floats. *)
+let read_round_trip_words = 172.0
 
 let test_idle_read_no_closure () =
   let w = List.fold_left Float.min infinity (idle_read_words ()) in
@@ -90,18 +92,96 @@ let words_per_request () =
   let requests = List.fold_left (fun n s -> n + Dtm.served s) 0 (Runtime.servers t) in
   words /. float_of_int requests
 
-(* 247.7 words per request measured with OCaml 5.1.1 (281.0 before
-   the round trip lost its closures and records), plus a margin of
-   5%. *)
-let request_budget = 260.0
+(* 215.0 words per request measured with OCaml 5.1.1 (281.0 before
+   the round trip lost its closures and records, 247.7 before the
+   event set held ints and the sketch and memory-latency paths stopped
+   boxing floats), plus a margin of 5%. *)
+let request_budget = 226.0
 
 let test_words_per_request () =
   let w = words_per_request () in
   check (Printf.sprintf "%.2f words per request <= %.1f" w request_budget) true
     (w <= request_budget)
 
+(* The engine's own cost per event, on a warm simulation that never
+   drains: its processes loop forever, and each measured window is one
+   [Sim.run ~until] of 500 virtual ns. The counts include [run]'s own
+   entry and exit, shared by the window's events, and the float box of
+   each event-set push: a float crossing into {!Tm2c_engine.Wheel} is
+   boxed. *)
+let window_words sim ~events =
+  let module Sim = Tm2c_engine.Sim in
+  let step () = ignore (Sim.run sim ~until:(Sim.now sim +. 500.0) ()) in
+  for _ = 1 to 20 do
+    step ()
+  done;
+  let w = ref infinity in
+  for _ = 1 to 20 do
+    w := Float.min !w (minor_words step)
+  done;
+  !w /. float_of_int events
+
+(* Two processes each [delay 1.0] in a loop, so the event set is never
+   empty and no delay is elided: 1,000 suspending delays per window.
+   Each costs its continuation and the box of its push. *)
+let delay_words () =
+  let module Sim = Tm2c_engine.Sim in
+  let sim = Sim.create () in
+  for _ = 1 to 2 do
+    Sim.spawn sim (fun () ->
+        while true do
+          Sim.delay 1.0
+        done)
+  done;
+  window_words sim ~events:1000
+
+(* 4.21 words measured with OCaml 5.1.1, 12.18 with the pooled event
+   cells of the previous engine. The margin is less than one float
+   box (2 words), so a box or option per delay fails. *)
+let delay_budget = 5.0
+
+let test_delay_words () =
+  let w = delay_words () in
+  check (Printf.sprintf "%.3f words per suspending delay <= %.1f" w delay_budget) true
+    (w <= delay_budget)
+
+(* A charged mailbox with its receiver parked in [recv], and a sender
+   that [send_at]s one message 0.5 ns out and then delays 1 ns: 500
+   deliveries per window. Each delivery finds no other event due, so
+   it takes the hand-off fast path. Per delivery the window holds the
+   delivery, the receiver's resume and the sender's delay, and the
+   2-word units are: two continuations, three pushes' float boxes, the
+   box of [now] in the hand-off test, and the sender's own [Sim.now
+   sim +. 0.5] (two boxes). No event record, option or closure. *)
+let delivery_words () =
+  let module Sim = Tm2c_engine.Sim in
+  let module Mailbox = Tm2c_engine.Mailbox in
+  let sim = Sim.create () in
+  let mb = Mailbox.create ~recv_charge_ns:0.25 sim in
+  Sim.spawn sim (fun () ->
+      while true do
+        ignore (Mailbox.recv mb)
+      done);
+  Sim.spawn sim (fun () ->
+      while true do
+        Mailbox.send_at mb ~at:(Sim.now sim +. 0.5) 0;
+        Sim.delay 1.0
+      done);
+  window_words sim ~events:500
+
+(* 16.42 words measured with OCaml 5.1.1, 30.39 with the pooled event
+   cells of the previous engine; the same margin as the delay's. *)
+let delivery_budget = 17.0
+
+let test_delivery_words () =
+  let w = delivery_words () in
+  check (Printf.sprintf "%.3f words per delivery <= %.1f" w delivery_budget) true
+    (w <= delivery_budget)
+
 let suite =
   [
     ("alloc: idle read-lock round trip allocates no closure", `Quick, test_idle_read_no_closure);
     ("alloc: minor words per DTM request", `Quick, test_words_per_request);
+    ("alloc: suspending delay", `Quick, test_delay_words);
+    ("alloc: port delivery allocates nothing in the engine", `Quick, test_delivery_words);
   ]

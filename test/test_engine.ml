@@ -162,13 +162,13 @@ let test_wheel_fifo_ties () =
 let test_wheel_take_below () =
   let w = Wheel.create () in
   let scratch = Array.make 1 0.0 in
-  check "empty" true (Wheel.take_below w 100.0 scratch = None);
+  check_int "empty" (-1) (Wheel.take_below w 100.0 scratch);
   check "scratch = infinity when empty" true (scratch.(0) = infinity);
-  Wheel.push w 50.0 "a";
-  Wheel.push w 150.0 "b";
-  check "below limit pops" true (Wheel.take_below w 100.0 scratch = Some "a");
+  Wheel.push w 50.0 7;
+  Wheel.push w 150.0 8;
+  check_int "below limit pops" 7 (Wheel.take_below w 100.0 scratch);
   check_float "scratch carries the popped priority" 50.0 scratch.(0);
-  check "past limit stays queued" true (Wheel.take_below w 100.0 scratch = None);
+  check_int "past limit stays queued" (-1) (Wheel.take_below w 100.0 scratch);
   check_float "scratch carries the blocked minimum" 150.0 scratch.(0);
   check_int "blocked entry still queued" 1 (Wheel.length w)
 
@@ -399,6 +399,39 @@ let test_sim_suspend_resume () =
   check_int "value" 7 !got;
   check_float "resumed at waker's time" 42.0 !woke_at;
   check_int "both finished" 2 (Sim.finished sim)
+
+(* Each process holds one continuation slot from its start to its end,
+   and a freed slot is taken again before the table grows: 1,000
+   short-lived processes, at most four alive at once (the driver and
+   three children), fit in the table's first 16 slots. *)
+let test_sim_slots_reused () =
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () ->
+      for i = 0 to 999 do
+        Sim.spawn sim (fun () -> Sim.delay 1.0);
+        if i mod 3 = 2 then Sim.delay 2.0
+      done);
+  ignore (Sim.run sim ());
+  check_int "all finished" 1001 (Sim.finished sim);
+  check "at most 16 slots" true (Sim.process_slots sim <= 16)
+
+(* [run] sets the ambient simulation for its length and restores the
+   caller's on exit, so a process may run another simulation to
+   completion and go on delaying in its own. *)
+let test_sim_nested_run () =
+  let outer = Sim.create () in
+  let inner_end = ref 0.0 in
+  Sim.spawn outer (fun () ->
+      Sim.delay 1.0;
+      let inner = Sim.create () in
+      Sim.spawn inner (fun () -> Sim.delay 5.0);
+      ignore (Sim.run inner ());
+      inner_end := Sim.now inner;
+      Sim.delay 1.0);
+  ignore (Sim.run outer ());
+  check_float "inner ran" 5.0 !inner_end;
+  check_float "outer went on" 2.0 (Sim.now outer);
+  check_int "outer finished" 1 (Sim.finished outer)
 
 let test_sim_outside_process () =
   Alcotest.check_raises "delay outside process"
@@ -799,6 +832,8 @@ let suite =
     ("sim: until clamps after drain", `Quick, test_sim_until_drain_clamp);
     ("sim: nested spawn", `Quick, test_sim_nested_spawn);
     ("sim: suspend/resume", `Quick, test_sim_suspend_resume);
+    ("sim: process slots are reused", `Quick, test_sim_slots_reused);
+    ("sim: nested run restores the ambient sim", `Quick, test_sim_nested_run);
     ("sim: effects outside process", `Quick, test_sim_outside_process);
     ("sim: deterministic", `Quick, test_sim_determinism);
     ("sim: non-finite times refused", `Quick, test_sim_non_finite_times);

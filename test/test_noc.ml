@@ -42,6 +42,29 @@ let test_mc_hops () =
     (Topology.hops_to_mc t ~core:47 ~mc:0 <= 8);
   check_int "four controllers" 4 (Topology.n_memory_controllers t)
 
+(* The flat coordinate arrays reproduce [tile_coords] and [hops_to_mc]
+   for every core and controller, on the SCC, a 512-core mesh and the
+   flat machine. *)
+let test_flat_coords () =
+  List.iter
+    (fun t ->
+      let xs, ys = Topology.core_xy t and mxs, mys = Topology.mc_xy t in
+      for core = 0 to Topology.n_cores t - 1 do
+        Alcotest.(check (pair int int))
+          "core coordinates" (Topology.tile_coords t (Topology.core_tile t core))
+          (xs.(core), ys.(core));
+        for mc = 0 to Topology.n_memory_controllers t - 1 do
+          check_int "mc hops"
+            (Topology.hops_to_mc t ~core ~mc)
+            (abs (xs.(core) - mxs.(mc)) + abs (ys.(core) - mys.(mc)))
+        done
+      done)
+    [
+      Topology.scc;
+      Topology.Mesh { cols = 16; rows = 16; cores_per_tile = 2 };
+      Topology.opteron48;
+    ]
+
 let hops_triangle =
   QCheck.Test.make ~name:"mesh hops satisfy triangle inequality" ~count:300
     QCheck.(triple (int_bound 47) (int_bound 47) (int_bound 47))
@@ -209,6 +232,7 @@ let suite =
     ("topology: XY hops", `Quick, test_hops);
     ("topology: flat", `Quick, test_flat_topology);
     ("topology: memory controllers", `Quick, test_mc_hops);
+    ("topology: flat coordinates agree", `Quick, test_flat_coords);
     QCheck_alcotest.to_alcotest hops_triangle;
     ("platform: settings table", `Quick, test_settings_table);
     ("platform: Fig 8a calibration", `Quick, test_latency_calibration);
