@@ -1,8 +1,8 @@
 (* Bechamel micro-benchmarks of the host-side primitives underlying
    the simulator and the TM2C protocol: event heap, PRNG, lock table,
-   contention-manager decisions, history-log lines, JSON numbers, the
-   event core's delay, delivery and park/wake paths, and a small
-   end-to-end simulation. *)
+   contention-manager decisions, history-log lines, trace-ring records,
+   JSON numbers, the event core's delay, delivery and park/wake paths,
+   and a small end-to-end simulation. *)
 
 open Bechamel
 open Toolkit
@@ -160,6 +160,22 @@ let bench_histlog =
     (Staged.stage (fun w ->
          List.iter (fun (t, ev) -> Tm2c_check.Histlog.put w t ev) histlog_events))
 
+(* A full trace ring (default capacity) recording one event per row of
+   the description table, so every record overwrites a slot: ns and
+   words per event are the row's over [List.length Event.kinds]. *)
+let bench_trace_record =
+  let record tr = List.iter (fun (t, ev) -> Trace.record tr ~now:t ev) histlog_events in
+  Test.make_with_resource ~name:"trace-record" Test.uniq
+    ~allocate:(fun () ->
+      let tr = Trace.create ~codec:Event.ring_codec () in
+      Trace.enable tr;
+      while Trace.dropped tr = 0 do
+        record tr
+      done;
+      tr)
+    ~free:Trace.clear
+    (Staged.stage record)
+
 (* A Perfetto timeline's numbers: 32 timestamps and 32 durations, in
    µs from virtual ns (ns /. 1000.0) with the fractional ns that sums of
    link and service delays leave. ns per float is the row's time over
@@ -180,38 +196,67 @@ let bench_json =
 let tests =
   Test.make_grouped ~name:"tm2c"
     [
-      bench_heap; bench_prng; bench_locktable; bench_cm; bench_histlog; bench_json; bench_sim;
+      bench_heap; bench_prng; bench_locktable; bench_cm; bench_histlog; bench_trace_record;
+      bench_json; bench_sim;
       bench_delay_roundtrip; bench_port_delivery; bench_park_wake; bench_tm2c;
     ]
 
-(* One row per benchmark: host ns, minor-heap words and words
-   promoted to the major heap, each an OLS estimate per run. *)
+(* Words per run from the runtime's own counters, [Gc.minor_words]
+   and [Gc.quick_stat]'s promoted words, around [alloc_runs] runs that
+   follow as many warm-up runs; a minor collection at each end puts
+   what survives the runs on the promoted side. (Bechamel's
+   [minor_allocated] reads far below [Gc.minor_words] on OCaml 5.1:
+   0.0 for sim-park-wake.) *)
+let alloc_runs = 200
+
+let gc_words elt =
+  let (Test.V { fn; kind; allocate; free }) = Test.Elt.fn elt in
+  match kind with
+  | Test.Uniq ->
+      let fn = fn `Init in
+      let r = Test.Uniq.prj (allocate ()) in
+      let runs () =
+        for _ = 1 to alloc_runs do
+          ignore (Sys.opaque_identity (fn r))
+        done
+      in
+      runs ();
+      Gc.minor ();
+      let m0 = Gc.minor_words () and p0 = (Gc.quick_stat ()).Gc.promoted_words in
+      runs ();
+      Gc.minor ();
+      let m1 = Gc.minor_words () and p1 = (Gc.quick_stat ()).Gc.promoted_words in
+      free (Test.Uniq.inj r);
+      let per w = w /. float_of_int alloc_runs in
+      (per (m1 -. m0), per (p1 -. p0))
+  | Test.Multiple -> (Float.nan, Float.nan)
+
+(* One row per benchmark: host ns per run (Bechamel's OLS estimate),
+   then minor-heap words and words promoted to the major heap per run
+   ([gc_words]). *)
 let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let instances = Instance.[ monotonic_clock; minor_allocated; promoted ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let estimate result name =
-    match Hashtbl.find_opt result name with
+  let clock = Instance.monotonic_clock in
+  let ns = Analyze.all ols clock (Benchmark.all cfg [ clock ] tests) in
+  let estimate name =
+    match Hashtbl.find_opt ns name with
     | Some r -> (
         match Analyze.OLS.estimates r with
         | Some (est :: _) -> Printf.sprintf "%12.1f" est
         | Some [] | None -> Printf.sprintf "%12s" "-")
     | None -> Printf.sprintf "%12s" "-"
   in
-  print_endline "\nMicro-benchmarks (per run, OLS estimates):";
+  print_endline "\nMicro-benchmarks (per run; ns an OLS estimate, words from Gc counters):";
   Printf.printf "  %-32s %12s %12s %12s\n" "" "ns" "minor words" "promoted";
   List.iter
     (fun test ->
       let name = Test.Elt.name test in
-      Printf.printf "  %-32s %s\n" name
-        (String.concat " " (List.map (fun r -> estimate r name) results)))
+      let minor, promoted = gc_words test in
+      Printf.printf "  %-32s %s %12.1f %12.1f\n" name (estimate name) minor promoted)
     (Test.elements tests);
   flush stdout

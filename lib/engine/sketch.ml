@@ -14,9 +14,10 @@
    bound holds absolutely (width 1/sub). [create] picks [sub] as the
    smallest power of two meeting the requested bound, so the
    documented guarantee is [rel_error t] = 1/(2*sub) <= requested.
-   Index arithmetic is exact (scaling by powers of two and mantissa
-   sub-bucketing introduce no rounding), so the bound has no hidden
-   epsilon beyond the midpoint's own last-bit rounding.
+   Index arithmetic is exact (the octave and sub-bucket are read from
+   the float's exponent and mantissa bits), so the bound has no hidden
+   epsilon beyond the midpoint's own last-bit rounding. Infinity lands
+   in the overflow bucket; NaN is refused.
 
    [add] is O(1) and allocation-free after the first sample (the
    counts array and the moments are created lazily, so unused
@@ -66,24 +67,24 @@ let create ?(rel_error = default_rel_error) () =
 
 let rel_error t = t.rel_error
 
-(* Bucket index of [v >= 0]. The octave scaling multiplies by exact
-   powers of two (an exponent loop, kept
-   self-tail-recursive so the float stays in a register), and the
-   final mantissa sub-bucket is an exact product: the index is the
-   mathematically correct one for every finite [v]. *)
-let rec log_index v acc sub =
-  if v >= 65536.0 then log_index (v *. (1.0 /. 65536.0)) (acc + (16 * sub)) sub
-  else if v >= 16.0 then log_index (v *. (1.0 /. 16.0)) (acc + (4 * sub)) sub
-  else if v >= 2.0 then log_index (v *. 0.5) (acc + sub) sub
-  else acc + int_of_float ((v -. 1.0) *. float_of_int sub)
-
+(* Bucket index of [v >= 0] (not NaN). A [v >= 1] is 2^e * 1.f: [e]
+   is the biased exponent field less 1023, and the sub-bucket is the
+   top log2 [sub] bits of the 52-bit fraction field, taken as the top
+   40 bits times [sub] (at most 2^12) over 2^40. Both are read from the
+   float's bits, so the index is the mathematically correct one for
+   every [v]. The bits fill a 63-bit int (the sign bit, 0 here, is
+   dropped), which [lsr] reads unsigned. Infinity's exponent field
+   (2047) is past every octave: the overflow bucket. *)
 let index_of t v =
   if v < 1.0 then int_of_float (v *. float_of_int t.sub)
   else begin
-    let i = log_index v t.sub t.sub in
-    let last = n_buckets t.sub - 1 in
-    if i >= last then last else i
+    let b = Int64.to_int (Int64.bits_of_float v) in
+    let e = (b lsr 52) - 1023 in
+    if e >= octaves then n_buckets t.sub - 1
+    else t.sub + (e * t.sub) + ((((b land ((1 lsl 52) - 1)) lsr 12) * t.sub) lsr 40)
   end
+
+let bucket_index = index_of
 
 (* The moments to write, allocated with the counts on first use. *)
 let materialize t =
@@ -96,6 +97,7 @@ let materialize t =
       m
 
 let add t v =
+  if Float.is_nan v then invalid_arg "Sketch.add: NaN";
   let v = if v < 0.0 then 0.0 else v in
   let m = materialize t in
   let i = index_of t v in

@@ -27,7 +27,14 @@ val create : ?rel_error:float -> unit -> t
 (** The documented relative-error bound actually guaranteed. *)
 val rel_error : t -> float
 
+(** [add t v] counts one sample; a negative [v] counts as 0 and
+    infinity in the overflow bucket. Raises [Invalid_argument] on NaN,
+    which would poison the sum. *)
 val add : t -> float -> unit
+
+(** The bucket a sample [v >= 0] lands in: [0, sub) the linear buckets
+    below 1.0, then [sub] per octave, the last the overflow bucket. *)
+val bucket_index : t -> float -> int
 
 val count : t -> int
 

@@ -12,8 +12,48 @@
 
 type 'a t
 
-(** [create ?capacity ()] — capacity defaults to 65536 events. *)
-val create : ?capacity:int -> unit -> 'a t
+(** {2 Flat encoding}
+
+    The ring keeps no boxed event: a codec writes each event as flat
+    columns of one ring slot and reads it back from them. Only the
+    readers ({!iter}, {!to_list}) decode. *)
+
+(** One ring slot being written or read. Fields are read back in the
+    order they were put. *)
+type cursor
+
+val put_int : cursor -> int -> unit
+
+val put_float : cursor -> float -> unit
+
+(** Interned in a per-ring table: one int column. *)
+val put_str : cursor -> string -> unit
+
+(** Stored in a side ring of ints: two int columns (start, length). *)
+val put_ints : cursor -> int list -> unit
+
+val get_int : cursor -> int
+
+val get_float : cursor -> float
+
+val get_str : cursor -> string
+
+val get_ints : cursor -> int list
+
+(** [int_columns] and [float_columns] bound the columns one event
+    takes (a string one int column, an int list two). [encode] puts an
+    event's fields; [decode] gets them back in the same order and
+    rebuilds the event. *)
+type 'a codec = {
+  int_columns : int;
+  float_columns : int;
+  encode : cursor -> 'a -> unit;
+  decode : cursor -> 'a;
+}
+
+(** [create ?capacity ~codec ()] — capacity defaults to 65536 events.
+    The flat columns are allocated on the first {!record}. *)
+val create : ?capacity:int -> codec:'a codec -> unit -> 'a t
 
 val enabled : 'a t -> bool
 
@@ -55,7 +95,8 @@ val fanout :
     neither disturbs the other. *)
 val set_tap : 'a t -> (float -> 'a -> unit) option -> unit
 
-(** Oldest-first iteration over (timestamp, event). *)
+(** Oldest-first iteration over (timestamp, event); each event is
+    decoded afresh from the ring. *)
 val iter : 'a t -> (float -> 'a -> unit) -> unit
 
 val to_list : 'a t -> (float * 'a) list

@@ -33,13 +33,16 @@ type server = {
      anything older is dropped. Entries carry their last-touched
      instant so the cache stays bounded: an entry idle past the
      absorption window (see [cache_ttl_ns]) can never absorb a live
-     resend and is evicted. Flat arrays indexed by requester core id
-     (grown on demand): the cache is written on every reply, so it
+     resend and is evicted. One flat int per requester core id, the
+     request id and the reply code packed together ([cache_entry]), so
+     a reply writes one word: the cache is written on every reply, and
      must cost neither a hash lookup nor a record that outlives the
      round trip. *)
-  mutable c_req_id : int array;  (* 0: no entry *)
-  mutable c_resp : int array;  (* [resp_code] of the reply, or [pending] *)
-  mutable c_stamp : float array;  (* virtual instant last written or replayed *)
+  n_cores : int;
+  mutable cache : int array;  (* 0: no entry; made with the first entry *)
+  (* Virtual instant each entry was last written or replayed; kept
+     (and made) only while eviction can run, [cache_ttl_ns] > 0. *)
+  mutable c_stamp : float array;
   (* Failover: replica lock tables this server maintains as the backup
      of other partitions, fed by [System.Repl] messages from their
      primaries. Keyed by partition index; merged into [locks] when
@@ -47,9 +50,15 @@ type server = {
   replica : (int, Locktable.t) Hashtbl.t;
 }
 
-(* Cached responses as small ints: the cache arrays stay flat, and a
-   replay hands back the same shared constant the first reply sent. *)
+(* Cached responses as small ints: the cache stays flat, and a replay
+   hands back the same shared constant the first reply sent. *)
 let pending = 0
+
+(* An entry: the request id above the 3-bit reply code. Request ids
+   are positive, so a live entry is never 0. *)
+let cache_entry ~req_id code = (req_id lsl 3) lor code
+let entry_req_id e = e lsr 3
+let entry_code e = e land 7
 
 let resp_code = function
   | System.Granted -> 1
@@ -66,7 +75,7 @@ let resp_of_code = function
   | 5 -> System.Stale_epoch
   | _ -> invalid_arg "Dtm.resp_of_code"
 
-let make ~core =
+let make ~n_cores ~core =
   {
     core;
     locks = Locktable.create ();
@@ -79,8 +88,8 @@ let make ~core =
     occ_max = 0;
     busy_ns = 0.0;
     lease_reclaims = 0;
-    c_req_id = [||];
-    c_resp = [||];
+    n_cores;
+    cache = [||];
     c_stamp = [||];
     replica = Hashtbl.create 4;
   }
@@ -105,20 +114,26 @@ let busy_ns s = s.busy_ns
 let lease_reclaims s = s.lease_reclaims
 
 let resp_cache_size s =
-  Array.fold_left (fun n id -> if id > 0 then n + 1 else n) 0 s.c_req_id
+  Array.fold_left (fun n e -> if e > 0 then n + 1 else n) 0 s.cache
 
-(* Grow the response cache to cover [core]. *)
-let ensure_cache s core =
-  let n = Array.length s.c_req_id in
-  if core >= n then begin
-    let grow arr zero =
-      let a = Array.make (max 64 (max (core + 1) (2 * n))) zero in
-      Array.blit arr 0 a 0 n;
-      a
-    in
-    s.c_req_id <- grow s.c_req_id 0;
-    s.c_resp <- grow s.c_resp pending;
-    s.c_stamp <- grow s.c_stamp 0.0
+(* Absorption window: how long a cached response can still be useful.
+   A duplicate only arrives within the requester's bounded resend
+   backoff (timeout * 2^k, k <= 4, at most a handful of resends) or,
+   with fault-injected duplication, one extra flight later — one lease
+   is a safe upper bound on either. Past max(timeout * 32, lease) an
+   entry can never absorb anything; [maybe_evict_cache] drops it.
+   0.0 (hardening off and no leases) disables eviction — without
+   resends the cache holds at most one entry per requester anyway. *)
+let cache_ttl_ns env =
+  Float.max (env.System.req_timeout_ns *. 32.0) env.System.lease_ns
+
+(* Stamp [requester]'s entry, only while eviction can run. The stamps
+   are made on first use; entries cached before then count as fresh. *)
+let touch env s requester =
+  if cache_ttl_ns env > 0.0 then begin
+    let now = Tm2c_engine.Sim.now env.System.sim in
+    if Array.length s.c_stamp = 0 then s.c_stamp <- Array.make (Array.length s.cache) now;
+    s.c_stamp.(requester) <- now
   end
 
 (* Record [code] as the answer to [req] (an awaited request only:
@@ -126,10 +141,9 @@ let ensure_cache s core =
 let cache_put env s ~(req : System.request) code =
   if req.req_id > 0 then begin
     let requester = req.tx.m_core in
-    ensure_cache s requester;
-    s.c_req_id.(requester) <- req.req_id;
-    s.c_resp.(requester) <- code;
-    s.c_stamp.(requester) <- Tm2c_engine.Sim.now env.System.sim
+    if Array.length s.cache = 0 then s.cache <- Array.make s.n_cores 0;
+    s.cache.(requester) <- cache_entry ~req_id:req.req_id code;
+    touch env s requester
   end
 
 let trace_on env = Tm2c_engine.Trace.enabled env.System.trace
@@ -173,17 +187,6 @@ let reply env s ~(req : System.request) resp =
   Network.send env.System.net ~src:s.core ~dst:req.tx.m_core
     (System.Resp { req_id = req.req_id; resp })
 
-(* Absorption window: how long a cached response can still be useful.
-   A duplicate only arrives within the requester's bounded resend
-   backoff (timeout * 2^k, k <= 4, at most a handful of resends) or,
-   with fault-injected duplication, one extra flight later — one lease
-   is a safe upper bound on either. Past max(timeout * 32, lease) an
-   entry can never absorb anything; [maybe_evict_cache] drops it.
-   0.0 (hardening off and no leases) disables eviction — without
-   resends the cache holds at most one entry per requester anyway. *)
-let cache_ttl_ns env =
-  Float.max (env.System.req_timeout_ns *. 32.0) env.System.lease_ns
-
 (* Opportunistic cache eviction, amortized to every 64th request so
    the scan cost stays off the per-request fast path. *)
 let maybe_evict_cache env s =
@@ -194,13 +197,10 @@ let maybe_evict_cache env s =
       (* A [pending] entry stays: its request still waits in the
          exclusive queue, however long that takes, and its duplicates
          must keep being absorbed until the grant replaces it. *)
-      for core = 0 to Array.length s.c_req_id - 1 do
-        if
-          s.c_req_id.(core) > 0
-          && s.c_resp.(core) <> pending
-          && now -. s.c_stamp.(core) > ttl
-        then begin
-          s.c_req_id.(core) <- 0;
+      for core = 0 to Array.length s.c_stamp - 1 do
+        let e = s.cache.(core) in
+        if e > 0 && entry_code e <> pending && now -. s.c_stamp.(core) > ttl then begin
+          s.cache.(core) <- 0;
           let fc = Tm2c_noc.Fault.counters env.System.faults in
           fc.Tm2c_noc.Fault.cache_evicted <- fc.Tm2c_noc.Fault.cache_evicted + 1
         end
@@ -551,11 +551,10 @@ let exclusive_blocked s =
    partition a second time, to an attempt that has already finished. *)
 let absorb env s (req : System.request) =
   let requester = req.tx.m_core in
-  let newest =
-    if req.req_id > 0 && requester < Array.length s.c_req_id then
-      s.c_req_id.(requester)
-    else 0
+  let e =
+    if req.req_id > 0 && requester < Array.length s.cache then s.cache.(requester) else 0
   in
+  let newest = entry_req_id e in
   if newest = 0 || req.req_id > newest then false
   else begin
     let fc = Tm2c_noc.Fault.counters env.System.faults in
@@ -564,8 +563,8 @@ let absorb env s (req : System.request) =
     if req.req_id = newest then begin
       (* The replay proves the entry is still live: refresh its stamp
          so eviction only reaps entries past a full idle window. *)
-      s.c_stamp.(requester) <- Tm2c_engine.Sim.now env.System.sim;
-      let code = s.c_resp.(requester) in
+      touch env s requester;
+      let code = entry_code e in
       if code <> pending then
         Network.send env.System.net ~src:s.core ~dst:requester
           (System.Resp { req_id = req.req_id; resp = resp_of_code code })

@@ -18,7 +18,7 @@ type server
     an [Exclusive_acquire] is granted once the lock table has drained
     — normal requests are refused in the meantime — and queued FIFO
     behind other exclusive requests otherwise. *)
-val make : core:Types.core_id -> server
+val make : n_cores:int -> core:Types.core_id -> server
 
 val core : server -> Types.core_id
 

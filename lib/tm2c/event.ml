@@ -411,6 +411,69 @@ let of_fields tag vs =
       | _ -> raise (Bad_fields (Printf.sprintf "no %S record with these fields" tag)))
   with Bad_fields msg -> Error msg
 
+module Trace = Tm2c_engine.Trace
+
+(* Ring columns of one row: a float takes a float column, an int list
+   two int columns (start and length in the side ring), anything else
+   one int column. *)
+let columns k =
+  List.fold_left
+    (fun (ni, nf) (_, ty) ->
+      match ty with
+      | T_int | T_bool | T_str -> (ni + 1, nf)
+      | T_ints -> (ni + 2, nf)
+      | T_float -> (ni, nf + 1))
+    (0, 0) k.fields
+
+let rec put_values c = function
+  | [] -> ()
+  | v :: vs ->
+      (match v with
+      | Int n -> Trace.put_int c n
+      | Bool v -> Trace.put_int c (Bool.to_int v)
+      | Float x -> Trace.put_float c x
+      | Str v -> Trace.put_str c v
+      | Ints l -> Trace.put_ints c l);
+      put_values c vs
+
+let rec get_values c = function
+  | [] -> []
+  | (_, ty) :: tys ->
+      let v =
+        match ty with
+        | T_int -> Int (Trace.get_int c)
+        | T_bool -> Bool (Trace.get_int c <> 0)
+        | T_float -> Float (Trace.get_float c)
+        | T_str -> Str (Trace.get_str c)
+        | T_ints -> Ints (Trace.get_ints c)
+      in
+      v :: get_values c tys
+
+let ring_codec =
+  let ints, floats =
+    List.fold_left
+      (fun (mi, mf) k ->
+        let ni, nf = columns k in
+        (max mi ni, max mf nf))
+      (0, 0) kinds
+  in
+  {
+    (* The first int column is the row index. *)
+    Trace.int_columns = 1 + ints;
+    float_columns = floats;
+    encode =
+      (fun c ev ->
+        let _, vs = describe ev in
+        Trace.put_int c (index ev);
+        put_values c vs);
+    decode =
+      (fun c ->
+        let k = List.nth kinds (Trace.get_int c) in
+        match of_fields k.tag (get_values c k.fields) with
+        | Ok ev -> ev
+        | Error msg -> invalid_arg ("Event.ring_codec: " ^ msg));
+  }
+
 let split k vs =
   let is_actor name = match k.actor with Some a -> String.equal a name | None -> false in
   List.fold_right2

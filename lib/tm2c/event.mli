@@ -217,6 +217,13 @@ val describe : t -> kind * value list
     conflict / shed-reason label. *)
 val of_fields : string -> value list -> (t, string) result
 
+(** The trace ring's codec, generic over the table: an event is its
+    {!index} and its {!describe} values, one ring column each (a bool
+    as 0/1, a label interned, an int list in the ring's side ring);
+    decoding reads the row's field types back and goes through
+    {!of_fields}. *)
+val ring_codec : t Tm2c_engine.Trace.codec
+
 (** [split kind values] separates the actor's core id from the other
     named fields. *)
 val split : kind -> value list -> int option * (string * value) list

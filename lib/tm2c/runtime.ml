@@ -139,7 +139,7 @@ let create cfg =
       serve_defer_cycles = 0;
       batching = cfg.batching;
       barrier_seen = Array.make (Platform.n_cores cfg.platform) 0;
-      trace = Trace.create ();
+      trace = Trace.create ~codec:Event.ring_codec ();
       obs = Obs.create ();
       span_commit =
         Span.create ~n_cores:(Platform.n_cores cfg.platform) ~phases:Phase.names ();
@@ -397,7 +397,7 @@ let server_for t core =
   match Hashtbl.find_opt t.servers core with
   | Some s -> s
   | None ->
-      let s = Dtm.make ~core in
+      let s = Dtm.make ~n_cores:(Platform.n_cores t.cfg.platform) ~core in
       Hashtbl.add t.servers core s;
       s
 

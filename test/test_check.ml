@@ -518,6 +518,86 @@ let histlog_roundtrip_prop =
           Histlog.save path (Check.iter_of_list events);
           Histlog.load path = events))
 
+(* The trace ring keeps events as flat columns; what it hands back
+   must be what was recorded. Rings far smaller than the run wrap many
+   times, so side-ring list data is overwritten and regrown under live
+   slots. *)
+module Trace = Tm2c_engine.Trace
+
+let ring_of ~capacity events =
+  let tr = Trace.create ~capacity ~codec:Event.ring_codec () in
+  Trace.enable tr;
+  List.iter (fun (t, ev) -> Trace.record tr ~now:t ev) events;
+  tr
+
+let last n l = List.filteri (fun i _ -> i >= List.length l - n) l
+
+(* Every conflict label at every field that carries one, and write-lock
+   batches from empty to long. *)
+let ring_pinned =
+  let cfs = Types.[ Raw; Waw; War ] in
+  pinned_events
+  @ List.concat_map
+      (fun conflict ->
+        [
+          (3.0, Event.Tx_aborted { core = 2; attempt = 5; conflict = Some conflict });
+          ( 3.5,
+            Event.Lock_conflict
+              { server = 7; requester = 2; enemy = 3; addr = 64; conflict; requester_wins = true } );
+          (4.0, Event.Enemy_aborted { server = 7; winner = 2; victim = 3; addr = 64; conflict });
+        ])
+      cfs
+  @ [ (5.0, Event.Wlock_granted { core = 4; addrs = List.init 1000 (fun i -> 3 * i) }) ]
+
+let gen_long_wlock =
+  QCheck.Gen.(
+    let+ core = int_range 0 600
+    and+ addrs = list_size (int_range 0 200) (oneof [ int_range 0 100_000; int ]) in
+    Event.Wlock_granted { core; addrs })
+
+let ring_roundtrip_prop =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 40)
+        (list_size (int_range 0 300)
+           (pair (float_range 0.0 1e9) (oneof (gen_long_wlock :: gen_event)))))
+  in
+  QCheck.Test.make ~name:"trace ring round-trips every event kind" ~count:200
+    (QCheck.make gen ~print:(fun (capacity, evs) ->
+         String.concat "\n"
+           (Printf.sprintf "capacity %d" capacity
+           :: List.map (fun (t, ev) -> Printf.sprintf "%h %s" t (Event.to_string ev)) evs)))
+    (fun (capacity, generated) ->
+      let events = ring_pinned @ generated in
+      let n = List.length events in
+      let kept = min n capacity in
+      let tr = ring_of ~capacity events in
+      (* The whole run through a ring that never wraps, too. *)
+      Trace.to_list (ring_of ~capacity:(n + 1) events) = events
+      && Trace.length tr = kept
+      && Trace.dropped tr = n - kept
+      && Trace.to_list tr = last kept events)
+
+let test_ring_clear () =
+  let ev i = Event.Wlock_granted { core = i; addrs = List.init i Fun.id } in
+  let events = List.init 6 (fun i -> (float_of_int i, ev i)) in
+  let tr = Trace.create ~capacity:4 ~codec:Event.ring_codec () in
+  Trace.record tr ~now:0.0 (ev 9);
+  check_int "disabled: nothing recorded" 0 (Trace.length tr);
+  Trace.enable tr;
+  List.iter (fun (t, e) -> Trace.record tr ~now:t e) events;
+  check_int "length is capped at capacity" 4 (Trace.length tr);
+  check_int "dropped counts the overwritten" 2 (Trace.dropped tr);
+  check "the newest four, oldest first" true (Trace.to_list tr = last 4 events);
+  Trace.clear tr;
+  check_int "cleared: length" 0 (Trace.length tr);
+  check_int "cleared: dropped" 0 (Trace.dropped tr);
+  check "cleared: empty" true (Trace.to_list tr = []);
+  List.iter (fun (t, e) -> Trace.record tr ~now:t e) (last 2 events);
+  check_int "refilled: length" 2 (Trace.length tr);
+  check_int "refilled: dropped" 0 (Trace.dropped tr);
+  check "refilled: the new events" true (Trace.to_list tr = last 2 events)
+
 (* The writer prints numbers without Printf: each line it writes must
    be byte for byte the line Printf's "%h" and "%d" give, and each
    written float must parse back to the same bits. *)
@@ -726,6 +806,8 @@ let suite =
       test_lock_index_regranted_read_entry;
     QCheck_alcotest.to_alcotest histlog_roundtrip_prop;
     QCheck_alcotest.to_alcotest histlog_put_parity_prop;
+    QCheck_alcotest.to_alcotest ring_roundtrip_prop;
+    Alcotest.test_case "trace ring: clear, dropped and length" `Quick test_ring_clear;
     Alcotest.test_case "histlog put refuses non-finite floats" `Quick
       test_histlog_put_refuses_nonfinite;
     Alcotest.test_case "event table has one row per constructor" `Quick

@@ -32,7 +32,7 @@ let make_rig ?(policy = Cm.Fair_cm) () =
   in
   let t = Runtime.create cfg in
   let env = Runtime.env t in
-  { t; server = Dtm.make ~core:0; env; req_id = 100 }
+  { t; server = Dtm.make ~n_cores:4 ~core:0; env; req_id = 100 }
 
 let meta rig ~core ?(attempt = 0) ?(committed = 0) ?(effective = 0.0) () =
   ignore rig;

@@ -184,6 +184,81 @@ let test_reset () =
   Sketch.add t 42.0;
   checkf "usable after reset" 42.0 (Sketch.percentile t 50.0)
 
+(* The bucket index as the loop before it scaled by powers of two: a
+   test-local copy, the reference the bit-level index must match. *)
+let rec loop_log_index v acc sub =
+  if v >= 65536.0 then loop_log_index (v *. (1.0 /. 65536.0)) (acc + (16 * sub)) sub
+  else if v >= 16.0 then loop_log_index (v *. (1.0 /. 16.0)) (acc + (4 * sub)) sub
+  else if v >= 2.0 then loop_log_index (v *. 0.5) (acc + sub) sub
+  else acc + int_of_float ((v -. 1.0) *. float_of_int sub)
+
+(* Past the 40 octaves everything shares the last bucket, [sub * 41]. *)
+let loop_index ~sub v =
+  if v < 1.0 then int_of_float (v *. float_of_int sub)
+  else min (loop_log_index v sub sub) (sub * 41)
+
+let sub_of t = int_of_float (Float.round (1.0 /. (2.0 *. Sketch.rel_error t)))
+
+(* Finite non-negative doubles: random bit patterns, powers of two and
+   their neighbours one ulp away, every bucket edge of the sketch's
+   resolution and its neighbours, values below 1.0, and values of 2^40
+   and up (the overflow bucket). *)
+let index_sample_gen ~sub =
+  let open QCheck.Gen in
+  let around x = oneofl [ Float.pred x; x; Float.succ x ] in
+  let finite x = if Float.is_finite x then Float.abs x else 1.0 in
+  oneof
+    [
+      map (fun b -> finite (Int64.float_of_bits b)) ui64;
+      (let* e = int_range (-20) 60 in
+       around (Float.ldexp 1.0 e));
+      (let* e = int_range 0 41 and* s = int_range 0 (sub - 1) in
+       around (Float.ldexp (1.0 +. (float_of_int s /. float_of_int sub)) e));
+      (let* s = int_range 0 sub in
+       around (float_of_int s /. float_of_int sub));
+      float_range 0.0 1.0;
+      (let* e = int_range 40 1023 and* m = float_range 1.0 2.0 in
+       return (finite (Float.ldexp m e)));
+    ]
+
+let index_matches_loop =
+  let gen =
+    QCheck.Gen.(
+      let* rel_error = oneofl [ 0.2; 0.01; 0.001; 0.0001 ] in
+      let sub = sub_of (Sketch.create ~rel_error ()) in
+      let+ vs = list_size (int_range 1 50) (index_sample_gen ~sub) in
+      (rel_error, vs))
+  in
+  QCheck.Test.make ~name:"sketch bucket index = the scaling loop's" ~count:500
+    (QCheck.make gen ~print:(fun (r, vs) ->
+         Printf.sprintf "rel_error %g: %s" r (String.concat " " (List.map (Printf.sprintf "%h") vs))))
+    (fun (rel_error, vs) ->
+      let t = Sketch.create ~rel_error () in
+      List.for_all (fun v -> Sketch.bucket_index t v = loop_index ~sub:(sub_of t) v) vs)
+
+(* The loop never returned on infinity; it belongs in the overflow
+   bucket with the other values past 2^40. *)
+let test_infinity () =
+  let t = Sketch.create () in
+  Sketch.add t 1e300;
+  Sketch.add t infinity;
+  check_int "count" 2 (Sketch.count t);
+  check_int "one bucket: the overflow" 1 (List.length (Sketch.buckets t));
+  check "same bucket as 2^40" true
+    (Sketch.bucket_index t infinity = Sketch.bucket_index t (Float.ldexp 1.0 40));
+  checkf "max" infinity (Sketch.max_value t);
+  checkf "p100 is the observed max" infinity (Sketch.percentile t 100.0)
+
+(* A NaN used to be counted in the [1, 1 + 1/sub) bucket and turn the
+   sum into NaN; it is refused and leaves the sketch untouched. *)
+let test_nan_refused () =
+  let t = Sketch.create () in
+  Sketch.add t 5.0;
+  Alcotest.check_raises "NaN" (Invalid_argument "Sketch.add: NaN") (fun () ->
+      Sketch.add t Float.nan);
+  check_int "count unchanged" 1 (Sketch.count t);
+  checkf "sum unchanged" 5.0 (Sketch.sum t)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest sketch_vs_oracle;
@@ -197,4 +272,7 @@ let suite =
     ("sketch: window delta", `Quick, test_window_delta);
     ("sketch: window before first add", `Quick, test_window_before_first_add);
     ("sketch: reset", `Quick, test_reset);
+    QCheck_alcotest.to_alcotest index_matches_loop;
+    ("sketch: infinity lands in the overflow bucket", `Quick, test_infinity);
+    ("sketch: NaN refused", `Quick, test_nan_refused);
   ]
