@@ -32,7 +32,12 @@
      second [Enemy_aborted]. The shadow mirrors that revocation;
    - a write-lock grant on an address read- or write-locked by
      another live attempt is an exclusivity violation, with the same
-     stale-entry exemption for doomed holders;
+     stale-entry exemption for doomed holders. A write-lock grant to
+     a doomed attempt is counted but neither judged nor installed: it
+     can be the server's replay of a cached [Granted] whose first
+     reply was lost and whose lock a winning enemy has revoked since.
+     Such an attempt can only abort; were it to publish anyway, the
+     write-back-under-lock rule below reports it;
    - [Rlock_released] from a non-elastic attempt breaks two-phase
      locking (only elastic windows may shrink before the end);
    - at [Tx_publish], every address of the attempt's write set must
@@ -200,6 +205,8 @@ let feed t time ev =
       | Some l ->
           if not (List.mem addr l.l_writes) then l.l_writes <- addr :: l.l_writes
       | None -> ())
+  | Event.Wlock_granted { core; addrs } when doomed t core ->
+      t.n_grants <- t.n_grants + List.length addrs
   | Event.Wlock_granted { core; addrs } ->
       List.iter
         (fun addr ->

@@ -72,7 +72,7 @@ let json_of_value (v : Event.value) =
   | Str s -> str s
   | Ints l -> Json.List (List.map (fun n -> Json.Int n) l)
 
-(* One output event, captured in pass 2 of [export] and rendered to a
+(* One output event, captured by [export] and rendered to a
    small [Json.t] only when the printer reaches it. Its sort timestamp
    is kept apart, in a flat float array. *)
 type item =
@@ -130,20 +130,13 @@ let push t ts item =
   t.n <- t.n + 1
 
 let export ?(app = [||]) ?(dtm = [||]) trace =
-  (* Pass 1: which (requester, req_id) pairs survived on both the
-     request and the service side — only those get flow arrows. *)
+  (* One pass over the ring captures each output event with its sort
+     timestamp; attempt and service slices close at their end event
+     and sort at their begin timestamp. Both ends of every lock
+     request's flow are captured, and [sent] / [picked] note which
+     (requester, req_id) pairs survived on the request and the service
+     side: only pairs found on both keep their arrows. *)
   let sent = Hashtbl.create 256 and picked = Hashtbl.create 256 in
-  Trace.iter trace (fun _ ev ->
-      match ev with
-      | Event.Req_sent { core; req_id; _ } when req_id > 0 ->
-          Hashtbl.replace sent (flow_id ~requester:core ~req_id) ()
-      | Event.Service { requester; req_id; _ } when req_id > 0 ->
-          Hashtbl.replace picked (flow_id ~requester ~req_id) ()
-      | _ -> ());
-  let paired id = Hashtbl.mem sent id && Hashtbl.mem picked id in
-  (* Pass 2: capture each output event with its sort timestamp;
-     attempt and service slices close at their end event and sort at
-     their begin timestamp. *)
   let out = { ts = [||]; items = [||]; n = 0 } in
   let tracks = Hashtbl.create 64 in
   let open_attempt : (int, float * int) Hashtbl.t = Hashtbl.create 64 in
@@ -193,7 +186,8 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
           Hashtbl.replace open_service server (ts, ev);
           if req_id > 0 then begin
             let id = flow_id ~requester ~req_id in
-            if paired id then push out ts (Flow { ph = "f"; tid = server; id })
+            Hashtbl.replace picked id ();
+            push out ts (Flow { ph = "f"; tid = server; id })
           end
       | Event.Service_done { server; requester; req_id } ->
           close_service server ts ~matches:(fun r0 i0 -> r0 = requester && i0 = req_id)
@@ -205,7 +199,8 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
           match ev with
           | Event.Req_sent { core; req_id; _ } when req_id > 0 ->
               let id = flow_id ~requester:core ~req_id in
-              if paired id then push out ts (Flow { ph = "s"; tid = core; id })
+              Hashtbl.replace sent id ();
+              push out ts (Flow { ph = "s"; tid = core; id })
           | Event.Core_crashed { core; _ } ->
               (* A crashed core never emits its own end event. *)
               close_attempt core ts ~name:"tx crashed"
@@ -216,10 +211,16 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
               close_service ~crashed:true server ts ~matches:(fun _ _ -> true)
           | _ -> ()));
   (* Stable sort by begin timestamp: per-track timestamps come out
-     monotone because same-track slices never overlap. *)
+     monotone because same-track slices never overlap. Unpaired flows
+     are dropped as the order is walked. *)
   let ts = out.ts and items = out.items in
   let order = Array.init out.n Fun.id in
   Array.stable_sort (fun a b -> Float.compare ts.(a) ts.(b)) order;
+  let kept i =
+    match items.(i) with
+    | Flow { id; _ } -> Hashtbl.mem sent id && Hashtbl.mem picked id
+    | Instant _ | Attempt _ | Service _ -> true
+  in
   let is_app = Array.to_list app and is_dtm = Array.to_list dtm in
   let role tid =
     if List.mem tid is_dtm then Printf.sprintf "dtm core %d" tid
@@ -237,7 +238,9 @@ let export ?(app = [||]) ?(dtm = [||]) trace =
     :: (Tm2c_engine.Det.keys tracks
        |> List.map (fun tid -> thread_meta ~tid ~name:(role tid)))
   in
-  let entries = Seq.map (fun i -> render ts.(i) items.(i)) (Array.to_seq order) in
+  let entries =
+    Seq.map (fun i -> render ts.(i) items.(i)) (Seq.filter kept (Array.to_seq order))
+  in
   Json.Obj
     [
       ("displayTimeUnit", str "ns");

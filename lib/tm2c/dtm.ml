@@ -217,15 +217,30 @@ let maybe_evict_cache env s =
    failover disabled this sends nothing (bit-for-bit baseline). *)
 let replicate env s ~(req : System.request) op =
   let fo = env.System.failover in
-  if fo.fo_enabled then
-    match System.kind_part ~n_parts:(Array.length fo.fo_epoch) req.kind with
-    | Some part when fo.fo_backup.(part) <> s.core ->
-        let c = Tm2c_noc.Fault.counters env.System.faults in
-        c.Tm2c_noc.Fault.replicated <- c.Tm2c_noc.Fault.replicated + 1;
-        Network.send_reliable env.System.net ~src:s.core
-          ~dst:fo.fo_backup.(part)
-          (System.Repl { src = s.core; part; epoch = req.epoch; op })
-    | Some _ | None -> ()
+  match System.failover_part env req.kind with
+  | Some part when fo.fo_backup.(part) <> s.core ->
+      let c = Tm2c_noc.Fault.counters env.System.faults in
+      c.Tm2c_noc.Fault.replicated <- c.Tm2c_noc.Fault.replicated + 1;
+      Network.send_reliable env.System.net ~src:s.core ~dst:fo.fo_backup.(part)
+        (System.Repl { src = s.core; part; epoch = req.epoch; op })
+  | Some _ | None -> ()
+
+(* What a lock-table mutation means, the same on the primary and on
+   the backup's replica. Grants carry the holder; releases name it by
+   (core, attempt) and leave a newer holder alone. *)
+let apply_op table = function
+  | System.Rep_read (addr, h) -> Locktable.add_reader table addr h
+  | System.Rep_write (addrs, h) ->
+      List.iter (fun a -> Locktable.set_writer table a h) addrs
+  | System.Rep_release_reads (addrs, core, attempt) ->
+      List.iter (fun a -> Locktable.remove_reader table a ~core ~attempt) addrs
+  | System.Rep_release_writes (addrs, core, attempt) ->
+      List.iter (fun a -> Locktable.clear_writer table a ~core ~attempt) addrs
+
+(* Apply [op] to the live table and ship it to the backup. *)
+let mutate env s ~req op =
+  apply_op s.locks op;
+  replicate env s ~req op
 
 (* Outcome of trying to abort an enemy lock holder. *)
 type abort_outcome =
@@ -251,6 +266,11 @@ let try_abort_enemy env s (enemy : holder) =
       | Status.Committing | Status.Pending -> Enemy_committing
   end
 
+(* Drop [h]'s lock on [addr]: its read lock, or the write lock. *)
+let revoke s addr ~reader (h : holder) =
+  if reader then Locktable.revoke_reader s.locks addr ~core:h.h_core
+  else Locktable.revoke_writer s.locks addr
+
 (* The requester's metadata evaluated at grant time, built here so its
    floats go straight into the flat clock record with no box between. *)
 let requester_holder env s (m : cm_meta) =
@@ -273,11 +293,7 @@ let requester_holder env s (m : cm_meta) =
    entry. The reclaim is status-CAS guarded exactly like a CM victory:
    a live holder is atomically aborted, a stale entry is simply
    dropped, and a holder past its commit point is never touched. *)
-let lease_expired env s (h : holder) =
-  env.System.lease_ns > 0.0
-  && System.local_now env ~core:s.core -. h.h_clock.h_granted_ns > env.System.lease_ns
-
-let reclaim env s ~addr ~revoke (h : holder) =
+let reclaim env s ~addr ~reader (h : holder) =
   match try_abort_enemy env s h with
   | (Enemy_aborted | Enemy_stale) as outcome ->
       let c = Tm2c_noc.Fault.counters env.System.faults in
@@ -292,241 +308,139 @@ let reclaim env s ~addr ~revoke (h : holder) =
                addr;
                aborted = (outcome = Enemy_aborted);
              });
-      revoke ();
-      true
-  | Enemy_committing -> false
+      revoke s addr ~reader h
+  | Enemy_committing -> ()
 
-(* Revoke every expired holder of [addr] (other than the requester)
-   before the contention manager ever sees them — this is what keeps a
-   crashed lock-holder from wedging every future writer under the
-   requester-loses policies. *)
+(* Revoke every expired holder of [addr] (other than the requester),
+   the writer first, before the contention manager ever sees them —
+   this is what keeps a crashed lock-holder from wedging every future
+   writer under the requester-loses policies. *)
 let reclaim_expired env s addr ~requester_core =
   if env.System.lease_ns > 0.0 then
     match Locktable.find s.locks addr with
     | None -> ()
     | Some e ->
-        (match e.Locktable.writer with
-        | Some w when w.h_core <> requester_core && lease_expired env s w ->
-            ignore
-              (reclaim env s ~addr
-                 ~revoke:(fun () -> Locktable.revoke_writer s.locks addr)
-                 w)
-        | Some _ | None -> ());
-        List.iter
-          (fun r ->
-            if r.h_core <> requester_core && lease_expired env s r then
-              ignore
-                (reclaim env s ~addr
-                   ~revoke:(fun () ->
-                     Locktable.revoke_reader s.locks addr ~core:r.h_core)
-                   r))
-          e.Locktable.readers
+        let check ~reader (h : holder) =
+          if
+            h.h_core <> requester_core
+            && System.local_now env ~core:s.core -. h.h_clock.h_granted_ns
+               > env.System.lease_ns
+          then reclaim env s ~addr ~reader h
+        in
+        Option.iter (check ~reader:false) e.Locktable.writer;
+        List.iter (check ~reader:true) e.Locktable.readers
 
-(* Algorithm 1: read-lock acquire. *)
-let read_lock env s (req : System.request) addr =
-  reclaim_expired env s addr ~requester_core:req.tx.m_core;
-  let requester = requester_holder env s req.tx in
-  let grant () =
-    Locktable.add_reader s.locks addr requester;
-    replicate env s ~req (System.Rep_read (addr, requester));
-    reply env s ~req System.Granted
+(* Every conflict on [addr], RAW, WAW or WAR: the contention manager
+   decides between the requester and the [enemies] holding the lock
+   (the writer, or every other reader for WAR), and the first blocker
+   is traced as the enemy. On the requester's win each enemy in turn is
+   aborted and revoked — an enemy found stale is revoked all the same —
+   until one is found past its commit point: the causality then flips
+   to it, and enemies already aborted stay aborted (the CM keeps at
+   most the highest-priority one). True when the requester may take
+   the lock. *)
+let contend env s (req : System.request) ~requester ~addr ~conflict enemies =
+  let policy = env.System.policy in
+  let decision = Cm.decide policy ~requester ~enemies in
+  let blocker = Cm.first_blocker policy ~requester ~enemies in
+  if trace_on env then
+    emit env
+      (Event.Lock_conflict
+         {
+           server = s.core;
+           requester = req.tx.m_core;
+           enemy = blocker.h_core;
+           addr;
+           conflict;
+           requester_wins = (decision = Cm.Enemies_lose);
+         });
+  let lose_to (winner : holder) =
+    Obs.record env.System.obs ~winner:winner.h_core ~victim:req.tx.m_core ~conflict ~addr;
+    false
   in
-  let current_writer =
-    match Locktable.find s.locks addr with None -> None | Some e -> e.Locktable.writer
-  in
-  match current_writer with
-  | Some w when w.h_core <> req.tx.m_core -> (
-      (* Read-after-write conflict: call the contention manager. *)
-      let decision = Cm.decide env.System.policy ~requester ~enemies:[ w ] in
-      if trace_on env then
-        emit env
-          (Event.Lock_conflict
-             {
-               server = s.core;
-               requester = req.tx.m_core;
-               enemy = w.h_core;
-               addr;
-               conflict = Raw;
-               requester_wins = (decision = Cm.Enemies_lose);
-             });
-      match decision with
-      | Cm.Requester_loses ->
-          Obs.record env.System.obs ~winner:w.h_core ~victim:req.tx.m_core
-            ~conflict:Raw ~addr;
-          reply env s ~req (System.Conflicted Raw)
-      | Cm.Enemies_lose -> (
-          match try_abort_enemy env s w with
+  match decision with
+  | Cm.Requester_loses -> lose_to blocker
+  | Cm.Enemies_lose ->
+      List.for_all
+        (fun (enemy : holder) ->
+          match try_abort_enemy env s enemy with
           | Enemy_aborted ->
-              Obs.record env.System.obs ~winner:req.tx.m_core ~victim:w.h_core
-                ~conflict:Raw ~addr;
+              Obs.record env.System.obs ~winner:req.tx.m_core ~victim:enemy.h_core
+                ~conflict ~addr;
               if trace_on env then
                 emit env
                   (Event.Enemy_aborted
                      {
                        server = s.core;
                        winner = req.tx.m_core;
-                       victim = w.h_core;
+                       victim = enemy.h_core;
                        addr;
-                       conflict = Raw;
+                       conflict;
                      });
-              Locktable.revoke_writer s.locks addr;
-              grant ()
+              revoke s addr ~reader:(conflict = War) enemy;
+              true
           | Enemy_stale ->
-              Locktable.revoke_writer s.locks addr;
-              grant ()
-          | Enemy_committing ->
-              (* Enemy is past its commit point: requester retries. *)
-              Obs.record env.System.obs ~winner:w.h_core ~victim:req.tx.m_core
-                ~conflict:Raw ~addr;
-              reply env s ~req (System.Conflicted Raw)))
-  | Some _ | None -> grant ()
+              revoke s addr ~reader:(conflict = War) enemy;
+              true
+          | Enemy_committing -> lose_to enemy)
+        enemies
 
-(* Algorithm 2 over a batch: acquire each write lock in turn; on
-   failure, roll back the grants made within this batch and report the
-   conflict (locks acquired by earlier batches at other nodes are
-   released by the aborting transaction itself). *)
-let write_locks env s (req : System.request) addrs =
+(* Algorithm 1: read-lock acquire. *)
+let read_lock env s (req : System.request) addr =
+  reclaim_expired env s addr ~requester_core:req.tx.m_core;
   let requester = requester_holder env s req.tx in
-  let granted_here = ref [] in
-  let rollback () =
-    List.iter
-      (fun a ->
-        Locktable.clear_writer s.locks a ~core:req.tx.m_core ~attempt:req.tx.m_attempt)
-      !granted_here
+  let granted =
+    match Locktable.find s.locks addr with
+    | Some { Locktable.writer = Some w; _ } when w.h_core <> req.tx.m_core ->
+        contend env s req ~requester ~addr ~conflict:Raw [ w ]
+    | Some _ | None -> true
   in
-  let fail conflict =
-    rollback ();
-    reply env s ~req (System.Conflicted conflict)
-  in
-  (* Abort every enemy; enemies found stale are revoked all the same.
-     Returns false if any enemy reached its commit point first. *)
-  let abort_all enemies ~conflict ~addr ~revoke =
-    List.for_all
-      (fun enemy ->
-        match try_abort_enemy env s enemy with
-        | Enemy_aborted ->
-            Obs.record env.System.obs ~winner:req.tx.m_core ~victim:enemy.h_core
-              ~conflict ~addr;
-            if trace_on env then
-              emit env
-                (Event.Enemy_aborted
-                   {
-                     server = s.core;
-                     winner = req.tx.m_core;
-                     victim = enemy.h_core;
-                     addr;
-                     conflict;
-                   });
-            revoke enemy;
-            true
-        | Enemy_stale ->
-            revoke enemy;
-            true
-        | Enemy_committing ->
-            (* The enemy won the race to its commit point, so the
-               requester will abort: causality flips. *)
-            Obs.record env.System.obs ~winner:enemy.h_core ~victim:req.tx.m_core
-              ~conflict ~addr;
-            false)
-      enemies
-  in
-  let trace_conflict ~enemy ~addr ~conflict ~requester_wins =
-    if trace_on env then
-      emit env
-        (Event.Lock_conflict
-           {
-             server = s.core;
-             requester = req.tx.m_core;
-             enemy;
-             addr;
-             conflict;
-             requester_wins;
-           })
-  in
-  let rec acquire = function
+  if granted then begin
+    mutate env s ~req (System.Rep_read (addr, requester));
+    reply env s ~req System.Granted
+  end
+  else reply env s ~req (System.Conflicted Raw)
+
+(* Algorithm 2 over a batch: acquire each write lock in turn ([taken]
+   holds this batch's grants so far); on failure, roll those back and
+   report the conflict (locks acquired by earlier batches at other
+   nodes are released by the aborting transaction itself). A won WAW
+   conflict retries the same address, which may still have readers. *)
+let write_locks env s (req : System.request) addrs =
+  let core = req.tx.m_core in
+  let requester = requester_holder env s req.tx in
+  let rec acquire taken = function
     | [] ->
         replicate env s ~req (System.Rep_write (addrs, requester));
         reply env s ~req System.Granted
     | addr :: rest -> (
-        reclaim_expired env s addr ~requester_core:req.tx.m_core;
-        let entry = Locktable.find s.locks addr in
-        let writer =
-          match entry with None -> None | Some e -> e.Locktable.writer
-        in
-        match writer with
-        | Some w when w.h_core <> req.tx.m_core -> (
-            (* Write-after-write conflict. *)
-            let decision = Cm.decide env.System.policy ~requester ~enemies:[ w ] in
-            trace_conflict ~enemy:w.h_core ~addr ~conflict:Waw
-              ~requester_wins:(decision = Cm.Enemies_lose);
-            match decision with
-            | Cm.Requester_loses ->
-                Obs.record env.System.obs ~winner:w.h_core ~victim:req.tx.m_core
-                  ~conflict:Waw ~addr;
-                fail Waw
-            | Cm.Enemies_lose ->
-                if
-                  abort_all [ w ] ~conflict:Waw ~addr ~revoke:(fun _ ->
-                      Locktable.revoke_writer s.locks addr)
-                then acquire (addr :: rest)
-                else fail Waw)
-        | Some _ | None -> (
-            let enemies =
+        reclaim_expired env s addr ~requester_core:core;
+        match Locktable.find s.locks addr with
+        | Some { Locktable.writer = Some w; _ } when w.h_core <> core ->
+            if contend env s req ~requester ~addr ~conflict:Waw [ w ] then
+              acquire taken (addr :: rest)
+            else refuse taken Waw
+        | entry ->
+            let readers =
               match entry with
               | None -> []
-              | Some e -> Locktable.readers_excluding e ~core:req.tx.m_core
+              | Some e -> Locktable.readers_excluding e ~core
             in
-            match enemies with
-            | [] ->
-                Locktable.set_writer s.locks addr requester;
-                granted_here := addr :: !granted_here;
-                acquire rest
-            | _ -> (
-                (* Write-after-read conflict against all readers. *)
-                let decision = Cm.decide env.System.policy ~requester ~enemies in
-                let blocker =
-                  Cm.first_blocker env.System.policy ~requester ~enemies
-                in
-                trace_conflict ~enemy:blocker.h_core ~addr ~conflict:War
-                  ~requester_wins:(decision = Cm.Enemies_lose);
-                match decision with
-                | Cm.Requester_loses ->
-                    Obs.record env.System.obs ~winner:blocker.h_core
-                      ~victim:req.tx.m_core ~conflict:War ~addr;
-                    fail War
-                | Cm.Enemies_lose ->
-                    if
-                      abort_all enemies ~conflict:War ~addr
-                        ~revoke:(fun (enemy : holder) ->
-                          Locktable.revoke_reader s.locks addr ~core:enemy.h_core)
-                    then begin
-                      Locktable.set_writer s.locks addr requester;
-                      granted_here := addr :: !granted_here;
-                      acquire rest
-                    end
-                    else
-                      (* Some reader won the race to its commit point;
-                         readers already aborted stay aborted (the CM
-                         keeps at most the highest-priority one). *)
-                      fail War)))
+            if
+              List.is_empty readers
+              || contend env s req ~requester ~addr ~conflict:War readers
+            then begin
+              Locktable.set_writer s.locks addr requester;
+              acquire (addr :: taken) rest
+            end
+            else refuse taken War)
+  and refuse taken conflict =
+    List.iter
+      (fun a -> Locktable.clear_writer s.locks a ~core ~attempt:req.tx.m_attempt)
+      taken;
+    reply env s ~req (System.Conflicted conflict)
   in
-  acquire addrs
-
-let release_reads env s (req : System.request) addrs =
-  List.iter
-    (fun a ->
-      Locktable.remove_reader s.locks a ~core:req.tx.m_core ~attempt:req.tx.m_attempt)
-    addrs;
-  replicate env s ~req
-    (System.Rep_release_reads (addrs, req.tx.m_core, req.tx.m_attempt))
-
-let release_writes env s (req : System.request) addrs =
-  List.iter
-    (fun a ->
-      Locktable.clear_writer s.locks a ~core:req.tx.m_core ~attempt:req.tx.m_attempt)
-    addrs;
-  replicate env s ~req
-    (System.Rep_release_writes (addrs, req.tx.m_core, req.tx.m_attempt))
+  acquire [] addrs
 
 (* Grant the partition to the next queued irrevocable transaction once
    every lock has drained. *)
@@ -583,14 +497,10 @@ let absorb env s (req : System.request) =
    backup has already granted to someone else. *)
 let stale_part env s (req : System.request) =
   let fo = env.System.failover in
-  if not fo.fo_enabled then None
-  else
-    match System.kind_part ~n_parts:(Array.length fo.fo_epoch) req.kind with
-    | None -> None
-    | Some part ->
-        if req.epoch < fo.fo_epoch.(part) || fo.fo_owner.(part) <> s.core then
-          Some part
-        else None
+  match System.failover_part env req.kind with
+  | Some part when req.epoch < fo.fo_epoch.(part) || fo.fo_owner.(part) <> s.core ->
+      Some part
+  | Some _ | None -> None
 
 let reject_stale env s (req : System.request) ~part =
   let fo = env.System.failover in
@@ -637,14 +547,7 @@ let apply_replica env s ~src ~part ~op =
     | System.Rep_release_writes (addrs, _, _) -> List.length addrs
   in
   Network.compute env.System.net (handle_base_cycles + (per_addr_cycles * n_addrs));
-  (match op with
-  | System.Rep_read (addr, h) -> Locktable.add_reader table addr h
-  | System.Rep_write (addrs, h) ->
-      List.iter (fun a -> Locktable.set_writer table a h) addrs
-  | System.Rep_release_reads (addrs, core, attempt) ->
-      List.iter (fun a -> Locktable.remove_reader table a ~core ~attempt) addrs
-  | System.Rep_release_writes (addrs, core, attempt) ->
-      List.iter (fun a -> Locktable.clear_writer table a ~core ~attempt) addrs);
+  apply_op table op;
   if trace_on env then
     emit env (Event.Replica_applied { server = s.core; src; part; n_addrs })
 
@@ -680,11 +583,10 @@ let merge_replica env s ~part =
 
 let maybe_failover env s (req : System.request) =
   let fo = env.System.failover in
-  if fo.fo_enabled then
-    match System.kind_part ~n_parts:(Array.length fo.fo_epoch) req.kind with
-    | Some part when fo.fo_owner.(part) = s.core && not fo.fo_merged.(part) ->
-        merge_replica env s ~part
-    | Some _ | None -> ()
+  match System.failover_part env req.kind with
+  | Some part when fo.fo_owner.(part) = s.core && not fo.fo_merged.(part) ->
+      merge_replica env s ~part
+  | Some _ | None -> ()
 
 let handle_fresh env s (req : System.request) =
   (* Re-claim: a stall-window delay in [handle] may have parked the
@@ -721,8 +623,12 @@ let handle_fresh env s (req : System.request) =
   | System.Write_locks addrs ->
       if exclusive_blocked s then reply env s ~req (System.Conflicted Waw)
       else write_locks env s req addrs
-  | System.Release_reads addrs -> release_reads env s req addrs
-  | System.Release_writes addrs -> release_writes env s req addrs
+  | System.Release_reads addrs ->
+      mutate env s ~req
+        (System.Rep_release_reads (addrs, req.tx.m_core, req.tx.m_attempt))
+  | System.Release_writes addrs ->
+      mutate env s ~req
+        (System.Rep_release_writes (addrs, req.tx.m_core, req.tx.m_attempt))
   | System.Exclusive_acquire ->
       if s.exclusive = None && Queue.is_empty s.excl_queue
          && Locktable.n_locked s.locks = 0

@@ -148,16 +148,23 @@ let owner_hash addr n =
   let h = addr * 0x9E3779B1 land max_int in
   (h lsr 16) mod n
 
-(* Partition a request belongs to, from its first address: partition
-   membership is a pure function of the address, so both sides compute
-   it independently. Address-less kinds (barrier, exclusive mode) have
-   no partition — they are never epoch-checked and never failed over. *)
-let kind_part ~n_parts = function
-  | Read_lock a -> Some (owner_hash a n_parts)
-  | Write_locks (a :: _) | Release_reads (a :: _) | Release_writes (a :: _) ->
-      Some (owner_hash a n_parts)
-  | Write_locks [] | Release_reads [] | Release_writes [] -> None
-  | Barrier_reached | Exclusive_acquire | Exclusive_release -> None
+(* Partition a request belongs to for failover, from its first
+   address; [None] while failover is off. Partition membership is a
+   pure function of the address, so both sides compute it
+   independently. Address-less kinds (barrier, exclusive mode) have no
+   partition — they are never epoch-checked and never failed over. *)
+let failover_part env kind =
+  let fo = env.failover in
+  if not fo.fo_enabled then None
+  else
+    let n_parts = Array.length fo.fo_epoch in
+    match kind with
+    | Read_lock a
+    | Write_locks (a :: _)
+    | Release_reads (a :: _)
+    | Release_writes (a :: _) -> Some (owner_hash a n_parts)
+    | Write_locks [] | Release_reads [] | Release_writes [] -> None
+    | Barrier_reached | Exclusive_acquire | Exclusive_release -> None
 
 (* Client-side failover trigger. Guarded so that concurrent clients
    giving up on the same dead primary bump the epoch exactly once:
@@ -179,9 +186,6 @@ let bump_epoch env ~part ~by =
 
 (* Epoch a client stamps on a request right before sending. *)
 let epoch_for env kind =
-  let fo = env.failover in
-  if not fo.fo_enabled then 0
-  else
-    match kind_part ~n_parts:(Array.length fo.fo_epoch) kind with
-    | Some part -> fo.fo_epoch.(part)
-    | None -> 0
+  match failover_part env kind with
+  | Some part -> env.failover.fo_epoch.(part)
+  | None -> 0

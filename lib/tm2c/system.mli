@@ -192,11 +192,12 @@ val local_now : env -> core:Types.core_id -> float
     (Fibonacci hashing). *)
 val owner_hash : Types.addr -> int -> int
 
-(** Partition a request belongs to, from its first address (partition
-    membership is a pure function of the address). [None] for
-    address-less kinds (barrier, exclusive mode): those are never
-    epoch-checked and never failed over. *)
-val kind_part : n_parts:int -> request_kind -> int option
+(** Partition a request belongs to for failover, from its first
+    address (partition membership is a pure function of the address).
+    [None] while failover is disabled, and for address-less kinds
+    (barrier, exclusive mode): those are never epoch-checked and never
+    failed over. *)
+val failover_part : env -> request_kind -> int option
 
 (** [bump_epoch env ~part ~by] — client [by] gives up on partition
     [part]'s primary: advance the epoch, flip routing to the backup,

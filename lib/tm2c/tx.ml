@@ -175,16 +175,12 @@ let failover_resend_threshold = 3
    is ever surfaced to the caller. The open round trip's mutable state
    ([aw_dst], [aw_resends], [aw_deferred]) lives in [ctx], and the
    loop is a top-level function taking the request's identity as
-   arguments, so a wait allocates nothing that outlives a message. *)
-let await_part ctx kind =
-  let fo = ctx.env.System.failover in
-  if fo.fo_enabled then System.kind_part ~n_parts:(Array.length fo.fo_epoch) kind
-  else None
+   arguments, so a wait allocates nothing that outlives a message.
 
-(* Route to the partition's current owner (a bump — ours or a peer's —
-   may have moved it) and re-stamp the epoch. *)
+   [resend] routes to the partition's current owner (a bump — ours or
+   a peer's — may have moved it) and re-stamps the epoch. *)
 let resend ctx kind req_id =
-  (match await_part ctx kind with
+  (match System.failover_part ctx.env kind with
   | Some p -> ctx.aw_dst <- ctx.env.System.failover.fo_owner.(p)
   | None -> ());
   if trace_on ctx then
@@ -202,7 +198,7 @@ let rec await_loop ctx kind req_id timeout_ns =
         ctx.aw_resends <- ctx.aw_resends + 1;
         let c = Fault.counters ctx.env.System.faults in
         c.Fault.resends <- c.Fault.resends + 1;
-        (match await_part ctx kind with
+        (match System.failover_part ctx.env kind with
         | Some p when ctx.aw_resends >= failover_resend_threshold ->
             System.bump_epoch ctx.env ~part:p ~by:ctx.core
         | Some _ | None -> ());
@@ -366,6 +362,20 @@ let release_all ctx =
   ctx.writes_held <- [];
   Readset.clear ctx.reads
 
+(* Algorithm 2's client side: one write-lock round trip for [addrs],
+   all owned by [dst], the eager store's single address or one commit
+   batch. The caller polls its status first. *)
+let acquire_writes ctx ~dst addrs =
+  match send_request ctx ~dst (System.Write_locks addrs) with
+  | System.Granted ->
+      if prof_on ctx then ph_charge ctx Phase.commit_acquire;
+      if trace_on ctx then emit ctx (Event.Wlock_granted { core = ctx.core; addrs });
+      ctx.writes_held <- addrs @ ctx.writes_held
+  | System.Conflicted c ->
+      if prof_on ctx then ph_charge ctx Phase.commit_acquire;
+      raise (Abort_exn (Some c))
+  | System.Stale_epoch -> assert false (* consumed inside [await] *)
+
 (* Transactional read: Algorithm 4, plus the two elastic variants. *)
 let locked_read ctx addr =
   check_status ctx;
@@ -465,26 +475,39 @@ let write ctx addr v =
   if fresh then begin
     ctx.write_order <- addr :: ctx.write_order;
     if ctx.wmode = Eager && not (List.mem addr ctx.writes_held) then begin
+      (* The status poll is part of the store's compute phase. *)
       check_status ctx;
       if prof_on ctx then ph_charge ctx Phase.compute;
-      match
-        send_request ctx ~dst:(ctx.env.System.owner_of addr)
-          (System.Write_locks [ addr ])
-      with
-      | System.Granted ->
-          if prof_on ctx then ph_charge ctx Phase.commit_acquire;
-          if trace_on ctx then
-            emit ctx (Event.Wlock_granted { core = ctx.core; addrs = [ addr ] });
-          ctx.writes_held <- addr :: ctx.writes_held
-      | System.Conflicted c ->
-          if prof_on ctx then ph_charge ctx Phase.commit_acquire;
-          raise (Abort_exn (Some c))
-      | System.Stale_epoch -> assert false (* consumed inside [await] *)
+      acquire_writes ctx ~dst:(ctx.env.System.owner_of addr) [ addr ]
     end
   end
   end
 
 let abort _ctx = raise (Abort_exn None)
+
+(* A committed attempt, transactional or irrevocable: its sample in
+   the always-on commit-latency sketch (the elapsed value Tx_committed
+   carries), the effective time FairCM ranks by, and rule (c) of
+   Property 1 — the core's next transaction has a strictly lower
+   priority, and bumping the attempt also invalidates any in-flight
+   revocation against the finished one. An irrevocable transaction
+   traced no start, so it traces no commit either; it runs once, so
+   its lifespan is this attempt ([atomic] accounts for its own). *)
+let count_commit ctx =
+  let elapsed = local_now ctx -. ctx.tx_start in
+  Sketch.add ctx.env.System.commit_lat elapsed;
+  if ctx.irrevocable then
+    ctx.stats.Stats.lifespan_ns <- ctx.stats.Stats.lifespan_ns +. elapsed
+  else if trace_on ctx then
+    emit ctx
+      (Event.Tx_committed
+         { core = ctx.core; attempt = ctx.attempt; duration_ns = elapsed });
+  ctx.effective_ns <- ctx.effective_ns +. elapsed;
+  ctx.stats.Stats.effective_ns <- ctx.stats.Stats.effective_ns +. elapsed;
+  ctx.committed <- ctx.committed + 1;
+  ctx.stats.Stats.commits <- ctx.stats.Stats.commits + 1;
+  ctx.attempt <- ctx.attempt + 1;
+  ctx.in_tx <- false
 
 (* Algorithm 3: acquire the missing write locks (batched per node),
    switch the status word to Committing — the linearization point —
@@ -506,16 +529,7 @@ let commit ctx =
   List.iter
     (fun (dst, addrs) ->
       check_status ctx;
-      match send_request ctx ~dst (System.Write_locks addrs) with
-      | System.Granted ->
-          if prof_on ctx then ph_charge ctx Phase.commit_acquire;
-          if trace_on ctx then
-            emit ctx (Event.Wlock_granted { core = ctx.core; addrs });
-          ctx.writes_held <- addrs @ ctx.writes_held
-      | System.Conflicted c ->
-          if prof_on ctx then ph_charge ctx Phase.commit_acquire;
-          raise (Abort_exn (Some c))
-      | System.Stale_epoch -> assert false (* consumed inside [await] *))
+      acquire_writes ctx ~dst addrs)
     (commit_groups ctx to_acquire);
   let committing =
     Atomic_reg.cas ctx.env.System.regs ~core:ctx.core ~reg:ctx.core
@@ -553,23 +567,7 @@ let commit ctx =
     Span.flush ctx.env.System.span_commit ~core:ctx.core ctx.ph_scratch
       ~total:(sim_now ctx -. ctx.ph_attempt_start)
   end;
-  let elapsed = local_now ctx -. ctx.tx_start in
-  (* Always-on commit-latency sketch: the same elapsed value the
-     Tx_committed event carries, recorded unconditionally (O(1)). *)
-  Sketch.add ctx.env.System.commit_lat elapsed;
-  if trace_on ctx then
-    emit ctx
-      (Event.Tx_committed
-         { core = ctx.core; attempt = ctx.attempt; duration_ns = elapsed });
-  ctx.effective_ns <- ctx.effective_ns +. elapsed;
-  ctx.stats.Stats.effective_ns <- ctx.stats.Stats.effective_ns +. elapsed;
-  ctx.committed <- ctx.committed + 1;
-  ctx.stats.Stats.commits <- ctx.stats.Stats.commits + 1;
-  (* Rule (c) of Property 1: the next transaction of this core has a
-     strictly lower priority; bumping the attempt also invalidates any
-     in-flight revocations against the finished attempt. *)
-  ctx.attempt <- ctx.attempt + 1;
-  ctx.in_tx <- false
+  count_commit ctx
 
 let record_abort ctx = function
   | Some Raw -> ctx.stats.Stats.aborts_raw <- ctx.stats.Stats.aborts_raw + 1
@@ -621,16 +619,8 @@ let irrevocable ctx f =
   Array.iter
     (fun dst -> send_release ctx ~dst System.Exclusive_release)
     ctx.env.System.dtm_cores;
-  let elapsed = local_now ctx -. ctx.tx_start in
-  Sketch.add ctx.env.System.commit_lat elapsed;
-  ctx.effective_ns <- ctx.effective_ns +. elapsed;
-  ctx.stats.Stats.effective_ns <- ctx.stats.Stats.effective_ns +. elapsed;
-  ctx.stats.Stats.lifespan_ns <- ctx.stats.Stats.lifespan_ns +. elapsed;
-  ctx.committed <- ctx.committed + 1;
-  ctx.stats.Stats.commits <- ctx.stats.Stats.commits + 1;
-  ctx.attempt <- ctx.attempt + 1;
+  count_commit ctx;
   ctx.irrevocable <- false;
-  ctx.in_tx <- false;
   v
 
 let atomic ?(elastic = Enone) ctx f =

@@ -402,6 +402,98 @@ let test_lock_index_regranted_read_entry () =
               x))
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
 
+(* A write grant to a doomed attempt is a replay, not a breach. At
+   this seed a hot bank under Wholly loses messages: core 5's
+   [Granted] for a write batch is dropped, a reader wins the next
+   conflict on the address and the server revokes core 5's lock; core
+   5's resend is absorbed and the cached [Granted] replayed, so it
+   traces [Wlock_granted] while other cores read-hold the address, and
+   then aborts on its status word. No attempt publishes under such a
+   grant, and the lock checker must not report it. (The same shape as
+   [tm2c-sim --bench bank --cores 16 --accounts 16 --balance 50
+   --duration 4 --cm wholly --fault-plan drop=0.02 --timeout-ns 60000
+   --seed 1 --check].) *)
+let test_doomed_write_grant_replay_passes () =
+  let t =
+    Runtime.create
+      {
+        (cfg ~total:16 ~service:8 ~seed:1 ()) with
+        Runtime.policy = Cm.Wholly;
+        mem_words = 1 lsl 20;
+      }
+  in
+  (match Tm2c_noc.Fault.of_spec "drop=0.02" with
+  | Ok p -> Runtime.set_fault_plan t p
+  | Error m -> Alcotest.failf "fault plan: %s" m);
+  Runtime.set_hardening t ~timeout_ns:60_000.0 ~lease_ns:0.0 ();
+  let col = Collector.create () in
+  Collector.attach col (Runtime.trace t);
+  let accounts = 16 in
+  let bank = Tm2c_apps.Bank.create t ~accounts ~initial:1000 in
+  ignore
+    (Tm2c_apps.Workload.drive t ~duration_ns:4e6 (fun _core ctx prng () ->
+         if Tm2c_engine.Prng.int prng 100 < 50 then
+           ignore (Tm2c_apps.Bank.tx_balance ctx bank)
+         else
+           let src = Tm2c_engine.Prng.int prng accounts
+           and dst = Tm2c_engine.Prng.int prng accounts in
+           Tm2c_apps.Bank.tx_transfer ctx bank ~src ~dst ~amount:1));
+  Collector.detach (Runtime.trace t);
+  let events = Collector.to_list col in
+  (* The run must still hold the replay: a write grant to an attempt
+     an enemy CAS has already doomed. *)
+  let doomed = Hashtbl.create 16 in
+  let replayed =
+    List.exists
+      (fun (_, ev) ->
+        match ev with
+        | Event.Tx_start { core; _ } ->
+            Hashtbl.remove doomed core;
+            false
+        | Event.Enemy_aborted { victim; _ } ->
+            Hashtbl.replace doomed victim ();
+            false
+        | Event.Wlock_granted { core; _ } -> Hashtbl.mem doomed core
+        | _ -> false)
+      events
+  in
+  check "a doomed attempt is granted a write lock" true replayed;
+  let r = Check.run_list events in
+  check "lock discipline is clean" true (Lockset.ok r.Check.lockset);
+  check "all checkers pass" true (Check.passed r)
+
+(* The exemption above must not hide a doomed attempt that publishes:
+   core 1 is doomed at y, granted x over core 3's live read lock, and
+   writes x back. The grant itself is not judged, but the write-back
+   under lock is. *)
+let test_doomed_write_grant_publish_caught () =
+  let x = 10 and y = 11 in
+  let r =
+    Lockset.analyze
+      (Check.iter_of_list
+         [
+           (1.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+           (2.0, Event.Tx_start { core = 3; attempt = 1; elastic = false });
+           (3.0, Event.Tx_read { core = 3; addr = x; granted = true; value = 0 });
+           (4.0, Event.Tx_read { core = 1; addr = y; granted = true; value = 0 });
+           ( 5.0,
+             Event.Enemy_aborted
+               { server = 0; winner = 2; victim = 1; addr = y; conflict = Types.War } );
+           (6.0, Event.Tx_write { core = 1; addr = x; value = 1 });
+           (7.0, Event.Wlock_granted { core = 1; addrs = [ x ] });
+           (8.0, Event.Tx_commit_begin { core = 1; attempt = 1; n_writes = 1 });
+           (9.0, Event.Tx_publish { core = 1; attempt = 1; n_writes = 1 });
+         ])
+  in
+  check_int "the grant is counted" 3 r.Lockset.n_grants;
+  match r.Lockset.violations with
+  | [ v ] ->
+      check "the write-back without the lock is reported" true
+        (contains v.Lockset.v_message
+           (Printf.sprintf
+              "core 1 writing back addr %d without holding its write lock" x))
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 (* One generator per Event constructor, in declaration order. *)
 let gen_event =
   let open QCheck.Gen in
@@ -804,6 +896,10 @@ let suite =
       test_lock_index_stale_write_entry;
     Alcotest.test_case "lock index: re-granted read freed once" `Quick
       test_lock_index_regranted_read_entry;
+    Alcotest.test_case "doomed write grant replay passes" `Quick
+      test_doomed_write_grant_replay_passes;
+    Alcotest.test_case "doomed write grant publish caught" `Quick
+      test_doomed_write_grant_publish_caught;
     QCheck_alcotest.to_alcotest histlog_roundtrip_prop;
     QCheck_alcotest.to_alcotest histlog_put_parity_prop;
     QCheck_alcotest.to_alcotest ring_roundtrip_prop;

@@ -237,6 +237,172 @@ let test_nocm_always_requester () =
     = Some (System.Conflicted Raw));
   check "writer untouched" true (status_of rig ~core:2 = (0, Status.Pending))
 
+(* ---- one contention path, observed three ways ---- *)
+
+(* Every conflict is checked by its response, the abort causality
+   charged in [Obs], and the trace: one [Lock_conflict] whose enemy is
+   the contention manager's first blocker, then one [Enemy_aborted] per
+   enemy aborted. The requester is core 1; the enemies are core 2
+   (RAW, WAW: the writer of address 5) or cores 2 and 3 (WAR: readers
+   granted in that order, so the table lists core 3 first). FairCM
+   ranks by effective time, lower first; the requester's is 5000. *)
+type standing =
+  | Stronger  (** core 2 beats the requester (core 3 does not) *)
+  | Weaker  (** the requester beats every enemy *)
+  | Committing  (** weaker, but every enemy is past its commit point *)
+  | Stale  (** weaker, and every enemy has moved on to attempt 3 *)
+
+let traced_rig () =
+  let rig = make_rig () in
+  let col = Tm2c_check.Collector.create () in
+  Tm2c_check.Collector.attach col (Runtime.trace rig.t);
+  (rig, col)
+
+(* The conflict events of the trace, and the Obs charges, as lines. *)
+let conflict_events col =
+  List.filter_map
+    (fun (_, ev) ->
+      match ev with
+      | Event.Lock_conflict { requester; enemy; addr; conflict; requester_wins; _ } ->
+          Some
+            (Printf.sprintf "%s at %d: %d %s against %d" (conflict_to_string conflict)
+               addr requester
+               (if requester_wins then "wins" else "loses")
+               enemy)
+      | Event.Enemy_aborted { winner; victim; addr; conflict; _ } ->
+          Some
+            (Printf.sprintf "%s at %d: %d aborted by %d" (conflict_to_string conflict)
+               addr victim winner)
+      | _ -> None)
+    (Tm2c_check.Collector.to_list col)
+
+let obs_lines rig =
+  List.sort compare
+    (List.map
+       (fun (k, n, addr) ->
+         Printf.sprintf "%d beat %d on %s at %d x%d" k.Obs.winner k.Obs.victim
+           (conflict_to_string k.Obs.conflict)
+           addr n)
+       (Obs.dump rig.env.System.obs))
+
+let check_lines name expected got = Alcotest.(check (list string)) name expected got
+
+let test_contend conflict standing () =
+  let rig, col = traced_rig () in
+  let addr = 5 in
+  let enemies = match conflict with War -> [ 2; 3 ] | Raw | Waw -> [ 2 ] in
+  let listed = List.rev enemies in
+  List.iter
+    (fun c ->
+      set_status rig ~core:c ~attempt:0 Status.Pending;
+      let effective = if standing = Stronger && c = 2 then 0.0 else 9000.0 in
+      let kind =
+        if conflict = War then System.Read_lock addr else System.Write_locks [ addr ]
+      in
+      check "enemy granted" true
+        (submit rig ~core:c kind ~m:(meta rig ~core:c ~effective ()) = Some System.Granted))
+    enemies;
+  List.iter
+    (fun c ->
+      match standing with
+      | Committing -> set_status rig ~core:c ~attempt:0 Status.Committing
+      | Stale -> set_status rig ~core:c ~attempt:3 Status.Pending
+      | Stronger | Weaker -> ())
+    enemies;
+  set_status rig ~core:1 ~attempt:0 Status.Pending;
+  let kind = if conflict = Raw then System.Read_lock addr else System.Write_locks [ addr ] in
+  let resp = submit rig ~core:1 kind ~m:(meta rig ~core:1 ~effective:5000.0 ()) in
+  let c = conflict_to_string conflict in
+  let granted = standing = Weaker || standing = Stale in
+  check "response" true
+    (resp = Some (if granted then System.Granted else System.Conflicted conflict));
+  let blocker = if standing = Stronger then 2 else List.hd listed in
+  check_lines "conflict events"
+    (Printf.sprintf "%s at %d: 1 %s against %d" c addr
+       (if standing = Stronger then "loses" else "wins")
+       blocker
+    :: (if standing = Weaker then
+          List.map (fun e -> Printf.sprintf "%s at %d: %d aborted by 1" c addr e) listed
+        else []))
+    (conflict_events col);
+  check_lines "abort causality"
+    (List.sort compare
+       (match standing with
+       | Stronger -> [ Printf.sprintf "2 beat 1 on %s at %d x1" c addr ]
+       | Weaker -> List.map (fun e -> Printf.sprintf "1 beat %d on %s at %d x1" e c addr) enemies
+       | Committing -> [ Printf.sprintf "%d beat 1 on %s at %d x1" (List.hd listed) c addr ]
+       | Stale -> []))
+    (obs_lines rig);
+  List.iter
+    (fun e ->
+      check "enemy status" true
+        (status_of rig ~core:e
+        =
+        match standing with
+        | Stronger -> (0, Status.Pending)
+        | Weaker -> (0, Status.Aborted)
+        | Committing -> (0, Status.Committing)
+        | Stale -> (3, Status.Pending)))
+    enemies;
+  let e = Locktable.entry (Dtm.locks rig.server) addr in
+  let writer = Option.map (fun w -> w.h_core) e.Locktable.writer in
+  let readers = List.sort compare (List.map (fun r -> r.h_core) e.Locktable.readers) in
+  match (granted, conflict) with
+  | true, Raw ->
+      check "requester reads, writer revoked" true (writer = None && readers = [ 1 ])
+  | true, (Waw | War) ->
+      check "requester writes, enemies revoked" true (writer = Some 1 && readers = [])
+  | false, War -> check "readers keep the lock" true (writer = None && readers = enemies)
+  | false, (Raw | Waw) -> check "writer keeps the lock" true (writer = Some 2)
+
+(* A mixed WAR batch: core 1 beats both readers of 5, but the reader
+   listed first (core 3) is pending and the one behind it (core 2) is
+   past its commit point. Core 3 is aborted and revoked before core 2
+   is met, stays so, and the causality flips to core 2; the batch is
+   refused and its earlier grant on 4 rolled back. *)
+let test_war_mixed_batch () =
+  let rig, col = traced_rig () in
+  List.iter
+    (fun c ->
+      set_status rig ~core:c ~attempt:0 Status.Pending;
+      check "reader granted" true
+        (submit rig ~core:c (System.Read_lock 5) ~m:(meta rig ~core:c ~effective:9000.0 ())
+        = Some System.Granted))
+    [ 2; 3 ];
+  set_status rig ~core:2 ~attempt:0 Status.Committing;
+  set_status rig ~core:1 ~attempt:0 Status.Pending;
+  check "batch refused with WAR" true
+    (submit rig ~core:1 (System.Write_locks [ 4; 5 ]) ~m:(meta rig ~core:1 ())
+    = Some (System.Conflicted War));
+  check_lines "conflict events"
+    [ "WAR at 5: 1 wins against 3"; "WAR at 5: 3 aborted by 1" ]
+    (conflict_events col);
+  check_lines "abort causality"
+    [ "1 beat 3 on WAR at 5 x1"; "2 beat 1 on WAR at 5 x1" ]
+    (obs_lines rig);
+  check "first reader stays aborted" true (status_of rig ~core:3 = (0, Status.Aborted));
+  check "committing reader untouched" true (status_of rig ~core:2 = (0, Status.Committing));
+  let e5 = Locktable.entry (Dtm.locks rig.server) 5 in
+  check "first reader revoked, committing reader kept" true
+    (List.map (fun r -> r.h_core) e5.Locktable.readers = [ 2 ] && e5.Locktable.writer = None);
+  check "earlier grant on 4 rolled back" true (Locktable.find (Dtm.locks rig.server) 4 = None)
+
+let contend_cases =
+  List.concat_map
+    (fun conflict ->
+      List.map
+        (fun (standing, label) ->
+          ( Printf.sprintf "dtm: %s, %s" (conflict_to_string conflict) label,
+            `Quick,
+            test_contend conflict standing ))
+        [
+          (Stronger, "requester loses");
+          (Weaker, "enemies lose");
+          (Committing, "committing enemy");
+          (Stale, "stale enemy");
+        ])
+    [ Raw; Waw; War ]
+
 let suite =
   [
     ("dtm: read grant and attempt-checked release", `Quick, test_read_grant_and_release);
@@ -250,4 +416,6 @@ let suite =
     ("dtm: batch rollback on conflict", `Quick, test_batch_rollback);
     ("dtm: no self-conflict", `Quick, test_no_self_conflict);
     ("dtm: no-CM aborts the detector", `Quick, test_nocm_always_requester);
+    ("dtm: WAR batch, pending reader before committing", `Quick, test_war_mixed_batch);
   ]
+  @ contend_cases
