@@ -1,16 +1,18 @@
 (* Deterministic fault-injection fuzzer: sweep seeds x fault plans x
-   the six @check workload shapes, replay every run's complete event
-   history through the checker stack (serializability oracle, DS-Lock
-   protocol, liveness), and — per shape x seed — require that the
-   empty plan reproduces the no-fault run's committed/aborted counts
-   exactly (the fault layer draws from its own PRNG stream, so merely
-   enabling it must not perturb the schedule).
+   the six fault-free @check workload shapes, replay every run's
+   complete event history through the checker stack (serializability
+   oracle, DS-Lock protocol, liveness), and — per shape x seed —
+   require that the empty plan reproduces the no-fault run's
+   committed/aborted counts exactly (the fault layer draws from its own
+   PRNG stream, so merely enabling it must not perturb the schedule).
 
+   Every shape is a tm2c-sim run description ({!Tm2c_harness.Shape}),
+   so a failing run is printed as the tm2c-sim command that repeats it.
    On a checker failure the driver greedily shrinks the fault plan
    (dropping whole components, then zeroing individual rates) to a
-   minimal still-failing (seed, plan) pair, prints it with a paste-able
-   tm2c-sim repro command, and writes fuzz_repro.txt plus the checker
-   witness to fuzz_witness.txt for CI artifact upload.
+   minimal still-failing (seed, plan) pair, prints it with that repro
+   command, and writes fuzz_repro.txt plus the checker witness to
+   fuzz_witness.txt for CI artifact upload.
 
    --wedge runs the deliberately wedged configuration instead: crash a
    lock-holder under a requester-loses contention manager with leases
@@ -18,136 +20,40 @@
    (the run itself always terminates: the virtual horizon is hard) —
    then that leases alone un-wedge the same (seed, crash) pair.
 
-   --failover is the server-side analogue: crash the DS-lock server
-   owning the hot word. Without replication the run must wedge (zero
-   commits, watchdog trips, wedged cores flagged); with --replicas 1
-   the clients must fail over to the backup and finish with every
-   checker green. --failover-smoke sweeps a mid-run server crash with
-   replication over all six shapes for CI. *)
+   --failover-smoke sweeps a mid-run DS-server crash with one replica
+   over all six shapes: the clients must fail over to the backup and
+   every checker must stay green. (The crash of the owning server
+   with and without replication is tested in test/test_failover.ml.) *)
 
 open Tm2c_core
 open Tm2c_noc
 open Tm2c_check
+module Shape = Tm2c_harness.Shape
 
 let timeout_ns = 60_000.0
 
 let lease_ns = 250_000.0
 
-type shape = {
-  sh_name : string;
-  sh_cores : int;
-  sh_duration_ms : float;
-  sh_policy : Cm.policy;
-  sh_wmode : Tx.wmode;
-  sh_flags : string;  (* extra tm2c-sim flags for the repro command *)
-  sh_body : Runtime.t -> duration_ns:float -> Tm2c_apps.Workload.result;
-}
-
-(* The six @check shapes (bench/dune), at fuzz-friendly durations. *)
+(* The six fault-free @check shapes (bench/dune; the seventh, a lossy
+   bank, carries its own fault plan), at fuzz-friendly durations. *)
 let shapes =
-  let open Tm2c_apps in
-  let counter t ~duration_ns =
-    let c = Tm2c_memory.Alloc.alloc (Runtime.alloc t) ~words:1 in
-    Workload.drive t ~duration_ns (fun _core ctx _prng () ->
-        Tx.atomic ctx (fun () -> Tx.write ctx c (Tx.read ctx c + 1)))
-  in
-  let bank t ~duration_ns =
-    let accounts = 1024 in
-    let b = Bank.create t ~accounts ~initial:1000 in
-    Workload.drive t ~duration_ns (fun _core ctx prng () ->
-        if Tm2c_engine.Prng.int prng 100 < 20 then ignore (Bank.tx_balance ctx b)
-        else
-          let src = Tm2c_engine.Prng.int prng accounts
-          and dst = Tm2c_engine.Prng.int prng accounts in
-          Bank.tx_transfer ctx b ~src ~dst ~amount:1)
-  in
-  let hashtable t ~duration_ns =
-    let size = 512 in
-    let ht = Hashtable.create t ~n_buckets:64 in
-    Hashtable.populate ht (Runtime.fork_prng t) ~n:size ~key_range:(2 * size);
-    let r =
-      Workload.drive t ~duration_ns (fun _core ctx prng () ->
-          let k = Tm2c_engine.Prng.int prng (2 * size) in
-          let p = Tm2c_engine.Prng.int prng 100 in
-          if p < 20 then
-            if p land 1 = 0 then ignore (Hashtable.tx_add ctx ht k)
-            else ignore (Hashtable.tx_remove ctx ht k)
-          else ignore (Hashtable.tx_contains ctx ht k))
-    in
-    Hashtable.check_invariants ht;
-    r
-  in
-  let list_bench mode t ~duration_ns =
-    let size = 64 in
-    let l = Linkedlist.create t in
-    Linkedlist.populate l (Runtime.fork_prng t) ~n:size ~key_range:(2 * size);
-    let r =
-      Workload.drive t ~duration_ns (fun _core ctx prng () ->
-          let k = Tm2c_engine.Prng.int prng (2 * size) in
-          let p = Tm2c_engine.Prng.int prng 100 in
-          if p < 20 then
-            if p land 1 = 0 then ignore (Linkedlist.tx_add ~mode ctx l k)
-            else ignore (Linkedlist.tx_remove ~mode ctx l k)
-          else ignore (Linkedlist.tx_contains ~mode ctx l k))
-    in
-    Linkedlist.check_invariants l;
-    r
-  in
+  let s = Shape.default in
   [
-    {
-      sh_name = "counter/16";
-      sh_cores = 16;
-      sh_duration_ms = 1.0;
-      sh_policy = Cm.Fair_cm;
-      sh_wmode = Tx.Lazy;
-      sh_flags = "--bench counter --cores 16";
-      sh_body = counter;
-    };
-    {
-      sh_name = "bank/48";
-      sh_cores = 48;
-      sh_duration_ms = 1.0;
-      sh_policy = Cm.Fair_cm;
-      sh_wmode = Tx.Lazy;
-      sh_flags = "--bench bank --cores 48";
-      sh_body = bank;
-    };
-    {
-      sh_name = "hashtable/16";
-      sh_cores = 16;
-      sh_duration_ms = 1.0;
-      sh_policy = Cm.Fair_cm;
-      sh_wmode = Tx.Lazy;
-      sh_flags = "--bench hashtable --cores 16";
-      sh_body = hashtable;
-    };
-    {
-      sh_name = "hashtable/16-eager";
-      sh_cores = 16;
-      sh_duration_ms = 1.0;
-      sh_policy = Cm.Fair_cm;
-      sh_wmode = Tx.Eager;
-      sh_flags = "--bench hashtable --cores 16 --eager";
-      sh_body = hashtable;
-    };
-    {
-      sh_name = "list/16";
-      sh_cores = 16;
-      sh_duration_ms = 2.0;
-      sh_policy = Cm.Fair_cm;
-      sh_wmode = Tx.Lazy;
-      sh_flags = "--bench list --cores 16 --size 64";
-      sh_body = list_bench `Normal;
-    };
-    {
-      sh_name = "list/16-elastic-early";
-      sh_cores = 16;
-      sh_duration_ms = 2.0;
-      sh_policy = Cm.Fair_cm;
-      sh_wmode = Tx.Lazy;
-      sh_flags = "--bench list --cores 16 --size 64 --elastic early";
-      sh_body = list_bench `Elastic_early;
-    };
+    ("counter/16", { s with bench = Counter; cores = 16; duration_ms = 1.0 });
+    ("bank/48", { s with bench = Bank; cores = 48; duration_ms = 1.0 });
+    ("hashtable/16", { s with bench = Hashtable; cores = 16; duration_ms = 1.0 });
+    ( "hashtable/16-eager",
+      { s with bench = Hashtable; cores = 16; duration_ms = 1.0; eager = true } );
+    ("list/16", { s with bench = List_bench; cores = 16; size = 64; duration_ms = 2.0 });
+    ( "list/16-elastic-early",
+      {
+        s with
+        bench = List_bench;
+        cores = 16;
+        size = 64;
+        duration_ms = 2.0;
+        elastic = `Elastic_early;
+      } );
   ]
 
 (* Fault plans under test. Stall core 0 is always a DTM core
@@ -181,64 +87,44 @@ let plan_matrix ~smoke =
       | Error m -> failwith (Printf.sprintf "bad built-in plan %S: %s" s m))
     specs
 
-let make_runtime sh ~seed =
-  Runtime.create
-    {
-      Runtime.platform = Tm2c_noc.Platform.scc;
-      total_cores = sh.sh_cores;
-      service_cores = sh.sh_cores / 2;
-      deployment = Runtime.Dedicated;
-      policy = sh.sh_policy;
-      wmode = sh.sh_wmode;
-      batching = true;
-      max_skew_ns = 3_000.0;
-      seed;
-      mem_words = 1 lsl 18;
-    }
+let with_plan spec plan = { spec with Shape.fault_plan = Some plan }
 
-(* One run: returns the workload result and (when [collect]) the
-   complete event history for checker replay. *)
-let run_shape ?(replicas = 0) sh ~seed ~plan ~hardened ~collect =
-  let t = make_runtime sh ~seed in
-  (match plan with Some p -> Runtime.set_fault_plan t p | None -> ());
-  if hardened then Runtime.set_hardening t ~timeout_ns ~lease_ns ();
-  if replicas > 0 then Runtime.enable_replication t ~replicas;
-  let col =
-    if collect then begin
-      let c = Collector.create () in
-      Collector.attach c (Runtime.trace t);
-      Some c
-    end
-    else None
-  in
-  let r = sh.sh_body t ~duration_ns:(sh.sh_duration_ms *. 1e6) in
-  let events =
-    match col with
-    | Some c ->
-        Collector.detach (Runtime.trace t);
-        Collector.to_list c
-    | None -> []
-  in
-  (r, events)
+(* The timeouts and leases every faulted run needs to make progress. *)
+let hardened spec = { spec with Shape.timeout_ns; lease_ns }
 
-let repro_command ?(replicas = 0) sh ~seed ~plan =
-  Printf.sprintf
-    "tm2c-sim %s --duration %g --seed %d --fault-plan '%s' --timeout-ns %g \
-     --lease-ns %g%s --check"
-    sh.sh_flags sh.sh_duration_ms seed (Fault.to_spec plan) timeout_ns lease_ns
-    (if replicas > 0 then Printf.sprintf " --replicas %d" replicas else "")
+(* One run: the workload result alone. *)
+let outcome spec = fst (Shape.run spec (Shape.runtime spec))
+
+(* One run with its complete event history collected for checker
+   replay. *)
+let run_collect spec =
+  let t = Shape.runtime spec in
+  let col = Collector.create () in
+  Collector.attach col (Runtime.trace t);
+  let r, _ = Shape.run spec t in
+  Collector.detach (Runtime.trace t);
+  (t, r, Collector.to_list col)
+
+(* Single-quote any word a shell would not take as it is. *)
+let shell_word w =
+  let plain = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.' | '_' -> true
+    | _ -> false
+  in
+  if String.for_all plain w then w else "'" ^ w ^ "'"
+
+let repro_command spec =
+  "tm2c-sim " ^ String.concat " " (List.map shell_word (Shape.args spec)) ^ " --check"
 
 (* With replication on, a wedge is itself a failure: arm the liveness
    monitor's stuck detection (a core idle >1ms of virtual time made no
    progress across the failover it was promised). *)
 let stuck_after_ns = 1e6
 
-let failure_of_run ?(replicas = 0) sh ~seed ~plan =
-  let _, events =
-    run_shape ~replicas sh ~seed ~plan:(Some plan) ~hardened:true ~collect:true
-  in
+let failure_of_run spec =
+  let _, _, events = run_collect spec in
   let r =
-    if replicas > 0 then Check.run_list ~stuck_after_ns events
+    if spec.Shape.replicas > 0 then Check.run_list ~stuck_after_ns events
     else Check.run_list events
   in
   if Check.passed r then None else Some r
@@ -246,7 +132,7 @@ let failure_of_run ?(replicas = 0) sh ~seed ~plan =
 (* Greedy plan shrinking: repeatedly try structural reductions (drop a
    whole component, then zero one link rate) and keep any that still
    fails, until no reduction does. *)
-let shrink ?(replicas = 0) sh ~seed plan =
+let shrink spec plan =
   let reductions p =
     let link f = { p with Fault.link = Option.map f p.Fault.link } in
     List.filter
@@ -280,7 +166,7 @@ let shrink ?(replicas = 0) sh ~seed plan =
   let rec go p =
     match
       List.find_opt
-        (fun q -> failure_of_run ~replicas sh ~seed ~plan:q <> None)
+        (fun q -> failure_of_run (with_plan spec q) <> None)
         (reductions p)
     with
     | Some q -> go q
@@ -292,63 +178,59 @@ let write_file path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let report_failure ?(replicas = 0) sh ~seed ~plan ~out_dir result =
-  let minimal = shrink ~replicas sh ~seed plan in
+(* [spec] carries every knob of the failing run but its plan. *)
+let report_failure name spec ~plan ~out_dir result =
+  let minimal = shrink spec plan in
   let witness =
-    match failure_of_run ~replicas sh ~seed ~plan:minimal with
+    match failure_of_run (with_plan spec minimal) with
     | Some r -> Check.report_string r
     | None -> Check.report_string result (* shrinking raced; keep the original *)
   in
-  let cmd = repro_command ~replicas sh ~seed ~plan:minimal in
-  Printf.printf "\nFUZZ FAILURE %s seed=%d\n" sh.sh_name seed;
+  let cmd = repro_command (with_plan spec minimal) in
+  let seed = spec.Shape.seed in
+  Printf.printf "\nFUZZ FAILURE %s seed=%d\n" name seed;
   Printf.printf "  original plan: %s\n" (Fault.to_spec plan);
   Printf.printf "  minimal plan:  %s\n" (Fault.to_spec minimal);
   Printf.printf "  repro: %s\n%!" cmd;
   write_file
     (Filename.concat out_dir "fuzz_repro.txt")
-    (Printf.sprintf "shape: %s\nseed: %d\nplan: %s\nrepro: %s\n" sh.sh_name seed
+    (Printf.sprintf "shape: %s\nseed: %d\nplan: %s\nrepro: %s\n" name seed
        (Fault.to_spec minimal) cmd);
   write_file (Filename.concat out_dir "fuzz_witness.txt") witness
 
 (* Per shape x seed: the empty-plan determinism gate, then every plan
    in the matrix replayed through the checkers. Returns the failure
    count. *)
-let fuzz_shape sh ~seeds ~plans ~out_dir =
+let fuzz_shape (name, spec) ~seeds ~plans ~out_dir =
   let failures = ref 0 in
   List.iter
     (fun seed ->
-      (* Determinism gate: installing the empty plan (and hardening,
-         which on a fault-free schedule only installs timeouts that
-         never fire... timeouts do add heap events, so the comparison
-         runs both sides unhardened) must not change the outcome. *)
-      let base, _ =
-        run_shape sh ~seed ~plan:None ~hardened:false ~collect:false
-      in
-      let empt, _ =
-        run_shape sh ~seed ~plan:(Some Fault.empty) ~hardened:false
-          ~collect:false
-      in
+      let spec = { spec with Shape.seed } in
+      (* Determinism gate: installing the empty plan must not change
+         the outcome. Hardening installs timeouts, which add heap events
+         even on a fault-free schedule, so both sides run unhardened. *)
+      let base = outcome spec and empt = outcome (with_plan spec Fault.empty) in
       let open Tm2c_apps.Workload in
       if base.commits <> empt.commits || base.aborts <> empt.aborts then begin
         incr failures;
         Printf.printf
           "\nFUZZ FAILURE %s seed=%d: empty plan perturbed the schedule \
            (%d/%d commits/aborts vs %d/%d)\n%!"
-          sh.sh_name seed empt.commits empt.aborts base.commits base.aborts;
+          name seed empt.commits empt.aborts base.commits base.aborts;
         write_file
           (Filename.concat out_dir "fuzz_repro.txt")
           (Printf.sprintf "shape: %s\nseed: %d\nplan: none (determinism gate)\n"
-             sh.sh_name seed)
+             name seed)
       end;
       List.iter
         (fun plan ->
-          match failure_of_run sh ~seed ~plan with
+          match failure_of_run (with_plan (hardened spec) plan) with
           | None ->
-              Printf.printf "ok   %-24s seed=%d plan=%s\n%!" sh.sh_name seed
+              Printf.printf "ok   %-24s seed=%d plan=%s\n%!" name seed
                 (Fault.to_spec plan)
           | Some r ->
               incr failures;
-              report_failure sh ~seed ~plan ~out_dir r)
+              report_failure name (hardened spec) ~plan ~out_dir r)
         plans)
     seeds;
   !failures
@@ -375,16 +257,9 @@ let fuzz_shape sh ~seeds ~plans ~out_dir =
 let wedge_budget = 40
 
 let wedge ~out_dir =
-  let sh =
-    {
-      (List.hd shapes) with
-      sh_name = "counter/16-backoff";
-      sh_policy = Cm.Backoff_retry;
-      sh_duration_ms = 20.0;
-      sh_flags = "--bench counter --cores 16 --cm backoff";
-    }
+  let spec =
+    { (snd (List.hd shapes)) with Shape.cm = Cm.Backoff_retry; duration_ms = 20.0; seed = 1 }
   in
-  let seed = 1 in
   let crash_times = [ 1e5; 2e5; 3e5; 4e5; 5e5 ] in
   let attempt at =
     let plan =
@@ -393,9 +268,7 @@ let wedge ~out_dir =
         Fault.crashes = [ { Fault.crash_core = 3; crash_at_ns = at } ];
       }
     in
-    let res, events =
-      run_shape sh ~seed ~plan:(Some plan) ~hardened:false ~collect:true
-    in
+    let _, res, events = run_collect (with_plan spec plan) in
     let r = Check.run_list ~liveness_budget:wedge_budget events in
     (plan, res, r)
   in
@@ -423,11 +296,10 @@ let wedge ~out_dir =
         "wedge detected: crash at %.0fns orphans the counter read lock; zero \
          commits, liveness FAIL as expected (budget %d), run terminated at \
          the %gms horizon\n"
-        at wedge_budget sh.sh_duration_ms;
-      Printf.printf "  minimal repro: seed=%d plan=%s\n" seed (Fault.to_spec plan);
-      Printf.printf "  repro: tm2c-sim %s --duration %g --seed %d --fault-plan \
-                     '%s' --check\n"
-        sh.sh_flags sh.sh_duration_ms seed (Fault.to_spec plan);
+        at wedge_budget spec.Shape.duration_ms;
+      Printf.printf "  minimal repro: seed=%d plan=%s\n" spec.Shape.seed
+        (Fault.to_spec plan);
+      Printf.printf "  repro: %s\n" (repro_command (with_plan spec plan));
       write_file
         (Filename.concat out_dir "fuzz_wedge.txt")
         (Check.report_string r);
@@ -435,17 +307,9 @@ let wedge ~out_dir =
          commits resume, at least one reclamation fired, and the run
          replays clean at the default liveness budget (Backoff_retry's
          ordinary single-core starvation stays under it). *)
-      let t = make_runtime sh ~seed in
-      Runtime.set_fault_plan t plan;
-      Runtime.set_hardening t ~lease_ns ();
-      let col = Collector.create () in
-      Collector.attach col (Runtime.trace t);
-      let res = sh.sh_body t ~duration_ns:(sh.sh_duration_ms *. 1e6) in
-      Collector.detach (Runtime.trace t);
-      let reclaimed =
-        (Fault.counters (Runtime.faults t)).Fault.leases_reclaimed
-      in
-      let r' = Check.run (Collector.iter col) in
+      let t, res, events = run_collect { (with_plan spec plan) with Shape.lease_ns } in
+      let reclaimed = (Fault.counters (Runtime.faults t)).Fault.leases_reclaimed in
+      let r' = Check.run_list events in
       if Check.passed r' && res.Tm2c_apps.Workload.commits > 0 && reclaimed > 0
       then begin
         Printf.printf
@@ -459,107 +323,6 @@ let wedge ~out_dir =
           res.Tm2c_apps.Workload.commits reclaimed (Check.report_string r');
         1
       end
-
-(* The server-failure demo. The counter workload funnels every lock
-   request to the one DS server owning the counter word; crash it at
-   t=0.
-
-   Leg 1 (no replication): every client wedges in its resend loop —
-   zero commits, the watchdog cuts the run short, and the liveness
-   monitor names the stuck cores. Leg 2 (--replicas 1): the clients
-   exhaust their resend patience, bump the partition's epoch, re-route
-   to the backup, and the run finishes with every checker green. Leg 3
-   crashes the same server mid-run, so the backup's replica is
-   non-empty at failover and the merge path is exercised. *)
-let failover ~out_dir =
-  let sh =
-    { (List.hd shapes) with sh_name = "counter/16-scrash"; sh_duration_ms = 5.0 }
-  in
-  let seed = 1 in
-  (* The owning server: replay the allocator (same config, same seed ⇒
-     the workload's counter lands on the same address). *)
-  let owner =
-    let t = make_runtime sh ~seed in
-    let c = Tm2c_memory.Alloc.alloc (Runtime.alloc t) ~words:1 in
-    let dtm = Runtime.dtm_cores t in
-    dtm.(System.owner_hash c (Array.length dtm))
-  in
-  let plan_at at =
-    {
-      Fault.empty with
-      Fault.scrashes = [ { Fault.scrash_core = owner; scrash_at_ns = at } ];
-    }
-  in
-  let run ~at ~replicas ~watchdog =
-    let t = make_runtime sh ~seed in
-    Runtime.set_fault_plan t (plan_at at);
-    Runtime.set_hardening t ~timeout_ns ~lease_ns ();
-    if replicas > 0 then Runtime.enable_replication t ~replicas;
-    if watchdog then Runtime.enable_watchdog t ~window_ns:1e6 ~stall_windows:2;
-    let col = Collector.create () in
-    Collector.attach col (Runtime.trace t);
-    let res = sh.sh_body t ~duration_ns:(sh.sh_duration_ms *. 1e6) in
-    Collector.detach (Runtime.trace t);
-    (t, res, Check.run ~stuck_after_ns (Collector.iter col))
-  in
-  let counters t = Fault.counters (Runtime.faults t) in
-  let fail fmt = Printf.ksprintf (fun m -> Printf.printf "FAILOVER DEMO FAILED: %s\n" m; 1) fmt in
-  (* Leg 1: crash at t=0, no replication — the run must wedge. *)
-  let t1, r1, c1 = run ~at:0.0 ~replicas:0 ~watchdog:true in
-  write_file (Filename.concat out_dir "fuzz_failover_wedge.txt") (Check.report_string c1);
-  if r1.Tm2c_apps.Workload.commits > 0 then
-    fail "leg 1: %d commits despite the owning server dead from t=0"
-      r1.Tm2c_apps.Workload.commits
-  else if not (Runtime.wedged t1) then fail "leg 1: watchdog did not trip"
-  else if c1.Check.liveness.Liveness.stuck = [] then
-    fail "leg 1: liveness monitor flagged no stuck core"
-  else begin
-    Printf.printf
-      "leg 1: server %d dead at t=0 without replication wedges the run — 0 \
-       commits, watchdog tripped, %d cores flagged stuck\n"
-      owner
-      (List.length c1.Check.liveness.Liveness.stuck);
-    (* Leg 2: same crash, one replica — the run must complete. *)
-    let t2, r2, c2 = run ~at:0.0 ~replicas:1 ~watchdog:true in
-    let f2 = counters t2 in
-    if not (Check.passed c2) then begin
-      write_file (Filename.concat out_dir "fuzz_failover_witness.txt")
-        (Check.report_string c2);
-      fail "leg 2: checkers failed with --replicas 1:\n%s" (Check.report_string c2)
-    end
-    else if r2.Tm2c_apps.Workload.commits = 0 then fail "leg 2: zero commits with --replicas 1"
-    else if f2.Fault.failovers = 0 then fail "leg 2: no epoch bump recorded"
-    else begin
-      Printf.printf
-        "leg 2: with --replicas 1 the clients fail over (epoch bumps %d) and \
-         finish: %d commits, all checkers green\n"
-        f2.Fault.failovers r2.Tm2c_apps.Workload.commits;
-      (* Leg 3: mid-run crash — the replica is warm, the merge runs. *)
-      let t3, r3, c3 = run ~at:1.5e6 ~replicas:1 ~watchdog:true in
-      let f3 = counters t3 in
-      if not (Check.passed c3) then begin
-        write_file (Filename.concat out_dir "fuzz_failover_witness.txt")
-          (Check.report_string c3);
-        fail "leg 3: checkers failed after mid-run failover:\n%s"
-          (Check.report_string c3)
-      end
-      else if f3.Fault.replicated = 0 then
-        fail "leg 3: no mutation was ever replicated before the crash"
-      else if f3.Fault.failovers = 0 then fail "leg 3: no epoch bump recorded"
-      else if r3.Tm2c_apps.Workload.commits = 0 then fail "leg 3: zero commits"
-      else begin
-        Printf.printf
-          "leg 3: mid-run crash at 1.5ms fails over a warm replica (%d \
-           mutations shipped, %d stale rejections): %d commits, all checkers \
-           green\n"
-          f3.Fault.replicated f3.Fault.stale_rejections
-          r3.Tm2c_apps.Workload.commits;
-        Printf.printf "  repro: %s\n"
-          (repro_command ~replicas:1 sh ~seed ~plan:(plan_at 1.5e6));
-        0
-      end
-    end
-  end
 
 (* --streaming: the differential gate between the online
    bounded-memory checker and the batch oracle. Per shape x seed,
@@ -582,12 +345,10 @@ let streaming_smoke ~seeds ~out_dir =
   in
   let failures = ref 0 in
   List.iter
-    (fun sh ->
+    (fun (name, spec) ->
       List.iter
         (fun seed ->
-          let _, events =
-            run_shape sh ~seed ~plan:(Some plan) ~hardened:true ~collect:true
-          in
+          let _, _, events = run_collect (with_plan (hardened { spec with Shape.seed }) plan) in
           let s = Stream.create () and s1 = Stream.create ~gc_interval:1 () in
           List.iter
             (fun (now, ev) ->
@@ -605,13 +366,13 @@ let streaming_smoke ~seeds ~out_dir =
           then begin
             incr failures;
             Printf.printf "\nSTREAMING MISMATCH %s seed=%d plan=%s\n%!"
-              sh.sh_name seed (Fault.to_spec plan);
+              name seed (Fault.to_spec plan);
             write_file
               (Filename.concat out_dir "fuzz_streaming.txt")
               (Printf.sprintf
                  "shape: %s\nseed: %d\nplan: %s\n\n-- online --\n%s\n-- \
                   online, sweep per event --\n%s\n-- batch --\n%s"
-                 sh.sh_name seed (Fault.to_spec plan) (Stream.report_string s)
+                 name seed (Fault.to_spec plan) (Stream.report_string s)
                  (Stream.report_string s1) (Check.report_string batch))
           end
           else if online.Stream.d_attempts > 64 && window >= online.Stream.d_attempts
@@ -620,13 +381,13 @@ let streaming_smoke ~seeds ~out_dir =
             Printf.printf
               "\nSTREAMING WINDOW UNBOUNDED %s seed=%d: %d live-node peak over \
                %d attempts\n%!"
-              sh.sh_name seed window online.Stream.d_attempts
+              name seed window online.Stream.d_attempts
           end
           else
             Printf.printf
               "ok   %-24s seed=%d streaming==sweep-per-event==batch (%d \
                events, %d attempts, window %d)\n%!"
-              sh.sh_name seed online.Stream.d_events online.Stream.d_attempts
+              name seed online.Stream.d_events online.Stream.d_attempts
               window)
         seeds)
     shapes;
@@ -655,16 +416,17 @@ let failover_smoke ~seeds ~out_dir =
   in
   let failures = ref 0 in
   List.iter
-    (fun sh ->
+    (fun (name, spec) ->
       List.iter
         (fun seed ->
-          match failure_of_run ~replicas:1 sh ~seed ~plan with
+          let spec = { (hardened spec) with Shape.seed; replicas = 1 } in
+          match failure_of_run (with_plan spec plan) with
           | None ->
               Printf.printf "ok   %-24s seed=%d replicas=1 plan=%s\n%!"
-                sh.sh_name seed (Fault.to_spec plan)
+                name seed (Fault.to_spec plan)
           | Some r ->
               incr failures;
-              report_failure ~replicas:1 sh ~seed ~plan ~out_dir r)
+              report_failure name spec ~plan ~out_dir r)
         seeds)
     shapes;
   if !failures > 0 then begin
@@ -679,7 +441,7 @@ let failover_smoke ~seeds ~out_dir =
 
 let () =
   let seeds = ref 2 and smoke = ref false and do_wedge = ref false in
-  let do_failover = ref false and do_failover_smoke = ref false in
+  let do_failover_smoke = ref false in
   let do_streaming = ref false in
   let out_dir = ref "." in
   Arg.parse
@@ -687,9 +449,6 @@ let () =
       ("--seeds", Arg.Set_int seeds, "N  seeds per shape (default 2)");
       ("--smoke", Arg.Set smoke, " reduced plan matrix for CI");
       ("--wedge", Arg.Set do_wedge, " run the wedged-configuration detection demo");
-      ( "--failover",
-        Arg.Set do_failover,
-        " run the DS-server crash / replicated-failover demo" );
       ( "--failover-smoke",
         Arg.Set do_failover_smoke,
         " CI sweep: mid-run server crash with one replica, all shapes" );
@@ -699,10 +458,9 @@ let () =
       ("--out-dir", Arg.Set_string out_dir, "DIR  where failure artifacts go");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "fuzz [--seeds N] [--smoke] [--wedge] [--failover] [--failover-smoke] \
+    "fuzz [--seeds N] [--smoke] [--wedge] [--failover-smoke] \
      [--streaming] [--out-dir DIR]";
   if !do_wedge then exit (wedge ~out_dir:!out_dir)
-  else if !do_failover then exit (failover ~out_dir:!out_dir)
   else if !do_failover_smoke then
     exit
       (failover_smoke ~seeds:(List.init !seeds (fun i -> 41 + i))

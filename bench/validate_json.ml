@@ -1,16 +1,19 @@
-(* Smoke-target validator: parse an exported results file and require
-   the metric families the observability layer promises — including the
-   schema-v2 phase attribution, time-series, and trace-ring sections —
-   and check the phase-accounting invariant: per core, the committed
-   phase sums equal the total committed-attempt time (1e-6 relative),
-   and the time-series shape: n_windows window-end times and as many
-   values in every channel.
+(* Smoke-target validator: parse an exported results file and require,
+   on every run, each section the exporter writes — phase attribution,
+   faults, open loop, flight-recorder metrics and time series, trace
+   ring — and check their invariants: open-loop and fault accounting,
+   monotone quantile ladders, windowed counter sums that telescope to
+   their totals, the time-series shape (n_windows window-end times and
+   as many values in every channel) and, per core, committed phase sums
+   equal to the total committed-attempt time (1e-6 relative).
    Exits non-zero (failwith) when the export is malformed, incomplete,
    or out of tolerance.
 
-   Accepts both shapes: a harness export ({schema_version, scale,
+   Accepts both shapes: a harness export ({schema_version: 6, scale,
    experiments: [{runs: [...]}]}) and a single tm2c-sim --json run
-   record (the run object itself, recognized by its "config" field). *)
+   record (the run object itself, recognized by its "config" field,
+   with no schema_version). A tm2c-lint --json report is recognized by
+   its "tool" field. *)
 
 open Tm2c_harness
 
@@ -90,206 +93,112 @@ let validate_lint path v =
      entries)\n"
     path total active (List.length inventory)
 
-let () =
-  let path = Sys.argv.(1) in
-  let v = Json.of_file path in
-  (match Json.member "tool" v with
-  | Some (Json.String "tm2c-lint") ->
-      validate_lint path v;
-      exit 0
-  | _ -> ());
-  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
-  let require doc p =
-    if Json.path p doc = None then fail "missing %s" (String.concat "." p)
+(* Every path a run record carries ({!Report.run_json}), in a harness
+   export and a tm2c-sim --json record alike. *)
+let required =
+  [
+    [ "config"; "policy" ];
+    [ "result"; "commits" ];
+    [ "result"; "aborts" ];
+    [ "result"; "horizon_hit" ];
+    [ "cores" ];
+    [ "network"; "sent" ];
+    [ "network"; "latency_ns"; "count" ];
+    [ "network"; "latency_ns"; "sum" ];
+    [ "network"; "latency_ns"; "p999" ];
+    [ "network"; "latency_ns"; "rel_error" ];
+    [ "dtm" ];
+    [ "aborts"; "by_conflict"; "RAW" ];
+    [ "aborts"; "by_conflict"; "WAW" ];
+    [ "aborts"; "by_conflict"; "WAR" ];
+    [ "aborts"; "by_conflict"; "STATUS" ];
+    [ "faults"; "plan" ];
+    [ "faults"; "replicas" ];
+    [ "openloop"; "policy" ];
+    [ "openloop"; "e2e_latency_ns"; "p999" ];
+    [ "wedged" ];
+    [ "phases"; "enabled" ];
+    [ "phases"; "names" ];
+    [ "phases"; "aborted" ];
+    [ "trace"; "dropped" ];
+    [ "trace"; "capacity" ];
+    [ "trace"; "sink_high_water" ];
+    [ "metrics"; "window_ns" ];
+    [ "metrics"; "sketches"; "commit_latency_ns"; "p99" ];
+    [ "metrics"; "events" ];
+    [ "metrics"; "host_profile"; "wheel"; "seconds" ];
+    [ "timeseries"; "window_ns" ];
+    [ "timeseries"; "channels"; "commits"; "values" ];
+    [ "timeseries"; "channels"; "queue_depth_mean"; "values" ];
+  ]
+
+(* One run's invariants. Returns its quantile ladders and per-core
+   phase sums checked. *)
+let validate_run path ri run =
+  let fail fmt =
+    Printf.ksprintf (fun m -> failwith (Printf.sprintf "%s: run %d: %s" path ri m)) fmt
   in
-  (* Collect every run in the file. *)
-  let runs =
-    match Json.member "experiments" v with
-    | Some (Json.List exps) ->
-        require v [ "scale" ];
-        (* v2 exports (no "faults" section) are still accepted; the
-           faults rules below only run on runs that carry the section,
-           which v3 made mandatory and v4 extended. *)
-        (match Json.member "schema_version" v with
-        | Some (Json.Int (2 | 3 | 4 | 5 | 6)) -> ()
-        | Some (Json.Int n) -> fail "schema_version %d, expected 2..6" n
-        | _ -> fail "missing schema_version");
-        List.concat_map
-          (fun e ->
-            match Json.member "runs" e with
-            | Some (Json.List rs) -> rs
-            | _ -> fail "experiment without runs")
-          exps
-    | Some _ -> fail "experiments is not a list"
-    | None ->
-        if Json.member "config" v = None then
-          fail "neither a harness export nor a run record";
-        [ v ]
+  let where p = String.concat "." p in
+  List.iter (fun p -> if Json.path p run = None then fail "missing %s" (where p)) required;
+  let get conv what p =
+    match Option.bind (Json.path p run) conv with
+    | Some x -> x
+    | None -> fail "%s missing or not %s" (where p) what
   in
-  (match runs with [] -> fail "no runs" | _ -> ());
-  let first_run = List.hd runs in
-  List.iter (require first_run)
+  let int_at = get Json.to_int_opt "an integer"
+  and float_at = get Json.to_float_opt "a number"
+  and list_at = get (function Json.List l -> Some l | _ -> None) "a list"
+  and fields_at = get (function Json.Obj fs -> Some fs | _ -> None) "an object" in
+  let count p =
+    let n = int_at p in
+    if n < 0 then fail "%s negative (%d)" (where p) n;
+    n
+  in
+  (* Open-loop accounting: every offered arrival is either admitted or
+     shed (none vanish), admitted work is either executed or expired on
+     the queue (the remainder is the drain backlog), and goodput <=
+     completed <= executed (a request completes at most once, counted
+     good only within its deadline). *)
+  let ol k = count [ "openloop"; k ] in
+  let offered = ol "offered"
+  and admitted = ol "admitted"
+  and shed = ol "shed"
+  and expired = ol "expired"
+  and executed = ol "executed"
+  and completed = ol "completed"
+  and goodput = ol "goodput" in
+  if offered <> admitted + shed then
+    fail "openloop.offered %d <> %d admitted + %d shed" offered admitted shed;
+  if executed + expired > admitted then
+    fail "openloop %d executed + %d expired > %d admitted" executed expired admitted;
+  if goodput > completed then fail "openloop.goodput %d > completed %d" goodput completed;
+  if completed > executed then
+    fail "openloop.completed %d > executed %d" completed executed;
+  List.iter (fun k -> ignore (ol k)) [ "wasted"; "retries"; "retry_exhausted"; "queue_peak" ];
+  (* Faults: the injected total is the sum of the seven kinds. *)
+  let fc k = count [ "faults"; k ] in
+  let injected = fc "injected"
+  and parts =
+    List.fold_left
+      (fun acc k -> acc + fc k)
+      0
+      [ "dropped"; "duplicated"; "delayed"; "reordered"; "partitioned"; "crashes"; "server_crashes" ]
+  in
+  if injected <> parts then fail "faults.injected %d <> breakdown sum %d" injected parts;
+  List.iter
+    (fun k -> ignore (fc k))
     [
-      [ "config"; "policy" ];
-      [ "result"; "commits" ];
-      [ "result"; "aborts" ];
-      [ "cores" ];
-      [ "network"; "sent" ];
-      [ "network"; "latency_ns"; "count" ];
-      [ "network"; "latency_ns"; "sum" ];
-      [ "dtm" ];
-      [ "aborts"; "by_conflict"; "RAW" ];
-      [ "aborts"; "by_conflict"; "WAW" ];
-      [ "aborts"; "by_conflict"; "WAR" ];
-      [ "aborts"; "by_conflict"; "STATUS" ];
-      (* v2 additions *)
-      [ "phases"; "enabled" ];
-      [ "phases"; "names" ];
-      [ "phases"; "committed" ];
-      [ "phases"; "aborted" ];
-      [ "trace"; "dropped" ];
-      [ "trace"; "capacity" ];
-      [ "timeseries"; "window_ns" ];
-      [ "timeseries"; "t_ns" ];
-      [ "timeseries"; "channels"; "commits"; "values" ];
-      [ "timeseries"; "channels"; "queue_depth_mean"; "values" ];
+      "resends"; "absorbed"; "leases_reclaimed"; "replicated"; "failovers"; "stale_rejections";
+      "cache_evicted";
     ];
-  (* v3+ faults section: mandatory when the export is schema v3 or v4
-     (single run records always carry it), checked for internal
-     consistency on every run that has it. *)
-  (match Json.member "schema_version" v with
-  | Some (Json.Int (3 | 4)) | None ->
-      List.iter (require first_run)
-        [
-          [ "faults"; "plan" ];
-          [ "faults"; "injected" ];
-          [ "faults"; "resends" ];
-          [ "faults"; "leases_reclaimed" ];
-        ]
-  | _ -> ());
-  (match Json.member "schema_version" v with
-  | Some (Json.Int (4 | 5 | 6)) ->
-      List.iter (require first_run)
-        [
-          [ "faults"; "replicas" ];
-          [ "faults"; "replicated" ];
-          [ "faults"; "failovers" ];
-          [ "faults"; "stale_rejections" ];
-          [ "faults"; "cache_evicted" ];
-          [ "wedged" ];
-        ]
-  | _ -> ());
-  (* v5: quantile sketches replace the histograms, the trace section
-     carries the checker sink's high-water mark, and every run gains a
-     "metrics" section — the flight recorder's final snapshot. *)
-  (match Json.member "schema_version" v with
-  | Some (Json.Int (5 | 6)) | None ->
-      List.iter (require first_run)
-        [
-          [ "network"; "latency_ns"; "p999" ];
-          [ "network"; "latency_ns"; "rel_error" ];
-          [ "trace"; "sink_high_water" ];
-          [ "metrics"; "window_ns" ];
-          [ "metrics"; "n_windows" ];
-          [ "metrics"; "counters"; "commits"; "total" ];
-          [ "metrics"; "counters"; "commits"; "windowed_sum" ];
-          [ "metrics"; "sketches"; "commit_latency_ns"; "p99" ];
-          [ "metrics"; "events" ];
-          [ "metrics"; "host_profile"; "wheel"; "seconds" ];
-        ]
-  | _ -> ());
-  (* v6: the open-loop section (admission / shedding / goodput) and the
-     horizon flag. *)
-  (match Json.member "schema_version" v with
-  | Some (Json.Int 6) | None ->
-      List.iter (require first_run)
-        [
-          [ "result"; "horizon_hit" ];
-          [ "openloop"; "policy" ];
-          [ "openloop"; "offered" ];
-          [ "openloop"; "e2e_latency_ns"; "p999" ];
-        ]
-  | _ -> ());
-  (* Open-loop accounting invariants, on every run carrying the
-     section: every offered arrival is either admitted or shed (none
-     vanish), admitted work is either executed or expired on the queue
-     (the remainder is the drain backlog), and goodput <= completed <=
-     executed (a request completes at most once, counted good only
-     within its deadline). *)
-  List.iteri
-    (fun ri run ->
-      match Json.member "openloop" run with
-      | None -> ()
-      | Some o ->
-          let count k =
-            match Option.bind (Json.member k o) Json.to_int_opt with
-            | Some n when n >= 0 -> n
-            | Some n -> fail "run %d: openloop.%s negative (%d)" ri k n
-            | None -> fail "run %d: openloop.%s missing or not an integer" ri k
-          in
-          let offered = count "offered"
-          and admitted = count "admitted"
-          and shed = count "shed"
-          and expired = count "expired"
-          and executed = count "executed"
-          and completed = count "completed"
-          and goodput = count "goodput" in
-          if offered <> admitted + shed then
-            fail "run %d: openloop.offered %d <> %d admitted + %d shed" ri
-              offered admitted shed;
-          if executed + expired > admitted then
-            fail "run %d: openloop %d executed + %d expired > %d admitted" ri
-              executed expired admitted;
-          if goodput > completed then
-            fail "run %d: openloop.goodput %d > completed %d" ri goodput
-              completed;
-          if completed > executed then
-            fail "run %d: openloop.completed %d > executed %d" ri completed
-              executed;
-          ignore (count "wasted");
-          ignore (count "retries");
-          ignore (count "retry_exhausted");
-          ignore (count "queue_peak"))
-    runs;
-  List.iteri
-    (fun ri run ->
-      match Json.member "faults" run with
-      | None -> ()
-      | Some f ->
-          let count k =
-            match Option.bind (Json.member k f) Json.to_int_opt with
-            | Some n when n >= 0 -> n
-            | Some n -> fail "run %d: faults.%s negative (%d)" ri k n
-            | None -> fail "run %d: faults.%s missing or not an integer" ri k
-          in
-          let injected = count "injected" in
-          (* A v4-era record carries the reorder/partition/server-crash
-             counters in the breakdown; a v3 record predates them.
-             Presence of "reordered" tells the two apart (harness
-             exports and single-run records alike). *)
-          let parts =
-            count "dropped" + count "duplicated" + count "delayed"
-            + count "crashes"
-            +
-            if Json.member "reordered" f <> None then
-              count "reordered" + count "partitioned" + count "server_crashes"
-            else 0
-          in
-          if injected <> parts then
-            fail "run %d: faults.injected %d <> breakdown sum %d" ri injected
-              parts;
-          ignore (count "resends");
-          ignore (count "absorbed");
-          ignore (count "leases_reclaimed"))
-    runs;
-  (* Sketch-quantile monotonicity (v5), on every run: walk the whole
-     record and require p50 <= p90 <= p99 (<= p999) of every sketch
-     summary — any object carrying the quantile ladder. Estimates come
-     from cumulative bucket walks at increasing ranks, so a violation
-     means the sketch (or an exporter) is broken. *)
+  (* Sketch-quantile monotonicity: walk the whole record and require
+     p50 <= p90 <= p99 (<= p999) of every sketch summary — any object
+     carrying the quantile ladder. Estimates come from cumulative
+     bucket walks at increasing ranks, so a violation means the sketch
+     (or an exporter) is broken. *)
   let quantiles = ref 0 in
   let qnum obj k = Option.bind (Json.member k obj) Json.to_float_opt in
-  let rec walk_quantiles ri ctx j =
+  let rec walk_quantiles ctx j =
     match j with
     | Json.Obj fields ->
         (match (qnum j "p50", qnum j "p90", qnum j "p99") with
@@ -302,140 +211,108 @@ let () =
             List.iter
               (fun (lo, hi, label) ->
                 if lo > hi then
-                  fail "run %d: %s: quantile inversion %s (%.6g > %.6g)" ri ctx
-                    label lo hi)
+                  fail "%s: quantile inversion %s (%.6g > %.6g)" ctx label lo hi)
               ladder;
             incr quantiles
         | _ -> ());
-        List.iter (fun (k, v) -> walk_quantiles ri (ctx ^ "." ^ k) v) fields
-    | Json.List items -> List.iter (walk_quantiles ri ctx) items
+        List.iter (fun (k, v) -> walk_quantiles (ctx ^ "." ^ k) v) fields
+    | Json.List items -> List.iter (walk_quantiles ctx) items
     | _ -> ()
   in
-  List.iteri (fun ri run -> walk_quantiles ri "run" run) runs;
-  (* Flight-recorder invariants (v5), on every run that carries the
-     metrics section: the sum of emitted windowed deltas telescopes to
-     the counter's total (the windowed stream lost nothing), and the
-     recorder's headline counters agree with the result section. *)
-  List.iteri
-    (fun ri run ->
-      match Json.member "metrics" run with
-      | None -> ()
-      | Some m ->
-          (match Json.member "counters" m with
-          | Some (Json.Obj cs) ->
-              List.iter
-                (fun (name, c) ->
-                  let num k =
-                    match Option.bind (Json.member k c) Json.to_float_opt with
-                    | Some f -> f
-                    | None ->
-                        fail "run %d: metrics.counters.%s missing %s" ri name k
-                  in
-                  let total = num "total" and windowed = num "windowed_sum" in
-                  if
-                    Float.abs (total -. windowed)
-                    > tolerance *. Float.max (Float.abs total) 1.0
-                  then
-                    fail
-                      "run %d: metrics.counters.%s windowed sum %.6g <> total \
-                       %.6g (a window went missing)"
-                      ri name windowed total)
-                cs
-          | _ -> fail "run %d: metrics.counters missing" ri);
-          let counter_total name =
-            match
-              Option.bind
-                (Json.path [ "counters"; name; "total" ] m)
-                Json.to_float_opt
-            with
-            | Some f -> f
-            | None -> fail "run %d: metrics.counters.%s missing" ri name
-          in
-          let result_int name =
-            match
-              Option.bind (Json.path [ "result"; name ] run) Json.to_int_opt
-            with
-            | Some n -> n
-            | None -> fail "run %d: result.%s missing" ri name
-          in
-          List.iter
-            (fun (cname, rname) ->
-              let c = counter_total cname and r = result_int rname in
-              if int_of_float c <> r then
-                fail "run %d: metrics.counters.%s.total %.0f <> result.%s %d"
-                  ri cname c rname r)
-            [ ("ops", "ops"); ("commits", "commits"); ("aborts", "aborts") ];
-          match Option.bind (Json.member "n_windows" m) Json.to_int_opt with
-          | Some n when n >= 1 -> ()
-          | Some n -> fail "run %d: metrics.n_windows %d < 1" ri n
-          | None -> fail "run %d: metrics.n_windows missing" ri)
-    runs;
-  (* Time-series shape, on every run that has one: one window-end time
-     and one value per channel for each of the n_windows windows. *)
-  List.iteri
-    (fun ri run ->
-      match Json.member "timeseries" run with
-      | None -> ()
-      | Some ts ->
-          let n =
-            match Option.bind (Json.member "n_windows" ts) Json.to_int_opt with
-            | Some n -> n
-            | None -> fail "run %d: timeseries.n_windows missing" ri
-          in
-          let length_at what = function
-            | Some (Json.List l) -> List.length l
-            | _ -> fail "run %d: timeseries %s is not a list" ri what
-          in
-          let nt = length_at "t_ns" (Json.member "t_ns" ts) in
-          if nt <> n then
-            fail "run %d: timeseries has %d t_ns for %d windows" ri nt n;
-          (match Json.member "channels" ts with
-          | Some (Json.Obj cs) ->
-              List.iter
-                (fun (name, c) ->
-                  let nv = length_at (name ^ " values") (Json.member "values" c) in
-                  if nv <> n then
-                    fail "run %d: timeseries channel %s has %d values for %d \
-                          windows"
-                      ri name nv n)
-                cs
-          | _ -> fail "run %d: timeseries.channels missing" ri))
-    runs;
-  (* Phase-accounting invariant, on every run in the file: the
-     instrumentation charges each telescoping segment of a committed
-     attempt to exactly one phase, so the sums must reconcile. *)
-  let checked = ref 0 in
-  List.iteri
-    (fun ri run ->
-      match Json.path [ "phases"; "committed" ] run with
-      | Some (Json.List cores) ->
-          List.iter
-            (fun entry ->
-              let num k =
-                match Option.bind (Json.member k entry) Json.to_float_opt with
-                | Some f -> f
-                | None -> fail "run %d: core entry missing %s" ri k
-              in
-              let core =
-                match Option.bind (Json.member "core" entry) Json.to_int_opt with
-                | Some c -> c
-                | None -> fail "run %d: core entry missing core id" ri
-              in
-              let total = num "total_attempt_ns" in
-              let phases = num "phase_sum_ns" in
-              if Float.abs (phases -. total) > tolerance *. Float.max total 1.0
-              then
-                fail
-                  "run %d core %d: phase sums %.6f ns vs attempt total %.6f ns \
-                   (relative error %.3e > %g)"
-                  ri core phases total
-                  (Float.abs (phases -. total) /. Float.max total 1.0)
-                  tolerance;
-              incr checked)
-            cores
-      | _ -> fail "run %d: phases.committed missing" ri)
-    runs;
+  walk_quantiles "run" run;
+  (* Flight recorder: the sum of emitted windowed deltas telescopes to
+     each counter's total (the windowed stream lost nothing), and the
+     headline counters agree with the result section. *)
+  List.iter
+    (fun (name, _) ->
+      let c k = float_at [ "metrics"; "counters"; name; k ] in
+      let total = c "total" and windowed = c "windowed_sum" in
+      if Float.abs (total -. windowed) > tolerance *. Float.max (Float.abs total) 1.0 then
+        fail "metrics.counters.%s windowed sum %.6g <> total %.6g (a window went missing)"
+          name windowed total)
+    (fields_at [ "metrics"; "counters" ]);
+  List.iter
+    (fun name ->
+      let c = float_at [ "metrics"; "counters"; name; "total" ]
+      and r = int_at [ "result"; name ] in
+      if int_of_float c <> r then
+        fail "metrics.counters.%s.total %.0f <> result.%s %d" name c name r)
+    [ "ops"; "commits"; "aborts" ];
+  let nw = int_at [ "metrics"; "n_windows" ] in
+  if nw < 1 then fail "metrics.n_windows %d < 1" nw;
+  (* Time-series shape: one window-end time and one value per channel
+     for each of the n_windows windows. *)
+  let n = int_at [ "timeseries"; "n_windows" ] in
+  let nt = List.length (list_at [ "timeseries"; "t_ns" ]) in
+  if nt <> n then fail "timeseries has %d t_ns for %d windows" nt n;
+  List.iter
+    (fun (name, _) ->
+      let nv = List.length (list_at [ "timeseries"; "channels"; name; "values" ]) in
+      if nv <> n then fail "timeseries channel %s has %d values for %d windows" name nv n)
+    (fields_at [ "timeseries"; "channels" ]);
+  (* Phase accounting: the instrumentation charges each telescoping
+     segment of a committed attempt to exactly one phase, so per core
+     the committed phase sums equal the attempt total. *)
+  let cores = list_at [ "phases"; "committed" ] in
+  List.iter
+    (fun entry ->
+      let num k =
+        match Option.bind (Json.member k entry) Json.to_float_opt with
+        | Some f -> f
+        | None -> fail "core entry missing %s" k
+      in
+      let core =
+        match Option.bind (Json.member "core" entry) Json.to_int_opt with
+        | Some c -> c
+        | None -> fail "core entry missing core id"
+      in
+      let total = num "total_attempt_ns" and phases = num "phase_sum_ns" in
+      let err = Float.abs (phases -. total) /. Float.max total 1.0 in
+      if err > tolerance then
+        fail "core %d: phase sums %.6f ns vs attempt total %.6f ns (relative error %.3e > %g)"
+          core phases total err tolerance)
+    cores;
+  (!quantiles, List.length cores)
+
+let () =
+  let path = Sys.argv.(1) in
+  let v = Json.of_file path in
+  (match Json.member "tool" v with
+  | Some (Json.String "tm2c-lint") ->
+      validate_lint path v;
+      exit 0
+  | _ -> ());
+  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
+  (* A harness export (schema 6) or a tm2c-sim --json run record. *)
+  let runs =
+    match Json.member "experiments" v with
+    | Some (Json.List exps) ->
+        if Json.member "scale" v = None then fail "missing scale";
+        (match Json.member "schema_version" v with
+        | Some (Json.Int 6) -> ()
+        | Some (Json.Int n) -> fail "schema_version %d, expected 6" n
+        | _ -> fail "missing schema_version");
+        List.concat_map
+          (fun e ->
+            match Json.member "runs" e with
+            | Some (Json.List rs) -> rs
+            | _ -> fail "experiment without runs")
+          exps
+    | Some _ -> fail "experiments is not a list"
+    | None ->
+        if Json.member "config" v = None then fail "neither a harness export nor a run record";
+        if Json.member "schema_version" v <> None then
+          fail "a run record carries no schema_version";
+        [ v ]
+  in
+  if runs = [] then fail "no runs";
+  let quantiles, checked =
+    List.fold_left
+      (fun (q, c) (q', c') -> (q + q', c + c'))
+      (0, 0)
+      (List.mapi (validate_run path) runs)
+  in
   Printf.printf
     "%s: valid export (%d runs, %d per-core phase sums within %g, %d quantile \
      ladders monotone)\n"
-    path (List.length runs) !checked tolerance !quantiles
+    path (List.length runs) checked tolerance quantiles

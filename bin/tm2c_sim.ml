@@ -1,6 +1,9 @@
 (* tm2c-sim: run a single TM2C workload on the simulated many-core
    with every knob exposed — platform, core counts, deployment,
    contention manager, write-acquisition mode, benchmark and mix.
+   The flags that change the simulated run are the run description
+   {!Tm2c_harness.Shape}; this file adds the output flags (trace,
+   exports, recorder, checking) and the report.
 
    Examples:
      tm2c-sim --bench bank --cores 48 --cm faircm --balance 20
@@ -11,60 +14,7 @@
 open Cmdliner
 open Tm2c_core
 open Tm2c_apps
-
-type bench = Bank | Hashtable | List_bench | Mapreduce | Counter
-
-let bench_conv =
-  let parse = function
-    | "bank" -> Ok Bank
-    | "hashtable" | "ht" -> Ok Hashtable
-    | "list" | "linkedlist" -> Ok List_bench
-    | "mapreduce" | "mr" -> Ok Mapreduce
-    | "counter" -> Ok Counter
-    | s -> Error (`Msg (Printf.sprintf "unknown benchmark %S" s))
-  in
-  Arg.conv (parse, fun fmt b ->
-      Format.pp_print_string fmt
-        (match b with
-        | Bank -> "bank"
-        | Hashtable -> "hashtable"
-        | List_bench -> "list"
-        | Mapreduce -> "mapreduce"
-        | Counter -> "counter"))
-
-let platform_conv =
-  let parse = function
-    | "scc" -> Ok Tm2c_noc.Platform.scc
-    | "scc800" -> Ok Tm2c_noc.Platform.scc800
-    | "opteron" | "multicore" -> Ok Tm2c_noc.Platform.opteron
-    | s -> (
-        match int_of_string_opt s with
-        | Some i when i >= 0 && i <= 4 -> Ok (Tm2c_noc.Platform.scc_setting i)
-        | Some _ | None -> Error (`Msg (Printf.sprintf "unknown platform %S" s)))
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt p.Tm2c_noc.Platform.name)
-
-let cm_conv =
-  let parse s =
-    match Cm.of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown contention manager %S" s))
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Cm.name p))
-
-let elastic_conv =
-  let parse = function
-    | "none" | "normal" -> Ok `Normal
-    | "early" -> Ok `Elastic_early
-    | "read" -> Ok `Elastic_read
-    | s -> Error (`Msg (Printf.sprintf "unknown elastic mode %S" s))
-  in
-  Arg.conv (parse, fun fmt m ->
-      Format.pp_print_string fmt
-        (match m with
-        | `Normal -> "normal"
-        | `Elastic_early -> "early"
-        | `Elastic_read -> "read"))
+module Shape = Tm2c_harness.Shape
 
 let report t (r : Workload.result) =
   Printf.printf "duration      %10.2f ms (virtual)\n" r.Workload.duration_ms;
@@ -169,43 +119,9 @@ let warn_overflow t =
       dropped
       (Tm2c_engine.Trace.capacity tr)
 
-let fault_plan_conv =
-  let parse s =
-    match Tm2c_noc.Fault.of_spec s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Tm2c_noc.Fault.to_spec p))
-
-let run bench platform cm cores service multitask eager fault_plan timeout_ns
-    lease_ns replicas watchdog_ms trace trace_out json perfetto metrics_out
-    metrics_window_ms self_profile check history witness
-    duration_ms seed balance accounts buckets updates elastic size input_kb
-    chunk_kb =
-  let deployment = if multitask then Runtime.Multitask else Runtime.Dedicated in
-  let service = match service with Some s -> s | None -> max 1 (cores / 2) in
-  let cfg =
-    {
-      Runtime.platform;
-      total_cores = cores;
-      service_cores = (if multitask then cores else service);
-      deployment;
-      policy = cm;
-      wmode = (if eager then Tx.Eager else Tx.Lazy);
-      batching = true;
-      max_skew_ns = 3_000.0;
-      seed;
-      mem_words = 1 lsl 20;
-    }
-  in
-  let duration_ns = duration_ms *. 1e6 in
-  let t = Runtime.create cfg in
-  (match fault_plan with
-  | Some plan -> Runtime.set_fault_plan t plan
-  | None -> ());
-  if timeout_ns > 0.0 || lease_ns > 0.0 then
-    Runtime.set_hardening t ~timeout_ns ~lease_ns ();
-  if replicas > 0 then Runtime.enable_replication t ~replicas;
+let run (spec : Shape.t) watchdog_ms trace trace_out json perfetto metrics_out
+    metrics_window_ms self_profile check history witness =
+  let t = Shape.runtime spec in
   if watchdog_ms > 0.0 then
     Runtime.enable_watchdog t ~window_ns:(watchdog_ms *. 1e6) ~stall_windows:3;
   let tracing = trace || trace_out <> None || perfetto <> None in
@@ -217,18 +133,18 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
      log are ever resident in memory. *)
   let stream_check = if check then Some (Tm2c_check.Stream.create ()) else None in
   let hist_writer = Option.map Tm2c_check.Histlog.create_writer history in
-  (match (stream_check, hist_writer) with
-  | Some s, Some w ->
+  (match
+     List.filter_map Fun.id
+       [
+         Option.map Tm2c_check.Stream.feed stream_check;
+         Option.map Tm2c_check.Histlog.put hist_writer;
+       ]
+   with
+  | [] -> ()
+  | sink :: more ->
       Tm2c_engine.Trace.set_sink (Runtime.trace t)
-        (Some
-           (Tm2c_engine.Trace.fanout (Tm2c_check.Stream.feed s)
-              (Tm2c_check.Histlog.put w)));
-      Tm2c_engine.Trace.enable (Runtime.trace t)
-  | Some s, None -> Tm2c_check.Stream.attach s (Runtime.trace t)
-  | None, Some w ->
-      Tm2c_engine.Trace.set_sink (Runtime.trace t) (Some (Tm2c_check.Histlog.put w));
-      Tm2c_engine.Trace.enable (Runtime.trace t)
-  | None, None -> ());
+        (Some (List.fold_left Tm2c_engine.Trace.fanout sink more));
+      Tm2c_engine.Trace.enable (Runtime.trace t));
   (match stream_check with
   | Some s ->
       (* The streaming checker retains a window, not the run: report
@@ -244,7 +160,9 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
   let metrics_oc = Option.map open_out metrics_out in
   if metrics_oc <> None || json <> None then begin
     let window_ms =
-      match metrics_window_ms with Some w -> w | None -> duration_ms /. 16.0
+      match metrics_window_ms with
+      | Some w -> w
+      | None -> spec.Shape.duration_ms /. 16.0
     in
     Runtime.enable_recorder t
       ~window_ns:(window_ms *. 1e6)
@@ -253,80 +171,14 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
   end;
   if self_profile then Runtime.enable_self_profile t ~clock:Unix.gettimeofday;
   Printf.printf "TM2C on %s: %d cores (%d app / %d DTM, %s), %s, %s writes\n\n"
-    platform.Tm2c_noc.Platform.name cores
+    spec.Shape.platform.Tm2c_noc.Platform.name spec.Shape.cores
     (Array.length (Runtime.app_cores t))
     (Array.length (Runtime.dtm_cores t))
-    (if multitask then "multitasked" else "dedicated")
-    (Cm.name cm)
-    (if eager then "eager" else "lazy");
-  let r =
-    match bench with
-    | Bank ->
-        let bank = Bank.create t ~accounts ~initial:1000 in
-        let r =
-          Workload.drive t ~duration_ns (fun _core ctx prng () ->
-              if Tm2c_engine.Prng.int prng 100 < balance then
-                ignore (Bank.tx_balance ctx bank)
-              else begin
-                let src = Tm2c_engine.Prng.int prng accounts
-                and dst = Tm2c_engine.Prng.int prng accounts in
-                Bank.tx_transfer ctx bank ~src ~dst ~amount:1
-              end)
-        in
-        Printf.printf "total balance %10d (conserved: %b)\n" (Bank.total bank)
-          (Bank.total bank = accounts * 1000);
-        r
-    | Hashtable ->
-        let ht = Hashtable.create t ~n_buckets:buckets in
-        Hashtable.populate ht (Runtime.fork_prng t) ~n:size ~key_range:(2 * size);
-        let r =
-          Workload.drive t ~duration_ns (fun _core ctx prng () ->
-              let k = Tm2c_engine.Prng.int prng (2 * size) in
-              let p = Tm2c_engine.Prng.int prng 100 in
-              if p < updates then
-                if p land 1 = 0 then ignore (Hashtable.tx_add ctx ht k)
-                else ignore (Hashtable.tx_remove ctx ht k)
-              else ignore (Hashtable.tx_contains ctx ht k))
-        in
-        Hashtable.check_invariants ht;
-        Printf.printf "final size    %10d\n" (Hashtable.size ht);
-        r
-    | List_bench ->
-        let l = Linkedlist.create t in
-        Linkedlist.populate l (Runtime.fork_prng t) ~n:size ~key_range:(2 * size);
-        let r =
-          Workload.drive t ~duration_ns (fun _core ctx prng () ->
-              let k = Tm2c_engine.Prng.int prng (2 * size) in
-              let p = Tm2c_engine.Prng.int prng 100 in
-              if p < updates then
-                if p land 1 = 0 then ignore (Linkedlist.tx_add ~mode:elastic ctx l k)
-                else ignore (Linkedlist.tx_remove ~mode:elastic ctx l k)
-              else ignore (Linkedlist.tx_contains ~mode:elastic ctx l k))
-        in
-        Linkedlist.check_invariants l;
-        Printf.printf "final size    %10d\n" (Linkedlist.size l);
-        r
-    | Mapreduce ->
-        let mr =
-          Mapreduce.create t ~seed ~input_bytes:(input_kb * 1024)
-            ~chunk_bytes:(chunk_kb * 1024)
-        in
-        let r =
-          Workload.run_to_completion t (fun _core ctx _prng -> Mapreduce.worker ctx mr)
-        in
-        Printf.printf "histogram ok  %10b\n"
-          (Mapreduce.histogram mr = Mapreduce.expected_histogram mr);
-        r
-    | Counter ->
-        let counter = Tm2c_memory.Alloc.alloc (Runtime.alloc t) ~words:1 in
-        let r =
-          Workload.drive t ~duration_ns (fun _core ctx _prng () ->
-              Tx.atomic ctx (fun () -> Tx.write ctx counter (Tx.read ctx counter + 1)))
-        in
-        Printf.printf "counter       %10d\n"
-          (Tm2c_memory.Shmem.peek (Runtime.shmem t) counter);
-        r
-  in
+    (if spec.Shape.multitask then "multitasked" else "dedicated")
+    (Cm.name spec.Shape.cm)
+    (if spec.Shape.eager then "eager" else "lazy");
+  let r, closing = Shape.run spec t in
+  print_string closing;
   report t r;
   (match metrics_oc with
   | Some oc ->
@@ -405,7 +257,7 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
       (* With a replicated service a wedge is a broken promise, and a
          watchdog-armed run wants the wedged cores named: arm the
          liveness monitor's stuck detection before closing out. *)
-      if replicas > 0 || Runtime.wedged t then
+      if spec.Shape.replicas > 0 || Runtime.wedged t then
         Tm2c_check.Stream.set_stuck_after_ns s 1e6;
       let v = Tm2c_check.Stream.finish s in
       print_newline ();
@@ -425,63 +277,6 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
   end
 
 let cmd =
-  let bench =
-    Arg.(value & opt bench_conv Bank
-         & info [ "bench"; "b" ] ~docv:"BENCH"
-             ~doc:"Benchmark: bank, hashtable, list, mapreduce, counter.")
-  in
-  let platform =
-    Arg.(value & opt platform_conv Tm2c_noc.Platform.scc
-         & info [ "platform"; "p" ] ~docv:"PLATFORM"
-             ~doc:"Platform: scc, scc800, opteron, or an SCC setting 0-4.")
-  in
-  let cm =
-    Arg.(value & opt cm_conv Cm.Fair_cm
-         & info [ "cm" ] ~docv:"CM"
-             ~doc:"Contention manager: nocm, backoff, offset-greedy, wholly, faircm.")
-  in
-  let cores = Arg.(value & opt int 48 & info [ "cores"; "n" ] ~doc:"Total cores.") in
-  let service =
-    Arg.(value & opt (some int) None
-         & info [ "service" ] ~doc:"DTM service cores (default: half).")
-  in
-  let multitask =
-    Arg.(value & flag & info [ "multitask" ] ~doc:"Multitasked deployment.")
-  in
-  let eager =
-    Arg.(value & flag & info [ "eager" ] ~doc:"Eager write-lock acquisition.")
-  in
-  let fault_plan =
-    Arg.(value & opt (some fault_plan_conv) None
-         & info [ "fault-plan" ] ~docv:"SPEC"
-             ~doc:"Deterministic fault plan, e.g. \
-                   $(b,drop=0.01,dup=0.02,delay=0.05\\@2000,stall=8\\@1e6+5e5,crash=3\\@2e6) \
-                   or $(b,none). Faults draw from their own PRNG stream, so \
-                   $(b,none) is bit-for-bit the unfaulted run.")
-  in
-  let timeout_ns =
-    Arg.(value & opt float 0.0
-         & info [ "timeout-ns" ] ~docv:"NS"
-             ~doc:"DTM request timeout in virtual ns (0 disables): resend \
-                   with the same sequence number on expiry, exponential \
-                   backoff, duplicates absorbed server-side.")
-  in
-  let lease_ns =
-    Arg.(value & opt float 0.0
-         & info [ "lease-ns" ] ~docv:"NS"
-             ~doc:"Lock lease in virtual ns (0 disables): a holder blocking \
-                   a request past its lease is reclaimed under a status-word \
-                   CAS (recovers orphan locks of crashed cores).")
-  in
-  let replicas =
-    Arg.(value & opt int 0
-         & info [ "replicas" ] ~docv:"N"
-             ~doc:"Replicated DS-lock service (0 or 1): each primary ships \
-                   its lock-table mutations to a backup server; clients that \
-                   exhaust their resend patience bump the partition epoch and \
-                   fail over to it. Requires --timeout-ns and the dedicated \
-                   deployment.")
-  in
   let watchdog_ms =
     Arg.(value & opt float 0.0
          & info [ "watchdog-ms" ] ~docv:"MS"
@@ -567,43 +362,11 @@ let cmd =
              ~doc:"With --check: on failure, also write the checker verdict \
                    and violation witness to $(docv).")
   in
-  let duration =
-    Arg.(value & opt float 50.0 & info [ "duration" ] ~doc:"Virtual milliseconds.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let balance =
-    Arg.(value & opt int 20 & info [ "balance" ] ~doc:"Bank: percent balance ops.")
-  in
-  let accounts =
-    Arg.(value & opt int 1024 & info [ "accounts" ] ~doc:"Bank: number of accounts.")
-  in
-  let buckets =
-    Arg.(value & opt int 64 & info [ "buckets" ] ~doc:"Hash table: buckets.")
-  in
-  let updates =
-    Arg.(value & opt int 20 & info [ "updates" ] ~doc:"Percent update operations.")
-  in
-  let elastic =
-    Arg.(value & opt elastic_conv `Normal
-         & info [ "elastic" ] ~doc:"List: elastic mode (normal, early, read).")
-  in
-  let size =
-    Arg.(value & opt int 512 & info [ "size" ] ~doc:"Initial structure size.")
-  in
-  let input_kb =
-    Arg.(value & opt int 1024 & info [ "input-kb" ] ~doc:"MapReduce: input KB.")
-  in
-  let chunk_kb =
-    Arg.(value & opt int 8 & info [ "chunk-kb" ] ~doc:"MapReduce: chunk KB.")
-  in
   let doc = "Run a TM2C workload on the simulated many-core" in
   Cmd.v (Cmd.info "tm2c-sim" ~doc)
     Term.(
-      const run $ bench $ platform $ cm $ cores $ service $ multitask $ eager
-      $ fault_plan $ timeout_ns $ lease_ns $ replicas $ watchdog_ms $ trace
-      $ trace_out $ json $ perfetto $ metrics_out $ metrics_window_ms
-      $ self_profile $ check $ history $ witness
-      $ duration $ seed $ balance $ accounts $ buckets $ updates $ elastic
-      $ size $ input_kb $ chunk_kb)
+      const run $ Shape.term $ watchdog_ms $ trace $ trace_out
+      $ json $ perfetto $ metrics_out $ metrics_window_ms $ self_profile $ check
+      $ history $ witness)
 
 let () = exit (Cmd.eval cmd)

@@ -58,16 +58,14 @@ let config ?(platform = Tm2c_noc.Platform.scc) ?(policy = Cm.Fair_cm)
     ~total () =
   let service = match service with Some s -> s | None -> max 1 (total / 2) in
   {
-    Runtime.platform;
+    Runtime.default_config with
+    platform;
     total_cores = total;
     service_cores = service;
     deployment;
     policy;
     wmode;
-    batching = true;
-    max_skew_ns = 3_000.0;
     seed;
-    mem_words = 1 lsl 20;
   }
 
 type mix = Types.core_id -> Tx.ctx -> Prng.t -> unit -> unit

@@ -21,7 +21,7 @@ let config_json (cfg : Runtime.config) =
       ( "wmode",
         Json.String (match cfg.Runtime.wmode with Tx.Eager -> "eager" | Tx.Lazy -> "lazy") );
       ("batching", Json.Bool cfg.Runtime.batching);
-      ("max_skew_ns", Json.Float cfg.Runtime.max_skew_ns);
+      ("max_skew_ns", Json.Float Runtime.max_skew_ns);
       ("seed", Json.Int cfg.Runtime.seed);
     ]
 

@@ -12,10 +12,14 @@ type config = {
   policy : Cm.policy;
   wmode : Tx.wmode;
   batching : bool;
-  max_skew_ns : float;
   seed : int;
-  mem_words : int;
 }
+
+let max_skew_ns = 3_000.0
+
+(* The simulated address space and the allocator's bound, not an
+   allocation: shared memory is backed on demand. *)
+let mem_words = 1 lsl 20
 
 let default_config =
   {
@@ -26,9 +30,7 @@ let default_config =
     policy = Cm.Fair_cm;
     wmode = Tx.Lazy;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed = 42;
-    mem_words = 1 lsl 20;
   }
 
 type t = {
@@ -86,14 +88,14 @@ let create cfg =
   let root_prng = Prng.create ~seed:cfg.seed in
   let app_cores, dtm_cores = partition_cores cfg in
   let net = Network.create sim cfg.platform ~active:cfg.total_cores in
-  let shmem = Shmem.create sim cfg.platform ~words:cfg.mem_words in
+  let shmem = Shmem.create sim cfg.platform ~words:mem_words in
   let n_regs = Platform.n_cores cfg.platform + 8 in
   let regs = Atomic_reg.create sim cfg.platform ~count:n_regs in
   (* Per-core local-clock offsets: there is no global clock, which is
      precisely what breaks Offset-Greedy's rule (b). *)
   let skew =
     Array.init (Platform.n_cores cfg.platform) (fun _ ->
-        Prng.float root_prng *. cfg.max_skew_ns)
+        Prng.float root_prng *. max_skew_ns)
   in
   let n_service = Array.length dtm_cores in
   (* Failover state starts inert: [fo_owner] mirrors [dtm_cores], so
@@ -166,7 +168,7 @@ let create cfg =
       if Trace.enabled env.System.trace then
         Trace.record env.System.trace ~now:(Sim.now sim)
           (Event.Msg_duplicated { src; dst }));
-  let alloc = Alloc.create shmem ~base:1 ~limit:(cfg.mem_words - 1) in
+  let alloc = Alloc.create shmem ~base:1 ~limit:(mem_words - 1) in
   {
     cfg;
     sim;

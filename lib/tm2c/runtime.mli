@@ -26,12 +26,12 @@ type config = {
       (** write-lock batching: one message per DTM node at commit
           (Section 3.3); [false] sends one message per address — the
           ablation of the paper's design choice *)
-  max_skew_ns : float;
-      (** bound on the per-core local-clock offsets; larger skew makes
-          Offset-Greedy's estimated timestamps less consistent *)
   seed : int;
-  mem_words : int;
 }
+
+(** Bound on the per-core local-clock offsets (3 µs); larger skew makes
+    Offset-Greedy's estimated timestamps less consistent. *)
+val max_skew_ns : float
 
 (** A reasonable default: the full 48-core SCC, half the cores
     dedicated to the DTM, FairCM, lazy write acquisition. *)

@@ -72,7 +72,6 @@ let words_per_request () =
       total_cores = 16;
       service_cores = 8;
       seed = 42;
-      mem_words = 1 lsl 18;
     }
   in
   let t = Runtime.create cfg in

@@ -18,9 +18,7 @@ let make_runtime ?(seed = 42) () =
       policy = Cm.Fair_cm;
       wmode = Tx.Lazy;
       batching = true;
-      max_skew_ns = 3_000.0;
       seed;
-      mem_words = 1 lsl 18;
     }
 
 (* Run a sequential (direct-access) workload on one simulated core. *)

@@ -25,9 +25,7 @@ let cfg ?(total = 8) ?(service = 4) ?(seed = 42) () =
     policy = Cm.Fair_cm;
     wmode = Tx.Lazy;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed;
-    mem_words = 1 lsl 18;
   }
 
 (* A contended counter run with the collector tapped in: every core
@@ -415,12 +413,7 @@ let test_lock_index_regranted_read_entry () =
    --seed 1 --check].) *)
 let test_doomed_write_grant_replay_passes () =
   let t =
-    Runtime.create
-      {
-        (cfg ~total:16 ~service:8 ~seed:1 ()) with
-        Runtime.policy = Cm.Wholly;
-        mem_words = 1 lsl 20;
-      }
+    Runtime.create { (cfg ~total:16 ~service:8 ~seed:1 ()) with Runtime.policy = Cm.Wholly }
   in
   (match Tm2c_noc.Fault.of_spec "drop=0.02" with
   | Ok p -> Runtime.set_fault_plan t p

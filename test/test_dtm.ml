@@ -21,15 +21,7 @@ type rig = {
 }
 
 let make_rig ?(policy = Cm.Fair_cm) () =
-  let cfg =
-    {
-      Runtime.default_config with
-      total_cores = 4;
-      service_cores = 1;
-      policy;
-      mem_words = 1 lsl 16;
-    }
-  in
+  let cfg = { Runtime.default_config with total_cores = 4; service_cores = 1; policy } in
   let t = Runtime.create cfg in
   let env = Runtime.env t in
   { t; server = Dtm.make ~n_cores:4 ~core:0; env; req_id = 100 }
@@ -96,104 +88,6 @@ let test_multiple_readers_share () =
   let entry = Locktable.entry (Dtm.locks rig.server) 7 in
   check_int "two readers" 2 (List.length entry.Locktable.readers)
 
-(* RAW: a reader finding a higher-priority writer loses. *)
-let test_raw_requester_loses () =
-  let rig = make_rig () in
-  set_status rig ~core:1 ~attempt:0 Status.Pending;
-  set_status rig ~core:2 ~attempt:0 Status.Pending;
-  (* Core 1 writes first (and has higher priority by core-id tie
-     break under FairCM at equal effective time). *)
-  check "writer granted" true
-    (submit rig ~core:1 (System.Write_locks [ 9 ]) ~m:(meta rig ~core:1 ())
-    = Some System.Granted);
-  check "lower-priority reader gets RAW" true
-    (submit rig ~core:2 (System.Read_lock 9) ~m:(meta rig ~core:2 ())
-    = Some (System.Conflicted Raw))
-
-(* RAW where the reader has higher priority: the writer is aborted
-   remotely via its status word and its lock revoked. *)
-let test_raw_enemy_aborted () =
-  let rig = make_rig () in
-  set_status rig ~core:1 ~attempt:0 Status.Pending;
-  set_status rig ~core:2 ~attempt:0 Status.Pending;
-  check "low-priority writer granted" true
-    (submit rig ~core:2 (System.Write_locks [ 9 ])
-       ~m:(meta rig ~core:2 ~effective:5000.0 ())
-    = Some System.Granted);
-  check "high-priority reader granted" true
-    (submit rig ~core:1 (System.Read_lock 9) ~m:(meta rig ~core:1 ())
-    = Some System.Granted);
-  check "writer status CAS'd to Aborted" true
-    (status_of rig ~core:2 = (0, Status.Aborted));
-  let entry = Locktable.entry (Dtm.locks rig.server) 9 in
-  check "writer revoked" true (entry.Locktable.writer = None)
-
-(* WAW between two writers. *)
-let test_waw () =
-  let rig = make_rig () in
-  set_status rig ~core:1 ~attempt:0 Status.Pending;
-  set_status rig ~core:2 ~attempt:0 Status.Pending;
-  check "first writer" true
-    (submit rig ~core:1 (System.Write_locks [ 3 ]) ~m:(meta rig ~core:1 ())
-    = Some System.Granted);
-  check "second writer loses WAW" true
-    (submit rig ~core:2 (System.Write_locks [ 3 ]) ~m:(meta rig ~core:2 ())
-    = Some (System.Conflicted Waw))
-
-(* WAR: the writer must beat every reader; winning aborts them all. *)
-let test_war_aborts_all_readers () =
-  let rig = make_rig () in
-  List.iter (fun c -> set_status rig ~core:c ~attempt:0 Status.Pending) [ 1; 2; 3 ];
-  check "reader 2" true
-    (submit rig ~core:2 (System.Read_lock 5)
-       ~m:(meta rig ~core:2 ~effective:9000.0 ())
-    = Some System.Granted);
-  check "reader 3" true
-    (submit rig ~core:3 (System.Read_lock 5)
-       ~m:(meta rig ~core:3 ~effective:9000.0 ())
-    = Some System.Granted);
-  check "writer wins WAR" true
-    (submit rig ~core:1 (System.Write_locks [ 5 ]) ~m:(meta rig ~core:1 ())
-    = Some System.Granted);
-  check "reader 2 aborted" true (status_of rig ~core:2 = (0, Status.Aborted));
-  check "reader 3 aborted" true (status_of rig ~core:3 = (0, Status.Aborted));
-  let entry = Locktable.entry (Dtm.locks rig.server) 5 in
-  check_int "no readers left" 0 (List.length entry.Locktable.readers);
-  check "writer installed" true (entry.Locktable.writer <> None)
-
-(* A committing enemy cannot be aborted: the requester loses even with
-   higher priority. *)
-let test_committing_enemy_wins () =
-  let rig = make_rig () in
-  set_status rig ~core:1 ~attempt:0 Status.Pending;
-  set_status rig ~core:2 ~attempt:0 Status.Pending;
-  check "writer granted" true
-    (submit rig ~core:2 (System.Write_locks [ 4 ])
-       ~m:(meta rig ~core:2 ~effective:9000.0 ())
-    = Some System.Granted);
-  (* Enemy reaches its commit point. *)
-  set_status rig ~core:2 ~attempt:0 Status.Committing;
-  check "even a high-priority reader loses" true
-    (submit rig ~core:1 (System.Read_lock 4) ~m:(meta rig ~core:1 ())
-    = Some (System.Conflicted Raw));
-  check "enemy still committing" true (status_of rig ~core:2 = (0, Status.Committing))
-
-(* A stale enemy (already on a newer attempt) is revoked silently. *)
-let test_stale_enemy_revoked () =
-  let rig = make_rig () in
-  set_status rig ~core:1 ~attempt:0 Status.Pending;
-  check "writer granted" true
-    (submit rig ~core:2 (System.Write_locks [ 6 ])
-       ~m:(meta rig ~core:2 ~effective:9000.0 ())
-    = Some System.Granted);
-  (* The writer aborted itself and moved on; its release is "still in
-     flight". *)
-  set_status rig ~core:2 ~attempt:3 Status.Pending;
-  check "requester granted over stale entry" true
-    (submit rig ~core:1 (System.Read_lock 6) ~m:(meta rig ~core:1 ())
-    = Some System.Granted);
-  check "stale enemy NOT aborted" true (status_of rig ~core:2 = (3, Status.Pending))
-
 (* Batch rollback: a conflict in the middle of a write batch must
    release the locks granted earlier in the same batch. *)
 let test_batch_rollback () =
@@ -245,10 +139,12 @@ let test_nocm_always_requester () =
    enemy aborted. The requester is core 1; the enemies are core 2
    (RAW, WAW: the writer of address 5) or cores 2 and 3 (WAR: readers
    granted in that order, so the table lists core 3 first). FairCM
-   ranks by effective time, lower first; the requester's is 5000. *)
+   ranks by effective time, lower first, and breaks a tie by core id,
+   lower first; the requester's effective time is 5000. *)
 type standing =
   | Stronger  (** core 2 beats the requester (core 3 does not) *)
   | Weaker  (** the requester beats every enemy *)
+  | Tied  (** weaker, but core 2 ties the requester and loses on core id *)
   | Committing  (** weaker, but every enemy is past its commit point *)
   | Stale  (** weaker, and every enemy has moved on to attempt 3 *)
 
@@ -295,7 +191,12 @@ let test_contend conflict standing () =
   List.iter
     (fun c ->
       set_status rig ~core:c ~attempt:0 Status.Pending;
-      let effective = if standing = Stronger && c = 2 then 0.0 else 9000.0 in
+      let effective =
+        match (standing, c) with
+        | Stronger, 2 -> 0.0
+        | Tied, 2 -> 5000.0
+        | _ -> 9000.0
+      in
       let kind =
         if conflict = War then System.Read_lock addr else System.Write_locks [ addr ]
       in
@@ -307,13 +208,14 @@ let test_contend conflict standing () =
       match standing with
       | Committing -> set_status rig ~core:c ~attempt:0 Status.Committing
       | Stale -> set_status rig ~core:c ~attempt:3 Status.Pending
-      | Stronger | Weaker -> ())
+      | Stronger | Weaker | Tied -> ())
     enemies;
   set_status rig ~core:1 ~attempt:0 Status.Pending;
   let kind = if conflict = Raw then System.Read_lock addr else System.Write_locks [ addr ] in
   let resp = submit rig ~core:1 kind ~m:(meta rig ~core:1 ~effective:5000.0 ()) in
   let c = conflict_to_string conflict in
-  let granted = standing = Weaker || standing = Stale in
+  let won = standing = Weaker || standing = Tied in
+  let granted = won || standing = Stale in
   check "response" true
     (resp = Some (if granted then System.Granted else System.Conflicted conflict));
   let blocker = if standing = Stronger then 2 else List.hd listed in
@@ -321,7 +223,7 @@ let test_contend conflict standing () =
     (Printf.sprintf "%s at %d: 1 %s against %d" c addr
        (if standing = Stronger then "loses" else "wins")
        blocker
-    :: (if standing = Weaker then
+    :: (if won then
           List.map (fun e -> Printf.sprintf "%s at %d: %d aborted by 1" c addr e) listed
         else []))
     (conflict_events col);
@@ -329,7 +231,8 @@ let test_contend conflict standing () =
     (List.sort compare
        (match standing with
        | Stronger -> [ Printf.sprintf "2 beat 1 on %s at %d x1" c addr ]
-       | Weaker -> List.map (fun e -> Printf.sprintf "1 beat %d on %s at %d x1" e c addr) enemies
+       | Weaker | Tied ->
+           List.map (fun e -> Printf.sprintf "1 beat %d on %s at %d x1" e c addr) enemies
        | Committing -> [ Printf.sprintf "%d beat 1 on %s at %d x1" (List.hd listed) c addr ]
        | Stale -> []))
     (obs_lines rig);
@@ -340,7 +243,7 @@ let test_contend conflict standing () =
         =
         match standing with
         | Stronger -> (0, Status.Pending)
-        | Weaker -> (0, Status.Aborted)
+        | Weaker | Tied -> (0, Status.Aborted)
         | Committing -> (0, Status.Committing)
         | Stale -> (3, Status.Pending)))
     enemies;
@@ -398,6 +301,7 @@ let contend_cases =
         [
           (Stronger, "requester loses");
           (Weaker, "enemies lose");
+          (Tied, "tie, lower core wins");
           (Committing, "committing enemy");
           (Stale, "stale enemy");
         ])
@@ -407,12 +311,6 @@ let suite =
   [
     ("dtm: read grant and attempt-checked release", `Quick, test_read_grant_and_release);
     ("dtm: readers share", `Quick, test_multiple_readers_share);
-    ("dtm: RAW requester loses", `Quick, test_raw_requester_loses);
-    ("dtm: RAW enemy aborted via status CAS", `Quick, test_raw_enemy_aborted);
-    ("dtm: WAW", `Quick, test_waw);
-    ("dtm: WAR aborts all readers", `Quick, test_war_aborts_all_readers);
-    ("dtm: committing enemy is safe", `Quick, test_committing_enemy_wins);
-    ("dtm: stale enemy revoked silently", `Quick, test_stale_enemy_revoked);
     ("dtm: batch rollback on conflict", `Quick, test_batch_rollback);
     ("dtm: no self-conflict", `Quick, test_no_self_conflict);
     ("dtm: no-CM aborts the detector", `Quick, test_nocm_always_requester);

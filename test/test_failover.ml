@@ -26,9 +26,7 @@ let cfg ?(total = 16) ?(seed = 1) () =
     policy = Cm.Fair_cm;
     wmode = Tx.Lazy;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed;
-    mem_words = 1 lsl 18;
   }
 
 (* The DS server owning the counter word: allocation is deterministic,

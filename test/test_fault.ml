@@ -21,9 +21,7 @@ let cfg ?(total = 16) ?(policy = Cm.Fair_cm) ?(seed = 42) () =
     policy;
     wmode = Tx.Lazy;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed;
-    mem_words = 1 lsl 18;
   }
 
 (* Shared-counter window run (every app core increments one word),

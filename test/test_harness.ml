@@ -120,6 +120,101 @@ let test_unknown_rejected () =
     (Invalid_argument "unknown experiment \"nope\"") (fun () ->
       ignore (Harness.run_ids [ "nope" ] micro_scale))
 
+(* The run spec's printer against its parser: the flags [Shape.args]
+   prints for a spec parse back to that spec. The fuzz shapes as the
+   fuzzer runs them (seeded, hardened, faulted, replicated), its wedge
+   shape, and a spread over every other flag value: SCC settings 0-4,
+   SCC800 and the Opteron, each contention manager and elastic mode,
+   the multitasked and sized-service deployments, MapReduce, and a
+   server crash with one replica. *)
+let test_shape_round_trip () =
+  let d = Shape.default in
+  let plan spec =
+    match Tm2c_noc.Fault.of_spec spec with
+    | Ok p -> Some p
+    | Error m -> Alcotest.failf "fault plan %s: %s" spec m
+  in
+  let fuzz =
+    [
+      { d with bench = Counter; cores = 16; duration_ms = 1.0 };
+      { d with bench = Bank; cores = 48; duration_ms = 1.0 };
+      { d with bench = Hashtable; cores = 16; duration_ms = 1.0 };
+      { d with bench = Hashtable; cores = 16; duration_ms = 1.0; eager = true };
+      { d with bench = List_bench; cores = 16; size = 64; duration_ms = 2.0 };
+      {
+        d with
+        bench = List_bench;
+        cores = 16;
+        size = 64;
+        duration_ms = 2.0;
+        elastic = `Elastic_early;
+      };
+    ]
+  in
+  let faulted replicas spec s =
+    {
+      s with
+      Shape.seed = 41;
+      fault_plan = plan spec;
+      timeout_ns = 60_000.0;
+      lease_ns = 250_000.0;
+      replicas;
+    }
+  in
+  let wedge =
+    {
+      d with
+      bench = Counter;
+      cores = 16;
+      cm = Tm2c_core.Cm.Backoff_retry;
+      duration_ms = 20.0;
+      seed = 1;
+      fault_plan = plan "crash=3@100000";
+    }
+  in
+  let specs =
+    fuzz
+    @ List.map
+        (faulted 0
+           "drop=0.005,dup=0.01,delay=0.02@1500,reorder=0.05@2500,stall=0@3e5+2e5,crash=3@5e5,part=1-4@1e5+2e5")
+        fuzz
+    @ List.map (faulted 1 "scrash=2@3e5") fuzz
+    @ [ wedge; { wedge with lease_ns = 250_000.0 } ]
+    @ List.map (fun i -> { d with platform = Tm2c_noc.Platform.scc_setting i }) [ 0; 1; 2; 3; 4 ]
+    @ [ { d with platform = Tm2c_noc.Platform.scc800 }; { d with platform = Tm2c_noc.Platform.opteron } ]
+    @ List.map (fun cm -> { d with cm }) Tm2c_core.Cm.all
+    @ List.map
+        (fun elastic -> { d with bench = List_bench; elastic })
+        [ `Normal; `Elastic_early; `Elastic_read ]
+    @ [
+        { d with bench = Hashtable; multitask = true; duration_ms = 3.0 };
+        { d with cores = 24; service = Some 4; updates = 50; buckets = 32; size = 128 };
+        { d with bench = Mapreduce; cores = 8; input_kb = 256; chunk_kb = 4 };
+        { d with accounts = 16; balance = 50; duration_ms = 0.005; fault_plan = plan "none" };
+        {
+          d with
+          bench = Counter;
+          cores = 16;
+          duration_ms = 4.0;
+          fault_plan = plan "scrash=2@1e6";
+          timeout_ns = 60_000.0;
+          lease_ns = 250_000.0;
+          replicas = 1;
+        };
+      ]
+  in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "tm2c-sim") Shape.term in
+  List.iter
+    (fun s ->
+      let args = Shape.args s in
+      let line = String.concat " " args in
+      match Cmdliner.Cmd.eval_value ~argv:(Array.of_list ("tm2c-sim" :: args)) cmd with
+      | Ok (`Ok parsed) ->
+          Alcotest.(check (list string)) line args (Shape.args parsed);
+          Alcotest.(check bool) (line ^ ": same spec") true (parsed = s)
+      | Ok (`Help | `Version) | Error _ -> Alcotest.failf "tm2c-sim %s does not parse" line)
+    specs
+
 (* The cheap experiments run as part of the default suite; the rest
    are marked slow (alcotest still runs them by default, but they can
    be excluded with `-q`). *)
@@ -127,6 +222,7 @@ let suite =
   [
     ("registry complete", `Quick, test_registry);
     ("unknown experiment rejected", `Quick, test_unknown_rejected);
+    ("run spec flags round-trip", `Quick, test_shape_round_trip);
     ("settings", `Quick, test_experiment "settings");
     ("fig8a", `Quick, test_experiment "fig8a");
     ("fig6a durations end before the horizon", `Quick, test_fig6a_durations);

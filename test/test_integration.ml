@@ -19,9 +19,7 @@ let cfg ?(platform = Tm2c_noc.Platform.scc) ?(policy = Cm.Fair_cm) ?(wmode = Tx.
     policy;
     wmode;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed;
-    mem_words = 1 lsl 18;
   }
 
 (* All application cores increment one shared counter [per_core] times

@@ -21,7 +21,6 @@ let cfg ?(seed = 42) () =
     total_cores = 8;
     service_cores = 4;
     seed;
-    mem_words = 1 lsl 18;
   }
 
 (* ---- Generators (qcheck) ---- *)

@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 
 let duration_ns = 3e6
 
-let config ?(mem = 1 lsl 14) () =
+let config () =
   {
     Runtime.platform = Tm2c_noc.Platform.scc;
     total_cores = 16;
@@ -21,9 +21,7 @@ let config ?(mem = 1 lsl 14) () =
     policy = Cm.Fair_cm;
     wmode = Tx.Lazy;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed = 7;
-    mem_words = mem;
   }
 
 let drive_bank t =
@@ -194,7 +192,7 @@ let test_constant_memory () =
    less the recorder's own window ticks) and the end instant. *)
 let test_observability_neutral () =
   let run ~observe ~record =
-    let t = Runtime.create { (config ~mem:(1 lsl 20) ()) with Runtime.seed = 42 } in
+    let t = Runtime.create { (config ()) with Runtime.seed = 42 } in
     if observe then begin
       Runtime.enable_tracing t;
       Runtime.enable_profiling t

@@ -33,9 +33,7 @@ let cfg ?(total = 8) ?(service = 4) ?(seed = 42) () =
     policy = Cm.Fair_cm;
     wmode = Tx.Lazy;
     batching = true;
-    max_skew_ns = 3_000.0;
     seed;
-    mem_words = 1 lsl 18;
   }
 
 (* ------------------------------------------------------------------ *)
