@@ -20,10 +20,9 @@ let minor_words f =
    are the request message (the [Req] and request records, the
    contention-manager metadata and its float, the [Read_lock] kind),
    the grant's holder and lock-table entry, the reply message, and the
-   engine's cost of each suspension (a continuation and the float box
-   of its push) on both sides. None of it may be a closure: the
-   smallest closure is 4 words, so the bound is the count measured at
-   this version plus 3.
+   engine's cost of each suspension (its continuation) on both sides.
+   None of it may be a closure: the smallest closure is 4 words, so the
+   bound is the count measured at this version plus 3.
    The warm-up grows the response cache, read set and lock table to
    size. The engine's calendar buckets get their arrays on first use
    (27 words), which a round trip now and then still meets long after
@@ -50,8 +49,9 @@ let idle_read_words () =
 (* Measured with OCaml 5.1.1, whose code generation the count depends
    on; 254 before the round trip's closures, refs and response-cache
    record went, 199 before the event set held ints and the sketch and
-   memory-latency paths stopped boxing floats. *)
-let read_round_trip_words = 172.0
+   memory-latency paths stopped boxing floats, 163 in an [-opaque]
+   build (no inlining across modules, a box per float returned). *)
+let read_round_trip_words = 105.0
 
 let test_idle_read_no_closure () =
   let w = List.fold_left Float.min infinity (idle_read_words ()) in
@@ -91,11 +91,11 @@ let words_per_request () =
   let requests = List.fold_left (fun n s -> n + Dtm.served s) 0 (Runtime.servers t) in
   words /. float_of_int requests
 
-(* 215.0 words per request measured with OCaml 5.1.1 (281.0 before
+(* 152.2 words per request measured with OCaml 5.1.1 (281.0 before
    the round trip lost its closures and records, 247.7 before the
    event set held ints and the sketch and memory-latency paths stopped
-   boxing floats), plus a margin of 5%. *)
-let request_budget = 226.0
+   boxing floats, 199.8 in an [-opaque] build), plus a margin of 5%. *)
+let request_budget = 160.0
 
 let test_words_per_request () =
   let w = words_per_request () in
@@ -105,9 +105,9 @@ let test_words_per_request () =
 (* The engine's own cost per event, on a warm simulation that never
    drains: its processes loop forever, and each measured window is one
    [Sim.run ~until] of 500 virtual ns. The counts include [run]'s own
-   entry and exit, shared by the window's events, and the float box of
-   each event-set push: a float crossing into {!Tm2c_engine.Wheel} is
-   boxed. *)
+   entry and exit, shared by the window's events (about 0.2 words per
+   event here). An event-set push inlines into {!Tm2c_engine.Sim}, so
+   its float time is not boxed. *)
 let window_words sim ~events =
   let module Sim = Tm2c_engine.Sim in
   let step () = ignore (Sim.run sim ~until:(Sim.now sim +. 500.0) ()) in
@@ -122,7 +122,7 @@ let window_words sim ~events =
 
 (* Two processes each [delay 1.0] in a loop, so the event set is never
    empty and no delay is elided: 1,000 suspending delays per window.
-   Each costs its continuation and the box of its push. *)
+   Each costs its continuation (2 words) and nothing else. *)
 let delay_words () =
   let module Sim = Tm2c_engine.Sim in
   let sim = Sim.create () in
@@ -134,10 +134,11 @@ let delay_words () =
   done;
   window_words sim ~events:1000
 
-(* 4.21 words measured with OCaml 5.1.1, 12.18 with the pooled event
-   cells of the previous engine. The margin is less than one float
-   box (2 words), so a box or option per delay fails. *)
-let delay_budget = 5.0
+(* 2.21 words measured with OCaml 5.1.1, 4.21 in an [-opaque] build
+   and 12.18 with the pooled event cells of an earlier engine. The
+   margin is less than one float box (2 words), so a box or option per
+   delay fails. *)
+let delay_budget = 3.0
 
 let test_delay_words () =
   let w = delay_words () in
@@ -149,9 +150,9 @@ let test_delay_words () =
    deliveries per window. Each delivery finds no other event due, so
    it takes the hand-off fast path. Per delivery the window holds the
    delivery, the receiver's resume and the sender's delay, and the
-   2-word units are: two continuations, three pushes' float boxes, the
-   box of [now] in the hand-off test, and the sender's own [Sim.now
-   sim +. 0.5] (two boxes). No event record, option or closure. *)
+   only 2-word units are the two continuations: no push, [now] read
+   or [Sim.now sim +. 0.5] boxes its float, and there is no event
+   record, option or closure. *)
 let delivery_words () =
   let module Sim = Tm2c_engine.Sim in
   let module Mailbox = Tm2c_engine.Mailbox in
@@ -168,9 +169,10 @@ let delivery_words () =
       done);
   window_words sim ~events:500
 
-(* 16.42 words measured with OCaml 5.1.1, 30.39 with the pooled event
-   cells of the previous engine; the same margin as the delay's. *)
-let delivery_budget = 17.0
+(* 4.41 words measured with OCaml 5.1.1, 16.42 in an [-opaque] build
+   (six float boxes) and 30.39 with the pooled event cells of an
+   earlier engine; the same margin as the delay's. *)
+let delivery_budget = 5.0
 
 let test_delivery_words () =
   let w = delivery_words () in
@@ -233,6 +235,29 @@ let test_ring_promotes_nothing () =
     true
     (w <= ring_promoted_budget)
 
+(* [Sim.now] read from outside lib/engine. The build is not opaque
+   (../dune-workspace), so the call inlines to a field load and the
+   float is never boxed; an [-opaque] build (the dev profile) returns a
+   fresh 2-word box per call, which fails here. The sum is checked so
+   the reads stay live. *)
+let now_words () =
+  let module Sim = Tm2c_engine.Sim in
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () -> Sim.delay 250.0);
+  ignore (Sim.run sim ());
+  let w0 = Gc.minor_words () in
+  let sum = ref 0.0 in
+  for _ = 1 to 1000 do
+    sum := !sum +. Sim.now sim
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if !sum <> 1000.0 *. Sim.now sim then Alcotest.fail "Sim.now changed while read";
+  words
+
+let test_now_words () =
+  let w = now_words () in
+  check (Printf.sprintf "%.0f words for 1,000 Sim.now reads = 0" w) true (w = 0.0)
+
 let suite =
   [
     ("alloc: idle read-lock round trip allocates no closure", `Quick, test_idle_read_no_closure);
@@ -240,4 +265,5 @@ let suite =
     ("alloc: suspending delay", `Quick, test_delay_words);
     ("alloc: port delivery allocates nothing in the engine", `Quick, test_delivery_words);
     ("alloc: a full trace ring promotes no event", `Quick, test_ring_promotes_nothing);
+    ("alloc: Sim.now allocates nothing", `Quick, test_now_words);
   ]

@@ -64,10 +64,7 @@ let test_clean_run_passes () =
 let test_histlog_roundtrip () =
   let events = collect_counter ~per_core:10 () in
   check "trace nonempty" true (events <> []);
-  let path = Filename.temp_file "tm2c_hist" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Tmp.with_path ~suffix:".log" (fun path ->
       Histlog.save path (Check.iter_of_list events);
       let loaded = Histlog.load path in
       check_int "same event count" (List.length events) (List.length loaded);
@@ -79,41 +76,39 @@ let test_histlog_roundtrip () =
    read), and every malformed line fails with its line number:
    non-finite numbers, unknown labels, wrong arity. *)
 let test_histlog_rejects_garbage () =
-  let path = Filename.temp_file "tm2c_hist" ".log" in
   let load_fails contents =
-    Out_channel.with_open_text path (fun oc -> output_string oc contents);
-    match Histlog.load path with _ -> None | exception Failure msg -> Some msg
+    Tmp.with_written ~suffix:".log"
+      (fun oc -> output_string oc contents)
+      (fun () path ->
+        match Histlog.load path with _ -> None | exception Failure msg -> Some msg)
   in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      List.iter
-        (fun h ->
-          check ("header rejected: " ^ h) true (load_fails (h ^ "\n") <> None))
-        [ "# not a history log"; "# tm2c-history v4"; "# tm2c-history v1" ];
-      List.iter
-        (fun line ->
-          match load_fails (Histlog.header ^ "\n0x0p+0 BAR 1\n" ^ line ^ "\n") with
-          | Some msg ->
-              check ("line number reported: " ^ line) true (contains msg "line 3")
-          | None -> Alcotest.failf "accepted bad line %S" line)
-        [
-          "nan BAR 1";
-          "inf BAR 1";
-          "-inf BAR 1";
-          "0x1p+0 COM 1 2 nan";
-          "0x1p+0 COM 1 2 inf";
-          "0x1p+0 SHD 1 0 QUEUE -inf";
-          "0x1p+0 SHD 1 0 SOMETIMES 0x0p+0";
-          "0x1p+0 EXP 1 0 nan";
-          "0x1p+0 ABO 1 2 RAR";
-          "0x1p+0 CFL 0 1 2 3 XYZ 1";
-          "0x1p+0 ENA 0 1 2 3 status";
-          "0x1p+0 TXS 1 2 yes";
-          "0x1p+0 TXS 1 2";
-          "0x1p+0 WLK 1 2,x";
-          "0x1p+0 ZZZ 1";
-        ])
+  List.iter
+    (fun h ->
+      check ("header rejected: " ^ h) true (load_fails (h ^ "\n") <> None))
+    [ "# not a history log"; "# tm2c-history v4"; "# tm2c-history v1" ];
+  List.iter
+    (fun line ->
+      match load_fails (Histlog.header ^ "\n0x0p+0 BAR 1\n" ^ line ^ "\n") with
+      | Some msg ->
+          check ("line number reported: " ^ line) true (contains msg "line 3")
+      | None -> Alcotest.failf "accepted bad line %S" line)
+    [
+      "nan BAR 1";
+      "inf BAR 1";
+      "-inf BAR 1";
+      "0x1p+0 COM 1 2 nan";
+      "0x1p+0 COM 1 2 inf";
+      "0x1p+0 SHD 1 0 QUEUE -inf";
+      "0x1p+0 SHD 1 0 SOMETIMES 0x0p+0";
+      "0x1p+0 EXP 1 0 nan";
+      "0x1p+0 ABO 1 2 RAR";
+      "0x1p+0 CFL 0 1 2 3 XYZ 1";
+      "0x1p+0 ENA 0 1 2 3 status";
+      "0x1p+0 TXS 1 2 yes";
+      "0x1p+0 TXS 1 2";
+      "0x1p+0 WLK 1 2,x";
+      "0x1p+0 ZZZ 1";
+    ]
 
 (* One decision event per CM arbitration: a server resolves at most
    one request per virtual instant, so two identical [Lock_conflict]
@@ -596,12 +591,9 @@ let histlog_roundtrip_prop =
            (List.map (fun (t, ev) -> Printf.sprintf "%h %s" t (Event.to_string ev)) evs)))
     (fun generated ->
       let events = pinned_events @ generated in
-      let path = Filename.temp_file "tm2c_hist" ".log" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Histlog.save path (Check.iter_of_list events);
-          Histlog.load path = events))
+      Tmp.with_written ~suffix:".log"
+        (fun oc -> Histlog.write oc (Check.iter_of_list events))
+        (fun () path -> Histlog.load path = events))
 
 (* The trace ring keeps events as flat columns; what it hands back
    must be what was recorded. Rings far smaller than the run wrap many
@@ -687,14 +679,12 @@ let test_ring_clear () =
    be byte for byte the line Printf's "%h" and "%d" give, and each
    written float must parse back to the same bits. *)
 let put_lines events =
-  let path = Filename.temp_file "tm2c_hist" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          let w = Histlog.writer_of_channel oc in
-          List.iter (fun (t, ev) -> Histlog.put w t ev) events;
-          Histlog.close_writer w);
+  Tmp.with_written ~suffix:".log"
+    (fun oc ->
+      let w = Histlog.writer_of_channel oc in
+      List.iter (fun (t, ev) -> Histlog.put w t ev) events;
+      Histlog.close_writer w)
+    (fun () path ->
       In_channel.with_open_text path In_channel.input_all
       |> String.split_on_char '\n'
       |> List.filter (fun l -> l <> "" && l.[0] <> '#')

@@ -53,10 +53,7 @@ let test_parse_handwritten () =
       ignore (Json.of_string "null x"))
 
 let test_file_roundtrip () =
-  let path = Filename.temp_file "tm2c_json" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Tmp.with_path ~suffix:".json" (fun path ->
       Json.to_file path sample;
       check "file round-trips" true (Json.of_file path = sample))
 
@@ -73,22 +70,17 @@ let test_file_streams_to_string_bytes () =
     ignore (Workload.drive t ~duration_ns:1.0e6 (Exp.bank_mix bank ~balance:20));
     Perfetto.export ~app:(Runtime.app_cores t) ~dtm:(Runtime.dtm_cores t) (Runtime.trace t)
   in
-  let path = Filename.temp_file "tm2c_json" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  List.iter
+    (fun (name, doc) ->
       List.iter
-        (fun (name, doc) ->
-          List.iter
-            (fun indent ->
+        (fun indent ->
+          Tmp.with_path ~suffix:".json" (fun path ->
               Json.to_file ~indent path doc;
-              let ic = open_in_bin path in
-              let bytes = really_input_string ic (in_channel_length ic) in
-              close_in ic;
+              let bytes = In_channel.with_open_bin path In_channel.input_all in
               let expected = Json.to_string ~indent doc in
-              check_string (Printf.sprintf "%s, indent %b" name indent) expected bytes)
-            [ false; true ])
-        [ ("sample", sample); ("perfetto", traced) ]);
+              check_string (Printf.sprintf "%s, indent %b" name indent) expected bytes))
+        [ false; true ])
+    [ ("sample", sample); ("perfetto", traced) ];
   check "the timeline spans several 64 KiB pieces" true
     (String.length (Json.to_string ~indent:false traced) > 4 * 65536)
 

@@ -25,16 +25,18 @@ module Histlog = Tm2c_check.Histlog
 let digest_run cfg ?(prepare = fun _ -> ()) ?(inspect = fun _ _ -> ()) body =
   let t = Runtime.create cfg in
   prepare t;
-  let path = Filename.temp_file "tm2c_golden" ".hist" in
-  let w = Histlog.create_writer path in
-  Runtime.enable_tracing t;
-  Trace.set_sink (Runtime.trace t) (Some (Histlog.put w));
-  let r = body t in
-  Histlog.close_writer w;
-  let d = Digest.to_hex (Digest.file path) in
-  inspect t (In_channel.with_open_text path In_channel.input_lines);
-  Sys.remove path;
-  (d, r.Workload.events + Sim.elided (Runtime.sim t))
+  Tmp.with_written ~suffix:".hist"
+    (fun oc ->
+      let w = Histlog.writer_of_channel oc in
+      Runtime.enable_tracing t;
+      Trace.set_sink (Runtime.trace t) (Some (Histlog.put w));
+      let r = body t in
+      Histlog.close_writer w;
+      r)
+    (fun r path ->
+      let d = Digest.to_hex (Digest.file path) in
+      inspect t (In_channel.with_open_text path In_channel.input_lines);
+      (d, r.Workload.events + Sim.elided (Runtime.sim t)))
 
 (* Lines of a history log whose tag (the field after the timestamp)
    is [tag]. *)

@@ -18,32 +18,18 @@ let micro_scale =
 
 (* Run [f] with stdout captured; returns its result and the output. *)
 let capturing_stdout f =
-  let tmp = Filename.temp_file "tm2c-harness" ".out" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let saved = Unix.dup Unix.stdout in
-  flush stdout;
-  Unix.dup2 fd Unix.stdout;
-  let restore () =
-    flush stdout;
-    Unix.dup2 saved Unix.stdout;
-    Unix.close saved;
-    Unix.close fd
-  in
-  let result =
-    match f () with
-    | v ->
-        restore ();
-        v
-    | exception e ->
-        restore ();
-        raise e
-  in
-  let ic = open_in tmp in
-  let len = in_channel_length ic in
-  let out = really_input_string ic len in
-  close_in ic;
-  Sys.remove tmp;
-  (result, out)
+  Tmp.with_written ~suffix:".out"
+    (fun oc ->
+      let saved = Unix.dup Unix.stdout in
+      flush stdout;
+      Unix.dup2 (Unix.descr_of_out_channel oc) Unix.stdout;
+      Fun.protect
+        ~finally:(fun () ->
+          flush stdout;
+          Unix.dup2 saved Unix.stdout;
+          Unix.close saved)
+        f)
+    (fun result path -> (result, In_channel.with_open_bin path In_channel.input_all))
 
 let run_capturing id =
   let exp =
@@ -89,13 +75,14 @@ let test_fig6a_durations () =
    never finished — the recorder's and the sampler's ticks kept each
    other alive — and the watchdog took both for wedges. *)
 let test_json_check_terminates () =
-  let json = Filename.temp_file "tm2c-harness" ".json" in
-  let failures, _ =
-    capturing_stdout (fun () ->
-        Harness.run_ids ~json ~check:true [ "fig4b"; "fig6a" ] micro_scale)
+  let failures, doc =
+    Tmp.with_path ~suffix:".json" (fun json ->
+        let failures, _ =
+          capturing_stdout (fun () ->
+              Harness.run_ids ~json ~check:true [ "fig4b"; "fig6a" ] micro_scale)
+        in
+        (failures, Json.of_file json))
   in
-  let doc = Json.of_file json in
-  Sys.remove json;
   Alcotest.(check int) "no violations, no wedged runs" 0 failures;
   Alcotest.(check int)
     "both experiments exported" 2
