@@ -37,15 +37,6 @@ let default_waivers =
     Waiver.v ~file:"lib/engine/det.ml" ~rule:"hashtbl-order"
       "the sanctioned wrapper: sorts bindings by key before exposing any \
        iteration order";
-    Waiver.v ~file:"lib/apps/workload.ml" ~rule:"global-mutable"
-      ~symbol:"observer"
-      "export hook installed once by the harness before any run starts; \
-       read-only thereafter — must become per-domain if sweep cells ever \
-       install different observers";
-    Waiver.v ~file:"lib/apps/workload.ml" ~rule:"global-mutable"
-      ~symbol:"preflight"
-      "setup hook with the same once-before-any-run install discipline as \
-       observer";
     Waiver.v ~file:"lib/tm2c/dtm.ml" ~rule:"untimed-recv"
       "the DS-lock server blocks for its next request by design: crash-stop \
        is modeled at wakeup, and the run horizon bounds the wait";

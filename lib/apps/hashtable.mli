@@ -47,9 +47,6 @@ val seq_add : Tm2c_core.System.env -> core:int -> t -> int -> bool
 
 val seq_remove : Tm2c_core.System.env -> core:int -> t -> int -> bool
 
-(** Host-side inspection for tests. *)
-val mem : t -> int -> bool
-
 val size : t -> int
 
 val to_list : t -> int list

@@ -119,8 +119,6 @@ let to_list t =
   in
   walk (Shmem.peek sh t.base) []
 
-let mem t k = List.mem k (to_list t)
-
 let size t = List.length (to_list t)
 
 let populate t prng ~n ~key_range =

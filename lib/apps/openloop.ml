@@ -142,7 +142,6 @@ type lreq = {
 
 let drive rt cfg =
   validate cfg;
-  (match !Workload.preflight with Some f -> f rt | None -> ());
   let adm =
     match Runtime.admission rt with
     | Some a -> a

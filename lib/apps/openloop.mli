@@ -73,7 +73,7 @@ val zipf_draw : Tm2c_engine.Prng.t -> float array -> int
     admission control (per [config.policy]) unless the caller already
     did, starts services, runs arrivals for [window_ns] plus
     [drain_ns] of queue drain, and collects through
-    {!Workload.collect} so every observer/export hook fires. The
+    {!Workload.collect} like the closed-loop drivers. The
     result's [horizon_hit] is set when admitted work was still
     unresolved at the drain horizon (unserved backlog). Overload
     counters are in [(Runtime.env rt).System.overload]. *)

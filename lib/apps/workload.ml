@@ -15,19 +15,6 @@ type result = {
   horizon_hit : bool;
 }
 
-(* Export hook: called with every collected result while the runtime
-   still holds its metrics (network histograms, DTM server stats, abort
-   causality). The harness JSON exporter installs itself here so the
-   fig drivers need no per-experiment wiring. *)
-let observer : (Runtime.t -> result -> unit) option ref = ref None
-
-(* Setup hook: called with the runtime before any process is spawned,
-   so a harness can enable profiling / time-series sampling on every
-   run it drives without per-experiment wiring. *)
-let preflight : (Runtime.t -> unit) option ref = ref None
-
-let run_preflight t = match !preflight with Some f -> f t | None -> ()
-
 let collect t ?(horizon_hit = false) ~events ~duration_ns () =
   (* Close out the flight recorder (final partial window + eof) before
      reading any totals; a no-op when none is installed. *)
@@ -35,26 +22,20 @@ let collect t ?(horizon_hit = false) ~events ~duration_ns () =
   let stats = Runtime.stats t in
   let ops = Stats.total_ops stats in
   let duration_ms = duration_ns /. 1e6 in
-  let r =
-    {
-      ops;
-      duration_ms;
-      throughput_ops_ms =
-        (if duration_ms > 0.0 then float_of_int ops /. duration_ms else 0.0);
-      commits = Stats.total_commits stats;
-      aborts = Stats.total_aborts stats;
-      commit_rate = Stats.commit_rate stats;
-      worst_attempts = Stats.worst_attempts stats;
-      messages = Network.sent (Runtime.env t).System.net;
-      events;
-      horizon_hit;
-    }
-  in
-  (match !observer with Some f -> f t r | None -> ());
-  r
+  {
+    ops;
+    duration_ms;
+    throughput_ops_ms = (if duration_ms > 0.0 then float_of_int ops /. duration_ms else 0.0);
+    commits = Stats.total_commits stats;
+    aborts = Stats.total_aborts stats;
+    commit_rate = Stats.commit_rate stats;
+    worst_attempts = Stats.worst_attempts stats;
+    messages = Network.sent (Runtime.env t).System.net;
+    events;
+    horizon_hit;
+  }
 
 let drive t ~duration_ns make_op =
-  run_preflight t;
   Runtime.start_services t;
   let sim = Runtime.sim t in
   let stats = Runtime.stats t in
@@ -84,7 +65,6 @@ let drive t ~duration_ns make_op =
   collect t ~horizon_hit ~events ~duration_ns ()
 
 let drive_seq t ~duration_ns make_op =
-  run_preflight t;
   let sim = Runtime.sim t in
   let stats = Runtime.stats t in
   let core = (Runtime.app_cores t).(0) in
@@ -104,7 +84,6 @@ let drive_seq t ~duration_ns make_op =
   collect t ~events ~duration_ns ()
 
 let run_to_completion t ?(horizon_ns = 1e13) work =
-  run_preflight t;
   Runtime.start_services t;
   let sim = Runtime.sim t in
   let stats = Runtime.stats t in

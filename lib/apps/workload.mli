@@ -24,21 +24,10 @@ type result = {
           measurement. *)
 }
 
-(** Export hook: when set, every collected result is also passed to
-    this function (with the runtime, whose metrics — network, DTM
-    servers, abort causality — are still live). The harness JSON
-    exporter installs itself here. *)
-val observer : (Tm2c_core.Runtime.t -> result -> unit) option ref
-
-(** Setup hook: when set, every driver calls it with the runtime
-    before spawning any process — the harness uses it to enable
-    profiling and time-series sampling on every run it drives. *)
-val preflight : (Tm2c_core.Runtime.t -> unit) option ref
-
-(** Assemble a {!result} from the runtime's totals (closing out the
-    flight recorder first) and fire the {!observer}. Custom drivers —
-    the open-loop population model — end with this so every export and
-    checker hook fires exactly as for the built-in drivers. *)
+(** Assemble a {!result} from the runtime's totals, closing out the
+    flight recorder first. Custom drivers — the open-loop population
+    model — end with this, so their results read like the built-in
+    drivers'. *)
 val collect :
   Tm2c_core.Runtime.t ->
   ?horizon_hit:bool ->

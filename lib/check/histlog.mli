@@ -54,7 +54,5 @@ val save : string -> ((float -> Event.t -> unit) -> unit) -> unit
     [#] comments are skipped. *)
 val iter_file : string -> (float -> Event.t -> unit) -> int
 
-(** Batch forms of {!iter_file}, from a channel or a file. *)
-val read : in_channel -> (float * Event.t) list
-
+(** Batch form of {!iter_file}. *)
 val load : string -> (float * Event.t) list

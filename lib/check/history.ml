@@ -8,7 +8,7 @@
    sequence numbers, never raw timestamps.
 
    The incremental [builder] is the single reconstruction core: the
-   batch [build] retains every attempt and returns the full history,
+   batch checker's builder retains every attempt and returns the full history,
    while the streaming checker runs the same builder with
    [retain:false] and consumes attempts through the [on_close] /
    [on_publish] callbacks, so its memory is bounded by the number of
@@ -274,8 +274,3 @@ let finish b =
     n_events = b.b_n_events;
     n_orphans = b.b_n_orphans;
   }
-
-let build iter =
-  let b = builder () in
-  iter (fun time ev -> feed b time ev);
-  finish b

@@ -8,7 +8,7 @@
     sequence order.
 
     One incremental {!builder} is the single reconstruction core: the
-    batch {!build} retains everything, while the streaming checker
+    batch checker's builder retains everything, while the streaming checker
     feeds the same builder with [retain:false] and consumes attempts
     through callbacks, keeping memory bounded by the concurrency
     window instead of the run length. *)
@@ -107,7 +107,3 @@ val watermark : builder -> int
 (** Close every still-open attempt as [Unfinished] (firing [on_close])
     and return the assembled history. *)
 val finish : builder -> t
-
-(** Batch reconstruction over an event iterator, e.g.
-    [build (Collector.iter c)]. *)
-val build : ((float -> Event.t -> unit) -> unit) -> t

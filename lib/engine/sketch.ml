@@ -288,8 +288,3 @@ let window_merge t w ~into =
     if lo t < m.min then m.min <- lo t;
     if hi t > m.max then m.max <- hi t
   end
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.1f min=%.1f max=%.1f p50=%.1f p99=%.1f (±%.2g rel)"
-    t.n (mean t) (min_value t) (max_value t) (percentile t 50.0)
-    (percentile t 99.0) t.rel_error

@@ -93,5 +93,3 @@ val window_percentile : t -> window -> float -> float
     [into] (same resolution required); [into]'s range conservatively
     absorbs [t]'s cumulative min/max. *)
 val window_merge : t -> window -> into:t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -50,8 +50,6 @@ let enabled t = t.enabled
 
 let enable t = t.enabled <- true
 
-let disable t = t.enabled <- false
-
 let phases t = t.phases
 
 let n_phases t = Array.length t.phases

@@ -23,8 +23,6 @@ val enabled : t -> bool
 
 val enable : t -> unit
 
-val disable : t -> unit
-
 (** Phase names, in index order. *)
 val phases : t -> string array
 

@@ -176,8 +176,6 @@ let enabled t = t.enabled
 
 let enable t = t.enabled <- true
 
-let disable t = t.enabled <- false
-
 let capacity t = t.capacity
 
 let length t = t.len

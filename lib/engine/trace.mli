@@ -59,8 +59,6 @@ val enabled : 'a t -> bool
 
 val enable : 'a t -> unit
 
-val disable : 'a t -> unit
-
 val capacity : 'a t -> int
 
 (** Events currently held (<= capacity). *)

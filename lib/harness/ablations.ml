@@ -18,19 +18,19 @@ open Tm2c_apps
 (* Batching matters for transactions with several writes per commit:
    use the bank's transfer (2 writes) plus a wider "payroll" update
    that writes 8 accounts. *)
-let batching (scale : Exp.scale) =
+let batching (ex : Exp.t) =
   let run ~batching total =
-    let cfg = { (Exp.config ~total ()) with Runtime.batching } in
-    let t = Runtime.create cfg in
-    let table = Tm2c_memory.Alloc.alloc (Runtime.alloc t) ~words:256 in
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.window_ns (fun _core ctx prng () ->
-          let base = table + Tm2c_engine.Prng.int prng 248 in
-          Tx.atomic ctx (fun () ->
-              (* Read-modify-write 8 consecutive words: an 8-write commit. *)
-              for i = base to base + 7 do
-                Tx.write ctx i (Tx.read ctx i + 1)
-              done))
+    let _, r =
+      Exp.run ex { (Exp.config ~total ()) with Runtime.batching } (fun t ->
+          let table = Tm2c_memory.Alloc.alloc (Runtime.alloc t) ~words:256 in
+          fun () ->
+            Workload.drive t ~duration_ns:ex.scale.window_ns (fun _core ctx prng () ->
+                let base = table + Tm2c_engine.Prng.int prng 248 in
+                Tx.atomic ctx (fun () ->
+                    (* Read-modify-write 8 consecutive words: an 8-write commit. *)
+                    for i = base to base + 7 do
+                      Tx.write ctx i (Tx.read ctx i + 1)
+                    done)))
     in
     ( r.Workload.throughput_ops_ms,
       float_of_int r.Workload.messages /. float_of_int (max 1 r.Workload.ops) )
@@ -53,14 +53,13 @@ let batching (scale : Exp.scale) =
    same clock, so constant skew cancels; its real estimation error is
    the variable in-flight message delay, which the latency model
    already produces. Hence no skew sweep here.) *)
-let settings_sweep (scale : Exp.scale) =
+let settings_sweep (ex : Exp.t) =
   let run setting balance =
     let platform = Tm2c_noc.Platform.scc_setting setting in
-    let cfg = Exp.config ~platform ~total:32 () in
-    let t = Runtime.create cfg in
-    let bank = Bank.create t ~accounts:128 ~initial:1000 in
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.window_ns (Exp.bank_mix bank ~balance)
+    let _, r =
+      Exp.run ex (Exp.config ~platform ~total:32 ()) (fun t ->
+          let bank = Bank.create t ~accounts:128 ~initial:1000 in
+          fun () -> Workload.drive t ~duration_ns:ex.scale.window_ns (Exp.bank_mix bank ~balance))
     in
     r.Workload.throughput_ops_ms
   in
@@ -74,16 +73,18 @@ let settings_sweep (scale : Exp.scale) =
 (* Multitasking service-scheduling delay: how much of the dedicated
    deployment's advantage (Fig. 4a) comes from the non-preemptive
    coroutine scheduling. *)
-let defer (scale : Exp.scale) =
+let defer (ex : Exp.t) =
   let run deployment total =
-    let cfg = Exp.config ~deployment ~service:(match deployment with
-        | Runtime.Multitask -> total | Runtime.Dedicated -> max 1 (total / 2)) ~total () in
-    let t = Runtime.create cfg in
-    let ht = Hashtable.create t ~n_buckets:64 in
-    Hashtable.populate ht (Runtime.fork_prng t) ~n:128 ~key_range:256;
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.window_ns
-        (Exp.ht_mix ht ~updates:20 ~payload:30_000 ~range:256)
+    let service =
+      match deployment with Runtime.Multitask -> total | Runtime.Dedicated -> max 1 (total / 2)
+    in
+    let _, r =
+      Exp.run ex (Exp.config ~deployment ~service ~total ()) (fun t ->
+          let ht = Hashtable.create t ~n_buckets:64 in
+          Hashtable.populate ht (Runtime.fork_prng t) ~n:128 ~key_range:256;
+          fun () ->
+            Workload.drive t ~duration_ns:ex.scale.window_ns
+              (Exp.ht_mix ht ~updates:20 ~payload:30_000 ~range:256))
     in
     r.Workload.throughput_ops_ms
   in
@@ -96,7 +97,7 @@ let defer (scale : Exp.scale) =
            [ run Runtime.Dedicated n; run Runtime.Multitask n ] ))
        [ 8; 16; 32; 48 ])
 
-let run scale =
-  batching scale;
-  settings_sweep scale;
-  defer scale
+let run ex =
+  batching ex;
+  settings_sweep ex;
+  defer ex

@@ -53,6 +53,17 @@ let full =
 
 let core_series = [ 2; 4; 8; 16; 32; 48 ]
 
+type runner = Runtime.t -> (unit -> Workload.result) -> Workload.result
+
+type t = { scale : scale; runner : runner }
+
+let v ?(runner = fun _ drive -> drive ()) scale = { scale; runner }
+
+let run ex cfg build =
+  let t = Runtime.create cfg in
+  let drive = build t in
+  (t, ex.runner t drive)
+
 let config ?(platform = Tm2c_noc.Platform.scc) ?(policy = Cm.Fair_cm)
     ?(wmode = Tx.Lazy) ?(deployment = Runtime.Dedicated) ?service ?(seed = 42)
     ~total () =
@@ -96,11 +107,12 @@ let bank_mix bank ~balance _core ctx prng () =
     if src <> dst then Bank.tx_transfer ctx bank ~src ~dst ~amount:1
   end
 
-let seq_throughput ?platform ?seed ~window_ns ~setup ~op () =
-  let cfg = config ?platform ?seed ~total:2 ~service:1 () in
-  let t = Runtime.create cfg in
-  let state = setup t in
-  let r = Workload.drive_seq t ~duration_ns:window_ns (fun ~core prng -> op state ~core prng) in
+let seq_throughput ex make_op =
+  let _, r =
+    run ex (config ~total:2 ~service:1 ()) (fun t ->
+        let make_op = make_op t in
+        fun () -> Workload.drive_seq t ~duration_ns:ex.scale.window_ns make_op)
+  in
   r.Workload.throughput_ops_ms
 
 (* Ratios (speedup, normalized throughput) over windows that may have

@@ -23,7 +23,31 @@ val full : scale
 (** Standard total-core series of the paper's x-axes. *)
 val core_series : int list
 
-(** [config ~scale ...] builds a runtime config: [total] cores with
+(** How a figure cell's run is carried out: [runner t drive] gets the
+    built runtime before any process is spawned, calls [drive ()] (the
+    cell's one driver call) and returns its result. The harness's
+    runner instruments [t] first and exports and checks the run after;
+    each call keeps its run's state in its own closure. *)
+type runner =
+  Tm2c_core.Runtime.t -> (unit -> Tm2c_apps.Workload.result) -> Tm2c_apps.Workload.result
+
+(** What an experiment runs with: its scale and the runner every one of
+    its cells goes through. *)
+type t = { scale : scale; runner : runner }
+
+(** [v ?runner scale]; the default runner just calls [drive ()]. *)
+val v : ?runner:runner -> scale -> t
+
+(** [run ex cfg build] is a figure cell: creates the runtime for [cfg],
+    builds the workload on it ([build t] returns the drive thunk, one
+    driver call), and runs the thunk through [ex.runner]. *)
+val run :
+  t ->
+  Tm2c_core.Runtime.config ->
+  (Tm2c_core.Runtime.t -> unit -> Tm2c_apps.Workload.result) ->
+  Tm2c_core.Runtime.t * Tm2c_apps.Workload.result
+
+(** [config ~total ()] builds a runtime config: [total] cores with
     half dedicated to the DTM unless [service] says otherwise. *)
 val config :
   ?platform:Tm2c_noc.Platform.t ->
@@ -63,15 +87,13 @@ val list_mix :
 (** Bank mix: [balance] percent balance operations, rest transfers. *)
 val bank_mix : Tm2c_apps.Bank.t -> balance:int -> mix
 
-(** Throughput of the sequential baseline (single core, no DTM):
-    returns ops/ms. *)
+(** Throughput of the sequential baseline (single core, no DTM) at
+    the experiment's window, in ops/ms: [make_op t] builds the
+    workload on the 2-core runtime and returns the operation generator
+    of {!Tm2c_apps.Workload.drive_seq}. *)
 val seq_throughput :
-  ?platform:Tm2c_noc.Platform.t ->
-  ?seed:int ->
-  window_ns:float ->
-  setup:(Tm2c_core.Runtime.t -> 'a) ->
-  op:('a -> core:int -> Tm2c_engine.Prng.t -> unit -> unit) ->
-  unit ->
+  t ->
+  (Tm2c_core.Runtime.t -> core:Tm2c_core.Types.core_id -> Tm2c_engine.Prng.t -> unit -> unit) ->
   float
 
 (** [ratio num den] is [num /. den], or [nan] when [den <= 0.0] — the

@@ -18,26 +18,24 @@ let setup_ht ~buckets ~lf t =
   Hashtable.populate ht (Runtime.fork_prng t) ~n ~key_range:(2 * n);
   (ht, 2 * n)
 
-let throughput (scale : Exp.scale) ~deployment ~wmode ~buckets ~lf ~updates ~moves
-    ~total =
+let throughput (ex : Exp.t) ~deployment ~wmode ~buckets ~lf ~updates ~moves ~total =
   let service = match deployment with
     | Runtime.Multitask -> total
     | Runtime.Dedicated -> max 1 (total / 2)
   in
   let cfg = Exp.config ~deployment ~wmode ~service ~total () in
-  let t = Runtime.create cfg in
-  let ht, range = setup_ht ~buckets ~lf t in
-  let r =
-    Workload.drive t ~duration_ns:scale.Exp.window_ns
-      (Exp.ht_mix ht ~updates ~moves ~payload:payload_cycles ~range)
-  in
-  r
+  snd
+    (Exp.run ex cfg (fun t ->
+         let ht, range = setup_ht ~buckets ~lf t in
+         fun () ->
+           Workload.drive t ~duration_ns:ex.scale.window_ns
+             (Exp.ht_mix ht ~updates ~moves ~payload:payload_cycles ~range)))
 
 (* Fig. 4(a): multitasked vs dedicated deployment, load factors 2 and
    8, 20% updates. *)
-let fig4a (scale : Exp.scale) =
+let fig4a (ex : Exp.t) =
   let cell deployment lf total =
-    (throughput scale ~deployment ~wmode:Tx.Lazy ~buckets:scale.Exp.ht_buckets ~lf
+    (throughput ex ~deployment ~wmode:Tx.Lazy ~buckets:ex.scale.ht_buckets ~lf
        ~updates:20 ~moves:0 ~total)
       .Workload.throughput_ops_ms
   in
@@ -61,28 +59,27 @@ let fig4a (scale : Exp.scale) =
 (* Fig. 4(b): speedup of TM2C on 24+24 cores over bare sequential on
    one core, as a function of the load factor, for various update
    ratios. *)
-let fig4b (scale : Exp.scale) =
-  let buckets = scale.Exp.ht_buckets in
+let fig4b (ex : Exp.t) =
+  let buckets = ex.scale.ht_buckets in
   let speedup ~lf ~updates =
     let tx =
-      (throughput scale ~deployment:Runtime.Dedicated ~wmode:Tx.Lazy ~buckets ~lf
+      (throughput ex ~deployment:Runtime.Dedicated ~wmode:Tx.Lazy ~buckets ~lf
          ~updates ~moves:0 ~total:48)
         .Workload.throughput_ops_ms
     in
     let seq =
-      Exp.seq_throughput ~window_ns:scale.Exp.window_ns
-        ~setup:(fun t -> (t, setup_ht ~buckets ~lf t))
-        ~op:(fun (t, (ht, range)) ~core prng ->
-          let env = Runtime.env t in
-          fun () ->
-            Tm2c_noc.Network.compute env.System.net payload_cycles;
-            let k = Tm2c_engine.Prng.int prng range in
-            let p = Tm2c_engine.Prng.int prng 100 in
-            if p < updates then
-              if p land 1 = 0 then ignore (Hashtable.seq_add env ~core ht k)
-              else ignore (Hashtable.seq_remove env ~core ht k)
-            else ignore (Hashtable.seq_contains env ~core ht k))
-        ()
+      Exp.seq_throughput ex (fun t ->
+          let ht, range = setup_ht ~buckets ~lf t in
+          fun ~core prng ->
+            let env = Runtime.env t in
+            fun () ->
+              Tm2c_noc.Network.compute env.System.net payload_cycles;
+              let k = Tm2c_engine.Prng.int prng range in
+              let p = Tm2c_engine.Prng.int prng 100 in
+              if p < updates then
+                if p land 1 = 0 then ignore (Hashtable.seq_add env ~core ht k)
+                else ignore (Hashtable.seq_remove env ~core ht k)
+              else ignore (Hashtable.seq_contains env ~core ht k))
     in
     Exp.ratio tx seq
   in
@@ -100,11 +97,11 @@ let fig4b (scale : Exp.scale) =
 
 (* Fig. 4(c): eager vs lazy write-lock acquisition; 30% updates of
    which 20 points are move operations (write in mid-transaction). *)
-let fig4c (scale : Exp.scale) =
+let fig4c (ex : Exp.t) =
   (* "64" / "128" are the (small, contended) table sizes; load factor
      4, so 16 / 32 buckets. *)
   let run wmode size total =
-    throughput scale ~deployment:Runtime.Dedicated ~wmode ~buckets:(size / 4) ~lf:4
+    throughput ex ~deployment:Runtime.Dedicated ~wmode ~buckets:(size / 4) ~lf:4
       ~updates:30 ~moves:20 ~total
   in
   let results =

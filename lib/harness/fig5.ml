@@ -3,16 +3,18 @@
 open Tm2c_core
 open Tm2c_apps
 
-let run_bank (scale : Exp.scale) ?platform ?(policy = Cm.Fair_cm) ?service ~accounts
+let run_bank (ex : Exp.t) ?platform ?(policy = Cm.Fair_cm) ?service ~accounts
     ~balance ~total () =
   let cfg = Exp.config ?platform ~policy ?service ~total () in
-  let t = Runtime.create cfg in
-  let bank = Bank.create t ~accounts ~initial:1000 in
-  Workload.drive t ~duration_ns:scale.Exp.long_window_ns (Exp.bank_mix bank ~balance)
+  snd
+    (Exp.run ex cfg (fun t ->
+         let bank = Bank.create t ~accounts ~initial:1000 in
+         fun () ->
+           Workload.drive t ~duration_ns:ex.scale.long_window_ns (Exp.bank_mix bank ~balance)))
 
 (* Fig. 5(a): with vs without contention management; 20% balance, 80%
    transfers. Without a CM the balance operations livelock. *)
-let fig5a (scale : Exp.scale) =
+let fig5a (ex : Exp.t) =
   let policies = [ Cm.Wholly; Cm.Offset_greedy; Cm.Fair_cm; Cm.Backoff_retry; Cm.No_cm ] in
   let results =
     List.map
@@ -20,7 +22,7 @@ let fig5a (scale : Exp.scale) =
         ( n,
           List.map
             (fun policy ->
-              run_bank scale ~policy ~accounts:scale.Exp.bank_accounts ~balance:20
+              run_bank ex ~policy ~accounts:ex.scale.bank_accounts ~balance:20
                 ~total:n ())
             policies ))
       Exp.core_series
@@ -40,10 +42,10 @@ let fig5a (scale : Exp.scale) =
 
 (* Fig. 5(b): throughput under different numbers of service cores on
    the full 48-core chip. *)
-let fig5b (scale : Exp.scale) =
+let fig5b (ex : Exp.t) =
   let service_series = [ 1; 2; 4; 8; 16; 24 ] in
   let cell ~balance s =
-    (run_bank scale ~service:s ~accounts:scale.Exp.bank_accounts ~balance ~total:48 ())
+    (run_bank ex ~service:s ~accounts:ex.scale.bank_accounts ~balance ~total:48 ())
       .Workload.throughput_ops_ms
   in
   Exp.print_table
@@ -56,16 +58,17 @@ let fig5b (scale : Exp.scale) =
 (* Fig. 5(c): one core repeatedly computes balances while all others
    transfer; FairCM should dominate by deprioritizing the long
    balance transactions. *)
-let fig5c (scale : Exp.scale) =
+let fig5c (ex : Exp.t) =
   let policies = [ Cm.Wholly; Cm.Offset_greedy; Cm.Fair_cm; Cm.Backoff_retry ] in
   let run policy total =
-    let cfg = Exp.config ~policy ~total () in
-    let t = Runtime.create cfg in
-    let bank = Bank.create t ~accounts:scale.Exp.bank_accounts ~initial:1000 in
-    let reader = (Runtime.app_cores t).(0) in
-    Workload.drive t ~duration_ns:scale.Exp.long_window_ns (fun core ctx prng ->
-        if core = reader then fun () -> ignore (Bank.tx_balance ctx bank)
-        else Exp.bank_mix bank ~balance:0 core ctx prng)
+    snd
+      (Exp.run ex (Exp.config ~policy ~total ()) (fun t ->
+           let bank = Bank.create t ~accounts:ex.scale.bank_accounts ~initial:1000 in
+           let reader = (Runtime.app_cores t).(0) in
+           fun () ->
+             Workload.drive t ~duration_ns:ex.scale.long_window_ns (fun core ctx prng ->
+                 if core = reader then fun () -> ignore (Bank.tx_balance ctx bank)
+                 else Exp.bank_mix bank ~balance:0 core ctx prng)))
   in
   let results =
     List.map
@@ -87,38 +90,35 @@ let fig5c (scale : Exp.scale) =
 
 (* Fig. 5(d): transactions vs a single global test-and-set lock (the
    SCC has one TAS register per core, so no fine-grained locking). *)
-let fig5d (scale : Exp.scale) =
-  let accounts = scale.Exp.bank_accounts_5d in
-  let tx_cell ~one_reader total =
-    let cfg = Exp.config ~total () in
-    let t = Runtime.create cfg in
-    let bank = Bank.create t ~accounts ~initial:1000 in
-    let reader = (Runtime.app_cores t).(0) in
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.long_window_ns (fun core ctx prng ->
-          if one_reader && core = reader then fun () -> ignore (Bank.tx_balance ctx bank)
-          else Exp.bank_mix bank ~balance:0 core ctx prng)
+let fig5d (ex : Exp.t) =
+  let accounts = ex.scale.bank_accounts_5d in
+  (* One cell: [op env bank ~reader] is the cell's operation
+     generator. *)
+  let cell cfg op =
+    let _, r =
+      Exp.run ex cfg (fun t ->
+          let bank = Bank.create t ~accounts ~initial:1000 in
+          let op = op (Runtime.env t) bank ~reader:(Runtime.app_cores t).(0) in
+          fun () -> Workload.drive t ~duration_ns:ex.scale.long_window_ns op)
     in
     r.Workload.throughput_ops_ms
   in
+  let tx_cell ~one_reader total =
+    cell (Exp.config ~total ()) (fun _env bank ~reader core ctx prng ->
+        if one_reader && core = reader then fun () -> ignore (Bank.tx_balance ctx bank)
+        else Exp.bank_mix bank ~balance:0 core ctx prng)
+  in
+  (* The lock-based version needs no DTM cores: every core runs the
+     application. *)
   let lock_cell ~one_reader total =
-    (* The lock-based version needs no DTM cores: every core runs the
-       application. *)
-    let cfg = Exp.config ~deployment:Runtime.Multitask ~service:total ~total () in
-    let t = Runtime.create cfg in
-    let bank = Bank.create t ~accounts ~initial:1000 in
-    let env = Runtime.env t in
-    let reader = (Runtime.app_cores t).(0) in
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.long_window_ns (fun core _ctx prng ->
-          if one_reader && core = reader then fun () ->
-            ignore (Bank.lock_balance env ~core ~prng bank)
-          else fun () ->
-            let src = Tm2c_engine.Prng.int prng accounts
-            and dst = Tm2c_engine.Prng.int prng accounts in
-            if src <> dst then Bank.lock_transfer env ~core ~prng bank ~src ~dst ~amount:1)
-    in
-    r.Workload.throughput_ops_ms
+    cell (Exp.config ~deployment:Runtime.Multitask ~service:total ~total ())
+      (fun env bank ~reader core _ctx prng ->
+        if one_reader && core = reader then fun () ->
+          ignore (Bank.lock_balance env ~core ~prng bank)
+        else fun () ->
+          let src = Tm2c_engine.Prng.int prng accounts
+          and dst = Tm2c_engine.Prng.int prng accounts in
+          if src <> dst then Bank.lock_transfer env ~core ~prng bank ~src ~dst ~amount:1)
   in
   Exp.print_table
     ~title:

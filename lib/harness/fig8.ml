@@ -58,8 +58,8 @@ let round_trip_us ~platform ~total ~per_client =
   let _ = Sim.run sim () in
   !total_latency /. float_of_int !measured /. 1e3
 
-let fig8a (scale : Exp.scale) =
-  let per_client = if scale.Exp.label = "full" then 2000 else 300 in
+let fig8a (ex : Exp.t) =
+  let per_client = if ex.scale.label = "full" then 2000 else 300 in
   Exp.print_table
     ~title:"Fig 8(a) - round-trip message latency (us)"
     ~header:("cores" :: List.map (fun p -> p.Platform.name) platforms)
@@ -71,9 +71,9 @@ let fig8a (scale : Exp.scale) =
 
 (* Fig. 8(b): the bank on the three platforms; 20% balance (left) and
    100% transfers (right). *)
-let fig8b (scale : Exp.scale) =
+let fig8b (ex : Exp.t) =
   let cell ~platform ~balance total =
-    (Fig5.run_bank scale ~platform ~accounts:scale.Exp.bank_accounts ~balance
+    (Fig5.run_bank ex ~platform ~accounts:ex.scale.bank_accounts ~balance
        ~total ())
       .Workload.throughput_ops_ms
   in
@@ -96,15 +96,15 @@ let fig8b (scale : Exp.scale) =
        Exp.core_series)
 
 (* Fig. 8(c): the linked list, 512 elements, 10% updates. *)
-let fig8c (scale : Exp.scale) =
+let fig8c (ex : Exp.t) =
   let cell ~platform total =
-    let cfg = Exp.config ~platform ~total () in
-    let t = Runtime.create cfg in
-    let l = Linkedlist.create t in
-    Linkedlist.populate l (Runtime.fork_prng t) ~n:512 ~key_range:1024;
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.window_ns
-        (Exp.list_mix l ~mode:`Normal ~updates:10 ~range:1024)
+    let _, r =
+      Exp.run ex (Exp.config ~platform ~total ()) (fun t ->
+          let l = Linkedlist.create t in
+          Linkedlist.populate l (Runtime.fork_prng t) ~n:512 ~key_range:1024;
+          fun () ->
+            Workload.drive t ~duration_ns:ex.scale.window_ns
+              (Exp.list_mix l ~mode:`Normal ~updates:10 ~range:1024))
     in
     r.Workload.throughput_ops_ms
   in
@@ -118,16 +118,15 @@ let fig8c (scale : Exp.scale) =
 
 (* Fig. 8(d): the hash table, 512 elements, 10% updates, load factors
    4 and 16. *)
-let fig8d (scale : Exp.scale) =
+let fig8d (ex : Exp.t) =
   let cell ~platform ~load total =
-    let cfg = Exp.config ~platform ~total () in
-    let t = Runtime.create cfg in
-    let buckets = 512 / load in
-    let ht = Hashtable.create t ~n_buckets:buckets in
-    Hashtable.populate ht (Runtime.fork_prng t) ~n:512 ~key_range:1024;
-    let r =
-      Workload.drive t ~duration_ns:scale.Exp.window_ns
-        (Exp.ht_mix ht ~updates:10 ~range:1024)
+    let _, r =
+      Exp.run ex (Exp.config ~platform ~total ()) (fun t ->
+          let ht = Hashtable.create t ~n_buckets:(512 / load) in
+          Hashtable.populate ht (Runtime.fork_prng t) ~n:512 ~key_range:1024;
+          fun () ->
+            Workload.drive t ~duration_ns:ex.scale.window_ns
+              (Exp.ht_mix ht ~updates:10 ~range:1024))
     in
     r.Workload.throughput_ops_ms
   in

@@ -15,9 +15,8 @@ open Tm2c_apps
 let total = 16
 
 (* Per-core service capacity (arrivals/ms/core) under this mix. *)
-let probe_saturation (scale : Exp.scale) =
-  let t = Runtime.create (Exp.config ~total ()) in
-  let window_ns = scale.Exp.window_ns /. 2.0 in
+let probe_saturation (ex : Exp.t) =
+  let window_ns = ex.scale.window_ns /. 2.0 in
   let ol =
     {
       Openloop.default with
@@ -30,7 +29,7 @@ let probe_saturation (scale : Exp.scale) =
       retry_budget = 0;
     }
   in
-  let _ = Openloop.drive t ol in
+  let t, _ = Exp.run ex (Exp.config ~total ()) (fun t () -> Openloop.drive t ol) in
   let o = (Runtime.env t).System.overload in
   let app = float_of_int (Array.length (Runtime.app_cores t)) in
   float_of_int o.System.ol_executed /. (window_ns /. 1e6) /. app
@@ -57,19 +56,18 @@ let protected_policy ~sat =
   Admission.Token_bucket
     { capacity; rate_per_ms = 0.8 *. sat; burst = float_of_int capacity }
 
-let run_cell (scale : Exp.scale) ~sat ~protected ~arrival =
-  let t = Runtime.create (Exp.config ~total ()) in
+let run_cell (ex : Exp.t) ~sat ~protected ~arrival =
   let ol =
     {
       Openloop.default with
       Openloop.arrival;
-      window_ns = scale.Exp.window_ns;
-      drain_ns = scale.Exp.window_ns /. 4.0;
+      window_ns = ex.scale.window_ns;
+      drain_ns = ex.scale.window_ns /. 4.0;
       policy = (if protected then protected_policy ~sat else Admission.Unbounded);
       retry_budget = (if protected then 3 else -1);
     }
   in
-  let r = Openloop.drive t ol in
+  let t, r = Exp.run ex (Exp.config ~total ()) (fun t () -> Openloop.drive t ol) in
   let env = Runtime.env t in
   let o = env.System.overload in
   {
@@ -79,7 +77,7 @@ let run_cell (scale : Exp.scale) ~sat ~protected ~arrival =
        else 100.0 *. float_of_int o.System.ol_shed /. float_of_int o.System.ol_offered);
     p99_us = Tm2c_engine.Sketch.percentile env.System.e2e_lat 99.0 /. 1e3;
     p999_us = Tm2c_engine.Sketch.percentile env.System.e2e_lat 99.9 /. 1e3;
-    horizon = r.Tm2c_apps.Workload.horizon_hit;
+    horizon = r.Workload.horizon_hit;
     env;
   }
 
@@ -91,10 +89,10 @@ let run_cell (scale : Exp.scale) ~sat ~protected ~arrival =
    which the JSON export records them. *)
 let multiples = [ 0.5; 1.0; 1.5; 2.0 ]
 
-let curve (scale : Exp.scale) ~sat =
+let curve (ex : Exp.t) ~sat =
   let pair name arrival =
-    let raw = run_cell scale ~sat ~protected:false ~arrival in
-    let adm = run_cell scale ~sat ~protected:true ~arrival in
+    let raw = run_cell ex ~sat ~protected:false ~arrival in
+    let adm = run_cell ex ~sat ~protected:true ~arrival in
     [ (name ^ "_raw", raw); (name ^ "_adm", adm) ]
   in
   let sweep =
@@ -109,16 +107,16 @@ let curve (scale : Exp.scale) ~sat =
          {
            base_per_ms = 0.8 *. sat;
            burst_per_ms = 3.0 *. sat;
-           burst_start_ns = scale.Exp.window_ns /. 4.0;
-           burst_end_ns = scale.Exp.window_ns /. 2.0;
+           burst_start_ns = ex.scale.window_ns /. 4.0;
+           burst_end_ns = ex.scale.window_ns /. 2.0;
          })
   in
   sweep @ burst
 
-let run (scale : Exp.scale) =
-  let sat = probe_saturation scale in
+let run (ex : Exp.t) =
+  let sat = probe_saturation ex in
   Printf.printf "measured saturation: %.1f arrivals/ms/core\n%!" sat;
-  let cells = curve scale ~sat in
+  let cells = curve ex ~sat in
   let cell name = List.assoc name cells in
   Exp.print_table
     ~title:

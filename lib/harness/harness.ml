@@ -1,7 +1,7 @@
 type experiment = {
   id : string;
   description : string;
-  run : Exp.scale -> unit;
+  run : Exp.t -> unit;
 }
 
 let all =
@@ -30,8 +30,8 @@ let find id = List.find_opt (fun e -> e.id = id) all
 
 let run_ids ?json ?(check = false) ids scale =
   let ids = if List.mem "all" ids then List.map (fun e -> e.id) all else ids in
-  (* With an export file, capture every run each experiment performs
-     via the workload observer; runs are grouped per experiment id. *)
+  (* With an export file, every run each experiment performs is
+     captured by the runner; runs are grouped per experiment id. *)
   let exported = ref [] in
   let current_runs = ref [] in
   let check_failures = ref 0 in
@@ -41,16 +41,44 @@ let run_ids ?json ?(check = false) ids scale =
      wedged machine. *)
   let wedges = ref 0 in
   let watchdog_window = scale.Exp.window_ns /. 4.0 in
-  (* Per-runtime streaming checkers for --check: the preflight hook
-     attaches one to the trace sink before any process is spawned; the
-     observer looks it up (by physical identity — the runtime is the
-     key) and closes out the completed run. *)
-  let taps : (Tm2c_core.Runtime.t * Tm2c_check.Stream.t) list ref = ref [] in
-  let check_run t =
-    match List.assq_opt t !taps with
-    | None -> ()
-    | Some s ->
-        taps := List.filter (fun (t', _) -> t' != t) !taps;
+  (* Every cell runs through here, built but before any process is
+     spawned. Exported runs also carry phase attribution and the
+     flight recorder, whose rows are the run's time series: 16 windows
+     per throughput run — enough shape to see warm-up and livelock
+     onset without bloating the file. A checked run gets its own
+     streaming checker on the trace sink, closed out once the run is
+     collected. *)
+  let runner t drive =
+    if json <> None then begin
+      Tm2c_core.Runtime.enable_profiling t;
+      if Tm2c_core.Runtime.recorder t = None then
+        Tm2c_core.Runtime.enable_recorder t ~window_ns:(scale.Exp.window_ns /. 16.0) ()
+    end;
+    let stream =
+      if check then begin
+        let s = Tm2c_check.Stream.create () in
+        Tm2c_check.Stream.attach s (Tm2c_core.Runtime.trace t);
+        (* The streaming checker retains a window, not the run: report
+           its node high-water as the sink footprint. *)
+        Tm2c_core.Runtime.set_sink_high_water t (fun () -> Tm2c_check.Stream.peak_nodes s);
+        (* Checked runs also get the liveness watchdog: a wedged
+           configuration fails fast with a named-core verdict instead
+           of silently burning to the horizon. *)
+        Tm2c_core.Runtime.enable_watchdog t ~window_ns:watchdog_window ~stall_windows:2;
+        Some s
+      end
+      else None
+    in
+    let r = drive () in
+    if json <> None then current_runs := Report.run_json t r :: !current_runs;
+    if Tm2c_core.Runtime.wedged t then begin
+      incr wedges;
+      Printf.eprintf
+        "run wedged: the watchdog saw no progress and cut the run short of its \
+         horizon\n%!"
+    end;
+    Option.iter
+      (fun s ->
         Tm2c_check.Collector.detach (Tm2c_core.Runtime.trace t);
         (* On a wedged run, arm the liveness monitor's stuck detection
            so the report names the cores that made no progress. *)
@@ -60,78 +88,29 @@ let run_ids ?json ?(check = false) ids scale =
         if failures > 0 then begin
           check_failures := !check_failures + failures;
           Printf.eprintf "check FAILED:\n%s%!" (Tm2c_check.Stream.report_string s)
-        end
+        end)
+      stream;
+    r
   in
-  if json <> None || check then begin
-    Tm2c_apps.Workload.observer :=
-      Some
-        (fun t r ->
-          if json <> None then current_runs := Report.run_json t r :: !current_runs;
-          if Tm2c_core.Runtime.wedged t then begin
-            incr wedges;
-            Printf.eprintf
-              "run wedged: the watchdog saw no progress and cut the run \
-               short of its horizon\n%!"
-          end;
-          if check then check_run t);
-    (* Every exported run also carries phase attribution and the
-       flight recorder, whose rows are the run's time series: the
-       preflight hook fires once per driven runtime, before any process
-       is spawned. 16 windows per throughput run — enough shape to see
-       warm-up and livelock onset without bloating the file. *)
-    Tm2c_apps.Workload.preflight :=
-      Some
-        (fun t ->
-          if json <> None then begin
-            Tm2c_core.Runtime.enable_profiling t;
-            if Tm2c_core.Runtime.recorder t = None then
-              Tm2c_core.Runtime.enable_recorder t
-                ~window_ns:(scale.Exp.window_ns /. 16.0) ()
-          end;
-          if check && not (List.mem_assq t !taps) then begin
-            let s = Tm2c_check.Stream.create () in
-            Tm2c_check.Stream.attach s (Tm2c_core.Runtime.trace t);
-            (* The streaming checker retains a window, not the run:
-               report its node high-water as the sink footprint. *)
-            Tm2c_core.Runtime.set_sink_high_water t (fun () ->
-                Tm2c_check.Stream.peak_nodes s);
-            taps := (t, s) :: !taps;
-            (* Checked runs also get the liveness watchdog: a wedged
-               configuration fails fast with a named-core verdict
-               instead of silently burning to the horizon. *)
-            Tm2c_core.Runtime.enable_watchdog t ~window_ns:watchdog_window
-              ~stall_windows:2
-          end)
-  end;
-  Fun.protect
-    ~finally:(fun () ->
-      if json <> None || check then begin
-        Tm2c_apps.Workload.observer := None;
-        Tm2c_apps.Workload.preflight := None
-      end)
-    (fun () ->
-      let total_s = ref 0.0 in
-      List.iter
-        (fun id ->
-          match find id with
-          | Some e when !wedges > 0 ->
-              Printf.printf "\n=== %s: skipped (earlier run wedged) ===\n%!" e.id
-          | Some e ->
-              Printf.printf "\n=== %s: %s ===\n%!" e.id e.description;
-              let t0 = Unix.gettimeofday () in
-              current_runs := [];
-              e.run scale;
-              exported :=
-                ( e.id,
-                  e.description,
-                  List.rev !current_runs )
-                :: !exported;
-              let dt = Unix.gettimeofday () -. t0 in
-              total_s := !total_s +. dt;
-              Printf.printf "(%s finished in %.1fs host time)\n%!" e.id dt
-          | None -> invalid_arg (Printf.sprintf "unknown experiment %S" id))
-        ids;
-      Printf.printf "(total: %.1fs host time)\n%!" !total_s);
+  let ex = Exp.v ~runner scale in
+  let total_s = ref 0.0 in
+  List.iter
+    (fun id ->
+      match find id with
+      | Some e when !wedges > 0 ->
+          Printf.printf "\n=== %s: skipped (earlier run wedged) ===\n%!" e.id
+      | Some e ->
+          Printf.printf "\n=== %s: %s ===\n%!" e.id e.description;
+          let t0 = Unix.gettimeofday () in
+          current_runs := [];
+          e.run ex;
+          exported := (e.id, e.description, List.rev !current_runs) :: !exported;
+          let dt = Unix.gettimeofday () -. t0 in
+          total_s := !total_s +. dt;
+          Printf.printf "(%s finished in %.1fs host time)\n%!" e.id dt
+      | None -> invalid_arg (Printf.sprintf "unknown experiment %S" id))
+    ids;
+  Printf.printf "(total: %.1fs host time)\n%!" !total_s;
   (match json with
   | None -> ()
   | Some path ->

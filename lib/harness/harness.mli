@@ -4,7 +4,7 @@
 type experiment = {
   id : string;
   description : string;
-  run : Exp.scale -> unit;
+  run : Exp.t -> unit;  (** every figure cell goes through {!Exp.run} *)
 }
 
 val all : experiment list
@@ -14,9 +14,10 @@ val find : string -> experiment option
 (** [run_ids ?json ?check ids scale] runs the named experiments
     (["all"] expands to every experiment), printing each one's host
     seconds and then their total; raises [Invalid_argument] on unknown
-    ids. With [~json:path], every run each experiment
-    performs is captured (see {!Tm2c_apps.Workload.observer}) and the
-    collected results plus observability metrics ({!Report.run_json})
+    ids. Each experiment gets [scale] and a runner ({!Exp.runner})
+    that instruments, exports and checks the cells it runs, each run's
+    state kept in its own closure. With [~json:path], every run each
+    experiment performs is captured and the collected results plus observability metrics ({!Report.run_json})
     are written to [path], grouped per experiment id. With
     [~check:true], every run's complete event stream is checked
     online, through the bounded-memory streaming checker riding the

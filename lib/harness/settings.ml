@@ -3,7 +3,7 @@
 
 open Tm2c_noc
 
-let run (_scale : Exp.scale) =
+let run (_ : Exp.t) =
   print_endline "\nSection 5.1 - SCC performance settings (MHz)";
   print_endline "  setting     tile     mesh     DRAM";
   Array.iteri

@@ -132,9 +132,42 @@ let float_to_string f =
 
 (* ---- the command line ---- *)
 
+let config s =
+  let deployment = if s.multitask then Runtime.Multitask else Runtime.Dedicated in
+  Exp.config ~platform:s.platform ~policy:s.cm
+    ~wmode:(if s.eager then Tx.Eager else Tx.Lazy)
+    ~deployment
+    ?service:(if s.multitask then Some s.cores else s.service)
+    ~seed:s.seed ~total:s.cores ()
+
+(* The machine a spec asks for must exist: the conditions
+   [Runtime.create] and [Runtime.enable_replication] enforce, checked
+   here so that tm2c-sim reports a usage error naming the flag instead
+   of an uncaught exception. *)
+let validate s =
+  let cfg = config s in
+  let cores = cfg.Runtime.total_cores and service = cfg.Runtime.service_cores in
+  let dedicated = cfg.Runtime.deployment = Runtime.Dedicated in
+  let have = Tm2c_noc.Platform.n_cores s.platform in
+  if cores < 2 then Error (Printf.sprintf "--cores %d: need at least 2 cores" cores)
+  else if cores > have then
+    Error
+      (Printf.sprintf "--cores %d: platform %s has %d cores" cores
+         (platform_to_string s.platform) have)
+  else if dedicated && (service < 1 || service >= cores) then
+    Error (Printf.sprintf "--service %d: need 1 <= --service < --cores (%d)" service cores)
+  else if s.replicas < 0 || s.replicas > 1 then
+    Error (Printf.sprintf "--replicas %d: must be 0 or 1" s.replicas)
+  else if s.replicas = 1 && not dedicated then
+    Error "--replicas 1: requires the dedicated deployment, not --multitask"
+  else if s.replicas = 1 && service < 2 then
+    Error (Printf.sprintf "--replicas 1: needs at least 2 --service cores, not %d" service)
+  else Ok s
+
 let term =
   let open Term.Syntax in
-  let+ bench =
+  Term.term_result' ~usage:true
+  @@ let+ bench =
     Arg.(value & opt (flag_conv bench_of_string bench_to_string) default.bench
          & info [ "bench"; "b" ] ~docv:"BENCH"
              ~doc:"Benchmark: bank, hashtable, list, mapreduce, counter.")
@@ -202,9 +235,10 @@ let term =
   and+ chunk_kb =
     Arg.(value & opt int default.chunk_kb & info [ "chunk-kb" ] ~doc:"MapReduce: chunk KB.")
   in
-  { bench; platform; cm; cores; service; multitask; eager; fault_plan; timeout_ns; lease_ns;
-    replicas; duration_ms; seed; balance; accounts; buckets; updates; elastic; size; input_kb;
-    chunk_kb }
+  validate
+    { bench; platform; cm; cores; service; multitask; eager; fault_plan; timeout_ns; lease_ns;
+      replicas; duration_ms; seed; balance; accounts; buckets; updates; elastic; size; input_kb;
+      chunk_kb }
 
 (* The benchmark, size, length and seed always name the run; every
    other flag is printed only when it differs from [default]. *)
@@ -241,14 +275,6 @@ let args s =
     ]
 
 (* ---- the run ---- *)
-
-let config s =
-  let deployment = if s.multitask then Runtime.Multitask else Runtime.Dedicated in
-  Exp.config ~platform:s.platform ~policy:s.cm
-    ~wmode:(if s.eager then Tx.Eager else Tx.Lazy)
-    ~deployment
-    ?service:(if s.multitask then Some s.cores else s.service)
-    ~seed:s.seed ~total:s.cores ()
 
 let runtime s =
   let t = Runtime.create (config s) in

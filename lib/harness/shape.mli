@@ -36,7 +36,10 @@ type t = {
 val default : t
 
 (** The command-line flags, [--bench] through [--chunk-kb], plus
-    [--fault-plan], [--timeout-ns], [--lease-ns] and [--replicas]. *)
+    [--fault-plan], [--timeout-ns], [--lease-ns] and [--replicas]. A
+    spec the runtime cannot build (too few or too many cores for the
+    platform, a service count outside [1 .. cores-1], an impossible
+    replication) is a usage error naming the flag. *)
 val term : t Cmdliner.Term.t
 
 (** The flags that select [t]: [--bench], [--cores], [--duration] and

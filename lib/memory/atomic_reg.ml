@@ -5,8 +5,6 @@ type t = { sim : Sim.t; platform : Platform.t; regs : int array }
 
 let create sim platform ~count = { sim; platform; regs = Array.make count 0 }
 
-let count t = Array.length t.regs
-
 let charge t = Sim.delay t.platform.Platform.tas_ns
 
 let read t ~core:_ ~reg =

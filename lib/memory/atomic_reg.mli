@@ -12,8 +12,6 @@ type t
 (** [create sim platform ~count] builds [count] registers, all zero. *)
 val create : Tm2c_engine.Sim.t -> Tm2c_noc.Platform.t -> count:int -> t
 
-val count : t -> int
-
 (** Timed atomic read. *)
 val read : t -> core:int -> reg:int -> int
 

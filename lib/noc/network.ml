@@ -65,13 +65,7 @@ let create sim platform ~active =
 
 let set_faults net f = net.faults <- f
 
-let faults net = net.faults
-
-let sim net = net.sim
-
 let platform net = net.platform
-
-let active net = net.active
 
 let metrics net = net.metrics
 

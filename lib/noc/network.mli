@@ -21,13 +21,7 @@ type metrics = {
 
 val create : Tm2c_engine.Sim.t -> Platform.t -> active:int -> 'a t
 
-val sim : 'a t -> Tm2c_engine.Sim.t
-
 val platform : 'a t -> Platform.t
-
-(** Number of cores participating in messaging (the polling-scan
-    width). *)
-val active : 'a t -> int
 
 (** [flight_ns net ~src ~dst] — a message's in-flight time from [src]
     to [dst]: {!Platform.flight_ns} at this network's [active] width,
@@ -52,8 +46,6 @@ val send_reliable : 'a t -> src:int -> dst:int -> 'a -> unit
     [None] — and an installed layer whose plan has no link fault —
     leave the delivery schedule bit-for-bit unchanged. *)
 val set_faults : 'a t -> Fault.t option -> unit
-
-val faults : 'a t -> Fault.t option
 
 (** [recv net ~self] — blocks until a message is available, then
     charges the receive software overhead. *)

@@ -26,8 +26,6 @@ let record t ~winner ~victim ~conflict ~addr =
       c.last_addr <- addr
   | None -> Hashtbl.add t.causality key { count = 1; last_addr = addr }
 
-let reset t = Hashtbl.reset t.causality
-
 (* (key, count, last sample address), most frequent first. *)
 let dump t =
   Tm2c_engine.Det.fold

@@ -19,8 +19,6 @@ val record :
   addr:Types.addr ->
   unit
 
-val reset : t -> unit
-
 (** (key, count, last sample address), most frequent first. *)
 val dump : t -> (key * int * Types.addr) list
 

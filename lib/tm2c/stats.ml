@@ -65,16 +65,3 @@ let reset t =
       c.lifespan_ns <- 0.0;
       c.max_attempts <- 0)
     t
-
-let pp fmt t =
-  let rate = commit_rate t in
-  let rate_s =
-    if Float.is_nan rate then "n/a (no commits)" else Printf.sprintf "%.1f%%" rate
-  in
-  Format.fprintf fmt "commits=%d aborts=%d (raw=%d waw=%d war=%d status=%d) ops=%d rate=%s"
-    (total_commits t) (total_aborts t)
-    (sum t (fun c -> c.aborts_raw))
-    (sum t (fun c -> c.aborts_waw))
-    (sum t (fun c -> c.aborts_war))
-    (sum t (fun c -> c.aborts_status))
-    (total_ops t) rate_s

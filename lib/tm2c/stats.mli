@@ -39,5 +39,3 @@ val commit_rate : t -> float
 val worst_attempts : t -> int
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -772,37 +772,6 @@ let test_handoff_logical_count () =
   check_int "logical events" 6045 (processed + Sim.elided sim);
   check_float "final time" 14679.0 (Sim.now sim)
 
-(* ---- Ivar ---- *)
-
-let test_ivar_fill_read () =
-  let sim = Sim.create () in
-  let iv = Ivar.create () in
-  let got = ref [] in
-  for _ = 1 to 2 do
-    Sim.spawn sim (fun () ->
-        (* Bind first: [!got] must be read after the suspending read. *)
-        let v = Ivar.read iv in
-        got := v :: !got)
-  done;
-  Sim.spawn sim (fun () ->
-      Sim.delay 10.0;
-      Ivar.fill iv 5);
-  let _ = Sim.run sim () in
-  Alcotest.(check (list int)) "both woken" [ 5; 5 ] !got;
-  check "filled" true (Ivar.is_filled iv)
-
-let test_ivar_double_fill () =
-  let iv = Ivar.create () in
-  Ivar.fill iv 1;
-  Alcotest.check_raises "double fill" (Invalid_argument "Ivar.fill: already filled")
-    (fun () -> Ivar.fill iv 2)
-
-let test_ivar_try_read () =
-  let iv = Ivar.create () in
-  Alcotest.(check (option int)) "empty" None (Ivar.try_read iv);
-  Ivar.fill iv 3;
-  Alcotest.(check (option int)) "filled" (Some 3) (Ivar.try_read iv)
-
 let suite =
   [
     ("heap: pop order", `Quick, test_heap_order);
@@ -851,7 +820,4 @@ let suite =
     ("mailbox: delivery tied with a queued event", `Quick, test_handoff_tie_with_queued);
     ("mailbox: fused receive charge", `Quick, test_handoff_fused_charge);
     ("mailbox: hand-off keeps the logical event count", `Quick, test_handoff_logical_count);
-    ("ivar: fill wakes readers", `Quick, test_ivar_fill_read);
-    ("ivar: double fill rejected", `Quick, test_ivar_double_fill);
-    ("ivar: try_read", `Quick, test_ivar_try_read);
   ]

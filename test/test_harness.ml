@@ -37,7 +37,7 @@ let run_capturing id =
     | Some e -> e
     | None -> Alcotest.failf "experiment %s not registered" id
   in
-  snd (capturing_stdout (fun () -> exp.Harness.run micro_scale))
+  snd (capturing_stdout (fun () -> exp.Harness.run (Exp.v micro_scale)))
 
 let test_experiment id () =
   let out = run_capturing id in
@@ -58,7 +58,7 @@ let test_fig6a_durations () =
     (fun size_kb ->
       List.iter
         (fun total ->
-          let r = Fig6.parallel_run ~size_kb ~total () in
+          let r = Fig6.parallel_run (Exp.v micro_scale) ~size_kb ~total () in
           let what = Printf.sprintf "%d KB on %d cores" size_kb total in
           Alcotest.(check bool) (what ^ ": horizon not hit") false r.Tm2c_apps.Workload.horizon_hit;
           Alcotest.(check bool)
@@ -69,26 +69,63 @@ let test_fig6a_durations () =
         Fig6.fig6a_cores)
     micro_scale.Exp.mr_sizes_kb
 
+(* One checked, exported run over every driver: [drive] and [drive_seq]
+   (fig4b), the lock cells (fig5d), [run_to_completion] (fig6a),
+   [Openloop.drive] (fig_overload) and the ablations, with the number
+   of runs each experiment drives at this scale. Made once, for the two
+   tests below. *)
+let checked_counts =
+  [ ("fig4b", 32); ("fig5d", 32); ("fig6a", 6); ("fig_overload", 11); ("ablations", 26) ]
+
+let checked_export =
+  lazy
+    (Tmp.with_path ~suffix:".json" (fun json ->
+         let failures, _ =
+           capturing_stdout (fun () ->
+               Harness.run_ids ~json ~check:true (List.map fst checked_counts) micro_scale)
+         in
+         (failures, Json.of_file json)))
+
+let exported_runs doc =
+  List.map
+    (fun e ->
+      ( Option.value (Option.bind (Json.path [ "id" ] e) Json.to_string_opt) ~default:"?",
+        Option.fold ~none:[] ~some:Json.to_list_exn (Json.path [ "runs" ] e) ))
+    (Option.fold ~none:[] ~some:Json.to_list_exn (Json.path [ "experiments" ] doc))
+
 (* Regression: with --json and --check, fig4b (whose sequential
    baseline runs no transactions) and fig6a (whose MapReduce runs
    drain, one chunk computation spanning many watchdog windows) once
    never finished — the recorder's and the sampler's ticks kept each
    other alive — and the watchdog took both for wedges. *)
 let test_json_check_terminates () =
-  let failures, doc =
-    Tmp.with_path ~suffix:".json" (fun json ->
-        let failures, _ =
-          capturing_stdout (fun () ->
-              Harness.run_ids ~json ~check:true [ "fig4b"; "fig6a" ] micro_scale)
-        in
-        (failures, Json.of_file json))
-  in
+  let failures, doc = Lazy.force checked_export in
   Alcotest.(check int) "no violations, no wedged runs" 0 failures;
-  Alcotest.(check int)
-    "both experiments exported" 2
-    (match Json.path [ "experiments" ] doc with
-    | Some l -> List.length (Json.to_list_exn l)
-    | None -> 0)
+  let ids = List.map fst (exported_runs doc) in
+  Alcotest.(check bool)
+    "both experiments exported" true
+    (List.mem "fig4b" ids && List.mem "fig6a" ids)
+
+(* Every driven cell goes through the experiment's runner: each
+   exported run carries the instrumentation the runner installs, and
+   each experiment exports as many runs as it drives. *)
+let test_every_cell_instrumented () =
+  let runs = exported_runs (snd (Lazy.force checked_export)) in
+  Alcotest.(check (list (pair string int)))
+    "runs exported per experiment" checked_counts
+    (List.map (fun (id, rs) -> (id, List.length rs)) runs);
+  List.iter
+    (fun (id, rs) ->
+      List.iteri
+        (fun i run ->
+          let on path = Json.path path run = Some (Json.Bool true) in
+          let what = Printf.sprintf "%s run %d: " id i in
+          Alcotest.(check bool) (what ^ "trace enabled") true (on [ "trace"; "enabled" ]);
+          Alcotest.(check bool) (what ^ "phases enabled") true (on [ "phases"; "enabled" ]);
+          Alcotest.(check bool) (what ^ "metrics section") true
+            (Json.member "metrics" run <> None))
+        rs)
+    runs
 
 let test_registry () =
   let ids = List.map (fun e -> e.Harness.id) Harness.all in
@@ -202,6 +239,33 @@ let test_shape_round_trip () =
       | Ok (`Help | `Version) | Error _ -> Alcotest.failf "tm2c-sim %s does not parse" line)
     specs
 
+(* A spec the runtime cannot build is a usage error naming the flag,
+   not an exception out of [Runtime.create] at run time. *)
+let test_shape_impossible () =
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "tm2c-sim") Shape.term in
+  List.iter
+    (fun (args, flag) ->
+      let line = String.concat " " args in
+      let buf = Buffer.create 256 in
+      let err = Format.formatter_of_buffer buf in
+      let res = Cmdliner.Cmd.eval_value ~err ~argv:(Array.of_list ("tm2c-sim" :: args)) cmd in
+      Format.pp_print_flush err ();
+      match res with
+      | Error (`Parse | `Term) ->
+          let msg = Buffer.contents buf in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: message names %s (%S)" line flag msg)
+            true
+            (String.starts_with ~prefix:("tm2c-sim: " ^ flag ^ " ") msg)
+      | Error `Exn -> Alcotest.failf "tm2c-sim %s raised" line
+      | Ok _ -> Alcotest.failf "tm2c-sim %s parsed" line)
+    [
+      ([ "--bench"; "hashtable"; "--cores"; "64"; "--platform"; "opteron" ], "--cores");
+      ([ "--cores"; "1" ], "--cores");
+      ([ "--cores"; "16"; "--service"; "16" ], "--service");
+      ([ "--replicas"; "2" ], "--replicas");
+    ]
+
 (* The cheap experiments run as part of the default suite; the rest
    are marked slow (alcotest still runs them by default, but they can
    be excluded with `-q`). *)
@@ -210,6 +274,7 @@ let suite =
     ("registry complete", `Quick, test_registry);
     ("unknown experiment rejected", `Quick, test_unknown_rejected);
     ("run spec flags round-trip", `Quick, test_shape_round_trip);
+    ("impossible run specs are usage errors", `Quick, test_shape_impossible);
     ("settings", `Quick, test_experiment "settings");
     ("fig8a", `Quick, test_experiment "fig8a");
     ("fig6a durations end before the horizon", `Quick, test_fig6a_durations);
@@ -219,6 +284,7 @@ let suite =
     ("fig5c", `Slow, test_experiment "fig5c");
     ("fig6a", `Slow, test_experiment "fig6a");
     ("fig4b + fig6a with --json --check terminate", `Slow, test_json_check_terminates);
+    ("every driven cell is instrumented", `Slow, test_every_cell_instrumented);
     ("fig7a", `Slow, test_experiment "fig7a");
     ("fig8c", `Slow, test_experiment "fig8c");
     ("ablations", `Slow, test_experiment "ablations");

@@ -477,6 +477,8 @@ let test_retry_storm_metastability () =
    goodput and p999 end-to-end tail (both in virtual time). *)
 let curve_scale = { Exp.quick with Exp.window_ns = 4e6 }
 
+let curve_ex = Exp.v curve_scale
+
 let curve_sat = 47.625
 
 let curve_pinned =
@@ -496,9 +498,9 @@ let curve_pinned =
 let check_exact = Alcotest.(check (float 0.0))
 
 let test_overload_curve_golden () =
-  let sat = F.probe_saturation curve_scale in
+  let sat = F.probe_saturation curve_ex in
   check_exact "saturation (arrivals/ms/core)" curve_sat sat;
-  let cells = F.curve curve_scale ~sat in
+  let cells = F.curve curve_ex ~sat in
   Alcotest.(check (list string))
     "cell names" (List.map (fun (n, _, _) -> n) curve_pinned) (List.map fst cells);
   List.iter
