@@ -13,7 +13,8 @@ let run_bench ids full smoke json check list_only =
         Printf.printf "  %-10s %s\n" e.Tm2c_harness.Harness.id
           e.Tm2c_harness.Harness.description)
       Tm2c_harness.Harness.all;
-    print_endline "  micro      Bechamel micro-benchmarks of core primitives"
+    print_endline "  micro      Bechamel micro-benchmarks of core primitives";
+    print_endline "  ratio      host events/s at 512 vs 96 cores on the 16x16 mesh"
   end
   else begin
     let scale =
@@ -23,14 +24,19 @@ let run_bench ids full smoke json check list_only =
     in
     Printf.printf "TM2C benchmark harness (scale: %s)\n%!" scale.Tm2c_harness.Exp.label;
     let ids = if ids = [] then [ "all"; "micro" ] else ids in
-    let micro = List.mem "micro" ids in
-    let ids = List.filter (fun id -> id <> "micro") ids in
+    let micro = List.mem "micro" ids and ratio = List.mem "ratio" ids in
+    let ids = List.filter (fun id -> id <> "micro" && id <> "ratio") ids in
     let failures =
       if ids <> [] then
         Tm2c_harness.Harness.run_ids ?json ~check ids scale
       else 0
     in
     if micro then Micro.run ();
+    if ratio then begin
+      (* Smoke scale only shows that the measurement runs. *)
+      let runs, duration_ms = if smoke then (1, 1.0) else (10, 20.0) in
+      Ratio.run ~runs ~duration_ms
+    end;
     if failures > 0 then begin
       Printf.eprintf "\n%d checker violation(s) — see above\n%!" failures;
       exit 1
@@ -40,7 +46,9 @@ let run_bench ids full smoke json check list_only =
 let ids_arg =
   let doc =
     "Experiment ids to run (e.g. fig5a). Default: all + micro. 'micro' runs \
-     the Bechamel micro-benchmarks."
+     the Bechamel micro-benchmarks; 'ratio' times the hash-table mix on the \
+     16x16 mesh at 96 and 512 cores (10 alternating pairs of 20 virtual ms; \
+     one pair of 1 ms with --smoke) and prints the 512/96 events/s ratio."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 

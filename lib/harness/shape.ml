@@ -77,16 +77,41 @@ let bench_to_string = function
   | Mapreduce -> "mapreduce"
   | Counter -> "counter"
 
+(* The largest scaled mesh [--platform mesh:COLSxROWS] builds: the
+   network keeps a cores x cores link table, 128 MB at this size. *)
+let max_mesh_cores = 4096
+
+(* [mesh:COLSxROWS], both decimal and at least 1: a scaled SCC mesh of
+   COLS x ROWS two-core tiles ([Platform.scc_mesh]). *)
+let mesh_of_string s =
+  let dim d =
+    if d <> "" && String.for_all (fun c -> c >= '0' && c <= '9') d then int_of_string_opt d
+    else None
+  in
+  match String.split_on_char 'x' (String.sub s 5 (String.length s - 5)) with
+  | [ c; r ] -> (
+      match (dim c, dim r) with
+      | Some cols, Some rows when cols < 1 || rows < 1 ->
+          Error (Printf.sprintf "%s: a mesh needs COLS >= 1 and ROWS >= 1" s)
+      | Some cols, Some rows
+        when cols > max_mesh_cores || rows > max_mesh_cores || 2 * cols * rows > max_mesh_cores ->
+          Error (Printf.sprintf "%s: a mesh has at most %d cores" s max_mesh_cores)
+      | Some cols, Some rows -> Ok (Tm2c_noc.Platform.scc_mesh ~cols ~rows)
+      | _ -> Error (Printf.sprintf "%s: expected mesh:COLSxROWS, e.g. mesh:16x16" s))
+  | _ -> Error (Printf.sprintf "%s: expected mesh:COLSxROWS, e.g. mesh:16x16" s)
+
 let platform_of_string = function
   | "scc" -> Ok Tm2c_noc.Platform.scc
   | "scc800" -> Ok Tm2c_noc.Platform.scc800
   | "opteron" | "multicore" -> Ok Tm2c_noc.Platform.opteron
+  | s when String.starts_with ~prefix:"mesh:" s -> mesh_of_string s
   | s -> (
       match int_of_string_opt s with
       | Some i when i >= 0 && i <= 4 -> Ok (Tm2c_noc.Platform.scc_setting i)
       | Some _ | None -> Error (Printf.sprintf "unknown platform %S" s))
 
-(* Settings 0 and 1 are named "SCC" and "SCC800"; 2-4 "SCC-s<i>". *)
+(* Settings 0 and 1 are named "SCC" and "SCC800"; 2-4 "SCC-s<i>"; a
+   scaled mesh "SCC-mesh-<cols>x<rows>". *)
 let platform_to_string (p : Tm2c_noc.Platform.t) =
   match p.Tm2c_noc.Platform.name with
   | "SCC" -> "scc"
@@ -95,7 +120,10 @@ let platform_to_string (p : Tm2c_noc.Platform.t) =
   | name -> (
       match Scanf.sscanf_opt name "SCC-s%d%!" Fun.id with
       | Some i -> string_of_int i
-      | None -> invalid_arg ("Shape: platform " ^ name ^ " has no flag value"))
+      | None -> (
+          match Scanf.sscanf_opt name "SCC-mesh-%dx%d%!" (Printf.sprintf "mesh:%dx%d") with
+          | Some m -> m
+          | None -> invalid_arg ("Shape: platform " ^ name ^ " has no flag value")))
 
 let cm_of_string s =
   match Cm.of_string s with
@@ -174,7 +202,9 @@ let term =
   and+ platform =
     Arg.(value & opt (flag_conv platform_of_string platform_to_string) default.platform
          & info [ "platform"; "p" ] ~docv:"PLATFORM"
-             ~doc:"Platform: scc, scc800, opteron, or an SCC setting 0-4.")
+             ~doc:"Platform: scc, scc800, opteron, an SCC setting 0-4, or \
+                   $(b,mesh:COLSxROWS), the SCC scaled out to a COLS x ROWS \
+                   mesh of 2-core tiles (e.g. $(b,mesh:16x16), 512 cores).")
   and+ cm =
     Arg.(value & opt (flag_conv cm_of_string cm_to_string) default.cm
          & info [ "cm" ] ~docv:"CM"

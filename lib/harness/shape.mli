@@ -44,9 +44,10 @@ val term : t Cmdliner.Term.t
 
 (** The flags that select [t]: [--bench], [--cores], [--duration] and
     [--seed] always, every other flag when it differs from {!default}.
-    Parsing them with {!term} gives back [t]. Raises
-    [Invalid_argument] for a platform with no flag value (a scaled
-    mesh). *)
+    Parsing them with {!term} gives back [t]. A scaled mesh prints as
+    [--platform mesh:COLSxROWS]. Raises [Invalid_argument] for a
+    platform with no flag value (one built outside {!Tm2c_noc.Platform}'s
+    named constructors). *)
 val args : t -> string list
 
 val config : t -> Tm2c_core.Runtime.config

@@ -10,9 +10,9 @@
 type 'a t
 
 (** Always-on message-layer metrics (cheap counters; they never touch
-    the simulated timings). *)
+    the simulated timings). Per-link counts are read through
+    {!link_count} and {!top_links}. *)
 type metrics = {
-  per_link : int array array;  (** [per_link.(src).(dst)] messages sent *)
   latency : Tm2c_engine.Sketch.t;
       (** in-flight time per message (wire hops + detection scan), ns *)
   mutable poll_scans : int;  (** fruitless [try_recv] scans *)
@@ -78,6 +78,16 @@ val sent : 'a t -> int
 val received : 'a t -> int
 
 val metrics : 'a t -> metrics
+
+(** [link_count net ~src ~dst] — messages sent from [src] to [dst] so
+    far, exact. A send only appends the pair to a short log, which is
+    folded into a flat per-link table when it fills and before every
+    read, so no send writes the n*n table directly. *)
+val link_count : 'a t -> src:int -> dst:int -> int
+
+(** Every link's {!link_count} at once, in a fresh array indexed
+    [src * n + dst] for the platform's [n] cores. *)
+val link_counts : 'a t -> int array
 
 (** Busiest (src, dst, count) links, descending; at most [limit]
     (default 16); links with no message are omitted. Ties list the

@@ -35,9 +35,13 @@ type server = {
      absorption window (see [cache_ttl_ns]) can never absorb a live
      resend and is evicted. One flat int per requester core id, the
      request id and the reply code packed together ([cache_entry]), so
-     a reply writes one word: the cache is written on every reply, and
-     must cost neither a hash lookup nor a record that outlives the
-     round trip. *)
+     a reply writes one word: the cache is written on every awaited
+     reply, and must cost neither a hash lookup nor a record that
+     outlives the round trip. It is read only when the request can be
+     a duplicate: [env.cache_mark], shared by all servers, holds per
+     requester the highest id any server has cached, and a request
+     above it skips the lookup. The mark only ever rises, so an
+     evicted entry leaves it an upper bound, never wrong. *)
   n_cores : int;
   mutable cache : int array;  (* 0: no entry; made with the first entry *)
   (* Virtual instant each entry was last written or replayed; kept
@@ -143,6 +147,8 @@ let cache_put env s ~(req : System.request) code =
     let requester = req.tx.m_core in
     if Array.length s.cache = 0 then s.cache <- Array.make s.n_cores 0;
     s.cache.(requester) <- cache_entry ~req_id:req.req_id code;
+    let mark = env.System.cache_mark in
+    if req.req_id > mark.(requester) then mark.(requester) <- req.req_id;
     touch env s requester
   end
 
@@ -465,8 +471,15 @@ let exclusive_blocked s =
    partition a second time, to an attempt that has already finished. *)
 let absorb env s (req : System.request) =
   let requester = req.tx.m_core in
+  (* Above the requester's mark no server has cached this id or a
+     newer one, so the request is fresh and this server's cache row is
+     not read: the per-request cost stays off the n_servers x n_cores
+     table unless a duplicate is possible. *)
   let e =
-    if req.req_id > 0 && requester < Array.length s.cache then s.cache.(requester) else 0
+    if req.req_id > 0 && req.req_id <= env.System.cache_mark.(requester)
+       && requester < Array.length s.cache
+    then s.cache.(requester)
+    else 0
   in
   let newest = entry_req_id e in
   if newest = 0 || req.req_id > newest then false

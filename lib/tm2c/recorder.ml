@@ -54,7 +54,7 @@ type t = {
   sketches : tracked_sketch list;
   span_windows : Sketch.window array array;  (* [core].(phase), over span_commit *)
   span_scratch : Sketch.t array;  (* per-phase merge target, reused each tick *)
-  prev_links : int array array;
+  prev_links : int array;  (* [src * n_cores + dst]: count at the last roll *)
   prev_servers : (int, server_prev) Hashtbl.t;
   prev_blame : (Obs.key, int) Hashtbl.t;
   ev_counts : int array;
@@ -166,7 +166,7 @@ let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
     sketches;
     span_windows;
     span_scratch;
-    prev_links = Array.map Array.copy (Network.metrics net).Network.per_link;
+    prev_links = Network.link_counts net;
     prev_servers = Hashtbl.create 16;
     prev_blame = Hashtbl.create 64;
     ev_counts = Array.make (List.length Event.kinds) 0;
@@ -345,12 +345,13 @@ let emit_window t ~t_ns ~full =
           (float_of_int e))
       fo.System.fo_epoch;
   (* Top-K busiest NoC links this window. *)
-  let links = (Network.metrics net).Network.per_link in
+  let n = Platform.n_cores (Network.platform net) in
   let top =
-    Network.top_pairs ~limit:t.top_k (Array.length links) (fun src dst ->
-        let c = links.(src).(dst) in
-        let d = c - t.prev_links.(src).(dst) in
-        t.prev_links.(src).(dst) <- c;
+    Network.top_pairs ~limit:t.top_k n (fun src dst ->
+        let c = Network.link_count net ~src ~dst in
+        let i = (src * n) + dst in
+        let d = c - t.prev_links.(i) in
+        t.prev_links.(i) <- c;
         d)
   in
   List.iter

@@ -141,6 +141,7 @@ let create cfg =
       serve_defer_cycles = 0;
       batching = cfg.batching;
       barrier_seen = Array.make (Platform.n_cores cfg.platform) 0;
+      cache_mark = Array.make (Platform.n_cores cfg.platform) 0;
       trace = Trace.create ~codec:Event.ring_codec ();
       obs = Obs.create ();
       span_commit =

@@ -101,6 +101,7 @@ type env = {
   mutable serve_inline : (self:Types.core_id -> request -> unit) option;
   batching : bool;
   barrier_seen : int array;
+  cache_mark : int array;
   mutable serve_defer_cycles : int;
   trace : Event.t Tm2c_engine.Trace.t;
   obs : Obs.t;

@@ -128,6 +128,11 @@ type env = {
       (** per-core count of barrier-reached messages received so far;
           incremented by whichever receive loop intercepts them
           (Section 8's privatization barrier) *)
+  cache_mark : int array;
+      (** per requester core: the highest request id any DTM server
+          has cached a response for (0: none). Request ids only grow
+          per core, so a request above its mark is fresh at every
+          server and skips the response-cache lookup ([Dtm]) *)
   mutable serve_defer_cycles : int;
       (** multitasking deployment only: scheduling delay before the
           service task runs when a request interrupts the application

@@ -148,9 +148,10 @@ let test_unknown_rejected () =
    prints for a spec parse back to that spec. The fuzz shapes as the
    fuzzer runs them (seeded, hardened, faulted, replicated), its wedge
    shape, and a spread over every other flag value: SCC settings 0-4,
-   SCC800 and the Opteron, each contention manager and elastic mode,
-   the multitasked and sized-service deployments, MapReduce, and a
-   server crash with one replica. *)
+   SCC800, the Opteron, three scaled meshes (the largest allowed among
+   them), each contention manager and elastic mode, the multitasked
+   and sized-service deployments, MapReduce, and a server crash with
+   one replica. *)
 let test_shape_round_trip () =
   let d = Shape.default in
   let plan spec =
@@ -206,6 +207,17 @@ let test_shape_round_trip () =
     @ [ wedge; { wedge with lease_ns = 250_000.0 } ]
     @ List.map (fun i -> { d with platform = Tm2c_noc.Platform.scc_setting i }) [ 0; 1; 2; 3; 4 ]
     @ [ { d with platform = Tm2c_noc.Platform.scc800 }; { d with platform = Tm2c_noc.Platform.opteron } ]
+    @ [
+        {
+          d with
+          bench = Hashtable;
+          platform = Tm2c_noc.Platform.scc_mesh ~cols:16 ~rows:16;
+          cores = 512;
+          duration_ms = 2.0;
+        };
+        { d with platform = Tm2c_noc.Platform.scc_mesh ~cols:3 ~rows:1; cores = 6 };
+        { d with platform = Tm2c_noc.Platform.scc_mesh ~cols:32 ~rows:64; cores = 96 };
+      ]
     @ List.map (fun cm -> { d with cm }) Tm2c_core.Cm.all
     @ List.map
         (fun elastic -> { d with bench = List_bench; elastic })
@@ -239,8 +251,9 @@ let test_shape_round_trip () =
       | Ok (`Help | `Version) | Error _ -> Alcotest.failf "tm2c-sim %s does not parse" line)
     specs
 
-(* A spec the runtime cannot build is a usage error naming the flag,
-   not an exception out of [Runtime.create] at run time. *)
+(* A spec the runtime cannot build, or a malformed flag value, is a
+   usage error naming the flag, not an exception out of
+   [Runtime.create] at run time. *)
 let test_shape_impossible () =
   let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "tm2c-sim") Shape.term in
   List.iter
@@ -256,7 +269,8 @@ let test_shape_impossible () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: message names %s (%S)" line flag msg)
             true
-            (String.starts_with ~prefix:("tm2c-sim: " ^ flag ^ " ") msg)
+            (String.starts_with ~prefix:("tm2c-sim: " ^ flag ^ " ") msg
+            || String.starts_with ~prefix:("tm2c-sim: option '" ^ flag ^ "': ") msg)
       | Error `Exn -> Alcotest.failf "tm2c-sim %s raised" line
       | Ok _ -> Alcotest.failf "tm2c-sim %s parsed" line)
     [
@@ -264,6 +278,12 @@ let test_shape_impossible () =
       ([ "--cores"; "1" ], "--cores");
       ([ "--cores"; "16"; "--service"; "16" ], "--service");
       ([ "--replicas"; "2" ], "--replicas");
+      ([ "--platform"; "mesh:0x4" ], "--platform");
+      ([ "--platform"; "mesh:16x" ], "--platform");
+      ([ "--platform"; "mesh:16x16x2" ], "--platform");
+      ([ "--platform"; "mesh:+4x4" ], "--platform");
+      ([ "--platform"; "mesh:64x64" ], "--platform");
+      ([ "--platform"; "mesh:2x2"; "--cores"; "16" ], "--cores");
     ]
 
 (* The cheap experiments run as part of the default suite; the rest

@@ -226,6 +226,53 @@ let top_pairs_matches_sort =
       let sorted = List.sort (fun (_, _, a) (_, _, b) -> compare b a) !acc in
       Network.top_pairs ~limit n weight = List.filteri (fun i _ -> i < limit) sorted)
 
+(* Per-link counts against a naive n x n model. Sends are logged and
+   folded into the table when the log fills (512 entries) or before a
+   read, so each case sends up to 25 logs' worth, with reads
+   (every exact count, the whole table and the top links) at random
+   points between. *)
+let link_counts_match_model =
+  QCheck.Test.make ~name:"link_count(s), top_links = naive per-link counts" ~count:30
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size Gen.(int_range 0 13_000) (pair (int_range 0 1799) (int_range 0 35))))
+    (fun (cols, ops) ->
+      let sim = Sim.create () in
+      let platform = Platform.scc_mesh ~cols ~rows:1 in
+      let n = Platform.n_cores platform in
+      let net = Network.create sim platform ~active:n in
+      let model = Array.make (n * n) 0 in
+      let agrees = ref true in
+      (* Any accessor may be the first to read an unfolded log. *)
+      let read first =
+        let top () =
+          let naive = Network.top_pairs ~limit:5 n (fun src dst -> model.((src * n) + dst)) in
+          if Network.top_links ~limit:5 net <> naive then agrees := false
+        in
+        let all () = if Network.link_counts net <> model then agrees := false in
+        if first = 0 then top () else if first = 1 then all ();
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            if Network.link_count net ~src ~dst <> model.((src * n) + dst) then agrees := false
+          done
+        done;
+        top ();
+        all ()
+      in
+      Sim.spawn sim (fun () ->
+          List.iter
+            (fun (r, link) ->
+              let link = link mod (n * n) in
+              if r < 3 then read r
+              else begin
+                Network.send net ~src:(link / n) ~dst:(link mod n) ();
+                model.(link) <- model.(link) + 1
+              end)
+            ops;
+          read 0);
+      let _ = Sim.run sim () in
+      !agrees)
+
 let suite =
   [
     ("topology: SCC layout", `Quick, test_scc_layout);
@@ -244,4 +291,5 @@ let suite =
     ("network: poll cost", `Quick, test_network_try_recv_costs);
     ("network: flight time of every core pair", `Quick, test_network_flight_every_pair);
     QCheck_alcotest.to_alcotest top_pairs_matches_sort;
+    QCheck_alcotest.to_alcotest link_counts_match_model;
   ]

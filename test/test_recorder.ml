@@ -232,6 +232,44 @@ let test_observability_neutral () =
       ("all on", true, true);
     ]
 
+(* Byte pins, recorded before per-link counts moved behind the send
+   log, of a 512-core mesh run's flight-recorder stream and of its
+   JSON [network] section (its top links and latency sketch): the run
+   [tm2c-sim --platform mesh:16x16 --cores 512 --bench hashtable
+   --duration 2 --metrics-window-ms 0.05 --json]. The windows are
+   short enough that the link log is folded mid-fill by a window read,
+   not only when it fills. *)
+let mesh_spec =
+  {
+    Tm2c_harness.Shape.default with
+    bench = Tm2c_harness.Shape.Hashtable;
+    platform = Tm2c_noc.Platform.scc_mesh ~cols:16 ~rows:16;
+    cores = 512;
+    duration_ms = 2.0;
+  }
+
+let test_mesh_link_pins () =
+  let t = Tm2c_harness.Shape.runtime mesh_spec in
+  let buf = Buffer.create 65536 in
+  Runtime.enable_profiling t;
+  Runtime.enable_recorder t ~window_ns:0.05e6 ~out:(Buffer.add_string buf) ();
+  let r, _ = Tm2c_harness.Shape.run mesh_spec t in
+  let windows =
+    match Runtime.recorder t with Some rc -> Recorder.n_windows rc | None -> 0
+  in
+  let sent = Tm2c_noc.Network.sent (Runtime.env t).System.net in
+  check "windows are shorter than a full link log (512 sends)" true
+    (windows > 0 && sent / windows < 512 && sent > 512);
+  let network =
+    match Tm2c_harness.Report.run_json t r with
+    | Tm2c_harness.Json.Obj fields -> List.assoc "network" fields
+    | _ -> Alcotest.fail "run JSON is not an object"
+  in
+  Alcotest.(check string) "recorder stream MD5" "d9a960935229463b7228f79d49a807a3"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check string) "network section MD5" "efe192ce8226c5005a15f2c1e27f43ac"
+    (Digest.to_hex (Digest.string (Tm2c_harness.Json.to_string network)))
+
 let suite =
   [
     ("recorder: sketch quantiles match exact samples", `Quick,
@@ -245,4 +283,6 @@ let suite =
      test_constant_memory);
     ("recorder: observability is virtual-time neutral", `Quick,
      test_observability_neutral);
+    ("recorder: 512-core mesh link windows and network JSON pinned", `Quick,
+     test_mesh_link_pins);
   ]
