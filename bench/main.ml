@@ -1,7 +1,7 @@
 (* Benchmark harness entry point: regenerates every table and figure
    of the paper's evaluation (Sections 5-7). Run
    [dune exec bench/main.exe -- --list] for the index, or pass
-   experiment ids ("fig5c", "all", "micro", ...). *)
+   experiment ids ("fig5c", "all", "ratio", ...). *)
 
 open Cmdliner
 
@@ -13,7 +13,6 @@ let run_bench ids full smoke json check list_only =
         Printf.printf "  %-10s %s\n" e.Tm2c_harness.Harness.id
           e.Tm2c_harness.Harness.description)
       Tm2c_harness.Harness.all;
-    print_endline "  micro      Bechamel micro-benchmarks of core primitives";
     print_endline "  ratio      host events/s at 512 vs 96 cores on the 16x16 mesh"
   end
   else begin
@@ -23,15 +22,14 @@ let run_bench ids full smoke json check list_only =
       else Tm2c_harness.Exp.quick
     in
     Printf.printf "TM2C benchmark harness (scale: %s)\n%!" scale.Tm2c_harness.Exp.label;
-    let ids = if ids = [] then [ "all"; "micro" ] else ids in
-    let micro = List.mem "micro" ids and ratio = List.mem "ratio" ids in
-    let ids = List.filter (fun id -> id <> "micro" && id <> "ratio") ids in
+    let ids = if ids = [] then [ "all" ] else ids in
+    let ratio = List.mem "ratio" ids in
+    let ids = List.filter (fun id -> id <> "ratio") ids in
     let failures =
       if ids <> [] then
         Tm2c_harness.Harness.run_ids ?json ~check ids scale
       else 0
     in
-    if micro then Micro.run ();
     if ratio then begin
       (* Smoke scale only shows that the measurement runs. *)
       let runs, duration_ms = if smoke then (1, 1.0) else (10, 20.0) in
@@ -43,14 +41,18 @@ let run_bench ids full smoke json check list_only =
     end
   end
 
+(* An unknown id is a usage error before anything runs. *)
 let ids_arg =
   let doc =
-    "Experiment ids to run (e.g. fig5a). Default: all + micro. 'micro' runs \
-     the Bechamel micro-benchmarks; 'ratio' times the hash-table mix on the \
-     16x16 mesh at 96 and 512 cores (10 alternating pairs of 20 virtual ms; \
-     one pair of 1 ms with --smoke) and prints the 512/96 events/s ratio."
+    "Experiment ids to run (e.g. fig5a). Default: all. 'ratio' times the \
+     hash-table mix on the 16x16 mesh at 96 and 512 cores (10 alternating \
+     pairs of 20 virtual ms; one pair of 1 ms with --smoke) and prints the \
+     512/96 events/s ratio."
   in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  Term.term_result' ~usage:true
+    Term.(
+      const Tm2c_harness.Harness.check_ids
+      $ Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc))
 
 let full_arg =
   let doc = "Run at paper scale (longer windows, bigger structures)." in

@@ -103,8 +103,3 @@ let attempt_ns t ~core = t.attempt_ns.(core)
    rounding) when every flushed duration was charged to some phase. *)
 let phase_total t ~core = Array.fold_left ( +. ) 0.0 t.sums.(core)
 
-let reset t =
-  Array.iter (Array.iter Sketch.reset) t.sketches;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.0) t.sums;
-  Array.fill t.attempts 0 (Array.length t.attempts) 0;
-  Array.fill t.attempt_ns 0 (Array.length t.attempt_ns) 0.0

@@ -61,5 +61,3 @@ val attempt_ns : t -> core:int -> float
 
 (** Sum of {!sum} over all phases for one core. *)
 val phase_total : t -> core:int -> float
-
-val reset : t -> unit

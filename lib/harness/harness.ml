@@ -28,6 +28,13 @@ let all =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
+let unknown id = Printf.sprintf "unknown experiment %S" id
+
+let check_ids ids =
+  match List.find_opt (fun id -> id <> "all" && id <> "ratio" && find id = None) ids with
+  | Some id -> Error (unknown id)
+  | None -> Ok ids
+
 let run_ids ?json ?(check = false) ids scale =
   let ids = if List.mem "all" ids then List.map (fun e -> e.id) all else ids in
   (* With an export file, every run each experiment performs is
@@ -108,7 +115,7 @@ let run_ids ?json ?(check = false) ids scale =
           let dt = Unix.gettimeofday () -. t0 in
           total_s := !total_s +. dt;
           Printf.printf "(%s finished in %.1fs host time)\n%!" e.id dt
-      | None -> invalid_arg (Printf.sprintf "unknown experiment %S" id))
+      | None -> invalid_arg (unknown id))
     ids;
   Printf.printf "(total: %.1fs host time)\n%!" !total_s;
   (match json with

@@ -11,6 +11,12 @@ val all : experiment list
 
 val find : string -> experiment option
 
+(** [check_ids ids] is [Ok ids] when every id names an experiment, is
+    ["all"], or is ["ratio"] (the benchmark executable's core-count
+    ratio measurement); otherwise an error naming the first unknown
+    id. *)
+val check_ids : string list -> (string list, string) result
+
 (** [run_ids ?json ?check ids scale] runs the named experiments
     (["all"] expands to every experiment), printing each one's host
     seconds and then their total; raises [Invalid_argument] on unknown

@@ -50,8 +50,6 @@ val term : t Cmdliner.Term.t
     named constructors). *)
 val args : t -> string list
 
-val config : t -> Tm2c_core.Runtime.config
-
 (** A runtime for [t]'s config with its fault plan, hardening and
     replication installed. *)
 val runtime : t -> Tm2c_core.Runtime.t

@@ -19,20 +19,19 @@ type 'a t = {
      bit-for-bit identical to computing it per call. *)
   send_oh : float;
   poll_cost : float;  (* fruitless scan over all active cores' flags *)
-  tile_x : int array;  (* per core: mesh column of its tile *)
-  tile_y : int array;  (* per core: mesh row of its tile *)
+  tile_x : int array;  (* per platform core: mesh column of its tile *)
+  tile_y : int array;  (* per platform core: mesh row of its tile *)
   flight_tab : float array;  (* [hops] = Platform.flight_of_hops *)
   cycles_tab : float array;  (* [c] = Platform.cycles_ns, -1.0 = unset *)
-  boxes : 'a Mailbox.t array;
+  boxes : 'a Mailbox.t array;  (* per active core *)
   mutable n_sent : int;
   metrics : metrics;
-  (* Per-link send counts. A send appends [src * n + dst] to [log], a
-     sequential write that stays in L1; the log is folded into the
-     flat n*n [links] table when it fills and before any read. A
-     direct increment would write one random line of the n*n table per
-     message, 2 MB at 512 cores. *)
-  n : int;
-  links : int array;  (* [src * n + dst]: messages sent, up to the last fold *)
+  (* Per-link send counts over the active cores. A send appends
+     [src * active + dst] to [log], a sequential write that stays in
+     L1; the log is folded into the flat [links] table when it fills
+     and before any read. A direct increment would write one random
+     line of the table per message, 2 MB at 512 cores. *)
+  links : int array;  (* [src * active + dst]: messages sent, up to the last fold *)
   log : int array;
   mutable log_len : int;
   mutable faults : Fault.t option;
@@ -46,8 +45,11 @@ let cycles_memo = 2048
    32 KB log slowed the 48-core checked workload by about 4%). *)
 let log_cap = 512
 
+(* The mailboxes and the link table are sized by the run's [active]
+   cores, not the platform's: a platform-sized link table is 134 MB on
+   the 4,096-core mesh, whatever the run. The coordinate and hop
+   tables stay platform-wide, so [flight_ns] answers for every pair. *)
 let create sim platform ~active =
-  let n = Platform.n_cores platform in
   let topo = platform.Platform.topology in
   let tile_x, tile_y = Topology.core_xy topo in
   (* Coordinates start at 0, so no XY route is longer than this. *)
@@ -64,7 +66,7 @@ let create sim platform ~active =
       Array.init (max_hops + 1) (fun hops -> Platform.flight_of_hops platform ~active ~hops);
     cycles_tab = Array.make cycles_memo (-1.0);
     boxes =
-      Array.init n (fun _ ->
+      Array.init active (fun _ ->
           Mailbox.create ~recv_charge_ns:(Platform.recv_overhead_ns platform) sim);
     n_sent = 0;
     metrics =
@@ -73,8 +75,7 @@ let create sim platform ~active =
         poll_scans = 0;
         poll_scan_ns = 0.0;
       };
-    n;
-    links = Array.make (n * n) 0;
+    links = Array.make (active * active) 0;
     log = Array.make log_cap 0;
     log_len = 0;
     faults = None;
@@ -83,6 +84,20 @@ let create sim platform ~active =
 let set_faults net f = net.faults <- f
 
 let platform net = net.platform
+
+let active net = net.active
+
+(* [lib/noc] builds with [-unsafe], so a core outside the run would
+   read or write past a per-core table instead of raising. *)
+let[@inline never] outside fn net core =
+  invalid_arg
+    (Printf.sprintf "Network.%s: core %d outside the run's %d cores" fn core net.active)
+
+let check net fn core = if core < 0 || core >= net.active then outside fn net core
+
+let box net fn core =
+  check net fn core;
+  net.boxes.(core)
 
 let metrics net = net.metrics
 
@@ -96,13 +111,15 @@ let fold_links net =
 
 let log_link net ~src ~dst =
   let i = net.log_len in
-  net.log.(i) <- (src * net.n) + dst;
+  net.log.(i) <- (src * net.active) + dst;
   net.log_len <- i + 1;
   if i + 1 = log_cap then fold_links net
 
 let link_count net ~src ~dst =
+  check net "link_count" src;
+  check net "link_count" dst;
   if net.log_len > 0 then fold_links net;
-  net.links.((src * net.n) + dst)
+  net.links.((src * net.active) + dst)
 
 let link_counts net =
   fold_links net;
@@ -143,7 +160,9 @@ let send_faulty net f ~src ~dst ~flight ~at msg =
   end
   else deliver_at at
 
-let send_msg net ~src ~dst ~faulty msg =
+let send_msg net ~fn ~src ~dst ~faulty msg =
+  check net fn src;
+  check net fn dst;
   (* Self-profiler: attribute the current scheduler dispatch to the
      message layer (no-op unless a host clock is injected into the
      simulation; see Sim.prof_mark). *)
@@ -158,7 +177,7 @@ let send_msg net ~src ~dst ~faulty msg =
   | Some f when faulty -> send_faulty net f ~src ~dst ~flight ~at msg
   | _ -> Mailbox.send_at net.boxes.(dst) ~at msg
 
-let send net ~src ~dst msg = send_msg net ~src ~dst ~faulty:true msg
+let send net ~src ~dst msg = send_msg net ~fn:"send" ~src ~dst ~faulty:true msg
 
 (* The primary->backup replication channel is modeled as reliable FIFO
    (as if link-layer acked): it pays the same software overhead and
@@ -166,22 +185,23 @@ let send net ~src ~dst msg = send_msg net ~src ~dst ~faulty:true msg
    one dropped replication message would silently diverge the backup's
    replica from what the primary granted — a failure mode the epoch
    protocol does not claim to survive (see DESIGN.md "Failover"). *)
-let send_reliable net ~src ~dst msg = send_msg net ~src ~dst ~faulty:false msg
+let send_reliable net ~src ~dst msg =
+  send_msg net ~fn:"send_reliable" ~src ~dst ~faulty:false msg
 
-let recv net ~self = Mailbox.recv net.boxes.(self)
+let recv net ~self = Mailbox.recv (box net "recv" self)
 
 (* Non-suspending take used by the service loop's batch drain: when a
    message has already arrived it is taken with exactly [recv]'s
    virtual-time charge; when the mailbox is empty nothing is charged
    (unlike [try_recv]'s fruitless-scan cost) and the caller falls back
    to a blocking [recv]. *)
-let recv_pending net ~self = Mailbox.try_recv net.boxes.(self)
+let recv_pending net ~self = Mailbox.try_recv (box net "recv_pending" self)
 
 let recv_timeout net ~self ~timeout_ns =
-  Mailbox.recv_timeout net.boxes.(self) ~timeout_ns
+  Mailbox.recv_timeout (box net "recv_timeout" self) ~timeout_ns
 
 let try_recv net ~self =
-  match Mailbox.try_recv net.boxes.(self) with
+  match Mailbox.try_recv (box net "try_recv" self) with
   | Some _ as msg -> msg
   | None ->
       (* A fruitless scan over the flags of all active cores. *)
@@ -191,7 +211,7 @@ let try_recv net ~self =
       Sim.delay cost;
       None
 
-let pending net ~self = Mailbox.length net.boxes.(self)
+let pending net ~self = Mailbox.length (box net "pending" self)
 
 let sent net = net.n_sent
 
@@ -227,7 +247,7 @@ let top_pairs ~limit n weight =
 
 let top_links ?(limit = 16) net =
   fold_links net;
-  let n = net.n and links = net.links in
+  let n = net.active and links = net.links in
   top_pairs ~limit n (fun src dst -> links.((src * n) + dst))
 
 (* Memoized cycles->ns conversion: the DTM charges a handful of

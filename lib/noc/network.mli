@@ -19,9 +19,17 @@ type metrics = {
   mutable poll_scan_ns : float;  (** virtual ns burned by those scans *)
 }
 
+(** [create sim platform ~active] — a network for a run on cores
+    [0 .. active - 1] of [platform]. Every call that names a sending
+    or receiving core raises [Invalid_argument] for a core outside
+    that range. *)
 val create : Tm2c_engine.Sim.t -> Platform.t -> active:int -> 'a t
 
 val platform : 'a t -> Platform.t
+
+(** The run's core count [active]: the width of the per-link table
+    ({!link_counts}). *)
+val active : 'a t -> int
 
 (** [flight_ns net ~src ~dst] — a message's in-flight time from [src]
     to [dst]: {!Platform.flight_ns} at this network's [active] width,
@@ -86,7 +94,7 @@ val metrics : 'a t -> metrics
 val link_count : 'a t -> src:int -> dst:int -> int
 
 (** Every link's {!link_count} at once, in a fresh array indexed
-    [src * n + dst] for the platform's [n] cores. *)
+    [src * n + dst] for the run's [n = active] cores. *)
 val link_counts : 'a t -> int array
 
 (** Busiest (src, dst, count) links, descending; at most [limit]

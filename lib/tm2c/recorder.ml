@@ -54,7 +54,7 @@ type t = {
   sketches : tracked_sketch list;
   span_windows : Sketch.window array array;  (* [core].(phase), over span_commit *)
   span_scratch : Sketch.t array;  (* per-phase merge target, reused each tick *)
-  prev_links : int array;  (* [src * n_cores + dst]: count at the last roll *)
+  prev_links : int array;  (* [src * active + dst]: count at the last roll *)
   prev_servers : (int, server_prev) Hashtbl.t;
   prev_blame : (Obs.key, int) Hashtbl.t;
   ev_counts : int array;
@@ -345,7 +345,7 @@ let emit_window t ~t_ns ~full =
           (float_of_int e))
       fo.System.fo_epoch;
   (* Top-K busiest NoC links this window. *)
-  let n = Platform.n_cores (Network.platform net) in
+  let n = Network.active net in
   let top =
     Network.top_pairs ~limit:t.top_k n (fun src dst ->
         let c = Network.link_count net ~src ~dst in

@@ -15,6 +15,18 @@ let minor_words f =
   f ();
   Gc.minor_words () -. w0
 
+(* Minor words per call of [f], the fewest of 20 calls after 20
+   warm-up calls, over the [units] it handles. *)
+let words_per ~units f =
+  for _ = 1 to 20 do
+    f ()
+  done;
+  let w = ref infinity in
+  for _ = 1 to 20 do
+    w := Float.min !w (minor_words f)
+  done;
+  !w /. float_of_int units
+
 (* One read-lock round trip on an idle machine: one app core reads one
    word inside a transaction, and nothing else runs. The words counted
    are the request message (the [Req] and request records, the
@@ -110,15 +122,7 @@ let test_words_per_request () =
    its float time is not boxed. *)
 let window_words sim ~events =
   let module Sim = Tm2c_engine.Sim in
-  let step () = ignore (Sim.run sim ~until:(Sim.now sim +. 500.0) ()) in
-  for _ = 1 to 20 do
-    step ()
-  done;
-  let w = ref infinity in
-  for _ = 1 to 20 do
-    w := Float.min !w (minor_words step)
-  done;
-  !w /. float_of_int events
+  words_per ~units:events (fun () -> ignore (Sim.run sim ~until:(Sim.now sim +. 500.0) ()))
 
 (* Two processes each [delay 1.0] in a loop, so the event set is never
    empty and no delay is elided: 1,000 suspending delays per window.
@@ -179,6 +183,31 @@ let test_delivery_words () =
   check (Printf.sprintf "%.3f words per delivery <= %.1f" w delivery_budget) true
     (w <= delivery_budget)
 
+(* One event per row of the description table, made fresh on each
+   call as at an emit site: [fresh j] is row [j mod] the row count. *)
+let event_rows =
+  Array.of_list
+    (List.mapi
+       (fun i (k : Event.kind) ->
+         let value (name, (ty : Event.ty)) : Event.value =
+           match ty with
+           | T_int -> Int (1000 + i)
+           | T_float -> Float (1234.5 *. float_of_int i)
+           | T_bool -> Bool (i mod 2 = 0)
+           | T_ints -> Ints [ 4096 + i; 8192 + i ]
+           | T_str -> (
+               match name with
+               | "conflict" -> Str (Types.conflict_to_string Types.Waw)
+               | "reason" -> Str (Types.shed_reason_to_string Types.Shed_no_tokens)
+               | _ -> Str "write_locks")
+         in
+         (k.tag, List.map value k.fields))
+       Event.kinds)
+
+let fresh j =
+  let tag, vs = event_rows.(j mod Array.length event_rows) in
+  Result.get_ok (Event.of_fields tag vs)
+
 (* The trace ring keeps no boxed event. Once the ring is full a record
    overwrites flat columns, so the event the sink and tap saw dies
    young and nothing is promoted. The events are made fresh, as at an
@@ -188,29 +217,6 @@ let test_delivery_words () =
    promotes 4.3 words per event on this mix. *)
 let ring_promoted_words () =
   let module Trace = Tm2c_engine.Trace in
-  let rows =
-    Array.of_list
-      (List.mapi
-         (fun i (k : Event.kind) ->
-           let value (name, (ty : Event.ty)) : Event.value =
-             match ty with
-             | T_int -> Int (1000 + i)
-             | T_float -> Float (1234.5 *. float_of_int i)
-             | T_bool -> Bool (i mod 2 = 0)
-             | T_ints -> Ints [ 4096 + i; 8192 + i ]
-             | T_str -> (
-                 match name with
-                 | "conflict" -> Str (Types.conflict_to_string Types.Waw)
-                 | "reason" -> Str (Types.shed_reason_to_string Types.Shed_no_tokens)
-                 | _ -> Str "write_locks")
-           in
-           (k.tag, List.map value k.fields))
-         Event.kinds)
-  in
-  let fresh j =
-    let tag, vs = rows.(j mod Array.length rows) in
-    Result.get_ok (Event.of_fields tag vs)
-  in
   let capacity = 65_536 and n = 200_000 in
   let tr = Trace.create ~capacity ~codec:Event.ring_codec () in
   Trace.enable tr;
@@ -234,6 +240,58 @@ let test_ring_promotes_nothing () =
     (Printf.sprintf "%.4f words promoted per recorded event <= %.2f" w ring_promoted_budget)
     true
     (w <= ring_promoted_budget)
+
+(* One history-log line per row of the description table, written to
+   the null device. The events are made before the count; each line
+   is built in the writer's buffer, its floats in the writer's scratch
+   bytes. *)
+let histlog_line_words () =
+  let module Histlog = Tm2c_check.Histlog in
+  let events = Array.init (Array.length event_rows) fresh in
+  let w = Histlog.create_writer Filename.null in
+  let words =
+    words_per ~units:(Array.length events) (fun () ->
+        Array.iteri (fun i ev -> Histlog.put w (3.9e7 +. (0.3 *. float_of_int i)) ev) events)
+  in
+  Histlog.close_writer w;
+  words
+
+(* 19.33 words measured with OCaml 5.1.1; the margin is less than one
+   float box (2 words), so a box per line fails. *)
+let histlog_line_budget = 21.0
+
+let test_histlog_line_words () =
+  let w = histlog_line_words () in
+  check (Printf.sprintf "%.3f words per history-log line <= %.1f" w histlog_line_budget) true
+    (w <= histlog_line_budget)
+
+(* A Perfetto timeline's numbers printed by {!Tm2c_harness.Json}: 32
+   timestamps and 32 durations in µs from virtual ns, with the
+   fractional ns that sums of link and service delays leave. The
+   document is made before the count, which so holds the printer's
+   buffer and the result string, shared by the 64 floats, and what
+   printing each float allocates. *)
+let json_float_words () =
+  let module Json = Tm2c_harness.Json in
+  let floats =
+    Json.List
+      (List.init 64 (fun i ->
+           let ns =
+             if i mod 2 = 0 then 3.9e7 +. (1234.567 *. float_of_int i)
+             else 250.0 +. (41.3 *. float_of_int i)
+           in
+           Json.Float (ns /. 1000.0)))
+  in
+  words_per ~units:64 (fun () -> ignore (Json.to_string ~indent:false floats))
+
+(* 3.75 words measured with OCaml 5.1.1 (3.50 at 128 floats, where the
+   fixed share is smaller); the margin is less than one float box. *)
+let json_float_budget = 5.0
+
+let test_json_float_words () =
+  let w = json_float_words () in
+  check (Printf.sprintf "%.3f words per JSON float <= %.1f" w json_float_budget) true
+    (w <= json_float_budget)
 
 (* [Sim.now] read from outside lib/engine. The build is not opaque
    (../dune-workspace), so the call inlines to a field load and the
@@ -266,4 +324,6 @@ let suite =
     ("alloc: port delivery allocates nothing in the engine", `Quick, test_delivery_words);
     ("alloc: a full trace ring promotes no event", `Quick, test_ring_promotes_nothing);
     ("alloc: Sim.now allocates nothing", `Quick, test_now_words);
+    ("alloc: words per history-log line", `Quick, test_histlog_line_words);
+    ("alloc: words per JSON float printed", `Quick, test_json_float_words);
   ]

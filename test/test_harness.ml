@@ -144,6 +144,18 @@ let test_unknown_rejected () =
     (Invalid_argument "unknown experiment \"nope\"") (fun () ->
       ignore (Harness.run_ids [ "nope" ] micro_scale))
 
+(* The benchmark executable checks its ids before it runs anything:
+   experiment ids, "all" and "ratio" pass through, and the first
+   unknown id is named, whatever comes before it. *)
+let test_check_ids () =
+  let result = Alcotest.(result (list string) string) in
+  let ok = [ "fig8a"; "all"; "ratio"; "fig_overload" ] in
+  Alcotest.check result "known ids" (Ok ok) (Harness.check_ids ok);
+  Alcotest.check result "no ids" (Ok []) (Harness.check_ids []);
+  Alcotest.check result "first unknown id named"
+    (Error "unknown experiment \"bogus\"")
+    (Harness.check_ids [ "fig8a"; "bogus"; "micro" ])
+
 (* The run spec's printer against its parser: the flags [Shape.args]
    prints for a spec parse back to that spec. The fuzz shapes as the
    fuzzer runs them (seeded, hardened, faulted, replicated), its wedge
@@ -293,6 +305,7 @@ let suite =
   [
     ("registry complete", `Quick, test_registry);
     ("unknown experiment rejected", `Quick, test_unknown_rejected);
+    ("experiment ids checked before running", `Quick, test_check_ids);
     ("run spec flags round-trip", `Quick, test_shape_round_trip);
     ("impossible run specs are usage errors", `Quick, test_shape_impossible);
     ("settings", `Quick, test_experiment "settings");

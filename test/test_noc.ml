@@ -177,6 +177,29 @@ let test_network_try_recv_costs () =
   let _ = Sim.run sim () in
   ()
 
+(* A network built for a 2-core run refuses every other core before
+   it touches a mailbox or the link table: the library builds with
+   [-unsafe], so an unchecked index would read past the table. *)
+let test_network_rejects_outside_cores () =
+  let net = Network.create (Sim.create ()) Platform.scc ~active:2 in
+  let raises what msg f = Alcotest.check_raises what (Invalid_argument msg) f in
+  raises "send to a core past the run" "Network.send: core 2 outside the run's 2 cores"
+    (fun () -> Network.send net ~src:0 ~dst:2 ());
+  raises "send from a negative core" "Network.send: core -1 outside the run's 2 cores"
+    (fun () -> Network.send net ~src:(-1) ~dst:1 ());
+  raises "reliable send past the run"
+    "Network.send_reliable: core 47 outside the run's 2 cores" (fun () ->
+      Network.send_reliable net ~src:0 ~dst:47 ());
+  raises "recv" "Network.recv: core 2 outside the run's 2 cores" (fun () ->
+      ignore (Network.recv net ~self:2));
+  raises "recv_timeout" "Network.recv_timeout: core 3 outside the run's 2 cores" (fun () ->
+      ignore (Network.recv_timeout net ~self:3 ~timeout_ns:10.0));
+  raises "try_recv" "Network.try_recv: core 2 outside the run's 2 cores" (fun () ->
+      ignore (Network.try_recv net ~self:2));
+  raises "link_count" "Network.link_count: core 2 outside the run's 2 cores" (fun () ->
+      ignore (Network.link_count net ~src:1 ~dst:2));
+  Alcotest.(check int) "nothing sent" 0 (Network.sent net)
+
 (* Every core pair's flight time against the per-pair expression the
    network once tabulated, bit for bit: hops x hop latency + active
    cores x poll cost. *)
@@ -290,6 +313,7 @@ let suite =
     ("network: FIFO per pair", `Quick, test_network_fifo_per_pair);
     ("network: poll cost", `Quick, test_network_try_recv_costs);
     ("network: flight time of every core pair", `Quick, test_network_flight_every_pair);
+    ("network: cores outside the run rejected", `Quick, test_network_rejects_outside_cores);
     QCheck_alcotest.to_alcotest top_pairs_matches_sort;
     QCheck_alcotest.to_alcotest link_counts_match_model;
   ]
