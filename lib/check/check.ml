@@ -2,10 +2,11 @@
    and render a human-readable verdict plus (on failure) a witness.
 
    [run] consumes the event stream through an iterator in a single
-   pass — the history builder, the lockset shadow, the crash set and
-   the horizon are all fed per event — then runs the serializability/
-   opacity oracle and the liveness monitor over the assembled
-   history. For the online (bounded-memory) form see {!Stream}. *)
+   pass — the history builder (whose closing attempts feed the
+   liveness monitor), the lockset shadow, the crash set and the
+   horizon are all fed per event — then runs the serializability/
+   opacity oracle over the assembled history. For the online
+   (bounded-memory) form see {!Stream}. *)
 
 type result = {
   history : History.t;
@@ -16,9 +17,10 @@ type result = {
 
 let default_liveness_budget = 1000
 
-let run ?(liveness_budget = default_liveness_budget) ?stuck_after_ns
-    ?(opacity = true) iter =
-  let hb = History.builder () in
+let run ?(liveness_budget = default_liveness_budget)
+    ?(stuck_after_ns = infinity) ?(opacity = true) iter =
+  let lv = Liveness.create ~budget:liveness_budget in
+  let hb = History.builder ~on_close:(Liveness.close lv) () in
   let ls = Lockset.create () in
   (* Crash-stopped cores are exempt from wedge detection (their open
      attempt is the crash); the horizon is the last traced instant,
@@ -38,8 +40,7 @@ let run ?(liveness_budget = default_liveness_budget) ?stuck_after_ns
     serial = Serial.analyze ~opacity history;
     lockset = Lockset.finish ls;
     liveness =
-      Liveness.analyze ~budget:liveness_budget ?stuck_after_ns
-        ~crashed:(List.rev !crashed) ~horizon_ns:!horizon history;
+      Liveness.finish lv ~horizon:!horizon ~crashed:!crashed ~stuck_after_ns;
   }
 
 let iter_of_list events f = List.iter (fun (t, e) -> f t e) events
@@ -58,22 +59,8 @@ let n_failures r =
 
 let passed r = n_failures r = 0
 
-let txn_label (r : result) i =
-  let a = r.serial.Serial.txns.(i) in
-  Format.asprintf "T%d[core %d attempt %d, published @%.0fns]" i
-    a.History.a_core a.History.a_number a.History.a_publish_time
-
-let count_outcomes (h : History.t) =
-  List.fold_left
-    (fun (c, ab, u) (a : History.attempt) ->
-      match a.History.a_outcome with
-      | History.Committed _ -> (c + 1, ab, u)
-      | History.Aborted _ -> (c, ab + 1, u)
-      | History.Unfinished -> (c, ab, u + 1))
-    (0, 0, 0) h.History.attempts
-
 let pp_summary fmt r =
-  let committed, aborted, unfinished = count_outcomes r.history in
+  let committed, aborted, unfinished = History.count_outcomes r.history in
   let status ok = if ok then "OK  " else "FAIL" in
   Format.fprintf fmt
     "history  %s  %d events, %d attempts (%d committed, %d aborted, %d \
@@ -108,82 +95,20 @@ let pp_summary fmt r =
     r.liveness.Liveness.budget
     (List.length r.liveness.Liveness.stuck)
 
-let pp_inconsistent_read fmt (ir : Serial.inconsistent_read) =
-  let pp_pub fmt p =
-    if p < 0 then Format.fprintf fmt "the initial state"
-    else Format.fprintf fmt "the version published @seq %d" p
-  in
-  Format.fprintf fmt
-    "  core %d attempt %d (seqs %d..%d) mixed two snapshots:@.    read addr=%d \
-     value=%d @seq %d — %a@.    read addr=%d value=%d @seq %d — %a@.  no \
-     single memory snapshot explains both reads@."
-    ir.Serial.ir_core ir.Serial.ir_attempt ir.Serial.ir_start_seq
-    ir.Serial.ir_end_seq ir.Serial.ir_addr1 ir.Serial.ir_value1
-    ir.Serial.ir_seq1 pp_pub ir.Serial.ir_pub1 ir.Serial.ir_addr2
-    ir.Serial.ir_value2 ir.Serial.ir_seq2 pp_pub ir.Serial.ir_pub2
-
 let pp_witness fmt r =
-  if r.history.History.anomalies <> [] then begin
-    Format.fprintf fmt "@.== history anomalies (verdicts below are void) ==@.";
-    List.iter
-      (fun (an : History.anomaly) ->
-        Format.fprintf fmt "  seq %d @%.0fns: %s@." an.History.an_seq
-          an.History.an_time an.History.an_message)
-      r.history.History.anomalies
-  end;
-  List.iter
-    (fun msg -> Format.fprintf fmt "@.== value corruption ==@.  %s@." msg)
-    r.serial.Serial.corruption;
-  (match r.serial.Serial.cycle with
-  | None -> ()
-  | Some c ->
-      Format.fprintf fmt
-        "@.== serializability violation: conflict-graph cycle ==@.";
-      List.iter
-        (fun (e : Serial.edge) ->
-          Format.fprintf fmt "  %s --%s addr=%d @seq %d--> %s@."
-            (txn_label r e.Serial.e_from)
-            (Serial.edge_kind_to_string e.Serial.e_kind)
-            e.Serial.e_addr e.Serial.e_seq
-            (txn_label r e.Serial.e_to))
-        c.Serial.c_edges;
-      Format.fprintf fmt
-        "  no serial order of these transactions explains the observed reads@.");
-  if r.serial.Serial.opacity <> [] then begin
-    Format.fprintf fmt "@.== opacity violations: inconsistent reads ==@.";
-    List.iter (pp_inconsistent_read fmt) r.serial.Serial.opacity
-  end;
-  if r.lockset.Lockset.violations <> [] then begin
-    Format.fprintf fmt "@.== lock protocol violations ==@.";
-    List.iter
-      (fun (v : Lockset.violation) ->
-        Format.fprintf fmt "  seq %d @%.0fns: %s@." v.Lockset.v_seq
-          v.Lockset.v_time v.Lockset.v_message)
-      r.lockset.Lockset.violations
-  end;
-  if r.liveness.Liveness.violations <> [] then begin
-    Format.fprintf fmt "@.== liveness violations ==@.";
-    List.iter
-      (fun (ch : Liveness.chain) ->
-        Format.fprintf fmt
-          "  core %d aborted %d consecutive attempts (from attempt %d, \
-           %.0fns..%.0fns) — budget %d@."
-          ch.Liveness.ch_core ch.Liveness.ch_len ch.Liveness.ch_first_attempt
-          ch.Liveness.ch_start_time ch.Liveness.ch_end_time
-          r.liveness.Liveness.budget)
-      r.liveness.Liveness.violations
-  end;
-  if r.liveness.Liveness.stuck <> [] then begin
-    Format.fprintf fmt "@.== wedged cores ==@.";
-    List.iter
-      (fun (s : Liveness.stuck) ->
-        Format.fprintf fmt
-          "  core %d: attempt %d open since %.0fns, no progress for %.0fns — \
-           likely waiting on a dead lock server@."
-          s.Liveness.st_core s.Liveness.st_attempt s.Liveness.st_since_ns
-          s.Liveness.st_idle_ns)
-      r.liveness.Liveness.stuck
-  end
+  let label i =
+    let a = r.serial.Serial.txns.(i) in
+    Serial.txn_label i ~core:a.History.a_core ~attempt:a.History.a_number
+      ~published:a.History.a_publish_time
+  in
+  History.pp_anomalies fmt r.history.History.anomalies;
+  Serial.pp_corruption fmt r.serial.Serial.corruption;
+  Option.iter
+    (fun c -> Serial.pp_cycle ~label fmt c.Serial.c_edges)
+    r.serial.Serial.cycle;
+  Serial.pp_opacity fmt r.serial.Serial.opacity;
+  Lockset.pp_witness fmt r.lockset;
+  Liveness.pp_witness fmt r.liveness
 
 let report_string r =
   Format.asprintf "%a%a" pp_summary r pp_witness r

@@ -1,10 +1,10 @@
 (** Checker orchestration.
 
     [run iter] makes a single pass over the event stream (feeding the
-    history builder, the lockset shadow, the crash set and the
+    history builder, whose closing attempts feed the liveness monitor
+    ({!Liveness}), the lockset shadow, the crash set and the
     horizon), then runs the serializability + opacity oracle
-    ({!Serial}) and the liveness monitor ({!Liveness}) over the
-    assembled history. The stream comes from a live {!Collector}
+    ({!Serial}) over the assembled history. The stream comes from a live {!Collector}
     ([run (Collector.iter c)]), a {!Histlog} file, or a list
     ({!run_list}). For the online bounded-memory checker see
     {!Stream}. *)
@@ -19,7 +19,7 @@ type result = {
 val default_liveness_budget : int
 
 (** [stuck_after_ns] arms the liveness monitor's wedge detection
-    (see {!Liveness.analyze}); crashed cores and the horizon are
+    (see {!Liveness.finish}; default [infinity], off); crashed cores and the horizon are
     derived from the event stream itself. [opacity] (default [true])
     snapshot-checks aborted and pre-publish-truncated attempts. The
     iterator is invoked exactly once. *)
@@ -51,14 +51,14 @@ val passed : result -> bool
 (** One line per checker: OK/FAIL plus headline numbers. *)
 val pp_summary : Format.formatter -> result -> unit
 
-(** Full violation detail; for a conflict-graph cycle, the minimal
-    witness — offending transactions and, per hop, the edge kind,
-    address, and inducing sequence point. Empty when {!passed}. *)
+(** Full violation detail, each checker's own witness section in
+    turn (the streaming report composes the same sections): history
+    anomalies, value corruption, for a conflict-graph cycle the
+    minimal witness (offending transactions and, per hop, the edge
+    kind, address, and inducing sequence point), opacity witnesses,
+    lock violations, abort chains and wedged cores. Empty when
+    {!passed}. *)
 val pp_witness : Format.formatter -> result -> unit
-
-(** Render one opacity witness (shared with the streaming checker's
-    report). *)
-val pp_inconsistent_read : Format.formatter -> Serial.inconsistent_read -> unit
 
 (** Summary followed by witness, as a string. *)
 val report_string : result -> string

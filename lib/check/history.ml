@@ -274,3 +274,22 @@ let finish b =
     n_events = b.b_n_events;
     n_orphans = b.b_n_orphans;
   }
+
+let count_outcomes h =
+  List.fold_left
+    (fun (c, ab, u) a ->
+      match a.a_outcome with
+      | Committed _ -> (c + 1, ab, u)
+      | Aborted _ -> (c, ab + 1, u)
+      | Unfinished -> (c, ab, u + 1))
+    (0, 0, 0) h.attempts
+
+let pp_anomalies fmt = function
+  | [] -> ()
+  | anomalies ->
+      Format.fprintf fmt "@.== history anomalies (verdicts below are void) ==@.";
+      List.iter
+        (fun an ->
+          Format.fprintf fmt "  seq %d @%.0fns: %s@." an.an_seq an.an_time
+            an.an_message)
+        anomalies

@@ -107,3 +107,9 @@ val watermark : builder -> int
 (** Close every still-open attempt as [Unfinished] (firing [on_close])
     and return the assembled history. *)
 val finish : builder -> t
+
+(** (committed, aborted, unfinished) attempts of a history. *)
+val count_outcomes : t -> int * int * int
+
+(** The history-anomaly witness section; empty when there are none. *)
+val pp_anomalies : Format.formatter -> anomaly list -> unit

@@ -374,3 +374,12 @@ let analyze iter =
   let t = create () in
   iter (fun time ev -> feed t time ev);
   finish t
+
+let pp_witness fmt (r : report) =
+  if r.violations <> [] then begin
+    Format.fprintf fmt "@.== lock protocol violations ==@.";
+    List.iter
+      (fun v ->
+        Format.fprintf fmt "  seq %d @%.0fns: %s@." v.v_seq v.v_time v.v_message)
+      r.violations
+  end

@@ -34,3 +34,7 @@ val finish : t -> report
 val analyze : ((float -> Tm2c_core.Event.t -> unit) -> unit) -> report
 
 val ok : report -> bool
+
+(** The lock-protocol witness section, one line per violation; empty
+    when {!ok}. *)
+val pp_witness : Format.formatter -> report -> unit

@@ -473,3 +473,44 @@ let analyze ?(opacity = true) (h : History.t) =
     opacity = List.rev !opacity_violations;
     n_opacity_checked = !n_opacity_checked;
   }
+
+(* --- Witness rendering, shared by the batch and streaming checkers. --- *)
+
+let txn_label id ~core ~attempt ~published =
+  Printf.sprintf "T%d[core %d attempt %d, published @%.0fns]" id core attempt
+    published
+
+let pp_corruption fmt corruption =
+  List.iter
+    (fun msg -> Format.fprintf fmt "@.== value corruption ==@.  %s@." msg)
+    corruption
+
+let pp_cycle ~label fmt edges =
+  Format.fprintf fmt "@.== serializability violation: conflict-graph cycle ==@.";
+  List.iter
+    (fun e ->
+      Format.fprintf fmt "  %s --%s addr=%d @seq %d--> %s@." (label e.e_from)
+        (edge_kind_to_string e.e_kind)
+        e.e_addr e.e_seq (label e.e_to))
+    edges;
+  Format.fprintf fmt
+    "  no serial order of these transactions explains the observed reads@."
+
+let pp_inconsistent_read fmt ir =
+  let pp_pub fmt p =
+    if p < 0 then Format.fprintf fmt "the initial state"
+    else Format.fprintf fmt "the version published @seq %d" p
+  in
+  Format.fprintf fmt
+    "  core %d attempt %d (seqs %d..%d) mixed two snapshots:@.    read addr=%d \
+     value=%d @seq %d — %a@.    read addr=%d value=%d @seq %d — %a@.  no \
+     single memory snapshot explains both reads@."
+    ir.ir_core ir.ir_attempt ir.ir_start_seq ir.ir_end_seq ir.ir_addr1
+    ir.ir_value1 ir.ir_seq1 pp_pub ir.ir_pub1 ir.ir_addr2 ir.ir_value2
+    ir.ir_seq2 pp_pub ir.ir_pub2
+
+let pp_opacity fmt = function
+  | [] -> ()
+  | irs ->
+      Format.fprintf fmt "@.== opacity violations: inconsistent reads ==@.";
+      List.iter (pp_inconsistent_read fmt) irs

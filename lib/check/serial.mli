@@ -31,8 +31,6 @@
 
 type edge_kind = Wr | Ww | Rw
 
-val edge_kind_to_string : edge_kind -> string
-
 type edge = {
   e_from : int;  (** txn index in {!report.txns} *)
   e_to : int;
@@ -91,10 +89,6 @@ val analyze : ?opacity:bool -> History.t -> report
 (** No corruption, no cycle, no opacity violation. *)
 val ok : report -> bool
 
-(** Whether an attempt's writes are visible in the serialized
-    history: committed, or horizon-frozen after publish. *)
-val serialized : History.attempt -> bool
-
 (** Snapshot-consistency check for one attempt, shared with the
     streaming checker. [versions_of addr] is the address's version
     timeline as a pub-sorted [(pub_seq, value option)] array (value
@@ -106,3 +100,20 @@ val opacity_check :
   versions_of:(Tm2c_core.Types.addr -> (int * int option) array) ->
   History.attempt ->
   inconsistent_read option
+
+(** {2 Witness sections}
+
+    Shared by the batch ({!Check}) and streaming ({!Stream}) reports;
+    each prints nothing when its list is empty. *)
+
+(** [T<id>[core C attempt A, published @Pns]]: how a witness names a
+    serialized transaction. *)
+val txn_label : int -> core:int -> attempt:int -> published:float -> string
+
+val pp_corruption : Format.formatter -> string list -> unit
+
+(** A conflict-graph cycle, one line per hop; [label] names an edge
+    endpoint. *)
+val pp_cycle : label:(int -> string) -> Format.formatter -> edge list -> unit
+
+val pp_opacity : Format.formatter -> inconsistent_read list -> unit

@@ -65,9 +65,7 @@ type verdict = {
   d_opacity_checked : int;
   d_lock_violations : int;
   d_grants : int;
-  d_liveness_violations : int;
-  d_max_chain : int;
-  d_stuck : Types.core_id list;
+  d_liveness : Liveness.report;
 }
 
 let n_failures v =
@@ -75,21 +73,15 @@ let n_failures v =
   + List.length v.d_corruption
   + (match v.d_cycle with Some _ -> 1 | None -> 0)
   + List.length v.d_opacity
-  + v.d_lock_violations + v.d_liveness_violations
-  + List.length v.d_stuck
+  + v.d_lock_violations
+  + List.length v.d_liveness.Liveness.violations
+  + List.length v.d_liveness.Liveness.stuck
 
 let passed v = n_failures v = 0
 
 let equal (a : verdict) (b : verdict) = a = b
 
 (* --- Serialization graph with retirement. --- *)
-
-type gedge = {
-  ge_to : int;
-  ge_kind : Serial.edge_kind;
-  ge_addr : Types.addr;
-  ge_seq : int;
-}
 
 (* A retained version of one address; [sv_writer = -1] marks the
    lazily-bound initial version and external host writes. *)
@@ -114,19 +106,17 @@ type node = {
   n_pub_seq : int;
   mutable n_open : bool;  (* attempt not yet closed *)
   mutable n_pins : int;  (* retained versions + awaits + last-writer *)
-  mutable n_out : gedge list;
+  mutable n_out : Serial.edge list;  (* [e_from] is this node *)
   mutable n_in : int list;  (* predecessor ids *)
   mutable n_awaits : astate list;  (* addresses holding its RW awaits *)
   mutable n_seen : int;  (* last cycle search that visited it *)
 }
 
-type chain = { mutable c_len : int }
-
 type t = {
   mutable hb : History.builder;
   ls : Lockset.t;
+  lv : Liveness.t;
   opacity_on : bool;
-  budget : int;
   mutable stuck_after_ns : float;
   gc_interval : int;
   nodes : (int, node) Hashtbl.t;
@@ -153,12 +143,8 @@ type t = {
   mutable corruption : string list;  (* reversed *)
   mutable opacity : Serial.inconsistent_read list;  (* reversed *)
   mutable opacity_checked : int;
-  mutable cycle : (string list * Types.addr list) option;
-  chains : (Types.core_id, chain) Hashtbl.t;
-  mutable liveness_violations : int;
-  mutable max_chain : int;
-  mutable stuck : Types.core_id list;
-  mutable finishing : bool;
+  mutable cycle : (Serial.edge list * (int * string) list) option;
+      (* the hops, and each hop's source named while it was live *)
   mutable since_gc : int;
   mutable searches : int;  (* cycle searches so far, the visit stamp *)
   mutable peak_nodes : int;  (* high-water of live graph nodes *)
@@ -166,10 +152,6 @@ type t = {
   mutable fin_lockset : Lockset.report option;
   mutable result : verdict option;
 }
-
-let label n =
-  Printf.sprintf "T%d[core %d attempt %d, published @%.0fns]" n.n_id n.n_core
-    n.n_attempt n.n_pub_time
 
 (* A node becomes retirable only by its last unpin or by closing
    while unpinned; both moments list it for the next sweep. *)
@@ -224,8 +206,8 @@ let check_cycle t u_id v_id closing =
           let rec try_edges = function
             | [] -> None
             | e :: rest -> (
-                match go e.ge_to with
-                | Some tail -> Some ((id, e) :: tail)
+                match go e.Serial.e_to with
+                | Some tail -> Some (e :: tail)
                 | None -> try_edges rest)
           in
           try_edges n.n_out
@@ -234,24 +216,16 @@ let check_cycle t u_id v_id closing =
   match go v_id with
   | None -> ()
   | Some path ->
-      let hops = path @ [ (u_id, closing) ] in
+      let hops = path @ [ closing ] in
       let name id =
         match Hashtbl.find_opt t.nodes id with
-        | Some n -> label n
+        | Some n ->
+            Serial.txn_label id ~core:n.n_core ~attempt:n.n_attempt
+              ~published:n.n_pub_time
         | None -> Printf.sprintf "T%d" id
       in
-      let lines =
-        List.map
-          (fun (f, e) ->
-            Printf.sprintf "  %s --%s addr=%d @seq %d--> %s" (name f)
-              (Serial.edge_kind_to_string e.ge_kind)
-              e.ge_addr e.ge_seq (name e.ge_to))
-          hops
-      in
-      let addrs =
-        List.sort_uniq compare (List.map (fun (_, e) -> e.ge_addr) hops)
-      in
-      t.cycle <- Some (lines, addrs)
+      t.cycle <-
+        Some (hops, List.map (fun e -> (e.Serial.e_from, name e.Serial.e_from)) hops)
 
 (* Synthetic edges come from path compression: they cannot create
    reachability that did not already exist, so they skip the cycle
@@ -260,8 +234,10 @@ let add_edge t ~synthetic from_id to_id kind addr seq =
   if from_id <> to_id then
     match (Hashtbl.find_opt t.nodes from_id, Hashtbl.find_opt t.nodes to_id) with
     | Some fn, Some tn ->
-        if not (List.exists (fun e -> e.ge_to = to_id) fn.n_out) then begin
-          let e = { ge_to = to_id; ge_kind = kind; ge_addr = addr; ge_seq = seq } in
+        if not (List.exists (fun e -> e.Serial.e_to = to_id) fn.n_out) then begin
+          let e =
+            { Serial.e_from = from_id; e_to = to_id; e_kind = kind; e_addr = addr; e_seq = seq }
+          in
           fn.n_out <- e :: fn.n_out;
           if not (List.mem from_id tn.n_in) then tn.n_in <- from_id :: tn.n_in;
           if (not synthetic) && t.cycle = None then
@@ -274,7 +250,7 @@ let add_edge t ~synthetic from_id to_id kind addr seq =
 let unlink_out t n =
   List.iter
     (fun e ->
-      match Hashtbl.find_opt t.nodes e.ge_to with
+      match Hashtbl.find_opt t.nodes e.Serial.e_to with
       | None -> ()
       | Some s ->
           s.n_in <- List.filter (fun x -> x <> n.n_id) s.n_in;
@@ -291,15 +267,15 @@ let retire t id =
           match Hashtbl.find_opt t.nodes p_id with
           | None -> ()
           | Some p -> (
-              match List.find_opt (fun e -> e.ge_to = id) p.n_out with
+              match List.find_opt (fun e -> e.Serial.e_to = id) p.n_out with
               | None -> ()
               | Some pe ->
-                  p.n_out <- List.filter (fun e -> e.ge_to <> id) p.n_out;
+                  p.n_out <- List.filter (fun e -> e.Serial.e_to <> id) p.n_out;
                   List.iter
                     (fun e ->
-                      if Hashtbl.mem t.nodes e.ge_to then
-                        add_edge t ~synthetic:true p_id e.ge_to pe.ge_kind
-                          pe.ge_addr pe.ge_seq)
+                      if Hashtbl.mem t.nodes e.Serial.e_to then
+                        add_edge t ~synthetic:true p_id e.Serial.e_to pe.Serial.e_kind
+                          pe.Serial.e_addr pe.Serial.e_seq)
                     n.n_out))
         n.n_in;
       unlink_out t n
@@ -522,47 +498,14 @@ let check_opacity t (a : History.attempt) =
     | None -> ()
   end
 
-(* --- Liveness: per-core abort runs and wedge detection, the
-   streaming mirror of {!Liveness.analyze}. --- *)
-
-let flush_chain t core =
-  match Hashtbl.find_opt t.chains core with
-  | None -> ()
-  | Some c ->
-      if c.c_len > t.max_chain then t.max_chain <- c.c_len;
-      if c.c_len >= t.budget then
-        t.liveness_violations <- t.liveness_violations + 1;
-      Hashtbl.remove t.chains core
-
-let extend_chain t core =
-  match Hashtbl.find_opt t.chains core with
-  | Some c -> c.c_len <- c.c_len + 1
-  | None -> Hashtbl.add t.chains core { c_len = 1 }
-
-let last_activity (a : History.attempt) =
-  List.fold_left
-    (fun acc (r : History.read) -> Float.max acc r.History.r_time)
-    (Float.max a.History.a_start_time a.History.a_publish_time)
-    a.History.a_reads
-
-(* Fires only for attempts still open at the horizon (finish-time
-   closes): the streaming analogue of "the core's chronologically
-   last attempt is Unfinished". Crash-closed attempts close mid-run
-   and never reach here. *)
-let check_stuck t (a : History.attempt) =
-  if
-    (not (List.mem a.History.a_core t.crashed))
-    && t.horizon -. last_activity a >= t.stuck_after_ns
-  then t.stuck <- a.History.a_core :: t.stuck
-
 let on_close t (a : History.attempt) =
+  Liveness.close t.lv a;
   let core = a.History.a_core in
   let node_id = Hashtbl.find_opt t.pub_node core in
   Hashtbl.remove t.pub_node core;
   match a.History.a_outcome with
   | History.Committed _ -> (
       t.committed <- t.committed + 1;
-      flush_chain t core;
       match node_id with
       | Some id -> close_serialized t id a
       | None ->
@@ -572,13 +515,11 @@ let on_close t (a : History.attempt) =
           close_serialized t id a)
   | History.Unfinished -> (
       t.unfinished <- t.unfinished + 1;
-      if t.finishing then check_stuck t a;
       match node_id with
       | Some id -> close_serialized t id a
       | None -> check_opacity t a)
   | History.Aborted _ ->
       t.aborted <- t.aborted + 1;
-      extend_chain t core;
       (* A published-then-aborted attempt is protocol-impossible (the
          status CAS to Committing precedes publish); if a broken trace
          produces one anyway, unhook its node so it can retire. *)
@@ -592,15 +533,15 @@ let on_close t (a : History.attempt) =
 
 (* --- Driver. --- *)
 
-let create ?(liveness_budget = Check.default_liveness_budget)
-    ?(stuck_after_ns = infinity) ?(opacity = true) ?(gc_interval = 1024) () =
+let create ?(liveness_budget = Check.default_liveness_budget) ?(opacity = true)
+    ?(gc_interval = 1024) () =
   let t =
     {
       hb = History.builder ~retain:false ();
       ls = Lockset.create ();
+      lv = Liveness.create ~budget:liveness_budget;
       opacity_on = opacity;
-      budget = liveness_budget;
-      stuck_after_ns;
+      stuck_after_ns = infinity;
       gc_interval;
       nodes = Hashtbl.create 256;
       addrs = Hashtbl.create 256;
@@ -620,11 +561,6 @@ let create ?(liveness_budget = Check.default_liveness_budget)
       opacity = [];
       opacity_checked = 0;
       cycle = None;
-      chains = Hashtbl.create 64;
-      liveness_violations = 0;
-      max_chain = 0;
-      stuck = [];
-      finishing = false;
       since_gc = 0;
       searches = 0;
       peak_nodes = 0;
@@ -661,15 +597,15 @@ let n_live_nodes t = Hashtbl.length t.nodes
 
 let peak_nodes t = t.peak_nodes
 
+(* A cycle's verdict form: its addresses, sorted. *)
+let cycle_addrs edges =
+  List.sort_uniq compare (List.map (fun (e : Serial.edge) -> e.Serial.e_addr) edges)
+
 let finish t =
   match t.result with
   | Some v -> v
   | None ->
-      t.finishing <- true;
       let h = History.finish t.hb in
-      let cores = ref [] in
-      Tm2c_engine.Det.iter (fun core _ -> cores := core :: !cores) t.chains;
-      List.iter (fun core -> flush_chain t core) (List.rev !cores);
       let lr = Lockset.finish t.ls in
       t.fin_anomalies <- h.History.anomalies;
       t.fin_lockset <- Some lr;
@@ -684,8 +620,7 @@ let finish t =
           d_reads_checked = t.reads_checked;
           d_reads_skipped = t.reads_skipped;
           d_corruption = List.sort compare t.corruption;
-          d_cycle =
-            (match t.cycle with None -> None | Some (_, addrs) -> Some addrs);
+          d_cycle = Option.map (fun (edges, _) -> cycle_addrs edges) t.cycle;
           d_opacity =
             List.sort compare
               (List.rev_map
@@ -695,9 +630,9 @@ let finish t =
           d_opacity_checked = t.opacity_checked;
           d_lock_violations = List.length lr.Lockset.violations;
           d_grants = lr.Lockset.n_grants;
-          d_liveness_violations = t.liveness_violations;
-          d_max_chain = t.max_chain;
-          d_stuck = List.sort compare t.stuck;
+          d_liveness =
+            Liveness.finish t.lv ~horizon:t.horizon ~crashed:t.crashed
+              ~stuck_after_ns:t.stuck_after_ns;
         }
       in
       t.result <- Some v;
@@ -706,15 +641,7 @@ let finish t =
 (* Project a batch result onto the comparable verdict, for the
    differential battery. *)
 let verdict_of_result (r : Check.result) =
-  let committed, aborted, unfinished =
-    List.fold_left
-      (fun (c, ab, u) (a : History.attempt) ->
-        match a.History.a_outcome with
-        | History.Committed _ -> (c + 1, ab, u)
-        | History.Aborted _ -> (c, ab + 1, u)
-        | History.Unfinished -> (c, ab, u + 1))
-      (0, 0, 0) r.Check.history.History.attempts
-  in
+  let committed, aborted, unfinished = History.count_outcomes r.Check.history in
   {
     d_events = r.Check.history.History.n_events;
     d_attempts = List.length r.Check.history.History.attempts;
@@ -726,13 +653,7 @@ let verdict_of_result (r : Check.result) =
     d_reads_skipped = r.Check.serial.Serial.n_reads_skipped;
     d_corruption = List.sort compare r.Check.serial.Serial.corruption;
     d_cycle =
-      (match r.Check.serial.Serial.cycle with
-      | None -> None
-      | Some c ->
-          Some
-            (List.sort_uniq compare
-               (List.map (fun (e : Serial.edge) -> e.Serial.e_addr)
-                  c.Serial.c_edges)));
+      Option.map (fun c -> cycle_addrs c.Serial.c_edges) r.Check.serial.Serial.cycle;
     d_opacity =
       List.sort compare
         (List.map
@@ -742,16 +663,7 @@ let verdict_of_result (r : Check.result) =
     d_opacity_checked = r.Check.serial.Serial.n_opacity_checked;
     d_lock_violations = List.length r.Check.lockset.Lockset.violations;
     d_grants = r.Check.lockset.Lockset.n_grants;
-    d_liveness_violations = List.length r.Check.liveness.Liveness.violations;
-    d_max_chain =
-      (match r.Check.liveness.Liveness.max_chain with
-      | None -> 0
-      | Some ch -> ch.Liveness.ch_len);
-    d_stuck =
-      List.sort compare
-        (List.map
-           (fun (s : Liveness.stuck) -> s.Liveness.st_core)
-           r.Check.liveness.Liveness.stuck);
+    d_liveness = r.Check.liveness;
   }
 
 let pp_verdict fmt v =
@@ -778,45 +690,24 @@ let pp_verdict fmt v =
   Format.fprintf fmt "lockset  %s  %d grants replayed, %d violations@."
     (status (v.d_lock_violations = 0))
     v.d_grants v.d_lock_violations;
+  let lv = v.d_liveness in
   Format.fprintf fmt "liveness %s  max abort chain %d, %d violations, %d stuck@."
-    (status (v.d_liveness_violations = 0 && v.d_stuck = []))
-    v.d_max_chain v.d_liveness_violations
-    (List.length v.d_stuck)
+    (status (Liveness.ok lv))
+    (match lv.Liveness.max_chain with None -> 0 | Some ch -> ch.Liveness.ch_len)
+    (List.length lv.Liveness.violations)
+    (List.length lv.Liveness.stuck)
 
 let pp_witness fmt t =
-  if t.fin_anomalies <> [] then begin
-    Format.fprintf fmt "@.== history anomalies (verdicts below are void) ==@.";
-    List.iter
-      (fun (an : History.anomaly) ->
-        Format.fprintf fmt "  seq %d @%.0fns: %s@." an.History.an_seq
-          an.History.an_time an.History.an_message)
-      t.fin_anomalies
-  end;
-  List.iter
-    (fun msg -> Format.fprintf fmt "@.== value corruption ==@.  %s@." msg)
-    (List.rev t.corruption);
-  (match t.cycle with
-  | None -> ()
-  | Some (lines, _) ->
-      Format.fprintf fmt
-        "@.== serializability violation: conflict-graph cycle ==@.";
-      List.iter (fun l -> Format.fprintf fmt "%s@." l) lines;
-      Format.fprintf fmt
-        "  no serial order of these transactions explains the observed reads@.");
-  (match List.rev t.opacity with
-  | [] -> ()
-  | irs ->
-      Format.fprintf fmt "@.== opacity violations: inconsistent reads ==@.";
-      List.iter (Check.pp_inconsistent_read fmt) irs);
-  match t.fin_lockset with
-  | Some lr when lr.Lockset.violations <> [] ->
-      Format.fprintf fmt "@.== lock protocol violations ==@.";
-      List.iter
-        (fun (viol : Lockset.violation) ->
-          Format.fprintf fmt "  seq %d @%.0fns: %s@." viol.Lockset.v_seq
-            viol.Lockset.v_time viol.Lockset.v_message)
-        lr.Lockset.violations
-  | Some _ | None -> ()
+  let v = finish t in
+  History.pp_anomalies fmt t.fin_anomalies;
+  Serial.pp_corruption fmt (List.rev t.corruption);
+  Option.iter
+    (fun (edges, names) ->
+      Serial.pp_cycle ~label:(fun id -> List.assoc id names) fmt edges)
+    t.cycle;
+  Serial.pp_opacity fmt (List.rev t.opacity);
+  Option.iter (Lockset.pp_witness fmt) t.fin_lockset;
+  Liveness.pp_witness fmt v.d_liveness
 
 let report_string t =
   let v = finish t in

@@ -37,9 +37,9 @@ type verdict = {
   d_opacity_checked : int;
   d_lock_violations : int;
   d_grants : int;
-  d_liveness_violations : int;
-  d_max_chain : int;
-  d_stuck : Types.core_id list;  (** wedged cores, sorted *)
+  d_liveness : Liveness.report;
+      (** the liveness monitor's whole report: the same online monitor
+          the batch checker runs, so it compares exactly *)
 }
 
 val n_failures : verdict -> int
@@ -51,10 +51,10 @@ val equal : verdict -> verdict -> bool
 type t
 
 (** [gc_interval] is the event count between watermark sweeps
-    (default 1024); the other knobs mirror {!Check.run}. *)
+    (default 1024); the other knobs mirror {!Check.run}. Wedge
+    detection is armed with {!set_stuck_after_ns}. *)
 val create :
   ?liveness_budget:int ->
-  ?stuck_after_ns:float ->
   ?opacity:bool ->
   ?gc_interval:int ->
   unit ->
@@ -80,13 +80,13 @@ val verdict_of_result : Check.result -> verdict
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** Witness detail only (anomalies, corruption, the cycle, opacity
-    witnesses, lock violations); empty output when the verdict
-    passed. *)
+(** Witness detail only, composed of the same per-checker sections as
+    {!Check.pp_witness} (anomalies, corruption, the cycle, opacity
+    witnesses, lock violations, abort chains and wedged cores); empty
+    output when the verdict passed. Runs {!finish} if needed. *)
 val pp_witness : Format.formatter -> t -> unit
 
-(** Summary plus witness detail (anomalies, corruption, the cycle,
-    opacity witnesses, lock violations). Runs {!finish} if needed. *)
+(** Summary plus {!pp_witness}. Runs {!finish} if needed. *)
 val report_string : t -> string
 
 (** Live serialization-graph nodes right now — the window the checker

@@ -86,7 +86,7 @@ let run_ids ?json ?(check = false) ids scale =
     end;
     Option.iter
       (fun s ->
-        Tm2c_check.Collector.detach (Tm2c_core.Runtime.trace t);
+        Tm2c_engine.Trace.set_sink (Tm2c_core.Runtime.trace t) None;
         (* On a wedged run, arm the liveness monitor's stuck detection
            so the report names the cores that made no progress. *)
         if Tm2c_core.Runtime.wedged t then

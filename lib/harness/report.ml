@@ -392,14 +392,14 @@ let run_json t (r : Tm2c_apps.Workload.result) =
        ("config", config_json cfg);
        ("result", result_json r);
        ( "cores",
-         cores_json (Runtime.stats t) ~n:(Platform.n_cores cfg.Runtime.platform)
+         cores_json (Runtime.stats t) ~n:cfg.Runtime.total_cores
        );
        ("network", network_json env.System.net);
        ("dtm", dtm_json (Runtime.servers t));
        ( "aborts",
          let stats = Runtime.stats t in
          let status = ref 0 in
-         for i = 0 to Platform.n_cores cfg.Runtime.platform - 1 do
+         for i = 0 to cfg.Runtime.total_cores - 1 do
            status := !status + (Stats.core stats i).Stats.aborts_status
          done;
          aborts_json ~policy:cfg.Runtime.policy ~status:!status

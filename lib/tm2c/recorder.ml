@@ -46,7 +46,6 @@ type server_prev = {
 type t = {
   env : System.env;
   window_ns : float;
-  top_k : int;
   out : (string -> unit) option;
   servers : unit -> Dtm.server list;
   mutable sink_high_water : unit -> int;
@@ -91,9 +90,11 @@ let row_width = Array.length columns
 
 let quantiles = [ (50.0, "0.5"); (90.0, "0.9"); (99.0, "0.99"); (99.9, "0.999") ]
 
-let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
+(* Entries in each per-window top listing (links, abort blame). *)
+let top_k = 8
+
+let create ~env ~window_ns ?out ~servers () =
   if window_ns <= 0.0 then invalid_arg "Recorder.create: window_ns must be positive";
-  if top_k < 1 then invalid_arg "Recorder.create: top_k must be >= 1";
   let stats = env.System.stats in
   let net = env.System.net in
   let fc = Fault.counters env.System.faults in
@@ -158,7 +159,6 @@ let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
   {
     env;
     window_ns;
-    top_k;
     out;
     servers;
     sink_high_water = (fun () -> 0);
@@ -347,7 +347,7 @@ let emit_window t ~t_ns ~full =
   (* Top-K busiest NoC links this window. *)
   let n = Network.active net in
   let top =
-    Network.top_pairs ~limit:t.top_k n (fun src dst ->
+    Network.top_pairs ~limit:top_k n (fun src dst ->
         let c = Network.link_count net ~src ~dst in
         let i = (src * n) + dst in
         let d = c - t.prev_links.(i) in
@@ -380,7 +380,7 @@ let emit_window t ~t_ns ~full =
              ("conflict", Types.conflict_to_string key.Obs.conflict);
            ])
         (float_of_int d))
-    (top_by t.top_k (fun (_, d) -> d) !blame);
+    (top_by top_k (fun (_, d) -> d) !blame);
   (* Windowed trace-event counts (0 while tracing is off: the tap only
      sees recorded events). *)
   List.iteri

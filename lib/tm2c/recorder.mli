@@ -18,16 +18,15 @@
 
 type t
 
-(** [create ~env ~window_ns ?out ?top_k ~servers ()] — [out] receives
-    one complete text block per window (omit it to keep only the
-    in-memory aggregates for the JSON export); [servers] supplies the
-    live DTM servers at each tick; [top_k] (default 8) bounds the
-    per-window link and abort-blame listings. *)
+(** [create ~env ~window_ns ?out ~servers ()] — [out] receives one
+    complete text block per window (omit it to keep only the in-memory
+    aggregates for the JSON export); [servers] supplies the live DTM
+    servers at each tick. The per-window link and abort-blame listings
+    hold the top 8 entries each. *)
 val create :
   env:System.env ->
   window_ns:float ->
   ?out:(string -> unit) ->
-  ?top_k:int ->
   servers:(unit -> Dtm.server list) ->
   unit ->
   t

@@ -115,7 +115,12 @@ let create cfg =
     }
   in
   let owner_of addr = failover.System.fo_owner.(System.owner_hash addr n_service) in
-  let stats = Stats.create ~n_cores:(Platform.n_cores cfg.platform) in
+  (* Per-core tables ([stats], the phase spans, [barrier_seen],
+     [cache_mark], each server's response cache) cover the run's cores,
+     not the platform's. [skew], the register file and [Fault] stay
+     platform-wide: [skew] draws the root PRNG once per platform core,
+     and spare registers keep their indices. *)
+  let stats = Stats.create ~n_cores:cfg.total_cores in
   (* The fault stream is a labelled (non-mutating) split of the root:
      creating it draws nothing from [root_prng], and an empty plan
      draws nothing from the stream, so a run that never installs a
@@ -140,14 +145,14 @@ let create cfg =
       serve_inline = None;
       serve_defer_cycles = 0;
       batching = cfg.batching;
-      barrier_seen = Array.make (Platform.n_cores cfg.platform) 0;
-      cache_mark = Array.make (Platform.n_cores cfg.platform) 0;
+      barrier_seen = Array.make cfg.total_cores 0;
+      cache_mark = Array.make cfg.total_cores 0;
       trace = Trace.create ~codec:Event.ring_codec ();
       obs = Obs.create ();
       span_commit =
-        Span.create ~n_cores:(Platform.n_cores cfg.platform) ~phases:Phase.names ();
+        Span.create ~n_cores:cfg.total_cores ~phases:Phase.names ();
       span_abort =
-        Span.create ~n_cores:(Platform.n_cores cfg.platform) ~phases:Phase.names ();
+        Span.create ~n_cores:cfg.total_cores ~phases:Phase.names ();
       faults;
       req_timeout_ns = 0.0;
       lease_ns = 0.0;
@@ -340,11 +345,11 @@ let recorder t = t.recorder
    events are counted through the trace's second tap, so the checker
    stack keeps exclusive ownership of the primary sink. Call before
    [run]; at most once. *)
-let enable_recorder t ~window_ns ?out ?top_k () =
+let enable_recorder t ~window_ns ?out () =
   if t.recorder <> None then
     invalid_arg "Runtime.enable_recorder: already enabled";
   let r =
-    Recorder.create ~env:t.env ~window_ns ?out ?top_k
+    Recorder.create ~env:t.env ~window_ns ?out
       ~servers:(fun () ->
         Array.to_list t.dtm_cores
         |> List.filter_map (fun core -> Hashtbl.find_opt t.servers core))
@@ -400,7 +405,7 @@ let server_for t core =
   match Hashtbl.find_opt t.servers core with
   | Some s -> s
   | None ->
-      let s = Dtm.make ~n_cores:(Platform.n_cores t.cfg.platform) ~core in
+      let s = Dtm.make ~n_cores:t.cfg.total_cores ~core in
       Hashtbl.add t.servers core s;
       s
 

@@ -141,13 +141,12 @@ val recorder : t -> Recorder.t option
 (** Install and start the flight recorder (see {!Recorder}): periodic
     bounded-memory metrics snapshots every [window_ns] of virtual
     time, optionally streamed as OpenMetrics-style text blocks through
-    [out]; [top_k] bounds the per-window link and abort-blame
-    listings. Trace events are counted through the trace's second tap
+    [out]. Trace events are counted through the trace's second tap
     ([Trace.set_tap]), leaving the primary sink to the checker stack.
     Its per-window rows are the JSON export's time series. Call before
     {!run}; at most once. *)
 val enable_recorder :
-  t -> window_ns:float -> ?out:(string -> unit) -> ?top_k:int -> unit -> unit
+  t -> window_ns:float -> ?out:(string -> unit) -> unit -> unit
 
 (** Emit the recorder's final partial window ("# eof"-terminated).
     Idempotent; a no-op when no recorder is installed. The workload

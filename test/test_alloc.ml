@@ -316,6 +316,53 @@ let test_now_words () =
   let w = now_words () in
   check (Printf.sprintf "%.0f words for 1,000 Sim.now reads = 0" w) true (w = 0.0)
 
+(* The liveness monitor on the streaming checker's close path: an
+   aborted attempt extends its core's open run in place (a count, an
+   int and a float copied into a float-only record), so a run of
+   aborts costs no words however long it grows. *)
+let closed_attempt ~reads outcome =
+  let open Tm2c_check in
+  let closed = ref [] in
+  let b = History.builder ~retain:false ~on_close:(fun a -> closed := a :: !closed) () in
+  History.feed b 1.0 (Event.Tx_start { core = 3; attempt = 1; elastic = false });
+  for i = 1 to reads do
+    History.feed b (1.0 +. float_of_int i)
+      (Event.Tx_read { core = 3; addr = i; granted = true; value = 0 })
+  done;
+  (match outcome with
+  | `Aborted -> History.feed b 1e6 (Event.Tx_aborted { core = 3; attempt = 1; conflict = None })
+  | `Unfinished -> ignore (History.finish b));
+  List.hd !closed
+
+let liveness_abort_words () =
+  let a = closed_attempt ~reads:0 `Aborted in
+  let lv = Tm2c_check.Liveness.create ~budget:max_int in
+  words_per ~units:1000 (fun () ->
+      for _ = 1 to 1000 do
+        Tm2c_check.Liveness.close lv a
+      done)
+
+let test_liveness_abort_words () =
+  let w = liveness_abort_words () in
+  check (Printf.sprintf "%.3f words per aborted attempt closed = 0" w) true (w = 0.0)
+
+(* ... and it keeps copies, not the attempts: a closed attempt the
+   monitor pointed to would be promoted at the next minor collection
+   (the streaming checker drops attempts at close so that they die
+   young). Closing 10,000-read attempts leaves the monitor as small as
+   closing empty ones. *)
+let test_liveness_keeps_no_attempt () =
+  let module Liveness = Tm2c_check.Liveness in
+  let size ~reads =
+    let lv = Liveness.create ~budget:max_int in
+    Liveness.close lv (closed_attempt ~reads `Aborted);
+    Liveness.close lv (closed_attempt ~reads `Unfinished);
+    Obj.reachable_words (Obj.repr lv)
+  in
+  let small = size ~reads:0 and big = size ~reads:10_000 in
+  check (Printf.sprintf "monitor holds %d words after 10,000-read attempts, %d after empty ones" big small)
+    true (big = small)
+
 let suite =
   [
     ("alloc: idle read-lock round trip allocates no closure", `Quick, test_idle_read_no_closure);
@@ -326,4 +373,6 @@ let suite =
     ("alloc: Sim.now allocates nothing", `Quick, test_now_words);
     ("alloc: words per history-log line", `Quick, test_histlog_line_words);
     ("alloc: words per JSON float printed", `Quick, test_json_float_words);
+    ("alloc: liveness monitor closes an abort in place", `Quick, test_liveness_abort_words);
+    ("alloc: liveness monitor keeps no closed attempt", `Quick, test_liveness_keeps_no_attempt);
   ]

@@ -849,6 +849,55 @@ let test_liveness_budget () =
   let r = Check.run_list ~liveness_budget:5 (mk 4) in
   check "shorter chain is clean" true (Liveness.ok r.Check.liveness)
 
+(* Two cores abort three times each: the chains tie on length, and
+   both drivers list them by core whichever core's closes arrive
+   first. *)
+let test_liveness_tied_order () =
+  let chain core t0 =
+    List.concat
+      (List.init 3 (fun i ->
+           let t = t0 +. float_of_int (i * 2) in
+           [
+             (t, Event.Tx_start { core; attempt = i + 1; elastic = false });
+             (t +. 1.0, Event.Tx_aborted { core; attempt = i + 1; conflict = None });
+           ]))
+  in
+  List.iter
+    (fun (name, events) ->
+      let r = Check.run_list ~liveness_budget:3 events in
+      let l = r.Check.liveness in
+      Alcotest.(check (list int))
+        (name ^ ": tied chains by core") [ 2; 5 ]
+        (List.map (fun (ch : Liveness.chain) -> ch.Liveness.ch_core) l.Liveness.violations);
+      check_int (name ^ ": max chain is the first") 2
+        (match l.Liveness.max_chain with Some ch -> ch.Liveness.ch_core | None -> -1);
+      let s = Stream.create ~liveness_budget:3 () in
+      List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+      check (name ^ ": streaming report = batch report") true
+        ((Stream.finish s).Stream.d_liveness = l))
+    [
+      ("core 2 first", chain 2 0.0 @ chain 5 10.0);
+      ("core 5 first", chain 5 0.0 @ chain 2 10.0);
+    ]
+
+(* A replayed history log can name any core id: the monitor keys its
+   per-core state by id rather than indexing by it. *)
+let test_liveness_any_core_id () =
+  let events =
+    List.concat_map
+      (fun (core, t) ->
+        [
+          (t, Event.Tx_start { core; attempt = 1; elastic = false });
+          (t +. 1.0, Event.Tx_aborted { core; attempt = 1; conflict = None });
+        ])
+      [ (-1, 0.0); (100_000, 2.0) ]
+  in
+  let r = Check.run_list ~liveness_budget:1 events in
+  Alcotest.(check (list int))
+    "both chains reported" [ -1; 100_000 ]
+    (List.map (fun (ch : Liveness.chain) -> ch.Liveness.ch_core)
+       r.Check.liveness.Liveness.violations)
+
 let test_status_label () =
   Alcotest.(check string)
     "status-CAS abort label" "STATUS"
@@ -892,5 +941,9 @@ let suite =
     Alcotest.test_case "event table has one row per constructor" `Quick
       test_event_table;
     Alcotest.test_case "liveness budget" `Quick test_liveness_budget;
+    Alcotest.test_case "liveness: tied chains ordered by core" `Quick
+      test_liveness_tied_order;
+    Alcotest.test_case "liveness: any core id in a replayed log" `Quick
+      test_liveness_any_core_id;
     Alcotest.test_case "STATUS abort label" `Quick test_status_label;
   ]

@@ -13,6 +13,11 @@ open Tm2c_check
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let timeout_ns = 60_000.0
 let lease_ns = 250_000.0
 let stuck_after_ns = 1e6
@@ -102,6 +107,35 @@ let test_scrash_wedges_without_replicas () =
   let res' = Check.run_list events in
   check "safety checkers stay green on the wedged run" true
     (Lockset.ok res'.Check.lockset && res'.Check.liveness.Liveness.stuck = [])
+
+(* The streaming checker, as tm2c-sim --check runs it, reports the
+   same wedge as the batch monitor and names each wedged attempt with
+   its idle time. *)
+let test_scrash_wedge_named_by_stream () =
+  let owner = owner_server () in
+  let _, _, events =
+    run_counter ~plan:(scrash_plan ~core:owner ~at:0.0) ~watchdog:true ()
+  in
+  let s = Stream.create () in
+  List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+  Stream.set_stuck_after_ns s stuck_after_ns;
+  let v = Stream.finish s in
+  let batch = Check.run_list ~stuck_after_ns events in
+  check "streaming liveness report = batch report" true
+    (v.Stream.d_liveness = batch.Check.liveness);
+  let report = Stream.report_string s in
+  match v.Stream.d_liveness.Liveness.stuck with
+  | [] -> Alcotest.fail "expected wedged cores"
+  | stuck ->
+      List.iter
+        (fun (st : Liveness.stuck) ->
+          let line =
+            Printf.sprintf "core %d: attempt %d open since %.0fns, no progress for %.0fns"
+              st.Liveness.st_core st.Liveness.st_attempt st.Liveness.st_since_ns
+              st.Liveness.st_idle_ns
+          in
+          if not (contains report line) then Alcotest.failf "report lacks %S:\n%s" line report)
+        stuck
 
 (* ---- crash with one replica: epoch bump, failover, progress ---- *)
 
@@ -264,6 +298,9 @@ let suite =
     ( "failover: server crash wedges without replicas",
       `Quick,
       test_scrash_wedges_without_replicas );
+    ( "failover: streaming report names the wedged cores",
+      `Quick,
+      test_scrash_wedge_named_by_stream );
     ( "failover: one replica restores progress",
       `Quick,
       test_failover_restores_progress );

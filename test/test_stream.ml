@@ -264,6 +264,81 @@ let differential_prop =
           seed faults (Stream.report_string s) (Check.report_string batch))
 
 (* ------------------------------------------------------------------ *)
+(* Liveness: one monitor, one report, one witness.                     *)
+(* ------------------------------------------------------------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Both drivers feed the same online monitor, so the whole liveness
+   report — every chain with its span, every wedged attempt with its
+   idle time — must match, not only the counts. Returns the streaming
+   checker and its verdict. *)
+let liveness_agrees name ~budget ?stuck_after_ns events =
+  let s = Stream.create ~liveness_budget:budget () in
+  List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+  Option.iter (Stream.set_stuck_after_ns s) stuck_after_ns;
+  let online = Stream.finish s in
+  let batch = Check.run_list ~liveness_budget:budget ?stuck_after_ns events in
+  check (name ^ ": streaming liveness report = batch report") true
+    (online.Stream.d_liveness = batch.Check.liveness);
+  check (name ^ ": streaming verdict = batch verdict") true
+    (Stream.equal online (Stream.verdict_of_result batch));
+  (s, online)
+
+(* A budget of 2 on the contended counter turns its abort runs into
+   violations: the streaming witness names each chain's core, length
+   and first attempt. *)
+let test_liveness_chains_named () =
+  let events = collect_shape ~shape:0 ~seed:1 ~faults:false in
+  let s, v = liveness_agrees "counter, budget 2" ~budget:2 events in
+  let report = Stream.report_string s in
+  match v.Stream.d_liveness.Liveness.violations with
+  | [] -> Alcotest.fail "expected abort chains of length 2 or more"
+  | chains ->
+      check "liveness section" true (contains report "== liveness violations ==");
+      List.iter
+        (fun (ch : Liveness.chain) ->
+          let line =
+            Printf.sprintf "core %d aborted %d consecutive attempts (from attempt %d,"
+              ch.Liveness.ch_core ch.Liveness.ch_len ch.Liveness.ch_first_attempt
+          in
+          if not (contains report line) then
+            Alcotest.failf "report lacks %S:\n%s" line report)
+        chains
+
+(* Core 0 hangs in attempt 7 after one read, core 1 crash-stops inside
+   an attempt, core 2 keeps committing to 3 ms. Armed at 1 ms, the
+   monitor flags core 0 only (a crash is not a wedge), idle since its
+   read. *)
+let wedge_events =
+  [
+    (10.0, Event.Tx_start { core = 0; attempt = 7; elastic = false });
+    (20.0, Event.Tx_read { core = 0; addr = 5; granted = true; value = 0 });
+    (30.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+    (40.0, Event.Core_crashed { core = 1; attempt = 1 });
+  ]
+  @ List.concat
+      (List.init 3 (fun i ->
+           let t = 1e6 *. float_of_int (i + 1) in
+           [
+             (t, Event.Tx_start { core = 2; attempt = i + 1; elastic = false });
+             (t +. 5.0, Event.Tx_committed { core = 2; attempt = i + 1; duration_ns = 5.0 });
+           ]))
+
+let test_liveness_wedge_named () =
+  let s, v =
+    liveness_agrees "synthetic wedge" ~budget:Check.default_liveness_budget
+      ~stuck_after_ns:1e6 wedge_events
+  in
+  check_int "one wedged core" 1 (List.length v.Stream.d_liveness.Liveness.stuck);
+  let report = Stream.report_string s in
+  let line = "core 0: attempt 7 open since 10ns, no progress for 2999985ns" in
+  if not (contains report line) then Alcotest.failf "report lacks %S:\n%s" line report
+
+(* ------------------------------------------------------------------ *)
 (* Bounded memory: window-sized, not run-sized.                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -362,6 +437,10 @@ let suite =
     Alcotest.test_case "synthetic history: streaming agrees" `Quick
       test_synthetic_streaming_agrees;
     QCheck_alcotest.to_alcotest ~long:true differential_prop;
+    Alcotest.test_case "liveness: abort chains named, report = batch" `Quick
+      test_liveness_chains_named;
+    Alcotest.test_case "liveness: wedged core named, report = batch" `Quick
+      test_liveness_wedge_named;
     Alcotest.test_case "streaming memory flat in run length" `Slow
       test_bounded_memory;
     Alcotest.test_case "retirement set pinned on seeded runs" `Quick
