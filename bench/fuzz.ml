@@ -117,14 +117,14 @@ let repro_command spec =
   "tm2c-sim " ^ String.concat " " (List.map shell_word (Shape.args spec)) ^ " --check"
 
 (* With replication on, a wedge is itself a failure: arm the liveness
-   monitor's stuck detection (a core idle >1ms of virtual time made no
+   monitor's stuck detection at the threshold tm2c-sim arms, so the
+   repro judges the same way (a core idle >1ms of virtual time made no
    progress across the failover it was promised). *)
-let stuck_after_ns = 1e6
-
 let failure_of_run spec =
   let _, _, events = run_collect spec in
   let r =
-    if spec.Shape.replicas > 0 then Check.run_list ~stuck_after_ns events
+    if spec.Shape.replicas > 0 then
+      Check.run_list ~stuck_after_ns:Liveness.default_stuck_after_ns events
     else Check.run_list events
   in
   if Check.passed r then None else Some r
@@ -358,7 +358,7 @@ let streaming_smoke ~seeds ~out_dir =
           let online = Stream.finish s in
           let batch = Check.run_list events in
           let window = Stream.peak_nodes s in
-          let batch_v = Stream.verdict_of_result batch in
+          let batch_v = Check.verdict batch in
           if
             not
               (Stream.equal online batch_v

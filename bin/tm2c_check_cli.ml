@@ -16,71 +16,44 @@
    By default the streaming checker consumes the log line by line, so
    memory stays bounded by the run's concurrency window no matter how
    large the file is; --streaming=false loads the log and runs the
-   batch oracle (whose report carries more replay detail).
+   batch oracle. Both print the same report (a cycle's transactions
+   aside, which each numbers in its own order). A log whose run armed
+   wedge detection (tm2c-sim on a replicated or watchdog-cut run)
+   carries the threshold, and both modes arm it.
 
    Exit status: 0 when every checker passes, 1 on violations,
    2 on an unreadable or malformed history log. *)
 
 open Cmdliner
+open Tm2c_check
 
-let write_witness witness report =
-  match witness with
-  | Some wpath ->
-      let oc = open_out wpath in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc report);
-      Printf.printf "wrote witness to %s\n" wpath
-  | None -> ()
+(* The only step that depends on the mode: read the log into a
+   verdict and its witness. *)
+let judge path budget opacity streaming =
+  if streaming then begin
+    let s = Stream.create ~liveness_budget:budget ~opacity () in
+    let stuck_after_ns = Histlog.iter_file path (Stream.feed s) in
+    let v = Stream.finish ?stuck_after_ns s in
+    (v, Stream.witness s)
+  end
+  else begin
+    let events, stuck_after_ns = Histlog.load path in
+    let r = Check.run_list ~liveness_budget:budget ?stuck_after_ns ~opacity events in
+    (Check.verdict r, Check.witness r)
+  end
 
-let run_streaming path budget opacity witness =
-  let s =
-    Tm2c_check.Stream.create ~liveness_budget:budget ~opacity ()
-  in
-  match Tm2c_check.Histlog.iter_file path (Tm2c_check.Stream.feed s) with
+let run path budget opacity streaming witness_file =
+  match judge path budget opacity streaming with
   | exception Sys_error msg ->
       Printf.eprintf "tm2c-check: %s\n" msg;
       exit 2
   | exception Failure msg ->
       Printf.eprintf "tm2c-check: %s: %s\n" path msg;
       exit 2
-  | _n_events ->
-      let v = Tm2c_check.Stream.finish s in
-      Format.printf "%a" Tm2c_check.Stream.pp_verdict v;
-      if Tm2c_check.Stream.passed v then
-        Format.printf "PASS: %d events, all checkers clean@."
-          v.Tm2c_check.Stream.d_events
-      else begin
-        Format.printf "%a" Tm2c_check.Stream.pp_witness s;
-        write_witness witness (Tm2c_check.Stream.report_string s);
-        exit 1
-      end
-
-let run_batch path budget opacity witness =
-  match Tm2c_check.Histlog.load path with
-  | exception Sys_error msg ->
-      Printf.eprintf "tm2c-check: %s\n" msg;
-      exit 2
-  | exception Failure msg ->
-      Printf.eprintf "tm2c-check: %s: %s\n" path msg;
-      exit 2
-  | events ->
-      let result =
-        Tm2c_check.Check.run_list ~liveness_budget:budget ~opacity events
-      in
-      Format.printf "%a" Tm2c_check.Check.pp_summary result;
-      if Tm2c_check.Check.passed result then
-        Format.printf "PASS: %d events, all checkers clean@."
-          result.Tm2c_check.Check.history.Tm2c_check.History.n_events
-      else begin
-        Format.printf "%a" Tm2c_check.Check.pp_witness result;
-        write_witness witness (Tm2c_check.Check.report_string result);
-        exit 1
-      end
-
-let run path budget opacity streaming witness =
-  if streaming then run_streaming path budget opacity witness
-  else run_batch path budget opacity witness
+  | v, w ->
+      if Stream.conclude ?witness_file v w then
+        Format.printf "PASS: %d events, all checkers clean@." v.Stream.d_events
+      else exit 1
 
 let cmd =
   let path =
@@ -89,7 +62,7 @@ let cmd =
              ~doc:"History log written by tm2c-sim --history.")
   in
   let budget =
-    Arg.(value & opt int Tm2c_check.Check.default_liveness_budget
+    Arg.(value & opt int Liveness.default_budget
          & info [ "budget" ] ~docv:"N"
              ~doc:"Liveness budget: a core aborting $(docv) consecutive \
                    attempts without a commit is a violation.")

@@ -235,38 +235,28 @@ let run (spec : Shape.t) watchdog_ms trace trace_out json perfetto metrics_out
       Printf.printf "wrote Perfetto timeline to %s (open in ui.perfetto.dev)\n"
         path
   | None -> ());
-  let write_witness report =
-    match witness with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc report);
-        Printf.printf "wrote witness to %s\n" path
-    | None -> ()
+  (* With a replicated service a wedge is a broken promise, and a
+     watchdog-armed run wants the wedged cores named: arm the liveness
+     monitor's stuck detection, in the history log too, so a replay
+     judges the way this run does. *)
+  let stuck_after_ns =
+    if spec.Shape.replicas > 0 || Runtime.wedged t then
+      Some Tm2c_check.Liveness.default_stuck_after_ns
+    else None
   in
   (match hist_writer with
   | Some w ->
       let n = Tm2c_check.Histlog.written w in
-      Tm2c_check.Histlog.close_writer w;
+      Tm2c_check.Histlog.close_writer ?stuck_after_ns w;
       Printf.printf "wrote history log to %s (%d events)\n"
         (Option.get history) n
   | None -> ());
   (match stream_check with
   | Some s ->
-      (* With a replicated service a wedge is a broken promise, and a
-         watchdog-armed run wants the wedged cores named: arm the
-         liveness monitor's stuck detection before closing out. *)
-      if spec.Shape.replicas > 0 || Runtime.wedged t then
-        Tm2c_check.Stream.set_stuck_after_ns s 1e6;
-      let v = Tm2c_check.Stream.finish s in
+      let v = Tm2c_check.Stream.finish ?stuck_after_ns s in
       print_newline ();
-      Format.printf "%a" Tm2c_check.Stream.pp_verdict v;
-      if not (Tm2c_check.Stream.passed v) then begin
-        Format.printf "%a" Tm2c_check.Stream.pp_witness s;
-        write_witness (Tm2c_check.Stream.report_string s);
-        exit 1
-      end
+      let w = Tm2c_check.Stream.witness s in
+      if not (Tm2c_check.Stream.conclude ?witness_file:witness v w) then exit 1
   | None -> ());
   if Runtime.wedged t then begin
     Printf.eprintf
@@ -345,16 +335,19 @@ let cmd =
                    bounded-memory streaming checker (serializability + \
                    opacity oracle, DS-Lock protocol checker, liveness \
                    monitor); print a verdict and exit nonzero (with a \
-                   witness) on any violation. For the batch oracle's more \
-                   detailed report, add $(b,--history) and replay the log \
-                   with $(b,tm2c-check --streaming=false).")
+                   witness) on any violation. To judge the run with the \
+                   batch reference oracle, add $(b,--history) and replay \
+                   the log with $(b,tm2c-check --streaming=false), which \
+                   prints the same report.")
   in
   let history =
     Arg.(value & opt (some string) None
          & info [ "history" ] ~docv:"FILE"
              ~doc:"Write the complete event history (not just the 64K ring \
                    tail) as a machine-readable log to $(docv) — replay it \
-                   later with tm2c-check.")
+                   later with tm2c-check. A replicated or watchdog-cut run \
+                   records the wedge threshold it arms, so the replay names \
+                   the same wedged cores.")
   in
   let witness =
     Arg.(value & opt (some string) None

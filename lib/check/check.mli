@@ -7,7 +7,7 @@
     ({!Serial}) over the assembled history. The stream comes from a live {!Collector}
     ([run (Collector.iter c)]), a {!Histlog} file, or a list
     ({!run_list}). For the online bounded-memory checker see
-    {!Stream}. *)
+    {!Stream}, which renders this driver's result too. *)
 
 type result = {
   history : History.t;
@@ -15,8 +15,6 @@ type result = {
   lockset : Lockset.report;
   liveness : Liveness.report;
 }
-
-val default_liveness_budget : int
 
 (** [stuck_after_ns] arms the liveness monitor's wedge detection
     (see {!Liveness.finish}; default [infinity], off); crashed cores and the horizon are
@@ -43,22 +41,16 @@ val run_list :
   (float * Tm2c_core.Event.t) list ->
   result
 
-(** Total violations across all checkers (history anomalies count). *)
+(** The streaming checker's verdict and witness of a result, so both
+    drivers compare ({!Stream.equal}) and render alike. A cycle's
+    hops are labelled by their index in [serial.txns]. *)
+val verdict : result -> Stream.verdict
+
+val witness : result -> Stream.witness
+
 val n_failures : result -> int
 
 val passed : result -> bool
 
-(** One line per checker: OK/FAIL plus headline numbers. *)
-val pp_summary : Format.formatter -> result -> unit
-
-(** Full violation detail, each checker's own witness section in
-    turn (the streaming report composes the same sections): history
-    anomalies, value corruption, for a conflict-graph cycle the
-    minimal witness (offending transactions and, per hop, the edge
-    kind, address, and inducing sequence point), opacity witnesses,
-    lock violations, abort chains and wedged cores. Empty when
-    {!passed}. *)
-val pp_witness : Format.formatter -> result -> unit
-
-(** Summary followed by witness, as a string. *)
+(** {!Stream.report} of {!verdict} and {!witness}. *)
 val report_string : result -> string

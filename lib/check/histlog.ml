@@ -24,6 +24,10 @@ let header = "# tm2c-history v5"
 
 let footer_prefix = "# events "
 
+(* Written beside the footer when the run armed wedge detection, so a
+   replay judges wedged cores the way the run did. *)
+let stuck_prefix = "# stuck-after-ns "
+
 (* Numbers are written straight into the line buffer, with no format
    interpreted and no intermediate string: integers as [string_of_int]
    prints them ([Decimal.add_int]), floats as Printf's "%h" does. The
@@ -133,7 +137,8 @@ let put w time ev =
 
 let written w = w.w_count
 
-let close_writer w =
+let close_writer ?stuck_after_ns w =
+  Option.iter (Printf.fprintf w.w_oc "%s%h\n" stuck_prefix) stuck_after_ns;
   Printf.fprintf w.w_oc "%s%d\n" footer_prefix w.w_count;
   if w.w_owns then close_out w.w_oc else flush w.w_oc
 
@@ -193,21 +198,27 @@ let iter_channel ic f =
       failwith (Printf.sprintf "empty history log: expected %S header" header));
   let count = ref 0 in
   let lineno = ref 1 in
+  let stuck_after_ns = ref None in
   (try
      while true do
        let line = input_line ic in
        incr lineno;
        if line = "" then ()
        else if line.[0] = '#' then begin
-         (* The count footer, when present, must match the events
-            seen so far: a mismatch means the log was truncated (or
-            grew) after the writer closed it. *)
-         if is_prefix footer_prefix line then
-           let declared =
-             String.sub line (String.length footer_prefix)
-               (String.length line - String.length footer_prefix)
-           in
-           match int_of_string_opt (String.trim declared) with
+         let rest pre =
+           String.trim
+             (String.sub line (String.length pre)
+                (String.length line - String.length pre))
+         in
+         if is_prefix stuck_prefix line then
+           match float_of_string_opt (rest stuck_prefix) with
+           | Some x when x >= 0.0 -> stuck_after_ns := Some x
+           | _ -> parse_error !lineno "malformed stuck-after-ns line"
+         else if is_prefix footer_prefix line then
+           (* The count footer, when present, must match the events
+              seen so far: a mismatch means the log was truncated (or
+              grew) after the writer closed it. *)
+           match int_of_string_opt (rest footer_prefix) with
            | Some n when n = !count -> ()
            | Some n ->
                parse_error !lineno
@@ -223,17 +234,13 @@ let iter_channel ic f =
        end
      done
    with End_of_file -> ());
-  !count
+  !stuck_after_ns
 
 let iter_file path f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> iter_channel ic f)
 
-let read ic =
-  let events = ref [] in
-  let _ = iter_channel ic (fun time ev -> events := (time, ev) :: !events) in
-  List.rev !events
-
 let load path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
+  let events = ref [] in
+  let stuck_after_ns = iter_file path (fun time ev -> events := (time, ev) :: !events) in
+  (List.rev !events, stuck_after_ns)

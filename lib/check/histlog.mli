@@ -15,10 +15,14 @@
 
     Logs end with an ["# events N"] footer: the streaming writer
     stamps it on close, and readers verify it when present, so a
-    truncated log fails loudly instead of being checked short. Both
-    directions are streaming — the writer takes events one at a time
-    (e.g. straight off the trace sink) and {!iter_file} parses line
-    by line without holding the log in memory. *)
+    truncated log fails loudly instead of being checked short. A run
+    that armed wedge detection writes a ["# stuck-after-ns T"] line
+    (T in hex-float notation) just before the footer, and
+    {!iter_file} returns T, so a replay arms the liveness monitor the
+    way the run did; a log the run did not arm carries no such line.
+    Both directions are streaming — the writer takes events one at a
+    time (e.g. straight off the trace sink) and {!iter_file} parses
+    line by line without holding the log in memory. *)
 
 open Tm2c_core
 
@@ -41,7 +45,9 @@ val put : writer -> float -> Event.t -> unit
 (** Events appended so far. *)
 val written : writer -> int
 
-val close_writer : writer -> unit
+(** [stuck_after_ns] writes the armed wedge threshold before the
+    footer. *)
+val close_writer : ?stuck_after_ns:float -> writer -> unit
 
 (** Header, one line per driven event, footer. *)
 val write : out_channel -> ((float -> Event.t -> unit) -> unit) -> unit
@@ -49,10 +55,11 @@ val write : out_channel -> ((float -> Event.t -> unit) -> unit) -> unit
 val save : string -> ((float -> Event.t -> unit) -> unit) -> unit
 
 (** Parse a log file, calling [f] per event in order; returns the
-    event count. Raises [Failure] with the offending line number on
-    malformed input or a footer/count mismatch. Blank lines and other
-    [#] comments are skipped. *)
-val iter_file : string -> (float -> Event.t -> unit) -> int
+    wedge threshold the run armed, [None] when the log carries none.
+    Raises [Failure] with the offending line number on malformed
+    input (a malformed threshold too) or a footer/count mismatch.
+    Blank lines and other [#] comments are skipped. *)
+val iter_file : string -> (float -> Event.t -> unit) -> float option
 
-(** Batch form of {!iter_file}. *)
-val load : string -> (float * Event.t) list
+(** Batch form of {!iter_file}: the events, and the armed threshold. *)
+val load : string -> (float * Event.t) list * float option

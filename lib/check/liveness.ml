@@ -52,6 +52,10 @@ type report = {
   stuck : stuck list;  (* cores wedged open at the horizon *)
 }
 
+let default_budget = 1000
+
+let default_stuck_after_ns = 1e6
+
 let ok r = r.violations = [] && r.stuck = []
 
 type times = {

@@ -41,6 +41,11 @@ type report = {
   stuck : stuck list;  (** wedged cores, by core id *)
 }
 
+val default_budget : int
+
+(** 1 ms: the wedge threshold [tm2c-sim] and the fuzz harness arm. *)
+val default_stuck_after_ns : float
+
 type t
 
 val create : budget:int -> t

@@ -78,7 +78,6 @@ type report = {
   txns : History.attempt array;
   n_reads_checked : int;
   n_reads_skipped : int;
-  n_initial_bound : int;
   corruption : string list;
   cycle : cycle option;
   opacity : inconsistent_read list;
@@ -259,6 +258,13 @@ let opacity_check ~versions_of (a : History.attempt) =
   in
   go life [] a.History.a_reads
 
+let corrupt_read (a : History.attempt) (r : History.read) =
+  Printf.sprintf
+    "core %d attempt %d read addr=%d value=%d at seq %d: value matches no \
+     installed version"
+    a.History.a_core a.History.a_number r.History.r_addr r.History.r_value
+    r.History.r_seq
+
 let analyze ?(opacity = true) (h : History.t) =
   let txns = Array.of_list (List.filter serialized h.History.attempts) in
   Array.sort (fun a b -> compare (pub_key a) (pub_key b)) txns;
@@ -336,12 +342,7 @@ let analyze ?(opacity = true) (h : History.t) =
     versions;
   let n_reads_checked = ref 0 in
   let n_reads_skipped = ref 0 in
-  let n_initial_bound = ref 0 in
   let corruption = ref [] in
-  let bind v value =
-    v.v_value <- Some value;
-    incr n_initial_bound
-  in
   (* Resolve one read to the version index it observed, or None when
      the value matches no version (corruption). Preference order:
      the timing-predicted version, then the nearest stale version,
@@ -357,7 +358,7 @@ let analyze ?(opacity = true) (h : History.t) =
     in
     if matches !pred then Some !pred
     else if vs.(!pred).v_value = None then begin
-      bind vs.(!pred) r.History.r_value;
+      vs.(!pred).v_value <- Some r.History.r_value;
       Some !pred
     end
     else begin
@@ -372,7 +373,7 @@ let analyze ?(opacity = true) (h : History.t) =
         done;
         if !found >= 0 then Some !found
         else if vs.(0).v_value = None then begin
-          bind vs.(0) r.History.r_value;
+          vs.(0).v_value <- Some r.History.r_value;
           Some 0
         end
         else None
@@ -393,13 +394,7 @@ let analyze ?(opacity = true) (h : History.t) =
             let vs = get_versions r.History.r_addr in
             match resolve vs r with
             | None ->
-                corruption :=
-                  Printf.sprintf
-                    "core %d attempt %d read addr=%d value=%d at seq %d: value \
-                     matches no installed version"
-                    a.History.a_core a.History.a_number r.History.r_addr
-                    r.History.r_value r.History.r_seq
-                  :: !corruption
+                corruption := corrupt_read a r :: !corruption
             | Some j -> (
                 (match vs.(j).v_writer with
                 | Some w -> add_edge w i Wr r.History.r_addr r.History.r_seq
@@ -467,7 +462,6 @@ let analyze ?(opacity = true) (h : History.t) =
     txns;
     n_reads_checked = !n_reads_checked;
     n_reads_skipped = !n_reads_skipped;
-    n_initial_bound = !n_initial_bound;
     corruption = List.rev !corruption;
     cycle;
     opacity = List.rev !opacity_violations;

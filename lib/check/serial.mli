@@ -71,7 +71,6 @@ type report = {
           index into this array *)
   n_reads_checked : int;
   n_reads_skipped : int;  (** reads of elastic serialized attempts *)
-  n_initial_bound : int;  (** addresses whose initial version got bound *)
   corruption : string list;
       (** reads whose observed value matches no installed version *)
   cycle : cycle option;
@@ -80,6 +79,9 @@ type report = {
           snapshot; empty when [analyze ~opacity:false] *)
   n_opacity_checked : int;
 }
+
+(** A [corruption] entry: the read matches no installed version. *)
+val corrupt_read : History.attempt -> History.read -> string
 
 (** [analyze ?opacity h] replays the serialized history and, unless
     [opacity] is [false] (default [true]), snapshot-checks every

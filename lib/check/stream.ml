@@ -68,6 +68,17 @@ type verdict = {
   d_liveness : Liveness.report;
 }
 
+(* Each checker's violations in the form its own witness section
+   renders them, for either driver. *)
+type witness = {
+  w_anomalies : History.anomaly list;
+  w_corruption : string list;
+  w_cycle : (Serial.edge list * (int -> string)) option;
+  w_opacity : Serial.inconsistent_read list;
+  w_lockset : Lockset.report;
+  w_liveness : Liveness.report;
+}
+
 let n_failures v =
   v.d_anomalies
   + List.length v.d_corruption
@@ -117,7 +128,6 @@ type t = {
   ls : Lockset.t;
   lv : Liveness.t;
   opacity_on : bool;
-  mutable stuck_after_ns : float;
   gc_interval : int;
   nodes : (int, node) Hashtbl.t;
   addrs : (Types.addr, astate) Hashtbl.t;
@@ -140,17 +150,15 @@ type t = {
   mutable unfinished : int;
   mutable reads_checked : int;
   mutable reads_skipped : int;
-  mutable corruption : string list;  (* reversed *)
-  mutable opacity : Serial.inconsistent_read list;  (* reversed *)
+  mutable corruption : (int * string) list;  (* (publish seq, msg), reversed *)
+  mutable opacity : Serial.inconsistent_read list;  (* close order, reversed *)
   mutable opacity_checked : int;
   mutable cycle : (Serial.edge list * (int * string) list) option;
       (* the hops, and each hop's source named while it was live *)
   mutable since_gc : int;
   mutable searches : int;  (* cycle searches so far, the visit stamp *)
   mutable peak_nodes : int;  (* high-water of live graph nodes *)
-  mutable fin_anomalies : History.anomaly list;
-  mutable fin_lockset : Lockset.report option;
-  mutable result : verdict option;
+  mutable result : (verdict * witness) option;
 }
 
 (* A node becomes retirable only by its last unpin or by closing
@@ -455,13 +463,8 @@ let close_serialized t id (a : History.attempt) =
         let vs = Array.of_list (List.rev st.versions) in
         match resolve vs r with
         | None ->
-            t.corruption <-
-              Printf.sprintf
-                "core %d attempt %d read addr=%d value=%d at seq %d: value \
-                 matches no installed version"
-                a.History.a_core a.History.a_number r.History.r_addr
-                r.History.r_value r.History.r_seq
-              :: t.corruption
+            let pub = match node with Some n -> n.n_pub_seq | None -> a.History.a_end_seq in
+            t.corruption <- (pub, Serial.corrupt_read a r) :: t.corruption
         | Some j ->
             if vs.(j).sv_writer >= 0 then
               add_edge t ~synthetic:false vs.(j).sv_writer id Serial.Wr
@@ -533,7 +536,7 @@ let on_close t (a : History.attempt) =
 
 (* --- Driver. --- *)
 
-let create ?(liveness_budget = Check.default_liveness_budget) ?(opacity = true)
+let create ?(liveness_budget = Liveness.default_budget) ?(opacity = true)
     ?(gc_interval = 1024) () =
   let t =
     {
@@ -541,7 +544,6 @@ let create ?(liveness_budget = Check.default_liveness_budget) ?(opacity = true)
       ls = Lockset.create ();
       lv = Liveness.create ~budget:liveness_budget;
       opacity_on = opacity;
-      stuck_after_ns = infinity;
       gc_interval;
       nodes = Hashtbl.create 256;
       addrs = Hashtbl.create 256;
@@ -564,8 +566,6 @@ let create ?(liveness_budget = Check.default_liveness_budget) ?(opacity = true)
       since_gc = 0;
       searches = 0;
       peak_nodes = 0;
-      fin_anomalies = [];
-      fin_lockset = None;
       result = None;
     }
   in
@@ -587,8 +587,6 @@ let feed t time ev =
   t.since_gc <- t.since_gc + 1;
   if t.since_gc >= t.gc_interval then gc t
 
-let set_stuck_after_ns t v = t.stuck_after_ns <- v
-
 let attach t trace =
   Tm2c_engine.Trace.set_sink trace (Some (feed t));
   Tm2c_engine.Trace.enable trace
@@ -597,74 +595,79 @@ let n_live_nodes t = Hashtbl.length t.nodes
 
 let peak_nodes t = t.peak_nodes
 
-(* A cycle's verdict form: its addresses, sorted. *)
-let cycle_addrs edges =
-  List.sort_uniq compare (List.map (fun (e : Serial.edge) -> e.Serial.e_addr) edges)
-
-let finish t =
-  match t.result with
-  | Some v -> v
-  | None ->
-      let h = History.finish t.hb in
-      let lr = Lockset.finish t.ls in
-      t.fin_anomalies <- h.History.anomalies;
-      t.fin_lockset <- Some lr;
-      let v =
-        {
-          d_events = h.History.n_events;
-          d_attempts = t.committed + t.aborted + t.unfinished;
-          d_committed = t.committed;
-          d_aborted = t.aborted;
-          d_unfinished = t.unfinished;
-          d_anomalies = List.length h.History.anomalies;
-          d_reads_checked = t.reads_checked;
-          d_reads_skipped = t.reads_skipped;
-          d_corruption = List.sort compare t.corruption;
-          d_cycle = Option.map (fun (edges, _) -> cycle_addrs edges) t.cycle;
-          d_opacity =
-            List.sort compare
-              (List.rev_map
-                 (fun (ir : Serial.inconsistent_read) ->
-                   (ir.Serial.ir_addr1, ir.Serial.ir_addr2))
-                 t.opacity);
-          d_opacity_checked = t.opacity_checked;
-          d_lock_violations = List.length lr.Lockset.violations;
-          d_grants = lr.Lockset.n_grants;
-          d_liveness =
-            Liveness.finish t.lv ~horizon:t.horizon ~crashed:t.crashed
-              ~stuck_after_ns:t.stuck_after_ns;
-        }
-      in
-      t.result <- Some v;
-      v
-
-(* Project a batch result onto the comparable verdict, for the
-   differential battery. *)
-let verdict_of_result (r : Check.result) =
-  let committed, aborted, unfinished = History.count_outcomes r.Check.history in
+let verdict_of_witness ~events ~committed ~aborted ~unfinished ~reads_checked
+    ~reads_skipped ~opacity_checked w =
   {
-    d_events = r.Check.history.History.n_events;
-    d_attempts = List.length r.Check.history.History.attempts;
+    d_events = events;
+    d_attempts = committed + aborted + unfinished;
     d_committed = committed;
     d_aborted = aborted;
     d_unfinished = unfinished;
-    d_anomalies = List.length r.Check.history.History.anomalies;
-    d_reads_checked = r.Check.serial.Serial.n_reads_checked;
-    d_reads_skipped = r.Check.serial.Serial.n_reads_skipped;
-    d_corruption = List.sort compare r.Check.serial.Serial.corruption;
+    d_anomalies = List.length w.w_anomalies;
+    d_reads_checked = reads_checked;
+    d_reads_skipped = reads_skipped;
+    d_corruption = List.sort compare w.w_corruption;
     d_cycle =
-      Option.map (fun c -> cycle_addrs c.Serial.c_edges) r.Check.serial.Serial.cycle;
+      Option.map
+        (fun (edges, _) ->
+          List.sort_uniq compare (List.map (fun (e : Serial.edge) -> e.Serial.e_addr) edges))
+        w.w_cycle;
     d_opacity =
       List.sort compare
         (List.map
-           (fun (ir : Serial.inconsistent_read) ->
-             (ir.Serial.ir_addr1, ir.Serial.ir_addr2))
-           r.Check.serial.Serial.opacity);
-    d_opacity_checked = r.Check.serial.Serial.n_opacity_checked;
-    d_lock_violations = List.length r.Check.lockset.Lockset.violations;
-    d_grants = r.Check.lockset.Lockset.n_grants;
-    d_liveness = r.Check.liveness;
+           (fun (ir : Serial.inconsistent_read) -> (ir.Serial.ir_addr1, ir.Serial.ir_addr2))
+           w.w_opacity);
+    d_opacity_checked = opacity_checked;
+    d_lock_violations = List.length w.w_lockset.Lockset.violations;
+    d_grants = w.w_lockset.Lockset.n_grants;
+    d_liveness = w.w_liveness;
   }
+
+(* Closes the run once; later calls return the first verdict
+   whatever threshold they pass. *)
+let finish ?(stuck_after_ns = infinity) t =
+  match t.result with
+  | Some (v, _) -> v
+  | None ->
+      let h = History.finish t.hb in
+      let w =
+        {
+          w_anomalies = h.History.anomalies;
+          (* The batch oracle's orders: corrupt reads by publish, then
+             read order; opacity witnesses by attempt start. *)
+          w_corruption =
+            List.map snd
+              (List.stable_sort
+                 (fun (p, _) (q, _) -> Int.compare p q)
+                 (List.rev t.corruption));
+          w_cycle =
+            Option.map
+              (fun (edges, names) -> (edges, fun id -> List.assoc id names))
+              t.cycle;
+          w_opacity =
+            List.sort
+              (fun (x : Serial.inconsistent_read) y ->
+                Int.compare x.Serial.ir_start_seq y.Serial.ir_start_seq)
+              t.opacity;
+          w_lockset = Lockset.finish t.ls;
+          w_liveness =
+            Liveness.finish t.lv ~horizon:t.horizon ~crashed:t.crashed ~stuck_after_ns;
+        }
+      in
+      let v =
+        verdict_of_witness ~events:h.History.n_events ~committed:t.committed
+          ~aborted:t.aborted ~unfinished:t.unfinished ~reads_checked:t.reads_checked
+          ~reads_skipped:t.reads_skipped ~opacity_checked:t.opacity_checked w
+      in
+      t.result <- Some (v, w);
+      v
+
+(* Never finishes by itself: an unarmed finish here would pin the
+   verdict before the caller's armed one. *)
+let witness t =
+  match t.result with
+  | Some (_, w) -> w
+  | None -> invalid_arg "Stream.witness: finish first"
 
 let pp_verdict fmt v =
   let status ok = if ok then "OK  " else "FAIL" in
@@ -697,18 +700,33 @@ let pp_verdict fmt v =
     (List.length lv.Liveness.violations)
     (List.length lv.Liveness.stuck)
 
-let pp_witness fmt t =
-  let v = finish t in
-  History.pp_anomalies fmt t.fin_anomalies;
-  Serial.pp_corruption fmt (List.rev t.corruption);
-  Option.iter
-    (fun (edges, names) ->
-      Serial.pp_cycle ~label:(fun id -> List.assoc id names) fmt edges)
-    t.cycle;
-  Serial.pp_opacity fmt (List.rev t.opacity);
-  Option.iter (Lockset.pp_witness fmt) t.fin_lockset;
-  Liveness.pp_witness fmt v.d_liveness
+(* The one witness composer: each checker's own section, in turn. *)
+let pp_sections fmt w =
+  History.pp_anomalies fmt w.w_anomalies;
+  Serial.pp_corruption fmt w.w_corruption;
+  Option.iter (fun (edges, label) -> Serial.pp_cycle ~label fmt edges) w.w_cycle;
+  Serial.pp_opacity fmt w.w_opacity;
+  Lockset.pp_witness fmt w.w_lockset;
+  Liveness.pp_witness fmt w.w_liveness
+
+let report v w = Format.asprintf "%a%a" pp_verdict v pp_sections w
 
 let report_string t =
   let v = finish t in
-  Format.asprintf "%a%a" pp_verdict v pp_witness t
+  report v (witness t)
+
+let conclude ?witness_file v w =
+  Format.printf "%a" pp_verdict v;
+  let ok = passed v in
+  if not ok then begin
+    Format.printf "%a" pp_sections w;
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> output_string oc (report v w));
+        Printf.printf "wrote witness to %s\n" path)
+      witness_file
+  end;
+  ok

@@ -12,9 +12,11 @@
     through them, or without it once they are closed sources published
     at or below the watermark.
 
-    Verdicts are structurally comparable with the batch oracle via
-    {!verdict_of_result}; the differential test battery drives both
-    over the same event streams and requires [equal]. *)
+    Both drivers end here: the batch oracle projects its result onto
+    the same {!verdict} and {!witness} ({!Check.verdict}), so one
+    history prints one report whichever driver judged it; the
+    differential battery requires [equal] verdicts and equal
+    reports. *)
 
 open Tm2c_core
 
@@ -42,6 +44,33 @@ type verdict = {
           the batch checker runs, so it compares exactly *)
 }
 
+(** Each checker's violations, as its own witness section renders
+    them. *)
+type witness = {
+  w_anomalies : History.anomaly list;
+  w_corruption : string list;
+  w_cycle : (Serial.edge list * (int -> string)) option;
+      (** the cycle's hops, closing hop last, and the label naming a
+          hop's transaction *)
+  w_opacity : Serial.inconsistent_read list;
+  w_lockset : Lockset.report;
+  w_liveness : Liveness.report;
+}
+
+(** The one projection both drivers make of their counts and
+    witness. *)
+val verdict_of_witness :
+  events:int ->
+  committed:int ->
+  aborted:int ->
+  unfinished:int ->
+  reads_checked:int ->
+  reads_skipped:int ->
+  opacity_checked:int ->
+  witness ->
+  verdict
+
+(** Total violations across all checkers (history anomalies count). *)
 val n_failures : verdict -> int
 
 val passed : verdict -> bool
@@ -52,7 +81,7 @@ type t
 
 (** [gc_interval] is the event count between watermark sweeps
     (default 1024); the other knobs mirror {!Check.run}. Wedge
-    detection is armed with {!set_stuck_after_ns}. *)
+    detection is armed at {!finish}. *)
 val create :
   ?liveness_budget:int ->
   ?opacity:bool ->
@@ -67,27 +96,36 @@ val feed : t -> float -> Event.t -> unit
 (** Install [t] as the trace's sink and enable tracing. *)
 val attach : t -> Event.t Tm2c_engine.Trace.t -> unit
 
-(** Arm (or disarm) wedge detection before {!finish}: callers learn
-    only at run end whether the watchdog cut the run short. *)
-val set_stuck_after_ns : t -> float -> unit
-
 (** Close still-open attempts at the horizon and return the verdict.
-    Idempotent: later calls return the same verdict. *)
-val finish : t -> verdict
+    [stuck_after_ns] arms wedge detection as in {!Check.run}.
+    Idempotent: later calls return the first call's verdict, whatever
+    they pass. *)
+val finish : ?stuck_after_ns:float -> t -> verdict
 
-(** Project a batch {!Check.run} result onto the comparable verdict. *)
-val verdict_of_result : Check.result -> verdict
+(** The witness behind {!finish}'s verdict. Raises [Invalid_argument]
+    before {!finish}. *)
+val witness : t -> witness
 
+(** The summary: one line per checker, OK/FAIL plus headline
+    numbers. *)
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** Witness detail only, composed of the same per-checker sections as
-    {!Check.pp_witness} (anomalies, corruption, the cycle, opacity
-    witnesses, lock violations, abort chains and wedged cores); empty
-    output when the verdict passed. Runs {!finish} if needed. *)
-val pp_witness : Format.formatter -> t -> unit
+(** Each checker's own witness section in turn: history anomalies,
+    value corruption, the conflict-graph cycle, opacity witnesses,
+    lock violations, abort chains and wedged cores. Empty when nothing
+    failed. *)
+val pp_sections : Format.formatter -> witness -> unit
 
-(** Summary plus {!pp_witness}. Runs {!finish} if needed. *)
+(** Summary followed by witness, as a string. *)
+val report : verdict -> witness -> string
+
+(** {!report} of this checker. Runs {!finish} (unarmed) if needed. *)
 val report_string : t -> string
+
+(** The command-line close-out: print the summary and, on failure,
+    the witness, writing the {!report} to [witness_file] if given.
+    Returns {!passed}. *)
+val conclude : ?witness_file:string -> verdict -> witness -> bool
 
 (** Live serialization-graph nodes right now — the window the checker
     is actually holding. *)

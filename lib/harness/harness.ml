@@ -89,9 +89,12 @@ let run_ids ?json ?(check = false) ids scale =
         Tm2c_engine.Trace.set_sink (Tm2c_core.Runtime.trace t) None;
         (* On a wedged run, arm the liveness monitor's stuck detection
            so the report names the cores that made no progress. *)
-        if Tm2c_core.Runtime.wedged t then
-          Tm2c_check.Stream.set_stuck_after_ns s watchdog_window;
-        let failures = Tm2c_check.Stream.n_failures (Tm2c_check.Stream.finish s) in
+        let stuck_after_ns =
+          if Tm2c_core.Runtime.wedged t then watchdog_window else infinity
+        in
+        let failures =
+          Tm2c_check.Stream.n_failures (Tm2c_check.Stream.finish ~stuck_after_ns s)
+        in
         if failures > 0 then begin
           check_failures := !check_failures + failures;
           Printf.eprintf "check FAILED:\n%s%!" (Tm2c_check.Stream.report_string s)

@@ -66,11 +66,20 @@ let test_histlog_roundtrip () =
   check "trace nonempty" true (events <> []);
   Tmp.with_path ~suffix:".log" (fun path ->
       Histlog.save path (Check.iter_of_list events);
-      let loaded = Histlog.load path in
+      let loaded, stuck_after_ns = Histlog.load path in
       check_int "same event count" (List.length events) (List.length loaded);
       (* Hex-float timestamps make the round-trip exact, so plain
          structural equality must hold. *)
-      check "events round-trip exactly" true (events = loaded))
+      check "events round-trip exactly" true (events = loaded);
+      check "an unarmed log declares no wedge threshold" true (stuck_after_ns = None));
+  (* A run that armed wedge detection records the threshold beside the
+     footer; the events read back unchanged. *)
+  Tmp.with_path ~suffix:".log" (fun path ->
+      let w = Histlog.create_writer path in
+      List.iter (fun (time, ev) -> Histlog.put w time ev) events;
+      Histlog.close_writer ~stuck_after_ns:Liveness.default_stuck_after_ns w;
+      check "armed log round-trips" true
+        (Histlog.load path = (events, Some Liveness.default_stuck_after_ns)))
 
 (* A log must start with the v5 header (older versions are no longer
    read), and every malformed line fails with its line number:
@@ -108,6 +117,8 @@ let test_histlog_rejects_garbage () =
       "0x1p+0 TXS 1 2";
       "0x1p+0 WLK 1 2,x";
       "0x1p+0 ZZZ 1";
+      "# stuck-after-ns nan";
+      "# stuck-after-ns soon";
     ]
 
 (* One decision event per CM arbitration: a server resolves at most
@@ -593,7 +604,7 @@ let histlog_roundtrip_prop =
       let events = pinned_events @ generated in
       Tmp.with_written ~suffix:".log"
         (fun oc -> Histlog.write oc (Check.iter_of_list events))
-        (fun () path -> Histlog.load path = events))
+        (fun () path -> fst (Histlog.load path) = events))
 
 (* The trace ring keeps events as flat columns; what it hands back
    must be what was recorded. Rings far smaller than the run wrap many

@@ -20,7 +20,7 @@ let contains s sub =
 
 let timeout_ns = 60_000.0
 let lease_ns = 250_000.0
-let stuck_after_ns = 1e6
+let stuck_after_ns = Liveness.default_stuck_after_ns
 
 let cfg ?(total = 16) ?(seed = 1) () =
   {
@@ -118,8 +118,7 @@ let test_scrash_wedge_named_by_stream () =
   in
   let s = Stream.create () in
   List.iter (fun (now, ev) -> Stream.feed s now ev) events;
-  Stream.set_stuck_after_ns s stuck_after_ns;
-  let v = Stream.finish s in
+  let v = Stream.finish ~stuck_after_ns s in
   let batch = Check.run_list ~stuck_after_ns events in
   check "streaming liveness report = batch report" true
     (v.Stream.d_liveness = batch.Check.liveness);
@@ -136,6 +135,40 @@ let test_scrash_wedge_named_by_stream () =
           in
           if not (contains report line) then Alcotest.failf "report lacks %S:\n%s" line report)
         stuck
+
+(* The same wedge end to end: tm2c-sim records the threshold it armed
+   in the history log, and tm2c-check replays the log to the same
+   failure (exit 1, the eight wedged cores) in both modes, with one
+   report. *)
+let test_wedged_log_replays_failing () =
+  let exe name =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name (Filename.concat "bin" name))
+  in
+  Tmp.with_path ~suffix:".hist" (fun hist ->
+      let sim =
+        Filename.quote_command (exe "tm2c_sim.exe") ~stdout:Filename.null
+          [ "--bench"; "counter"; "--cores"; "16"; "--duration"; "5";
+            "--fault-plan"; "scrash=14@0"; "--timeout-ns"; "60000";
+            "--lease-ns"; "250000"; "--watchdog-ms"; "1"; "--check";
+            "--history"; hist ]
+      in
+      check_int "tm2c-sim --check fails the wedged run" 1 (Sys.command sim);
+      let replay streaming =
+        Tmp.with_path ~suffix:".out" (fun out ->
+            let cmd =
+              Filename.quote_command (exe "tm2c_check_cli.exe") ~stdout:out
+                [ "--streaming=" ^ string_of_bool streaming; hist ]
+            in
+            check_int
+              (Printf.sprintf "tm2c-check --streaming=%b exits 1" streaming)
+              1 (Sys.command cmd);
+            In_channel.with_open_bin out In_channel.input_all)
+      in
+      let streamed = replay true and batch = replay false in
+      if not (contains streamed ", 8 stuck") then
+        Alcotest.failf "replay lacks the 8 wedged cores:\n%s" streamed;
+      Alcotest.(check string) "both modes print one report" streamed batch)
 
 (* ---- crash with one replica: epoch bump, failover, progress ---- *)
 
@@ -301,6 +334,9 @@ let suite =
     ( "failover: streaming report names the wedged cores",
       `Quick,
       test_scrash_wedge_named_by_stream );
+    ( "failover: a replayed wedged log fails in both modes",
+      `Quick,
+      test_wedged_log_replays_failing );
     ( "failover: one replica restores progress",
       `Quick,
       test_failover_restores_progress );

@@ -24,6 +24,15 @@ open Tm2c_check
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Both drivers print one summary, and, unless a conflict cycle is
+   reported (each driver numbers the cycle's transactions in its own
+   order), one whole report. [s] must be finished. *)
+let same_report s batch =
+  let v = Check.verdict batch in
+  Format.asprintf "%a" Stream.pp_verdict (Stream.finish s)
+  = Format.asprintf "%a" Stream.pp_verdict v
+  && (v.Stream.d_cycle <> None || Stream.report_string s = Check.report_string batch)
+
 let cfg ?(total = 8) ?(service = 4) ?(seed = 42) () =
   {
     Runtime.platform = Tm2c_noc.Platform.scc;
@@ -109,7 +118,8 @@ let test_mutation_streaming_agrees () =
   let online = Stream.finish s in
   let batch = Check.run_list events in
   check "streaming verdict = batch verdict" true
-    (Stream.equal online (Stream.verdict_of_result batch));
+    (Stream.equal online (Check.verdict batch));
+  check "streaming report = batch report" true (same_report s batch);
   check "streaming flags the opacity violation" false (Stream.passed online);
   check "streaming witness names the (A, B) pair" true
     (List.mem (min a b, max a b) online.Stream.d_opacity
@@ -147,6 +157,59 @@ let fractured_abort_events =
     (11.0, Event.Tx_aborted { core = 1; attempt = 1; conflict = None });
   ]
 
+(* The same fracture seen by two readers that close in the reverse of
+   their start order (core 2 starts first, aborts last). *)
+let two_fractured_aborts =
+  let a = 100 and b = 101 in
+  [
+    (0.5, Event.Host_write { addr = a; value = 0 });
+    (0.6, Event.Host_write { addr = b; value = 0 });
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (1.5, Event.Tx_start { core = 2; attempt = 1; elastic = false });
+    (2.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+    (3.0, Event.Tx_read { core = 1; addr = a; granted = true; value = 0 });
+    (3.5, Event.Tx_read { core = 2; addr = a; granted = true; value = 0 });
+    (4.0, Event.Tx_write { core = 0; addr = a; value = 1 });
+    (5.0, Event.Tx_write { core = 0; addr = b; value = 1 });
+    (6.0, Event.Tx_commit_begin { core = 0; attempt = 1; n_writes = 2 });
+    ( 6.5,
+      Event.Enemy_aborted
+        { server = 3; winner = 0; victim = 1; addr = a; conflict = Types.War } );
+    ( 6.6,
+      Event.Enemy_aborted
+        { server = 3; winner = 0; victim = 2; addr = a; conflict = Types.War } );
+    (7.0, Event.Wlock_granted { core = 0; addrs = [ a; b ] });
+    (8.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 2 });
+    (9.0, Event.Tx_committed { core = 0; attempt = 1; duration_ns = 8.0 });
+    (10.0, Event.Tx_read { core = 1; addr = b; granted = true; value = 1 });
+    (10.5, Event.Tx_read { core = 2; addr = b; granted = true; value = 1 });
+    (11.0, Event.Tx_aborted { core = 1; attempt = 1; conflict = None });
+    (12.0, Event.Tx_aborted { core = 2; attempt = 1; conflict = None });
+  ]
+
+(* Two committed readers see values no one wrote; core 0 publishes
+   first but commits last. Core 2's early read binds the initial
+   version first, so which reads are corrupt does not depend on the
+   order reads resolve in (the stream resolves at close, the batch in
+   publish order, and they bind an unbound initial version
+   differently). *)
+let two_corrupt_reads =
+  let a = 100 in
+  [
+    (0.1, Event.Tx_start { core = 2; attempt = 1; elastic = false });
+    (0.2, Event.Tx_read { core = 2; addr = a; granted = true; value = 5 });
+    (0.3, Event.Tx_committed { core = 2; attempt = 1; duration_ns = 0.2 });
+    (0.5, Event.Host_write { addr = a; value = 0 });
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (2.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+    (3.0, Event.Tx_read { core = 0; addr = a; granted = true; value = 7 });
+    (4.0, Event.Tx_read { core = 1; addr = a; granted = true; value = 9 });
+    (5.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 0 });
+    (6.0, Event.Tx_publish { core = 1; attempt = 1; n_writes = 0 });
+    (7.0, Event.Tx_committed { core = 1; attempt = 1; duration_ns = 5.0 });
+    (8.0, Event.Tx_committed { core = 0; attempt = 1; duration_ns = 7.0 });
+  ]
+
 let test_synthetic_inconsistent_prefix_caught () =
   let r = Check.run_list fractured_abort_events in
   check "serializable (the reader never committed)" true
@@ -168,10 +231,28 @@ let test_synthetic_streaming_agrees () =
   let s = Stream.create () in
   List.iter (fun (now, ev) -> Stream.feed s now ev) fractured_abort_events;
   let online = Stream.finish s in
+  let batch = Check.run_list fractured_abort_events in
   check "streaming verdict = batch verdict" true
-    (Stream.equal online
-       (Stream.verdict_of_result (Check.run_list fractured_abort_events)));
+    (Stream.equal online (Check.verdict batch));
+  check "streaming report = batch report" true (same_report s batch);
   check_int "one opacity witness" 1 (List.length online.Stream.d_opacity);
+  (* Both reports list opacity witnesses in attempt start order,
+     whatever order the attempts closed in. *)
+  let s2 = Stream.create () in
+  List.iter (fun (now, ev) -> Stream.feed s2 now ev) two_fractured_aborts;
+  let batch2 = Check.run_list two_fractured_aborts in
+  check_int "two opacity witnesses" 2 (List.length (Stream.finish s2).Stream.d_opacity);
+  check "two witnesses: streaming verdict = batch verdict" true
+    (Stream.equal (Stream.finish s2) (Check.verdict batch2));
+  check "two witnesses: streaming report = batch report" true (same_report s2 batch2);
+  (* ... and corrupt reads in publish order, whatever order the
+     attempts committed in. *)
+  let s3 = Stream.create () in
+  List.iter (fun (now, ev) -> Stream.feed s3 now ev) two_corrupt_reads;
+  let batch3 = Check.run_list two_corrupt_reads in
+  check_int "two corrupt reads" 2 (List.length (Stream.finish s3).Stream.d_corruption);
+  check "two corrupt reads: streaming report = batch report" true
+    (same_report s3 batch3);
   let s' = Stream.create ~opacity:false () in
   List.iter (fun (now, ev) -> Stream.feed s' now ev) fractured_abort_events;
   check "streaming opacity:false accepts" true (Stream.passed (Stream.finish s'))
@@ -254,10 +335,10 @@ let differential_prop =
       List.iter (fun (now, ev) -> Stream.feed s now ev) events;
       let online = Stream.finish s in
       let batch = Check.run_list events in
-      if Stream.equal online (Stream.verdict_of_result batch) then true
+      if Stream.equal online (Check.verdict batch) && same_report s batch then true
       else
         QCheck.Test.fail_reportf
-          "verdicts diverge on %s seed=%d faults=%b:@\n-- online --@\n%s@\n-- \
+          "verdicts or reports diverge on %s seed=%d faults=%b:@\n-- online --@\n%s@\n-- \
            batch --@\n%s"
           (let name, _, _ = shapes.(shape) in
            name)
@@ -279,13 +360,13 @@ let contains s sub =
 let liveness_agrees name ~budget ?stuck_after_ns events =
   let s = Stream.create ~liveness_budget:budget () in
   List.iter (fun (now, ev) -> Stream.feed s now ev) events;
-  Option.iter (Stream.set_stuck_after_ns s) stuck_after_ns;
-  let online = Stream.finish s in
+  let online = Stream.finish ?stuck_after_ns s in
   let batch = Check.run_list ~liveness_budget:budget ?stuck_after_ns events in
   check (name ^ ": streaming liveness report = batch report") true
     (online.Stream.d_liveness = batch.Check.liveness);
   check (name ^ ": streaming verdict = batch verdict") true
-    (Stream.equal online (Stream.verdict_of_result batch));
+    (Stream.equal online (Check.verdict batch));
+  check (name ^ ": streaming report = batch report") true (same_report s batch);
   (s, online)
 
 (* A budget of 2 on the contended counter turns its abort runs into
@@ -330,8 +411,8 @@ let wedge_events =
 
 let test_liveness_wedge_named () =
   let s, v =
-    liveness_agrees "synthetic wedge" ~budget:Check.default_liveness_budget
-      ~stuck_after_ns:1e6 wedge_events
+    liveness_agrees "synthetic wedge" ~budget:Liveness.default_budget
+      ~stuck_after_ns:Liveness.default_stuck_after_ns wedge_events
   in
   check_int "one wedged core" 1 (List.length v.Stream.d_liveness.Liveness.stuck);
   let report = Stream.report_string s in
