@@ -11,8 +11,8 @@
    batch checker's builder retains every attempt and returns the full history,
    while the streaming checker runs the same builder with
    [retain:false] and consumes attempts through the [on_close] /
-   [on_publish] callbacks, so its memory is bounded by the number of
-   concurrently open attempts rather than the run length. *)
+   [on_read] / [on_publish] callbacks, so its memory is bounded by the
+   number of concurrently open attempts rather than the run length. *)
 
 open Tm2c_core
 
@@ -54,6 +54,7 @@ type t = {
   attempts : attempt list;  (* in Tx_start order *)
   host_writes : (int * Types.addr * int) list;  (* (seq, addr, value) *)
   anomalies : anomaly list;  (* structural inconsistencies in the stream *)
+  closed : (int * attempt) list;  (* (close point, attempt), close order *)
   n_events : int;
   n_orphans : int;  (* events before their core's first Tx_start *)
 }
@@ -70,11 +71,13 @@ let update_write writes addr value =
 type builder = {
   retain : bool;
   on_close : attempt -> unit;
+  on_read : attempt -> read -> unit;
   on_publish : attempt -> unit;
   on_host_write : int -> Types.addr -> int -> unit;
   open_attempts : (Types.core_id, attempt) Hashtbl.t;
   started : (Types.core_id, unit) Hashtbl.t;
   mutable b_attempts : attempt list;  (* reversed; empty unless retain *)
+  mutable b_closed : (int * attempt) list;  (* reversed; empty unless retain *)
   mutable b_host_writes : (int * Types.addr * int) list;  (* reversed *)
   mutable b_anomalies : anomaly list;  (* reversed *)
   mutable b_n_events : int;
@@ -82,15 +85,18 @@ type builder = {
 }
 
 let builder ?(retain = true) ?(on_close = fun _ -> ())
-    ?(on_publish = fun _ -> ()) ?(on_host_write = fun _ _ _ -> ()) () =
+    ?(on_read = fun _ _ -> ()) ?(on_publish = fun _ -> ())
+    ?(on_host_write = fun _ _ _ -> ()) () =
   {
     retain;
     on_close;
+    on_read;
     on_publish;
     on_host_write;
     open_attempts = Hashtbl.create 64;
     started = Hashtbl.create 64;
     b_attempts = [];
+    b_closed = [];
     b_host_writes = [];
     b_anomalies = [];
     b_n_events = 0;
@@ -117,15 +123,21 @@ let anomaly b seq time fmt =
         { an_seq = seq; an_time = time; an_message = m } :: b.b_anomalies)
     fmt
 
+(* Put an attempt's accumulators into program order and hand it on;
+   its close point is the number of events fed so far. *)
+let closed b a =
+  a.a_reads <- List.rev a.a_reads;
+  a.a_wlocks <- List.rev a.a_wlocks;
+  a.a_rlock_released <- List.rev a.a_rlock_released;
+  if b.retain then b.b_closed <- (b.b_n_events, a) :: b.b_closed;
+  b.on_close a
+
 let close b seq time a outcome =
   a.a_end_time <- time;
   a.a_end_seq <- seq;
   a.a_outcome <- outcome;
-  a.a_reads <- List.rev a.a_reads;
-  a.a_wlocks <- List.rev a.a_wlocks;
-  a.a_rlock_released <- List.rev a.a_rlock_released;
   Hashtbl.remove b.open_attempts a.a_core;
-  b.on_close a
+  closed b a
 
 (* An event attributable to a core's current attempt; events arriving
    before the core's first Tx_start (a truncated stream) are counted
@@ -176,10 +188,11 @@ let feed b time ev =
       if b.retain then b.b_attempts <- a :: b.b_attempts
   | Event.Tx_read { core; addr; granted; value } ->
       with_open b seq time core "tx-read" (fun a ->
-          if granted then
-            a.a_reads <-
-              { r_addr = addr; r_value = value; r_time = time; r_seq = seq }
-              :: a.a_reads
+          if granted then begin
+            let r = { r_addr = addr; r_value = value; r_time = time; r_seq = seq } in
+            a.a_reads <- r :: a.a_reads;
+            b.on_read a r
+          end
           else a.a_refused <- true)
   | Event.Tx_write { core; addr; value } ->
       with_open b seq time core "tx-write" (fun a ->
@@ -261,16 +274,14 @@ let finish b =
   Tm2c_engine.Det.iter
     (fun _ a ->
       a.a_outcome <- Unfinished;
-      a.a_reads <- List.rev a.a_reads;
-      a.a_wlocks <- List.rev a.a_wlocks;
-      a.a_rlock_released <- List.rev a.a_rlock_released;
-      b.on_close a)
+      closed b a)
     b.open_attempts;
   Hashtbl.reset b.open_attempts;
   {
     attempts = List.rev b.b_attempts;
     host_writes = List.rev b.b_host_writes;
     anomalies = List.rev b.b_anomalies;
+    closed = List.rev b.b_closed;
     n_events = b.b_n_events;
     n_orphans = b.b_n_orphans;
   }

@@ -67,6 +67,11 @@ type t = {
           attempts, commit of a different attempt number, double
           publish, ...) — any of these voids the other checkers'
           verdicts *)
+  closed : (int * attempt) list;
+      (** the same attempts in the order the builder closed them (the
+          order [on_close] sees), each with its close point: the number
+          of events fed when it closed, which exceeds the sequence
+          number of every event traced before the close *)
   n_events : int;
   n_orphans : int;
       (** events seen before their core's first [Tx_start]; nonzero
@@ -82,12 +87,14 @@ type builder
     them), bounding memory by the number of open attempts.
     [on_close] fires once per attempt, when it closes (commit, abort,
     crash, nested-start anomaly, or end of stream) — its accumulator
-    lists are already in program order. [on_publish] fires at the
+    lists are already in program order. [on_read] fires per granted
+    read, as it is traced. [on_publish] fires at the
     attempt's [Tx_publish], when its write set is final and visible.
     [on_host_write] fires per [Event.Host_write] as (seq, addr, value). *)
 val builder :
   ?retain:bool ->
   ?on_close:(attempt -> unit) ->
+  ?on_read:(attempt -> read -> unit) ->
   ?on_publish:(attempt -> unit) ->
   ?on_host_write:(int -> Types.addr -> int -> unit) ->
   unit ->

@@ -6,14 +6,14 @@
    Serialized attempts — committed ones, plus attempts frozen by the
    run horizon after their publish point (their write-back is already
    visible and their status word can no longer be CASed, so they are
-   committed in all but the final event) — are replayed in publish
-   order against versioned shared memory: every write installs a new
-   version stamped with the writer's publish sequence point. Each
-   granted read is then resolved to the version it actually observed
-   by matching the traced (seq, value) pair: normally the latest
-   version published before the sample instant, otherwise an older
-   (stale) or later version with the observed value. The resolution
-   induces the usual MVSG edges
+   committed in all but the final event) — install their writes in
+   versioned shared memory: every write is a new version stamped with
+   the writer's publish sequence point. Each granted read is then
+   resolved ([resolve]) to the version it actually observed by
+   matching the traced (seq, value) pair: normally the latest version
+   published before the sample instant, otherwise an older (stale)
+   version with the observed value. The resolution induces the usual
+   MVSG edges
 
      WR  T' -> T    T read the version T' installed
      WW  T' -> T''  consecutive versions of one address
@@ -36,12 +36,20 @@
    the two irreconcilable reads (and the versions they pin) form a
    minimal witness.
 
-   Initial memory state is untraced (the harness populates structures
-   with host-side pokes before the measured region), so every address
-   starts from a lazily-bound initial version: the first read that
-   can only be explained by the initial state binds its value. An
-   unbound initial version matches any observed value — the oracle
-   never invents a violation out of unobservable setup state. *)
+   One order serves both drivers. Initial memory state is untraced
+   before the measured region, so every address starts from a
+   lazily-bound initial version, and the first granted read in
+   sequence order that resolves to it binds its value, whatever its
+   attempt's outcome (the stream binds as each read is traced, through
+   [on_read]); a later read of another value no longer matches it.
+   Every attempt is then judged once, when the history builder closes
+   it ([History.t.closed] here, [on_close] in the stream), after the
+   reads traced before that point have bound what they resolve to. A
+   read resolves only to a version published before it — one the
+   stream still holds at the close — so judging finds the version the
+   read found when it was traced. An initial version no read has bound
+   matches any value in the snapshot check: the oracle never invents a
+   violation out of unobservable setup state. *)
 
 open Tm2c_core
 
@@ -86,14 +94,14 @@ type report = {
 
 let ok r = r.corruption = [] && r.cycle = None && r.opacity = []
 
-(* A version of one address. [v_writer = None] is the lazily-bound
-   initial version or an external host write; its [v_pub_seq] of -1
-   (initial) precedes every event. *)
-type version = {
-  v_writer : int option;
-  mutable v_value : int option;
-  v_pub_seq : int;
-}
+(* A version of one address. [v_writer] is the graph node of the
+   serialized transaction that installed it, or -1 for the lazily-bound
+   initial version and host writes. The initial version's [v_pub] of
+   -1 precedes every event. Both drivers keep an address's versions as
+   a list, newest first. *)
+type version = { v_pub : int; mutable v_value : int option; v_writer : int }
+
+let initial () = { v_pub = -1; v_value = None; v_writer = -1 }
 
 let pub_key (a : History.attempt) =
   match a.History.a_publish_seq with Some s -> s | None -> a.History.a_end_seq
@@ -167,49 +175,110 @@ let intersect_intervals u1 u2 =
   in
   go [] u1 u2
 
-(* Intervals on which [r] is explainable, given the address's version
-   timeline as a pub-sorted [(pub_seq, value option)] array (value
-   [None] = unbound initial state, which matches anything). Only
-   versions published before the sample instant qualify — a read
-   cannot observe the future — but an interval may extend past it. *)
-let read_intervals (view : (int * int option) array) (r : History.read) =
-  let n = Array.length view in
-  let out = ref [] in
-  for j = n - 1 downto 0 do
-    let pub, value = view.(j) in
-    if
-      pub <= r.History.r_seq
-      && (match value with None -> true | Some v -> v = r.History.r_value)
-    then
-      let hi = if j + 1 < n then fst view.(j + 1) else max_int in
-      if pub < hi then out := (pub, hi) :: !out
-  done;
-  !out
+(* --- Read resolution, shared with Stream. --- *)
+
+let matches v (r : History.read) =
+  match v.v_value with Some x -> x = r.History.r_value | None -> false
+
+(* The resolver returns the timeline from the observed version on
+   (that version first), and [] for none, so it allocates nothing. *)
+let bind (r : History.read) = function
+  | v :: _ as from ->
+      v.v_value <- Some r.History.r_value;
+      from
+  | [] -> []
+
+let rec stale r = function
+  | [] -> []
+  | v :: rest as from -> if matches v r then from else stale r rest
+
+let rec oldest = function _ :: (_ :: _ as rest) -> oldest rest | last -> last
+
+(* What a read observed in [vs], the address's timeline newest first;
+   [] when its value matches no version published before it
+   (corruption): a read never observes a later version. Preference
+   order: the timing-predicted version (the newest published before
+   the read), binding it if it is the unbound initial version; the
+   nearest stale version; the initial version, binding it if unbound.
+   The initial version precedes every read, so a timing-predicted
+   version always exists. *)
+let rec find vs (r : History.read) =
+  match vs with
+  | [] -> []
+  | v :: rest ->
+      if v.v_pub >= r.History.r_seq then find rest r
+      else if matches v r then vs
+      else if v.v_value = None then bind r vs
+      else
+        match stale r rest with
+        | _ :: _ as found -> found
+        | [] -> (
+            match oldest vs with
+            | o :: _ as last when o.v_value = None -> bind r last
+            | _ -> [])
+
+(* A granted read as it is traced: the first read to resolve to an
+   unbound initial version binds it. *)
+let observe vs r = ignore (find vs r)
+
+(* The same read when its attempt is judged. Only the initial version
+   is ever unbound, and [observe] bound it for this read if it was
+   going to, so the walk finds the version it found then. *)
+let resolve vs r = match find vs r with v :: _ -> Some v | [] -> None
+
+let rec writer_after v w = function
+  | [] -> w
+  | x :: rest ->
+      if x == v then w
+      else writer_after v (if x.v_writer >= 0 then x.v_writer else w) rest
+
+(* The graph node of the next transactional version after [v] in the
+   newest-first timeline [vs], -1 if none: host writes have no node. *)
+let next_writer vs v = writer_after v (-1) vs
+
+(* An unbound initial version explains any value. *)
+let explains v (r : History.read) =
+  match v.v_value with None -> true | Some x -> x = r.History.r_value
+
+(* Intervals on which [r] is explainable, given its address's
+   newest-first timeline. Only versions published before the sample
+   instant qualify — a read cannot observe the future — but an interval
+   may extend past it, to the next version the driver holds: the batch
+   holds versions published after the attempt closed, the stream does
+   not, and every interval's start precedes the close, so whether the
+   intervals intersect is the same in both. *)
+let read_intervals vs (r : History.read) =
+  let rec go hi acc = function
+    | [] -> acc
+    | v :: rest ->
+        let acc =
+          if v.v_pub <= r.History.r_seq && explains v r && v.v_pub < hi then
+            (v.v_pub, hi) :: acc
+          else acc
+        in
+        go v.v_pub acc rest
+  in
+  go max_int [] vs
 
 (* The version the read most plausibly observed (latest matching
    publish before the sample), for witness detail; -1 when nothing
    matches. *)
-let timing_pub (view : (int * int option) array) (r : History.read) =
-  let best = ref (-1) in
-  Array.iter
-    (fun (pub, value) ->
-      if
-        pub <= r.History.r_seq && pub > !best
-        && (match value with None -> true | Some v -> v = r.History.r_value)
-      then best := pub)
-    view;
-  !best
+let timing_pub vs (r : History.read) =
+  match List.find_opt (fun v -> v.v_pub <= r.History.r_seq && explains v r) vs with
+  | Some v -> v.v_pub
+  | None -> -1
 
 (* Check one non-serialized attempt's read prefix for snapshot
-   consistency. [versions_of addr] returns the pub-sorted version
-   timeline of [addr]. The snapshot instant is constrained to the
-   attempt's lifetime (>= its start sequence): a version published
-   earlier still explains a read as long as it is live at the start,
-   but the window before the attempt existed — in particular the
-   unbound initial state before the host-side setup stores — cannot.
-   Returns the minimal witness on failure: the first read whose
-   explainable set empties the running intersection, paired with the
-   earliest previous read it is pairwise irreconcilable with. *)
+   consistency, its reads observed. [versions_of addr] is the
+   newest-first timeline of [addr]. The snapshot instant is
+   constrained to the attempt's lifetime (>= its start sequence): a
+   version published earlier still explains a read as long as it is
+   live at the start, but the window before the attempt existed — in
+   particular the unbound initial state before the host-side setup
+   stores — cannot. Returns the minimal witness on failure: the first
+   read whose explainable set empties the running intersection, paired
+   with the earliest previous read it is pairwise irreconcilable
+   with. *)
 let opacity_check ~versions_of (a : History.attempt) =
   let witness (r1 : History.read) (r2 : History.read) =
     Some
@@ -265,51 +334,51 @@ let corrupt_read (a : History.attempt) (r : History.read) =
     a.History.a_core a.History.a_number r.History.r_addr r.History.r_value
     r.History.r_seq
 
+(* The report's listing orders, whatever order the attempts were
+   judged in: corrupt reads by their attempt's publish point, then in
+   read order ([judged] holds (publish, message) pairs, newest first),
+   and opacity witnesses by attempt start. *)
+let by_publish judged =
+  List.map snd (List.stable_sort (fun (p, _) (q, _) -> Int.compare p q) (List.rev judged))
+
+let by_start irs =
+  List.sort (fun x y -> Int.compare x.ir_start_seq y.ir_start_seq) irs
+
 let analyze ?(opacity = true) (h : History.t) =
   let txns = Array.of_list (List.filter serialized h.History.attempts) in
   Array.sort (fun a b -> compare (pub_key a) (pub_key b)) txns;
   let n = Array.length txns in
-  (* Versioned memory: oldest-first version array per address, index 0
-     always the initial version. Serialized write sets and host-side
+  let node_of_start = Hashtbl.create (max n 1) in
+  Array.iteri (fun i a -> Hashtbl.replace node_of_start a.History.a_start_seq i) txns;
+  (* Versioned memory: the complete timeline per address, newest first,
+     the initial version last. Serialized write sets and host-side
      stores ([Event.Host_write]: setup, private-node initialization —
      external versions with no graph node) interleave by their
      sequence points. *)
-  let versions : (Types.addr, version array) Hashtbl.t = Hashtbl.create 256 in
-  let bottom () = { v_writer = None; v_value = None; v_pub_seq = -1 } in
-  let pending : (Types.addr, version list) Hashtbl.t = Hashtbl.create 256 in
-  let push addr v =
-    let prev =
-      match Hashtbl.find_opt pending addr with Some vs -> vs | None -> []
-    in
-    Hashtbl.replace pending addr (v :: prev)
-  in
-  Array.iteri
-    (fun i a ->
-      List.iter
-        (fun (addr, value) ->
-          push addr
-            { v_writer = Some i; v_value = Some value; v_pub_seq = pub_key a })
-        a.History.a_writes)
-    txns;
-  List.iter
-    (fun (seq, addr, value) ->
-      push addr { v_writer = None; v_value = Some value; v_pub_seq = seq })
-    h.History.host_writes;
-  Tm2c_engine.Det.iter
-    (fun addr vs ->
-      let sorted =
-        List.sort (fun a b -> compare a.v_pub_seq b.v_pub_seq) (bottom () :: vs)
-      in
-      Hashtbl.replace versions addr (Array.of_list sorted))
-    pending;
+  let versions : (Types.addr, version list) Hashtbl.t = Hashtbl.create 256 in
   let get_versions addr =
     match Hashtbl.find_opt versions addr with
     | Some vs -> vs
     | None ->
-        let vs = [| bottom () |] in
+        let vs = [ initial () ] in
         Hashtbl.replace versions addr vs;
         vs
   in
+  let push addr v = Hashtbl.replace versions addr (v :: get_versions addr) in
+  Array.iteri
+    (fun i a ->
+      List.iter
+        (fun (addr, value) ->
+          push addr { v_pub = pub_key a; v_value = Some value; v_writer = i })
+        a.History.a_writes)
+    txns;
+  List.iter
+    (fun (seq, addr, value) ->
+      push addr { v_pub = seq; v_value = Some value; v_writer = -1 })
+    h.History.host_writes;
+  Hashtbl.filter_map_inplace
+    (fun _ vs -> Some (List.stable_sort (fun a b -> Int.compare b.v_pub a.v_pub) vs))
+    versions;
   (* Edge set keyed on (from, to); the first inducing observation is
      kept as the witness detail. *)
   let edges : (int * int, edge) Hashtbl.t = Hashtbl.create 1024 in
@@ -317,125 +386,79 @@ let analyze ?(opacity = true) (h : History.t) =
     if e_from <> e_to && not (Hashtbl.mem edges (e_from, e_to)) then
       Hashtbl.add edges (e_from, e_to) { e_from; e_to; e_kind; e_addr; e_seq }
   in
-  (* The next transactional version at or after index [j] — external
-     (host-write) versions have no graph node and are skipped. *)
-  let next_writer vs j =
-    let rec go j =
-      if j >= Array.length vs then None
-      else match vs.(j).v_writer with Some w -> Some (w, j) | None -> go (j + 1)
-    in
-    go j
-  in
   (* WW edges: the installed version order per address, linking each
-     transactional writer to the next one. Sorted traversal keeps the
-     first-witness edge details stable across runs. *)
+     transactional writer to the next one (host writes have no node).
+     Sorted traversal keeps the first-witness edge details stable
+     across runs. *)
   Tm2c_engine.Det.iter
     (fun addr vs ->
-      for j = 0 to Array.length vs - 2 do
-        match vs.(j).v_writer with
-        | Some w -> (
-            match next_writer vs (j + 1) with
-            | Some (w', j') -> add_edge w w' Ww addr vs.(j').v_pub_seq
-            | None -> ())
-        | None -> ()
-      done)
+      ignore
+        (List.fold_left
+           (fun next v ->
+             if v.v_writer < 0 then next
+             else begin
+               Option.iter (fun w -> add_edge v.v_writer w.v_writer Ww addr w.v_pub) next;
+               Some v
+             end)
+           None vs))
     versions;
+  (* The stream's order: reads observed in sequence order, and every
+     attempt judged once, at its close point, after the reads traced
+     before it. Elastic attempts intentionally run a relaxed model
+     (window validation instead of full read locking): their reads are
+     excluded from both checks, and early read-lock release is
+     precisely a license to span snapshots. *)
   let n_reads_checked = ref 0 in
   let n_reads_skipped = ref 0 in
   let corruption = ref [] in
-  (* Resolve one read to the version index it observed, or None when
-     the value matches no version (corruption). Preference order:
-     the timing-predicted version, then the nearest stale version,
-     then a future version, then binding the initial version. *)
-  let resolve vs (r : History.read) =
-    let n = Array.length vs in
-    let pred = ref 0 in
-    for j = 0 to n - 1 do
-      if vs.(j).v_pub_seq < r.History.r_seq then pred := j
-    done;
-    let matches j =
-      match vs.(j).v_value with Some v -> v = r.History.r_value | None -> false
-    in
-    if matches !pred then Some !pred
-    else if vs.(!pred).v_value = None then begin
-      vs.(!pred).v_value <- Some r.History.r_value;
-      Some !pred
-    end
-    else begin
-      let found = ref (-1) in
-      for j = 0 to !pred - 1 do
-        if matches j then found := j
-      done;
-      if !found >= 0 then Some !found
-      else begin
-        for j = n - 1 downto !pred + 1 do
-          if matches j then found := j
-        done;
-        if !found >= 0 then Some !found
-        else if vs.(0).v_value = None then begin
-          vs.(0).v_value <- Some r.History.r_value;
-          Some 0
-        end
-        else None
-      end
-    end
+  let opacity_violations = ref [] in
+  let n_opacity_checked = ref 0 in
+  let traced =
+    ref
+      (List.sort
+         (fun (r : History.read) (q : History.read) ->
+           Int.compare r.History.r_seq q.History.r_seq)
+         (List.concat_map
+            (fun (a : History.attempt) ->
+              if a.History.a_elastic then [] else a.History.a_reads)
+            h.History.attempts))
   in
-  Array.iteri
-    (fun i a ->
-      if a.History.a_elastic then
-        (* Elastic attempts intentionally run a relaxed model (window
-           validation instead of full read locking): their partial
-           read traces are excluded from the strict oracle. *)
+  let rec observe_before close =
+    match !traced with
+    | (r : History.read) :: rest when r.History.r_seq < close ->
+        observe (get_versions r.History.r_addr) r;
+        traced := rest;
+        observe_before close
+    | _ -> ()
+  in
+  List.iter
+    (fun (close, (a : History.attempt)) ->
+      observe_before close;
+      if not (serialized a) then begin
+        if opacity && not a.History.a_elastic then begin
+          incr n_opacity_checked;
+          match opacity_check ~versions_of:get_versions a with
+          | Some ir -> opacity_violations := ir :: !opacity_violations
+          | None -> ()
+        end
+      end
+      else if a.History.a_elastic then
         n_reads_skipped := !n_reads_skipped + List.length a.History.a_reads
       else
+        let i = Hashtbl.find node_of_start a.History.a_start_seq in
         List.iter
           (fun (r : History.read) ->
             incr n_reads_checked;
             let vs = get_versions r.History.r_addr in
             match resolve vs r with
-            | None ->
-                corruption := corrupt_read a r :: !corruption
-            | Some j -> (
-                (match vs.(j).v_writer with
-                | Some w -> add_edge w i Wr r.History.r_addr r.History.r_seq
-                | None -> ());
-                match next_writer vs (j + 1) with
-                | Some (w, _) -> add_edge i w Rw r.History.r_addr r.History.r_seq
-                | None -> ()))
+            | None -> corruption := (pub_key a, corrupt_read a r) :: !corruption
+            | Some v ->
+                if v.v_writer >= 0 then
+                  add_edge v.v_writer i Wr r.History.r_addr r.History.r_seq;
+                let w = next_writer vs v in
+                if w >= 0 then add_edge i w Rw r.History.r_addr r.History.r_seq)
           a.History.a_reads)
-    txns;
-  (* Opacity pass, after replay so lazily-bound initial versions carry
-     their concrete values: every attempt that never serialized (abort
-     or pre-publish horizon cut) must still have read one consistent
-     snapshot. Elastic attempts are exempt — early read-lock release
-     is precisely a license to span snapshots, validated by their own
-     windowed rule instead. *)
-  let opacity_violations = ref [] in
-  let n_opacity_checked = ref 0 in
-  if opacity then begin
-    let view_cache : (Types.addr, (int * int option) array) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let versions_of addr =
-      match Hashtbl.find_opt view_cache addr with
-      | Some v -> v
-      | None ->
-          let v =
-            Array.map (fun v -> (v.v_pub_seq, v.v_value)) (get_versions addr)
-          in
-          Hashtbl.replace view_cache addr v;
-          v
-    in
-    List.iter
-      (fun (a : History.attempt) ->
-        if (not (serialized a)) && not a.History.a_elastic then begin
-          incr n_opacity_checked;
-          match opacity_check ~versions_of a with
-          | Some ir -> opacity_violations := ir :: !opacity_violations
-          | None -> ()
-        end)
-      h.History.attempts
-  end;
+    h.History.closed;
   let succs = Array.make (max n 1) [] in
   Tm2c_engine.Det.iter (fun (f, t) _ -> succs.(f) <- t :: succs.(f)) edges;
   (* Deterministic traversal order for a stable witness. *)
@@ -462,9 +485,9 @@ let analyze ?(opacity = true) (h : History.t) =
     txns;
     n_reads_checked = !n_reads_checked;
     n_reads_skipped = !n_reads_skipped;
-    corruption = List.rev !corruption;
+    corruption = by_publish !corruption;
     cycle;
-    opacity = List.rev !opacity_violations;
+    opacity = by_start !opacity_violations;
     n_opacity_checked = !n_opacity_checked;
   }
 

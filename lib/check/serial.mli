@@ -3,12 +3,12 @@
     never-serialized attempts.
 
     Serialized transactions — committed, or horizon-frozen after
-    their publish point (write-back already visible) — are replayed
-    in publish order against versioned shared memory; each granted
-    read is resolved (by its traced sequence point and observed
-    value) to the version it actually saw, inducing WR / WW / RW
-    dependency edges. The serialized history is serializable iff the
-    graph is acyclic; a cycle is returned with a minimal witness.
+    their publish point (write-back already visible) — install their
+    writes as versions of shared memory; each granted read is resolved
+    (by its traced sequence point and observed value) to the version
+    it actually saw, inducing WR / WW / RW dependency edges. The
+    serialized history is serializable iff the graph is acyclic; a
+    cycle is returned with a minimal witness.
 
     Opacity: attempts that aborted (or were cut off before
     publishing) must also have observed a single consistent snapshot.
@@ -17,12 +17,16 @@
     irreconcilable versions yields an {!inconsistent_read} witness
     naming both reads and the versions that pin them apart.
 
-    Initial memory state is untraced (host-side pokes populate the
-    benchmark structures before the measured region), so each address
-    carries a lazily-bound initial version: the first read only
-    explicable by the initial state binds its value; while unbound it
-    matches any observed value, so setup state never produces a
-    spurious violation.
+    Both drivers use one resolver ({!observe}, {!resolve}), which
+    matches a read only to a version published before it, in one
+    order. Initial memory state is untraced before the measured
+    region, so each address carries a lazily-bound initial version:
+    the first granted read in sequence order that resolves to it
+    binds its value, whatever its attempt's outcome. Each attempt is
+    then judged once, in the order the history builder closes it. An
+    initial version no read has bound matches any value in the
+    snapshot check, so setup state never produces a spurious
+    violation.
 
     Elastic attempts are excluded from both read checks — their read
     traces are intentionally partial and early read-lock release is
@@ -83,25 +87,62 @@ type report = {
 (** A [corruption] entry: the read matches no installed version. *)
 val corrupt_read : History.attempt -> History.read -> string
 
-(** [analyze ?opacity h] replays the serialized history and, unless
-    [opacity] is [false] (default [true]), snapshot-checks every
-    non-elastic attempt that never serialized. *)
+(** [analyze ?opacity h] observes [h]'s reads in sequence order and
+    judges its attempts in close order, each after the reads traced
+    before it closed: each serialized one's reads resolve, and unless
+    [opacity] is [false] (default [true]) every non-elastic attempt
+    that never serialized is snapshot-checked. *)
 val analyze : ?opacity:bool -> History.t -> report
 
 (** No corruption, no cycle, no opacity violation. *)
 val ok : report -> bool
 
-(** Snapshot-consistency check for one attempt, shared with the
-    streaming checker. [versions_of addr] is the address's version
-    timeline as a pub-sorted [(pub_seq, value option)] array (value
-    [None] = unbound initial state, matching anything). Returns the
-    minimal witness, or [None] if some snapshot instant within the
-    attempt's lifetime (at or after its start sequence) explains
-    every read. *)
+(** {2 Read resolution, shared by both drivers} *)
+
+(** A version of one address: its publish sequence point, its value
+    ([None]: the initial version no read has bound yet) and the graph
+    node of the serialized transaction that installed it (-1: the
+    initial version or a host write). *)
+type version = { v_pub : int; mutable v_value : int option; v_writer : int }
+
+(** A fresh unbound initial version, published at -1. *)
+val initial : unit -> version
+
+(** [observe vs r] resolves read [r] as it is traced, against its
+    address's timeline [vs] (newest first, the initial version last),
+    among the versions published before [r]: the newest, binding it
+    if it is the unbound initial version; else the nearest older
+    match (a stale read); else the initial version, binding it if
+    unbound. *)
+val observe : version list -> History.read -> unit
+
+(** [resolve vs r] is the version {!observe} resolved [r] to, when
+    [r]'s attempt is judged. [None]: the value matches no version
+    published before [r] (corruption). *)
+val resolve : version list -> History.read -> version option
+
+(** [next_writer vs v] is the graph node of the next transactional
+    version after [v] in [vs], or -1. *)
+val next_writer : version list -> version -> int
+
+(** Snapshot-consistency check for one never-serialized attempt,
+    shared with the streaming checker. [versions_of addr] is the
+    address's timeline as {!resolve} takes it; the attempt's reads
+    have been observed. Returns the minimal witness, or [None] if some
+    snapshot instant within the attempt's lifetime (at or after its
+    start sequence) explains every read. *)
 val opacity_check :
-  versions_of:(Tm2c_core.Types.addr -> (int * int option) array) ->
+  versions_of:(Tm2c_core.Types.addr -> version list) ->
   History.attempt ->
   inconsistent_read option
+
+(** The report's orders, whatever order attempts were judged in:
+    [by_publish] lists corrupt-read messages from (publish point,
+    message) pairs held newest first, by publish point and then read
+    order; [by_start] lists opacity witnesses by attempt start. *)
+val by_publish : (int * string) list -> string list
+
+val by_start : inconsistent_read list -> inconsistent_read list
 
 (** {2 Witness sections}
 

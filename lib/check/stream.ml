@@ -39,14 +39,17 @@
    drops a core's locks through its own grant list, in O(locks the
    core was granted).
 
-   Verdict equivalence with the batch oracle ([Check.run]) is exact
-   on protocol-respecting traces and on the seeded fault/mutation
-   schedules we test; constructed adversarial traces can diverge in
-   witness *detail* (which of several equivalent cycles or stale
-   resolutions is reported) because the stream resolves reads at
-   attempt close while the batch replays with the complete timeline.
-   The differential test battery compares full verdicts across
-   seeds, shapes and fault schedules. *)
+   Both drivers bind initial versions as reads are traced and judge an
+   attempt when the history builder closes it, through one resolver
+   ([Serial.observe], [Serial.resolve]), so they bind every initial
+   version to the same value and resolve every read to the same
+   version: one published before the read, which the stream still
+   holds at the close. Verdicts are equal on every history the
+   sweep never prunes (below [gc_interval] events) and, on longer
+   ones, as long as the trace respects the protocol; which of several
+   equivalent conflict cycles is reported can still differ. The
+   differential battery compares whole verdicts and reports over
+   simulator runs and generated raw histories. *)
 
 open Tm2c_core
 
@@ -94,16 +97,8 @@ let equal (a : verdict) (b : verdict) = a = b
 
 (* --- Serialization graph with retirement. --- *)
 
-(* A retained version of one address; [sv_writer = -1] marks the
-   lazily-bound initial version and external host writes. *)
-type sversion = {
-  sv_pub : int;
-  mutable sv_value : int option;
-  sv_writer : int;
-}
-
 type astate = {
-  mutable versions : sversion list;  (* newest first *)
+  mutable versions : Serial.version list;  (* retained, newest first *)
   mutable await : (int * int) list;  (* (reader node, r_seq) pending RW *)
   mutable last_writer : int;  (* most recent transactional writer, -1 none *)
   mutable listed : bool;  (* in [t.multi]: holds more than one version *)
@@ -190,7 +185,7 @@ let astate_of t addr =
   | None ->
       let st =
         {
-          versions = [ { sv_pub = -1; sv_value = None; sv_writer = -1 } ];
+          versions = [ Serial.initial () ];
           await = [];
           last_writer = -1;
           listed = false;
@@ -330,9 +325,9 @@ let gc t =
   let rec keep = function
     | [] -> []
     | v :: rest ->
-        if v.sv_pub <= wm then begin
+        if v.Serial.v_pub <= wm then begin
           List.iter
-            (fun dv -> if dv.sv_writer >= 0 then unpin t dv.sv_writer)
+            (fun dv -> if dv.Serial.v_writer >= 0 then unpin t dv.Serial.v_writer)
             rest;
           [ v ]
         end
@@ -397,7 +392,7 @@ let install t (a : History.attempt) pub =
       st.await <- [];
       st.last_writer <- id;
       n.n_pins <- n.n_pins + 1;
-      push_version t st { sv_pub = pub; sv_value = Some value; sv_writer = id };
+      push_version t st { Serial.v_pub = pub; v_value = Some value; v_writer = id };
       n.n_pins <- n.n_pins + 1)
     a.History.a_writes;
   let live = Hashtbl.length t.nodes in
@@ -411,44 +406,7 @@ let on_publish t (a : History.attempt) =
 
 let on_host_write t seq addr value =
   push_version t (astate_of t addr)
-    { sv_pub = seq; sv_value = Some value; sv_writer = -1 }
-
-(* Mirror of the batch resolver over the retained window (ascending
-   array): timing-predicted version first, then binding the unbound
-   predecessor, then the nearest stale, then a future version, then
-   binding the initial version. *)
-let resolve (vs : sversion array) (r : History.read) =
-  let n = Array.length vs in
-  let pred = ref 0 in
-  for j = 0 to n - 1 do
-    if vs.(j).sv_pub < r.History.r_seq then pred := j
-  done;
-  let matches j =
-    match vs.(j).sv_value with Some v -> v = r.History.r_value | None -> false
-  in
-  if matches !pred then Some !pred
-  else if vs.(!pred).sv_value = None then begin
-    vs.(!pred).sv_value <- Some r.History.r_value;
-    Some !pred
-  end
-  else begin
-    let found = ref (-1) in
-    for j = 0 to !pred - 1 do
-      if matches j then found := j
-    done;
-    if !found >= 0 then Some !found
-    else begin
-      for j = n - 1 downto !pred + 1 do
-        if matches j then found := j
-      done;
-      if !found >= 0 then Some !found
-      else if vs.(0).sv_value = None then begin
-        vs.(0).sv_value <- Some r.History.r_value;
-        Some 0
-      end
-      else None
-    end
-  end
+    { Serial.v_pub = seq; v_value = Some value; v_writer = -1 }
 
 let close_serialized t id (a : History.attempt) =
   let node = Hashtbl.find_opt t.nodes id in
@@ -460,46 +418,43 @@ let close_serialized t id (a : History.attempt) =
       (fun (r : History.read) ->
         t.reads_checked <- t.reads_checked + 1;
         let st = astate_of t r.History.r_addr in
-        let vs = Array.of_list (List.rev st.versions) in
-        match resolve vs r with
+        match Serial.resolve st.versions r with
         | None ->
             let pub = match node with Some n -> n.n_pub_seq | None -> a.History.a_end_seq in
             t.corruption <- (pub, Serial.corrupt_read a r) :: t.corruption
-        | Some j ->
-            if vs.(j).sv_writer >= 0 then
-              add_edge t ~synthetic:false vs.(j).sv_writer id Serial.Wr
+        | Some v ->
+            if v.Serial.v_writer >= 0 then
+              add_edge t ~synthetic:false v.Serial.v_writer id Serial.Wr
                 r.History.r_addr r.History.r_seq;
-            let rec next_writer k =
-              if k >= Array.length vs then None
-              else if vs.(k).sv_writer >= 0 then Some vs.(k).sv_writer
-              else next_writer (k + 1)
-            in
-            (match next_writer (j + 1) with
-            | Some w ->
-                add_edge t ~synthetic:false id w Serial.Rw r.History.r_addr
-                  r.History.r_seq
-            | None ->
-                (* No transactional overwrite yet: the RW edge fires
-                   when (if) one installs. *)
-                st.await <- (id, r.History.r_seq) :: st.await;
-                match node with
-                | Some n ->
-                    n.n_pins <- n.n_pins + 1;
-                    n.n_awaits <- st :: n.n_awaits
-                | None -> ()))
+            let w = Serial.next_writer st.versions v in
+            if w >= 0 then
+              add_edge t ~synthetic:false id w Serial.Rw r.History.r_addr r.History.r_seq
+            else begin
+              (* No transactional overwrite yet: the RW edge fires
+                 when (if) one installs. *)
+              st.await <- (id, r.History.r_seq) :: st.await;
+              match node with
+              | Some n ->
+                  n.n_pins <- n.n_pins + 1;
+                  n.n_awaits <- st :: n.n_awaits
+              | None -> ()
+            end)
       a.History.a_reads
-
-let versions_of t addr =
-  let st = astate_of t addr in
-  Array.of_list (List.rev_map (fun v -> (v.sv_pub, v.sv_value)) st.versions)
 
 let check_opacity t (a : History.attempt) =
   if t.opacity_on && not a.History.a_elastic then begin
     t.opacity_checked <- t.opacity_checked + 1;
-    match Serial.opacity_check ~versions_of:(versions_of t) a with
+    match
+      Serial.opacity_check ~versions_of:(fun addr -> (astate_of t addr).versions) a
+    with
     | Some ir -> t.opacity <- ir :: t.opacity
     | None -> ()
   end
+
+(* Elastic reads never bind: both checks exclude them. *)
+let on_read t (a : History.attempt) (r : History.read) =
+  if not a.History.a_elastic then
+    Serial.observe (astate_of t r.History.r_addr).versions r
 
 let on_close t (a : History.attempt) =
   Liveness.close t.lv a;
@@ -572,6 +527,7 @@ let create ?(liveness_budget = Liveness.default_budget) ?(opacity = true)
   t.hb <-
     History.builder ~retain:false
       ~on_close:(fun a -> on_close t a)
+      ~on_read:(fun a r -> on_read t a r)
       ~on_publish:(fun a -> on_publish t a)
       ~on_host_write:(fun seq addr value -> on_host_write t seq addr value)
       ();
@@ -633,22 +589,12 @@ let finish ?(stuck_after_ns = infinity) t =
       let w =
         {
           w_anomalies = h.History.anomalies;
-          (* The batch oracle's orders: corrupt reads by publish, then
-             read order; opacity witnesses by attempt start. *)
-          w_corruption =
-            List.map snd
-              (List.stable_sort
-                 (fun (p, _) (q, _) -> Int.compare p q)
-                 (List.rev t.corruption));
+          w_corruption = Serial.by_publish t.corruption;
           w_cycle =
             Option.map
               (fun (edges, names) -> (edges, fun id -> List.assoc id names))
               t.cycle;
-          w_opacity =
-            List.sort
-              (fun (x : Serial.inconsistent_read) y ->
-                Int.compare x.Serial.ir_start_seq y.Serial.ir_start_seq)
-              t.opacity;
+          w_opacity = Serial.by_start t.opacity;
           w_lockset = Lockset.finish t.ls;
           w_liveness =
             Liveness.finish t.lv ~horizon:t.horizon ~crashed:t.crashed ~stuck_after_ns;

@@ -12,7 +12,9 @@
    - Differential tests: the streaming checker's verdict must be
      structurally identical to the batch oracle's over the same event
      stream — QCheck-driven across workload shapes x seeds x fault
-     plans, plus the mutated (opacity-violating) run.
+     plans, plus the mutated (opacity-violating) run, hand-built
+     histories (H1-H3: how initial versions bind) and generated raw
+     event streams.
 
    - Bounded memory: the streaming checker's reachable size after a
      run 10x longer must be flat — it retains the concurrency window,
@@ -23,6 +25,11 @@ open Tm2c_check
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 (* Both drivers print one summary, and, unless a conflict cycle is
    reported (each driver numbers the cycle's transactions in its own
@@ -187,18 +194,14 @@ let two_fractured_aborts =
     (12.0, Event.Tx_aborted { core = 2; attempt = 1; conflict = None });
   ]
 
-(* Two committed readers see values no one wrote; core 0 publishes
-   first but commits last. Core 2's early read binds the initial
-   version first, so which reads are corrupt does not depend on the
-   order reads resolve in (the stream resolves at close, the batch in
-   publish order, and they bind an unbound initial version
-   differently). *)
-let two_corrupt_reads =
+(* H1: two committed readers see values no one wrote over a host
+   write; core 0 publishes first but commits last. Core 0's a=7 is the
+   first read traced, so it binds the initial version and core 1's a=9
+   is the corrupt read, in both drivers, although core 1 is judged
+   first. *)
+let h1_events =
   let a = 100 in
   [
-    (0.1, Event.Tx_start { core = 2; attempt = 1; elastic = false });
-    (0.2, Event.Tx_read { core = 2; addr = a; granted = true; value = 5 });
-    (0.3, Event.Tx_committed { core = 2; attempt = 1; duration_ns = 0.2 });
     (0.5, Event.Host_write { addr = a; value = 0 });
     (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
     (2.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
@@ -208,6 +211,43 @@ let two_corrupt_reads =
     (6.0, Event.Tx_publish { core = 1; attempt = 1; n_writes = 0 });
     (7.0, Event.Tx_committed { core = 1; attempt = 1; duration_ns = 5.0 });
     (8.0, Event.Tx_committed { core = 0; attempt = 1; duration_ns = 7.0 });
+  ]
+
+(* H1 with a second read of core 0, which its first read's binding
+   makes corrupt: two corrupt reads, core 1's judged first. *)
+let two_corrupt_reads =
+  List.concat_map
+    (fun ((time, _) as e) ->
+      if time = 4.0 then
+        [ e; (4.5, Event.Tx_read { core = 0; addr = 100; granted = true; value = 8 }) ]
+      else [ e ])
+    h1_events
+
+(* H2: the word was never written. Core 0's a=7 binds the initial
+   version, so core 1, which aborts before core 0 commits, read a
+   value no snapshot holds. *)
+let h2_events =
+  let a = 100 in
+  [
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (2.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+    (3.0, Event.Tx_read { core = 0; addr = a; granted = true; value = 7 });
+    (4.0, Event.Tx_read { core = 1; addr = a; granted = true; value = 9 });
+    (5.0, Event.Tx_aborted { core = 1; attempt = 1; conflict = None });
+    (6.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 0 });
+    (7.0, Event.Tx_committed { core = 0; attempt = 1; duration_ns = 6.0 });
+  ]
+
+(* H3: one attempt reads two values of a never-written word, then
+   aborts: its first read binds the initial version, so the second
+   fits no snapshot. *)
+let h3_events =
+  let a = 100 in
+  [
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (2.0, Event.Tx_read { core = 0; addr = a; granted = true; value = 7 });
+    (3.0, Event.Tx_read { core = 0; addr = a; granted = true; value = 9 });
+    (4.0, Event.Tx_aborted { core = 0; attempt = 1; conflict = None });
   ]
 
 let test_synthetic_inconsistent_prefix_caught () =
@@ -253,9 +293,46 @@ let test_synthetic_streaming_agrees () =
   check_int "two corrupt reads" 2 (List.length (Stream.finish s3).Stream.d_corruption);
   check "two corrupt reads: streaming report = batch report" true
     (same_report s3 batch3);
+  (match batch3.Check.serial.Serial.corruption with
+  | [ first; _ ] ->
+      check "core 0, published first, is listed first" true
+        (contains first "core 0 attempt 1 read addr=100 value=8")
+  | l -> Alcotest.failf "expected two corrupt reads, got %d" (List.length l));
   let s' = Stream.create ~opacity:false () in
   List.iter (fun (now, ev) -> Stream.feed s' now ev) fractured_abort_events;
   check "streaming opacity:false accepts" true (Stream.passed (Stream.finish s'))
+
+(* CI replays test/fixtures/h1.hist through tm2c-check in both modes:
+   it must stay H1, as the history-log writer renders it. *)
+let test_h1_fixture () =
+  let path =
+    if Sys.file_exists "fixtures/h1.hist" then "fixtures/h1.hist"
+    else Filename.concat "test" "fixtures/h1.hist"
+  in
+  check "fixtures/h1.hist holds H1" true (Histlog.load path = (h1_events, None))
+
+(* Both drivers bind an initial version at the first read traced that
+   resolves to it, whatever order they judge attempts in: H1-H3 fail
+   in both, with one report. *)
+let test_initial_binding_agrees () =
+  List.iter
+    (fun (name, events, failure) ->
+      let s = Stream.create () in
+      List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+      let online = Stream.finish s in
+      let batch = Check.run_list events in
+      check (name ^ ": streaming verdict = batch verdict") true
+        (Stream.equal online (Check.verdict batch));
+      check (name ^ ": streaming report = batch report") true (same_report s batch);
+      check (name ^ ": fails") false (Check.passed batch);
+      let report = Check.report_string batch in
+      if not (contains report failure) then
+        Alcotest.failf "%s: report lacks %S:\n%s" name failure report)
+    [
+      ("H1", h1_events, "core 1 attempt 1 read addr=100 value=9 at seq 4");
+      ("H2", h2_events, "core 1 attempt 1 (seqs 1..4) mixed two snapshots");
+      ("H3", h3_events, "value=9 @seq 2 — the initial state");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: streaming verdict == batch verdict.                   *)
@@ -345,13 +422,138 @@ let differential_prop =
           seed faults (Stream.report_string s) (Check.report_string batch))
 
 (* ------------------------------------------------------------------ *)
-(* Liveness: one monitor, one report, one witness.                     *)
+(* Generated histories: raw event streams, no simulator in the loop.   *)
 (* ------------------------------------------------------------------ *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+(* A raw history is a list of steps (core, kind, addr, value), each
+   turned into one event by the state of its core: a core with no open
+   attempt starts one (at most 6 in all) or stores as the host; a core
+   inside one reads, writes, publishes, commits (published or not),
+   aborts, crash-stops, stores as the host, or starts a new attempt
+   over the open one (an anomaly). Values range over 0..3, so reads of
+   never-written words clash often. Writes and aborts stop at publish:
+   the stream installs the write set there, the batch only once the
+   attempt serializes. Attempts still open at the end are
+   unfinished. *)
+let raw_events (cores, addrs, steps) =
+  let attempt = Array.make cores 0 and live = Array.make cores false in
+  let published = Array.make cores false and crashed = Array.make cores false in
+  let started = ref 0 and out = ref [] and n = ref 0 in
+  let emit ev =
+    out := (float_of_int !n, ev) :: !out;
+    incr n
+  in
+  let start core =
+    incr started;
+    attempt.(core) <- attempt.(core) + 1;
+    live.(core) <- true;
+    published.(core) <- false;
+    emit (Event.Tx_start { core; attempt = attempt.(core); elastic = false })
+  in
+  List.iter
+    (fun (c, kind, x, value) ->
+      let core = c mod cores and addr = 100 + (x mod addrs) in
+      let host () = emit (Event.Host_write { addr; value }) in
+      let close ev =
+        live.(core) <- false;
+        emit ev
+      in
+      let attempt = attempt.(core) in
+      if crashed.(core) then ()
+      else if not live.(core) then if kind < 3 || !started >= 6 then host () else start core
+      else
+        match kind with
+        | 0 | 1 | 2 -> emit (Event.Tx_read { core; addr; granted = true; value })
+        | 3 when not published.(core) -> emit (Event.Tx_write { core; addr; value })
+        | 4 when not published.(core) ->
+            published.(core) <- true;
+            emit (Event.Tx_publish { core; attempt; n_writes = 0 })
+        | 5 -> close (Event.Tx_committed { core; attempt; duration_ns = 1.0 })
+        | 6 when not published.(core) ->
+            close (Event.Tx_aborted { core; attempt; conflict = None })
+        | 7 ->
+            crashed.(core) <- true;
+            close (Event.Core_crashed { core; attempt })
+        | 9 when !started < 6 -> start core
+        | _ -> host ())
+    steps;
+  List.rev !out
+
+let raw_history =
+  QCheck.make
+    ~print:(fun h ->
+      String.concat "\n"
+        (List.map (fun (_, ev) -> Event.to_string ev) (raw_events h)))
+    ~shrink:(fun (cores, addrs, steps) ->
+      QCheck.Iter.map (fun steps -> (cores, addrs, steps)) (QCheck.Shrink.list steps))
+    QCheck.Gen.(
+      triple (int_range 2 4) (int_range 1 3)
+        (list_size (int_bound 40)
+           (quad (int_bound 3) (int_bound 9) (int_bound 2) (int_bound 3))))
+
+(* The binding rule as a property of its own: reads of an address no
+   version was ever installed at (no host write, no serialized write)
+   can only resolve to its initial version, so two of them seeing two
+   values must fail the history, whichever attempts they belong to. *)
+let clashing_initial_reads (h : History.t) =
+  let written = Hashtbl.create 8 in
+  List.iter (fun (_, addr, _) -> Hashtbl.replace written addr ()) h.History.host_writes;
+  List.iter
+    (fun (a : History.attempt) ->
+      let serialized =
+        match a.History.a_outcome with
+        | History.Committed _ -> true
+        | History.Unfinished -> a.History.a_publish_seq <> None
+        | History.Aborted _ -> false
+      in
+      if serialized then
+        List.iter (fun (addr, _) -> Hashtbl.replace written addr ()) a.History.a_writes)
+    h.History.attempts;
+  let seen = Hashtbl.create 8 in
+  List.exists
+    (fun (a : History.attempt) ->
+      List.exists
+        (fun (r : History.read) ->
+          (not (Hashtbl.mem written r.History.r_addr))
+          &&
+          match Hashtbl.find_opt seen r.History.r_addr with
+          | Some v -> v <> r.History.r_value
+          | None ->
+              Hashtbl.replace seen r.History.r_addr r.History.r_value;
+              false)
+        a.History.a_reads)
+    h.History.attempts
+
+(* A driver's whole report with the conflict cycle aside: whether it
+   reports one, but not which. The batch searches the finished graph
+   from its lowest transaction, the stream reports the first cycle an
+   edge closes, and on a graph with two cycles they can name different
+   ones (of which transactions and addresses). *)
+let cycle_aside (v : Stream.verdict) (w : Stream.witness) =
+  let v = { v with Stream.d_cycle = Option.map (fun _ -> []) v.Stream.d_cycle } in
+  (v, Stream.report v { w with Stream.w_cycle = None })
+
+let generated_prop =
+  QCheck.Test.make ~name:"streaming report = batch report on generated histories"
+    ~count:1000 raw_history (fun h ->
+      let events = raw_events h in
+      let s = Stream.create () in
+      List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+      let online = Stream.finish s in
+      let batch = Check.run_list events in
+      let ((_, online_report) as o) = cycle_aside online (Stream.witness s) in
+      let ((_, batch_report) as b) = cycle_aside (Check.verdict batch) (Check.witness batch) in
+      if o <> b then
+        QCheck.Test.fail_reportf "reports diverge:@\n-- online --@\n%s@\n-- batch --@\n%s"
+          online_report batch_report
+      else if clashing_initial_reads batch.Check.history && Stream.passed online then
+        QCheck.Test.fail_reportf "two values of a never-written word pass:@\n%s"
+          online_report
+      else true)
+
+(* ------------------------------------------------------------------ *)
+(* Liveness: one monitor, one report, one witness.                     *)
+(* ------------------------------------------------------------------ *)
 
 (* Both drivers feed the same online monitor, so the whole liveness
    report — every chain with its span, every wedged attempt with its
@@ -517,7 +719,11 @@ let suite =
       test_synthetic_inconsistent_prefix_caught;
     Alcotest.test_case "synthetic history: streaming agrees" `Quick
       test_synthetic_streaming_agrees;
+    Alcotest.test_case "initial versions bind in read order (H1-H3)" `Quick
+      test_initial_binding_agrees;
+    Alcotest.test_case "H1 history-log fixture" `Quick test_h1_fixture;
     QCheck_alcotest.to_alcotest ~long:true differential_prop;
+    QCheck_alcotest.to_alcotest generated_prop;
     Alcotest.test_case "liveness: abort chains named, report = batch" `Quick
       test_liveness_chains_named;
     Alcotest.test_case "liveness: wedged core named, report = batch" `Quick
