@@ -19,7 +19,16 @@ type result = {
 let run ?(liveness_budget = Liveness.default_budget)
     ?(stuck_after_ns = infinity) ?(opacity = true) iter =
   let lv = Liveness.create ~budget:liveness_budget in
-  let hb = History.builder ~on_close:(Liveness.close lv) () in
+  (* Reads and closes in trace order, the order the stream judges in. *)
+  let steps = ref [] in
+  let hb =
+    History.builder
+      ~on_read:(fun a r -> steps := Serial.Read (a, r) :: !steps)
+      ~on_close:(fun a ->
+        Liveness.close lv a;
+        steps := Serial.Close a :: !steps)
+      ()
+  in
   let ls = Lockset.create () in
   (* Crash-stopped cores are exempt from wedge detection (their open
      attempt is the crash); the horizon is the last traced instant,
@@ -36,7 +45,7 @@ let run ?(liveness_budget = Liveness.default_budget)
   let history = History.finish hb in
   {
     history;
-    serial = Serial.analyze ~opacity history;
+    serial = Serial.analyze ~opacity ~steps:(List.rev !steps) history;
     lockset = Lockset.finish ls;
     liveness =
       Liveness.finish lv ~horizon:!horizon ~crashed:!crashed ~stuck_after_ns;

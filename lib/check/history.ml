@@ -54,7 +54,6 @@ type t = {
   attempts : attempt list;  (* in Tx_start order *)
   host_writes : (int * Types.addr * int) list;  (* (seq, addr, value) *)
   anomalies : anomaly list;  (* structural inconsistencies in the stream *)
-  closed : (int * attempt) list;  (* (close point, attempt), close order *)
   n_events : int;
   n_orphans : int;  (* events before their core's first Tx_start *)
 }
@@ -77,7 +76,6 @@ type builder = {
   open_attempts : (Types.core_id, attempt) Hashtbl.t;
   started : (Types.core_id, unit) Hashtbl.t;
   mutable b_attempts : attempt list;  (* reversed; empty unless retain *)
-  mutable b_closed : (int * attempt) list;  (* reversed; empty unless retain *)
   mutable b_host_writes : (int * Types.addr * int) list;  (* reversed *)
   mutable b_anomalies : anomaly list;  (* reversed *)
   mutable b_n_events : int;
@@ -96,7 +94,6 @@ let builder ?(retain = true) ?(on_close = fun _ -> ())
     open_attempts = Hashtbl.create 64;
     started = Hashtbl.create 64;
     b_attempts = [];
-    b_closed = [];
     b_host_writes = [];
     b_anomalies = [];
     b_n_events = 0;
@@ -123,13 +120,11 @@ let anomaly b seq time fmt =
         { an_seq = seq; an_time = time; an_message = m } :: b.b_anomalies)
     fmt
 
-(* Put an attempt's accumulators into program order and hand it on;
-   its close point is the number of events fed so far. *)
+(* Put an attempt's accumulators into program order and hand it on. *)
 let closed b a =
   a.a_reads <- List.rev a.a_reads;
   a.a_wlocks <- List.rev a.a_wlocks;
   a.a_rlock_released <- List.rev a.a_rlock_released;
-  if b.retain then b.b_closed <- (b.b_n_events, a) :: b.b_closed;
   b.on_close a
 
 let close b seq time a outcome =
@@ -196,7 +191,12 @@ let feed b time ev =
           else a.a_refused <- true)
   | Event.Tx_write { core; addr; value } ->
       with_open b seq time core "tx-write" (fun a ->
-          a.a_writes <- update_write a.a_writes addr value)
+          (* The write set is final at publish, where [on_publish]
+             hands it on: a later write is dropped. *)
+          if a.a_publish_seq <> None then
+            anomaly b seq time "core %d: attempt %d wrote addr=%d after publishing"
+              core a.a_number addr
+          else a.a_writes <- update_write a.a_writes addr value)
   | Event.Rlock_released { core; addr } ->
       with_open b seq time core "rlock-release" (fun a ->
           a.a_rlock_released <- (seq, addr) :: a.a_rlock_released)
@@ -214,14 +214,16 @@ let feed b time ev =
           if a.a_number <> attempt then
             anomaly b seq time "core %d: publish for attempt %d inside %d" core
               attempt a.a_number;
-          (match a.a_publish_seq with
+          (* A write set is published once: a second publish is
+             dropped. *)
+          match a.a_publish_seq with
           | Some _ ->
               anomaly b seq time "core %d: attempt %d published twice" core
                 attempt
-          | None -> ());
-          a.a_publish_seq <- Some seq;
-          a.a_publish_time <- time;
-          b.on_publish a)
+          | None ->
+              a.a_publish_seq <- Some seq;
+              a.a_publish_time <- time;
+              b.on_publish a)
   | Event.Tx_committed { core; attempt; duration_ns } ->
       with_open b seq time core "committed" (fun a ->
           if a.a_number <> attempt then
@@ -233,6 +235,11 @@ let feed b time ev =
           if a.a_number <> attempt then
             anomaly b seq time "core %d: abort of attempt %d inside %d" core
               attempt a.a_number;
+          (* The status CAS to Committing precedes publish, so nothing
+             can abort a published attempt. *)
+          if a.a_publish_seq <> None then
+            anomaly b seq time "core %d: attempt %d aborted after publishing" core
+              a.a_number;
           close b seq time a (Aborted { conflict }))
   | Event.Enemy_aborted { victim; _ } ->
       (* The CAS can only land on a live pending attempt; anything
@@ -281,7 +288,6 @@ let finish b =
     attempts = List.rev b.b_attempts;
     host_writes = List.rev b.b_host_writes;
     anomalies = List.rev b.b_anomalies;
-    closed = List.rev b.b_closed;
     n_events = b.b_n_events;
     n_orphans = b.b_n_orphans;
   }

@@ -65,13 +65,8 @@ type t = {
   anomalies : anomaly list;
       (** structural inconsistencies in the stream itself (nested
           attempts, commit of a different attempt number, double
-          publish, ...) — any of these voids the other checkers'
-          verdicts *)
-  closed : (int * attempt) list;
-      (** the same attempts in the order the builder closed them (the
-          order [on_close] sees), each with its close point: the number
-          of events fed when it closed, which exceeds the sequence
-          number of every event traced before the close *)
+          publish, a write or an abort after publish, ...) — any of
+          these voids the other checkers' verdicts *)
   n_events : int;
   n_orphans : int;
       (** events seen before their core's first [Tx_start]; nonzero
@@ -89,7 +84,9 @@ type builder
     crash, nested-start anomaly, or end of stream) — its accumulator
     lists are already in program order. [on_read] fires per granted
     read, as it is traced. [on_publish] fires at the
-    attempt's [Tx_publish], when its write set is final and visible.
+    attempt's first [Tx_publish], when its write set is final and
+    visible: a later write or publish of the attempt is an anomaly and
+    is dropped.
     [on_host_write] fires per [Event.Host_write] as (seq, addr, value). *)
 val builder :
   ?retain:bool ->

@@ -1,55 +1,32 @@
-(* Serializability + opacity oracle: a multi-version
-   serialization-graph test over the serialized transactions of a
-   reconstructed history, plus a snapshot-consistency check over the
-   attempts that never serialized.
+(* Serializability + opacity oracle; the model and the order both
+   drivers judge in are stated in serial.mli.
 
-   Serialized attempts — committed ones, plus attempts frozen by the
-   run horizon after their publish point (their write-back is already
-   visible and their status word can no longer be CASed, so they are
-   committed in all but the final event) — install their writes in
-   versioned shared memory: every write is a new version stamped with
-   the writer's publish sequence point. Each granted read is then
-   resolved ([resolve]) to the version it actually observed by
-   matching the traced (seq, value) pair: normally the latest version
-   published before the sample instant, otherwise an older (stale)
-   version with the observed value. The resolution induces the usual
-   MVSG edges
+   Serialized attempts install their writes in versioned shared
+   memory: every write is a new version stamped with the writer's
+   publish sequence point, host writes are versions with no graph
+   node, and every address starts from a lazily-bound initial
+   version. A granted read resolves to the version it observed by
+   matching the traced (seq, value) pair: the newest version published
+   before it, else an older (stale) one with its value, else the
+   initial version, which the first read resolving to it binds. The
+   resolution induces the usual MVSG edges
 
      WR  T' -> T    T read the version T' installed
      WW  T' -> T''  consecutive versions of one address
      RW  T  -> T''  T read a version that T'' overwrote next
 
-   and the history is serializable iff this graph is acyclic. A cycle
-   is reported with a minimal witness: the transactions on it and, for
-   each hop, the edge kind, address, and inducing sequence point.
+   and the history is serializable iff this graph is acyclic; a cycle
+   is reported with the transactions on it and, per hop, the edge
+   kind, address and inducing sequence point.
 
-   Opacity goes further: attempts that aborted (or were cut off by the
-   horizon before publishing) must also have observed a consistent
-   snapshot — TM2C's visible-read protocol promises that even doomed
-   transactions never see a state no serial execution could reach.
-   Each such attempt's read prefix is checked against the installed
-   version timeline: a read of (addr, value) at sequence point s is
-   explainable by any snapshot instant inside a version interval
-   [pub, next_pub) whose value matches and whose publish precedes s.
-   The attempt is opaque iff the intersection of its reads'
-   explainable-instant sets is nonempty; when it first becomes empty
-   the two irreconcilable reads (and the versions they pin) form a
-   minimal witness.
-
-   One order serves both drivers. Initial memory state is untraced
-   before the measured region, so every address starts from a
-   lazily-bound initial version, and the first granted read in
-   sequence order that resolves to it binds its value, whatever its
-   attempt's outcome (the stream binds as each read is traced, through
-   [on_read]); a later read of another value no longer matches it.
-   Every attempt is then judged once, when the history builder closes
-   it ([History.t.closed] here, [on_close] in the stream), after the
-   reads traced before that point have bound what they resolve to. A
-   read resolves only to a version published before it — one the
-   stream still holds at the close — so judging finds the version the
-   read found when it was traced. An initial version no read has bound
-   matches any value in the snapshot check: the oracle never invents a
-   violation out of unobservable setup state. *)
+   Opacity: a read of (addr, value) at sequence point s is explainable
+   by any snapshot instant inside a version interval [pub, next_pub)
+   whose value matches and whose publish precedes s. A never-serialized
+   attempt is opaque iff its reads' explainable-instant sets intersect
+   within its lifetime; when the intersection first empties, the two
+   irreconcilable reads (and the versions they pin) are the witness.
+   An initial version no read has bound explains any value: the
+   oracle never invents a violation out of unobservable setup state. *)
 
 open Tm2c_core
 
@@ -106,14 +83,13 @@ let initial () = { v_pub = -1; v_value = None; v_writer = -1 }
 let pub_key (a : History.attempt) =
   match a.History.a_publish_seq with Some s -> s | None -> a.History.a_end_seq
 
-(* An attempt whose writes are visible: committed, or cut off by the
-   horizon after its publish point (write-back done, status word
-   un-CASable — committed in all but the final event). *)
+(* An attempt whose writes are visible: committed, or published — cut
+   off by the horizon after its publish point (write-back done, status
+   word un-CASable: committed in all but the final event), or aborted
+   after it, which the history flags as an anomaly. *)
 let serialized (a : History.attempt) =
-  match a.History.a_outcome with
-  | History.Committed _ -> true
-  | History.Unfinished -> a.History.a_publish_seq <> None
-  | History.Aborted _ -> false
+  a.History.a_publish_seq <> None
+  || match a.History.a_outcome with History.Committed _ -> true | _ -> false
 
 exception Found_cycle of int list
 
@@ -202,11 +178,11 @@ let rec oldest = function _ :: (_ :: _ as rest) -> oldest rest | last -> last
    nearest stale version; the initial version, binding it if unbound.
    The initial version precedes every read, so a timing-predicted
    version always exists. *)
-let rec find vs (r : History.read) =
+let rec resolve vs (r : History.read) =
   match vs with
   | [] -> []
   | v :: rest ->
-      if v.v_pub >= r.History.r_seq then find rest r
+      if v.v_pub >= r.History.r_seq then resolve rest r
       else if matches v r then vs
       else if v.v_value = None then bind r vs
       else
@@ -219,12 +195,12 @@ let rec find vs (r : History.read) =
 
 (* A granted read as it is traced: the first read to resolve to an
    unbound initial version binds it. *)
-let observe vs r = ignore (find vs r)
+let observe vs r = ignore (resolve vs r)
 
-(* The same read when its attempt is judged. Only the initial version
-   is ever unbound, and [observe] bound it for this read if it was
-   going to, so the walk finds the version it found then. *)
-let resolve vs r = match find vs r with v :: _ -> Some v | [] -> None
+(* The version just newer than [v] in [vs], or [v] itself if none. *)
+let rec successor v newer = function
+  | [] -> newer
+  | x :: rest -> if x == v then newer else successor v x rest
 
 let rec writer_after v w = function
   | [] -> w
@@ -327,12 +303,57 @@ let opacity_check ~versions_of (a : History.attempt) =
   in
   go life [] a.History.a_reads
 
-let corrupt_read (a : History.attempt) (r : History.read) =
-  Printf.sprintf
-    "core %d attempt %d read addr=%d value=%d at seq %d: value matches no \
-     installed version"
+let read_prefix (a : History.attempt) (r : History.read) =
+  Printf.sprintf "core %d attempt %d read addr=%d value=%d at seq %d"
     a.History.a_core a.History.a_number r.History.r_addr r.History.r_value
     r.History.r_seq
+
+let corrupt_read a r = read_prefix a r ^ ": value matches no installed version"
+
+(* The publish point of the newest version published before [pub]. *)
+let rec published_before pub = function
+  | [] -> -1
+  | v :: rest -> if v.v_pub < pub then v.v_pub else published_before pub rest
+
+(* A serialized attempt, judged: each read resolves to a version,
+   [on_version r v w] receiving it and [w], the graph node of the next
+   transactional version (-1: none yet), or is corrupt. The attempt
+   must then serialize at one instant: at or after its start, the
+   versions it read and the versions its writes (installed at [pub])
+   follow ([after]), and before the first overwrite of a version it
+   read ([until], of [dead]'s version). *)
+let judge_serialized ~versions_of ~on_version ~pub (a : History.attempt) =
+  let corrupt = ref [] and dead = ref None in
+  let after = ref a.History.a_start_seq and until = ref max_int in
+  List.iter
+    (fun (r : History.read) ->
+      let vs = versions_of r.History.r_addr in
+      (* Only the initial version is ever unbound, and [observe] bound
+         it for this read if it was going to, so [resolve] finds the
+         version it found then. *)
+      match resolve vs r with
+      | [] -> corrupt := corrupt_read a r :: !corrupt
+      | v :: _ ->
+          on_version r v (next_writer vs v);
+          after := max !after v.v_pub;
+          let next = successor v v vs in
+          if next != v && next.v_pub < !until then begin
+            until := next.v_pub;
+            dead := Some r
+          end)
+    a.History.a_reads;
+  List.iter
+    (fun (addr, _) -> after := max !after (published_before pub (versions_of addr)))
+    a.History.a_writes;
+  match (!corrupt, !dead) with
+  | [], Some r when !until <= !after ->
+      [
+        Printf.sprintf
+          "%s: its version was overwritten at seq %d, and the attempt serializes \
+           at seq %d or later"
+          (read_prefix a r) !until !after;
+      ]
+  | corrupt, _ -> List.rev corrupt
 
 (* The report's listing orders, whatever order the attempts were
    judged in: corrupt reads by their attempt's publish point, then in
@@ -344,7 +365,9 @@ let by_publish judged =
 let by_start irs =
   List.sort (fun x y -> Int.compare x.ir_start_seq y.ir_start_seq) irs
 
-let analyze ?(opacity = true) (h : History.t) =
+type step = Read of History.attempt * History.read | Close of History.attempt
+
+let analyze ?(opacity = true) ~steps (h : History.t) =
   let txns = Array.of_list (List.filter serialized h.History.attempts) in
   Array.sort (fun a b -> compare (pub_key a) (pub_key b)) txns;
   let n = Array.length txns in
@@ -402,63 +425,45 @@ let analyze ?(opacity = true) (h : History.t) =
              end)
            None vs))
     versions;
-  (* The stream's order: reads observed in sequence order, and every
-     attempt judged once, at its close point, after the reads traced
-     before it. Elastic attempts intentionally run a relaxed model
-     (window validation instead of full read locking): their reads are
-     excluded from both checks, and early read-lock release is
-     precisely a license to span snapshots. *)
+  (* The stream's order: each read observed as it was traced, each
+     attempt judged when it closed. Elastic attempts intentionally run
+     a relaxed model (window validation instead of full read locking):
+     their reads are excluded from both checks, and early read-lock
+     release is precisely a license to span snapshots. *)
   let n_reads_checked = ref 0 in
   let n_reads_skipped = ref 0 in
   let corruption = ref [] in
   let opacity_violations = ref [] in
   let n_opacity_checked = ref 0 in
-  let traced =
-    ref
-      (List.sort
-         (fun (r : History.read) (q : History.read) ->
-           Int.compare r.History.r_seq q.History.r_seq)
-         (List.concat_map
-            (fun (a : History.attempt) ->
-              if a.History.a_elastic then [] else a.History.a_reads)
-            h.History.attempts))
-  in
-  let rec observe_before close =
-    match !traced with
-    | (r : History.read) :: rest when r.History.r_seq < close ->
-        observe (get_versions r.History.r_addr) r;
-        traced := rest;
-        observe_before close
-    | _ -> ()
+  let judge (a : History.attempt) =
+    if not (serialized a) then begin
+      if opacity && not a.History.a_elastic then begin
+        incr n_opacity_checked;
+        match opacity_check ~versions_of:get_versions a with
+        | Some ir -> opacity_violations := ir :: !opacity_violations
+        | None -> ()
+      end
+    end
+    else if a.History.a_elastic then
+      n_reads_skipped := !n_reads_skipped + List.length a.History.a_reads
+    else begin
+      let i = Hashtbl.find node_of_start a.History.a_start_seq in
+      n_reads_checked := !n_reads_checked + List.length a.History.a_reads;
+      List.iter
+        (fun msg -> corruption := (pub_key a, msg) :: !corruption)
+        (judge_serialized ~versions_of:get_versions ~pub:(pub_key a) a
+           ~on_version:(fun (r : History.read) v w ->
+             if v.v_writer >= 0 then
+               add_edge v.v_writer i Wr r.History.r_addr r.History.r_seq;
+             if w >= 0 then add_edge i w Rw r.History.r_addr r.History.r_seq))
+    end
   in
   List.iter
-    (fun (close, (a : History.attempt)) ->
-      observe_before close;
-      if not (serialized a) then begin
-        if opacity && not a.History.a_elastic then begin
-          incr n_opacity_checked;
-          match opacity_check ~versions_of:get_versions a with
-          | Some ir -> opacity_violations := ir :: !opacity_violations
-          | None -> ()
-        end
-      end
-      else if a.History.a_elastic then
-        n_reads_skipped := !n_reads_skipped + List.length a.History.a_reads
-      else
-        let i = Hashtbl.find node_of_start a.History.a_start_seq in
-        List.iter
-          (fun (r : History.read) ->
-            incr n_reads_checked;
-            let vs = get_versions r.History.r_addr in
-            match resolve vs r with
-            | None -> corruption := (pub_key a, corrupt_read a r) :: !corruption
-            | Some v ->
-                if v.v_writer >= 0 then
-                  add_edge v.v_writer i Wr r.History.r_addr r.History.r_seq;
-                let w = next_writer vs v in
-                if w >= 0 then add_edge i w Rw r.History.r_addr r.History.r_seq)
-          a.History.a_reads)
-    h.History.closed;
+    (function
+      | Read (a, r) ->
+          if not a.History.a_elastic then observe (get_versions r.History.r_addr) r
+      | Close a -> judge a)
+    steps;
   let succs = Array.make (max n 1) [] in
   Tm2c_engine.Det.iter (fun (f, t) _ -> succs.(f) <- t :: succs.(f)) edges;
   (* Deterministic traversal order for a stable witness. *)

@@ -2,13 +2,16 @@
     serialization-graph test plus snapshot consistency for
     never-serialized attempts.
 
-    Serialized transactions — committed, or horizon-frozen after
-    their publish point (write-back already visible) — install their
-    writes as versions of shared memory; each granted read is resolved
-    (by its traced sequence point and observed value) to the version
-    it actually saw, inducing WR / WW / RW dependency edges. The
-    serialized history is serializable iff the graph is acyclic; a
-    cycle is returned with a minimal witness.
+    Serialized transactions — committed, or published (write-back
+    already visible) and then horizon-frozen or, a history anomaly,
+    aborted — install their writes as versions of shared memory; each
+    granted read is resolved (by its traced sequence point and
+    observed value) to the version it actually saw, inducing WR / WW /
+    RW dependency edges. The serialized history is serializable iff
+    the graph is acyclic; a cycle is returned with a minimal witness.
+    The graph has no node for host writes or the initial version, nor
+    any real-time order, so each serialized attempt must also
+    serialize at one instant of its lifetime ({!judge_serialized}).
 
     Opacity: attempts that aborted (or were cut off before
     publishing) must also have observed a single consistent snapshot.
@@ -17,7 +20,7 @@
     irreconcilable versions yields an {!inconsistent_read} witness
     naming both reads and the versions that pin them apart.
 
-    Both drivers use one resolver ({!observe}, {!resolve}), which
+    Both drivers use one resolver ({!observe}, {!judge_serialized}), which
     matches a read only to a version published before it, in one
     order. Initial memory state is untraced before the measured
     region, so each address carries a lazily-bound initial version:
@@ -76,7 +79,9 @@ type report = {
   n_reads_checked : int;
   n_reads_skipped : int;  (** reads of elastic serialized attempts *)
   corruption : string list;
-      (** reads whose observed value matches no installed version *)
+      (** reads whose observed value matches no installed version, or
+          whose version a serialized attempt could not have seen
+          ({!judge_serialized}) *)
   cycle : cycle option;
   opacity : inconsistent_read list;
       (** never-serialized attempts that observed an inconsistent
@@ -84,15 +89,17 @@ type report = {
   n_opacity_checked : int;
 }
 
-(** A [corruption] entry: the read matches no installed version. *)
-val corrupt_read : History.attempt -> History.read -> string
+(** What the history builder hands on, in trace order: a granted read
+    ([on_read]) or a closed attempt ([on_close]). *)
+type step = Read of History.attempt * History.read | Close of History.attempt
 
-(** [analyze ?opacity h] observes [h]'s reads in sequence order and
-    judges its attempts in close order, each after the reads traced
-    before it closed: each serialized one's reads resolve, and unless
-    [opacity] is [false] (default [true]) every non-elastic attempt
-    that never serialized is snapshot-checked. *)
-val analyze : ?opacity:bool -> History.t -> report
+(** [analyze ?opacity ~steps h] replays [h]'s [steps] in order, as the
+    stream meets them: each read is observed (unless its attempt is
+    elastic) and each closed attempt judged — a serialized one through
+    {!judge_serialized}, and unless [opacity] is [false] (default
+    [true]) every non-elastic one that never serialized through
+    {!opacity_check}. *)
+val analyze : ?opacity:bool -> steps:step list -> History.t -> report
 
 (** No corruption, no cycle, no opacity violation. *)
 val ok : report -> bool
@@ -116,19 +123,31 @@ val initial : unit -> version
     unbound. *)
 val observe : version list -> History.read -> unit
 
-(** [resolve vs r] is the version {!observe} resolved [r] to, when
-    [r]'s attempt is judged. [None]: the value matches no version
-    published before [r] (corruption). *)
-val resolve : version list -> History.read -> version option
-
-(** [next_writer vs v] is the graph node of the next transactional
-    version after [v] in [vs], or -1. *)
-val next_writer : version list -> version -> int
+(** [judge_serialized ~versions_of ~on_version ~pub a] judges a
+    serialized, non-elastic attempt whose reads have been observed and
+    whose writes were installed at [pub]. Each read resolves to the
+    version {!observe} resolved it to, among those published before
+    it: [on_version r v w] receives it, with [w] the graph node of the
+    next transactional version after [v] (-1: none yet).
+    [versions_of addr] is the address's timeline, newest first.
+    Returns the [corruption] entries: each read that matches no
+    version, in read order; else, if no instant at or after the
+    attempt's start, the versions it read and the versions its writes
+    follow precedes every overwrite of a version it read, the read
+    whose version was overwritten first. The graph has no node for the
+    initial version or a host write, so only this catches a read of a
+    version those overwrote before the attempt could see it. *)
+val judge_serialized :
+  versions_of:(Tm2c_core.Types.addr -> version list) ->
+  on_version:(History.read -> version -> int -> unit) ->
+  pub:int ->
+  History.attempt ->
+  string list
 
 (** Snapshot-consistency check for one never-serialized attempt,
     shared with the streaming checker. [versions_of addr] is the
-    address's timeline as {!resolve} takes it; the attempt's reads
-    have been observed. Returns the minimal witness, or [None] if some
+    address's timeline, newest first; the attempt's reads have been
+    observed. Returns the minimal witness, or [None] if some
     snapshot instant within the attempt's lifetime (at or after its
     start sequence) explains every read. *)
 val opacity_check :

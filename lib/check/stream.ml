@@ -41,14 +41,21 @@
 
    Both drivers bind initial versions as reads are traced and judge an
    attempt when the history builder closes it, through one resolver
-   ([Serial.observe], [Serial.resolve]), so they bind every initial
-   version to the same value and resolve every read to the same
-   version: one published before the read, which the stream still
-   holds at the close. Verdicts are equal on every history the
-   sweep never prunes (below [gc_interval] events) and, on longer
-   ones, as long as the trace respects the protocol; which of several
-   equivalent conflict cycles is reported can still differ. The
-   differential battery compares whole verdicts and reports over
+   ([Serial.observe], [Serial.judge_serialized],
+   [Serial.opacity_check]), so they bind every initial version to the
+   same value and resolve every read to the same version: one
+   published before the read, which the stream still holds at the
+   close. A write set is final at its first publish, where the stream
+   installs it (the history drops a later write or publish as an
+   anomaly), and a published attempt is serialized in both drivers
+   whatever its outcome. On every history the sweep never prunes
+   (below [gc_interval] events) and, on longer ones, as long as the
+   trace respects the protocol, the two reach the same pass/fail
+   verdict and the same report, with one exception: on a graph with
+   two conflict cycles the stream names the first an edge insertion
+   closes and the batch the one its search from the lowest transaction
+   finds, so the cycle's addresses, part of the verdict, can differ.
+   The differential battery compares whole verdicts and reports over
    simulator runs and generated raw histories. *)
 
 open Tm2c_core
@@ -413,33 +420,32 @@ let close_serialized t id (a : History.attempt) =
   (match node with Some n -> close_node t n | None -> ());
   if a.History.a_elastic then
     t.reads_skipped <- t.reads_skipped + List.length a.History.a_reads
-  else
+  else begin
+    t.reads_checked <- t.reads_checked + List.length a.History.a_reads;
+    let pub = match node with Some n -> n.n_pub_seq | None -> a.History.a_end_seq in
     List.iter
-      (fun (r : History.read) ->
-        t.reads_checked <- t.reads_checked + 1;
-        let st = astate_of t r.History.r_addr in
-        match Serial.resolve st.versions r with
-        | None ->
-            let pub = match node with Some n -> n.n_pub_seq | None -> a.History.a_end_seq in
-            t.corruption <- (pub, Serial.corrupt_read a r) :: t.corruption
-        | Some v ->
-            if v.Serial.v_writer >= 0 then
-              add_edge t ~synthetic:false v.Serial.v_writer id Serial.Wr
-                r.History.r_addr r.History.r_seq;
-            let w = Serial.next_writer st.versions v in
-            if w >= 0 then
-              add_edge t ~synthetic:false id w Serial.Rw r.History.r_addr r.History.r_seq
-            else begin
-              (* No transactional overwrite yet: the RW edge fires
-                 when (if) one installs. *)
-              st.await <- (id, r.History.r_seq) :: st.await;
-              match node with
-              | Some n ->
-                  n.n_pins <- n.n_pins + 1;
-                  n.n_awaits <- st :: n.n_awaits
-              | None -> ()
-            end)
-      a.History.a_reads
+      (fun msg -> t.corruption <- (pub, msg) :: t.corruption)
+      (Serial.judge_serialized ~pub
+         ~versions_of:(fun addr -> (astate_of t addr).versions)
+         ~on_version:(fun (r : History.read) v w ->
+           if v.Serial.v_writer >= 0 then
+             add_edge t ~synthetic:false v.Serial.v_writer id Serial.Wr
+               r.History.r_addr r.History.r_seq;
+           if w >= 0 then
+             add_edge t ~synthetic:false id w Serial.Rw r.History.r_addr r.History.r_seq
+           else begin
+             (* No transactional overwrite yet: the RW edge fires
+                when (if) one installs. *)
+             let st = astate_of t r.History.r_addr in
+             st.await <- (id, r.History.r_seq) :: st.await;
+             match node with
+             | Some n ->
+                 n.n_pins <- n.n_pins + 1;
+                 n.n_awaits <- st :: n.n_awaits
+             | None -> ()
+           end)
+         a)
+  end
 
 let check_opacity t (a : History.attempt) =
   if t.opacity_on && not a.History.a_elastic then begin
@@ -461,33 +467,17 @@ let on_close t (a : History.attempt) =
   let core = a.History.a_core in
   let node_id = Hashtbl.find_opt t.pub_node core in
   Hashtbl.remove t.pub_node core;
-  match a.History.a_outcome with
-  | History.Committed _ -> (
-      t.committed <- t.committed + 1;
-      match node_id with
-      | Some id -> close_serialized t id a
-      | None ->
-          (* Defensive: a commit whose publish event went untraced.
-             Serialize it at its end point, as the batch oracle does. *)
-          let id = install t a a.History.a_end_seq in
-          close_serialized t id a)
-  | History.Unfinished -> (
-      t.unfinished <- t.unfinished + 1;
-      match node_id with
-      | Some id -> close_serialized t id a
-      | None -> check_opacity t a)
-  | History.Aborted _ ->
-      t.aborted <- t.aborted + 1;
-      (* A published-then-aborted attempt is protocol-impossible (the
-         status CAS to Committing precedes publish); if a broken trace
-         produces one anyway, unhook its node so it can retire. *)
-      (match node_id with
-      | Some id -> (
-          match Hashtbl.find_opt t.nodes id with
-          | Some n -> close_node t n
-          | None -> ())
-      | None -> ());
-      check_opacity t a
+  (match a.History.a_outcome with
+  | History.Committed _ -> t.committed <- t.committed + 1
+  | History.Aborted _ -> t.aborted <- t.aborted + 1
+  | History.Unfinished -> t.unfinished <- t.unfinished + 1);
+  (* A published attempt is serialized whatever its outcome, as in the
+     batch. Defensive: a commit whose publish event went untraced
+     serializes at its end point, as the batch oracle does. *)
+  match (node_id, a.History.a_outcome) with
+  | Some id, _ -> close_serialized t id a
+  | None, History.Committed _ -> close_serialized t (install t a a.History.a_end_seq) a
+  | None, (History.Aborted _ | History.Unfinished) -> check_opacity t a
 
 (* --- Driver. --- *)
 

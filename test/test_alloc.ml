@@ -397,9 +397,10 @@ let stream_close_words () =
   !best /. float_of_int reads
 
 (* 40.875 words measured with OCaml 5.1.1 when the stream's resolver
-   copied the timeline into an array per read; 17.875 with the shared
-   resolver walking the retained list. The budget is the former: the
-   resolver may never cost more than the copy did. *)
+   copied the timeline into an array per read; 22.25 with the shared
+   judge walking the retained list (17.875 before it also bounded the
+   attempt's serialization instant, a per-attempt cost). The budget is
+   the former: the resolver may never cost more than the copy did. *)
 let stream_close_budget = 40.875
 
 let test_stream_close_words () =

@@ -13,8 +13,8 @@
      structurally identical to the batch oracle's over the same event
      stream — QCheck-driven across workload shapes x seeds x fault
      plans, plus the mutated (opacity-violating) run, hand-built
-     histories (H1-H3: how initial versions bind) and generated raw
-     event streams.
+     histories (H1-H3: how initial versions bind; H4-H5: a serialized
+     attempt's lifetime) and generated raw event streams.
 
    - Bounded memory: the streaming checker's reachable size after a
      run 10x longer must be flat — it retains the concurrency window,
@@ -250,6 +250,60 @@ let h3_events =
     (4.0, Event.Tx_aborted { core = 0; attempt = 1; conflict = None });
   ]
 
+(* H4: a committed reader sees the host's a=0, then a=2 — the value
+   core 0 commits later, or the initial state the host overwrote
+   before the reader started. A read never observes a later version,
+   so a=2 is the initial version; the graph has no node for the host
+   write, so only the reader's lifetime rules it out. *)
+let h4_events =
+  let a = 100 in
+  [
+    (0.5, Event.Host_write { addr = a; value = 0 });
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (2.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+    (3.0, Event.Tx_read { core = 1; addr = a; granted = true; value = 0 });
+    (4.0, Event.Tx_read { core = 1; addr = a; granted = true; value = 2 });
+    (5.0, Event.Tx_publish { core = 1; attempt = 1; n_writes = 0 });
+    (6.0, Event.Tx_committed { core = 1; attempt = 1; duration_ns = 4.0 });
+    (7.0, Event.Tx_write { core = 0; addr = a; value = 2 });
+    (8.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 1 });
+    (9.0, Event.Tx_committed { core = 0; attempt = 1; duration_ns = 8.0 });
+  ]
+
+(* H5: a lost update over a host write. Core 0 reads the initial a=3,
+   the host stores a=1, core 0 writes a=2 over it and commits: its
+   write follows the host's version, which overwrote the one it
+   read. *)
+let h5_events =
+  let a = 100 in
+  [
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (2.0, Event.Tx_read { core = 0; addr = a; granted = true; value = 3 });
+    (3.0, Event.Host_write { addr = a; value = 1 });
+    (4.0, Event.Tx_write { core = 0; addr = a; value = 2 });
+    (5.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 1 });
+    (6.0, Event.Tx_committed { core = 0; attempt = 1; duration_ns = 5.0 });
+  ]
+
+(* After publish, core 0 writes again, publishes again and aborts,
+   none of which the protocol allows: the history flags each, keeps
+   the write set as published, and both drivers serialize the
+   attempt, so core 1 reads its a=1 without fault. *)
+let post_publish_events =
+  let a = 100 in
+  [
+    (1.0, Event.Tx_start { core = 0; attempt = 1; elastic = false });
+    (2.0, Event.Tx_write { core = 0; addr = a; value = 1 });
+    (3.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 1 });
+    (4.0, Event.Tx_write { core = 0; addr = a; value = 2 });
+    (5.0, Event.Tx_publish { core = 0; attempt = 1; n_writes = 1 });
+    (6.0, Event.Tx_aborted { core = 0; attempt = 1; conflict = None });
+    (7.0, Event.Tx_start { core = 1; attempt = 1; elastic = false });
+    (8.0, Event.Tx_read { core = 1; addr = a; granted = true; value = 1 });
+    (9.0, Event.Tx_publish { core = 1; attempt = 1; n_writes = 0 });
+    (10.0, Event.Tx_committed { core = 1; attempt = 1; duration_ns = 3.0 });
+  ]
+
 let test_synthetic_inconsistent_prefix_caught () =
   let r = Check.run_list fractured_abort_events in
   check "serializable (the reader never committed)" true
@@ -333,6 +387,46 @@ let test_initial_binding_agrees () =
       ("H2", h2_events, "core 1 attempt 1 (seqs 1..4) mixed two snapshots");
       ("H3", h3_events, "value=9 @seq 2 — the initial state");
     ]
+
+(* A serialized attempt serializes at one instant of its lifetime,
+   which the graph alone cannot see through host writes: H4 and H5
+   fail in both drivers, with one report. *)
+let test_serialized_lifetime_agrees () =
+  List.iter
+    (fun (name, events, failure) ->
+      let s = Stream.create () in
+      List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+      let online = Stream.finish s in
+      let batch = Check.run_list events in
+      check (name ^ ": streaming verdict = batch verdict") true
+        (Stream.equal online (Check.verdict batch));
+      check (name ^ ": streaming report = batch report") true (same_report s batch);
+      check (name ^ ": no cycle") true (batch.Check.serial.Serial.cycle = None);
+      check (name ^ ": fails") false (Check.passed batch);
+      let report = Check.report_string batch in
+      if not (contains report failure) then
+        Alcotest.failf "%s: report lacks %S:\n%s" name failure report)
+    [
+      ( "H4",
+        h4_events,
+        "core 1 attempt 1 read addr=100 value=2 at seq 4: its version was \
+         overwritten at seq 0, and the attempt serializes at seq 2 or later" );
+      ( "H5",
+        h5_events,
+        "core 0 attempt 1 read addr=100 value=3 at seq 1: its version was \
+         overwritten at seq 2, and the attempt serializes at seq 2 or later" );
+    ]
+
+let test_post_publish_anomalies_agree () =
+  let s = Stream.create () in
+  List.iter (fun (now, ev) -> Stream.feed s now ev) post_publish_events;
+  let online = Stream.finish s in
+  let batch = Check.run_list post_publish_events in
+  check "streaming verdict = batch verdict" true (Stream.equal online (Check.verdict batch));
+  check "streaming report = batch report" true (same_report s batch);
+  check_int "write, publish and abort after publish flagged" 3 online.Stream.d_anomalies;
+  check "the published write set stands" true
+    (batch.Check.serial.Serial.corruption = [] && Array.length batch.Check.serial.Serial.txns = 2)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: streaming verdict == batch verdict.                   *)
@@ -431,13 +525,12 @@ let differential_prop =
    inside one reads, writes, publishes, commits (published or not),
    aborts, crash-stops, stores as the host, or starts a new attempt
    over the open one (an anomaly). Values range over 0..3, so reads of
-   never-written words clash often. Writes and aborts stop at publish:
-   the stream installs the write set there, the batch only once the
-   attempt serializes. Attempts still open at the end are
-   unfinished. *)
+   never-written words clash often. A write, an abort or a second
+   publish after publish is an anomaly the history flags. Attempts
+   still open at the end are unfinished. *)
 let raw_events (cores, addrs, steps) =
   let attempt = Array.make cores 0 and live = Array.make cores false in
-  let published = Array.make cores false and crashed = Array.make cores false in
+  let crashed = Array.make cores false in
   let started = ref 0 and out = ref [] and n = ref 0 in
   let emit ev =
     out := (float_of_int !n, ev) :: !out;
@@ -447,7 +540,6 @@ let raw_events (cores, addrs, steps) =
     incr started;
     attempt.(core) <- attempt.(core) + 1;
     live.(core) <- true;
-    published.(core) <- false;
     emit (Event.Tx_start { core; attempt = attempt.(core); elastic = false })
   in
   List.iter
@@ -464,13 +556,10 @@ let raw_events (cores, addrs, steps) =
       else
         match kind with
         | 0 | 1 | 2 -> emit (Event.Tx_read { core; addr; granted = true; value })
-        | 3 when not published.(core) -> emit (Event.Tx_write { core; addr; value })
-        | 4 when not published.(core) ->
-            published.(core) <- true;
-            emit (Event.Tx_publish { core; attempt; n_writes = 0 })
+        | 3 -> emit (Event.Tx_write { core; addr; value })
+        | 4 -> emit (Event.Tx_publish { core; attempt; n_writes = 0 })
         | 5 -> close (Event.Tx_committed { core; attempt; duration_ns = 1.0 })
-        | 6 when not published.(core) ->
-            close (Event.Tx_aborted { core; attempt; conflict = None })
+        | 6 -> close (Event.Tx_aborted { core; attempt; conflict = None })
         | 7 ->
             crashed.(core) <- true;
             close (Event.Core_crashed { core; attempt })
@@ -501,10 +590,8 @@ let clashing_initial_reads (h : History.t) =
   List.iter
     (fun (a : History.attempt) ->
       let serialized =
-        match a.History.a_outcome with
-        | History.Committed _ -> true
-        | History.Unfinished -> a.History.a_publish_seq <> None
-        | History.Aborted _ -> false
+        a.History.a_publish_seq <> None
+        || match a.History.a_outcome with History.Committed _ -> true | _ -> false
       in
       if serialized then
         List.iter (fun (addr, _) -> Hashtbl.replace written addr ()) a.History.a_writes)
@@ -722,6 +809,10 @@ let suite =
     Alcotest.test_case "initial versions bind in read order (H1-H3)" `Quick
       test_initial_binding_agrees;
     Alcotest.test_case "H1 history-log fixture" `Quick test_h1_fixture;
+    Alcotest.test_case "serialized attempts fit their lifetime (H4-H5)" `Quick
+      test_serialized_lifetime_agrees;
+    Alcotest.test_case "anomalies after publish: one report" `Quick
+      test_post_publish_anomalies_agree;
     QCheck_alcotest.to_alcotest ~long:true differential_prop;
     QCheck_alcotest.to_alcotest generated_prop;
     Alcotest.test_case "liveness: abort chains named, report = batch" `Quick
