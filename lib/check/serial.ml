@@ -8,8 +8,10 @@
    version. A granted read resolves to the version it observed by
    matching the traced (seq, value) pair: the newest version published
    before it, else an older (stale) one with its value, else the
-   initial version, which the first read resolving to it binds. The
-   resolution induces the usual MVSG edges
+   initial version, which the first read resolving to it binds. Reads
+   are observed in trace order and each attempt judged once, when it
+   closes, in both drivers. The resolution induces the usual MVSG
+   edges
 
      WR  T' -> T    T read the version T' installed
      WW  T' -> T''  consecutive versions of one address
