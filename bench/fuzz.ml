@@ -278,8 +278,8 @@ let wedge ~out_dir =
         let plan, res, r = attempt at in
         if
           res.Tm2c_apps.Workload.commits = 0
-          && (not (Liveness.ok r.Check.liveness))
-          && Lockset.ok r.Check.lockset
+          && (not (Liveness.ok r.Check.witness.Stream.w_liveness))
+          && Lockset.ok r.Check.witness.Stream.w_lockset
         then Some (at, plan, r)
         else None)
       crash_times
@@ -358,7 +358,7 @@ let streaming_smoke ~seeds ~out_dir =
           let online = Stream.finish s in
           let batch = Check.run_list events in
           let window = Stream.peak_nodes s in
-          let batch_v = Check.verdict batch in
+          let batch_v = batch.Check.verdict in
           if
             not
               (Stream.equal online batch_v

@@ -16,8 +16,9 @@
    By default the streaming checker consumes the log line by line, so
    memory stays bounded by the run's concurrency window no matter how
    large the file is; --streaming=false loads the log and runs the
-   batch oracle. Both print the same report (a cycle's transactions
-   aside, which each numbers in its own order). A log whose run armed
+   batch oracle. Both number serialized transactions in publish order
+   and print the same report, a conflict cycle's hops aside: each
+   reports the cycle its own graph search finds. A log whose run armed
    wedge detection (tm2c-sim on a replicated or watchdog-cut run)
    carries the threshold, and both modes arm it.
 
@@ -29,21 +30,21 @@ open Tm2c_check
 
 (* The only step that depends on the mode: read the log into a
    verdict and its witness. *)
-let judge path budget opacity streaming =
+let judge path budget streaming =
   if streaming then begin
-    let s = Stream.create ~liveness_budget:budget ~opacity () in
+    let s = Stream.create ~liveness_budget:budget () in
     let stuck_after_ns = Histlog.iter_file path (Stream.feed s) in
     let v = Stream.finish ?stuck_after_ns s in
     (v, Stream.witness s)
   end
   else begin
     let events, stuck_after_ns = Histlog.load path in
-    let r = Check.run_list ~liveness_budget:budget ?stuck_after_ns ~opacity events in
-    (Check.verdict r, Check.witness r)
+    let r = Check.run_list ~liveness_budget:budget ?stuck_after_ns events in
+    (r.Check.verdict, r.Check.witness)
   end
 
-let run path budget opacity streaming witness_file =
-  match judge path budget opacity streaming with
+let run path budget streaming witness_file =
+  match judge path budget streaming with
   | exception Sys_error msg ->
       Printf.eprintf "tm2c-check: %s\n" msg;
       exit 2
@@ -67,13 +68,6 @@ let cmd =
              ~doc:"Liveness budget: a core aborting $(docv) consecutive \
                    attempts without a commit is a violation.")
   in
-  let opacity =
-    Arg.(value & opt bool true
-         & info [ "opacity" ] ~docv:"BOOL"
-             ~doc:"Snapshot-check aborted attempts' read prefixes \
-                   (default). $(b,--opacity=false) restricts the oracle to \
-                   serializability of committed transactions.")
-  in
   let streaming =
     Arg.(value & opt bool true
          & info [ "streaming" ] ~docv:"BOOL"
@@ -89,6 +83,6 @@ let cmd =
   in
   let doc = "Check a recorded TM2C run for serializability, opacity, protocol, and liveness violations" in
   Cmd.v (Cmd.info "tm2c-check" ~doc)
-    Term.(const run $ path $ budget $ opacity $ streaming $ witness)
+    Term.(const run $ path $ budget $ streaming $ witness)
 
 let () = exit (Cmd.eval cmd)

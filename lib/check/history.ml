@@ -56,6 +56,11 @@ type t = {
   anomalies : anomaly list;  (* structural inconsistencies in the stream *)
   n_events : int;
   n_orphans : int;  (* events before their core's first Tx_start *)
+  n_committed : int;
+  n_aborted : int;
+  n_unfinished : int;
+  horizon : float;  (* the last traced instant *)
+  crashed : Types.core_id list;  (* Core_crashed cores, newest first *)
 }
 
 (* Replace-or-append keyed on address, preserving first-store order. *)
@@ -80,6 +85,11 @@ type builder = {
   mutable b_anomalies : anomaly list;  (* reversed *)
   mutable b_n_events : int;
   mutable b_n_orphans : int;
+  mutable b_committed : int;
+  mutable b_aborted : int;
+  mutable b_unfinished : int;
+  mutable b_horizon : float;
+  mutable b_crashed : Types.core_id list;
 }
 
 let builder ?(retain = true) ?(on_close = fun _ -> ())
@@ -98,6 +108,11 @@ let builder ?(retain = true) ?(on_close = fun _ -> ())
     b_anomalies = [];
     b_n_events = 0;
     b_n_orphans = 0;
+    b_committed = 0;
+    b_aborted = 0;
+    b_unfinished = 0;
+    b_horizon = 0.0;
+    b_crashed = [];
   }
 
 let n_events b = b.b_n_events
@@ -120,8 +135,13 @@ let anomaly b seq time fmt =
         { an_seq = seq; an_time = time; an_message = m } :: b.b_anomalies)
     fmt
 
-(* Put an attempt's accumulators into program order and hand it on. *)
+(* Put an attempt's accumulators into program order, count its
+   outcome and hand it on. *)
 let closed b a =
+  (match a.a_outcome with
+  | Committed _ -> b.b_committed <- b.b_committed + 1
+  | Aborted _ -> b.b_aborted <- b.b_aborted + 1
+  | Unfinished -> b.b_unfinished <- b.b_unfinished + 1);
   a.a_reads <- List.rev a.a_reads;
   a.a_wlocks <- List.rev a.a_wlocks;
   a.a_rlock_released <- List.rev a.a_rlock_released;
@@ -148,6 +168,7 @@ let with_open b seq time core what f =
 let feed b time ev =
   let seq = b.b_n_events in
   b.b_n_events <- seq + 1;
+  if time > b.b_horizon then b.b_horizon <- time;
   match ev with
   | Event.Tx_start { core; attempt; elastic } ->
       (match Hashtbl.find_opt b.open_attempts core with
@@ -257,6 +278,7 @@ let feed b time ev =
       (* Crash-stop: the core's open attempt ends here, Unfinished —
          exactly like run-horizon truncation, so no checker treats
          its open locks or missing end event as a violation. *)
+      b.b_crashed <- core :: b.b_crashed;
       (match Hashtbl.find_opt b.open_attempts core with
       | Some a -> close b seq time a Unfinished
       | None -> ())
@@ -290,16 +312,12 @@ let finish b =
     anomalies = List.rev b.b_anomalies;
     n_events = b.b_n_events;
     n_orphans = b.b_n_orphans;
+    n_committed = b.b_committed;
+    n_aborted = b.b_aborted;
+    n_unfinished = b.b_unfinished;
+    horizon = b.b_horizon;
+    crashed = b.b_crashed;
   }
-
-let count_outcomes h =
-  List.fold_left
-    (fun (c, ab, u) a ->
-      match a.a_outcome with
-      | Committed _ -> (c + 1, ab, u)
-      | Aborted _ -> (c, ab + 1, u)
-      | Unfinished -> (c, ab, u + 1))
-    (0, 0, 0) h.attempts
 
 let pp_anomalies fmt = function
   | [] -> ()

@@ -71,6 +71,16 @@ type t = {
   n_orphans : int;
       (** events seen before their core's first [Tx_start]; nonzero
           only for truncated streams *)
+  n_committed : int;  (** attempts closed by outcome, retained or not *)
+  n_aborted : int;
+  n_unfinished : int;
+  horizon : float;
+      (** the last traced instant, which bounds how long any attempt
+          can have hung *)
+  crashed : Types.core_id list;
+      (** crash-stopped cores ([Event.Core_crashed]), newest first:
+          exempt from wedge detection, their open attempt is the
+          crash *)
 }
 
 (** Incremental reconstruction state. *)
@@ -111,9 +121,6 @@ val watermark : builder -> int
 (** Close every still-open attempt as [Unfinished] (firing [on_close])
     and return the assembled history. *)
 val finish : builder -> t
-
-(** (committed, aborted, unfinished) attempts of a history. *)
-val count_outcomes : t -> int * int * int
 
 (** The history-anomaly witness section; empty when there are none. *)
 val pp_anomalies : Format.formatter -> anomaly list -> unit

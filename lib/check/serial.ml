@@ -44,8 +44,6 @@ type edge = {
   e_seq : int;
 }
 
-type cycle = { c_txns : int list; c_edges : edge list }
-
 type inconsistent_read = {
   ir_core : Types.core_id;
   ir_attempt : int;
@@ -61,17 +59,16 @@ type inconsistent_read = {
   ir_pub2 : int;
 }
 
-type report = {
-  txns : History.attempt array;
-  n_reads_checked : int;
-  n_reads_skipped : int;
-  corruption : string list;
-  cycle : cycle option;
-  opacity : inconsistent_read list;
-  n_opacity_checked : int;
+type tally = {
+  mutable reads_checked : int;
+  mutable reads_skipped : int;
+  mutable opacity_checked : int;
+  mutable corruption : (int * string) list;  (* (publish key, msg), newest first *)
+  mutable opacity : inconsistent_read list;  (* judgement order, newest first *)
 }
 
-let ok r = r.corruption = [] && r.cycle = None && r.opacity = []
+let tally () =
+  { reads_checked = 0; reads_skipped = 0; opacity_checked = 0; corruption = []; opacity = [] }
 
 (* A version of one address. [v_writer] is the graph node of the
    serialized transaction that installed it, or -1 for the lazily-bound
@@ -357,19 +354,47 @@ let judge_serialized ~versions_of ~on_version ~pub (a : History.attempt) =
       ]
   | corrupt, _ -> List.rev corrupt
 
+let txn_label id ~core ~attempt ~published =
+  Printf.sprintf "T%d[core %d attempt %d, published @%.0fns]" id core attempt
+    published
+
+(* The one judgement both drivers make when an attempt closes.
+   Elastic attempts intentionally run a relaxed model (window
+   validation instead of full read locking): their reads are excluded
+   from both checks, and early read-lock release is precisely a
+   license to span snapshots. *)
+let judge t ~versions_of ~on_version (a : History.attempt) =
+  if serialized a then begin
+    let n = List.length a.History.a_reads in
+    if a.History.a_elastic then t.reads_skipped <- t.reads_skipped + n
+    else begin
+      t.reads_checked <- t.reads_checked + n;
+      let pub = pub_key a in
+      List.iter
+        (fun msg -> t.corruption <- (pub, msg) :: t.corruption)
+        (judge_serialized ~versions_of ~on_version ~pub a)
+    end
+  end
+  else if not a.History.a_elastic then begin
+    t.opacity_checked <- t.opacity_checked + 1;
+    match opacity_check ~versions_of a with
+    | Some ir -> t.opacity <- ir :: t.opacity
+    | None -> ()
+  end
+
 (* The report's listing orders, whatever order the attempts were
    judged in: corrupt reads by their attempt's publish point, then in
-   read order ([judged] holds (publish, message) pairs, newest first),
-   and opacity witnesses by attempt start. *)
-let by_publish judged =
-  List.map snd (List.stable_sort (fun (p, _) (q, _) -> Int.compare p q) (List.rev judged))
+   read order, and opacity witnesses by attempt start. *)
+let corrupt_reads t =
+  List.map snd
+    (List.stable_sort (fun (p, _) (q, _) -> Int.compare p q) (List.rev t.corruption))
 
-let by_start irs =
-  List.sort (fun x y -> Int.compare x.ir_start_seq y.ir_start_seq) irs
+let opacity_witnesses t =
+  List.sort (fun x y -> Int.compare x.ir_start_seq y.ir_start_seq) t.opacity
 
 type step = Read of History.attempt * History.read | Close of History.attempt
 
-let analyze ?(opacity = true) ~steps (h : History.t) =
+let analyze ~steps (h : History.t) =
   let txns = Array.of_list (List.filter serialized h.History.attempts) in
   Array.sort (fun a b -> compare (pub_key a) (pub_key b)) txns;
   let n = Array.length txns in
@@ -428,43 +453,21 @@ let analyze ?(opacity = true) ~steps (h : History.t) =
            None vs))
     versions;
   (* The stream's order: each read observed as it was traced, each
-     attempt judged when it closed. Elastic attempts intentionally run
-     a relaxed model (window validation instead of full read locking):
-     their reads are excluded from both checks, and early read-lock
-     release is precisely a license to span snapshots. *)
-  let n_reads_checked = ref 0 in
-  let n_reads_skipped = ref 0 in
-  let corruption = ref [] in
-  let opacity_violations = ref [] in
-  let n_opacity_checked = ref 0 in
-  let judge (a : History.attempt) =
-    if not (serialized a) then begin
-      if opacity && not a.History.a_elastic then begin
-        incr n_opacity_checked;
-        match opacity_check ~versions_of:get_versions a with
-        | Some ir -> opacity_violations := ir :: !opacity_violations
-        | None -> ()
-      end
-    end
-    else if a.History.a_elastic then
-      n_reads_skipped := !n_reads_skipped + List.length a.History.a_reads
-    else begin
-      let i = Hashtbl.find node_of_start a.History.a_start_seq in
-      n_reads_checked := !n_reads_checked + List.length a.History.a_reads;
-      List.iter
-        (fun msg -> corruption := (pub_key a, msg) :: !corruption)
-        (judge_serialized ~versions_of:get_versions ~pub:(pub_key a) a
-           ~on_version:(fun (r : History.read) v w ->
-             if v.v_writer >= 0 then
-               add_edge v.v_writer i Wr r.History.r_addr r.History.r_seq;
-             if w >= 0 then add_edge i w Rw r.History.r_addr r.History.r_seq))
-    end
-  in
+     attempt judged when it closed. *)
+  let t = tally () in
   List.iter
     (function
       | Read (a, r) ->
           if not a.History.a_elastic then observe (get_versions r.History.r_addr) r
-      | Close a -> judge a)
+      | Close a ->
+          (* Only a serialized attempt has a node, and only its reads
+             reach [on_version]. *)
+          let i =
+            Option.value ~default:(-1) (Hashtbl.find_opt node_of_start a.History.a_start_seq)
+          in
+          judge t ~versions_of:get_versions a ~on_version:(fun (r : History.read) v w ->
+              if v.v_writer >= 0 then add_edge v.v_writer i Wr r.History.r_addr r.History.r_seq;
+              if w >= 0 then add_edge i w Rw r.History.r_addr r.History.r_seq))
     steps;
   let succs = Array.make (max n 1) [] in
   Tm2c_engine.Det.iter (fun (f, t) _ -> succs.(f) <- t :: succs.(f)) edges;
@@ -473,41 +476,29 @@ let analyze ?(opacity = true) ~steps (h : History.t) =
   let cycle =
     match find_cycle n (fun u -> succs.(u)) with
     | None -> None
-    | Some nodes ->
-        let hops =
-          match nodes with
+    | Some [] -> None
+    | Some (first :: _ as nodes) ->
+        let rec pair = function
+          | [ last ] -> [ (last, first) ]
+          | x :: (y :: _ as rest) -> (x, y) :: pair rest
           | [] -> []
-          | first :: _ ->
-              let rec pair = function
-                | [ last ] -> [ (last, first) ]
-                | x :: (y :: _ as rest) -> (x, y) :: pair rest
-                | [] -> []
-              in
-              pair nodes
         in
-        let c_edges = List.map (fun k -> Hashtbl.find edges k) hops in
-        Some { c_txns = nodes; c_edges }
+        let label i =
+          let a = txns.(i) in
+          txn_label i ~core:a.History.a_core ~attempt:a.History.a_number
+            ~published:a.History.a_publish_time
+        in
+        Some (List.map (fun k -> Hashtbl.find edges k) (pair nodes), label)
   in
-  {
-    txns;
-    n_reads_checked = !n_reads_checked;
-    n_reads_skipped = !n_reads_skipped;
-    corruption = by_publish !corruption;
-    cycle;
-    opacity = by_start !opacity_violations;
-    n_opacity_checked = !n_opacity_checked;
-  }
+  (t, cycle)
 
 (* --- Witness rendering, shared by the batch and streaming checkers. --- *)
 
-let txn_label id ~core ~attempt ~published =
-  Printf.sprintf "T%d[core %d attempt %d, published @%.0fns]" id core attempt
-    published
-
-let pp_corruption fmt corruption =
-  List.iter
-    (fun msg -> Format.fprintf fmt "@.== value corruption ==@.  %s@." msg)
-    corruption
+let pp_corruption fmt = function
+  | [] -> ()
+  | corruption ->
+      Format.fprintf fmt "@.== value corruption ==@.";
+      List.iter (fun msg -> Format.fprintf fmt "  %s@." msg) corruption
 
 let pp_cycle ~label fmt edges =
   Format.fprintf fmt "@.== serializability violation: conflict-graph cycle ==@.";

@@ -11,7 +11,7 @@
     the graph is acyclic; a cycle is returned with a minimal witness.
     The graph has no node for host writes or the initial version, nor
     any real-time order, so each serialized attempt must also
-    serialize at one instant of its lifetime ({!judge_serialized}).
+    serialize at one instant of its lifetime ({!judge}).
 
     Opacity: attempts that aborted (or were cut off before
     publishing) must also have observed a single consistent snapshot.
@@ -20,10 +20,10 @@
     irreconcilable versions yields an {!inconsistent_read} witness
     naming both reads and the versions that pin them apart.
 
-    Both drivers use one resolver ({!observe}, {!judge_serialized}), which
-    matches a read only to a version published before it, in one
-    order. Initial memory state is untraced before the measured
-    region, so each address carries a lazily-bound initial version:
+    Both drivers use one resolver and one judgement ({!observe},
+    {!judge}), which matches a read only to a version published
+    before it, in one order. Initial memory state is untraced before
+    the measured region, so each address carries a lazily-bound initial version:
     the first granted read in sequence order that resolves to it
     binds its value, whatever its attempt's outcome. Each attempt is
     then judged once, in the order the history builder closes it. An
@@ -39,16 +39,11 @@
 type edge_kind = Wr | Ww | Rw
 
 type edge = {
-  e_from : int;  (** txn index in {!report.txns} *)
+  e_from : int;  (** graph node: the transaction's rank in publish order *)
   e_to : int;
   e_kind : edge_kind;
   e_addr : Tm2c_core.Types.addr;
   e_seq : int;  (** sequence point of the inducing observation *)
-}
-
-type cycle = {
-  c_txns : int list;  (** txn indices along the cycle, in order *)
-  c_edges : edge list;  (** one edge per hop, closing edge last *)
 }
 
 (** Opacity violation: one attempt whose read prefix fits no single
@@ -72,39 +67,7 @@ type inconsistent_read = {
   ir_pub2 : int;
 }
 
-type report = {
-  txns : History.attempt array;
-      (** serialized transactions in publish order; edge endpoints
-          index into this array *)
-  n_reads_checked : int;
-  n_reads_skipped : int;  (** reads of elastic serialized attempts *)
-  corruption : string list;
-      (** reads whose observed value matches no installed version, or
-          whose version a serialized attempt could not have seen
-          ({!judge_serialized}) *)
-  cycle : cycle option;
-  opacity : inconsistent_read list;
-      (** never-serialized attempts that observed an inconsistent
-          snapshot; empty when [analyze ~opacity:false] *)
-  n_opacity_checked : int;
-}
-
-(** What the history builder hands on, in trace order: a granted read
-    ([on_read]) or a closed attempt ([on_close]). *)
-type step = Read of History.attempt * History.read | Close of History.attempt
-
-(** [analyze ?opacity ~steps h] replays [h]'s [steps] in order, as the
-    stream meets them: each read is observed (unless its attempt is
-    elastic) and each closed attempt judged — a serialized one through
-    {!judge_serialized}, and unless [opacity] is [false] (default
-    [true]) every non-elastic one that never serialized through
-    {!opacity_check}. *)
-val analyze : ?opacity:bool -> steps:step list -> History.t -> report
-
-(** No corruption, no cycle, no opacity violation. *)
-val ok : report -> bool
-
-(** {2 Read resolution, shared by both drivers} *)
+(** {2 Read resolution and judgement, shared by both drivers} *)
 
 (** A version of one address: its publish sequence point, its value
     ([None]: the initial version no read has bound yet) and the graph
@@ -123,45 +86,77 @@ val initial : unit -> version
     unbound. *)
 val observe : version list -> History.read -> unit
 
-(** [judge_serialized ~versions_of ~on_version ~pub a] judges a
-    serialized, non-elastic attempt whose reads have been observed and
-    whose writes were installed at [pub]. Each read resolves to the
-    version {!observe} resolved it to, among those published before
-    it: [on_version r v w] receives it, with [w] the graph node of the
-    next transactional version after [v] (-1: none yet).
-    [versions_of addr] is the address's timeline, newest first.
-    Returns the [corruption] entries: each read that matches no
-    version, in read order; else, if no instant at or after the
-    attempt's start, the versions it read and the versions its writes
-    follow precedes every overwrite of a version it read, the read
-    whose version was overwritten first. The graph has no node for the
-    initial version or a host write, so only this catches a read of a
-    version those overwrote before the attempt could see it. *)
-val judge_serialized :
+(** An attempt whose writes are visible, and so a graph node:
+    committed, or published whatever its outcome. *)
+val serialized : History.attempt -> bool
+
+(** What {!judge} has counted and found so far. *)
+type tally = private {
+  mutable reads_checked : int;  (** reads of non-elastic serialized attempts *)
+  mutable reads_skipped : int;  (** reads of elastic serialized attempts *)
+  mutable opacity_checked : int;  (** non-elastic attempts that never serialized *)
+  mutable corruption : (int * string) list;
+      (** corrupt reads under their attempt's publish point, newest
+          first *)
+  mutable opacity : inconsistent_read list;  (** newest first *)
+}
+
+val tally : unit -> tally
+
+(** [judge t ~versions_of ~on_version a] judges attempt [a] when the
+    history builder closes it, its reads observed; [versions_of addr]
+    is the address's timeline, newest first, with a serialized
+    attempt's writes installed at its publish point (its end, if it
+    committed unpublished).
+
+    - A serialized elastic attempt has its reads counted as skipped:
+      its read trace is partial by design, and early read-lock release
+      licenses spanning snapshots.
+    - A serialized non-elastic attempt has each read resolved to the
+      version {!observe} resolved it to, among those published before
+      it: [on_version r v w] receives it, with [w] the graph node of
+      the next transactional version after [v] (-1: none yet), which
+      is how a driver records its edges. A read that matches no
+      version is corrupt; else, if no instant at or after the
+      attempt's start, the versions it read and the versions its
+      writes follow precedes every overwrite of a version it read, the
+      read whose version was overwritten first is. The graph has no
+      node for the initial version or a host write, so only this
+      catches a read of a version those overwrote before the attempt
+      could see it.
+    - A non-elastic attempt that never serialized is snapshot-checked:
+      its reads must share one instant within its lifetime (at or
+      after its start), or the minimal two-read witness is kept. *)
+val judge :
+  tally ->
   versions_of:(Tm2c_core.Types.addr -> version list) ->
   on_version:(History.read -> version -> int -> unit) ->
-  pub:int ->
   History.attempt ->
-  string list
+  unit
 
-(** Snapshot-consistency check for one never-serialized attempt,
-    shared with the streaming checker. [versions_of addr] is the
-    address's timeline, newest first; the attempt's reads have been
-    observed. Returns the minimal witness, or [None] if some
-    snapshot instant within the attempt's lifetime (at or after its
-    start sequence) explains every read. *)
-val opacity_check :
-  versions_of:(Tm2c_core.Types.addr -> version list) ->
-  History.attempt ->
-  inconsistent_read option
+(** The tally's lists in the report's order, whatever order attempts
+    were judged in: corrupt-read messages by publish point and then
+    read order, opacity witnesses by attempt start. *)
+val corrupt_reads : tally -> string list
 
-(** The report's orders, whatever order attempts were judged in:
-    [by_publish] lists corrupt-read messages from (publish point,
-    message) pairs held newest first, by publish point and then read
-    order; [by_start] lists opacity witnesses by attempt start. *)
-val by_publish : (int * string) list -> string list
+val opacity_witnesses : tally -> inconsistent_read list
 
-val by_start : inconsistent_read list -> inconsistent_read list
+(** {2 The batch reference} *)
+
+(** What the history builder hands on, in trace order: a granted read
+    ([on_read]) or a closed attempt ([on_close]). *)
+type step = Read of History.attempt * History.read | Close of History.attempt
+
+(** [analyze ~steps h] replays [h]'s [steps] in order, as the stream
+    meets them: each read is observed (unless its attempt is elastic)
+    and each closed attempt judged ({!judge}), against the complete
+    sorted version timeline. It returns the tally and the first
+    conflict cycle a search from the lowest node of the finished graph
+    finds: its hops, closing hop last, and the label naming a hop's
+    transaction. Serialized transactions are numbered in publish
+    order. *)
+val analyze :
+  steps:step list -> History.t -> tally * (edge list * (int -> string)) option
 
 (** {2 Witness sections}
 

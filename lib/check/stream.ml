@@ -39,16 +39,18 @@
    drops a core's locks through its own grant list, in O(locks the
    core was granted).
 
-   Both drivers bind initial versions as reads are traced and judge an
-   attempt when the history builder closes it, through one resolver
-   ([Serial.observe], [Serial.judge_serialized],
-   [Serial.opacity_check]), so they bind every initial version to the
-   same value and resolve every read to the same version: one
-   published before the read, which the stream still holds at the
-   close. A write set is final at its first publish, where the stream
-   installs it (the history drops a later write or publish as an
-   anomaly), and a published attempt is serialized in both drivers
-   whatever its outcome. On every history the sweep never prunes
+   Both drivers bind initial versions as reads are traced
+   ([Serial.observe]) and judge an attempt when the history builder
+   closes it ([Serial.judge]), and close the run alike ([close_run]);
+   what differs is what makes the batch a reference (the complete
+   sorted timeline and a search over the finished graph) against the
+   stream's pruned timeline, incremental graph and retirement. So they
+   bind every initial version to the same value and resolve every read
+   to the same version: one published before the read, which the
+   stream still holds at the close. A write set is final at its first
+   publish, where the stream installs it (the history drops a later
+   write or publish as an anomaly), and a published attempt is
+   serialized in both drivers whatever its outcome. On every history the sweep never prunes
    (below [gc_interval] events) and, on longer ones, as long as the
    trace respects the protocol, the two reach the same pass/fail
    verdict and the same report, with one exception: on a graph with
@@ -129,7 +131,7 @@ type t = {
   mutable hb : History.builder;
   ls : Lockset.t;
   lv : Liveness.t;
-  opacity_on : bool;
+  tally : Serial.tally;
   gc_interval : int;
   nodes : (int, node) Hashtbl.t;
   addrs : (Types.addr, astate) Hashtbl.t;
@@ -145,16 +147,6 @@ type t = {
   mutable sources : int list;
   pub_node : (Types.core_id, int) Hashtbl.t;  (* open published attempt *)
   mutable next_id : int;
-  mutable horizon : float;
-  mutable crashed : Types.core_id list;
-  mutable committed : int;
-  mutable aborted : int;
-  mutable unfinished : int;
-  mutable reads_checked : int;
-  mutable reads_skipped : int;
-  mutable corruption : (int * string) list;  (* (publish seq, msg), reversed *)
-  mutable opacity : Serial.inconsistent_read list;  (* close order, reversed *)
-  mutable opacity_checked : int;
   mutable cycle : (Serial.edge list * (int * string) list) option;
       (* the hops, and each hop's source named while it was live *)
   mutable since_gc : int;
@@ -415,80 +407,61 @@ let on_host_write t seq addr value =
   push_version t (astate_of t addr)
     { Serial.v_pub = seq; v_value = Some value; v_writer = -1 }
 
-let close_serialized t id (a : History.attempt) =
-  let node = Hashtbl.find_opt t.nodes id in
-  (match node with Some n -> close_node t n | None -> ());
-  if a.History.a_elastic then
-    t.reads_skipped <- t.reads_skipped + List.length a.History.a_reads
-  else begin
-    t.reads_checked <- t.reads_checked + List.length a.History.a_reads;
-    let pub = match node with Some n -> n.n_pub_seq | None -> a.History.a_end_seq in
-    List.iter
-      (fun msg -> t.corruption <- (pub, msg) :: t.corruption)
-      (Serial.judge_serialized ~pub
-         ~versions_of:(fun addr -> (astate_of t addr).versions)
-         ~on_version:(fun (r : History.read) v w ->
-           if v.Serial.v_writer >= 0 then
-             add_edge t ~synthetic:false v.Serial.v_writer id Serial.Wr
-               r.History.r_addr r.History.r_seq;
-           if w >= 0 then
-             add_edge t ~synthetic:false id w Serial.Rw r.History.r_addr r.History.r_seq
-           else begin
-             (* No transactional overwrite yet: the RW edge fires
-                when (if) one installs. *)
-             let st = astate_of t r.History.r_addr in
-             st.await <- (id, r.History.r_seq) :: st.await;
-             match node with
-             | Some n ->
-                 n.n_pins <- n.n_pins + 1;
-                 n.n_awaits <- st :: n.n_awaits
-             | None -> ()
-           end)
-         a)
-  end
-
-let check_opacity t (a : History.attempt) =
-  if t.opacity_on && not a.History.a_elastic then begin
-    t.opacity_checked <- t.opacity_checked + 1;
-    match
-      Serial.opacity_check ~versions_of:(fun addr -> (astate_of t addr).versions) a
-    with
-    | Some ir -> t.opacity <- ir :: t.opacity
-    | None -> ()
-  end
-
 (* Elastic reads never bind: both checks exclude them. *)
 let on_read t (a : History.attempt) (r : History.read) =
   if not a.History.a_elastic then
     Serial.observe (astate_of t r.History.r_addr).versions r
 
+let no_edges (_ : History.read) (_ : Serial.version) (_ : int) = ()
+
+(* A published attempt is serialized whatever its outcome, as in the
+   batch; a commit whose publish event went untraced installs at its
+   end point. *)
 let on_close t (a : History.attempt) =
   Liveness.close t.lv a;
   let core = a.History.a_core in
   let node_id = Hashtbl.find_opt t.pub_node core in
   Hashtbl.remove t.pub_node core;
-  (match a.History.a_outcome with
-  | History.Committed _ -> t.committed <- t.committed + 1
-  | History.Aborted _ -> t.aborted <- t.aborted + 1
-  | History.Unfinished -> t.unfinished <- t.unfinished + 1);
-  (* A published attempt is serialized whatever its outcome, as in the
-     batch. Defensive: a commit whose publish event went untraced
-     serializes at its end point, as the batch oracle does. *)
-  match (node_id, a.History.a_outcome) with
-  | Some id, _ -> close_serialized t id a
-  | None, History.Committed _ -> close_serialized t (install t a a.History.a_end_seq) a
-  | None, (History.Aborted _ | History.Unfinished) -> check_opacity t a
+  let id =
+    match node_id with
+    | Some id -> id
+    | None -> if Serial.serialized a then install t a a.History.a_end_seq else -1
+  in
+  let node = Hashtbl.find_opt t.nodes id in
+  (match node with Some n -> close_node t n | None -> ());
+  (* Only a serialized attempt's reads reach [on_version], so one
+     with no node allocates no closure for it. *)
+  Serial.judge t.tally a
+    ~versions_of:(fun addr -> (astate_of t addr).versions)
+    ~on_version:
+      (if id < 0 then no_edges
+       else fun (r : History.read) v w ->
+         if v.Serial.v_writer >= 0 then
+           add_edge t ~synthetic:false v.Serial.v_writer id Serial.Wr r.History.r_addr
+             r.History.r_seq;
+         if w >= 0 then
+           add_edge t ~synthetic:false id w Serial.Rw r.History.r_addr r.History.r_seq
+         else begin
+           (* No transactional overwrite yet: the RW edge fires when
+              (if) one installs. *)
+           let st = astate_of t r.History.r_addr in
+           st.await <- (id, r.History.r_seq) :: st.await;
+           match node with
+           | Some n ->
+               n.n_pins <- n.n_pins + 1;
+               n.n_awaits <- st :: n.n_awaits
+           | None -> ()
+         end)
 
 (* --- Driver. --- *)
 
-let create ?(liveness_budget = Liveness.default_budget) ?(opacity = true)
-    ?(gc_interval = 1024) () =
+let create ?(liveness_budget = Liveness.default_budget) ?(gc_interval = 1024) () =
   let t =
     {
       hb = History.builder ~retain:false ();
       ls = Lockset.create ();
       lv = Liveness.create ~budget:liveness_budget;
-      opacity_on = opacity;
+      tally = Serial.tally ();
       gc_interval;
       nodes = Hashtbl.create 256;
       addrs = Hashtbl.create 256;
@@ -497,16 +470,6 @@ let create ?(liveness_budget = Liveness.default_budget) ?(opacity = true)
       sources = [];
       pub_node = Hashtbl.create 64;
       next_id = 0;
-      horizon = 0.0;
-      crashed = [];
-      committed = 0;
-      aborted = 0;
-      unfinished = 0;
-      reads_checked = 0;
-      reads_skipped = 0;
-      corruption = [];
-      opacity = [];
-      opacity_checked = 0;
       cycle = None;
       since_gc = 0;
       searches = 0;
@@ -524,10 +487,6 @@ let create ?(liveness_budget = Liveness.default_budget) ?(opacity = true)
   t
 
 let feed t time ev =
-  if time > t.horizon then t.horizon <- time;
-  (match ev with
-  | Event.Core_crashed { core; _ } -> t.crashed <- core :: t.crashed
-  | _ -> ());
   Lockset.feed t.ls time ev;
   History.feed t.hb time ev;
   t.since_gc <- t.since_gc + 1;
@@ -541,33 +500,47 @@ let n_live_nodes t = Hashtbl.length t.nodes
 
 let peak_nodes t = t.peak_nodes
 
-let verdict_of_witness ~events ~committed ~aborted ~unfinished ~reads_checked
-    ~reads_skipped ~opacity_checked w =
-  {
-    d_events = events;
-    d_attempts = committed + aborted + unfinished;
-    d_committed = committed;
-    d_aborted = aborted;
-    d_unfinished = unfinished;
-    d_anomalies = List.length w.w_anomalies;
-    d_reads_checked = reads_checked;
-    d_reads_skipped = reads_skipped;
-    d_corruption = List.sort compare w.w_corruption;
-    d_cycle =
-      Option.map
-        (fun (edges, _) ->
-          List.sort_uniq compare (List.map (fun (e : Serial.edge) -> e.Serial.e_addr) edges))
-        w.w_cycle;
-    d_opacity =
-      List.sort compare
-        (List.map
-           (fun (ir : Serial.inconsistent_read) -> (ir.Serial.ir_addr1, ir.Serial.ir_addr2))
-           w.w_opacity);
-    d_opacity_checked = opacity_checked;
-    d_lock_violations = List.length w.w_lockset.Lockset.violations;
-    d_grants = w.w_lockset.Lockset.n_grants;
-    d_liveness = w.w_liveness;
-  }
+let close_run (h : History.t) tally ~cycle ls lv ~stuck_after_ns =
+  let w =
+    {
+      w_anomalies = h.History.anomalies;
+      w_corruption = Serial.corrupt_reads tally;
+      w_cycle = cycle;
+      w_opacity = Serial.opacity_witnesses tally;
+      w_lockset = Lockset.finish ls;
+      w_liveness =
+        Liveness.finish lv ~horizon:h.History.horizon ~crashed:h.History.crashed
+          ~stuck_after_ns;
+    }
+  in
+  let v =
+    {
+      d_events = h.History.n_events;
+      d_attempts = h.History.n_committed + h.History.n_aborted + h.History.n_unfinished;
+      d_committed = h.History.n_committed;
+      d_aborted = h.History.n_aborted;
+      d_unfinished = h.History.n_unfinished;
+      d_anomalies = List.length w.w_anomalies;
+      d_reads_checked = tally.Serial.reads_checked;
+      d_reads_skipped = tally.Serial.reads_skipped;
+      d_corruption = List.sort compare w.w_corruption;
+      d_cycle =
+        Option.map
+          (fun (edges, _) ->
+            List.sort_uniq compare (List.map (fun (e : Serial.edge) -> e.Serial.e_addr) edges))
+          w.w_cycle;
+      d_opacity =
+        List.sort compare
+          (List.map
+             (fun (ir : Serial.inconsistent_read) -> (ir.Serial.ir_addr1, ir.Serial.ir_addr2))
+             w.w_opacity);
+      d_opacity_checked = tally.Serial.opacity_checked;
+      d_lock_violations = List.length w.w_lockset.Lockset.violations;
+      d_grants = w.w_lockset.Lockset.n_grants;
+      d_liveness = w.w_liveness;
+    }
+  in
+  (v, w)
 
 (* Closes the run once; later calls return the first verdict
    whatever threshold they pass. *)
@@ -576,26 +549,15 @@ let finish ?(stuck_after_ns = infinity) t =
   | Some (v, _) -> v
   | None ->
       let h = History.finish t.hb in
-      let w =
-        {
-          w_anomalies = h.History.anomalies;
-          w_corruption = Serial.by_publish t.corruption;
-          w_cycle =
-            Option.map
-              (fun (edges, names) -> (edges, fun id -> List.assoc id names))
-              t.cycle;
-          w_opacity = Serial.by_start t.opacity;
-          w_lockset = Lockset.finish t.ls;
-          w_liveness =
-            Liveness.finish t.lv ~horizon:t.horizon ~crashed:t.crashed ~stuck_after_ns;
-        }
+      let ((v, _) as result) =
+        close_run h t.tally
+          ~cycle:
+            (Option.map
+               (fun (edges, names) -> (edges, fun id -> List.assoc id names))
+               t.cycle)
+          t.ls t.lv ~stuck_after_ns
       in
-      let v =
-        verdict_of_witness ~events:h.History.n_events ~committed:t.committed
-          ~aborted:t.aborted ~unfinished:t.unfinished ~reads_checked:t.reads_checked
-          ~reads_skipped:t.reads_skipped ~opacity_checked:t.opacity_checked w
-      in
-      t.result <- Some (v, w);
+      t.result <- Some result;
       v
 
 (* Never finishes by itself: an unarmed finish here would pin the

@@ -12,11 +12,11 @@
     through them, or without it once they are closed sources published
     at or below the watermark.
 
-    Both drivers end here: the batch oracle projects its result onto
-    the same {!verdict} and {!witness} ({!Check.verdict}), so one
-    history prints one report whichever driver judged it; the
-    differential battery requires [equal] verdicts and equal
-    reports. *)
+    Both drivers end here: each judges an attempt with
+    {!Serial.judge} when it closes and closes the run with
+    {!close_run}, so one history prints one report whichever driver
+    judged it; the differential battery requires [equal] verdicts and
+    equal reports. *)
 
 open Tm2c_core
 
@@ -57,37 +57,45 @@ type witness = {
   w_liveness : Liveness.report;
 }
 
-(** The one projection both drivers make of their counts and
-    witness. *)
-val verdict_of_witness :
-  events:int ->
-  committed:int ->
-  aborted:int ->
-  unfinished:int ->
-  reads_checked:int ->
-  reads_skipped:int ->
-  opacity_checked:int ->
-  witness ->
-  verdict
+(** The one close-out both drivers make of a finished run [h]: the
+    witness and the verdict of its anomalies and outcome counts, the
+    judgement tally, the driver's conflict cycle (its hops, closing hop
+    last, and the label naming a hop's transaction), the lockset
+    shadow and the liveness monitor, finished at [h]'s horizon with its
+    crashed cores exempt and wedge detection armed at
+    [stuck_after_ns]. *)
+val close_run :
+  History.t ->
+  Serial.tally ->
+  cycle:(Serial.edge list * (int -> string)) option ->
+  Lockset.t ->
+  Liveness.t ->
+  stuck_after_ns:float ->
+  verdict * witness
 
 (** Total violations across all checkers (history anomalies count). *)
 val n_failures : verdict -> int
 
 val passed : verdict -> bool
 
+(** Structural equality, which the differential battery requires of
+    the two drivers on one history. Both number serialized
+    transactions in publish order, but each reports the cycle its own
+    graph finds: the stream the first cycle an edge insertion closes,
+    the batch the first its search from the lowest transaction of the
+    finished graph meets. On a graph with two conflict cycles those
+    can differ, and so can the cycle's addresses in [d_cycle]: both
+    verdicts fail, yet they are not [equal]. This is accepted — the
+    reference is the batch's independent search, and making it follow
+    the stream's insertion order would make them one mechanism. *)
 val equal : verdict -> verdict -> bool
 
 type t
 
 (** [gc_interval] is the event count between watermark sweeps
-    (default 1024); the other knobs mirror {!Check.run}. Wedge
+    (default 1024); [liveness_budget] is as in {!Check.run}. Wedge
     detection is armed at {!finish}. *)
-val create :
-  ?liveness_budget:int ->
-  ?opacity:bool ->
-  ?gc_interval:int ->
-  unit ->
-  t
+val create : ?liveness_budget:int -> ?gc_interval:int -> unit -> t
 
 (** Feed one event; sink-compatible with
     {!Tm2c_engine.Trace.set_sink}. *)

@@ -58,8 +58,8 @@ let test_clean_run_passes () =
   check "clean counter run passes all checkers" true (Check.passed r);
   check_int "no failures" 0 (Check.n_failures r);
   check "some transactions checked" true
-    (Array.length r.Check.serial.Serial.txns > 0);
-  check "some grants replayed" true (r.Check.lockset.Lockset.n_grants > 0)
+    (r.Check.verdict.Stream.d_committed > 0 && r.Check.verdict.Stream.d_reads_checked > 0);
+  check "some grants replayed" true (r.Check.witness.Stream.w_lockset.Lockset.n_grants > 0)
 
 let test_histlog_roundtrip () =
   let events = collect_counter ~per_core:10 () in
@@ -232,16 +232,18 @@ let test_mutation_nonatomic_writeback_caught () =
   check "history itself is well-formed" true
     (r.Check.history.History.anomalies = []);
   check "lock discipline is clean (the bug is not a lock bug)" true
-    (Lockset.ok r.Check.lockset);
-  check "oracle rejects the history" false (Serial.ok r.Check.serial);
+    (Lockset.ok r.Check.witness.Stream.w_lockset);
+  check "oracle rejects the history" true
+    (let v = r.Check.verdict in
+     v.Stream.d_corruption <> [] || v.Stream.d_cycle <> None || v.Stream.d_opacity <> []);
   check "overall verdict fails" false (Check.passed r);
-  (match r.Check.serial.Serial.cycle with
+  (match r.Check.witness.Stream.w_cycle with
   | None -> Alcotest.fail "expected a conflict-graph cycle"
-  | Some c ->
+  | Some (edges, _) ->
       check_int "minimal witness: both transactions on the cycle" 2
-        (List.length c.Serial.c_txns);
+        (List.length (List.sort_uniq compare (List.map (fun ed -> ed.Serial.e_from) edges)));
       let kinds =
-        List.map (fun ed -> ed.Serial.e_kind) c.Serial.c_edges
+        List.map (fun ed -> ed.Serial.e_kind) edges
         |> List.sort_uniq compare
       in
       check "cycle mixes WR and RW dependencies" true
@@ -458,7 +460,7 @@ let test_doomed_write_grant_replay_passes () =
   in
   check "a doomed attempt is granted a write lock" true replayed;
   let r = Check.run_list events in
-  check "lock discipline is clean" true (Lockset.ok r.Check.lockset);
+  check "lock discipline is clean" true (Lockset.ok r.Check.witness.Stream.w_lockset);
   check "all checkers pass" true (Check.passed r)
 
 (* The exemption above must not hide a doomed attempt that publishes:
@@ -856,9 +858,9 @@ let test_liveness_budget () =
   in
   let r = Check.run_list ~liveness_budget:5 (mk 5) in
   check "budget-length chain trips the monitor" false
-    (Liveness.ok r.Check.liveness);
+    (Liveness.ok r.Check.witness.Stream.w_liveness);
   let r = Check.run_list ~liveness_budget:5 (mk 4) in
-  check "shorter chain is clean" true (Liveness.ok r.Check.liveness)
+  check "shorter chain is clean" true (Liveness.ok r.Check.witness.Stream.w_liveness)
 
 (* Two cores abort three times each: the chains tie on length, and
    both drivers list them by core whichever core's closes arrive
@@ -876,7 +878,7 @@ let test_liveness_tied_order () =
   List.iter
     (fun (name, events) ->
       let r = Check.run_list ~liveness_budget:3 events in
-      let l = r.Check.liveness in
+      let l = r.Check.witness.Stream.w_liveness in
       Alcotest.(check (list int))
         (name ^ ": tied chains by core") [ 2; 5 ]
         (List.map (fun (ch : Liveness.chain) -> ch.Liveness.ch_core) l.Liveness.violations);
@@ -907,7 +909,7 @@ let test_liveness_any_core_id () =
   Alcotest.(check (list int))
     "both chains reported" [ -1; 100_000 ]
     (List.map (fun (ch : Liveness.chain) -> ch.Liveness.ch_core)
-       r.Check.liveness.Liveness.violations)
+       r.Check.witness.Stream.w_liveness.Liveness.violations)
 
 let test_status_label () =
   Alcotest.(check string)

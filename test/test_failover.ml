@@ -100,13 +100,14 @@ let test_scrash_wedges_without_replicas () =
        events);
   (* The liveness monitor's stuck detection names the wedged cores. *)
   let res = Check.run_list ~stuck_after_ns events in
-  check "stuck cores flagged" true (res.Check.liveness.Liveness.stuck <> []);
+  check "stuck cores flagged" true (res.Check.witness.Stream.w_liveness.Liveness.stuck <> []);
   check "a wedge is a liveness failure" true (Check.n_failures res > 0);
   (* ... but only when armed: without [stuck_after_ns] the truncated
      attempts read as ordinary horizon cut-off. *)
   let res' = Check.run_list events in
   check "safety checkers stay green on the wedged run" true
-    (Lockset.ok res'.Check.lockset && res'.Check.liveness.Liveness.stuck = [])
+    (Lockset.ok res'.Check.witness.Stream.w_lockset
+    && res'.Check.witness.Stream.w_liveness.Liveness.stuck = [])
 
 (* The streaming checker, as tm2c-sim --check runs it, reports the
    same wedge as the batch monitor and names each wedged attempt with
@@ -121,7 +122,7 @@ let test_scrash_wedge_named_by_stream () =
   let v = Stream.finish ~stuck_after_ns s in
   let batch = Check.run_list ~stuck_after_ns events in
   check "streaming liveness report = batch report" true
-    (v.Stream.d_liveness = batch.Check.liveness);
+    (v.Stream.d_liveness = batch.Check.witness.Stream.w_liveness);
   let report = Stream.report_string s in
   match v.Stream.d_liveness.Liveness.stuck with
   | [] -> Alcotest.fail "expected wedged cores"

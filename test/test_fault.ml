@@ -397,7 +397,8 @@ let test_crash_wedges_without_leases () =
      Unfinished, exactly like run-horizon truncation. *)
   let res = Check.run_list events in
   check "no safety violation from the crash" true
-    (Lockset.ok res.Check.lockset && res.Check.history.History.anomalies = []);
+    (Lockset.ok res.Check.witness.Stream.w_lockset
+    && res.Check.history.History.anomalies = []);
   check "crashed core's attempt is Unfinished" true
     (List.exists
        (fun (a : History.attempt) ->

@@ -32,10 +32,12 @@ let contains s sub =
   go 0
 
 (* Both drivers print one summary, and, unless a conflict cycle is
-   reported (each driver numbers the cycle's transactions in its own
-   order), one whole report. [s] must be finished. *)
+   reported, one whole report: both number serialized transactions in
+   publish order, but each reports the cycle its own graph search
+   finds, which can start at another hop or name other edges. [s] must
+   be finished. *)
 let same_report s batch =
-  let v = Check.verdict batch in
+  let v = batch.Check.verdict in
   Format.asprintf "%a" Stream.pp_verdict (Stream.finish s)
   = Format.asprintf "%a" Stream.pp_verdict v
   && (v.Stream.d_cycle <> None || Stream.report_string s = Check.report_string batch)
@@ -94,12 +96,12 @@ let test_mutation_stale_read_caught () =
   let a, b, events = run_stale_window ~skip:true in
   let r = Check.run_list events in
   check "history is well-formed" true (r.Check.history.History.anomalies = []);
-  check "lock discipline is clean" true (Lockset.ok r.Check.lockset);
+  check "lock discipline is clean" true (Lockset.ok r.Check.witness.Stream.w_lockset);
   check "committed history stays serializable" true
-    (r.Check.serial.Serial.cycle = None);
-  check "no corruption" true (r.Check.serial.Serial.corruption = []);
+    (r.Check.witness.Stream.w_cycle = None);
+  check "no corruption" true (r.Check.witness.Stream.w_corruption = []);
   check "opacity oracle rejects the run" false (Check.passed r);
-  match r.Check.serial.Serial.opacity with
+  match r.Check.witness.Stream.w_opacity with
   | [] -> Alcotest.fail "expected an inconsistent-read witness"
   | w :: _ ->
       check_int "witness: victim core" 5 w.Serial.ir_core;
@@ -114,7 +116,7 @@ let test_mutation_stale_read_fixed_protocol_clean () =
   let r = Check.run_list events in
   check "post-grant doom check closes the window" true (Check.passed r);
   check "opacity attempts were still checked" true
-    (r.Check.serial.Serial.n_opacity_checked > 0)
+    (r.Check.verdict.Stream.d_opacity_checked > 0)
 
 (* The streaming checker must reach the same verdict on the mutated
    run, and its opacity witness must name the same address pair. *)
@@ -125,7 +127,7 @@ let test_mutation_streaming_agrees () =
   let online = Stream.finish s in
   let batch = Check.run_list events in
   check "streaming verdict = batch verdict" true
-    (Stream.equal online (Check.verdict batch));
+    (Stream.equal online batch.Check.verdict);
   check "streaming report = batch report" true (same_report s batch);
   check "streaming flags the opacity violation" false (Stream.passed online);
   check "streaming witness names the (A, B) pair" true
@@ -304,22 +306,30 @@ let post_publish_events =
     (10.0, Event.Tx_committed { core = 1; attempt = 1; duration_ns = 3.0 });
   ]
 
+(* Every checker but the snapshot check is clean. *)
+let fails_on_opacity_alone (v : Stream.verdict) =
+  v.Stream.d_opacity <> []
+  && v.Stream.d_anomalies = 0
+  && v.Stream.d_corruption = []
+  && v.Stream.d_cycle = None
+  && v.Stream.d_lock_violations = 0
+  && Liveness.ok v.Stream.d_liveness
+
 let test_synthetic_inconsistent_prefix_caught () =
   let r = Check.run_list fractured_abort_events in
   check "serializable (the reader never committed)" true
-    (r.Check.serial.Serial.cycle = None);
+    (r.Check.witness.Stream.w_cycle = None);
   check "opacity rejects" false (Check.passed r);
-  (match r.Check.serial.Serial.opacity with
+  (match r.Check.witness.Stream.w_opacity with
   | [ w ] ->
       check_int "read 1: the stale A" 100 w.Serial.ir_addr1;
       check_int "read 2: the fresh B" 101 w.Serial.ir_addr2;
       check_int "version pinning read 2 is the writer's publish" w.Serial.ir_pub2
         w.Serial.ir_pub2
   | ws -> Alcotest.failf "expected exactly one witness, got %d" (List.length ws));
-  (* The same history under opacity:false is clean: the check is the
-     only oracle with jurisdiction over aborted reads. *)
-  check "opacity:false accepts" true
-    (Check.passed (Check.run_list ~opacity:false fractured_abort_events))
+  (* The snapshot check is the only oracle with jurisdiction over
+     aborted reads: the history fails on it alone. *)
+  check "fails on opacity alone" true (fails_on_opacity_alone r.Check.verdict)
 
 let test_synthetic_streaming_agrees () =
   let s = Stream.create () in
@@ -327,7 +337,7 @@ let test_synthetic_streaming_agrees () =
   let online = Stream.finish s in
   let batch = Check.run_list fractured_abort_events in
   check "streaming verdict = batch verdict" true
-    (Stream.equal online (Check.verdict batch));
+    (Stream.equal online batch.Check.verdict);
   check "streaming report = batch report" true (same_report s batch);
   check_int "one opacity witness" 1 (List.length online.Stream.d_opacity);
   (* Both reports list opacity witnesses in attempt start order,
@@ -337,7 +347,7 @@ let test_synthetic_streaming_agrees () =
   let batch2 = Check.run_list two_fractured_aborts in
   check_int "two opacity witnesses" 2 (List.length (Stream.finish s2).Stream.d_opacity);
   check "two witnesses: streaming verdict = batch verdict" true
-    (Stream.equal (Stream.finish s2) (Check.verdict batch2));
+    (Stream.equal (Stream.finish s2) batch2.Check.verdict);
   check "two witnesses: streaming report = batch report" true (same_report s2 batch2);
   (* ... and corrupt reads in publish order, whatever order the
      attempts committed in. *)
@@ -347,23 +357,20 @@ let test_synthetic_streaming_agrees () =
   check_int "two corrupt reads" 2 (List.length (Stream.finish s3).Stream.d_corruption);
   check "two corrupt reads: streaming report = batch report" true
     (same_report s3 batch3);
-  (match batch3.Check.serial.Serial.corruption with
+  (match batch3.Check.witness.Stream.w_corruption with
   | [ first; _ ] ->
       check "core 0, published first, is listed first" true
         (contains first "core 0 attempt 1 read addr=100 value=8")
   | l -> Alcotest.failf "expected two corrupt reads, got %d" (List.length l));
-  let s' = Stream.create ~opacity:false () in
-  List.iter (fun (now, ev) -> Stream.feed s' now ev) fractured_abort_events;
-  check "streaming opacity:false accepts" true (Stream.passed (Stream.finish s'))
+  check "streaming fails on opacity alone" true (fails_on_opacity_alone online)
 
 (* CI replays test/fixtures/h1.hist through tm2c-check in both modes:
    it must stay H1, as the history-log writer renders it. *)
+let fixture path = if Sys.file_exists path then path else Filename.concat "test" path
+
 let test_h1_fixture () =
-  let path =
-    if Sys.file_exists "fixtures/h1.hist" then "fixtures/h1.hist"
-    else Filename.concat "test" "fixtures/h1.hist"
-  in
-  check "fixtures/h1.hist holds H1" true (Histlog.load path = (h1_events, None))
+  check "fixtures/h1.hist holds H1" true
+    (Histlog.load (fixture "fixtures/h1.hist") = (h1_events, None))
 
 (* Both drivers bind an initial version at the first read traced that
    resolves to it, whatever order they judge attempts in: H1-H3 fail
@@ -376,7 +383,7 @@ let test_initial_binding_agrees () =
       let online = Stream.finish s in
       let batch = Check.run_list events in
       check (name ^ ": streaming verdict = batch verdict") true
-        (Stream.equal online (Check.verdict batch));
+        (Stream.equal online batch.Check.verdict);
       check (name ^ ": streaming report = batch report") true (same_report s batch);
       check (name ^ ": fails") false (Check.passed batch);
       let report = Check.report_string batch in
@@ -399,9 +406,9 @@ let test_serialized_lifetime_agrees () =
       let online = Stream.finish s in
       let batch = Check.run_list events in
       check (name ^ ": streaming verdict = batch verdict") true
-        (Stream.equal online (Check.verdict batch));
+        (Stream.equal online batch.Check.verdict);
       check (name ^ ": streaming report = batch report") true (same_report s batch);
-      check (name ^ ": no cycle") true (batch.Check.serial.Serial.cycle = None);
+      check (name ^ ": no cycle") true (batch.Check.witness.Stream.w_cycle = None);
       check (name ^ ": fails") false (Check.passed batch);
       let report = Check.report_string batch in
       if not (contains report failure) then
@@ -422,11 +429,15 @@ let test_post_publish_anomalies_agree () =
   List.iter (fun (now, ev) -> Stream.feed s now ev) post_publish_events;
   let online = Stream.finish s in
   let batch = Check.run_list post_publish_events in
-  check "streaming verdict = batch verdict" true (Stream.equal online (Check.verdict batch));
+  check "streaming verdict = batch verdict" true (Stream.equal online batch.Check.verdict);
   check "streaming report = batch report" true (same_report s batch);
   check_int "write, publish and abort after publish flagged" 3 online.Stream.d_anomalies;
+  (* Core 0 is serialized, so not snapshot-checked, and core 1's read
+     of its a=1 is clean. *)
   check "the published write set stands" true
-    (batch.Check.serial.Serial.corruption = [] && Array.length batch.Check.serial.Serial.txns = 2)
+    (batch.Check.witness.Stream.w_corruption = []
+    && batch.Check.verdict.Stream.d_opacity_checked = 0
+    && batch.Check.verdict.Stream.d_reads_checked = 1)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: streaming verdict == batch verdict.                   *)
@@ -479,8 +490,9 @@ let shapes =
     ("list-elastic", 2.0, list_body);
   |]
 
-let collect_shape ~shape ~seed ~faults =
-  let _, duration_ms, body = shapes.(shape) in
+let collect_shape ?duration_ms ~shape ~seed ~faults () =
+  let _, default_ms, body = shapes.(shape) in
+  let duration_ms = Option.value duration_ms ~default:default_ms in
   let t = Runtime.create (cfg ~seed ()) in
   if faults then begin
     (match
@@ -501,12 +513,12 @@ let differential_prop =
     ~count:10
     QCheck.(triple (int_bound (Array.length shapes - 1)) (int_bound 999) bool)
     (fun (shape, seed, faults) ->
-      let events = collect_shape ~shape ~seed ~faults in
+      let events = collect_shape ~shape ~seed ~faults () in
       let s = Stream.create () in
       List.iter (fun (now, ev) -> Stream.feed s now ev) events;
       let online = Stream.finish s in
       let batch = Check.run_list events in
-      if Stream.equal online (Check.verdict batch) && same_report s batch then true
+      if Stream.equal online batch.Check.verdict && same_report s batch then true
       else
         QCheck.Test.fail_reportf
           "verdicts or reports diverge on %s seed=%d faults=%b:@\n-- online --@\n%s@\n-- \
@@ -589,11 +601,7 @@ let clashing_initial_reads (h : History.t) =
   List.iter (fun (_, addr, _) -> Hashtbl.replace written addr ()) h.History.host_writes;
   List.iter
     (fun (a : History.attempt) ->
-      let serialized =
-        a.History.a_publish_seq <> None
-        || match a.History.a_outcome with History.Committed _ -> true | _ -> false
-      in
-      if serialized then
+      if Serial.serialized a then
         List.iter (fun (addr, _) -> Hashtbl.replace written addr ()) a.History.a_writes)
     h.History.attempts;
   let seen = Hashtbl.create 8 in
@@ -629,7 +637,7 @@ let generated_prop =
       let online = Stream.finish s in
       let batch = Check.run_list events in
       let ((_, online_report) as o) = cycle_aside online (Stream.witness s) in
-      let ((_, batch_report) as b) = cycle_aside (Check.verdict batch) (Check.witness batch) in
+      let ((_, batch_report) as b) = cycle_aside batch.Check.verdict batch.Check.witness in
       if o <> b then
         QCheck.Test.fail_reportf "reports diverge:@\n-- online --@\n%s@\n-- batch --@\n%s"
           online_report batch_report
@@ -637,6 +645,109 @@ let generated_prop =
         QCheck.Test.fail_reportf "two values of a never-written word pass:@\n%s"
           online_report
       else true)
+
+(* ------------------------------------------------------------------ *)
+(* Hostile history logs: no driver raises.                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [tm2c-check] replays a log from anywhere. Mutate the event lines of
+   a real log (test/fixtures/h1.hist, or a short faulty bank run this
+   test records), re-stamp the count footer so the reader gets past
+   it, and replay: the reader may refuse the log only with its
+   [Failure], and both drivers must reach a verdict and render a
+   report whatever the lines say, raising nothing. *)
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n'
+
+(* The event lines of a log, header and footer dropped. *)
+let event_lines lines = List.filter (fun l -> l <> "" && l.[0] <> '#') lines
+
+let hostile_bases =
+  lazy
+    [|
+      event_lines (read_lines (fixture "fixtures/h1.hist"));
+      Tmp.with_written ~suffix:".hist"
+        (fun oc ->
+          Histlog.write oc
+            (Check.iter_of_list
+               (collect_shape ~duration_ms:0.05 ~shape:1 ~seed:3 ~faults:true ())))
+        (fun () path -> event_lines (read_lines path));
+    |]
+
+type mutation =
+  | Field of int * int * int  (* line, field (0: the timestamp; the tag stays), value *)
+  | Drop of int
+  | Dup of int
+  | Swap of int * int
+
+let mutate lines m =
+  let n = List.length lines in
+  let at i = i mod max n 1 in
+  match m with
+  | Field (i, f, v) ->
+      List.mapi
+        (fun j line ->
+          if j <> at i then line
+          else
+            match String.split_on_char ' ' line with
+            | time :: tag :: fields ->
+                let k = f mod (List.length fields + 1) in
+                let put c x = if c = k then string_of_int v else x in
+                String.concat " "
+                  (put 0 time :: tag :: List.mapi (fun c x -> put (c + 1) x) fields)
+            | _ -> line)
+        lines
+  | Drop i -> List.filteri (fun j _ -> j <> at i) lines
+  | Dup i -> List.concat (List.mapi (fun j l -> if j = at i then [ l; l ] else [ l ]) lines)
+  | Swap (i, k) ->
+      let a = Array.of_list lines in
+      if n > 0 then begin
+        let x = a.(at i) in
+        a.(at i) <- a.(at k);
+        a.(at k) <- x
+      end;
+      Array.to_list a
+
+let hostile_log =
+  let open QCheck.Gen in
+  let value = oneofl [ -1; -2; -1000; min_int; 0; max_int ] in
+  let mutation =
+    frequency
+      [
+        (4, map3 (fun i f v -> Field (i, f, v)) nat nat value);
+        (1, map (fun i -> Drop i) nat);
+        (1, map (fun i -> Dup i) nat);
+        (1, map2 (fun i k -> Swap (i, k)) nat nat);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (base, ms) ->
+      String.concat "\n"
+        (List.fold_left mutate (Lazy.force hostile_bases).(base) ms))
+    (pair (int_bound 1) (list_size (int_range 1 6) mutation))
+
+let hostile_prop =
+  QCheck.Test.make ~name:"hostile history logs: both drivers reach a verdict" ~count:500
+    hostile_log (fun (base, ms) ->
+      let lines = List.fold_left mutate (Lazy.force hostile_bases).(base) ms in
+      Tmp.with_written ~suffix:".hist"
+        (fun oc ->
+          output_string oc (Histlog.header ^ "\n");
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+          Printf.fprintf oc "# events %d\n" (List.length lines))
+        (fun () path ->
+          match Histlog.load path with
+          | exception Failure _ -> true
+          | events, stuck_after_ns ->
+              List.iter
+                (fun gc_interval ->
+                  let s = Stream.create ~gc_interval () in
+                  List.iter (fun (now, ev) -> Stream.feed s now ev) events;
+                  let v = Stream.finish ?stuck_after_ns s in
+                  ignore (Stream.report v (Stream.witness s)))
+                [ 1024; 1 ];
+              ignore (Check.report_string (Check.run_list ?stuck_after_ns events));
+              true))
 
 (* ------------------------------------------------------------------ *)
 (* Liveness: one monitor, one report, one witness.                     *)
@@ -652,9 +763,9 @@ let liveness_agrees name ~budget ?stuck_after_ns events =
   let online = Stream.finish ?stuck_after_ns s in
   let batch = Check.run_list ~liveness_budget:budget ?stuck_after_ns events in
   check (name ^ ": streaming liveness report = batch report") true
-    (online.Stream.d_liveness = batch.Check.liveness);
+    (online.Stream.d_liveness = batch.Check.witness.Stream.w_liveness);
   check (name ^ ": streaming verdict = batch verdict") true
-    (Stream.equal online (Check.verdict batch));
+    (Stream.equal online batch.Check.verdict);
   check (name ^ ": streaming report = batch report") true (same_report s batch);
   (s, online)
 
@@ -662,7 +773,7 @@ let liveness_agrees name ~budget ?stuck_after_ns events =
    violations: the streaming witness names each chain's core, length
    and first attempt. *)
 let test_liveness_chains_named () =
-  let events = collect_shape ~shape:0 ~seed:1 ~faults:false in
+  let events = collect_shape ~shape:0 ~seed:1 ~faults:false () in
   let s, v = liveness_agrees "counter, budget 2" ~budget:2 events in
   let report = Stream.report_string s in
   match v.Stream.d_liveness.Liveness.violations with
@@ -815,6 +926,7 @@ let suite =
       test_post_publish_anomalies_agree;
     QCheck_alcotest.to_alcotest ~long:true differential_prop;
     QCheck_alcotest.to_alcotest generated_prop;
+    QCheck_alcotest.to_alcotest hostile_prop;
     Alcotest.test_case "liveness: abort chains named, report = batch" `Quick
       test_liveness_chains_named;
     Alcotest.test_case "liveness: wedged core named, report = batch" `Quick
